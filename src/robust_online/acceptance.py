@@ -36,7 +36,7 @@ from .dimension import (
     witness_tree,
 )
 from .errors import ProtocolViolation, SearchInvariantError
-from .forecaster import horizon_regret_bound, horizon_rate
+from .forecaster import horizon_regret_bound, horizon_rate, weight_trajectory
 from .learners import (
     BASELINES,
     RobustReductionLearner,
@@ -381,13 +381,9 @@ def criterion_7(scale: Scale, seed: int) -> CriterionResult:
             rng = derive_rng(seed, "crit7-losses", n, horizon)
             losses = (rng.random((n, horizon)) < 0.5).astype(float)
             losses[0] = (rng.random(horizon) < 0.3).astype(float)
-            rate = horizon_rate(n, horizon)
-            weights = np.ones(n)
-            probs = np.empty(horizon)
-            for t in range(horizon):
-                probs[t] = weights @ losses[:, t] / weights.sum()
-                weights = weights * np.exp(-rate * losses[:, t])
-                weights /= weights.max()
+            # with the losses passed as the predictions, each probability
+            # is the forecaster's expected loss in that round
+            probs = weight_trajectory(losses, losses, horizon_rate(n, horizon))
             best = float(losses.sum(axis=1).min())
             sample_rng = derive_rng(seed, "crit7-samples", n, horizon)
             draws = sample_rng.random((scale.ewa_seeds, horizon))
@@ -574,11 +570,14 @@ def parse_criteria_spec(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            out.update(range(int(lo), int(hi) + 1))
-        else:
-            out.add(int(part))
+        try:
+            if "-" in part:
+                lo, hi = part.split("-", 1)
+                out.update(range(int(lo), int(hi) + 1))
+            else:
+                out.add(int(part))
+        except ValueError:
+            raise ValueError(f"malformed criteria selection {part!r}") from None
     bad = out - set(CRITERIA)
     if bad:
         raise ValueError(f"unknown criteria {sorted(bad)}; valid are 1..12")

@@ -9,7 +9,7 @@ tree is realizable.
 
 from .dimension import AdversarialTree
 from .learners import OrientationQuery
-from .model import HypothesisClass, PerturbationMap, adversarial_loss, compatible_pairs
+from .model import HypothesisClass, PerturbationMap, consistency_masks, game_nodes
 
 
 def _punished_side(node, prediction: int) -> int:
@@ -112,12 +112,14 @@ def robust_anchors(hc: HypothesisClass, u: PerturbationMap, h) -> list[tuple[int
     Playable means U(x) is nonempty (the adversary must present some
     perturbation of x) and h labels all of U(x) with the single y.
     """
-    anchors = []
-    for x in range(u.instance_count):
-        seen = {h.table[z] for z in u.forward[x]}
-        if len(seen) == 1:
-            anchors.append((x, seen.pop()))
-    return anchors
+    masks = consistency_masks(hc, u)
+    return [
+        (x, y)
+        for x in range(u.instance_count)
+        if u.forward[x]
+        for y in range(hc.label_count)
+        if masks[x][y] >> h.id & 1
+    ]
 
 
 def realizable_robust_rounds(
@@ -152,23 +154,12 @@ def orientation_options(
     hc: HypothesisClass, u: PerturbationMap, h, multiclass: bool = False
 ) -> list[tuple[OrientationQuery, int]]:
     """(query, side) choices whose reveal costs h nothing."""
-    pairs = sorted(compatible_pairs(u))
-    if multiclass:
-        label_pairs = [
-            (a, b)
-            for a in range(hc.label_count)
-            for b in range(hc.label_count)
-            if a != b
-        ]
-    else:
-        label_pairs = [(0, 1)]
-    options = []
-    for pair in pairs:
-        for labels in label_pairs:
-            for side in (0, 1):
-                if adversarial_loss(h, pair[side], labels[side], u) == 0:
-                    options.append((OrientationQuery(pair, labels), side))
-    return options
+    return [
+        (OrientationQuery(pair, labels), side)
+        for pair, labels, m0, m1 in game_nodes(hc, u, multiclass)
+        for side, m in enumerate((m0, m1))
+        if m >> h.id & 1
+    ]
 
 
 def realizable_orientation_rounds(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adversaries import ScriptedRobustAdversary
-from .dimension import adversarial_dimension, get_engine, witness_tree
+from .dimension import adversarial_dimension, witness_tree
 from .errors import DomainError, LimitExceeded
 from .forecaster import (
     ExponentialWeightsForecaster,
@@ -24,7 +24,7 @@ from .forecaster import (
     weight_trajectory,
 )
 from .learners import LazyRobustLearner, RobustReductionLearner, lazy_wrap
-from .model import HypothesisClass, PerturbationMap, adversarial_loss
+from .model import HypothesisClass, PerturbationMap, consistency_masks
 from .seeding import derive_rng
 
 MAX_EXPERTS = 20000
@@ -32,10 +32,11 @@ MAX_EXPERTS = 20000
 
 def hypothesis_losses(hc: HypothesisClass, u: PerturbationMap, rounds) -> list[int]:
     """Total adversarial loss of each hypothesis on the clean pairs."""
+    masks = consistency_masks(hc, u)
     totals = [0] * hc.size
     for _, x, y in rounds:
-        for h in hc:
-            totals[h.id] += adversarial_loss(h, x, y, u)
+        for i in range(hc.size):
+            totals[i] += 1 - (masks[x][y] >> i & 1)
     return totals
 
 
@@ -205,10 +206,8 @@ def analysis_subset(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:
     returns (mistake round indices, comparator loss, comparator id).
     """
     best, best_id = comparator_loss(hc, u, rounds)
-    h = hc[best_id]
-    clean = [
-        (t, r) for t, r in enumerate(rounds) if adversarial_loss(h, r[1], r[2], u) == 0
-    ]
+    masks = consistency_masks(hc, u)
+    clean = [(t, r) for t, r in enumerate(rounds) if masks[r[1]][r[2]] >> best_id & 1]
     lazy = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
     picked = []
     for t, (z, x, y) in clean:
@@ -277,11 +276,11 @@ def random_label_regret_sample(
         learner.update(z, (x0, x1)[y], y)
     n1 = int(labels.sum())
     n0 = horizon - n1
-    side_costs = [
-        n0 * adversarial_loss(h, x0, 0, u) + n1 * adversarial_loss(h, x1, 1, u)
-        for h in hc
-    ]
-    comparator = min(side_costs)
+    masks = consistency_masks(hc, u)
+    comparator = min(
+        n0 * (1 - (masks[x0][0] >> i & 1)) + n1 * (1 - (masks[x1][1] >> i & 1))
+        for i in range(hc.size)
+    )
     return {
         "regret": mistakes - comparator,
         "mistakes": mistakes,

@@ -10,7 +10,8 @@ Subcommands:
     gen-corpus  write a deterministic scenario corpus
     check       run the acceptance suite
 
-Every subcommand exits 0 only when everything it asserted held.
+Every subcommand exits 0 only when everything it asserted held.  Bad
+input ends in an error message on stderr and a nonzero exit.
 """
 
 import argparse
@@ -27,7 +28,8 @@ from .dimension import (
     classic_littlestone_dimension,
     witness_tree,
 )
-from .errors import ScenarioFormatError
+from .errors import DomainError, LimitExceeded, ScenarioFormatError
+from .learners import LEARNER_NAMES
 from .model import identity_map
 from .oracle import optimal_mistake_bound
 from .runner import replay_matches, run_scenario, transcript_to_json
@@ -59,6 +61,28 @@ def _load_scenario(path: str):
         for err in e.errors:
             print(f"  {err}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _criteria(text: str) -> list[int]:
+    try:
+        return parse_criteria_spec(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
 
 
 def _describe_tree(tree, names, indent="", side=""):
@@ -264,10 +288,9 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_check(args) -> int:
     scale = SCALES[args.scale]
-    numbers = parse_criteria_spec(args.criteria)
     results = run_criteria(
         scale,
-        numbers,
+        args.criteria,
         args.seed,
         echo=print,
         timing=lambda s: print(s, file=sys.stderr),
@@ -287,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("dim", help="dimension of a scenario")
     d.add_argument("scenario")
-    d.add_argument("--depth-cap", type=int, default=None)
+    d.add_argument("--depth-cap", type=_at_least(0), default=None)
     d.add_argument("--classic", action="store_true", help="also print the classic dimension")
     d.add_argument("--tree", action="store_true", help="print a witness tree")
     d.set_defaults(fn=cmd_dim)
@@ -295,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("play", help="run one game from a scenario")
     pl.add_argument("scenario")
     pl.add_argument("--seed", type=int, default=None)
-    pl.add_argument("--horizon", type=int, default=None)
+    pl.add_argument("--horizon", type=_at_least(1), default=None)
     pl.add_argument("--transcript", help="write the transcript JSON here")
     pl.add_argument("--trace", action="store_true", help="track the dimension per round")
     pl.set_defaults(fn=cmd_play)
@@ -303,20 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="exact game values")
     o.add_argument("scenario")
     o.add_argument("--game", choices=("robust", "orientation"), default=None)
-    o.add_argument("--horizon", type=int, default=None)
+    o.add_argument("--horizon", type=_at_least(0), default=None)
     o.set_defaults(fn=cmd_oracle)
 
     a = sub.add_parser("adversary", help="force mistakes with the tree adversary")
     a.add_argument("scenario")
-    a.add_argument("--learner", default="optimal")
+    a.add_argument("--learner", choices=LEARNER_NAMES, default="optimal")
     a.add_argument("--tie-break", choices=("low", "high"), default="low")
     a.set_defaults(fn=cmd_adversary)
 
     ag = sub.add_parser("agnostic", help="Monte-Carlo regret of the aggregated learner")
     ag.add_argument("scenario")
-    ag.add_argument("--horizon", type=int, default=None)
-    ag.add_argument("--corruptions", type=int, default=2)
-    ag.add_argument("--seeds", type=int, default=100)
+    ag.add_argument("--horizon", type=_at_least(1), default=None)
+    ag.add_argument("--corruptions", type=_at_least(0), default=2)
+    ag.add_argument("--seeds", type=_at_least(1), default=100)
     ag.add_argument("--seed", type=int, default=0)
     ag.add_argument("--trace", help="write per-round probabilities here")
     ag.set_defaults(fn=cmd_agnostic)
@@ -325,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     un.add_argument("scenario")
     un.add_argument("--method", choices=("ewa", "halving"), required=True)
     un.add_argument("--family", help="scenario file whose perturbation sections define the family")
-    un.add_argument("--horizon", type=int, default=None)
-    un.add_argument("--seeds", type=int, default=1)
+    un.add_argument("--horizon", type=_at_least(1), default=None)
+    un.add_argument("--seeds", type=_at_least(1), default=1)
     un.add_argument("--seed", type=int, default=0)
     un.set_defaults(fn=cmd_uncertain)
 
@@ -341,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="run the acceptance suite")
     c.add_argument("--scale", choices=sorted(SCALES), default="full")
-    c.add_argument("--criteria", default="1-12")
+    c.add_argument("--criteria", type=_criteria, default="1-12")
     c.add_argument("--seed", type=int, default=0)
     c.set_defaults(fn=cmd_check)
     return p
@@ -349,7 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (DomainError, LimitExceeded) as e:
+        print(f"robust-online {args.command}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

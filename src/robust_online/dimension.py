@@ -16,15 +16,14 @@ of size m never exceeds floor(log2 m).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import DomainError, TreeStructureError
 from .model import (
     HypothesisClass,
     PerturbationMap,
     VersionSpace,
-    compatible_pairs,
-    consistency_masks,
+    compiled,
+    game_nodes,
     restrict,
 )
 
@@ -83,24 +82,7 @@ class DimensionEngine:
         self.u = u
         self.multiclass = multiclass
         self.full_mask = (1 << hc.size) - 1
-        masks = consistency_masks(hc, u)
-        pairs = sorted(compatible_pairs(u))
-        if multiclass:
-            label_pairs = [
-                (a, b)
-                for a in range(hc.label_count)
-                for b in range(hc.label_count)
-                if a != b
-            ]
-        else:
-            label_pairs = [(0, 1)]
-        # lexicographic (pair, labels) order; witness extraction and the
-        # argmax tie-breaks below both rely on it
-        self.nodes = [
-            ((x0, x1), (y0, y1), masks[x0][y0], masks[x1][y1])
-            for (x0, x1) in pairs
-            for (y0, y1) in label_pairs
-        ]
+        self.nodes = game_nodes(hc, u, multiclass)
         self._memo: dict[int, int] = {0: EMPTY_DIM}
 
     def dimension_of_mask(self, mask: int) -> int:
@@ -147,9 +129,8 @@ class DimensionEngine:
         raise AssertionError("no witness node at a depth the search just certified")
 
 
-@lru_cache(maxsize=None)
 def get_engine(hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False) -> DimensionEngine:
-    return DimensionEngine(hc, u, multiclass)
+    return compiled(hc, u, DimensionEngine, multiclass)
 
 
 def adversarial_dimension(

@@ -5,12 +5,15 @@ lookup table over the instance space.  A perturbation map sends each
 instance to the set of inputs an adversary may present in its place.
 Version spaces are bitmasks over the hypothesis ids of a parent class,
 so restriction is a single AND against a precomputed consistency mask.
+
+The consistency masks are the single source of the robust loss.  Data
+compiled for a (class, map) pair is kept on the class (see compiled()),
+so it is built once, found without hashing the class and freed with it.
 """
 
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import DomainError, LimitExceeded
 
@@ -49,6 +52,8 @@ class HypothesisClass:
     hypotheses: tuple[Hypothesis, ...]
     instance_count: int
     label_count: int
+    # compiled per-map data, see compiled(); never compared, hashed or printed
+    _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_tables(cls, tables, label_count: int = 2) -> "HypothesisClass":
@@ -177,22 +182,58 @@ def adversarial_loss(h: Hypothesis, x: Instance, y: Label, u: PerturbationMap) -
     return int(any(h.table[z] != y for z in u.forward[x]))
 
 
-@lru_cache(maxsize=None)
+def compiled(hc: HypothesisClass, u: PerturbationMap, build, *args):
+    """build(hc, u, *args), made once and kept on hc.
+
+    The key (u, build, args) leaves the class out, so a lookup never
+    hashes it, and the value lives exactly as long as the class.
+    """
+    key = (u, build, args)
+    value = hc._store.get(key)
+    if value is None:
+        value = hc._store[key] = build(hc, u, *args)
+    return value
+
+
 def consistency_masks(hc: HypothesisClass, u: PerturbationMap):
     """masks[x][y]: bitmask of hypothesis ids with zero adversarial loss on (x, y)."""
+    return compiled(hc, u, _build_masks)
+
+
+def _build_masks(hc: HypothesisClass, u: PerturbationMap):
     if hc.instance_count != u.instance_count:
         raise DomainError("hypothesis class and perturbation map cover different spaces")
-    masks = []
-    for x in range(hc.instance_count):
-        row = []
-        for y in range(hc.label_count):
-            m = 0
-            for h in hc:
-                if not any(h.table[z] != y for z in u.forward[x]):
-                    m |= 1 << h.id
-            row.append(m)
-        masks.append(tuple(row))
-    return tuple(masks)
+    return tuple(
+        tuple(
+            sum(1 << h.id for h in hc if all(h.table[z] == y for z in u.forward[x]))
+            for y in range(hc.label_count)
+        )
+        for x in range(hc.instance_count)
+    )
+
+
+def game_nodes(hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False):
+    """(pair, labels, mask0, mask1) for every orientation-game node.
+
+    A node is a compatible instance pair with one label per side: (0, 1)
+    in binary mode, any two distinct labels in multiclass mode.  Side i
+    keeps mask_i.  The order is lexicographic in (pair, labels); witness
+    extraction and the searches' tie-breaks rely on it.
+    """
+    return compiled(hc, u, _build_nodes, multiclass)
+
+
+def _build_nodes(hc: HypothesisClass, u: PerturbationMap, multiclass: bool):
+    masks = consistency_masks(hc, u)
+    label_pairs = [(0, 1)]
+    if multiclass:
+        n = hc.label_count
+        label_pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    return tuple(
+        ((x0, x1), (y0, y1), masks[x0][y0], masks[x1][y1])
+        for (x0, x1) in sorted(compatible_pairs(u))
+        for (y0, y1) in label_pairs
+    )
 
 
 @dataclass(frozen=True)
@@ -226,10 +267,7 @@ def restrict(v: VersionSpace, x: Instance, y: Label, u: PerturbationMap) -> Vers
 
     With U(x) empty the constraint is vacuous and v comes back unchanged.
     """
-    if not 0 <= y < v.parent.label_count:
-        raise DomainError(f"label id {y} outside [0, {v.parent.label_count})")
-    m = consistency_masks(v.parent, u)[x][y]
-    return VersionSpace(v.parent, v.mask & m)
+    return VersionSpace(v.parent, v.mask & surviving_mask([(x, y)], v.parent, u))
 
 
 def surviving_mask(pairs, hc: HypothesisClass, u: PerturbationMap) -> int:

@@ -15,10 +15,8 @@ unchanged all legal reveals share one label, which the learner can simply
 predict.
 """
 
-from functools import lru_cache
-
 from .errors import DomainError, LimitExceeded, SearchInvariantError
-from .model import HypothesisClass, PerturbationMap, compatible_pairs, consistency_masks
+from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks, game_nodes
 
 MAX_INSTANCES = 5
 MAX_HYPOTHESES = 16
@@ -60,16 +58,9 @@ class MinimaxSolver:
                 if opts:
                     self.moves.append(opts)
         else:
-            if multiclass:
-                label_pairs = [
-                    (a, b) for a in self.labels for b in self.labels if a != b
-                ]
-            else:
-                label_pairs = [(0, 1)]
             self.moves = [
-                [(y0, masks[x0][y0]), (y1, masks[x1][y1])]
-                for (x0, x1) in sorted(compatible_pairs(u))
-                for (y0, y1) in label_pairs
+                [(y0, m0), (y1, m1)]
+                for _, (y0, y1), m0, m1 in game_nodes(hc, u, multiclass)
             ]
         self.ceiling = hc.size
         self._memo: dict[int, int] = {}
@@ -132,11 +123,6 @@ class MinimaxSolver:
         return v
 
 
-@lru_cache(maxsize=None)
-def _get_solver(hc, u, game, multiclass):
-    return MinimaxSolver(hc, u, game, multiclass)
-
-
 def optimal_mistake_bound(
     hc: HypothesisClass,
     u: PerturbationMap,
@@ -149,5 +135,5 @@ def optimal_mistake_bound(
     horizon=None means the unbounded game (its value stabilizes because
     mistakes are bounded); a nonnegative horizon caps the round count.
     """
-    solver = _get_solver(hc, u, game, multiclass)
+    solver = compiled(hc, u, MinimaxSolver, game, multiclass)
     return solver.value((1 << hc.size) - 1, horizon)

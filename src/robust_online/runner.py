@@ -7,7 +7,7 @@ with the violating round index when a pluggable adversary breaks it.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ._version import __version__
 from .adversaries import (
@@ -241,10 +241,19 @@ def transcript_to_json(tr: GameTranscript) -> str:
 
 
 def transcript_from_json(text: str) -> GameTranscript:
+    """Inverse of transcript_to_json; a missing or unknown key is a DomainError."""
     data = json.loads(text)
+    for key in ("protocol", "learner", "adversary", "seed", "rounds"):
+        if key not in data:
+            raise DomainError(f"transcript has no {key!r} key")
     cls = RobustRound if data["protocol"] == "robust" else OrientationRound
+    names = {f.name for f in fields(cls)}
     rounds = []
-    for r in data["rounds"]:
+    for i, r in enumerate(data["rounds"]):
+        odd = sorted(names.symmetric_difference(r))
+        if odd:
+            kind = "unknown" if odd[0] in r else "missing"
+            raise DomainError(f"transcript round {i}: {kind} key {odd[0]!r}")
         if cls is OrientationRound:
             r = dict(r, pair=tuple(r["pair"]), labels=tuple(r["labels"]))
         rounds.append(cls(**r))

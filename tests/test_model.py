@@ -93,6 +93,13 @@ def test_restrict_is_monotone_and_idempotent():
             v = w
 
 
+@pytest.mark.parametrize("x", [-1, 3])
+def test_restrict_rejects_out_of_range_instance(x):
+    hc = full_class(3)
+    with pytest.raises(DomainError, match=f"instance id {x} outside"):
+        restrict(VersionSpace.full(hc), x, 0, identity_map(3))
+
+
 def test_compatible_pairs_fixed_case():
     u = two_point_overlap()
     assert compatible_pairs(u) == {(0, 0), (0, 1), (1, 0), (1, 1)}

@@ -1,0 +1,142 @@
+"""Property tests over random small games.
+
+The consistency masks are the package's single source of the robust
+loss.  The first properties check them, and the functions derived from
+them, against the definitional `adversarial_loss`; the rest check the
+dimension search, restriction, and the lifetime of compiled data.
+"""
+
+import gc
+import math
+import weakref
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from robust_online import (
+    HypothesisClass,
+    OrientationQuery,
+    PerturbationMap,
+    VersionSpace,
+    adversarial_dimension,
+    adversarial_loss,
+    compatible_pairs,
+    full_class,
+    identity_map,
+    is_shattered,
+    optimal_mistake_bound,
+    restrict,
+    witness_tree,
+)
+from robust_online.adversaries import orientation_options, robust_anchors
+from robust_online.agnostic import hypothesis_losses
+from robust_online.model import consistency_masks
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def games(draw, max_instances=4, max_labels=3, max_hypotheses=8):
+    """(class, map) over at most four instances and eight distinct tables."""
+    n = draw(st.integers(1, max_instances))
+    labels = draw(st.integers(2, max_labels))
+    table = st.tuples(*[st.integers(0, labels - 1)] * n)
+    tables = draw(st.lists(table, min_size=1, max_size=max_hypotheses, unique=True))
+    sets = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n))
+    return HypothesisClass.from_tables(tables, labels), PerturbationMap.from_sets(sets)
+
+
+def reference_anchors(u, h):
+    anchors = []
+    for x in range(u.instance_count):
+        seen = {h.table[z] for z in u.forward[x]}
+        if len(seen) == 1:
+            anchors.append((x, seen.pop()))
+    return anchors
+
+
+def reference_options(hc, u, h, multiclass):
+    n = hc.label_count
+    label_pairs = (
+        [(a, b) for a in range(n) for b in range(n) if a != b] if multiclass else [(0, 1)]
+    )
+    options = []
+    for pair in sorted(compatible_pairs(u)):
+        for labels in label_pairs:
+            for side in (0, 1):
+                if adversarial_loss(h, pair[side], labels[side], u) == 0:
+                    options.append((OrientationQuery(pair, labels), side))
+    return options
+
+
+@PROPERTY
+@given(games())
+def test_masks_agree_with_adversarial_loss(game):
+    hc, u = game
+    masks = consistency_masks(hc, u)
+    for h in hc:
+        for x in range(hc.instance_count):
+            for y in range(hc.label_count):
+                charged = not masks[x][y] >> h.id & 1
+                assert charged == adversarial_loss(h, x, y, u)
+
+
+@PROPERTY
+@given(games())
+def test_anchors_and_options_match_the_definition(game):
+    hc, u = game
+    for h in hc:
+        assert robust_anchors(hc, u, h) == reference_anchors(u, h)
+        for multiclass in (False, True):
+            expected = reference_options(hc, u, h, multiclass)
+            assert orientation_options(hc, u, h, multiclass) == expected
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_hypothesis_losses_match_the_definition(game, data):
+    hc, u = game
+    pair = st.tuples(
+        st.integers(0, hc.instance_count - 1), st.integers(0, hc.label_count - 1)
+    )
+    rounds = [(x, x, y) for x, y in data.draw(st.lists(pair, max_size=12))]
+    expected = [sum(adversarial_loss(h, x, y, u) for _, x, y in rounds) for h in hc]
+    assert hypothesis_losses(hc, u, rounds) == expected
+
+
+@PROPERTY
+@given(games(), st.booleans())
+def test_witness_tree_is_shattered_and_dimension_is_logarithmic(game, multiclass):
+    hc, u = game
+    multiclass = multiclass or hc.label_count > 2
+    tree = witness_tree(hc, u, multiclass)
+    assert tree.depth == adversarial_dimension(hc, u, multiclass)
+    assert is_shattered(tree, hc, u)
+    assert tree.depth <= math.floor(math.log2(hc.size))
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_restrict_is_monotone(game, data):
+    hc, u = game
+    full = (1 << hc.size) - 1
+    outer = data.draw(st.integers(0, full))
+    inner = outer & data.draw(st.integers(0, full))
+    x = data.draw(st.integers(0, hc.instance_count - 1))
+    y = data.draw(st.integers(0, hc.label_count - 1))
+    small = restrict(VersionSpace(hc, inner), x, y, u).mask
+    big = restrict(VersionSpace(hc, outer), x, y, u).mask
+    assert small & ~big == 0
+    assert big & ~outer == 0
+
+
+def test_compiled_data_is_freed_with_its_class():
+    hc, u = full_class(3), identity_map(3)
+    adversarial_dimension(hc, u)
+    witness_tree(hc, u)
+    optimal_mistake_bound(hc, u, "orientation")
+    restrict(VersionSpace.full(hc), 0, 1, u)
+    ref = weakref.ref(hc)
+    del hc
+    gc.collect()
+    assert ref() is None

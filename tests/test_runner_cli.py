@@ -12,6 +12,7 @@ from robust_online import (
     run_scenario,
     serialize_scenario,
 )
+from robust_online.errors import DomainError
 from robust_online.runner import (
     recount_transcript,
     replay_matches,
@@ -112,6 +113,22 @@ def test_transcript_json_round_trip(scenario):
     assert back == transcript
     payload = json.loads(text)
     assert payload["protocol"] == "robust"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["rounds"][2].update(bogus=1), "round 2: unknown key 'bogus'"),
+        (lambda d: d["rounds"][3].pop("loss"), "round 3: missing key 'loss'"),
+        (lambda d: d.pop("rounds"), "no 'rounds' key"),
+    ],
+)
+def test_transcript_from_json_names_the_bad_key(scenario, edit, message):
+    _, transcript = run_scenario(scenario)
+    payload = json.loads(transcript_to_json(transcript))
+    edit(payload)
+    with pytest.raises(DomainError, match=message):
+        transcript_from_json(json.dumps(payload))
 
 
 def test_replay_matches_detects_tampering(scenario):
@@ -242,3 +259,46 @@ def test_cli_check_smoke_is_byte_stable():
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert "criterion  2" in a.stdout
+
+
+# six instances: one more than the exhaustive oracle accepts
+BIG_SCENARIO = """\
+SPACES
+instances: a b c d e f
+labels: neg pos
+HYPOTHESES
+h0: neg neg neg neg neg neg
+h1: pos neg neg neg neg neg
+PERTURBATIONS main
+a: a
+b: b
+c: c
+d: d
+e: e
+f: f
+"""
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("check", "--criteria", "5-"), "malformed criteria selection '5-'"),
+        (("check", "--criteria", "13"), "unknown criteria [13]"),
+        (("adversary", "{scn}", "--learner", "bogus"), "invalid choice: 'bogus'"),
+        (("play", "{scn}", "--horizon", "0"), "--horizon: must be at least 1, got 0"),
+        (("play", "{scn}", "--horizon", "-3"), "--horizon: must be at least 1, got -3"),
+        (("dim", "{scn}", "--depth-cap", "-1"), "--depth-cap: must be at least 0"),
+        (("agnostic", "{scn}", "--seeds", "0"), "--seeds: must be at least 1, got 0"),
+        (("agnostic", "{scn}", "--horizon", "-1"), "--horizon: must be at least 1"),
+        (("oracle", "{scn}", "--horizon", "-2"), "--horizon: must be at least 0"),
+        (("oracle", "{big}"), "exhaustive game search is limited to 5 instances"),
+    ],
+)
+def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):
+    paths = {"scn": tmp_path / "toy.scn", "big": tmp_path / "big.scn"}
+    paths["scn"].write_text(SCENARIO)
+    paths["big"].write_text(BIG_SCENARIO)
+    out = run_cli(*(a.format(**paths) for a in args))
+    assert out.returncode != 0
+    assert "Traceback" not in out.stderr
+    assert message in out.stderr.strip().splitlines()[-1]
