@@ -7,6 +7,10 @@ only the rounds in J.  For the subset picked by the analysis (the mistake
 rounds of the lazy learner on the clean part of the sequence) the expert's
 total mistakes are at most dimension + comparator loss, so exponentially
 weighted aggregation turns the pool into a sublinear-regret learner.
+
+The pool is replayed once over the fixed sequence (forecaster.expert_matrices);
+agnostic_run reads one seed off the resulting trajectory and mc_regret many,
+and decomposition_gap replays the analysis expert the same way.
 """
 
 import itertools
@@ -15,14 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversaries import ScriptedRobustAdversary
 from .dimension import adversarial_dimension, witness_tree
 from .errors import DomainError, LimitExceeded
-from .forecaster import (
-    ExponentialWeightsForecaster,
-    horizon_rate,
-    weight_trajectory,
-)
+from .forecaster import expert_matrices, horizon_rate, seeded_mistakes, weight_trajectory
 from .learners import LazyRobustLearner, RobustReductionLearner, lazy_wrap
 from .model import HypothesisClass, PerturbationMap, consistency_masks
 from .seeding import derive_rng
@@ -48,20 +47,25 @@ def comparator_loss(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple[in
 
 
 class SubsetExpert:
-    """The lazy optimal learner, shown only the rounds in one subset."""
+    """The lazy optimal learner, shown only the rounds in one subset.
+
+    Rounds are counted from 0 by the updates the expert has received.
+    """
 
     def __init__(self, indices, hc: HypothesisClass, u: PerturbationMap):
         self.indices = frozenset(indices)
         self.learner = LazyRobustLearner(
             RobustReductionLearner(hc, u, strict=False, empty_prediction=0)
         )
+        self.round = 0
 
     def predict(self, z: int) -> int:
         return self.learner.predict(z)
 
-    def observe(self, t: int, z: int, x: int, y: int) -> None:
-        if t in self.indices:
+    def update(self, z: int, x: int, y: int) -> None:
+        if self.round in self.indices:
             self.learner.update(z, x, y)
+        self.round += 1
 
 
 def subset_expert_count(horizon: int, dimension: int) -> int:
@@ -105,22 +109,14 @@ class RegretReport:
     expert_count: int = 0
 
 
-def expert_matrices(hc, u, rounds, experts):
-    """(predictions, losses) as (n_experts, horizon) 0/1 arrays.
-
-    Experts adapt to the fixed sequence only, never to the forecaster's
-    coin flips, so one pass serves every seed.
-    """
-    n, horizon = len(experts), len(rounds)
-    preds = np.zeros((n, horizon), dtype=np.int8)
-    for t, (z, x, y) in enumerate(rounds):
-        for i, e in enumerate(experts):
-            preds[i, t] = e.predict(z)
-        for e in experts:
-            e.observe(t, z, x, y)
-    labels = np.array([y for _, _, y in rounds], dtype=np.int8)
-    losses = (preds != labels[None, :]).astype(np.int8)
-    return preds, losses
+def _replay(hc, u, rounds, dimension, rate):
+    """(expert count, labels, probabilities) of the aggregated learner."""
+    experts = build_subset_experts(hc, u, len(rounds), dimension)
+    preds, losses = expert_matrices(experts, rounds)
+    if rate is None:
+        rate = horizon_rate(len(experts), len(rounds))
+    labels = np.array([y for _, _, y in rounds])
+    return len(experts), labels, weight_trajectory(preds, losses, rate)
 
 
 def agnostic_run(
@@ -133,24 +129,9 @@ def agnostic_run(
 ) -> RegretReport:
     """One seeded pass of the aggregated learner over a fixed sequence."""
     rounds = list(rounds)
-    if not rounds:
-        raise DomainError("need at least one round")
-    experts = build_subset_experts(hc, u, len(rounds), dimension)
-    if rate is None:
-        rate = horizon_rate(len(experts), len(rounds))
-    fore = ExponentialWeightsForecaster(len(experts), rate)
-    rng = derive_rng(seed, "agnostic")
-    mistakes = 0
-    probs = []
-    for t, (z, x, y) in enumerate(rounds):
-        preds = [e.predict(z) for e in experts]
-        p = fore.probability(preds)
-        probs.append(p)
-        guess = int(rng.random() < p)
-        mistakes += int(guess != y)
-        fore.update([int(pr != y) for pr in preds])
-        for e in experts:
-            e.observe(t, z, x, y)
+    n, labels, probs = _replay(hc, u, rounds, dimension, rate)
+    stats = seeded_mistakes(probs, labels, [derive_rng(seed, "agnostic")])
+    mistakes = int(stats["values"][0])
     best, best_id = comparator_loss(hc, u, rounds)
     return RegretReport(
         mistakes=mistakes,
@@ -158,8 +139,8 @@ def agnostic_run(
         regret=mistakes - best,
         best_hypothesis=best_id,
         seed=seed,
-        probabilities=probs,
-        expert_count=len(experts),
+        probabilities=probs.tolist(),
+        expert_count=n,
     )
 
 
@@ -171,31 +152,13 @@ def mc_regret(
     dimension: int | None = None,
     rate: float | None = None,
 ) -> dict:
-    """Monte-Carlo regret statistics over forecaster seeds, vectorized."""
+    """Monte-Carlo regret statistics over forecaster seeds."""
     rounds = list(rounds)
-    experts = build_subset_experts(hc, u, len(rounds), dimension)
-    if rate is None:
-        rate = horizon_rate(len(experts), len(rounds))
-    preds, losses = expert_matrices(hc, u, rounds, experts)
-    probs = weight_trajectory(preds, losses, rate)
-    labels = np.array([y for _, _, y in rounds])
+    n, labels, probs = _replay(hc, u, rounds, dimension, rate)
     best, _ = comparator_loss(hc, u, rounds)
-    regrets = []
-    for seed in seeds:
-        rng = derive_rng(seed, "agnostic")
-        guesses = (rng.random(len(rounds)) < probs).astype(int)
-        regrets.append(int((guesses != labels).sum()) - best)
-    regrets = np.array(regrets, dtype=float)
-    return {
-        "mean": float(regrets.mean()),
-        "std": float(regrets.std(ddof=1)) if len(regrets) > 1 else 0.0,
-        "stderr": float(regrets.std(ddof=1) / math.sqrt(len(regrets)))
-        if len(regrets) > 1
-        else 0.0,
-        "comparator": best,
-        "expert_count": len(experts),
-        "values": regrets.tolist(),
-    }
+    rngs = (derive_rng(seed, "agnostic") for seed in seeds)
+    stats = seeded_mistakes(probs, labels, rngs, offset=best)
+    return {**stats, "comparator": best, "expert_count": n}
 
 
 def analysis_subset(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:
@@ -224,11 +187,8 @@ def decomposition_gap(hc: HypothesisClass, u: PerturbationMap, rounds) -> dict:
     loss; the returned gap is bound minus realized mistakes (>= 0).
     """
     picked, best, best_id = analysis_subset(hc, u, rounds)
-    expert = SubsetExpert(picked, hc, u)
-    mistakes = 0
-    for t, (z, x, y) in enumerate(rounds):
-        mistakes += int(expert.predict(z) != y)
-        expert.observe(t, z, x, y)
+    _, losses = expert_matrices([SubsetExpert(picked, hc, u)], rounds)
+    mistakes = int(losses.sum())
     dim = adversarial_dimension(hc, u)
     return {
         "expert_mistakes": mistakes,

@@ -12,11 +12,22 @@ the expert losses, so both classic regret regimes apply:
 where L* bounds the best expert's total loss.  Weights are renormalized by
 their maximum every update, which changes nothing (predictions depend only
 on weight ratios) and keeps them away from underflow.
+
+Experts react to the revealed sequence only, never to the forecaster's
+coin flips, so a run is replayed in three steps shared by every learner
+that aggregates experts: expert_matrices drives the pool over the fixed
+sequence once, weight_trajectory turns the matrices into the per-round
+probabilities, and seeded_mistakes draws the coins of each seed.  Drawing
+all T coins of a seed at once gives the same PCG64 stream as T single
+draws, so a one-seed run is the same computation as a Monte-Carlo one.
+ExponentialWeightsForecaster is the stepwise reference for these steps.
 """
 
 import math
 
 import numpy as np
+
+from .errors import DomainError
 
 
 def horizon_rate(n_experts: int, horizon: int) -> float:
@@ -68,6 +79,48 @@ class ExponentialWeightsForecaster:
             -self.rate * np.asarray(losses, dtype=float)
         )
         self.weights /= self.weights.max()
+
+
+def expert_matrices(experts, rounds):
+    """(predictions, losses) 0/1 arrays of shape (n_experts, horizon).
+
+    Every round each robust-game expert is asked predict(z), then shown
+    update(z, x, y).
+    """
+    rounds = list(rounds)
+    if not rounds:
+        raise DomainError("need at least one round")
+    preds = np.zeros((len(experts), len(rounds)), dtype=np.int8)
+    for t, (z, x, y) in enumerate(rounds):
+        for i, e in enumerate(experts):
+            preds[i, t] = e.predict(z)
+        for e in experts:
+            e.update(z, x, y)
+    labels = np.array([y for _, _, y in rounds], dtype=np.int8)
+    return preds, (preds != labels[None, :]).astype(np.int8)
+
+
+def seeded_mistakes(probabilities, labels, rngs, offset: int = 0) -> dict:
+    """Mistakes of the forecaster under each generator's coins, summarized.
+
+    Round t predicts 1 when the generator's t-th uniform draw is below
+    probabilities[t].  values holds each generator's mistakes minus
+    offset; mean, std (ddof 1) and stderr summarize them, the last two
+    being 0.0 for a single generator.  rngs may be a lazy iterable; it is
+    consumed one generator at a time, so each can be freed after its draw.
+    """
+    probs = np.asarray(probabilities)
+    mistakes = [int(((rng.random(len(probs)) < probs) != labels).sum()) for rng in rngs]
+    if not mistakes:
+        raise DomainError("need at least one seed")
+    values = np.array(mistakes, dtype=float) - offset
+    std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    return {
+        "mean": float(values.mean()),
+        "std": std,
+        "stderr": std / math.sqrt(len(values)),
+        "values": values.tolist(),
+    }
 
 
 def weight_trajectory(prediction_matrix, loss_matrix, rate: float):

@@ -271,13 +271,18 @@ class RobustReductionLearner:
 
 
 class LazyRobustLearner:
-    """Update-on-mistake wrapper; correct rounds leave the state untouched."""
+    """Update-on-mistake wrapper; correct rounds leave the state untouched.
+
+    The inner learner changes only in update, so update reuses the
+    prediction of the preceding predict call for the same input.
+    """
 
     game = "robust"
 
     def __init__(self, inner):
         self.inner = inner
         self.mistake_count = 0
+        self._last = None  # (z, prediction) of the latest predict
 
     @property
     def version_space(self):
@@ -288,30 +293,41 @@ class LazyRobustLearner:
         return self.inner.events
 
     def predict(self, z: int) -> int:
-        return self.inner.predict(z)
+        self._last = (z, self.inner.predict(z))
+        return self._last[1]
 
     def update(self, z: int, x: int, y: int) -> None:
-        if self.inner.predict(z) != y:
+        last, self._last = self._last, None
+        if last is None or last[0] != z:
+            last = (z, self.inner.predict(z))
+        if last[1] != y:
             self.mistake_count += 1
             self.inner.update(z, x, y)
 
 
 class LazyOrientationLearner:
+    """Update-on-mistake wrapper for the orientation game, like LazyRobustLearner."""
+
     game = "orientation"
 
     def __init__(self, inner):
         self.inner = inner
         self.mistake_count = 0
+        self._last = None  # (query, prediction) of the latest predict
 
     @property
     def version_space(self):
         return self.inner.version_space
 
     def predict(self, query: OrientationQuery) -> int:
-        return self.inner.predict(query)
+        self._last = (query, self.inner.predict(query))
+        return self._last[1]
 
     def update(self, query: OrientationQuery, side: int) -> None:
-        if self.inner.predict(query) != query.labels[side]:
+        last, self._last = self._last, None
+        if last is None or last[0] != query:
+            last = (query, self.inner.predict(query))
+        if last[1] != query.labels[side]:
             self.mistake_count += 1
             self.inner.update(query, side)
 

@@ -14,6 +14,11 @@ the true map:
   restarts only once every member has erred: an adversary that splits the
   alive pool evenly and labels against the vote forces it.
 
+Every expert sees every reveal, dead or alive, so both learners read one
+replay of the experts over the fixed sequence (forecaster.expert_matrices):
+halving takes its votes from the prediction matrix, family_ewa_run reads
+one seed off the forecaster trajectory and mc_family_mistakes many.
+
 Experts run tolerantly.  Under a wrong assumed map the shown input can sit
 outside the assumed perturbation set of the revealed instance, reveals can
 empty the version space, and mistake rounds can lack an oriented
@@ -21,7 +26,6 @@ counterpart; a wrong-map expert just keeps predicting (1 once its version
 space is empty) and accumulates events.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +33,9 @@ import numpy as np
 from .dimension import adversarial_dimension
 from .errors import DomainError
 from .forecaster import (
-    ExponentialWeightsForecaster,
+    expert_matrices,
     loss_budget_rate,
+    seeded_mistakes,
     small_loss_bound,
     weight_trajectory,
 )
@@ -127,6 +132,17 @@ class FamilyRunReport:
     expert_mistakes: list[int] = field(default_factory=list)
 
 
+def _replay(hc, family, rounds, budget, rate):
+    """(budget, rate, labels, probabilities, losses) of the aggregated learner."""
+    preds, losses = expert_matrices(build_family_experts(hc, family.members), rounds)
+    if budget is None:
+        budget = family_loss_budget(hc, family)
+    if rate is None:
+        rate = loss_budget_rate(len(family), budget)
+    labels = np.array([y for _, _, y in rounds])
+    return budget, rate, labels, weight_trajectory(preds, losses, rate), losses
+
+
 def family_ewa_run(
     hc: HypothesisClass,
     family: PerturbationFamily,
@@ -137,54 +153,16 @@ def family_ewa_run(
 ) -> FamilyRunReport:
     """One seeded pass of the aggregated family learner."""
     rounds = list(rounds)
-    if not rounds:
-        raise DomainError("need at least one round")
-    experts = build_family_experts(hc, family.members)
-    if budget is None:
-        budget = family_loss_budget(hc, family)
-    if rate is None:
-        rate = loss_budget_rate(len(experts), budget)
-    fore = ExponentialWeightsForecaster(len(experts), rate)
-    rng = derive_rng(seed, "family-ewa")
-    mistakes = 0
-    expert_mistakes = [0] * len(experts)
-    for z, x, y in rounds:
-        preds = [e.predict(z) for e in experts]
-        guess = int(rng.random() < fore.probability(preds))
-        mistakes += int(guess != y)
-        losses = [int(p != y) for p in preds]
-        for i, l in enumerate(losses):
-            expert_mistakes[i] += l
-        fore.update(losses)
-        for e in experts:
-            e.update(z, x, y)
+    budget, rate, labels, probs, losses = _replay(hc, family, rounds, budget, rate)
+    stats = seeded_mistakes(probs, labels, [derive_rng(seed, "family-ewa")])
     return FamilyRunReport(
-        mistakes=mistakes,
+        mistakes=int(stats["values"][0]),
         seed=seed,
         budget=budget,
         rate=rate,
         realizable=sequence_realizable(hc, family.members, rounds),
-        expert_mistakes=expert_mistakes,
+        expert_mistakes=losses.sum(axis=1).tolist(),
     )
-
-
-def family_expert_matrices(hc: HypothesisClass, members, rounds):
-    """(predictions, losses) 0/1 arrays of shape (n_members, horizon).
-
-    Experts adapt to the fixed sequence only, so one deterministic pass
-    serves every forecaster seed.
-    """
-    rounds = list(rounds)
-    experts = build_family_experts(hc, members)
-    preds = np.zeros((len(experts), len(rounds)), dtype=np.int8)
-    for t, (z, x, y) in enumerate(rounds):
-        for i, e in enumerate(experts):
-            preds[i, t] = e.predict(z)
-        for e in experts:
-            e.update(z, x, y)
-    labels = np.array([y for _, _, y in rounds], dtype=np.int8)
-    losses = (preds != labels[None, :]).astype(np.int8)
-    return preds, losses
 
 
 def mc_family_mistakes(
@@ -195,32 +173,16 @@ def mc_family_mistakes(
     budget: int | None = None,
     rate: float | None = None,
 ) -> dict:
-    """Monte-Carlo mistake statistics over forecaster seeds, vectorized."""
+    """Monte-Carlo mistake statistics over forecaster seeds."""
     rounds = list(rounds)
-    if budget is None:
-        budget = family_loss_budget(hc, family)
-    if rate is None:
-        rate = loss_budget_rate(len(family), budget)
-    preds, losses = family_expert_matrices(hc, family.members, rounds)
-    probs = weight_trajectory(preds, losses, rate)
-    labels = np.array([y for _, _, y in rounds])
-    counts = []
-    for seed in seeds:
-        rng = derive_rng(seed, "family-ewa")
-        guesses = (rng.random(len(rounds)) < probs).astype(int)
-        counts.append(int((guesses != labels).sum()))
-    counts = np.array(counts, dtype=float)
+    budget, _, labels, probs, losses = _replay(hc, family, rounds, budget, rate)
+    rngs = (derive_rng(seed, "family-ewa") for seed in seeds)
     return {
-        "mean": float(counts.mean()),
-        "std": float(counts.std(ddof=1)) if len(counts) > 1 else 0.0,
-        "stderr": float(counts.std(ddof=1) / math.sqrt(len(counts)))
-        if len(counts) > 1
-        else 0.0,
+        **seeded_mistakes(probs, labels, rngs),
         "budget": budget,
         "bound": family_mistake_bound(len(family), budget),
         "best_expert": int(losses.sum(axis=1).min()),
         "realizable": sequence_realizable(hc, family.members, rounds),
-        "values": counts.tolist(),
     }
 
 
@@ -238,7 +200,7 @@ class HalvingReport:
 
 
 def halving_bound(hc: HypothesisClass, family: PerturbationFamily) -> int:
-    """Mistake bound d * (f + 1) + f of phased halving with carried experts.
+    """Mistake bound d * (f + 1) + f of phased halving.
 
     Here f = floor(log2 |G|) and d is the adversarial dimension of the
     true member.  The bound follows in three steps:
@@ -247,13 +209,12 @@ def halving_bound(hc: HypothesisClass, family: PerturbationFamily) -> int:
       phase costs at most f + 1 mistakes (f shrink the pool to one member,
       whose own mistake empties it) and the open final phase at most f;
     * the true member's expert is alive at the start of every phase, so
-      each completed phase includes one of its mistakes, and with
-      reset_experts=False it errs at most d times in all: at most d
+      each completed phase includes one of its mistakes; it carries its
+      state across phases and errs at most d times in all, so at most d
       phases complete;
     * together, d * (f + 1) + f.
 
-    The second step needs experts that carry their state across phases;
-    reset_experts=True voids it.  A single-member family gives d.
+    A single-member family gives d.
     """
     f = len(family).bit_length() - 1
     dim = adversarial_dimension(hc, family.truth)
@@ -261,62 +222,36 @@ def halving_bound(hc: HypothesisClass, family: PerturbationFamily) -> int:
 
 
 def family_halving_run(
-    hc: HypothesisClass,
-    family: PerturbationFamily,
-    rounds,
-    reset_experts: bool = False,
+    hc: HypothesisClass, family: PerturbationFamily, rounds
 ) -> HalvingReport:
     """Deterministic phased halving over the family experts.
 
     Each round the majority label of the alive experts is predicted (ties
     go to 1), then every expert that mispredicted is dropped from the
     alive set; when it empties, the next round starts a fresh phase with
-    all members alive.  Experts keep their internal state across phases by
-    default, observing every reveal even while dead; reset_experts=True
-    rebuilds them from scratch at each phase start instead, and then only
-    alive experts observe reveals.
+    all members alive.  Experts keep their state across phases and see
+    every reveal, dead or alive, so the votes are read from one replay.
 
     A completed phase costs at most floor(log2 |G|) + 1 mistakes, the open
-    final phase at most floor(log2 |G|).  With carried state each completed
-    phase spends one mistake of the true member's expert, so at most d
-    phases complete and halving_bound holds; with reset_experts=True only
-    the per-phase caps remain.
+    final phase at most floor(log2 |G|), and each completed phase spends
+    one mistake of the true member's expert, so halving_bound holds.
     """
-    members = family.members
-    n = len(members)
-    experts = build_family_experts(hc, members)
-    alive = set(range(n))
-    mistakes = 0
+    rounds = list(rounds)
+    preds, losses = expert_matrices(build_family_experts(hc, family.members), rounds)
+    alive = np.ones(len(family), dtype=bool)
     phase_mistakes = [0]
-    expert_mistakes = [0] * n
-    for z, x, y in rounds:
-        preds = {
-            i: experts[i].predict(z)
-            for i in (alive if reset_experts else range(n))
-        }
-        ones = sum(preds[i] for i in alive)
-        guess = int(ones >= len(alive) - ones)
-        if guess != y:
-            mistakes += 1
-            phase_mistakes[-1] += 1
-        for i, p in preds.items():
-            expert_mistakes[i] += int(p != y)
-        alive = {i for i in alive if preds[i] == y}
-        if reset_experts:
-            for i in preds:
-                experts[i].update(z, x, y)
-        else:
-            for e in experts:
-                e.update(z, x, y)
-        if not alive:
-            alive = set(range(n))
+    for t, (_, _, y) in enumerate(rounds):
+        ones = int(preds[alive, t].sum())
+        guess = int(2 * ones >= alive.sum())
+        phase_mistakes[-1] += int(guess != y)
+        alive &= losses[:, t] == 0
+        if not alive.any():
+            alive[:] = True
             phase_mistakes.append(0)
-            if reset_experts:
-                experts = build_family_experts(hc, members)
     return HalvingReport(
-        mistakes=mistakes,
+        mistakes=sum(phase_mistakes),
         phase_mistakes=phase_mistakes,
         completed_phases=len(phase_mistakes) - 1,
-        expert_mistakes=expert_mistakes,
-        alive_count=len(alive),
+        expert_mistakes=losses.sum(axis=1).tolist(),
+        alive_count=int(alive.sum()),
     )

@@ -6,13 +6,24 @@ import numpy as np
 import pytest
 
 from robust_online import (
+    DomainError,
     ExponentialWeightsForecaster,
+    PerturbationFamily,
+    agnostic_run,
+    decomposition_gap,
+    family_ewa_run,
+    family_halving_run,
+    full_class,
     horizon_rate,
     horizon_regret_bound,
+    identity_map,
     loss_budget_rate,
+    mc_family_mistakes,
+    mc_regret,
     small_loss_bound,
+    total_map,
 )
-from robust_online.forecaster import weight_trajectory
+from robust_online.forecaster import expert_matrices, weight_trajectory
 from robust_online.seeding import derive_rng
 
 
@@ -131,3 +142,38 @@ def test_regret_bound_one_perfect_expert():
     assert sampled.mean() - best <= bound + 3 * stderr
     # the analytic expectation needs no sampling slack
     assert expected.sum() - best <= bound
+
+
+HC2, U2 = full_class(2), identity_map(2)
+FAMILY2 = PerturbationFamily((U2, total_map(2)))
+ROUNDS2 = [(0, 0, 1), (1, 1, 0)]
+
+
+@pytest.mark.parametrize(
+    "replay",
+    [
+        lambda: expert_matrices([], []),
+        lambda: agnostic_run(HC2, U2, [], seed=0),
+        lambda: mc_regret(HC2, U2, [], seeds=range(3)),
+        lambda: mc_regret(HC2, U2, ROUNDS2, seeds=[]),
+        lambda: decomposition_gap(HC2, U2, []),
+        lambda: family_ewa_run(HC2, FAMILY2, [], seed=0),
+        lambda: mc_family_mistakes(HC2, FAMILY2, [], seeds=range(3)),
+        lambda: mc_family_mistakes(HC2, FAMILY2, ROUNDS2, seeds=[]),
+        lambda: family_halving_run(HC2, FAMILY2, []),
+    ],
+    ids=[
+        "matrices-rounds",
+        "agnostic-rounds",
+        "mc-regret-rounds",
+        "mc-regret-seeds",
+        "decomposition-rounds",
+        "family-ewa-rounds",
+        "mc-family-rounds",
+        "mc-family-seeds",
+        "halving-rounds",
+    ],
+)
+def test_replays_reject_empty_rounds_and_seeds(replay):
+    with pytest.raises(DomainError, match="at least one"):
+        replay()

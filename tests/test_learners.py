@@ -15,6 +15,7 @@ from robust_online import (
     identity_map,
     lazy_wrap,
     make_learner,
+    random_label_regret_sample,
     total_map,
 )
 from robust_online.adversaries import (
@@ -230,6 +231,41 @@ def test_lazy_keeps_realizable_mistake_bound():
             lazy.predict(z)
             lazy.update(z, x, y)
         assert lazy.mistake_count <= dim
+
+
+def test_lazy_wrappers_predict_once_per_round(monkeypatch):
+    calls = []
+    compute = RobustReductionLearner._compute
+
+    def counted(self, z):
+        calls.append(z)
+        return compute(self, z)
+
+    monkeypatch.setattr(RobustReductionLearner, "_compute", counted)
+    horizon = 64
+    sample = random_label_regret_sample(full_class(2), total_map(2), horizon, seed=3)
+    assert sample["mistakes"] > 0
+    assert len(calls) == horizon
+
+    class CountingOrientation:
+        game = "orientation"
+        asked = 0
+
+        def predict(self, query):
+            self.asked += 1
+            return query.labels[1]
+
+        def update(self, query, side):
+            pass
+
+    inner = CountingOrientation()
+    lazy = lazy_wrap(inner)
+    rounds = realizable_orientation_rounds(HC5, U5, 8, derive_rng(2, "lazy"))
+    for query, side in rounds:
+        lazy.predict(query)
+        lazy.update(query, side)
+    assert lazy.mistake_count > 0
+    assert inner.asked == len(rounds) == 8
 
 
 def test_learner_registry_names_and_games():

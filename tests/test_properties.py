@@ -2,8 +2,9 @@
 
 The consistency masks are the package's single source of the robust
 loss.  The first properties check them, and the functions derived from
-them, against the definitional `adversarial_loss`; the rest check the
-dimension search, restriction, and the lifetime of compiled data.
+them, against the definitional `adversarial_loss`; the next check the
+dimension search, restriction, and the lifetime of compiled data; the
+last check the one-replay expert aggregation against stepwise loops.
 """
 
 import gc
@@ -14,22 +15,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_online import (
+    ExponentialWeightsForecaster,
     HypothesisClass,
     OrientationQuery,
+    PerturbationFamily,
     PerturbationMap,
     VersionSpace,
     adversarial_dimension,
     adversarial_loss,
+    agnostic_run,
+    build_family_experts,
+    build_subset_experts,
+    comparator_loss,
     compatible_pairs,
+    derive_rng,
+    family_ewa_run,
+    family_halving_run,
+    family_loss_budget,
     full_class,
+    horizon_rate,
     identity_map,
     is_shattered,
+    loss_budget_rate,
+    mc_family_mistakes,
+    mc_regret,
     optimal_mistake_bound,
     restrict,
     witness_tree,
 )
 from robust_online.adversaries import orientation_options, robust_anchors
 from robust_online.agnostic import hypothesis_losses
+from robust_online.forecaster import expert_matrices
 from robust_online.model import consistency_masks
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -140,3 +156,88 @@ def test_compiled_data_is_freed_with_its_class():
     del hc
     gc.collect()
     assert ref() is None
+
+
+def robust_rounds(data, n, max_size=6):
+    """Arbitrary binary robust rounds (z, x, y); tolerant experts accept any."""
+    point = st.integers(0, n - 1)
+    triple = st.tuples(point, point, st.integers(0, 1))
+    return data.draw(st.lists(triple, min_size=1, max_size=max_size))
+
+
+def stepwise_ewa(experts, rounds, rate, rng):
+    """(mistakes, per-expert mistakes) of a forecaster stepped round by round."""
+    fore = ExponentialWeightsForecaster(len(experts), rate)
+    mistakes = 0
+    expert_mistakes = [0] * len(experts)
+    for z, x, y in rounds:
+        preds = [e.predict(z) for e in experts]
+        mistakes += fore.predict(preds, rng) != y
+        losses = [int(p != y) for p in preds]
+        expert_mistakes = [m + l for m, l in zip(expert_mistakes, losses)]
+        fore.update(losses)
+        for e in experts:
+            e.update(z, x, y)
+    return mistakes, expert_mistakes
+
+
+def stepwise_halving(experts, rounds):
+    """(mistakes per phase, alive count) of phased halving stepped round by round."""
+    alive = set(range(len(experts)))
+    phases = [0]
+    for z, x, y in rounds:
+        preds = [e.predict(z) for e in experts]
+        ones = sum(preds[i] for i in alive)
+        phases[-1] += int(ones >= len(alive) - ones) != y
+        alive = {i for i in alive if preds[i] == y}
+        if not alive:
+            alive = set(range(len(experts)))
+            phases.append(0)
+        for e in experts:
+            e.update(z, x, y)
+    return phases, len(alive)
+
+
+@PROPERTY
+@given(games(max_labels=2), st.data(), st.integers(0, 2**16))
+def test_agnostic_replay_equals_the_stepwise_forecaster(game, data, seed):
+    hc, u = game
+    rounds = robust_rounds(data, hc.instance_count)
+    experts = build_subset_experts(hc, u, len(rounds))
+    rate = horizon_rate(len(experts), len(rounds))
+    mistakes, _ = stepwise_ewa(experts, rounds, rate, derive_rng(seed, "agnostic"))
+    best, _ = comparator_loss(hc, u, rounds)
+    report = agnostic_run(hc, u, rounds, seed)
+    assert report.mistakes == mistakes
+    assert mc_regret(hc, u, rounds, seeds=[seed])["values"] == [mistakes - best]
+
+
+@st.composite
+def families(draw):
+    """(binary class, family of one to three maps on its instances)."""
+    hc, u = draw(games(max_labels=2))
+    n = hc.instance_count
+    sets = st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n)
+    others = draw(st.lists(sets, max_size=2))
+    members = (u,) + tuple(PerturbationMap.from_sets(m) for m in others)
+    return hc, PerturbationFamily(members, draw(st.integers(0, len(members) - 1)))
+
+
+@PROPERTY
+@given(families(), st.data(), st.integers(0, 2**16))
+def test_family_replay_equals_the_stepwise_loops(game, data, seed):
+    hc, family = game
+    rounds = robust_rounds(data, hc.instance_count)
+    rate = loss_budget_rate(len(family), family_loss_budget(hc, family))
+    rng = derive_rng(seed, "family-ewa")
+    experts = build_family_experts(hc, family)
+    mistakes, expert_mistakes = stepwise_ewa(experts, rounds, rate, rng)
+    report = family_ewa_run(hc, family, rounds, seed)
+    assert (report.mistakes, report.expert_mistakes) == (mistakes, expert_mistakes)
+    assert mc_family_mistakes(hc, family, rounds, seeds=[seed])["values"] == [mistakes]
+
+    halving = family_halving_run(hc, family, rounds)
+    phases, alive = stepwise_halving(build_family_experts(hc, family), rounds)
+    assert (halving.phase_mistakes, halving.alive_count) == (phases, alive)
+    _, losses = expert_matrices(build_family_experts(hc, family), rounds)
+    assert halving.expert_mistakes == losses.sum(axis=1).tolist()

@@ -219,17 +219,39 @@ def test_cli_agnostic(scenario_file):
     assert "mean regret" in out.stdout
 
 
-def test_cli_uncertain(tmp_path):
-    text = SCENARIO.replace(
-        "GAME",
-        "PERTURBATIONS alt\na: a\nb: b\nc: c\nGAME",
-    )
+def test_cli_agnostic_trace_has_one_probability_per_round(scenario_file, tmp_path):
+    trace = tmp_path / "trace.txt"
+    out = run_cli("agnostic", str(scenario_file), "--seeds", "3", "--trace", str(trace))
+    assert out.returncode == 0, out.stderr
+    assert f"trace written: {trace}" in out.stdout
+    lines = trace.read_text().splitlines()
+    assert [int(line.split()[0]) for line in lines] == list(range(10))
+    assert all(0.0 <= float(line.split()[1]) <= 1.0 for line in lines)
+
+
+@pytest.fixture
+def family_file(tmp_path):
     path = tmp_path / "family.scn"
-    path.write_text(text)
+    path.write_text(SCENARIO.replace("GAME", "PERTURBATIONS alt\na: a\nb: b\nc: c\nGAME"))
+    return path
+
+
+def test_cli_uncertain(family_file):
     for method in ("ewa", "halving"):
-        out = run_cli("uncertain", str(path), "--method", method, "--seeds", "3")
+        out = run_cli("uncertain", str(family_file), "--method", method, "--seeds", "3")
         assert out.returncode == 0, out.stderr
         assert "mistakes" in out.stdout
+
+
+def test_cli_uncertain_ewa_single_seed(family_file):
+    out = run_cli("uncertain", str(family_file), "--method", "ewa", "--seeds", "1")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "family size: 2"
+    assert lines[1].startswith("loss budget: ")
+    mistakes = int(lines[2].removeprefix("mistakes: "))
+    assert 0 <= mistakes <= 10
+    assert lines[3:] == ["realizable: true"]
 
 
 def test_cli_gen_corpus_round_trips(tmp_path):

@@ -161,21 +161,6 @@ def test_halving_single_member_family_is_the_plain_learner():
     assert report.completed_phases == 0
 
 
-def test_halving_reset_variant_keeps_phase_structure_only():
-    # rebuilding experts each phase forfeits the carry-state total bound:
-    # a sequence can re-exploit the reborn experts phase after phase, so
-    # only the per-phase shape survives
-    for truth_index in range(4):
-        fam = small_family(truth_index=truth_index)
-        rounds = realizable_under_truth(fam, 16, seed=7)
-        report = family_halving_run(HC5, fam, rounds, reset_experts=True)
-        cap = math.floor(math.log2(len(fam))) + 1
-        assert report.max_phase_mistakes <= cap
-        completed = report.phase_mistakes[: report.completed_phases]
-        assert all(m >= 1 for m in completed)
-        assert report.alive_count >= 1
-
-
 def test_halving_phase_cost_can_exceed_the_log_by_one():
     """Pinned counterexample: a completed phase can cost floor(log2 |G|) + 1.
 
