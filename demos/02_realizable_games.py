@@ -51,10 +51,11 @@ def main():
     for seed in range(30):
         rng = derive_rng(seed, "demo-realizable")
         learner = RobustReductionLearner(HC, U)
+        mistakes = 0
         for z, x, y in realizable_robust_rounds(HC, U, 12, rng):
-            learner.predict(z)
+            mistakes += learner.predict(z) != y
             learner.update(z, x, y)
-        worst = max(worst, learner.mistake_count)
+        worst = max(worst, mistakes)
     print(f"  worst mistake count: {worst}  (bound {dim})\n")
 
     # The tree adversary punishes every prediction while keeping the

@@ -134,14 +134,15 @@ def realizable_robust_rounds(
         order = list(range(hc.size))
         rng.shuffle(order)
         for i in order:
-            if robust_anchors(hc, u, hc[i]):
-                h = hc[i]
+            anchors = robust_anchors(hc, u, hc[i])
+            if anchors:
                 break
         else:
             return []
-    anchors = robust_anchors(hc, u, h)
-    if not anchors:
-        return []
+    else:
+        anchors = robust_anchors(hc, u, h)
+        if not anchors:
+            return []
     rounds = []
     for _ in range(length):
         x, y = anchors[int(rng.integers(len(anchors)))]
@@ -175,14 +176,15 @@ def realizable_orientation_rounds(
         order = list(range(hc.size))
         rng.shuffle(order)
         for i in order:
-            if orientation_options(hc, u, hc[i], multiclass):
-                h = hc[i]
+            options = orientation_options(hc, u, hc[i], multiclass)
+            if options:
                 break
         else:
             return []
-    options = orientation_options(hc, u, h, multiclass)
-    if not options:
-        return []
+    else:
+        options = orientation_options(hc, u, h, multiclass)
+        if not options:
+            return []
     return [options[int(rng.integers(len(options)))] for _ in range(length)]
 
 

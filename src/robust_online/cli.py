@@ -214,7 +214,7 @@ def cmd_agnostic(args) -> int:
     print(f"mean regret over {args.seeds} seeds: {mc['mean']:.4f}")
     print(f"standard error: {mc['stderr']:.4f}")
     print(f"bound: {bound:.4f}")
-    print(f"ratio: {mc['mean'] / bound:.4f}")
+    print(f"ratio: {mc['mean'] / bound:.4f}" if bound else "ratio: n/a")
     if args.trace:
         report = agnostic_run(hc, u, rounds, seed=args.seed, dimension=dim)
         lines = [f"{t} {p:.6f}" for t, p in enumerate(report.probabilities)]

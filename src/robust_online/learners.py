@@ -10,9 +10,15 @@ a label before the clean pair is revealed.
 The optimal orientation learner predicts the side whose restricted version
 space still has the larger adversarial dimension.  The robust learner is a
 reduction: it asks the orientation learner to orient candidate preimages of
-the perturbed input against each other, and on every mistake feeds it one
-resolved query on which the orientation learner itself was wrong, so both
-mistake counts are bounded by the adversarial dimension.
+the perturbed input against each other, one (label, label) pair at a time
+for every label count, and on every mistake feeds it one resolved query on
+which the orientation learner itself was wrong, so both mistake counts are
+bounded by the adversarial dimension.
+
+A learner's state is its version space; it keeps no mistake count.  The
+code that sees both the prediction and the reveal counts the mistakes: the
+loss bits of the game runners, the loss matrix of the expert replay, and
+the loops of the estimators.
 """
 
 from dataclasses import dataclass
@@ -44,9 +50,10 @@ class SoaOrientationLearner:
     Predicts the query label whose side keeps the larger-dimensional
     version space, with ties broken toward the smaller label id (or the
     larger, under tie_break="high"; the mistake bound is tie-break
-    independent).  Every mistake strictly decreases the dimension of the
-    version space, so mistakes never exceed the class dimension on
-    realizable sequences.
+    independent).  The prediction is side-symmetric: swapping the pair
+    and the labels together gives the same label.  Every mistake strictly
+    decreases the dimension of the version space, so mistakes never
+    exceed the class dimension on realizable sequences.
     """
 
     game = "orientation"
@@ -69,7 +76,6 @@ class SoaOrientationLearner:
         self.engine = get_engine(hc, u, multiclass)
         self._masks = consistency_masks(hc, u)
         self.mask = (1 << hc.size) - 1
-        self.mistake_count = 0
         self.events: list[str] = []
 
     @property
@@ -98,10 +104,7 @@ class SoaOrientationLearner:
         """Absorb the reveal of query side `side` (0 or 1)."""
         if side not in (0, 1):
             raise ProtocolViolation(f"revealed side must be 0 or 1, got {side}")
-        label = query.labels[side]
-        if self.predict(query) != label:
-            self.mistake_count += 1
-        new = self.mask & self._masks[query.pair[side]][label]
+        new = self.mask & self._masks[query.pair[side]][query.labels[side]]
         if new == 0:
             if self.strict:
                 raise ProtocolViolation(
@@ -140,7 +143,6 @@ class RobustReductionLearner:
         hc: HypothesisClass,
         u: PerturbationMap,
         multiclass: bool = False,
-        orientation: SoaOrientationLearner | None = None,
         strict: bool = True,
         empty_prediction: int | None = None,
         tie_break: str = "low",
@@ -150,13 +152,11 @@ class RobustReductionLearner:
         self.multiclass = multiclass
         self.strict = strict
         self.empty_prediction = empty_prediction
-        self.orientation = orientation or SoaOrientationLearner(
+        self.orientation = SoaOrientationLearner(
             hc, u, multiclass, tie_break=tie_break, strict=False
         )
         self._masks = consistency_masks(hc, u)
         self.mask = (1 << hc.size) - 1
-        self.mistake_count = 0
-        self.history: list[tuple[OrientationQuery, int]] = []
         self.events: list[str] = []
         self._last = None  # (z, prediction, candidate sets) for update reuse
 
@@ -172,35 +172,24 @@ class RobustReductionLearner:
             for y in range(self.hc.label_count)
         ]
 
-    def _orient(self, x0: int, x1: int, y0: int, y1: int) -> int:
-        return self.orientation.predict(OrientationQuery((x0, x1), (y0, y1)))
-
     def _compute(self, z: int):
         if self.mask == 0 and self.empty_prediction is not None:
             return self.empty_prediction, [[] for _ in range(self.hc.label_count)]
         cands = self.candidate_sets(z)
+        orient = self.orientation.predict
         winners = []
-        if not self.multiclass:
-            p0, p1 = cands[0], cands[1]
-            if any(all(self._orient(x0, x1, 0, 1) == 0 for x1 in p1) for x0 in p0):
-                winners.append(0)
-            if any(all(self._orient(x0, x1, 0, 1) == 1 for x0 in p0) for x1 in p1):
-                winners.append(1)
-            fallback = 1
-        else:
-            for y, py in enumerate(cands):
-                for xy in py:
-                    if all(
-                        self._orient(xy, x2, y, y2) == y
-                        for y2, p2 in enumerate(cands)
-                        if y2 != y
-                        for x2 in p2
-                    ):
-                        winners.append(y)
-                        break
-            fallback = 0
+        for y, py in enumerate(cands):
+            for xy in py:
+                if all(
+                    orient(OrientationQuery((xy, x2), (y, y2))) == y
+                    for y2, p2 in enumerate(cands)
+                    if y2 != y
+                    for x2 in p2
+                ):
+                    winners.append(y)
+                    break
         if not winners:
-            return fallback, cands
+            return (0 if self.multiclass else 1), cands
         if len(winners) > 1:
             self.events.append(f"multiple-qualifying-labels:{winners}")
         return winners[0], cands
@@ -210,26 +199,15 @@ class RobustReductionLearner:
         self._last = (z, pred, cands)
         return pred
 
-    def _feed_counterpart(self, z: int, x: int, y: int, cands) -> bool:
+    def _feed_counterpart(self, x: int, y: int, cands) -> bool:
         """Find and feed the wrongly oriented query a mistake guarantees."""
-        if not self.multiclass:
-            opp = 1 - y
-            for x2 in cands[opp]:
-                pair = (x2, x) if y == 1 else (x, x2)
-                query = OrientationQuery(pair, (0, 1))
-                if self.orientation.predict(query) == opp:
-                    self.orientation.update(query, y)
-                    self.history.append((query, y))
-                    return True
-            return False
-        for y2 in range(self.hc.label_count):
+        for y2, p2 in enumerate(cands):
             if y2 == y:
                 continue
-            for x2 in cands[y2]:
+            for x2 in p2:
                 query = OrientationQuery((x, x2), (y, y2))
                 if self.orientation.predict(query) == y2:
                     self.orientation.update(query, 0)
-                    self.history.append((query, 0))
                     return True
         return False
 
@@ -249,15 +227,13 @@ class RobustReductionLearner:
         else:
             pred, cands = self._compute(z)
         self._last = None
-        if pred != y:
-            self.mistake_count += 1
-            if not self._feed_counterpart(z, x, y, cands):
-                if self.strict:
-                    raise SearchInvariantError(
-                        "mistake round has no wrongly oriented counterpart; "
-                        "this cannot happen on a realizable sequence"
-                    )
-                self.events.append("missing-counterpart")
+        if pred != y and not self._feed_counterpart(x, y, cands):
+            if self.strict:
+                raise SearchInvariantError(
+                    "mistake round has no wrongly oriented counterpart; "
+                    "this cannot happen on a realizable sequence"
+                )
+            self.events.append("missing-counterpart")
         new = self.mask & self._masks[x][y]
         if new == 0:
             if self.strict:
@@ -281,7 +257,6 @@ class LazyRobustLearner:
 
     def __init__(self, inner):
         self.inner = inner
-        self.mistake_count = 0
         self._last = None  # (z, prediction) of the latest predict
 
     @property
@@ -301,7 +276,6 @@ class LazyRobustLearner:
         if last is None or last[0] != z:
             last = (z, self.inner.predict(z))
         if last[1] != y:
-            self.mistake_count += 1
             self.inner.update(z, x, y)
 
 
@@ -312,7 +286,6 @@ class LazyOrientationLearner:
 
     def __init__(self, inner):
         self.inner = inner
-        self.mistake_count = 0
         self._last = None  # (query, prediction) of the latest predict
 
     @property
@@ -328,7 +301,6 @@ class LazyOrientationLearner:
         if last is None or last[0] != query:
             last = (query, self.inner.predict(query))
         if last[1] != query.labels[side]:
-            self.mistake_count += 1
             self.inner.update(query, side)
 
 
@@ -345,15 +317,12 @@ class ConstantLearner:
     def __init__(self, game: str, label: int):
         self.game = game
         self.label = label
-        self.mistake_count = 0
 
     def predict(self, _) -> int:
         return self.label
 
     def update(self, *args) -> None:
-        revealed = _revealed_label(self.game, args)
-        if self.label != revealed:
-            self.mistake_count += 1
+        """A constant learner keeps no state, so a reveal changes nothing."""
 
 
 class RandomLearner:
@@ -363,21 +332,14 @@ class RandomLearner:
         self.game = game
         self.label_count = label_count
         self.rng = rng
-        self.mistake_count = 0
-        self._trace: list[int] = []
 
     def predict(self, query) -> int:
         if self.game == "orientation":
-            pred = query.labels[int(self.rng.integers(2))]
-        else:
-            pred = int(self.rng.integers(self.label_count))
-        self._trace.append(pred)
-        return pred
+            return query.labels[int(self.rng.integers(2))]
+        return int(self.rng.integers(self.label_count))
 
     def update(self, *args) -> None:
-        revealed = _revealed_label(self.game, args)
-        if self._trace and self._trace[-1] != revealed:
-            self.mistake_count += 1
+        """Guesses ignore the past, so a reveal changes nothing."""
 
 
 class MajorityLearner:
@@ -389,7 +351,6 @@ class MajorityLearner:
         self.u = u
         self._masks = consistency_masks(hc, u)
         self.mask = (1 << hc.size) - 1
-        self.mistake_count = 0
 
     @property
     def version_space(self) -> VersionSpace:
@@ -417,18 +378,7 @@ class MajorityLearner:
             x, label = query.pair[side], query.labels[side]
         else:
             _, x, label = args
-            query = None
-        pred = self.predict(query if query is not None else args[0])
-        if pred != label:
-            self.mistake_count += 1
         self.mask &= self._masks[x][label]
-
-
-def _revealed_label(game: str, args):
-    if game == "orientation":
-        query, side = args
-        return query.labels[side]
-    return args[2]
 
 
 def make_learner(

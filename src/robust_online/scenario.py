@@ -42,6 +42,9 @@ from .uncertain import PerturbationFamily
 PROTOCOLS = ("robust", "orientation")
 ADVERSARIES = ("realizable", "tree", "corrupted")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
+# label names of a file without a `labels:` line; not valid _NAMEs, so
+# serialize_scenario leaves the line out for them
+DEFAULT_LABELS = ("0", "1")
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,7 @@ def try_parse_scenario(text: str):
 
     # SPACES
     instance_names: tuple[str, ...] = ()
-    label_names: tuple[str, ...] = ("0", "1")
+    label_names: tuple[str, ...] = DEFAULT_LABELS
     for ln, key, value, col in entries("SPACES"):
         names = tuple(value.split())
         if key not in ("instances", "labels"):
@@ -347,7 +350,8 @@ def serialize_scenario(sc: Scenario) -> str:
     """Canonical text form; parse(serialize(sc)) == sc."""
     out = ["SPACES"]
     out.append("instances: " + " ".join(sc.instance_names))
-    out.append("labels: " + " ".join(sc.label_names))
+    if sc.label_names != DEFAULT_LABELS:
+        out.append("labels: " + " ".join(sc.label_names))
     out.append("HYPOTHESES")
     for name, h in zip(sc.hypothesis_names, sc.hypotheses):
         out.append(f"{name}: " + " ".join(sc.label_names[y] for y in h.table))

@@ -9,6 +9,7 @@ from robust_online import (
     OrientationQuery,
     PerturbationMap,
     RobustReductionLearner,
+    ScriptedOrientationAdversary,
     SoaOrientationLearner,
     adversarial_dimension,
     full_class,
@@ -16,6 +17,7 @@ from robust_online import (
     lazy_wrap,
     make_learner,
     random_label_regret_sample,
+    run_orientation_game,
     total_map,
 )
 from robust_online.adversaries import (
@@ -101,8 +103,9 @@ def test_soa_correct_round_keeps_mistake_count():
     q = OrientationQuery(pair=(0, 1), labels=(0, 1))
     pred = learner.predict(q)
     before = learner.version_space.size
+    # binary labels: revealing side `pred` reveals the predicted label
+    assert q.labels[pred] == pred
     learner.update(q, pred)
-    assert learner.mistake_count == 0
     assert learner.version_space.size <= before
 
 
@@ -155,16 +158,16 @@ def test_reduction_tie_driven_case():
 
 
 def test_reduction_mistake_grows_orientation_history():
+    # a mistake feeds the orientation learner one query, shrinking its
+    # version space to the all-zero hypothesis; a correct round feeds none
     learner = RobustReductionLearner(HC6, identity_map(3))
     assert learner.predict(0) == 1
     learner.update(0, 0, 0)
-    assert learner.mistake_count == 1
-    assert len(learner.history) == 1
+    assert learner.orientation.version_space.size == 1
     learner2 = RobustReductionLearner(HC6, identity_map(3))
     assert learner2.predict(0) == 1
     learner2.update(0, 0, 1)
-    assert learner2.mistake_count == 0
-    assert len(learner2.history) == 0
+    assert learner2.orientation.version_space.size == HC6.size
 
 
 def test_reduction_tolerant_mode_flags_outside_inputs():
@@ -185,10 +188,11 @@ def test_reduction_bounded_on_random_realizable_runs():
         rng = derive_rng(2, "bound", hc.size, u.instance_count)
         rounds = realizable_robust_rounds(hc, u, 12, rng)
         learner = RobustReductionLearner(hc, u)
+        mistakes = 0
         for z, x, y in rounds:
-            learner.predict(z)
+            mistakes += learner.predict(z) != y
             learner.update(z, x, y)
-        assert learner.mistake_count <= dim
+        assert mistakes <= dim
 
 
 def test_multiclass_reduction_agrees_with_binary_on_two_labels():
@@ -197,6 +201,7 @@ def test_multiclass_reduction_agrees_with_binary_on_two_labels():
         rounds = realizable_robust_rounds(hc, u, 10, rng)
         binary = RobustReductionLearner(hc, u)
         multi = RobustReductionLearner(hc, u, multiclass=True)
+        mistakes = 0
         for z, x, y in rounds:
             pb = binary.predict(z)
             pm = multi.predict(z)
@@ -204,9 +209,10 @@ def test_multiclass_reduction_agrees_with_binary_on_two_labels():
                 # the only allowed split is the no-winner fallback,
                 # which is 1 in the binary branch and 0 in multiclass
                 assert (pm, pb) == (0, 1)
+            mistakes += pm != y
             binary.update(z, x, y)
             multi.update(z, x, y)
-        assert multi.mistake_count <= adversarial_dimension(hc, u, multiclass=True)
+        assert mistakes <= adversarial_dimension(hc, u, multiclass=True)
 
 
 def test_lazy_identity_on_mistake_free_runs():
@@ -214,11 +220,12 @@ def test_lazy_identity_on_mistake_free_runs():
     u = identity_map(2)
     lazy = lazy_wrap(RobustReductionLearner(hc, u))
     mask_before = lazy.version_space.mask
+    orientation_before = lazy.inner.orientation.mask
     for z in (0, 1):
         pred = lazy.predict(z)
         lazy.update(z, z, pred)
     assert lazy.version_space.mask == mask_before
-    assert lazy.mistake_count == 0
+    assert lazy.inner.orientation.mask == orientation_before
 
 
 def test_lazy_keeps_realizable_mistake_bound():
@@ -227,10 +234,11 @@ def test_lazy_keeps_realizable_mistake_bound():
         rng = derive_rng(4, "lazy", hc.size)
         rounds = realizable_robust_rounds(hc, u, 12, rng)
         lazy = lazy_wrap(RobustReductionLearner(hc, u))
+        mistakes = 0
         for z, x, y in rounds:
-            lazy.predict(z)
+            mistakes += lazy.predict(z) != y
             lazy.update(z, x, y)
-        assert lazy.mistake_count <= dim
+        assert mistakes <= dim
 
 
 def test_lazy_wrappers_predict_once_per_round(monkeypatch):
@@ -261,11 +269,38 @@ def test_lazy_wrappers_predict_once_per_round(monkeypatch):
     inner = CountingOrientation()
     lazy = lazy_wrap(inner)
     rounds = realizable_orientation_rounds(HC5, U5, 8, derive_rng(2, "lazy"))
+    mistakes = 0
     for query, side in rounds:
-        lazy.predict(query)
+        mistakes += lazy.predict(query) != query.labels[side]
         lazy.update(query, side)
-    assert lazy.mistake_count > 0
+    assert mistakes > 0
     assert inner.asked == len(rounds) == 8
+
+
+def test_orientation_queries_are_looked_up_once(monkeypatch):
+    looked_up = []
+    side_dimensions = SoaOrientationLearner.side_dimensions
+
+    def counted(self, query):
+        looked_up.append(query)
+        return side_dimensions(self, query)
+
+    monkeypatch.setattr(SoaOrientationLearner, "side_dimensions", counted)
+    hc, u = full_class(3), total_map(3)
+    rounds = realizable_orientation_rounds(hc, u, 50, derive_rng(0, "once"))
+    played, _ = run_orientation_game(
+        hc, u, SoaOrientationLearner(hc, u), ScriptedOrientationAdversary(rounds), 50
+    )
+    assert sum(r.loss for r in played) > 0
+    assert len(looked_up) == len(played) == 50
+
+    # a robust mistake orients the fed counterpart once, to find it
+    learner = RobustReductionLearner(HC6, identity_map(3))
+    assert learner.predict(0) == 1
+    looked_up.clear()
+    learner.update(0, 0, 0)
+    assert looked_up == [OrientationQuery((0, 0), (0, 1))]
+    assert learner.orientation.version_space.size == 1
 
 
 def test_learner_registry_names_and_games():

@@ -4,7 +4,8 @@ The consistency masks are the package's single source of the robust
 loss.  The first properties check them, and the functions derived from
 them, against the definitional `adversarial_loss`; the next check the
 dimension search, restriction, and the lifetime of compiled data; the
-last check the one-replay expert aggregation against stepwise loops.
+next check the one-replay expert aggregation against stepwise loops; the
+last checks that scenario files round-trip.
 """
 
 import gc
@@ -15,11 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_online import (
+    LEARNER_NAMES,
     ExponentialWeightsForecaster,
+    GameConfig,
     HypothesisClass,
     OrientationQuery,
     PerturbationFamily,
     PerturbationMap,
+    Scenario,
     VersionSpace,
     adversarial_dimension,
     adversarial_loss,
@@ -40,13 +44,16 @@ from robust_online import (
     mc_family_mistakes,
     mc_regret,
     optimal_mistake_bound,
+    parse_scenario,
     restrict,
+    serialize_scenario,
     witness_tree,
 )
 from robust_online.adversaries import orientation_options, robust_anchors
 from robust_online.agnostic import hypothesis_losses
 from robust_online.forecaster import expert_matrices
 from robust_online.model import consistency_masks
+from robust_online.scenario import ADVERSARIES, DEFAULT_LABELS, PROTOCOLS
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -241,3 +248,55 @@ def test_family_replay_equals_the_stepwise_loops(game, data, seed):
     assert (halving.phase_mistakes, halving.alive_count) == (phases, alive)
     _, losses = expert_matrices(build_family_experts(hc, family), rounds)
     assert halving.expert_mistakes == losses.sum(axis=1).tolist()
+
+
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,4}", fullmatch=True)
+
+
+@st.composite
+def scenarios(draw):
+    """Named scenarios with 2-4 labels, several maps and any GAME settings.
+
+    Two labels may keep the names a file without a `labels:` line gets.
+    """
+    n = draw(st.integers(1, 4))
+    labels = draw(st.integers(2, 4))
+    table = st.tuples(*[st.integers(0, labels - 1)] * n)
+    tables = draw(st.lists(table, min_size=1, max_size=6, unique=True))
+    k = draw(st.integers(2, 4))
+    maps = tuple(
+        PerturbationMap.from_sets(
+            draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n))
+        )
+        for _ in range(k)
+    )
+
+    def names(size):
+        return tuple(draw(st.lists(NAMES, min_size=size, max_size=size, unique=True)))
+
+    perturbation_names = names(k)
+    return Scenario(
+        instance_names=names(n),
+        label_names=(
+            DEFAULT_LABELS if labels == 2 and draw(st.booleans()) else names(labels)
+        ),
+        hypothesis_names=names(len(tables)),
+        hypotheses=HypothesisClass.from_tables(tables, labels),
+        perturbation_names=perturbation_names,
+        perturbations=maps,
+        truth_name=draw(st.sampled_from(perturbation_names)),
+        game=GameConfig(
+            protocol=draw(st.sampled_from(PROTOCOLS)),
+            horizon=draw(st.integers(1, 100)),
+            seed=draw(st.integers(0, 2**32)),
+            learner=draw(st.sampled_from(LEARNER_NAMES)),
+            adversary=draw(st.sampled_from(ADVERSARIES)),
+            corruptions=draw(st.integers(0, 5)),
+        ),
+    )
+
+
+@PROPERTY
+@given(scenarios())
+def test_scenario_text_round_trips(sc):
+    assert parse_scenario(serialize_scenario(sc)) == sc

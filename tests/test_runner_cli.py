@@ -229,6 +229,18 @@ def test_cli_agnostic_trace_has_one_probability_per_round(scenario_file, tmp_pat
     assert all(0.0 <= float(line.split()[1]) <= 1.0 for line in lines)
 
 
+def test_cli_agnostic_dimension_zero_has_no_ratio(tmp_path):
+    out = run_cli("gen-corpus", "--count", "3", "--seed", "4", "--out", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    out = run_cli("agnostic", str(tmp_path / "scenario_0001.txt"), "--seeds", "20")
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[:2] == ["dimension: 0", "experts: 1"]
+    assert "bound: 0.0000" in lines
+    assert lines[-1] == "ratio: n/a"
+
+
 @pytest.fixture
 def family_file(tmp_path):
     path = tmp_path / "family.scn"
