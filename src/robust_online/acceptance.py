@@ -9,6 +9,7 @@ Wall-clock never appears in result lines.  Where a criterion carries a
 runtime budget, the elapsed time feeds the verdict but not the text.
 """
 
+import itertools
 import math
 import subprocess
 import sys
@@ -36,7 +37,12 @@ from .dimension import (
     witness_tree,
 )
 from .errors import ProtocolViolation, SearchInvariantError
-from .forecaster import horizon_regret_bound, horizon_rate, weight_trajectory
+from .forecaster import (
+    horizon_regret_bound,
+    horizon_rate,
+    seeded_mistakes,
+    weight_trajectory,
+)
 from .learners import (
     BASELINES,
     RobustReductionLearner,
@@ -382,16 +388,20 @@ def criterion_7(scale: Scale, seed: int) -> CriterionResult:
             losses = (rng.random((n, horizon)) < 0.5).astype(float)
             losses[0] = (rng.random(horizon) < 0.3).astype(float)
             # with the losses passed as the predictions, each probability
-            # is the forecaster's expected loss in that round
+            # is the forecaster's expected loss in that round, and against
+            # all-zero labels a sample's mistakes are its realized loss
             probs = weight_trajectory(losses, losses, horizon_rate(n, horizon))
             best = float(losses.sum(axis=1).min())
             sample_rng = derive_rng(seed, "crit7-samples", n, horizon)
-            draws = sample_rng.random((scale.ewa_seeds, horizon))
-            totals = (draws < probs[None, :]).sum(axis=1).astype(float)
-            regrets = totals - best
-            mean = float(regrets.mean())
-            se = float(regrets.std(ddof=1) / math.sqrt(len(regrets)))
-            excess = mean - horizon_regret_bound(n, horizon) - 3 * se
+            stats = seeded_mistakes(
+                probs,
+                np.zeros(horizon, dtype=np.int8),
+                itertools.repeat(sample_rng, scale.ewa_seeds),
+                offset=best,
+            )
+            excess = (
+                stats["mean"] - horizon_regret_bound(n, horizon) - 3 * stats["stderr"]
+            )
             worst_excess = max(worst_excess, excess)
             combos += 1
     return CriterionResult(
@@ -490,11 +500,7 @@ def criterion_10(scale: Scale, seed: int) -> CriterionResult:
             hc, family.truth, scale.family_horizon, rng
         )
         mc = mc_family_mistakes(hc, family, rounds, seeds=range(scale.family_seeds))
-        budget, n = mc["budget"], len(family)
-        bound = budget + math.sqrt(2) * (
-            math.sqrt(budget * math.log(n)) + math.log(n)
-        )
-        ratio = mc["mean"] / bound
+        ratio = mc["mean"] / mc["bound"]
         worst_ratio = max(worst_ratio, ratio)
         if ratio > 1:
             failures += 1

@@ -122,27 +122,31 @@ def robust_anchors(hc: HypothesisClass, u: PerturbationMap, h) -> list[tuple[int
     ]
 
 
+def _first_playable(hc: HypothesisClass, rng, options) -> list:
+    """options(h) of the first hypothesis, in a random order, that has any.
+
+    Returns [] when no hypothesis has playable options.
+    """
+    order = list(range(hc.size))
+    rng.shuffle(order)
+    for i in order:
+        found = options(hc[i])
+        if found:
+            return found
+    return []
+
+
 def realizable_robust_rounds(
-    hc: HypothesisClass, u: PerturbationMap, length: int, rng, h=None
+    hc: HypothesisClass, u: PerturbationMap, length: int, rng
 ) -> list[tuple[int, int, int]]:
     """Random (z, x, y) rounds realizable by one hypothesis.
 
-    With h=None a hypothesis with playable anchors is picked at random.
+    The hypothesis is picked at random among those with playable anchors.
     Returns [] when no hypothesis has any playable anchor.
     """
-    if h is None:
-        order = list(range(hc.size))
-        rng.shuffle(order)
-        for i in order:
-            anchors = robust_anchors(hc, u, hc[i])
-            if anchors:
-                break
-        else:
-            return []
-    else:
-        anchors = robust_anchors(hc, u, h)
-        if not anchors:
-            return []
+    anchors = _first_playable(hc, rng, lambda h: robust_anchors(hc, u, h))
+    if not anchors:
+        return []
     rounds = []
     for _ in range(length):
         x, y = anchors[int(rng.integers(len(anchors)))]
@@ -168,23 +172,18 @@ def realizable_orientation_rounds(
     u: PerturbationMap,
     length: int,
     rng,
-    h=None,
     multiclass: bool = False,
 ) -> list[tuple[OrientationQuery, int]]:
-    """Random orientation rounds whose revealed sides one hypothesis realizes."""
-    if h is None:
-        order = list(range(hc.size))
-        rng.shuffle(order)
-        for i in order:
-            options = orientation_options(hc, u, hc[i], multiclass)
-            if options:
-                break
-        else:
-            return []
-    else:
-        options = orientation_options(hc, u, h, multiclass)
-        if not options:
-            return []
+    """Random orientation rounds whose revealed sides one hypothesis realizes.
+
+    The hypothesis is picked at random among those with playable options.
+    Returns [] when no hypothesis has any.
+    """
+    options = _first_playable(
+        hc, rng, lambda h: orientation_options(hc, u, h, multiclass)
+    )
+    if not options:
+        return []
     return [options[int(rng.integers(len(options)))] for _ in range(length)]
 
 

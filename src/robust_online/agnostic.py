@@ -109,12 +109,14 @@ class RegretReport:
     expert_count: int = 0
 
 
-def _replay(hc, u, rounds, dimension, rate):
-    """(expert count, labels, probabilities) of the aggregated learner."""
+def _replay(hc, u, rounds, dimension):
+    """(expert count, labels, probabilities) of the aggregated learner.
+
+    The forecaster runs at the known-horizon rate for the pool size.
+    """
     experts = build_subset_experts(hc, u, len(rounds), dimension)
     preds, losses = expert_matrices(experts, rounds)
-    if rate is None:
-        rate = horizon_rate(len(experts), len(rounds))
+    rate = horizon_rate(len(experts), len(rounds))
     labels = np.array([y for _, _, y in rounds])
     return len(experts), labels, weight_trajectory(preds, losses, rate)
 
@@ -125,11 +127,10 @@ def agnostic_run(
     rounds,
     seed: int,
     dimension: int | None = None,
-    rate: float | None = None,
 ) -> RegretReport:
     """One seeded pass of the aggregated learner over a fixed sequence."""
     rounds = list(rounds)
-    n, labels, probs = _replay(hc, u, rounds, dimension, rate)
+    n, labels, probs = _replay(hc, u, rounds, dimension)
     stats = seeded_mistakes(probs, labels, [derive_rng(seed, "agnostic")])
     mistakes = int(stats["values"][0])
     best, best_id = comparator_loss(hc, u, rounds)
@@ -150,11 +151,10 @@ def mc_regret(
     rounds,
     seeds,
     dimension: int | None = None,
-    rate: float | None = None,
 ) -> dict:
     """Monte-Carlo regret statistics over forecaster seeds."""
     rounds = list(rounds)
-    n, labels, probs = _replay(hc, u, rounds, dimension, rate)
+    n, labels, probs = _replay(hc, u, rounds, dimension)
     best, _ = comparator_loss(hc, u, rounds)
     rngs = (derive_rng(seed, "agnostic") for seed in seeds)
     stats = seeded_mistakes(probs, labels, rngs, offset=best)
@@ -206,14 +206,12 @@ def random_label_regret_sample(
     u: PerturbationMap,
     horizon: int,
     seed: int,
-    learner_factory=None,
 ) -> dict:
-    """Realized regret of a learner on one dimension-witnessing node
-    replayed with uniformly random labels.
+    """Realized regret of the lazy optimal learner, run tolerantly, on one
+    dimension-witnessing node replayed with uniformly random labels.
 
     The node is the root of the maximum shattered tree; the class must
-    have dimension at least 1.  The default learner is the lazy optimal
-    learner run tolerantly, but any robust-game learner factory works.
+    have dimension at least 1.
     """
     tree = witness_tree(hc, u)
     if tree.depth < 1 or tree.root is None:
@@ -222,12 +220,7 @@ def random_label_regret_sample(
     z = min(u.forward[x0] & u.forward[x1])
     rng = derive_rng(seed, "random-label-probe")
     labels = rng.integers(0, 2, size=horizon)
-    if learner_factory is None:
-        learner = lazy_wrap(
-            RobustReductionLearner(hc, u, strict=False, empty_prediction=0)
-        )
-    else:
-        learner = learner_factory(hc, u)
+    learner = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
     mistakes = 0
     for y in labels:
         y = int(y)

@@ -354,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     un.set_defaults(fn=cmd_uncertain)
 
     g = sub.add_parser("gen-corpus", help="write a deterministic scenario corpus")
-    g.add_argument("--count", type=int, default=20)
+    g.add_argument("--count", type=_at_least(1), default=20)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--labels", type=int, default=2)
+    g.add_argument("--labels", type=_at_least(2), default=2)
     g.add_argument("--strata", nargs="+", default=list(STRATA), choices=STRATA)
     g.add_argument("--family", action="store_true", help="generate family scenarios")
     g.add_argument("--out", required=True)

@@ -9,9 +9,12 @@ the expert losses, so both classic regret regimes apply:
   rate = sqrt(8 ln N / T)            expected regret <= sqrt((T/2) ln N)
   rate = ln(1 + sqrt(2 ln N / L*))   expected loss  <= L* + sqrt(2 L* ln N) + ln N
 
-where L* bounds the best expert's total loss.  Weights are renormalized by
-their maximum every update, which changes nothing (predictions depend only
-on weight ratios) and keeps them away from underflow.
+where L* bounds the best expert's total loss.  A loss budget of 0 is
+clamped to 1 in both loss_budget_rate and small_loss_bound: the rate has
+no finite value at 0, and the bound holds for the budget the rate was
+tuned for, not below it.  Weights are renormalized by their maximum every
+update, which changes nothing (predictions depend only on weight ratios)
+and keeps them away from underflow.
 
 Experts react to the revealed sequence only, never to the forecaster's
 coin flips, so a run is replayed in three steps shared by every learner
@@ -53,8 +56,10 @@ def horizon_regret_bound(n_experts: int, horizon: int) -> float:
 
 
 def small_loss_bound(n_experts: int, loss_budget: int) -> float:
+    """Expected-loss guarantee of loss_budget_rate, with the same clamp."""
     n = math.log(max(n_experts, 2))
-    return loss_budget + math.sqrt(2.0 * loss_budget * n) + n
+    budget = max(int(loss_budget), 1)
+    return budget + math.sqrt(2.0 * budget * n) + n
 
 
 class ExponentialWeightsForecaster:

@@ -112,39 +112,26 @@ def full_class(instance_count: int, label_count: int = 2) -> HypothesisClass:
 
 @dataclass(frozen=True)
 class PerturbationMap:
-    """Forward sets U(x) plus the transposed preimage sets.
+    """Forward sets U(x) plus the preimage sets derived from them.
 
-    Invariant: z in forward[x] iff x in preimage[z] (checked at build).
-    Empty U(x) is allowed; such an instance can never be presented as a
-    perturbed input and its restriction constraint is vacuous.
+    preimage[z] holds every x with z in forward[x]; it is computed at
+    build and is not a constructor argument.  Empty U(x) is allowed; such
+    an instance can never be presented as a perturbed input and its
+    restriction constraint is vacuous.
     """
 
     forward: tuple[frozenset[Instance], ...]
-    preimage: tuple[frozenset[Instance], ...] = field(default=())
+    preimage: tuple[frozenset[Instance], ...] = field(init=False)
 
     def __post_init__(self):
         n = len(self.forward)
+        pre = [set() for _ in range(n)]
         for x, s in enumerate(self.forward):
             for z in s:
                 if not 0 <= z < n:
                     raise DomainError(f"U({x}) contains out-of-range instance {z}")
-        if not self.preimage:
-            pre = [set() for _ in range(n)]
-            for x, s in enumerate(self.forward):
-                for z in s:
-                    pre[z].add(x)
-            object.__setattr__(
-                self, "preimage", tuple(frozenset(p) for p in pre)
-            )
-        else:
-            if len(self.preimage) != n:
-                raise DomainError("preimage width differs from forward width")
-            for z in range(n):
-                for x in range(n):
-                    if (z in self.forward[x]) != (x in self.preimage[z]):
-                        raise DomainError(
-                            f"preimage is not the transpose of forward at ({x}, {z})"
-                        )
+                pre[z].add(x)
+        object.__setattr__(self, "preimage", tuple(frozenset(p) for p in pre))
 
     @classmethod
     def from_sets(cls, sets) -> "PerturbationMap":

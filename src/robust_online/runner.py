@@ -21,7 +21,7 @@ from .adversaries import (
 )
 from .dimension import adversarial_dimension, get_engine, witness_tree
 from .errors import DomainError, ProtocolViolation
-from .learners import OrientationQuery, make_learner
+from .learners import make_learner
 from .model import HypothesisClass, PerturbationMap
 from .scenario import Scenario
 from .seeding import derive_rng
@@ -280,13 +280,4 @@ def replay_matches(summary: RunSummary, tr: GameTranscript) -> bool:
         and mistakes == summary.mistakes
         and tr.protocol == summary.protocol
         and tr.seed == summary.seed
-    )
-
-
-def scripted_from_transcript(tr: GameTranscript):
-    """Rebuild the adversary a transcript records, for deterministic replay."""
-    if tr.protocol == "robust":
-        return ScriptedRobustAdversary([(r.shown, r.clean_x, r.clean_y) for r in tr.rounds])
-    return ScriptedOrientationAdversary(
-        [(OrientationQuery(r.pair, r.labels), r.side) for r in tr.rounds]
     )

@@ -381,50 +381,35 @@ STRATA = ("identity", "total", "disjoint", "random")
 class CorpusParams:
     count: int = 200
     seed: int = 0
-    min_instances: int = 2
-    max_instances: int = 5
-    min_hypotheses: int = 2
-    max_hypotheses: int = 16
     label_count: int = 2
     strata: tuple[str, ...] = STRATA
-    allow_empty_sets: bool = True
-    reflexive: bool = False
-    horizon: int = 10
 
 
-def _random_map(n: int, rng, allow_empty: bool, reflexive: bool) -> PerturbationMap:
+def _random_map(n: int, rng) -> PerturbationMap:
     sets = []
-    for x in range(n):
+    for _ in range(n):
         keep = rng.random(n) < rng.uniform(0.2, 0.8)
-        s = {z for z in range(n) if keep[z]}
-        if reflexive:
-            s.add(x)
-        if not s and not allow_empty:
-            s.add(int(rng.integers(n)))
-        sets.append(s)
+        sets.append({z for z in range(n) if keep[z]})
     return PerturbationMap.from_sets(sets)
 
 
-def _disjoint_map(n: int, rng, allow_empty: bool) -> PerturbationMap:
+def _disjoint_map(n: int, rng) -> PerturbationMap:
+    # one draw per instance; about a quarter of the sets come out empty
     targets = rng.permutation(n)
-    sets = []
-    for x in range(n):
-        if allow_empty and rng.random() < 0.25:
-            sets.append(set())
-        else:
-            sets.append({int(targets[x])})
-    return PerturbationMap.from_sets(sets)
+    return PerturbationMap.from_sets(
+        set() if rng.random() < 0.25 else {int(targets[x])} for x in range(n)
+    )
 
 
-def _stratum_map(stratum: str, n: int, rng, params: CorpusParams) -> PerturbationMap:
+def _stratum_map(stratum: str, n: int, rng) -> PerturbationMap:
     if stratum == "identity":
         return identity_map(n)
     if stratum == "total":
         return total_map(n)
     if stratum == "disjoint":
-        return _disjoint_map(n, rng, params.allow_empty_sets)
+        return _disjoint_map(n, rng)
     if stratum == "random":
-        return _random_map(n, rng, params.allow_empty_sets, params.reflexive)
+        return _random_map(n, rng)
     raise ValueError(f"unknown stratum {stratum!r}; choose from {STRATA}")
 
 
@@ -437,53 +422,50 @@ def _random_tables(n: int, count: int, label_count: int, rng) -> list[tuple[int,
     return sorted(seen)
 
 
-def _assemble(n: int, tables, u, params: CorpusParams, seed: int) -> Scenario:
+def _assemble(n: int, tables, u, label_count: int, seed: int) -> Scenario:
     names = tuple(f"x{i}" for i in range(n))
-    label_names = tuple(f"y{i}" for i in range(params.label_count))
+    label_names = tuple(f"y{i}" for i in range(label_count))
     return Scenario(
         instance_names=names,
         label_names=label_names,
         hypothesis_names=tuple(f"h{i}" for i in range(len(tables))),
-        hypotheses=HypothesisClass.from_tables(tables, params.label_count),
+        hypotheses=HypothesisClass.from_tables(tables, label_count),
         perturbation_names=("main",),
         perturbations=(u,),
         truth_name="main",
-        game=GameConfig(horizon=params.horizon, seed=seed),
+        game=GameConfig(seed=seed),
     )
 
 
 def generate_corpus(params: CorpusParams) -> list[Scenario]:
     """Deterministic stratified scenario corpus.
 
-    Strata cycle round-robin so requested proportions are exact up to
-    rounding.  Every scenario round-trips through the text format.
+    Each scenario has 2 to 5 instances, 2 to 16 distinct hypotheses (fewer
+    when the function space is smaller) and the default game settings
+    (horizon 10).  Strata cycle round-robin so requested proportions are
+    exact up to rounding.  The disjoint and random strata may leave
+    perturbation sets empty.  Every scenario round-trips through the text
+    format.
     """
     out = []
     for i in range(params.count):
         stratum = params.strata[i % len(params.strata)]
         rng = derive_rng(params.seed, "corpus", i, stratum)
-        n = int(rng.integers(params.min_instances, params.max_instances + 1))
-        cap = min(params.max_hypotheses, params.label_count**n)
-        lo = min(params.min_hypotheses, cap)
-        n_h = int(rng.integers(lo, cap + 1))
+        n = int(rng.integers(2, 6))
+        cap = min(16, params.label_count**n)
+        n_h = int(rng.integers(min(2, cap), cap + 1))
         tables = _random_tables(n, n_h, params.label_count, rng)
-        u = _stratum_map(stratum, n, rng, params)
-        out.append(_assemble(n, tables, u, params, int(rng.integers(2**31))))
+        u = _stratum_map(stratum, n, rng)
+        out.append(_assemble(n, tables, u, params.label_count, int(rng.integers(2**31))))
     return out
 
 
-def generate_family_scenarios(
-    count: int,
-    seed: int = 0,
-    sizes: tuple[int, ...] = (2, 4, 8),
-    max_instances: int = 4,
-    max_hypotheses: int = 8,
-    require_dimension: int = 1,
-) -> list[Scenario]:
-    """Scenarios whose perturbations form a family with a hidden true member.
+def generate_family_scenarios(count: int, seed: int = 0) -> list[Scenario]:
+    """Binary scenarios whose perturbations form a family with a hidden true member.
 
-    Each keeps the true member's adversarial dimension at least
-    require_dimension and at least one instance with a nonempty true
+    Family sizes cycle through 2, 4 and 8 distinct random maps; each
+    scenario has 2 to 4 instances and 2 to 8 hypotheses.  The true
+    member has adversarial dimension at least 1 and at least one nonempty
     perturbation set, so realizable sequences of any length exist.
     """
     out = []
@@ -491,10 +473,9 @@ def generate_family_scenarios(
     while len(out) < count:
         rng = derive_rng(seed, "family-corpus", attempt)
         attempt += 1
-        size = int(sizes[len(out) % len(sizes)])
-        n = int(rng.integers(2, max_instances + 1))
-        cap = min(max_hypotheses, 2**n)
-        n_h = int(rng.integers(min(2, cap), cap + 1))
+        size = (2, 4, 8)[len(out) % 3]
+        n = int(rng.integers(2, 5))
+        n_h = int(rng.integers(2, min(8, 2**n) + 1))
         tables = _random_tables(n, n_h, 2, rng)
         hc = HypothesisClass.from_tables(tables, 2)
         members = []
@@ -502,7 +483,7 @@ def generate_family_scenarios(
         guard = 0
         while len(members) < size and guard < 200:
             guard += 1
-            u = _random_map(n, rng, allow_empty=True, reflexive=False)
+            u = _random_map(n, rng)
             if u.forward in seen:
                 continue
             seen.add(u.forward)
@@ -511,7 +492,7 @@ def generate_family_scenarios(
             continue
         truth = int(rng.integers(size))
         u_star = members[truth]
-        if adversarial_dimension(hc, u_star) < require_dimension:
+        if adversarial_dimension(hc, u_star) == 0:
             continue
         if not any(u_star.forward[x] for x in range(n)):
             continue

@@ -5,7 +5,8 @@ runs the robust reduction learner under the assumption that its member is
 the true map:
 
 * aggregation by exponentially weighted forecaster in the known-loss-budget
-  regime, with budget max over members of the adversarial dimension;
+  regime, with budget max over members of the adversarial dimension (a
+  budget of 0 is tuned for and bounded as 1, see forecaster);
 * deterministic phased halving: majority vote of the alive experts, erring
   experts removed every round, all experts revived when none are left.
   It makes at most d * (floor(log2 |G|) + 1) + floor(log2 |G|) mistakes,
@@ -132,13 +133,15 @@ class FamilyRunReport:
     expert_mistakes: list[int] = field(default_factory=list)
 
 
-def _replay(hc, family, rounds, budget, rate):
-    """(budget, rate, labels, probabilities, losses) of the aggregated learner."""
+def _replay(hc, family, rounds, budget):
+    """(budget, rate, labels, probabilities, losses) of the aggregated learner.
+
+    The forecaster runs at the loss-budget rate for the family size.
+    """
     preds, losses = expert_matrices(build_family_experts(hc, family.members), rounds)
     if budget is None:
         budget = family_loss_budget(hc, family)
-    if rate is None:
-        rate = loss_budget_rate(len(family), budget)
+    rate = loss_budget_rate(len(family), budget)
     labels = np.array([y for _, _, y in rounds])
     return budget, rate, labels, weight_trajectory(preds, losses, rate), losses
 
@@ -149,11 +152,10 @@ def family_ewa_run(
     rounds,
     seed: int,
     budget: int | None = None,
-    rate: float | None = None,
 ) -> FamilyRunReport:
     """One seeded pass of the aggregated family learner."""
     rounds = list(rounds)
-    budget, rate, labels, probs, losses = _replay(hc, family, rounds, budget, rate)
+    budget, rate, labels, probs, losses = _replay(hc, family, rounds, budget)
     stats = seeded_mistakes(probs, labels, [derive_rng(seed, "family-ewa")])
     return FamilyRunReport(
         mistakes=int(stats["values"][0]),
@@ -171,11 +173,10 @@ def mc_family_mistakes(
     rounds,
     seeds,
     budget: int | None = None,
-    rate: float | None = None,
 ) -> dict:
     """Monte-Carlo mistake statistics over forecaster seeds."""
     rounds = list(rounds)
-    budget, _, labels, probs, losses = _replay(hc, family, rounds, budget, rate)
+    budget, _, labels, probs, losses = _replay(hc, family, rounds, budget)
     rngs = (derive_rng(seed, "family-ewa") for seed in seeds)
     return {
         **seeded_mistakes(probs, labels, rngs),

@@ -326,10 +326,17 @@ f: f
         (("agnostic", "{scn}", "--horizon", "-1"), "--horizon: must be at least 1"),
         (("oracle", "{scn}", "--horizon", "-2"), "--horizon: must be at least 0"),
         (("oracle", "{big}"), "exhaustive game search is limited to 5 instances"),
+        (("gen-corpus", "--labels", "1", "--out", "{out}"), "--labels: must be at least 2"),
+        (("gen-corpus", "--labels", "0", "--out", "{out}"), "--labels: must be at least 2"),
+        (("gen-corpus", "--count", "0", "--out", "{out}"), "--count: must be at least 1"),
     ],
 )
 def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):
-    paths = {"scn": tmp_path / "toy.scn", "big": tmp_path / "big.scn"}
+    paths = {
+        "scn": tmp_path / "toy.scn",
+        "big": tmp_path / "big.scn",
+        "out": tmp_path / "corpus",
+    }
     paths["scn"].write_text(SCENARIO)
     paths["big"].write_text(BIG_SCENARIO)
     out = run_cli(*(a.format(**paths) for a in args))

@@ -118,8 +118,8 @@ def test_corpus_is_deterministic_and_respects_limits():
     assert len(first) == 24
     for sc in first:
         n = len(sc.instance_names)
-        assert params.min_instances <= n <= params.max_instances
-        assert params.min_hypotheses <= sc.hypotheses.size <= params.max_hypotheses
+        assert 2 <= n <= 5
+        assert 2 <= sc.hypotheses.size <= 16
         assert len(sc.label_names) == 2
 
 

@@ -22,6 +22,11 @@ from robust_online import (
 )
 from robust_online.adversaries import realizable_robust_rounds
 from robust_online.errors import DomainError
+from robust_online.forecaster import (
+    expert_matrices,
+    loss_budget_rate,
+    weight_trajectory,
+)
 from robust_online.seeding import derive_rng
 from robust_online.uncertain import (
     family_mistake_bound,
@@ -70,6 +75,33 @@ def test_family_mistake_bound_formula():
     n = 4
     expected = budget + math.sqrt(2 * budget * math.log(n)) + math.log(n)
     assert family_mistake_bound(n, budget) == pytest.approx(expected)
+
+
+def test_family_bound_holds_at_loss_budget_zero():
+    """A loss budget of 0 is clamped to 1 in the bound, as in the rate.
+
+    Both members have dimension 0, so the budget is 0, yet the wrong
+    member's expert errs every round.  The forecaster's exact expected
+    mistakes then exceed ln 2, the value the unclamped bound gave.
+    """
+    hc = HypothesisClass.from_tables([(0, 0, 1), (1, 0, 0), (1, 0, 1)])
+    truth = PerturbationMap.from_sets([{1}, {0, 1, 2}, {0, 1, 2}])
+    other = PerturbationMap.from_sets([{0, 1, 2}, {0, 1, 2}, {1, 2}])
+    fam = PerturbationFamily((truth, other), truth_index=0)
+    assert family_loss_budget(hc, fam) == 0
+    rounds = realizable_robust_rounds(hc, fam.truth, 10, derive_rng(0, "budget-zero"))
+    preds, losses = expert_matrices(build_family_experts(hc, fam), rounds)
+    probs = weight_trajectory(preds, losses, loss_budget_rate(len(fam), 0))
+    labels = np.array([y for _, _, y in rounds])
+    expected = float(np.abs(probs - labels).sum())
+    bound = family_mistake_bound(len(fam), 0)
+    assert bound == family_mistake_bound(len(fam), 1)
+    assert bound == pytest.approx(1 + math.sqrt(2 * math.log(2)) + math.log(2))
+    assert math.log(2) < expected <= bound
+    stats = mc_family_mistakes(hc, fam, rounds, seeds=range(200))
+    assert stats["budget"] == 0
+    assert stats["bound"] == bound
+    assert stats["mean"] <= bound
 
 
 def test_family_experts_tolerate_foreign_inputs():
