@@ -60,6 +60,7 @@ from .learners import (
     OrientationQuery,
     RobustReductionLearner,
     SoaOrientationLearner,
+    lazy_automaton,
     lazy_wrap,
     make_learner,
 )

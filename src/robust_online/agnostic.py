@@ -10,7 +10,9 @@ weighted aggregation turns the pool into a sublinear-regret learner.
 
 The pool is replayed once over the fixed sequence (forecaster.expert_matrices);
 agnostic_run reads one seed off the resulting trajectory and mc_regret many,
-and decomposition_gap replays the analysis expert the same way.
+and decomposition_gap replays the analysis expert the same way.  The
+experts, the analysis pass and the random-label probe all step state ids
+on the (class, map)'s one lazy automaton, which keeps no events.
 """
 
 import itertools
@@ -22,7 +24,7 @@ import numpy as np
 from .dimension import adversarial_dimension, witness_tree
 from .errors import DomainError, LimitExceeded
 from .forecaster import expert_matrices, horizon_rate, seeded_mistakes, weight_trajectory
-from .learners import LazyRobustLearner, RobustReductionLearner, lazy_wrap
+from .learners import lazy_automaton
 from .model import HypothesisClass, PerturbationMap, consistency_masks
 from .seeding import derive_rng
 
@@ -49,22 +51,24 @@ def comparator_loss(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple[in
 class SubsetExpert:
     """The lazy optimal learner, shown only the rounds in one subset.
 
-    Rounds are counted from 0 by the updates the expert has received.
+    A view on the (class, map)'s shared automaton: the expert holds only
+    its state id, so experts in the same state share every prediction and
+    transition, and no events are kept.  Rounds are counted from 0 by the
+    updates the expert has received.
     """
 
     def __init__(self, indices, hc: HypothesisClass, u: PerturbationMap):
         self.indices = frozenset(indices)
-        self.learner = LazyRobustLearner(
-            RobustReductionLearner(hc, u, strict=False, empty_prediction=0)
-        )
+        self.automaton = lazy_automaton(hc, u)
+        self.state = 0
         self.round = 0
 
     def predict(self, z: int) -> int:
-        return self.learner.predict(z)
+        return self.automaton.predict(self.state, z)
 
     def update(self, z: int, x: int, y: int) -> None:
         if self.round in self.indices:
-            self.learner.update(z, x, y)
+            self.state = self.automaton.step(self.state, z, x, y)
         self.round += 1
 
 
@@ -171,12 +175,12 @@ def analysis_subset(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:
     best, best_id = comparator_loss(hc, u, rounds)
     masks = consistency_masks(hc, u)
     clean = [(t, r) for t, r in enumerate(rounds) if masks[r[1]][r[2]] >> best_id & 1]
-    lazy = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
+    lazy, s = lazy_automaton(hc, u), 0
     picked = []
     for t, (z, x, y) in clean:
-        if lazy.predict(z) != y:
+        if lazy.predict(s, z) != y:
             picked.append(t)
-        lazy.update(z, x, y)
+        s = lazy.step(s, z, x, y)
     return tuple(picked), best, best_id
 
 
@@ -211,7 +215,8 @@ def random_label_regret_sample(
     dimension-witnessing node replayed with uniformly random labels.
 
     The node is the root of the maximum shattered tree; the class must
-    have dimension at least 1.
+    have dimension at least 1.  The learner is stepped as state ids on
+    the (class, map)'s lazy automaton, which keeps no events.
     """
     tree = witness_tree(hc, u)
     if tree.depth < 1 or tree.root is None:
@@ -220,13 +225,11 @@ def random_label_regret_sample(
     z = min(u.forward[x0] & u.forward[x1])
     rng = derive_rng(seed, "random-label-probe")
     labels = rng.integers(0, 2, size=horizon)
-    learner = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
+    lazy, s = lazy_automaton(hc, u), 0
     mistakes = 0
-    for y in labels:
-        y = int(y)
-        pred = learner.predict(z)
-        mistakes += int(pred != y)
-        learner.update(z, (x0, x1)[y], y)
+    for y in labels.tolist():
+        mistakes += lazy.predict(s, z) != y
+        s = lazy.step(s, z, (x0, x1)[y], y)
     n1 = int(labels.sum())
     n0 = horizon - n1
     masks = consistency_masks(hc, u)

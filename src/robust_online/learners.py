@@ -19,13 +19,18 @@ A learner's state is its version space; it keeps no mistake count.  The
 code that sees both the prediction and the reveal counts the mistakes: the
 loss bits of the game runners, the loss matrix of the expert replay, and
 the loops of the estimators.
+
+LazyRobustAutomaton memoizes the tolerant lazy optimal robust learner over
+its interned states for the agnostic replays, which run it many times on
+few states; it asks that learner on every miss.  Games, strict learners
+and the family experts run the learner classes directly.
 """
 
 from dataclasses import dataclass
 
 from .dimension import get_engine
 from .errors import ProtocolViolation, SearchInvariantError
-from .model import HypothesisClass, PerturbationMap, VersionSpace, consistency_masks
+from .model import HypothesisClass, PerturbationMap, VersionSpace, compiled, consistency_masks
 
 OPTIMAL = "optimal"
 BASELINES = ("constant-0", "constant-1", "random", "majority")
@@ -311,6 +316,61 @@ def lazy_wrap(learner):
     if learner.game == "orientation":
         return LazyOrientationLearner(learner)
     raise ValueError(f"unknown game tag {learner.game!r}")
+
+
+class LazyRobustAutomaton:
+    """The tolerant lazy optimal robust learner, memoized over its states.
+
+    A state (robust mask, orientation mask) is interned as a dense id on
+    first visit; 0 is the start.  predict(s, z) and step(s, z, x, y) memoize
+    the prediction and the next id.  A miss loads the state into one
+    lazy_wrap(RobustReductionLearner) and asks its own predict and update.
+    No events are kept: no caller that steps ids reads them.  lazy_automaton
+    keeps one per (class, map, settings) on the class.
+    """
+
+    def __init__(self, hc, u, multiclass, tie_break, empty_prediction):
+        self.learner = lazy_wrap(RobustReductionLearner(
+            hc, u, multiclass, False, empty_prediction, tie_break
+        ))
+        start = (self.learner.inner.mask, self.learner.inner.orientation.mask)
+        self.states = [start]
+        self._ids = {start: 0}
+        self.predictions = {}
+        self.transitions = {}
+
+    def _load(self, s: int):
+        inner = self.learner.inner
+        inner.mask, inner.orientation.mask = self.states[s]
+        inner.events.clear()
+        inner.orientation.events.clear()
+        return self.learner
+
+    def predict(self, s: int, z: int) -> int:
+        pred = self.predictions.get((s, z))
+        if pred is None:
+            pred = self.predictions[s, z] = self._load(s).predict(z)
+        return pred
+
+    def step(self, s: int, z: int, x: int, y: int) -> int:
+        """The id of the state after the reveal (x, y) of a round showing z."""
+        nxt = self.transitions.get((s, z, x, y))
+        if nxt is None:
+            learner = self._load(s)
+            learner.predict(z)  # else update may reuse a prediction made in another state
+            learner.update(z, x, y)
+            state = (learner.inner.mask, learner.inner.orientation.mask)
+            nxt = self._ids.get(state)
+            if nxt is None:
+                nxt = self._ids[state] = len(self.states)
+                self.states.append(state)
+            self.transitions[s, z, x, y] = nxt
+        return nxt
+
+
+def lazy_automaton(hc, u, multiclass=False, tie_break="low", empty_prediction=0):
+    """The (class, map)'s automaton for these settings, built on first use."""
+    return compiled(hc, u, LazyRobustAutomaton, multiclass, tie_break, empty_prediction)
 
 
 class ConstantLearner:

@@ -173,7 +173,9 @@ def compiled(hc: HypothesisClass, u: PerturbationMap, build, *args):
     """build(hc, u, *args), made once and kept on hc.
 
     The key (u, build, args) leaves the class out, so a lookup never
-    hashes it, and the value lives exactly as long as the class.
+    hashes it, and the value lives exactly as long as the class.  build
+    must be a module-level function or class: a closure or lambda is a
+    new key on every call, so its value would be rebuilt and kept each time.
     """
     key = (u, build, args)
     value = hc._store.get(key)

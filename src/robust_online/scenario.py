@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .dimension import adversarial_dimension
-from .errors import ScenarioFormatError
+from .errors import DomainError, ScenarioFormatError
 from .learners import LEARNER_NAMES
 from .model import HypothesisClass, PerturbationMap, identity_map, total_map
 from .seeding import derive_rng
@@ -383,6 +383,11 @@ class CorpusParams:
     seed: int = 0
     label_count: int = 2
     strata: tuple[str, ...] = STRATA
+
+    def __post_init__(self):
+        # the text format, which every corpus scenario round-trips, needs two
+        if self.label_count < 2:
+            raise DomainError(f"a corpus needs at least two labels, got {self.label_count}")
 
 
 def _random_map(n: int, rng) -> PerturbationMap:

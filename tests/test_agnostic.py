@@ -15,6 +15,7 @@ from robust_online import (
     decomposition_gap,
     full_class,
     identity_map,
+    lazy_automaton,
     mc_regret,
     random_label_regret_sample,
     subset_expert_count,
@@ -160,6 +161,21 @@ def test_random_label_probe_learner_loses_half_the_rounds():
     for s in samples:
         assert s["comparator"] <= horizon / 2
         assert s["regret"] == s["mistakes"] - s["comparator"]
+
+
+def test_probes_intern_three_states_in_one_automaton():
+    hc, u = full_class(2), total_map(2)
+    for seed in range(8):
+        random_label_regret_sample(hc, u, 64, seed)
+    auto = lazy_automaton(hc, u)
+    # full class, one survivor, empty: each state predicts once on the one
+    # input and moves on each of the two reveals
+    assert len(auto.states) == 3
+    assert len(auto.predictions) == 3
+    assert len(auto.transitions) == 6
+    keys = set(hc._store)
+    random_label_regret_sample(hc, u, 64, seed=8)
+    assert set(hc._store) == keys
 
 
 def test_random_label_probe_regret_grows_with_horizon():

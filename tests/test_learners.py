@@ -19,6 +19,7 @@ from robust_online import (
     random_label_regret_sample,
     run_orientation_game,
     total_map,
+    witness_tree,
 )
 from robust_online.adversaries import (
     realizable_orientation_rounds,
@@ -250,10 +251,19 @@ def test_lazy_wrappers_predict_once_per_round(monkeypatch):
         return compute(self, z)
 
     monkeypatch.setattr(RobustReductionLearner, "_compute", counted)
-    horizon = 64
-    sample = random_label_regret_sample(full_class(2), total_map(2), horizon, seed=3)
-    assert sample["mistakes"] > 0
+    # the random-label probe's rounds, played on the wrapper itself
+    hc, u, horizon = full_class(2), total_map(2), 64
+    pair = witness_tree(hc, u).root.pair
+    z = min(u.forward[pair[0]] & u.forward[pair[1]])
+    labels = derive_rng(3, "random-label-probe").integers(0, 2, size=horizon)
+    lazy = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
+    mistakes = 0
+    for y in labels.tolist():
+        mistakes += lazy.predict(z) != y
+        lazy.update(z, pair[y], y)
+    assert mistakes > 0
     assert len(calls) == horizon
+    assert random_label_regret_sample(hc, u, horizon, seed=3)["mistakes"] == mistakes
 
     class CountingOrientation:
         game = "orientation"

@@ -4,11 +4,13 @@ The consistency masks are the package's single source of the robust
 loss.  The first properties check them, and the functions derived from
 them, against the definitional `adversarial_loss`; the next check the
 dimension search, restriction, and the lifetime of compiled data; the
-next check the one-replay expert aggregation against stepwise loops; the
-last checks that scenario files round-trip.
+next check the lazy learner's automaton and the one-replay expert
+aggregation against stepwise loops on plain learners; the last checks
+that scenario files round-trip.
 """
 
 import gc
+import itertools
 import math
 import weakref
 
@@ -23,13 +25,13 @@ from robust_online import (
     OrientationQuery,
     PerturbationFamily,
     PerturbationMap,
+    RobustReductionLearner,
     Scenario,
     VersionSpace,
     adversarial_dimension,
     adversarial_loss,
     agnostic_run,
     build_family_experts,
-    build_subset_experts,
     comparator_loss,
     compatible_pairs,
     derive_rng,
@@ -40,11 +42,14 @@ from robust_online import (
     horizon_rate,
     identity_map,
     is_shattered,
+    lazy_automaton,
+    lazy_wrap,
     loss_budget_rate,
     mc_family_mistakes,
     mc_regret,
     optimal_mistake_bound,
     parse_scenario,
+    random_label_regret_sample,
     restrict,
     serialize_scenario,
     witness_tree,
@@ -159,17 +164,71 @@ def test_compiled_data_is_freed_with_its_class():
     witness_tree(hc, u)
     optimal_mistake_bound(hc, u, "orientation")
     restrict(VersionSpace.full(hc), 0, 1, u)
+    # class -> store -> automaton -> learner -> class is a cycle
+    random_label_regret_sample(hc, u, 8, seed=0)
     ref = weakref.ref(hc)
     del hc
     gc.collect()
     assert ref() is None
 
 
-def robust_rounds(data, n, max_size=6):
-    """Arbitrary binary robust rounds (z, x, y); tolerant experts accept any."""
+def robust_rounds(data, n, max_size=6, labels=2):
+    """Arbitrary robust rounds (z, x, y); tolerant experts accept any."""
     point = st.integers(0, n - 1)
-    triple = st.tuples(point, point, st.integers(0, 1))
+    triple = st.tuples(point, point, st.integers(0, labels - 1))
     return data.draw(st.lists(triple, min_size=1, max_size=max_size))
+
+
+@PROPERTY
+@given(
+    games(),
+    st.booleans(),
+    st.sampled_from(["low", "high"]),
+    st.integers(0, 1),
+    st.data(),
+)
+def test_automaton_steps_like_the_lazy_learner(game, multiclass, tie_break, empty, data):
+    """Two learners walk one automaton in lockstep, as subset experts do:
+    the first is shown every round, the second a drawn subset, so it also
+    runs on memoized entries.  A round may step them without asking for
+    predictions.  Reveals are arbitrary: z may lie outside U(x), the
+    version space may empty and a mistake may find no counterpart."""
+    hc, u = game
+    multiclass = multiclass or hc.label_count > 2
+    auto = lazy_automaton(hc, u, multiclass, tie_break, empty)
+    plain = [
+        lazy_wrap(RobustReductionLearner(
+            hc, u, multiclass, strict=False, empty_prediction=empty, tie_break=tie_break
+        ))
+        for _ in range(2)
+    ]
+    ids = [0, 0]
+    for z, x, y in robust_rounds(data, hc.instance_count, 10, hc.label_count):
+        if data.draw(st.booleans()):
+            for i in (0, 1):
+                assert auto.predict(ids[i], z) == plain[i].predict(z)
+        for i in (0, 1) if data.draw(st.booleans()) else (0,):
+            ids[i] = auto.step(ids[i], z, x, y)
+            plain[i].update(z, x, y)
+    for i in (0, 1):
+        assert auto.states[ids[i]] == (plain[i].inner.mask, plain[i].inner.orientation.mask)
+
+
+class PlainSubsetExpert:
+    """A_J on a plain lazy learner, shown only the rounds in J."""
+
+    def __init__(self, indices, hc, u):
+        self.indices = indices
+        self.learner = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
+        self.round = 0
+
+    def predict(self, z):
+        return self.learner.predict(z)
+
+    def update(self, z, x, y):
+        if self.round in self.indices:
+            self.learner.update(z, x, y)
+        self.round += 1
 
 
 def stepwise_ewa(experts, rounds, rate, rng):
@@ -210,7 +269,12 @@ def stepwise_halving(experts, rounds):
 def test_agnostic_replay_equals_the_stepwise_forecaster(game, data, seed):
     hc, u = game
     rounds = robust_rounds(data, hc.instance_count)
-    experts = build_subset_experts(hc, u, len(rounds))
+    dim = adversarial_dimension(hc, u)
+    experts = [
+        PlainSubsetExpert(combo, hc, u)
+        for k in range(min(dim, len(rounds)) + 1)
+        for combo in itertools.combinations(range(len(rounds)), k)
+    ]
     rate = horizon_rate(len(experts), len(rounds))
     mistakes, _ = stepwise_ewa(experts, rounds, rate, derive_rng(seed, "agnostic"))
     best, _ = comparator_loss(hc, u, rounds)

@@ -11,7 +11,7 @@ from robust_online import (
     serialize_scenario,
     try_parse_scenario,
 )
-from robust_online.errors import ScenarioFormatError
+from robust_online.errors import DomainError, ScenarioFormatError
 from robust_online.scenario import STRATA
 
 GOOD = """\
@@ -137,6 +137,12 @@ def test_corpus_covers_all_strata():
 def test_corpus_scenarios_parse_back():
     for sc in generate_corpus(CorpusParams(count=12, seed=2)):
         assert parse_scenario(serialize_scenario(sc)) == sc
+
+
+@pytest.mark.parametrize("labels", [1, 0, -1])
+def test_corpus_needs_two_labels(labels):
+    with pytest.raises(DomainError, match="at least two labels"):
+        generate_corpus(CorpusParams(count=1, label_count=labels))
 
 
 def test_corpus_different_seeds_differ():
