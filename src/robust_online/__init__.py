@@ -60,7 +60,6 @@ from .learners import (
     OrientationQuery,
     RobustReductionLearner,
     SoaOrientationLearner,
-    lazy_automaton,
     lazy_wrap,
     make_learner,
 )

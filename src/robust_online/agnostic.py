@@ -24,8 +24,8 @@ import numpy as np
 from .dimension import adversarial_dimension, witness_tree
 from .errors import DomainError, LimitExceeded
 from .forecaster import expert_matrices, horizon_rate, seeded_mistakes, weight_trajectory
-from .learners import lazy_automaton
-from .model import HypothesisClass, PerturbationMap, consistency_masks
+from .learners import LazyRobustAutomaton
+from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks
 from .seeding import derive_rng
 
 MAX_EXPERTS = 20000
@@ -59,7 +59,7 @@ class SubsetExpert:
 
     def __init__(self, indices, hc: HypothesisClass, u: PerturbationMap):
         self.indices = frozenset(indices)
-        self.automaton = lazy_automaton(hc, u)
+        self.automaton = compiled(hc, u, LazyRobustAutomaton)
         self.state = 0
         self.round = 0
 
@@ -175,7 +175,7 @@ def analysis_subset(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:
     best, best_id = comparator_loss(hc, u, rounds)
     masks = consistency_masks(hc, u)
     clean = [(t, r) for t, r in enumerate(rounds) if masks[r[1]][r[2]] >> best_id & 1]
-    lazy, s = lazy_automaton(hc, u), 0
+    lazy, s = compiled(hc, u, LazyRobustAutomaton), 0
     picked = []
     for t, (z, x, y) in clean:
         if lazy.predict(s, z) != y:
@@ -225,7 +225,7 @@ def random_label_regret_sample(
     z = min(u.forward[x0] & u.forward[x1])
     rng = derive_rng(seed, "random-label-probe")
     labels = rng.integers(0, 2, size=horizon)
-    lazy, s = lazy_automaton(hc, u), 0
+    lazy, s = compiled(hc, u, LazyRobustAutomaton), 0
     mistakes = 0
     for y in labels.tolist():
         mistakes += lazy.predict(s, z) != y

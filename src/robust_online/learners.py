@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .dimension import get_engine
 from .errors import ProtocolViolation, SearchInvariantError
-from .model import HypothesisClass, PerturbationMap, VersionSpace, compiled, consistency_masks
+from .model import HypothesisClass, PerturbationMap, VersionSpace, consistency_masks
 
 OPTIMAL = "optimal"
 BASELINES = ("constant-0", "constant-1", "random", "majority")
@@ -324,15 +324,14 @@ class LazyRobustAutomaton:
     A state (robust mask, orientation mask) is interned as a dense id on
     first visit; 0 is the start.  predict(s, z) and step(s, z, x, y) memoize
     the prediction and the next id.  A miss loads the state into one
-    lazy_wrap(RobustReductionLearner) and asks its own predict and update.
-    No events are kept: no caller that steps ids reads them.  lazy_automaton
-    keeps one per (class, map, settings) on the class.
+    lazy_wrap(RobustReductionLearner(strict=False, empty_prediction=0)), the
+    learner the agnostic replays run, and asks its own predict and update.
+    No events are kept: no caller that steps ids reads them.  Got through
+    compiled(hc, u, LazyRobustAutomaton), one per (class, map).
     """
 
-    def __init__(self, hc, u, multiclass, tie_break, empty_prediction):
-        self.learner = lazy_wrap(RobustReductionLearner(
-            hc, u, multiclass, False, empty_prediction, tie_break
-        ))
+    def __init__(self, hc, u):
+        self.learner = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
         start = (self.learner.inner.mask, self.learner.inner.orientation.mask)
         self.states = [start]
         self._ids = {start: 0}
@@ -366,11 +365,6 @@ class LazyRobustAutomaton:
                 self.states.append(state)
             self.transitions[s, z, x, y] = nxt
         return nxt
-
-
-def lazy_automaton(hc, u, multiclass=False, tie_break="low", empty_prediction=0):
-    """The (class, map)'s automaton for these settings, built on first use."""
-    return compiled(hc, u, LazyRobustAutomaton, multiclass, tie_break, empty_prediction)
 
 
 class ConstantLearner:

@@ -15,7 +15,6 @@ from robust_online import (
     decomposition_gap,
     full_class,
     identity_map,
-    lazy_automaton,
     mc_regret,
     random_label_regret_sample,
     subset_expert_count,
@@ -24,7 +23,8 @@ from robust_online import (
 from robust_online.adversaries import corrupt_labels, realizable_robust_rounds
 from robust_online.agnostic import analysis_subset, hypothesis_losses
 from robust_online.errors import LimitExceeded
-from robust_online.model import adversarial_loss
+from robust_online.learners import LazyRobustAutomaton
+from robust_online.model import adversarial_loss, compiled
 from robust_online.seeding import derive_rng
 
 HC5 = HypothesisClass.from_tables(
@@ -167,7 +167,7 @@ def test_probes_intern_three_states_in_one_automaton():
     hc, u = full_class(2), total_map(2)
     for seed in range(8):
         random_label_regret_sample(hc, u, 64, seed)
-    auto = lazy_automaton(hc, u)
+    auto = compiled(hc, u, LazyRobustAutomaton)
     # full class, one survivor, empty: each state predicts once on the one
     # input and moves on each of the two reveals
     assert len(auto.states) == 3

@@ -42,7 +42,6 @@ from robust_online import (
     horizon_rate,
     identity_map,
     is_shattered,
-    lazy_automaton,
     lazy_wrap,
     loss_budget_rate,
     mc_family_mistakes,
@@ -57,7 +56,8 @@ from robust_online import (
 from robust_online.adversaries import orientation_options, robust_anchors
 from robust_online.agnostic import hypothesis_losses
 from robust_online.forecaster import expert_matrices
-from robust_online.model import consistency_masks
+from robust_online.learners import LazyRobustAutomaton
+from robust_online.model import compiled, consistency_masks
 from robust_online.scenario import ADVERSARIES, DEFAULT_LABELS, PROTOCOLS
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -180,26 +180,17 @@ def robust_rounds(data, n, max_size=6, labels=2):
 
 
 @PROPERTY
-@given(
-    games(),
-    st.booleans(),
-    st.sampled_from(["low", "high"]),
-    st.integers(0, 1),
-    st.data(),
-)
-def test_automaton_steps_like_the_lazy_learner(game, multiclass, tie_break, empty, data):
+@given(games(max_labels=2), st.data())
+def test_automaton_steps_like_the_lazy_learner(game, data):
     """Two learners walk one automaton in lockstep, as subset experts do:
     the first is shown every round, the second a drawn subset, so it also
     runs on memoized entries.  A round may step them without asking for
     predictions.  Reveals are arbitrary: z may lie outside U(x), the
     version space may empty and a mistake may find no counterpart."""
     hc, u = game
-    multiclass = multiclass or hc.label_count > 2
-    auto = lazy_automaton(hc, u, multiclass, tie_break, empty)
+    auto = compiled(hc, u, LazyRobustAutomaton)
     plain = [
-        lazy_wrap(RobustReductionLearner(
-            hc, u, multiclass, strict=False, empty_prediction=empty, tie_break=tie_break
-        ))
+        lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
         for _ in range(2)
     ]
     ids = [0, 0]
