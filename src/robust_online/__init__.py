@@ -80,6 +80,7 @@ from .oracle import optimal_mistake_bound
 from .runner import (
     GameTranscript,
     RunSummary,
+    run_game,
     run_orientation_game,
     run_robust_game,
     run_scenario,

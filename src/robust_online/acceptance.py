@@ -20,22 +20,16 @@ from functools import lru_cache
 import numpy as np
 
 from .adversaries import (
-    OrientationTreeAdversary,
-    RobustTreeAdversary,
     ScriptedOrientationAdversary,
     ScriptedRobustAdversary,
     corrupt_labels,
     realizable_orientation_rounds,
     realizable_robust_rounds,
     robust_anchors,
+    tree_adversary,
 )
 from .agnostic import decomposition_gap, mc_regret, random_label_regret_sample
-from .dimension import (
-    adversarial_dimension,
-    classic_littlestone_dimension,
-    get_engine,
-    witness_tree,
-)
+from .dimension import adversarial_dimension, classic_littlestone_dimension, witness_tree
 from .errors import ProtocolViolation, SearchInvariantError
 from .forecaster import (
     horizon_regret_bound,
@@ -43,15 +37,10 @@ from .forecaster import (
     seeded_mistakes,
     weight_trajectory,
 )
-from .learners import (
-    BASELINES,
-    RobustReductionLearner,
-    SoaOrientationLearner,
-    make_learner,
-)
+from .learners import LEARNER_NAMES, OPTIMAL, make_learner
 from .model import full_class, total_map
 from .oracle import optimal_mistake_bound
-from .runner import run_orientation_game, run_robust_game
+from .runner import run_game
 from .scenario import CorpusParams, generate_corpus, generate_family_scenarios
 from .seeding import derive_rng
 from .uncertain import family_halving_run, halving_bound, mc_family_mistakes
@@ -79,7 +68,6 @@ class Scale:
     family_scenarios: int
     family_seeds: int
     family_horizon: int
-    trend_horizons: tuple[int, ...]
     trend_seeds: int
 
 
@@ -104,7 +92,6 @@ FULL = Scale(
     family_scenarios=9,
     family_seeds=100,
     family_horizon=12,
-    trend_horizons=(64, 256, 1024),
     trend_seeds=2000,
 )
 
@@ -129,11 +116,13 @@ SMOKE = Scale(
     family_scenarios=3,
     family_seeds=30,
     family_horizon=10,
-    trend_horizons=(64, 256, 1024),
     trend_seeds=600,
 )
 
 SCALES = {"full": FULL, "smoke": SMOKE}
+
+# criterion 11's horizons, the same at every scale
+TREND_HORIZONS = (64, 256, 1024)
 
 
 @dataclass
@@ -201,8 +190,9 @@ def criterion_2(scale: Scale, seed: int) -> CriterionResult:
 
 @lru_cache(maxsize=4)
 def _conformance_sweep(scale: Scale, seed: int):
-    """Shared by criteria 3 and 5: run the optimal learners on realizable
-    sequences, collecting mistake-bound and dimension-monotonicity
+    """Shared by criteria 3 and 5: play the optimal learners on realizable
+    sequences through run_game, collecting mistake-bound violations and,
+    from the orientation games' dimension traces, dimension-monotonicity
     violations in one pass."""
     stats = {
         "games": 0,
@@ -225,7 +215,6 @@ def _conformance_sweep(scale: Scale, seed: int):
         for idx, sc in enumerate(corpus):
             hc, u = sc.hypotheses, sc.truth
             dim = adversarial_dimension(hc, u, multiclass=multiclass)
-            engine = get_engine(hc, u, multiclass)
             robust_ok = _robust_usable(hc, u)
             orient_ok = bool(
                 realizable_orientation_rounds(
@@ -235,48 +224,37 @@ def _conformance_sweep(scale: Scale, seed: int):
             if not robust_ok and not orient_ok:
                 stats["skipped_scenarios"] += 1
                 continue
+            horizon = scale.conform_horizon
             for s in range(scale.conform_sequences):
                 rng = derive_rng(seed, "conform", labels, idx, s)
+                adversaries = []
                 if robust_ok:
-                    rounds = realizable_robust_rounds(
-                        hc, u, scale.conform_horizon, rng
-                    )
-                    learner = RobustReductionLearner(
-                        hc, u, multiclass=multiclass, strict=True
-                    )
-                    try:
-                        played, _ = run_robust_game(
-                            hc, u, learner, ScriptedRobustAdversary(rounds),
-                            scale.conform_horizon,
-                        )
-                        if sum(r.loss for r in played) > dim:
-                            stats["bound_violations"] += 1
-                    except (ProtocolViolation, SearchInvariantError):
-                        stats["bound_violations"] += 1
-                    stats["games"] += 1
+                    rounds = realizable_robust_rounds(hc, u, horizon, rng)
+                    adversaries.append(ScriptedRobustAdversary(rounds))
                 if orient_ok:
                     rounds = realizable_orientation_rounds(
-                        hc, u, scale.conform_horizon, rng, multiclass=multiclass
+                        hc, u, horizon, rng, multiclass=multiclass
                     )
-                    learner = SoaOrientationLearner(
-                        hc, u, multiclass=multiclass, strict=True
-                    )
-                    mistakes = 0
-                    try:
-                        for query, side in rounds:
-                            before = engine.dimension_of_mask(learner.mask)
-                            wrong = learner.predict(query) != query.labels[side]
-                            learner.update(query, side)
-                            if wrong:
-                                mistakes += 1
-                                after = engine.dimension_of_mask(learner.mask)
-                                if not after < before:
-                                    stats["monotone_violations"] += 1
-                        if mistakes > dim:
-                            stats["bound_violations"] += 1
-                    except ProtocolViolation:
-                        stats["bound_violations"] += 1
+                    adversaries.append(ScriptedOrientationAdversary(rounds))
+                for adversary in adversaries:
+                    game = adversary.protocol
+                    learner = make_learner(OPTIMAL, game, hc, u, multiclass=multiclass)
                     stats["games"] += 1
+                    try:
+                        played, trace = run_game(
+                            hc, u, learner, adversary, horizon,
+                            track_dimension=game == "orientation",
+                        )
+                    except (ProtocolViolation, SearchInvariantError):
+                        stats["bound_violations"] += 1
+                        continue
+                    if sum(r.loss for r in played) > dim:
+                        stats["bound_violations"] += 1
+                    if trace is not None:
+                        # round t starts at dimension ([dim] + trace)[t]
+                        for r, before, after in zip(played, [dim] + trace, trace):
+                            if r.loss and not after < before:
+                                stats["monotone_violations"] += 1
     return stats
 
 
@@ -314,33 +292,16 @@ def criterion_4(scale: Scale, seed: int) -> CriterionResult:
         hc, u = sc.hypotheses, sc.truth
         dim = adversarial_dimension(hc, u)
         tree = witness_tree(hc, u)
-
-        learner = SoaOrientationLearner(hc, u, strict=True)
-        played, _ = run_orientation_game(
-            hc, u, learner, OrientationTreeAdversary(tree), dim
-        )
-        if sum(r.loss for r in played) != dim:
-            exact_failures += 1
-        learner = RobustReductionLearner(hc, u, strict=True)
-        played, _ = run_robust_game(hc, u, learner, RobustTreeAdversary(tree, u), dim)
-        if sum(r.loss for r in played) != dim:
-            exact_failures += 1
-        runs += 2
-
-        for name in BASELINES:
+        for name in LEARNER_NAMES:
             for game in ("orientation", "robust"):
                 rng = derive_rng(seed, "crit4", idx, name, game)
-                baseline = make_learner(name, game, hc, u, rng=rng, strict=False)
-                if game == "orientation":
-                    played, _ = run_orientation_game(
-                        hc, u, baseline, OrientationTreeAdversary(tree), dim
-                    )
+                learner = make_learner(name, game, hc, u, rng=rng, strict=name == OPTIMAL)
+                played, _ = run_game(hc, u, learner, tree_adversary(game, tree, u), dim)
+                forced = sum(r.loss for r in played)
+                if name == OPTIMAL:
+                    exact_failures += forced != dim
                 else:
-                    played, _ = run_robust_game(
-                        hc, u, baseline, RobustTreeAdversary(tree, u), dim
-                    )
-                if sum(r.loss for r in played) < dim:
-                    baseline_failures += 1
+                    baseline_failures += forced < dim
                 runs += 1
     return CriterionResult(
         4,
@@ -432,10 +393,9 @@ def criterion_8(scale: Scale, seed: int) -> CriterionResult:
         rounds = realizable_robust_rounds(hc, u, horizon, rng)
         rounds = corrupt_labels(rounds, 2, hc.label_count, rng)
         mc = mc_regret(hc, u, rounds, seeds=range(scale.agnostic_seeds), dimension=dim)
-        bound = dim + math.sqrt(horizon / 2 * math.log(mc["expert_count"]))
-        ratio = mc["mean"] / bound
+        ratio = mc["mean"] / mc["bound"]
         worst_ratio = max(worst_ratio, ratio)
-        if mc["mean"] > bound:
+        if mc["mean"] > mc["bound"]:
             failures += 1
         used += 1
     return CriterionResult(
@@ -518,7 +478,7 @@ def criterion_11(scale: Scale, seed: int) -> CriterionResult:
     hc = full_class(2)
     u = total_map(2)
     means = []
-    for horizon in scale.trend_horizons:
+    for horizon in TREND_HORIZONS:
         total = 0
         for s in range(scale.trend_seeds):
             probe_seed = _sub_seed(seed, 11) * 100000 + horizon * 10 + s * 7
@@ -529,13 +489,13 @@ def criterion_11(scale: Scale, seed: int) -> CriterionResult:
             11, "random-label regret square-root trend", False, "nonpositive mean"
         )
     slope = float(
-        np.polyfit(np.log(scale.trend_horizons), np.log(means), 1)[0]
+        np.polyfit(np.log(TREND_HORIZONS), np.log(means), 1)[0]
     )
     return CriterionResult(
         11,
         "random-label regret square-root trend",
         0.4 <= slope <= 0.6,
-        f"horizons={list(scale.trend_horizons)} slope={slope:.4f}",
+        f"horizons={list(TREND_HORIZONS)} slope={slope:.4f}",
     )
 
 

@@ -66,6 +66,13 @@ class RobustTreeAdversary:
         return node.pair[side], node.labels[side]
 
 
+def tree_adversary(protocol: str, tree: AdversarialTree, u: PerturbationMap):
+    """The tree adversary of one game protocol."""
+    if protocol == "robust":
+        return RobustTreeAdversary(tree, u)
+    return OrientationTreeAdversary(tree)
+
+
 class ScriptedRobustAdversary:
     """Plays a fixed list of (z, clean_x, clean_y) rounds, ignoring predictions."""
 

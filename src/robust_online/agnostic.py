@@ -156,13 +156,17 @@ def mc_regret(
     seeds,
     dimension: int | None = None,
 ) -> dict:
-    """Monte-Carlo regret statistics over forecaster seeds."""
+    """Monte-Carlo regret statistics over forecaster seeds, with the
+    paper's agnostic bound dimension + sqrt((T/2) ln N) for N experts."""
     rounds = list(rounds)
+    if dimension is None:
+        dimension = adversarial_dimension(hc, u)
     n, labels, probs = _replay(hc, u, rounds, dimension)
     best, _ = comparator_loss(hc, u, rounds)
     rngs = (derive_rng(seed, "agnostic") for seed in seeds)
     stats = seeded_mistakes(probs, labels, rngs, offset=best)
-    return {**stats, "comparator": best, "expert_count": n}
+    bound = dimension + math.sqrt(len(rounds) / 2 * math.log(n))
+    return {**stats, "comparator": best, "expert_count": n, "bound": bound}
 
 
 def analysis_subset(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:

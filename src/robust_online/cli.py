@@ -15,13 +15,12 @@ input ends in an error message on stderr and a nonzero exit.
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from ._version import __version__
 from .acceptance import SCALES, parse_criteria_spec, run_criteria
-from .adversaries import corrupt_labels, realizable_robust_rounds
+from .adversaries import corrupt_labels, realizable_robust_rounds, tree_adversary
 from .agnostic import mc_regret, agnostic_run
 from .dimension import (
     adversarial_dimension,
@@ -29,10 +28,10 @@ from .dimension import (
     witness_tree,
 )
 from .errors import DomainError, LimitExceeded, ScenarioFormatError
-from .learners import LEARNER_NAMES
+from .learners import LEARNER_NAMES, make_learner
 from .model import identity_map
 from .oracle import optimal_mistake_bound
-from .runner import replay_matches, run_scenario, transcript_to_json
+from .runner import replay_matches, run_game, run_scenario, transcript_to_json
 from .scenario import (
     CorpusParams,
     STRATA,
@@ -164,10 +163,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    from .learners import make_learner
-    from .runner import run_orientation_game, run_robust_game
-    from .adversaries import OrientationTreeAdversary, RobustTreeAdversary
-
     sc = _load_scenario(args.scenario)
     hc, u = sc.hypotheses, sc.truth
     dim = adversarial_dimension(hc, u, multiclass=sc.multiclass)
@@ -178,12 +173,7 @@ def cmd_adversary(args) -> int:
         args.learner, game, hc, u, multiclass=sc.multiclass, rng=rng,
         strict=False, tie_break=args.tie_break,
     )
-    if game == "robust":
-        rounds, _ = run_robust_game(hc, u, learner, RobustTreeAdversary(tree, u), dim)
-    else:
-        rounds, _ = run_orientation_game(
-            hc, u, learner, OrientationTreeAdversary(tree), dim
-        )
+    rounds, _ = run_game(hc, u, learner, tree_adversary(game, tree, u), dim)
     forced = sum(r.loss for r in rounds)
     print(f"dimension: {dim}")
     print(f"forced mistakes against {args.learner}: {forced}")
@@ -207,7 +197,7 @@ def cmd_agnostic(args) -> int:
     rounds = corrupt_labels(rounds, args.corruptions, hc.label_count, rng)
     dim = adversarial_dimension(hc, u)
     mc = mc_regret(hc, u, rounds, seeds=range(args.seeds), dimension=dim)
-    bound = dim + math.sqrt(horizon / 2 * math.log(mc["expert_count"]))
+    bound = mc["bound"]
     print(f"dimension: {dim}")
     print(f"experts: {mc['expert_count']}")
     print(f"comparator loss: {mc['comparator']}")

@@ -165,15 +165,6 @@ def witness_tree(hc: HypothesisClass, u: PerturbationMap, multiclass: bool = Fal
     return AdversarialTree(eng.witness_from_mask(eng.full_mask, d), d)
 
 
-def path_realizable(path, v: VersionSpace, u: PerturbationMap) -> bool:
-    """Fold the (instance, label) constraints of a path; nonempty survives."""
-    for x, y in path:
-        v = restrict(v, x, y, u)
-        if v.is_empty:
-            return False
-    return True
-
-
 def _check_structure(node, depth: int, hc: HypothesisClass, u: PerturbationMap):
     if depth == 0:
         if node is not None:

@@ -1,5 +1,7 @@
 """Game runners: drive a learner against an adversary, record everything.
 
+run_game plays a game of either protocol: it hands the game to
+run_robust_game or run_orientation_game by the adversary's `protocol`.
 A transcript holds every emission, prediction, reveal, and loss bit, so
 all summary numbers can be recomputed from it without re-running the
 learner.  The runner asserts the protocol contract every round and aborts
@@ -11,13 +13,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 from ._version import __version__
 from .adversaries import (
-    OrientationTreeAdversary,
-    RobustTreeAdversary,
     ScriptedOrientationAdversary,
     ScriptedRobustAdversary,
     corrupt_labels,
     realizable_orientation_rounds,
     realizable_robust_rounds,
+    tree_adversary,
 )
 from .dimension import adversarial_dimension, get_engine, witness_tree
 from .errors import DomainError, ProtocolViolation
@@ -83,14 +84,13 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
-def _tracked_dimension(learner, hc, u) -> int | None:
+def _track_dimension(trace: list, learner, engine) -> None:
+    """Append the dimension of the learner's version space, if it has one."""
     mask = getattr(learner, "mask", None)
     if mask is None and hasattr(learner, "inner"):
         mask = getattr(learner.inner, "mask", None)
-    if mask is None:
-        return None
-    engine = get_engine(hc, u, hc.label_count > 2)
-    return engine.dimension_of_mask(mask)
+    if mask is not None:
+        trace.append(engine.dimension_of_mask(mask))
 
 
 def run_robust_game(
@@ -108,6 +108,7 @@ def run_robust_game(
     """
     rounds = []
     trace = [] if track_dimension else None
+    engine = get_engine(hc, u, hc.label_count > 2) if track_dimension else None
     for t in range(horizon):
         z = adversary.emit()
         if z is None:
@@ -124,10 +125,8 @@ def run_robust_game(
             raise ProtocolViolation(f"round {t}: revealed label {y} is out of range")
         learner.update(z, x, y)
         rounds.append(RobustRound(z, pred, x, y, int(pred != y)))
-        if track_dimension:
-            d = _tracked_dimension(learner, hc, u)
-            if d is not None:
-                trace.append(d)
+        if engine is not None:
+            _track_dimension(trace, learner, engine)
     return rounds, trace
 
 
@@ -142,6 +141,7 @@ def run_orientation_game(
     """Drive one orientation game; queries must name compatible pairs."""
     rounds = []
     trace = [] if track_dimension else None
+    engine = get_engine(hc, u, hc.label_count > 2) if track_dimension else None
     for t in range(horizon):
         query = adversary.query()
         if query is None:
@@ -163,21 +163,38 @@ def run_orientation_game(
                 query.pair, query.labels, pred, side, int(pred != query.labels[side])
             )
         )
-        if track_dimension:
-            d = _tracked_dimension(learner, hc, u)
-            if d is not None:
-                trace.append(d)
+        if engine is not None:
+            _track_dimension(trace, learner, engine)
     return rounds, trace
+
+
+def run_game(
+    hc: HypothesisClass,
+    u: PerturbationMap,
+    learner,
+    adversary,
+    horizon: int,
+    track_dimension: bool = False,
+):
+    """Play one game of the adversary's protocol with the matching runner.
+
+    Returns what that runner returns: (transcript rounds, dimension trace
+    or None).
+    """
+    if adversary.protocol == "robust":
+        run = run_robust_game
+    elif adversary.protocol == "orientation":
+        run = run_orientation_game
+    else:
+        raise ValueError(f"unknown protocol {adversary.protocol!r}")
+    return run(hc, u, learner, adversary, horizon, track_dimension)
 
 
 def build_adversary(sc: Scenario, rng):
     """Instantiate the adversary a scenario names, for its truth map."""
     hc, u, g = sc.hypotheses, sc.truth, sc.game
     if g.adversary == "tree":
-        tree = witness_tree(hc, u, multiclass=sc.multiclass)
-        if g.protocol == "robust":
-            return RobustTreeAdversary(tree, u)
-        return OrientationTreeAdversary(tree)
+        return tree_adversary(g.protocol, witness_tree(hc, u, multiclass=sc.multiclass), u)
     if g.protocol == "robust":
         rounds = realizable_robust_rounds(hc, u, g.horizon, rng)
         if not rounds:
@@ -209,12 +226,7 @@ def run_scenario(sc: Scenario, track_dimension: bool = False):
         g.learner, g.protocol, hc, u, multiclass=sc.multiclass, rng=rng, strict=False
     )
     adversary = build_adversary(sc, rng)
-    if g.protocol == "robust":
-        rounds, trace = run_robust_game(hc, u, learner, adversary, g.horizon, track_dimension)
-    else:
-        rounds, trace = run_orientation_game(
-            hc, u, learner, adversary, g.horizon, track_dimension
-        )
+    rounds, trace = run_game(hc, u, learner, adversary, g.horizon, track_dimension)
     summary = RunSummary(
         protocol=g.protocol,
         learner=g.learner,

@@ -195,10 +195,6 @@ class HalvingReport:
     expert_mistakes: list[int]
     alive_count: int
 
-    @property
-    def max_phase_mistakes(self) -> int:
-        return max(self.phase_mistakes) if self.phase_mistakes else 0
-
 
 def halving_bound(hc: HypothesisClass, family: PerturbationFamily) -> int:
     """Mistake bound d * (f + 1) + f of phased halving.

@@ -14,11 +14,29 @@ so the total is at most d * (f + 1) + f.  A cap of ceil(log2 |G|) per
 phase cannot hold when |G| is a power of two: an adversary that splits
 the alive set evenly and labels against the vote forces f + 1.  The
 pinned counterexamples live in test_uncertain.py.
+
+The smoke-scale result lines are pinned as literals, so a refactor that
+claims to keep every output has its claim checked; a change that moves a
+line on purpose updates the literal and says so.
 """
 
 import pytest
 
-from robust_online.acceptance import CRITERIA, FULL
+from robust_online.acceptance import CRITERIA, FULL, SMOKE
+
+SMOKE_LINES_SEED_0 = [
+    "criterion  1: PASS  dimension matches both exact game values (scenarios=24 mismatches=0)",
+    "criterion  2: PASS  identity maps agree with the classic dimension (scenarios=12 mismatches=0)",
+    "criterion  3: PASS  optimal learners never exceed the dimension (games=480 violations=0 skipped=0)",
+    "criterion  4: PASS  tree adversaries force the dimension (scenarios=12 runs=120 exact_failures=0 baseline_failures=0)",
+    "criterion  5: PASS  every orientation mistake shrinks the dimension (games=480 violations=0)",
+    "criterion  6: PASS  subset expert within dimension plus comparator (sequences=10 violations=0)",
+    "criterion  7: PASS  forecaster regret within the horizon bound (combos=4 worst_excess=-4.4320)",
+    "criterion  8: PASS  aggregated learner within the agnostic regret bound (scenarios=3 failures=0 worst_ratio=0.7739)",
+    "criterion  9: PASS  phased halving within its mistake bounds (scenarios=12 total_violations=0 phase_violations=0 charge_violations=0)",
+    "criterion 10: PASS  family forecaster within the loss-budget bound (scenarios=3 failures=0 worst_ratio=0.5632)",
+    "criterion 11: PASS  random-label regret square-root trend (horizons=[64, 256, 1024] slope=0.5115)",
+]
 
 
 def run(number: int):
@@ -73,3 +91,7 @@ def test_criterion_11_random_label_scaling_slope():
 
 def test_criterion_12_check_output_reproducibility():
     run(12)
+
+
+def test_smoke_lines_are_pinned():
+    assert [CRITERIA[n](SMOKE, 0).line() for n in range(1, 12)] == SMOKE_LINES_SEED_0

@@ -145,6 +145,17 @@ def test_mc_regret_within_theory_bound():
     assert len(result["values"]) == 150
 
 
+def test_mc_regret_reports_the_agnostic_bound():
+    horizon = 10
+    dim = adversarial_dimension(HC5, U5)
+    assert dim >= 1
+    rounds = corrupted_rounds(HC5, U5, horizon, 2, seed=1)
+    n_experts = subset_expert_count(horizon, dim)
+    bound = dim + math.sqrt(horizon / 2 * math.log(n_experts))
+    assert mc_regret(HC5, U5, rounds, seeds=range(3))["bound"] == bound
+    assert mc_regret(HC5, U5, rounds, seeds=range(3), dimension=dim)["bound"] == bound
+
+
 def test_random_label_probe_learner_loses_half_the_rounds():
     hc = full_class(2)
     u = total_map(2)

@@ -23,7 +23,7 @@ from robust_online import (
     total_map,
     witness_tree,
 )
-from robust_online.dimension import AtLeast, path_realizable
+from robust_online.dimension import AtLeast
 from robust_online.errors import DomainError
 
 # 3 instances, 5 hypotheses, mixed overlap; frozen: dim 1 here,
@@ -162,14 +162,6 @@ def test_witness_trees_validate_on_random_scenarios():
         tree = witness_tree(hc, u)
         assert tree.depth == adversarial_dimension(hc, u)
         assert is_shattered(tree, hc, u)
-
-
-def test_path_realizability():
-    hc = full_class(2)
-    u = identity_map(2)
-    v = VersionSpace.full(hc)
-    assert path_realizable([], v, u)
-    assert not path_realizable([(0, 0), (0, 1)], v, u)
 
 
 def test_dimension_bounded_by_log_class_size():

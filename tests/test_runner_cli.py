@@ -3,19 +3,27 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from robust_online import (
+    LEARNER_NAMES,
     adversarial_dimension,
+    make_learner,
     parse_scenario,
     run_scenario,
     serialize_scenario,
+    witness_tree,
 )
+from robust_online.adversaries import tree_adversary
 from robust_online.errors import DomainError
 from robust_online.runner import (
     recount_transcript,
     replay_matches,
+    run_game,
+    run_orientation_game,
+    run_robust_game,
     transcript_from_json,
     transcript_to_json,
 )
@@ -156,6 +164,27 @@ def test_orientation_protocol_runs(scenario):
     assert summary.mistakes <= summary.dimension
 
 
+def test_run_game_picks_the_runner_by_protocol(scenario):
+    hc, u = scenario.hypotheses, scenario.truth
+    tree = witness_tree(hc, u)
+    for protocol, runner in (
+        ("robust", run_robust_game),
+        ("orientation", run_orientation_game),
+    ):
+        games = [
+            play(
+                hc, u, make_learner("optimal", protocol, hc, u),
+                tree_adversary(protocol, tree, u), 5, track_dimension=True,
+            )
+            for play in (run_game, runner)
+        ]
+        assert games[0] == games[1]
+        assert len(games[0][0]) == tree.depth
+    learner = make_learner("optimal", "robust", hc, u)
+    with pytest.raises(ValueError, match="unknown protocol 'chess'"):
+        run_game(hc, u, learner, SimpleNamespace(protocol="chess"), 5)
+
+
 def test_game_config_defaults():
     g = GameConfig()
     assert (g.protocol, g.horizon, g.seed) == ("robust", 10, 0)
@@ -209,6 +238,20 @@ def test_cli_adversary_all_learners(scenario_file):
     assert "optimal" in out.stdout
     out = run_cli("adversary", str(scenario_file), "--learner", "majority")
     assert out.returncode == 0
+
+
+def test_cli_adversary_orientation_protocol(tmp_path):
+    path = tmp_path / "orient.scn"
+    path.write_text(SCENARIO.replace("protocol: robust", "protocol: orientation"))
+    sc = parse_scenario(path.read_text())
+    dim = adversarial_dimension(sc.hypotheses, sc.truth)
+    assert sc.game.protocol == "orientation" and dim >= 1
+    for learner in LEARNER_NAMES:
+        out = run_cli("adversary", str(path), "--learner", learner)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[0] == f"dimension: {dim}"
+        forced = int(out.stdout.splitlines()[1].rsplit(" ", 1)[1])
+        assert forced == dim if learner == "optimal" else forced >= dim
 
 
 def test_cli_agnostic(scenario_file):

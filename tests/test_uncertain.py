@@ -221,7 +221,7 @@ def test_halving_phase_cost_can_exceed_the_log_by_one():
     rounds = realizable_robust_rounds(hc, fam.truth, 20, rng)
     report = family_halving_run(hc, fam, rounds)
     assert report.mistakes <= halving_bound(hc, fam)
-    assert report.max_phase_mistakes == 2
+    assert max(report.phase_mistakes) == 2
     assert report.phase_mistakes[0] == 2
 
 
