@@ -8,8 +8,6 @@ dimension + sqrt((T/2) ln N).
 Run:  python3 demos/04_agnostic_regret.py
 """
 
-import math
-
 from robust_online import (
     HypothesisClass,
     PerturbationMap,
@@ -17,7 +15,6 @@ from robust_online import (
     comparator_loss,
     decomposition_gap,
     mc_regret,
-    subset_expert_count,
 )
 from robust_online.adversaries import corrupt_labels, realizable_robust_rounds
 from robust_online.seeding import derive_rng
@@ -47,13 +44,11 @@ def main():
         f" + {report['comparator']} (gap {report['gap']})"
     )
 
-    n_experts = subset_expert_count(horizon, dim)
-    bound = dim + math.sqrt(horizon / 2 * math.log(n_experts))
     stats = mc_regret(HC, U, rounds, seeds=range(300))
-    print(f"\n{n_experts} subset experts, 300 forecaster seeds")
+    print(f"\n{stats['expert_count']} subset experts, 300 forecaster seeds")
     print(
         f"mean regret {stats['mean']:.2f} +- {stats['stderr']:.2f}"
-        f"  vs bound {bound:.2f}"
+        f"  vs bound {stats['bound']:.2f}"
     )
 
 

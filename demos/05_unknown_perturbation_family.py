@@ -14,13 +14,11 @@ from robust_online import (
     PerturbationMap,
     PerturbationFamily,
     family_halving_run,
-    family_loss_budget,
     halving_bound,
     mc_family_mistakes,
 )
 from robust_online.adversaries import realizable_robust_rounds
 from robust_online.seeding import derive_rng
-from robust_online.uncertain import family_mistake_bound
 
 HC = HypothesisClass.from_tables(
     [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 1)]
@@ -37,16 +35,14 @@ FAMILY = PerturbationFamily(
 
 
 def main():
-    budget = family_loss_budget(HC, FAMILY)
-    bound = family_mistake_bound(len(FAMILY), budget)
     rng = derive_rng(0, "demo-family")
     rounds = realizable_robust_rounds(HC, FAMILY.truth, 12, rng)
 
-    print(f"family of {len(FAMILY)}, per-member loss budget {budget}")
     stats = mc_family_mistakes(HC, FAMILY, rounds, seeds=range(200))
+    print(f"family of {len(FAMILY)}, per-member loss budget {stats['budget']}")
     print(
         f"aggregated learner: mean mistakes {stats['mean']:.2f}"
-        f" +- {stats['stderr']:.2f}  vs bound {bound:.2f}"
+        f" +- {stats['stderr']:.2f}  vs bound {stats['bound']:.2f}"
     )
 
     report = family_halving_run(HC, FAMILY, rounds)

@@ -11,8 +11,6 @@ sequences and to uncertainty about the perturbation map itself.
 
 from ._version import __version__
 from .agnostic import (
-    RegretReport,
-    agnostic_run,
     build_subset_experts,
     comparator_loss,
     decomposition_gap,
@@ -99,7 +97,6 @@ from .seeding import derive_rng, derive_seed_sequence
 from .uncertain import (
     PerturbationFamily,
     build_family_experts,
-    family_ewa_run,
     family_halving_run,
     family_loss_budget,
     halving_bound,

@@ -8,16 +8,16 @@ rounds of the lazy learner on the clean part of the sequence) the expert's
 total mistakes are at most dimension + comparator loss, so exponentially
 weighted aggregation turns the pool into a sublinear-regret learner.
 
-The pool is replayed once over the fixed sequence (forecaster.expert_matrices);
-agnostic_run reads one seed off the resulting trajectory and mc_regret many,
-and decomposition_gap replays the analysis expert the same way.  The
-experts, the analysis pass and the random-label probe all step state ids
-on the (class, map)'s one lazy automaton, which keeps no events.
+mc_regret replays the pool once over the fixed sequence
+(forecaster.expert_matrices) and reads every forecaster seed, one or many,
+off the resulting trajectory; decomposition_gap replays the analysis
+expert the same way.  The experts, the analysis pass and the random-label
+probe all step state ids on the (class, map)'s one lazy automaton, which
+keeps no events.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,53 +102,6 @@ def build_subset_experts(
     return experts
 
 
-@dataclass
-class RegretReport:
-    mistakes: int
-    comparator: int
-    regret: int
-    best_hypothesis: int
-    seed: int
-    probabilities: list[float] = field(default_factory=list)
-    expert_count: int = 0
-
-
-def _replay(hc, u, rounds, dimension):
-    """(expert count, labels, probabilities) of the aggregated learner.
-
-    The forecaster runs at the known-horizon rate for the pool size.
-    """
-    experts = build_subset_experts(hc, u, len(rounds), dimension)
-    preds, losses = expert_matrices(experts, rounds)
-    rate = horizon_rate(len(experts), len(rounds))
-    labels = np.array([y for _, _, y in rounds])
-    return len(experts), labels, weight_trajectory(preds, losses, rate)
-
-
-def agnostic_run(
-    hc: HypothesisClass,
-    u: PerturbationMap,
-    rounds,
-    seed: int,
-    dimension: int | None = None,
-) -> RegretReport:
-    """One seeded pass of the aggregated learner over a fixed sequence."""
-    rounds = list(rounds)
-    n, labels, probs = _replay(hc, u, rounds, dimension)
-    stats = seeded_mistakes(probs, labels, [derive_rng(seed, "agnostic")])
-    mistakes = int(stats["values"][0])
-    best, best_id = comparator_loss(hc, u, rounds)
-    return RegretReport(
-        mistakes=mistakes,
-        comparator=best,
-        regret=mistakes - best,
-        best_hypothesis=best_id,
-        seed=seed,
-        probabilities=probs.tolist(),
-        expert_count=n,
-    )
-
-
 def mc_regret(
     hc: HypothesisClass,
     u: PerturbationMap,
@@ -156,17 +109,34 @@ def mc_regret(
     seeds,
     dimension: int | None = None,
 ) -> dict:
-    """Monte-Carlo regret statistics over forecaster seeds, with the
-    paper's agnostic bound dimension + sqrt((T/2) ln N) for N experts."""
+    """Monte-Carlo regret statistics of the aggregated learner over
+    forecaster seeds, with the paper's agnostic bound
+    dimension + sqrt((T/2) ln N) for N experts.
+
+    The pool is replayed once and the forecaster runs at the known-horizon
+    rate for the pool size.  probabilities holds the per-round probability
+    of predicting 1, which does not depend on the seeds; a one-seed run is
+    seeds=[seed].
+    """
     rounds = list(rounds)
     if dimension is None:
         dimension = adversarial_dimension(hc, u)
-    n, labels, probs = _replay(hc, u, rounds, dimension)
+    experts = build_subset_experts(hc, u, len(rounds), dimension)
+    preds, losses = expert_matrices(experts, rounds)
+    n = len(experts)
+    probs = weight_trajectory(preds, losses, horizon_rate(n, len(rounds)))
+    labels = np.array([y for _, _, y in rounds])
     best, _ = comparator_loss(hc, u, rounds)
     rngs = (derive_rng(seed, "agnostic") for seed in seeds)
     stats = seeded_mistakes(probs, labels, rngs, offset=best)
     bound = dimension + math.sqrt(len(rounds) / 2 * math.log(n))
-    return {**stats, "comparator": best, "expert_count": n, "bound": bound}
+    return {
+        **stats,
+        "comparator": best,
+        "expert_count": n,
+        "bound": bound,
+        "probabilities": probs.tolist(),
+    }
 
 
 def analysis_subset(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:

@@ -21,7 +21,7 @@ from pathlib import Path
 from ._version import __version__
 from .acceptance import SCALES, parse_criteria_spec, run_criteria
 from .adversaries import corrupt_labels, realizable_robust_rounds, tree_adversary
-from .agnostic import mc_regret, agnostic_run
+from .agnostic import mc_regret
 from .dimension import (
     adversarial_dimension,
     classic_littlestone_dimension,
@@ -41,20 +41,12 @@ from .scenario import (
     serialize_scenario,
 )
 from .seeding import derive_rng
-from .uncertain import (
-    family_ewa_run,
-    family_halving_run,
-    halving_bound,
-    mc_family_mistakes,
-)
+from .uncertain import family_halving_run, halving_bound, mc_family_mistakes
 
 
 def _load_scenario(path: str):
     try:
         return parse_scenario(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(f"no such scenario file: {path}", file=sys.stderr)
-        raise SystemExit(1)
     except ScenarioFormatError as e:
         print(f"invalid scenario {path}:", file=sys.stderr)
         for err in e.errors:
@@ -206,8 +198,7 @@ def cmd_agnostic(args) -> int:
     print(f"bound: {bound:.4f}")
     print(f"ratio: {mc['mean'] / bound:.4f}" if bound else "ratio: n/a")
     if args.trace:
-        report = agnostic_run(hc, u, rounds, seed=args.seed, dimension=dim)
-        lines = [f"{t} {p:.6f}" for t, p in enumerate(report.probabilities)]
+        lines = [f"{t} {p:.6f}" for t, p in enumerate(mc["probabilities"])]
         Path(args.trace).write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"trace written: {args.trace}")
     return 0 if mc["mean"] <= bound else 1
@@ -239,19 +230,17 @@ def cmd_uncertain(args) -> int:
         print(f"completed phases: {report.completed_phases}")
         print(f"bound: {bound}")
         return 0 if report.mistakes <= bound else 1
-    if args.seeds > 1:
-        mc = mc_family_mistakes(hc, family, rounds, seeds=range(args.seeds))
-        print(f"loss budget: {mc['budget']}")
+    seeds = range(args.seeds) if args.seeds > 1 else [args.seed]
+    mc = mc_family_mistakes(hc, family, rounds, seeds=seeds)
+    print(f"loss budget: {mc['budget']}")
+    if args.seeds == 1:
+        print(f"mistakes: {int(mc['values'][0])}")
+    else:
         print(f"mean mistakes over {args.seeds} seeds: {mc['mean']:.4f}")
         print(f"standard error: {mc['stderr']:.4f}")
         print(f"bound: {mc['bound']:.4f}")
-        print(f"realizable: {str(mc['realizable']).lower()}")
-        return 0 if mc["mean"] <= mc["bound"] else 1
-    report = family_ewa_run(hc, family, rounds, seed=args.seed)
-    print(f"loss budget: {report.budget}")
-    print(f"mistakes: {report.mistakes}")
-    print(f"realizable: {str(report.realizable).lower()}")
-    return 0
+    print(f"realizable: {str(mc['realizable']).lower()}")
+    return 0 if args.seeds == 1 or mc["mean"] <= mc["bound"] else 1
 
 
 def cmd_gen_corpus(args) -> int:
@@ -364,7 +353,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, LimitExceeded) as e:
+    except (DomainError, LimitExceeded, OSError) as e:
         print(f"robust-online {args.command}: {e}", file=sys.stderr)
         return 1
 

@@ -32,7 +32,11 @@ EMPTY_DIM = -1  # sentinel dimension of the empty version space
 
 @dataclass(frozen=True)
 class AtLeast:
-    """Returned when a caller-supplied depth cap cut the search short."""
+    """Returned when the dimension exceeds a caller-supplied depth cap.
+
+    The cap does not shorten the search: the full dimension is always
+    computed, and the cap only hides the value above it.
+    """
 
     bound: int
 

@@ -149,7 +149,7 @@ def run_orientation_game(
         a, b = query.pair
         if not (0 <= a < u.instance_count and 0 <= b < u.instance_count):
             raise ProtocolViolation(f"round {t}: query pair {query.pair} out of range")
-        if not u.forward[a] & u.forward[b]:
+        if u.forward[a].isdisjoint(u.forward[b]):
             raise ProtocolViolation(
                 f"round {t}: query pair {query.pair} has disjoint perturbation sets"
             )

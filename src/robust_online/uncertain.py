@@ -17,8 +17,8 @@ the true map:
 
 Every expert sees every reveal, dead or alive, so both learners read one
 replay of the experts over the fixed sequence (forecaster.expert_matrices):
-halving takes its votes from the prediction matrix, family_ewa_run reads
-one seed off the forecaster trajectory and mc_family_mistakes many.
+halving takes its votes from the prediction matrix, and mc_family_mistakes
+reads every forecaster seed, one or many, off the forecaster trajectory.
 
 Experts run tolerantly.  Under a wrong assumed map the shown input can sit
 outside the assumed perturbation set of the revealed instance, reveals can
@@ -27,7 +27,7 @@ counterpart; a wrong-map expert just keeps predicting (1 once its version
 space is empty) and accumulates events.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,11 +101,6 @@ def family_loss_budget(hc: HypothesisClass, family: PerturbationFamily) -> int:
     return max(adversarial_dimension(hc, u) for u in family.members)
 
 
-def family_mistake_bound(n_members: int, budget: int) -> float:
-    """Expected-mistake guarantee for the aggregated learner."""
-    return small_loss_bound(n_members, budget)
-
-
 def sequence_realizable(hc: HypothesisClass, members, rounds) -> bool:
     """True when some member explains the whole sequence.
 
@@ -123,50 +118,6 @@ def sequence_realizable(hc: HypothesisClass, members, rounds) -> bool:
     return False
 
 
-@dataclass
-class FamilyRunReport:
-    mistakes: int
-    seed: int
-    budget: int
-    rate: float
-    realizable: bool
-    expert_mistakes: list[int] = field(default_factory=list)
-
-
-def _replay(hc, family, rounds, budget):
-    """(budget, rate, labels, probabilities, losses) of the aggregated learner.
-
-    The forecaster runs at the loss-budget rate for the family size.
-    """
-    preds, losses = expert_matrices(build_family_experts(hc, family.members), rounds)
-    if budget is None:
-        budget = family_loss_budget(hc, family)
-    rate = loss_budget_rate(len(family), budget)
-    labels = np.array([y for _, _, y in rounds])
-    return budget, rate, labels, weight_trajectory(preds, losses, rate), losses
-
-
-def family_ewa_run(
-    hc: HypothesisClass,
-    family: PerturbationFamily,
-    rounds,
-    seed: int,
-    budget: int | None = None,
-) -> FamilyRunReport:
-    """One seeded pass of the aggregated family learner."""
-    rounds = list(rounds)
-    budget, rate, labels, probs, losses = _replay(hc, family, rounds, budget)
-    stats = seeded_mistakes(probs, labels, [derive_rng(seed, "family-ewa")])
-    return FamilyRunReport(
-        mistakes=int(stats["values"][0]),
-        seed=seed,
-        budget=budget,
-        rate=rate,
-        realizable=sequence_realizable(hc, family.members, rounds),
-        expert_mistakes=losses.sum(axis=1).tolist(),
-    )
-
-
 def mc_family_mistakes(
     hc: HypothesisClass,
     family: PerturbationFamily,
@@ -174,14 +125,24 @@ def mc_family_mistakes(
     seeds,
     budget: int | None = None,
 ) -> dict:
-    """Monte-Carlo mistake statistics over forecaster seeds."""
+    """Monte-Carlo mistake statistics of the aggregated family learner over
+    forecaster seeds, with its small-loss bound.
+
+    The experts are replayed once and the forecaster runs at the loss-budget
+    rate for the family size; budget defaults to family_loss_budget.  A
+    one-seed run is seeds=[seed].
+    """
     rounds = list(rounds)
-    budget, _, labels, probs, losses = _replay(hc, family, rounds, budget)
+    preds, losses = expert_matrices(build_family_experts(hc, family.members), rounds)
+    if budget is None:
+        budget = family_loss_budget(hc, family)
+    probs = weight_trajectory(preds, losses, loss_budget_rate(len(family), budget))
+    labels = np.array([y for _, _, y in rounds])
     rngs = (derive_rng(seed, "family-ewa") for seed in seeds)
     return {
         **seeded_mistakes(probs, labels, rngs),
         "budget": budget,
-        "bound": family_mistake_bound(len(family), budget),
+        "bound": small_loss_bound(len(family), budget),
         "best_expert": int(losses.sum(axis=1).min()),
         "realizable": sequence_realizable(hc, family.members, rounds),
     }

@@ -9,7 +9,6 @@ from robust_online import (
     HypothesisClass,
     PerturbationMap,
     adversarial_dimension,
-    agnostic_run,
     build_subset_experts,
     comparator_loss,
     decomposition_gap,
@@ -110,27 +109,33 @@ def test_analysis_subset_size_bounded_by_dimension():
         assert best == comparator_loss(HC5, U5, rounds)[0]
 
 
-def test_agnostic_run_accounting_is_exact():
+def test_mc_regret_one_seed_accounting_is_exact():
     rounds = corrupted_rounds(HC5, U5, 10, 2, seed=3)
-    report = agnostic_run(HC5, U5, rounds, seed=0)
-    assert report.regret == report.mistakes - report.comparator
-    assert len(report.probabilities) == len(rounds)
-    assert all(0.0 <= p <= 1.0 for p in report.probabilities)
-    assert report.expert_count == subset_expert_count(
+    mc = mc_regret(HC5, U5, rounds, seeds=[0])
+    probs = mc["probabilities"]
+    assert len(probs) == len(rounds)
+    assert all(0.0 <= p <= 1.0 for p in probs)
+    assert mc["expert_count"] == subset_expert_count(
         len(rounds), adversarial_dimension(HC5, U5)
     )
+    # the one value is the seed's mistakes minus the comparator loss
+    coins = derive_rng(0, "agnostic").random(len(rounds)) < np.array(probs)
+    mistakes = int((coins != np.array([y for _, _, y in rounds])).sum())
+    assert mc["values"] == [mistakes - mc["comparator"]]
+    assert mc["mean"] == mc["values"][0]
 
 
-def test_agnostic_run_is_seed_deterministic():
+def test_mc_regret_one_seed_is_deterministic():
     rounds = corrupted_rounds(HC5, U5, 10, 2, seed=3)
-    a = agnostic_run(HC5, U5, rounds, seed=4)
-    b = agnostic_run(HC5, U5, rounds, seed=4)
-    c = agnostic_run(HC5, U5, rounds, seed=5)
-    assert a.mistakes == b.mistakes
-    assert a.probabilities == b.probabilities
+    a = mc_regret(HC5, U5, rounds, seeds=[4])
+    b = mc_regret(HC5, U5, rounds, seeds=[4])
+    c = mc_regret(HC5, U5, rounds, seeds=[5])
+    assert a["values"] == b["values"]
+    assert a["probabilities"] == b["probabilities"]
     # a different seed may sample differently but keeps the comparator
-    assert a.comparator == c.comparator
-    assert a.probabilities == c.probabilities
+    # and the trajectory
+    assert a["comparator"] == c["comparator"]
+    assert a["probabilities"] == c["probabilities"]
 
 
 def test_mc_regret_within_theory_bound():

@@ -9,9 +9,7 @@ from robust_online import (
     DomainError,
     ExponentialWeightsForecaster,
     PerturbationFamily,
-    agnostic_run,
     decomposition_gap,
-    family_ewa_run,
     family_halving_run,
     full_class,
     horizon_rate,
@@ -153,22 +151,18 @@ ROUNDS2 = [(0, 0, 1), (1, 1, 0)]
     "replay",
     [
         lambda: expert_matrices([], []),
-        lambda: agnostic_run(HC2, U2, [], seed=0),
         lambda: mc_regret(HC2, U2, [], seeds=range(3)),
         lambda: mc_regret(HC2, U2, ROUNDS2, seeds=[]),
         lambda: decomposition_gap(HC2, U2, []),
-        lambda: family_ewa_run(HC2, FAMILY2, [], seed=0),
         lambda: mc_family_mistakes(HC2, FAMILY2, [], seeds=range(3)),
         lambda: mc_family_mistakes(HC2, FAMILY2, ROUNDS2, seeds=[]),
         lambda: family_halving_run(HC2, FAMILY2, []),
     ],
     ids=[
         "matrices-rounds",
-        "agnostic-rounds",
         "mc-regret-rounds",
         "mc-regret-seeds",
         "decomposition-rounds",
-        "family-ewa-rounds",
         "mc-family-rounds",
         "mc-family-seeds",
         "halving-rounds",

@@ -9,7 +9,12 @@ import pytest
 
 from robust_online import (
     LEARNER_NAMES,
+    OrientationQuery,
+    PerturbationMap,
+    ScriptedOrientationAdversary,
+    ScriptedRobustAdversary,
     adversarial_dimension,
+    full_class,
     make_learner,
     parse_scenario,
     run_scenario,
@@ -17,7 +22,7 @@ from robust_online import (
     witness_tree,
 )
 from robust_online.adversaries import tree_adversary
-from robust_online.errors import DomainError
+from robust_online.errors import DomainError, ProtocolViolation
 from robust_online.runner import (
     recount_transcript,
     replay_matches,
@@ -183,6 +188,50 @@ def test_run_game_picks_the_runner_by_protocol(scenario):
     learner = make_learner("optimal", "robust", hc, u)
     with pytest.raises(ValueError, match="unknown protocol 'chess'"):
         run_game(hc, u, learner, SimpleNamespace(protocol="chess"), 5)
+
+
+# U(0) = {0, 1}, U(1) = {1}, U(2) = {2}: (0, 1) is compatible, (1, 2) is not
+PROTOCOL_MAP = PerturbationMap.from_sets([{0, 1}, {1}, {2}])
+GOOD_ROBUST = (1, 1, 0)
+GOOD_QUERY = (OrientationQuery((0, 1)), 0)
+
+
+@pytest.mark.parametrize(
+    "scripted, second_round, message",
+    [
+        (ScriptedRobustAdversary, (3, 1, 0), "shown input 3 is out of range"),
+        (
+            ScriptedRobustAdversary,
+            (0, 1, 0),
+            "clean instance 1 does not perturb to shown input 0",
+        ),
+        (ScriptedRobustAdversary, (1, 1, 2), "revealed label 2 is out of range"),
+        (
+            ScriptedOrientationAdversary,
+            (OrientationQuery((0, 3)), 0),
+            "query pair (0, 3) out of range",
+        ),
+        (
+            ScriptedOrientationAdversary,
+            (OrientationQuery((1, 2)), 0),
+            "query pair (1, 2) has disjoint perturbation sets",
+        ),
+        (
+            ScriptedOrientationAdversary,
+            (OrientationQuery((0, 1)), 2),
+            "revealed side 2 is not 0 or 1",
+        ),
+    ],
+    ids=["input-range", "input-outside-u", "label-range", "pair-range", "disjoint-pair", "side"],
+)
+def test_runners_reject_protocol_violations(scripted, second_round, message):
+    hc, u = full_class(3), PROTOCOL_MAP
+    first = GOOD_ROBUST if scripted.protocol == "robust" else GOOD_QUERY
+    adversary = scripted([first, second_round])
+    learner = make_learner("constant-0", scripted.protocol, hc, u)
+    with pytest.raises(ProtocolViolation) as err:
+        run_game(hc, u, learner, adversary, 5)
+    assert str(err.value) == f"round 1: {message}"
 
 
 def test_game_config_defaults():
@@ -372,6 +421,17 @@ f: f
         (("gen-corpus", "--labels", "1", "--out", "{out}"), "--labels: must be at least 2"),
         (("gen-corpus", "--labels", "0", "--out", "{out}"), "--labels: must be at least 2"),
         (("gen-corpus", "--count", "0", "--out", "{out}"), "--count: must be at least 1"),
+        (("play", "{missing}/s.txt"), "robust-online play: [Errno 2] No such file or directory"),
+        (("play", "{dir}"), "robust-online play: [Errno 21] Is a directory"),
+        (
+            ("play", "{scn}", "--transcript", "{missing}/x.json"),
+            "robust-online play: [Errno 2] No such file or directory",
+        ),
+        (
+            ("agnostic", "{scn}", "--trace", "{missing}/t.txt"),
+            "robust-online agnostic: [Errno 2] No such file or directory",
+        ),
+        (("gen-corpus", "--out", "{scn}"), "robust-online gen-corpus: [Errno 17] File exists"),
     ],
 )
 def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):
@@ -379,6 +439,8 @@ def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):
         "scn": tmp_path / "toy.scn",
         "big": tmp_path / "big.scn",
         "out": tmp_path / "corpus",
+        "missing": tmp_path / "missing",
+        "dir": tmp_path,
     }
     paths["scn"].write_text(SCENARIO)
     paths["big"].write_text(BIG_SCENARIO)

@@ -11,7 +11,6 @@ from robust_online import (
     PerturbationFamily,
     adversarial_dimension,
     build_family_experts,
-    family_ewa_run,
     family_halving_run,
     family_loss_budget,
     full_class,
@@ -25,13 +24,11 @@ from robust_online.errors import DomainError
 from robust_online.forecaster import (
     expert_matrices,
     loss_budget_rate,
+    small_loss_bound,
     weight_trajectory,
 )
 from robust_online.seeding import derive_rng
-from robust_online.uncertain import (
-    family_mistake_bound,
-    sequence_realizable,
-)
+from robust_online.uncertain import sequence_realizable
 
 HC5 = HypothesisClass.from_tables(
     [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 1)]
@@ -70,11 +67,11 @@ def test_family_loss_budget_is_worst_member_dimension():
     assert family_loss_budget(HC5, fam) == max(dims)
 
 
-def test_family_mistake_bound_formula():
+def test_small_loss_bound_formula():
     budget = 3
     n = 4
     expected = budget + math.sqrt(2 * budget * math.log(n)) + math.log(n)
-    assert family_mistake_bound(n, budget) == pytest.approx(expected)
+    assert small_loss_bound(n, budget) == pytest.approx(expected)
 
 
 def test_family_bound_holds_at_loss_budget_zero():
@@ -94,8 +91,8 @@ def test_family_bound_holds_at_loss_budget_zero():
     probs = weight_trajectory(preds, losses, loss_budget_rate(len(fam), 0))
     labels = np.array([y for _, _, y in rounds])
     expected = float(np.abs(probs - labels).sum())
-    bound = family_mistake_bound(len(fam), 0)
-    assert bound == family_mistake_bound(len(fam), 1)
+    bound = small_loss_bound(len(fam), 0)
+    assert bound == small_loss_bound(len(fam), 1)
     assert bound == pytest.approx(1 + math.sqrt(2 * math.log(2)) + math.log(2))
     assert math.log(2) < expected <= bound
     stats = mc_family_mistakes(hc, fam, rounds, seeds=range(200))
@@ -140,17 +137,18 @@ def test_sequence_realizable_detects_the_truth():
     )
 
 
-def test_family_ewa_run_reports_budget_and_expert_losses():
+def test_mc_family_mistakes_one_seed_reports_budget_and_expert_losses():
     fam = small_family(truth_index=0)
     rounds = realizable_under_truth(fam, 12, seed=3)
-    report = family_ewa_run(HC5, fam, rounds, seed=0)
-    assert report.budget == family_loss_budget(HC5, fam)
-    assert report.realizable
-    assert 0 <= report.mistakes <= len(rounds)
+    mc = mc_family_mistakes(HC5, fam, rounds, seeds=[0])
+    assert mc["budget"] == family_loss_budget(HC5, fam)
+    assert mc["realizable"]
+    assert 0 <= mc["values"][0] <= len(rounds)
     # the true member's expert stays within its own realizable bound
+    expert_mistakes = family_halving_run(HC5, fam, rounds).expert_mistakes
     true_dim = adversarial_dimension(HC5, fam.truth)
-    assert report.expert_mistakes[0] <= true_dim
-    assert min(report.expert_mistakes) <= report.budget
+    assert expert_mistakes[0] <= true_dim
+    assert min(expert_mistakes) == mc["best_expert"] <= mc["budget"]
 
 
 def test_mc_family_mistakes_meets_bound_every_truth():
