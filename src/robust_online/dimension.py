@@ -13,6 +13,20 @@ to be nonempty.  Because the perturbation sets of a node intersect, V0 and
 V1 are disjoint, hence both strictly smaller than V: the recursion
 terminates without any assumed depth bound, and the dimension of a class
 of size m never exceeds floor(log2 m).
+
+The search is a branch and bound with two exact cuts:
+
+- the node loop stops once its best value reaches floor(log2 |V|), since
+  no node can go past that cap;
+- a node can raise the best value b only if both children have dimension
+  at least b, so it is skipped when either child's cap floor(log2 |Vi|)
+  is below b, and its second child is not searched when the first
+  child's exact dimension is below b.
+
+A cut only skips nodes that cannot change the maximum, and every child
+that is searched is searched in full, so every memo entry is the exact
+dimension of its mask.  Witness trees and learner queries, which read the
+memo, are the same as with the unpruned recursion.
 """
 
 from dataclasses import dataclass
@@ -28,6 +42,11 @@ from .model import (
 )
 
 EMPTY_DIM = -1  # sentinel dimension of the empty version space
+
+
+def _log2_size(mask: int) -> int:
+    """floor(log2 |V|) for a nonempty mask: the cap on dim(V)."""
+    return mask.bit_count().bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -94,15 +113,22 @@ class DimensionEngine:
         hit = memo.get(mask)
         if hit is not None:
             return hit
+        cap = _log2_size(mask)
         best = 0
         for _, _, m0, m1 in self.nodes:
+            if best == cap:
+                break
             v0 = mask & m0
             if not v0:
                 continue
             v1 = mask & m1
             if not v1:
                 continue
+            if _log2_size(v0) < best or _log2_size(v1) < best:
+                continue
             d = self.dimension_of_mask(v0)
+            if d < best:
+                continue
             d1 = self.dimension_of_mask(v1)
             if d1 < d:
                 d = d1
@@ -115,20 +141,25 @@ class DimensionEngine:
         return self.dimension_of_mask(self.full_mask)
 
     def witness_from_mask(self, mask: int, depth: int) -> AdversarialTreeNode | None:
-        """First (lexicographic) node whose children support depth-1 more."""
+        """First (lexicographic) node whose children support depth-1 more.
+
+        The search's size cut skips nodes that cannot qualify, and the
+        second child is searched only when the first qualifies.
+        """
         if depth == 0:
             return None
+        need = depth - 1
         for pair, labels, m0, m1 in self.nodes:
             v0 = mask & m0
             v1 = mask & m1
-            if not v0 or not v1:
+            if not v0 or not v1 or _log2_size(v0) < need or _log2_size(v1) < need:
                 continue
-            if min(self.dimension_of_mask(v0), self.dimension_of_mask(v1)) >= depth - 1:
+            if self.dimension_of_mask(v0) >= need and self.dimension_of_mask(v1) >= need:
                 return AdversarialTreeNode(
                     pair,
                     labels,
-                    self.witness_from_mask(v0, depth - 1),
-                    self.witness_from_mask(v1, depth - 1),
+                    self.witness_from_mask(v0, need),
+                    self.witness_from_mask(v1, need),
                 )
         raise AssertionError("no witness node at a depth the search just certified")
 
@@ -186,7 +217,7 @@ def _check_structure(node, depth: int, hc: HypothesisClass, u: PerturbationMap):
             raise DomainError(f"tree node label {y} out of range")
     if y0 == y1:
         raise TreeStructureError("tree node labels must be distinct")
-    if not u.forward[x0] & u.forward[x1]:
+    if u.forward[x0].isdisjoint(u.forward[x1]):
         raise TreeStructureError(
             f"node instances {node.pair} have disjoint perturbation sets"
         )

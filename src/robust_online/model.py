@@ -192,13 +192,24 @@ def consistency_masks(hc: HypothesisClass, u: PerturbationMap):
 def _build_masks(hc: HypothesisClass, u: PerturbationMap):
     if hc.instance_count != u.instance_count:
         raise DomainError("hypothesis class and perturbation map cover different spaces")
-    return tuple(
-        tuple(
-            sum(1 << h.id for h in hc if all(h.table[z] == y for z in u.forward[x]))
-            for y in range(hc.label_count)
-        )
-        for x in range(hc.instance_count)
-    )
+    # point[z][y]: the hypotheses that label z with y
+    point = [[0] * hc.label_count for _ in range(hc.instance_count)]
+    for h in hc:
+        for z, y in enumerate(h.table):
+            point[z][y] |= 1 << h.id
+    # (x, y) keeps the hypotheses labelling every z in U(x) with y; an
+    # empty U(x) keeps them all
+    full = (1 << hc.size) - 1
+    masks = []
+    for x in range(hc.instance_count):
+        row = []
+        for y in range(hc.label_count):
+            m = full
+            for z in u.forward[x]:
+                m &= point[z][y]
+            row.append(m)
+        masks.append(tuple(row))
+    return tuple(masks)
 
 
 def game_nodes(hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False):
@@ -291,5 +302,5 @@ def compatible_pairs(u: PerturbationMap) -> set[tuple[Instance, Instance]]:
         (a, b)
         for a in range(n)
         for b in range(n)
-        if u.forward[a] & u.forward[b]
+        if not u.forward[a].isdisjoint(u.forward[b])
     }

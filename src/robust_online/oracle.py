@@ -13,6 +13,12 @@ guarded by a provable ceiling: an optimal learner concedes at most
 |class| - 1 mistakes, because whenever a mistake could leave the state
 unchanged all legal reveals share one label, which the learner can simply
 predict.
+
+Each state builds the legal reveals of each move once and looks up each
+child's value once.  A move whose reveals all shrink the state is worth a
+constant; only the moves with a reveal that leaves the state unchanged are
+evaluated again on each fixpoint pass, where that reveal reads the running
+value.
 """
 
 from .errors import DomainError, LimitExceeded, SearchInvariantError
@@ -44,7 +50,6 @@ class MinimaxSolver:
         self.hc = hc
         self.u = u
         self.game = game
-        self.labels = range(hc.label_count)
         masks = consistency_masks(hc, u)
         # every adversary move is a list of legal reveals (label, mask)
         if game == "robust":
@@ -53,7 +58,7 @@ class MinimaxSolver:
                 opts = [
                     (y, masks[x][y])
                     for x in sorted(u.preimage[z])
-                    for y in self.labels
+                    for y in range(hc.label_count)
                 ]
                 if opts:
                     self.moves.append(opts)
@@ -66,33 +71,18 @@ class MinimaxSolver:
         self._memo: dict[int, int] = {}
         self._memo_h: dict[tuple[int, int], int] = {}
 
-    def _bellman(self, mask: int, self_value: int, horizon: int | None) -> int:
+    def _bellman(self, mask: int, horizon: int) -> int:
         best = 0
         for move in self.moves:
             legal = []
             for y, t in move:
                 sub = mask & t
                 if sub:
-                    legal.append((y, sub))
-            if not legal:
-                continue
-            move_value = None
-            for pred in self.labels:
-                worst = 0
-                for y, sub in legal:
-                    miss = int(y != pred)
-                    if horizon is not None:
-                        c = miss + self.value(sub, horizon - 1)
-                    elif sub == mask:
-                        c = miss + self_value
-                    else:
-                        c = miss + self.value(sub, None)
-                    if c > worst:
-                        worst = c
-                if move_value is None or worst < move_value:
-                    move_value = worst
-            if move_value > best:
-                best = move_value
+                    legal.append((y, self.value(sub, horizon - 1)))
+            if legal:
+                mv = _move_value(legal, 0)
+                if mv > best:
+                    best = mv
         return best
 
     def value(self, mask: int, horizon: int | None = None) -> int:
@@ -103,15 +93,40 @@ class MinimaxSolver:
             hit = self._memo_h.get((mask, horizon))
             if hit is not None:
                 return hit
-            v = self._bellman(mask, 0, horizon)
+            v = self._bellman(mask, horizon)
             self._memo_h[(mask, horizon)] = v
             return v
-        hit = self._memo.get(mask)
+        memo = self._memo
+        hit = memo.get(mask)
         if hit is not None:
             return hit
+        # None marks a reveal that leaves the state unchanged
+        fixed = 0
+        looping = []
+        for move in self.moves:
+            legal = []
+            loops = False
+            for y, t in move:
+                sub = mask & t
+                if sub == mask:
+                    legal.append((y, None))
+                    loops = True
+                elif sub:
+                    c = memo.get(sub)
+                    legal.append((y, self.value(sub) if c is None else c))
+            if loops:
+                looping.append(legal)
+            elif legal:
+                mv = _move_value(legal, 0)
+                if mv > fixed:
+                    fixed = mv
         v = 0
         while True:
-            nv = self._bellman(mask, v, None)
+            nv = fixed
+            for legal in looping:
+                mv = _move_value(legal, v)
+                if mv > nv:
+                    nv = mv
             if nv == v:
                 break
             if nv > self.ceiling:
@@ -119,8 +134,33 @@ class MinimaxSolver:
                     "game value climbed past the provable ceiling"
                 )
             v = nv
-        self._memo[mask] = v
+        memo[mask] = v
         return v
+
+
+def _move_value(legal: list, self_value: int) -> int:
+    """The learner's best worst case against one move's legal reveals.
+
+    A reveal is (label, child value); child value None marks a reveal that
+    leaves the state unchanged, worth self_value.  Predicting a label of a
+    highest-valued reveal costs max(top, 1 + the best reveal of any other
+    label); any other prediction costs at least 1 + top, so that is the
+    minimum over predictions.
+    """
+    top, top_label = -1, None
+    for y, c in legal:
+        if c is None:
+            c = self_value
+        if c > top:
+            top, top_label = c, y
+    rest = -1
+    for y, c in legal:
+        if y != top_label:
+            if c is None:
+                c = self_value
+            if c > rest:
+                rest = c
+    return top if top > rest else rest + 1
 
 
 def optimal_mistake_bound(

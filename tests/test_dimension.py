@@ -23,7 +23,7 @@ from robust_online import (
     total_map,
     witness_tree,
 )
-from robust_online.dimension import AtLeast
+from robust_online.dimension import AtLeast, get_engine
 from robust_online.errors import DomainError
 
 # 3 instances, 5 hypotheses, mixed overlap; frozen: dim 1 here,
@@ -176,3 +176,13 @@ def test_dimension_bounded_by_log_class_size():
         sets = [set(np.flatnonzero(rng.integers(0, 2, n))) for _ in range(n)]
         u = PerturbationMap.from_sets(sets)
         assert 2 ** adversarial_dimension(hc, u) <= hc.size
+
+
+def test_branch_and_bound_keeps_the_memo_small():
+    # the unpruned search stores all 3**11 subcubes (177,148 entries with
+    # the empty mask); with the cuts each mask stops after its first node, so
+    # only the 4,095 subcubes fixing a prefix of the instances are stored
+    hc, u = full_class(11), identity_map(11)
+    engine = get_engine(hc, u)
+    assert engine.dimension() == 11
+    assert len(engine._memo) <= 4097

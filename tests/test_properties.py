@@ -3,10 +3,11 @@
 The consistency masks are the package's single source of the robust
 loss.  The first properties check them, and the functions derived from
 them, against the definitional `adversarial_loss`; the next check the
-dimension search, restriction, and the lifetime of compiled data; the
-next check the lazy learner's automaton and the one-replay expert
-aggregation against stepwise loops on plain learners; the last checks
-that scenario files round-trip.
+dimension search and the minimax oracle against plain searches written
+here, restriction, and the lifetime of compiled data; the next check the
+lazy learner's automaton and the one-replay expert aggregation against
+stepwise loops on plain learners; the last checks that scenario files
+round-trip.
 """
 
 import gc
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 from robust_online import (
     LEARNER_NAMES,
+    AdversarialTree,
+    AdversarialTreeNode,
     ExponentialWeightsForecaster,
     GameConfig,
     HypothesisClass,
@@ -53,8 +56,9 @@ from robust_online import (
 )
 from robust_online.adversaries import orientation_options, robust_anchors
 from robust_online.agnostic import hypothesis_losses
+from robust_online.dimension import get_engine
 from robust_online.learners import LazyRobustAutomaton
-from robust_online.model import compiled, consistency_masks
+from robust_online.model import compiled, consistency_masks, game_nodes
 from robust_online.scenario import ADVERSARIES, DEFAULT_LABELS, PROTOCOLS
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -68,6 +72,25 @@ def games(draw, max_instances=4, max_labels=3, max_hypotheses=8):
     table = st.tuples(*[st.integers(0, labels - 1)] * n)
     tables = draw(st.lists(table, min_size=1, max_size=max_hypotheses, unique=True))
     sets = draw(st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n))
+    return HypothesisClass.from_tables(tables, labels), PerturbationMap.from_sets(sets)
+
+
+@st.composite
+def search_games(draw, max_hypotheses=16):
+    """(class, map) rich enough to give the searches depth 2 and more.
+
+    At least four hypotheses over two to five instances, and most
+    perturbation sets hold their own instance, as identity-like maps do.
+    """
+    n = draw(st.integers(2, 5))
+    labels = draw(st.integers(2, 3))
+    table = st.tuples(*[st.integers(0, labels - 1)] * n)
+    size = draw(st.integers(4, min(max_hypotheses, labels**n)))
+    tables = draw(st.lists(table, min_size=size, max_size=size, unique=True))
+    sets = []
+    for x in range(n):
+        s = draw(st.sets(st.integers(0, n - 1), max_size=1))
+        sets.append(s | {x} if draw(st.integers(0, 3)) else s)
     return HypothesisClass.from_tables(tables, labels), PerturbationMap.from_sets(sets)
 
 
@@ -138,6 +161,120 @@ def test_witness_tree_is_shattered_and_dimension_is_logarithmic(game, multiclass
     assert tree.depth == adversarial_dimension(hc, u, multiclass)
     assert is_shattered(tree, hc, u)
     assert tree.depth <= math.floor(math.log2(hc.size))
+
+
+def plain_dimension(nodes):
+    """The unpruned recursion: every node of every mask, memoized."""
+    memo = {0: -1}
+
+    def dim(mask):
+        if mask not in memo:
+            memo[mask] = max(
+                (
+                    1 + min(dim(mask & m0), dim(mask & m1))
+                    for _, _, m0, m1 in nodes
+                    if mask & m0 and mask & m1
+                ),
+                default=0,
+            )
+        return memo[mask]
+
+    return dim, memo
+
+
+def plain_witness(nodes, dim, mask, depth):
+    if depth == 0:
+        return None
+    for pair, labels, m0, m1 in nodes:
+        v0, v1 = mask & m0, mask & m1
+        if v0 and v1 and min(dim(v0), dim(v1)) >= depth - 1:
+            return AdversarialTreeNode(
+                pair,
+                labels,
+                plain_witness(nodes, dim, v0, depth - 1),
+                plain_witness(nodes, dim, v1, depth - 1),
+            )
+    raise AssertionError("no witness node")
+
+
+@PROPERTY
+@given(search_games(), st.booleans())
+def test_pruned_search_matches_the_plain_recursion(game, multiclass):
+    hc, u = game
+    multiclass = multiclass or hc.label_count > 2
+    nodes = game_nodes(hc, u, multiclass)
+    dim, memo = plain_dimension(nodes)
+    full = (1 << hc.size) - 1
+    depth = dim(full)
+    assert witness_tree(hc, u, multiclass) == AdversarialTree(
+        plain_witness(nodes, dim, full, depth), depth
+    )
+    engine = get_engine(hc, u, multiclass)
+    # every value the pruned search stored is exact ...
+    for mask, value in engine._memo.items():
+        assert value == dim(mask)
+    # ... and so is every value it returns for a mask the plain one visited
+    for mask, value in list(memo.items()):
+        assert engine.dimension_of_mask(mask) == value
+
+
+def reference_game_value(hc, u, game, multiclass, horizon):
+    """Minimax value that re-runs the whole Bellman equation on every pass."""
+    masks = consistency_masks(hc, u)
+    labels = range(hc.label_count)
+    if game == "robust":
+        moves = [
+            [(y, masks[x][y]) for x in sorted(u.preimage[z]) for y in labels]
+            for z in range(u.instance_count)
+        ]
+    else:
+        moves = [[(y0, m0), (y1, m1)] for _, (y0, y1), m0, m1 in game_nodes(hc, u, multiclass)]
+    memo = {}
+
+    def bellman(mask, self_value, h):
+        best = 0
+        for move in moves:
+            legal = [(y, mask & t) for y, t in move if mask & t]
+            if not legal:
+                continue
+            costs = []
+            for pred in labels:
+                worst = 0
+                for y, sub in legal:
+                    if h is not None:
+                        rest = value(sub, h - 1)
+                    elif sub == mask:
+                        rest = self_value
+                    else:
+                        rest = value(sub, None)
+                    worst = max(worst, int(y != pred) + rest)
+                costs.append(worst)
+            best = max(best, min(costs))
+        return best
+
+    def value(mask, h):
+        if h is not None and h <= 0:
+            return 0
+        if (mask, h) not in memo:
+            v = 0
+            while (nv := bellman(mask, v, h)) != v:
+                v = nv
+            memo[mask, h] = v
+        return memo[mask, h]
+
+    return value((1 << hc.size) - 1, horizon)
+
+
+@PROPERTY
+@given(search_games(max_hypotheses=12), st.booleans())
+def test_oracle_matches_the_full_bellman_iteration(game, multiclass):
+    hc, u = game
+    multiclass = multiclass or hc.label_count > 2
+    for name in ("robust", "orientation"):
+        for horizon in (None, 0, 1, 2, 3, 4):
+            assert optimal_mistake_bound(hc, u, name, multiclass, horizon) == (
+                reference_game_value(hc, u, name, multiclass, horizon)
+            )
 
 
 @PROPERTY
