@@ -47,6 +47,9 @@ from .uncertain import family_halving_run, halving_bound, mc_family_mistakes
 def _load_scenario(path: str):
     try:
         return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        print(f"invalid scenario {path}: {e}", file=sys.stderr)
+        raise SystemExit(1)
     except ScenarioFormatError as e:
         print(f"invalid scenario {path}:", file=sys.stderr)
         for err in e.errors:

@@ -4,24 +4,31 @@ Independent of the dimension search: the value is computed directly from
 the game protocol, with the adversary restricted to realizability-
 preserving reveals and the learner ranging over all labels.
 
-States are version-space bitmasks.  A reveal either strictly shrinks the
-state (the restriction drops at least the hypotheses inconsistent with it)
-or leaves it unchanged; unchanged reveals make the state equation refer to
-itself, so each state's value is the least fixpoint of its one-variable
-Bellman equation, found by iterating upward from zero.  The iteration is
-guarded by a provable ceiling: an optimal learner concedes at most
-|class| - 1 mistakes, because whenever a mistake could leave the state
-unchanged all legal reveals share one label, which the learner can simply
-predict.
+States are version-space bitmasks, and one memoized recursion serves the
+unbounded game (children valued unbounded) and the horizon-capped game
+(children valued at one round less).  A reveal either strictly shrinks
+the state (the restriction drops at least the hypotheses inconsistent
+with it) or leaves it unchanged.  Reveals that leave the state unchanged
+are skipped, and the value stays exact:
 
-Each state builds the legal reveals of each move once and looks up each
-child's value once.  A move whose reveals all shrink the state is worth a
-constant; only the moves with a reveal that leaves the state unchanged are
-evaluated again on each fixpoint pass, where that reveal reads the running
-value.
+- Robust move z.  If the reveal (x, y) leaves V unchanged, every h in V
+  labels all of U(x), which holds z, with y.  So every other legal
+  reveal of the move also carries label y: the move costs no mistake and
+  is worth the maximum over its children.  The unchanged reveal's own
+  term, the state's value, adds nothing to the least fixpoint of the
+  state's Bellman equation.
+- Orientation node.  The two sides' masks are disjoint, so an unchanged
+  side means the other side is empty, and the move is worth the state's
+  value itself, which contributes 0 to the least fixpoint.
+- Capped game.  The unchanged reveal's term is v(V, h - 1) <= v(V, h),
+  because the value is nondecreasing in the horizon, so dropping it does
+  not change the maximum.
+
+Every recursive call is on a strict sub-mask (or a smaller horizon), so
+the recursion terminates.
 """
 
-from .errors import DomainError, LimitExceeded, SearchInvariantError
+from .errors import DomainError, LimitExceeded
 from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks, game_nodes
 
 MAX_INSTANCES = 5
@@ -67,99 +74,51 @@ class MinimaxSolver:
                 [(y0, m0), (y1, m1)]
                 for _, (y0, y1), m0, m1 in game_nodes(hc, u, multiclass)
             ]
-        self.ceiling = hc.size
-        self._memo: dict[int, int] = {}
-        self._memo_h: dict[tuple[int, int], int] = {}
+        # keyed by mask in the unbounded game, by (mask, horizon) when capped
+        self._memo: dict[int | tuple[int, int], int] = {}
 
-    def _bellman(self, mask: int, horizon: int) -> int:
+    def value(self, mask: int, horizon: int | None = None) -> int:
+        """Optimal forced mistakes from a nonempty version-space mask."""
+        if horizon is None:
+            key, child = mask, None
+        elif horizon <= 0:
+            return 0
+        else:
+            key, child = (mask, horizon), horizon - 1
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
         best = 0
         for move in self.moves:
             legal = []
             for y, t in move:
                 sub = mask & t
-                if sub:
-                    legal.append((y, self.value(sub, horizon - 1)))
+                if sub and sub != mask:
+                    legal.append((y, self.value(sub, child)))
             if legal:
-                mv = _move_value(legal, 0)
+                mv = _move_value(legal)
                 if mv > best:
                     best = mv
+        self._memo[key] = best
         return best
 
-    def value(self, mask: int, horizon: int | None = None) -> int:
-        """Optimal forced mistakes from a nonempty version-space mask."""
-        if horizon is not None:
-            if horizon <= 0:
-                return 0
-            hit = self._memo_h.get((mask, horizon))
-            if hit is not None:
-                return hit
-            v = self._bellman(mask, horizon)
-            self._memo_h[(mask, horizon)] = v
-            return v
-        memo = self._memo
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        # None marks a reveal that leaves the state unchanged
-        fixed = 0
-        looping = []
-        for move in self.moves:
-            legal = []
-            loops = False
-            for y, t in move:
-                sub = mask & t
-                if sub == mask:
-                    legal.append((y, None))
-                    loops = True
-                elif sub:
-                    c = memo.get(sub)
-                    legal.append((y, self.value(sub) if c is None else c))
-            if loops:
-                looping.append(legal)
-            elif legal:
-                mv = _move_value(legal, 0)
-                if mv > fixed:
-                    fixed = mv
-        v = 0
-        while True:
-            nv = fixed
-            for legal in looping:
-                mv = _move_value(legal, v)
-                if mv > nv:
-                    nv = mv
-            if nv == v:
-                break
-            if nv > self.ceiling:
-                raise SearchInvariantError(
-                    "game value climbed past the provable ceiling"
-                )
-            v = nv
-        memo[mask] = v
-        return v
 
-
-def _move_value(legal: list, self_value: int) -> int:
+def _move_value(legal: list) -> int:
     """The learner's best worst case against one move's legal reveals.
 
-    A reveal is (label, child value); child value None marks a reveal that
-    leaves the state unchanged, worth self_value.  Predicting a label of a
+    A reveal is (label, child value).  Predicting a label of a
     highest-valued reveal costs max(top, 1 + the best reveal of any other
     label); any other prediction costs at least 1 + top, so that is the
     minimum over predictions.
     """
     top, top_label = -1, None
     for y, c in legal:
-        if c is None:
-            c = self_value
         if c > top:
             top, top_label = c, y
     rest = -1
     for y, c in legal:
-        if y != top_label:
-            if c is None:
-                c = self_value
-            if c > rest:
-                rest = c
+        if y != top_label and c > rest:
+            rest = c
     return top if top > rest else rest + 1
 
 

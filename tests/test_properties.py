@@ -275,6 +275,13 @@ def test_oracle_matches_the_full_bellman_iteration(game, multiclass):
             assert optimal_mistake_bound(hc, u, name, multiclass, horizon) == (
                 reference_game_value(hc, u, name, multiclass, horizon)
             )
+        # the oracle skips a reveal that leaves the state unchanged, which is
+        # exact in the capped game because the value grows with the horizon
+        v = optimal_mistake_bound(hc, u, name, multiclass)
+        capped = [optimal_mistake_bound(hc, u, name, multiclass, h) for h in range(v + 2)]
+        assert capped == sorted(capped)
+        assert max(capped) <= v
+        assert capped[v] == v
 
 
 @PROPERTY

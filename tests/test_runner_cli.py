@@ -432,6 +432,11 @@ f: f
             "robust-online agnostic: [Errno 2] No such file or directory",
         ),
         (("gen-corpus", "--out", "{scn}"), "robust-online gen-corpus: [Errno 17] File exists"),
+        (("dim", "{raw}"), "invalid scenario {raw}: 'utf-8' codec can't decode byte 0xff"),
+        (
+            ("uncertain", "{scn}", "--method", "ewa", "--family", "{raw}"),
+            "invalid scenario {raw}: 'utf-8' codec can't decode byte 0xff",
+        ),
     ],
 )
 def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):
@@ -441,10 +446,12 @@ def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):
         "out": tmp_path / "corpus",
         "missing": tmp_path / "missing",
         "dir": tmp_path,
+        "raw": tmp_path / "raw.scn",
     }
     paths["scn"].write_text(SCENARIO)
     paths["big"].write_text(BIG_SCENARIO)
+    paths["raw"].write_bytes(b"\xff\xfe\x00bad")
     out = run_cli(*(a.format(**paths) for a in args))
     assert out.returncode != 0
     assert "Traceback" not in out.stderr
-    assert message in out.stderr.strip().splitlines()[-1]
+    assert message.format(**paths) in out.stderr.strip().splitlines()[-1]
