@@ -23,6 +23,7 @@ from .adversaries import (
     ScriptedOrientationAdversary,
     ScriptedRobustAdversary,
     corrupt_labels,
+    orientation_options,
     realizable_orientation_rounds,
     realizable_robust_rounds,
     robust_anchors,
@@ -216,11 +217,7 @@ def _conformance_sweep(scale: Scale, seed: int):
             hc, u = sc.hypotheses, sc.truth
             dim = adversarial_dimension(hc, u, multiclass=multiclass)
             robust_ok = _robust_usable(hc, u)
-            orient_ok = bool(
-                realizable_orientation_rounds(
-                    hc, u, 1, derive_rng(seed, "probe", labels, idx), multiclass=multiclass
-                )
-            )
+            orient_ok = any(orientation_options(hc, u, h, multiclass) for h in hc)
             if not robust_ok and not orient_ok:
                 stats["skipped_scenarios"] += 1
                 continue
@@ -549,12 +546,16 @@ def parse_criteria_spec(text: str) -> list[int]:
             continue
         try:
             if "-" in part:
-                lo, hi = part.split("-", 1)
-                out.update(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, part.split("-", 1))
             else:
-                out.add(int(part))
+                lo = hi = int(part)
         except ValueError:
             raise ValueError(f"malformed criteria selection {part!r}") from None
+        if lo > hi:
+            raise ValueError(f"reversed criteria range {part!r}")
+        out.update(range(lo, hi + 1))
+    if not out:
+        raise ValueError("the criteria selection names no criterion")
     bad = out - set(CRITERIA)
     if bad:
         raise ValueError(f"unknown criteria {sorted(bad)}; valid are 1..12")

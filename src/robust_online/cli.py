@@ -31,7 +31,7 @@ from .errors import DomainError, LimitExceeded, ScenarioFormatError
 from .learners import LEARNER_NAMES, make_learner
 from .model import identity_map
 from .oracle import optimal_mistake_bound
-from .runner import replay_matches, run_game, run_scenario, transcript_to_json
+from .runner import run_game, run_scenario, transcript_to_json
 from .scenario import (
     CorpusParams,
     STRATA,
@@ -94,9 +94,7 @@ def _describe_tree(tree, names, indent="", side=""):
 def cmd_dim(args) -> int:
     sc = _load_scenario(args.scenario)
     hc, u = sc.hypotheses, sc.truth
-    dim = adversarial_dimension(
-        hc, u, multiclass=sc.multiclass, depth_cap=args.depth_cap
-    )
+    dim = adversarial_dimension(hc, u, multiclass=sc.multiclass)
     print(f"dimension: {dim}")
     if args.classic:
         if sc.multiclass:
@@ -132,9 +130,6 @@ def cmd_play(args) -> int:
     if args.transcript:
         Path(args.transcript).write_text(transcript_to_json(transcript), encoding="utf-8")
         print(f"transcript written: {args.transcript}")
-    if not replay_matches(summary, transcript):
-        print("transcript does not reproduce the summary", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -292,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("dim", help="dimension of a scenario")
     d.add_argument("scenario")
-    d.add_argument("--depth-cap", type=_at_least(0), default=None)
     d.add_argument("--classic", action="store_true", help="also print the classic dimension")
     d.add_argument("--tree", action="store_true", help="print a witness tree")
     d.set_defaults(fn=cmd_dim)

@@ -50,20 +50,6 @@ def _log2_size(mask: int) -> int:
 
 
 @dataclass(frozen=True)
-class AtLeast:
-    """Returned when the dimension exceeds a caller-supplied depth cap.
-
-    The cap does not shorten the search: the full dimension is always
-    computed, and the cap only hides the value above it.
-    """
-
-    bound: int
-
-    def __str__(self):
-        return f">={self.bound}"
-
-
-@dataclass(frozen=True)
 class AdversarialTreeNode:
     """One tree node: a compatible instance pair and its two edge labels.
 
@@ -101,9 +87,6 @@ class DimensionEngine:
             raise DomainError("hypothesis class and perturbation map cover different spaces")
         if not multiclass and hc.label_count != 2:
             raise DomainError("binary mode requires exactly two labels")
-        self.hc = hc
-        self.u = u
-        self.multiclass = multiclass
         self.full_mask = (1 << hc.size) - 1
         self.nodes = game_nodes(hc, u, multiclass)
         self._memo: dict[int, int] = {0: EMPTY_DIM}
@@ -168,24 +151,9 @@ def get_engine(hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False
     return compiled(hc, u, DimensionEngine, multiclass)
 
 
-def adversarial_dimension(
-    hc: HypothesisClass,
-    u: PerturbationMap,
-    multiclass: bool = False,
-    depth_cap: int | None = None,
-):
-    """Exact adversarial dimension, or AtLeast(depth_cap) when capped.
-
-    The default cap |hc| can never bind (the dimension is at most
-    log2 |hc|), so plain int is the usual return type.
-    """
-    cap = hc.size if depth_cap is None else depth_cap
-    if cap < 0:
-        raise DomainError("depth cap must be nonnegative")
-    d = get_engine(hc, u, multiclass).dimension()
-    if d > cap:
-        return AtLeast(cap)
-    return d
+def adversarial_dimension(hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False) -> int:
+    """Exact adversarial dimension of hc under u; at most floor(log2 |hc|)."""
+    return get_engine(hc, u, multiclass).dimension()
 
 
 def dimension_of(v: VersionSpace, u: PerturbationMap, multiclass: bool = False) -> int:
@@ -236,18 +204,18 @@ def is_shattered(tree: AdversarialTree, hc: HypothesisClass, u: PerturbationMap)
         raise TreeStructureError("negative depth")
     _check_structure(tree.root, tree.depth, hc, u)
 
-    def walk(node, v: VersionSpace, remaining: int) -> bool:
+    def walk(node, v: VersionSpace) -> bool:
         if node is None:
             return True
         for i in (0, 1):
             child = restrict(v, node.pair[i], node.labels[i], u)
             if child.is_empty:
                 return False
-            if not walk(node.child(i), child, remaining - 1):
+            if not walk(node.child(i), child):
                 return False
         return True
 
-    return walk(tree.root, VersionSpace.full(hc), tree.depth)
+    return walk(tree.root, VersionSpace.full(hc))
 
 
 def classic_littlestone_dimension(hc: HypothesisClass) -> int:

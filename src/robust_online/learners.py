@@ -268,10 +268,6 @@ class LazyRobustLearner:
     def version_space(self):
         return self.inner.version_space
 
-    @property
-    def events(self):
-        return self.inner.events
-
     def predict(self, z: int) -> int:
         self._last = (z, self.inner.predict(z))
         return self._last[1]

@@ -12,17 +12,12 @@ so it is built once, found without hashing the class and freed with it.
 """
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 from .errors import DomainError, LimitExceeded
 
 Instance = int
 Label = int
-
-
-class DuplicateHypothesisWarning(UserWarning):
-    pass
 
 
 @dataclass(frozen=True)
@@ -39,11 +34,6 @@ class Hypothesis:
     table: tuple[Label, ...]
     label_count: int = 2
 
-    def __call__(self, x: Instance) -> Label:
-        if not 0 <= x < len(self.table):
-            raise DomainError(f"instance id {x} outside [0, {len(self.table)})")
-        return self.table[x]
-
 
 @dataclass(frozen=True)
 class HypothesisClass:
@@ -57,9 +47,10 @@ class HypothesisClass:
 
     @classmethod
     def from_tables(cls, tables, label_count: int = 2) -> "HypothesisClass":
-        """Build a class from label tables, merging duplicates with a warning.
+        """Build a class from distinct label tables.
 
-        Ids are assigned densely in first-appearance order.
+        Ids are assigned densely in table order.  A repeated table is a
+        DomainError, as it is in a scenario file.
         """
         tables = [tuple(t) for t in tables]
         if not tables:
@@ -70,22 +61,16 @@ class HypothesisClass:
         (instance_count,) = widths
         if instance_count == 0:
             raise DomainError("the instance space must be nonempty")
+        seen = set()
         for t in tables:
             for y in t:
                 if not 0 <= y < label_count:
                     raise DomainError(f"label {y} outside [0, {label_count})")
-        seen: dict[tuple, int] = {}
-        kept = []
-        for t in tables:
             if t in seen:
-                warnings.warn(
-                    f"duplicate hypothesis table {t} merged", DuplicateHypothesisWarning
-                )
-                continue
-            seen[t] = len(kept)
-            kept.append(t)
+                raise DomainError(f"hypothesis table {t} appears more than once")
+            seen.add(t)
         hyps = tuple(
-            Hypothesis(i, t, label_count) for i, t in enumerate(kept)
+            Hypothesis(i, t, label_count) for i, t in enumerate(tables)
         )
         return cls(hyps, instance_count, label_count)
 
@@ -257,9 +242,6 @@ class VersionSpace:
 
     def members(self) -> tuple[Hypothesis, ...]:
         return tuple(h for h in self.parent if self.mask >> h.id & 1)
-
-    def __contains__(self, h: Hypothesis) -> bool:
-        return bool(self.mask >> h.id & 1)
 
 
 def restrict(v: VersionSpace, x: Instance, y: Label, u: PerturbationMap) -> VersionSpace:

@@ -54,9 +54,6 @@ class MinimaxSolver:
             )
         if not multiclass and hc.label_count != 2:
             raise DomainError("binary mode requires exactly two labels")
-        self.hc = hc
-        self.u = u
-        self.game = game
         masks = consistency_masks(hc, u)
         # every adversary move is a list of legal reveals (label, mask)
         if game == "robust":

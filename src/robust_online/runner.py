@@ -277,19 +277,3 @@ def transcript_from_json(text: str) -> GameTranscript:
         rounds=rounds,
         version=data.get("version", __version__),
     )
-
-
-def recount_transcript(tr: GameTranscript) -> tuple[int, int]:
-    """(rounds, mistakes) recomputed from the recorded loss bits."""
-    return len(tr.rounds), sum(r.loss for r in tr.rounds)
-
-
-def replay_matches(summary: RunSummary, tr: GameTranscript) -> bool:
-    """True when the transcript reproduces the summary's counts exactly."""
-    rounds, mistakes = recount_transcript(tr)
-    return (
-        rounds == summary.rounds
-        and mistakes == summary.mistakes
-        and tr.protocol == summary.protocol
-        and tr.seed == summary.seed
-    )

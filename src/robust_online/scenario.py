@@ -188,12 +188,13 @@ def try_parse_scenario(text: str):
 
     # HYPOTHESES
     hyp_names: list[str] = []
+    seen_names: set[str] = set()
     tables: list[tuple[int, ...]] = []
     for ln, key, value, col in entries("HYPOTHESES"):
         if not _NAME.match(key):
             err(ln, col, f"bad hypothesis name {key!r}")
             continue
-        if key in hyp_names:
+        if key in seen_names:
             err(ln, col, f"duplicate hypothesis name {key!r}")
             continue
         cells = value.split()
@@ -215,6 +216,7 @@ def try_parse_scenario(text: str):
             row.append(label_of[c])
         if ok:
             hyp_names.append(key)
+            seen_names.add(key)
             tables.append(tuple(row))
     if not tables and "HYPOTHESES" in seen_words:
         s = next(s for s in sections if s[0] == "HYPOTHESES")

@@ -15,9 +15,9 @@ phase cannot hold when |G| is a power of two: an adversary that splits
 the alive set evenly and labels against the vote forces f + 1.  The
 pinned counterexamples live in test_uncertain.py.
 
-The smoke-scale result lines are pinned as literals, so a refactor that
-claims to keep every output has its claim checked; a change that moves a
-line on purpose updates the literal and says so.
+The full-scale and smoke-scale result lines are pinned as literals, so a
+refactor that claims to keep every output has its claim checked; a change
+that moves a line on purpose updates the literal and says so.
 """
 
 import pytest
@@ -38,10 +38,26 @@ SMOKE_LINES_SEED_0 = [
     "criterion 11: PASS  random-label regret square-root trend (horizons=[64, 256, 1024] slope=0.5115)",
 ]
 
+FULL_LINES_SEED_0 = [
+    "criterion  1: PASS  dimension matches both exact game values (scenarios=200 mismatches=0)",
+    "criterion  2: PASS  identity maps agree with the classic dimension (scenarios=100 mismatches=0)",
+    "criterion  3: PASS  optimal learners never exceed the dimension (games=60000 violations=0 skipped=2)",
+    "criterion  4: PASS  tree adversaries force the dimension (scenarios=120 runs=1200 exact_failures=0 baseline_failures=0)",
+    "criterion  5: PASS  every orientation mistake shrinks the dimension (games=60000 violations=0)",
+    "criterion  6: PASS  subset expert within dimension plus comparator (sequences=50 violations=0)",
+    "criterion  7: PASS  forecaster regret within the horizon bound (combos=6 worst_excess=-6.9479)",
+    "criterion  8: PASS  aggregated learner within the agnostic regret bound (scenarios=10 failures=0 worst_ratio=0.7140)",
+    "criterion  9: PASS  phased halving within its mistake bounds (scenarios=102 total_violations=0 phase_violations=0 charge_violations=0)",
+    "criterion 10: PASS  family forecaster within the loss-budget bound (scenarios=9 failures=0 worst_ratio=0.5678)",
+    "criterion 11: PASS  random-label regret square-root trend (horizons=[64, 256, 1024] slope=0.5269)",
+    "criterion 12: PASS  check output is byte-reproducible (bytes=1183 identical=true)",
+]
+
 
 def run(number: int):
     result = CRITERIA[number](FULL, seed=0)
     assert result.passed, result.line()
+    assert result.line() == FULL_LINES_SEED_0[number - 1]
     return result
 
 

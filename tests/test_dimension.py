@@ -6,7 +6,6 @@ outside the package so the two implementations share no code.
 """
 
 import numpy as np
-import pytest
 
 from robust_online import (
     EMPTY_DIM,
@@ -23,8 +22,7 @@ from robust_online import (
     total_map,
     witness_tree,
 )
-from robust_online.dimension import AtLeast, get_engine
-from robust_online.errors import DomainError
+from robust_online.dimension import get_engine
 
 # 3 instances, 5 hypotheses, mixed overlap; frozen: dim 1 here,
 # dim 2 under identity, dim 1 under the total map
@@ -120,17 +118,6 @@ def test_multiclass_two_labels_agrees_with_binary():
         assert adversarial_dimension(hc, u, multiclass=True) == (
             adversarial_dimension(hc, u)
         )
-
-
-def test_depth_cap_reports_lower_bound():
-    hc = full_class(3)
-    u = identity_map(3)
-    capped = adversarial_dimension(hc, u, depth_cap=1)
-    assert isinstance(capped, AtLeast)
-    assert capped.bound == 1
-    assert adversarial_dimension(hc, u, depth_cap=3) == 3
-    with pytest.raises(DomainError):
-        adversarial_dimension(hc, u, depth_cap=-1)
 
 
 def test_witness_tree_empty_for_dimension_zero():

@@ -54,6 +54,11 @@ def test_loss_empty_perturbation_set_is_free():
             assert adversarial_loss(hc[0], x, y, u) == 0
 
 
+def test_from_tables_rejects_duplicate_tables():
+    with pytest.raises(DomainError, match=r"hypothesis table \(0, 1\) appears more than once"):
+        HypothesisClass.from_tables([(0, 1), (1, 1), (0, 1)])
+
+
 def test_restrict_empty_set_keeps_version_space():
     hc = full_class(2)
     u = empty_map(2)
