@@ -538,8 +538,12 @@ CRITERIA = {
 
 
 def parse_criteria_spec(text: str) -> list[int]:
-    """Parse "1,3,5-7" style selections into sorted criterion numbers."""
+    """Parse "1,3,5-7" style selections into sorted criterion numbers.
+
+    A range outside 1..12 is reported by its out-of-range endpoints.
+    """
     out = set()
+    bad = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -553,29 +557,12 @@ def parse_criteria_spec(text: str) -> list[int]:
             raise ValueError(f"malformed criteria selection {part!r}") from None
         if lo > hi:
             raise ValueError(f"reversed criteria range {part!r}")
-        out.update(range(lo, hi + 1))
-    if not out:
-        raise ValueError("the criteria selection names no criterion")
-    bad = out - set(CRITERIA)
+        # only a range's endpoints can lie outside 1..12; clip before expanding
+        # so that a huge range costs no more than a small one
+        bad.update({lo, hi} - CRITERIA.keys())
+        out.update(range(max(lo, min(CRITERIA)), min(hi, max(CRITERIA)) + 1))
     if bad:
         raise ValueError(f"unknown criteria {sorted(bad)}; valid are 1..12")
+    if not out:
+        raise ValueError("the criteria selection names no criterion")
     return sorted(out)
-
-
-def run_criteria(scale: Scale, numbers, seed: int, echo=None, timing=None):
-    """Run the selected criteria in order; returns the result list.
-
-    echo(line) receives the deterministic result lines; timing(text)
-    receives wall-clock notes and must not be mixed into echo's stream.
-    """
-    results = []
-    for n in numbers:
-        start = time.monotonic()
-        result = CRITERIA[n](scale, seed)
-        elapsed = time.monotonic() - start
-        results.append(result)
-        if echo:
-            echo(result.line())
-        if timing:
-            timing(f"criterion {n} took {elapsed:.1f}s")
-    return results

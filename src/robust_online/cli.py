@@ -16,10 +16,11 @@ input ends in an error message on stderr and a nonzero exit.
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from ._version import __version__
-from .acceptance import SCALES, parse_criteria_spec, run_criteria
+from .acceptance import CRITERIA, SCALES, parse_criteria_spec
 from .adversaries import corrupt_labels, realizable_robust_rounds, tree_adversary
 from .agnostic import mc_regret
 from .dimension import (
@@ -46,7 +47,7 @@ from .uncertain import family_halving_run, halving_bound, mc_family_mistakes
 
 def _load_scenario(path: str):
     try:
-        return parse_scenario(Path(path).read_text(encoding="utf-8"))
+        return parse_scenario(Path(path).read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as e:
         print(f"invalid scenario {path}: {e}", file=sys.stderr)
         raise SystemExit(1)
@@ -265,16 +266,15 @@ def cmd_gen_corpus(args) -> int:
 
 def cmd_check(args) -> int:
     scale = SCALES[args.scale]
-    results = run_criteria(
-        scale,
-        args.criteria,
-        args.seed,
-        echo=print,
-        timing=lambda s: print(s, file=sys.stderr),
-    )
-    passed = sum(r.passed for r in results)
-    print(f"passed {passed} of {len(results)} criteria at scale {scale.name}")
-    return 0 if passed == len(results) else 1
+    passed = 0
+    for n in args.criteria:
+        start = time.monotonic()
+        result = CRITERIA[n](scale, args.seed)
+        print(result.line())
+        print(f"criterion {n} took {time.monotonic() - start:.1f}s", file=sys.stderr)
+        passed += result.passed
+    print(f"passed {passed} of {len(args.criteria)} criteria at scale {scale.name}")
+    return 0 if passed == len(args.criteria) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,13 +24,25 @@ settings.  The format is deliberately human-writable:
     adversary: realizable
 
 Blank lines and '#' comments are ignored.  '-' denotes the empty set.
-Several PERTURBATIONS sections form a family; GAME's truth names the
-member the harness treats as real.  Parsing is total: it always returns
-every positioned error it can find instead of stopping at the first.
+Without a `labels:` line the labels are 0 and 1.  Several PERTURBATIONS
+sections form a family; GAME's truth names the member the harness treats
+as real (by default the first).  Every GAME key is optional, and a key
+given twice keeps its last value:
+
+    protocol     robust; or orientation
+    horizon      10; a positive integer
+    seed         0; an integer
+    learner      optimal; or one of LEARNER_NAMES
+    adversary    realizable; or tree, corrupted
+    corruptions  0; a nonnegative integer
+
+Parsing is total: it always returns every positioned error it can find
+instead of stopping at the first.  The text is a str; the CLI decodes
+files as UTF-8 and drops a leading byte-order mark.
 """
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .dimension import adversarial_dimension
 from .errors import DomainError, ScenarioFormatError
@@ -41,6 +53,8 @@ from .uncertain import PerturbationFamily
 
 PROTOCOLS = ("robust", "orientation")
 ADVERSARIES = ("realizable", "tree", "corrupted")
+# the GAME keys whose value must be one of a fixed set of names
+_CHOICES = {"protocol": PROTOCOLS, "learner": LEARNER_NAMES, "adversary": ADVERSARIES}
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 # label names of a file without a `labels:` line; not valid _NAMEs, so
 # serialize_scenario leaves the line out for them
@@ -114,6 +128,7 @@ def try_parse_scenario(text: str):
 
     # First pass: split into sections.
     sections = []  # (header word, header arg, header line, [(line, key, value, col)])
+    first = {}  # header word -> its first section
     current = None
     for ln, line in _logical_lines(text):
         stripped = line.strip()
@@ -130,6 +145,7 @@ def try_parse_scenario(text: str):
                 arg = ""
             current = (word, arg, ln, [])
             sections.append(current)
+            first.setdefault(word, current)
             continue
         if ":" not in stripped:
             err(ln, 1, f"expected 'key: values', got {stripped!r}")
@@ -141,20 +157,16 @@ def try_parse_scenario(text: str):
             continue
         current[3].append((ln, key.strip(), value.strip(), col))
 
-    seen_words = [s[0] for s in sections]
     for word in ("SPACES", "HYPOTHESES", "PERTURBATIONS"):
-        if word not in seen_words:
+        if word not in first:
             err(len(text.splitlines()) or 1, 1, f"missing {word} section")
     for word in ("SPACES", "HYPOTHESES", "GAME"):
-        if seen_words.count(word) > 1:
-            dup = [s for s in sections if s[0] == word][1]
-            err(dup[2], 1, f"duplicate {word} section")
+        again = [s for s in sections if s[0] == word][1:]
+        if again:
+            err(again[0][2], 1, f"duplicate {word} section")
 
     def entries(word):
-        for s in sections:
-            if s[0] == word:
-                return s[3]
-        return []
+        return first[word][3] if word in first else []
 
     # SPACES
     instance_names: tuple[str, ...] = ()
@@ -179,9 +191,8 @@ def try_parse_scenario(text: str):
                 err(ln, col, "need at least two labels")
                 continue
             label_names = names
-    if not instance_names and "SPACES" in seen_words:
-        s = next(s for s in sections if s[0] == "SPACES")
-        err(s[2], 1, "SPACES must declare instances")
+    if not instance_names and "SPACES" in first:
+        err(first["SPACES"][2], 1, "SPACES must declare instances")
 
     label_of = {n: i for i, n in enumerate(label_names)}
     instance_of = {n: i for i, n in enumerate(instance_names)}
@@ -191,44 +202,35 @@ def try_parse_scenario(text: str):
     seen_names: set[str] = set()
     tables: list[tuple[int, ...]] = []
     for ln, key, value, col in entries("HYPOTHESES"):
+        cells = value.split()
+        row = tuple(map(label_of.get, cells))
         if not _NAME.match(key):
             err(ln, col, f"bad hypothesis name {key!r}")
-            continue
-        if key in seen_names:
+        elif key in seen_names:
             err(ln, col, f"duplicate hypothesis name {key!r}")
-            continue
-        cells = value.split()
-        if instance_names and len(cells) != len(instance_names):
+        elif instance_names and len(cells) != len(instance_names):
             err(
                 ln,
                 col,
                 f"hypothesis {key!r} has {len(cells)} labels for "
                 f"{len(instance_names)} instances",
             )
-            continue
-        row = []
-        ok = True
-        for c in cells:
-            if c not in label_of:
-                err(ln, col, f"hypothesis {key!r} uses unknown label {c!r}")
-                ok = False
-                break
-            row.append(label_of[c])
-        if ok:
+        elif None in row:
+            err(ln, col, f"hypothesis {key!r} uses unknown label {cells[row.index(None)]!r}")
+        else:
             hyp_names.append(key)
             seen_names.add(key)
-            tables.append(tuple(row))
-    if not tables and "HYPOTHESES" in seen_words:
-        s = next(s for s in sections if s[0] == "HYPOTHESES")
-        err(s[2], 1, "HYPOTHESES must declare at least one hypothesis")
+            tables.append(row)
+    if not tables and "HYPOTHESES" in first:
+        err(first["HYPOTHESES"][2], 1, "HYPOTHESES must declare at least one hypothesis")
     if len(set(tables)) != len(tables):
+        first_row: dict[tuple[int, ...], str] = {}
         dup = next(
-            hyp_names[i]
-            for i, t in enumerate(tables)
-            if t in tables[:i]
+            name
+            for name, table in zip(hyp_names, tables)
+            if first_row.setdefault(table, name) != name
         )
-        s = next(s for s in sections if s[0] == "HYPOTHESES")
-        err(s[2], 1, f"hypothesis {dup!r} duplicates another row's table")
+        err(first["HYPOTHESES"][2], 1, f"hypothesis {dup!r} duplicates another row's table")
 
     # PERTURBATIONS (possibly several)
     pert_names: list[str] = []
@@ -239,58 +241,45 @@ def try_parse_scenario(text: str):
         if arg in pert_names:
             err(hln, 1, f"duplicate perturbation section {arg!r}")
             continue
-        sets: dict[int, frozenset[int]] = {}
-        ok = True
+        errors_before = len(errors)
+        sets: dict[int, frozenset] = {}
         for ln, key, value, col in rows:
-            if key not in instance_of:
-                err(ln, col, f"unknown instance {key!r}")
-                ok = False
-                continue
-            x = instance_of[key]
-            if x in sets:
-                err(ln, col, f"instance {key!r} listed twice")
-                ok = False
-                continue
+            x = instance_of.get(key)
             targets = value.split()
             if targets == ["-"]:
-                sets[x] = frozenset()
-                continue
-            out = set()
-            for t in targets:
-                if t not in instance_of:
-                    err(ln, col, f"out-of-range target {t!r} in U({key})")
-                    ok = False
-                    break
-                out.add(instance_of[t])
-            # Keep the row even when a target was bad, so a malformed row
-            # is not also reported as missing.
-            sets[x] = frozenset(out)
+                targets = []
+            if x is None:
+                err(ln, col, f"unknown instance {key!r}")
+            elif x in sets:
+                err(ln, col, f"instance {key!r} listed twice")
+            else:
+                # Keep the row even when a target is bad, so a malformed
+                # row is not also reported as missing.
+                sets[x] = frozenset(map(instance_of.get, targets))
+                if None in sets[x]:
+                    bad_target = next(t for t in targets if t not in instance_of)
+                    err(ln, col, f"out-of-range target {bad_target!r} in U({key})")
         missing = [n for n, i in instance_of.items() if i not in sets]
         if missing:
             err(hln, 1, f"section {arg!r} has no row for instance {missing[0]!r}")
-            ok = False
-        if ok and instance_names:
+        if len(errors) == errors_before and instance_names:
             pert_names.append(arg)
             pert_maps.append(
                 PerturbationMap(tuple(sets[i] for i in range(len(instance_names))))
             )
 
     # GAME
-    game = GameConfig()
+    values = {}
     truth_name = pert_names[0] if pert_names else ""
     for ln, key, value, col in entries("GAME"):
-        if key == "protocol":
-            if value not in PROTOCOLS:
-                err(ln, col, f"unknown protocol {value!r}; choose from {PROTOCOLS}")
+        if key in _CHOICES:
+            if value in _CHOICES[key]:
+                values[key] = value
             else:
-                game = replace(game, protocol=value)
+                err(ln, col, f"unknown {key} {value!r}; choose from {_CHOICES[key]}")
         elif key == "truth":
             if pert_names and value not in pert_names:
-                err(
-                    ln,
-                    col,
-                    f"truth {value!r} names no PERTURBATIONS section",
-                )
+                err(ln, col, f"truth {value!r} names no PERTURBATIONS section")
             else:
                 truth_name = value
         elif key in ("horizon", "seed", "corruptions"):
@@ -304,25 +293,7 @@ def try_parse_scenario(text: str):
             elif key == "corruptions" and n < 0:
                 err(ln, col, "corruptions must be nonnegative")
             else:
-                game = replace(game, **{key: n})
-        elif key == "learner":
-            if value not in LEARNER_NAMES:
-                err(
-                    ln,
-                    col,
-                    f"unknown learner {value!r}; choose from {LEARNER_NAMES}",
-                )
-            else:
-                game = replace(game, learner=value)
-        elif key == "adversary":
-            if value not in ADVERSARIES:
-                err(
-                    ln,
-                    col,
-                    f"unknown adversary {value!r}; choose from {ADVERSARIES}",
-                )
-            else:
-                game = replace(game, adversary=value)
+                values[key] = n
         else:
             err(ln, col, f"unknown GAME entry {key!r}")
 
@@ -336,7 +307,7 @@ def try_parse_scenario(text: str):
         perturbation_names=tuple(pert_names),
         perturbations=tuple(pert_maps),
         truth_name=truth_name,
-        game=game,
+        game=GameConfig(**values),
     )
     return scenario, []
 
@@ -429,18 +400,19 @@ def _random_tables(n: int, count: int, label_count: int, rng) -> list[tuple[int,
     return sorted(seen)
 
 
-def _assemble(n: int, tables, u, label_count: int, seed: int) -> Scenario:
-    names = tuple(f"x{i}" for i in range(n))
-    label_names = tuple(f"y{i}" for i in range(label_count))
+def _assemble(
+    hc: HypothesisClass, maps: dict[str, PerturbationMap], truth_name: str, game: GameConfig
+) -> Scenario:
+    """A generated scenario: instances x0.., labels y0.., hypotheses h0.. and `maps` by name."""
     return Scenario(
-        instance_names=names,
-        label_names=label_names,
-        hypothesis_names=tuple(f"h{i}" for i in range(len(tables))),
-        hypotheses=HypothesisClass.from_tables(tables, label_count),
-        perturbation_names=("main",),
-        perturbations=(u,),
-        truth_name="main",
-        game=GameConfig(seed=seed),
+        instance_names=tuple(f"x{i}" for i in range(hc.instance_count)),
+        label_names=tuple(f"y{i}" for i in range(hc.label_count)),
+        hypothesis_names=tuple(f"h{i}" for i in range(hc.size)),
+        hypotheses=hc,
+        perturbation_names=tuple(maps),
+        perturbations=tuple(maps.values()),
+        truth_name=truth_name,
+        game=game,
     )
 
 
@@ -462,8 +434,10 @@ def generate_corpus(params: CorpusParams) -> list[Scenario]:
         cap = min(16, params.label_count**n)
         n_h = int(rng.integers(min(2, cap), cap + 1))
         tables = _random_tables(n, n_h, params.label_count, rng)
+        hc = HypothesisClass.from_tables(tables, params.label_count)
         u = _stratum_map(stratum, n, rng)
-        out.append(_assemble(n, tables, u, params.label_count, int(rng.integers(2**31))))
+        game = GameConfig(seed=int(rng.integers(2**31)))
+        out.append(_assemble(hc, {"main": u}, "main", game))
     return out
 
 
@@ -503,16 +477,7 @@ def generate_family_scenarios(count: int, seed: int = 0) -> list[Scenario]:
             continue
         if not any(u_star.forward[x] for x in range(n)):
             continue
-        names = tuple(f"x{i}" for i in range(n))
-        sc = Scenario(
-            instance_names=names,
-            label_names=("y0", "y1"),
-            hypothesis_names=tuple(f"h{i}" for i in range(len(tables))),
-            hypotheses=hc,
-            perturbation_names=tuple(f"u{i}" for i in range(size)),
-            perturbations=tuple(members),
-            truth_name=f"u{truth}",
-            game=GameConfig(horizon=12, seed=int(rng.integers(2**31))),
-        )
-        out.append(sc)
+        maps = {f"u{i}": m for i, m in enumerate(members)}
+        game = GameConfig(horizon=12, seed=int(rng.integers(2**31)))
+        out.append(_assemble(hc, maps, f"u{truth}", game))
     return out

@@ -420,6 +420,7 @@ f: f
             "invalid scenario {raw}: 'utf-8' codec can't decode byte 0xff",
         ),
         (("check", "--criteria", ","), "the criteria selection names no criterion"),
+        (("check", "--criteria", "1-1000000000"), "unknown criteria [1000000000]"),
     ],
 )
 def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):
@@ -437,4 +438,18 @@ def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):
     out = run_cli(*(a.format(**paths) for a in args))
     assert out.returncode != 0
     assert "Traceback" not in out.stderr
-    assert message.format(**paths) in out.stderr.strip().splitlines()[-1]
+    last = out.stderr.strip().splitlines()[-1]
+    assert message.format(**paths) in last
+    assert len(last) < 300
+
+
+def test_cli_accepts_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.scn"
+    path.write_text(
+        "\ufeffSPACES\ninstances: a b\nHYPOTHESES\nh0: 0 1\nh1: 1 1\n"
+        "PERTURBATIONS main\na: a\nb: b\n",
+        encoding="utf-8",
+    )
+    out = run_cli("dim", str(path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "dimension: 1\n"

@@ -5,6 +5,7 @@ import pytest
 from robust_online import (
     CorpusParams,
     adversarial_dimension,
+    full_class,
     generate_corpus,
     generate_family_scenarios,
     parse_scenario,
@@ -94,6 +95,223 @@ def test_duplicate_names_rejected():
     bad = GOOD.replace("h1: pos neg pos", "h0: pos neg pos")
     _, errors = try_parse_scenario(bad)
     assert any("duplicate" in e.message.lower() for e in errors)
+
+
+SMALL = """\
+SPACES
+instances: a b
+HYPOTHESES
+h0: 0 1
+h1: 1 1
+PERTURBATIONS main
+a: a b
+b: b
+"""
+
+
+def _edit(old, new):
+    assert old in SMALL
+    return SMALL.replace(old, new, 1)
+
+
+# one input per message the parser can report, with the whole error list
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        pytest.param(
+            _edit("PERTURBATIONS main", "PERTURBATIONS 9main"),
+            ["line 6, column 15: bad perturbation name '9main'"],
+            id="bad-perturbation-name",
+        ),
+        pytest.param(
+            _edit("HYPOTHESES", "HYPOTHESES extra"),
+            ["line 3, column 12: section HYPOTHESES takes no argument"],
+            id="section-argument",
+        ),
+        pytest.param(
+            _edit("h1: 1 1", "h1 1 1"),
+            ["line 5, column 1: expected 'key: values', got 'h1 1 1'"],
+            id="not-key-value",
+        ),
+        pytest.param(
+            "note: draft\n" + SMALL,
+            ["line 1, column 1: entry 'note' appears before any section header"],
+            id="entry-before-header",
+        ),
+        pytest.param(
+            SMALL.split("PERTURBATIONS")[0],
+            ["line 5, column 1: missing PERTURBATIONS section"],
+            id="missing-section",
+        ),
+        pytest.param(
+            SMALL + "SPACES\ninstances: a b\n",
+            ["line 9, column 1: duplicate SPACES section"],
+            id="duplicate-section",
+        ),
+        pytest.param(
+            _edit("instances: a b", "instances: a b\n  colors: red"),
+            ["line 3, column 3: unknown SPACES entry 'colors'"],
+            id="unknown-spaces-entry",
+        ),
+        pytest.param(
+            _edit("instances: a b", "instances: a 2b"),
+            [
+                "line 2, column 1: bad instances name '2b'",
+                "line 1, column 1: SPACES must declare instances",
+                "line 7, column 1: unknown instance 'a'",
+                "line 8, column 1: unknown instance 'b'",
+            ],
+            id="bad-space-name",
+        ),
+        pytest.param(
+            _edit("instances: a b", "instances: a b\nlabels: p p"),
+            ["line 3, column 1: duplicate labels name 'p'"],
+            id="duplicate-space-name",
+        ),
+        pytest.param(
+            _edit("instances: a b", "instances: a b\nlabels: p"),
+            ["line 3, column 1: need at least two labels"],
+            id="one-label",
+        ),
+        pytest.param(
+            _edit("instances: a b\n", ""),
+            [
+                "line 1, column 1: SPACES must declare instances",
+                "line 6, column 1: unknown instance 'a'",
+                "line 7, column 1: unknown instance 'b'",
+            ],
+            id="no-instances",
+        ),
+        pytest.param(
+            _edit("h1: 1 1", "2h: 1 1"),
+            ["line 5, column 1: bad hypothesis name '2h'"],
+            id="bad-hypothesis-name",
+        ),
+        pytest.param(
+            _edit("h1: 1 1", "h0: 1 1"),
+            ["line 5, column 1: duplicate hypothesis name 'h0'"],
+            id="duplicate-hypothesis-name",
+        ),
+        pytest.param(
+            _edit("h1: 1 1", "h1: 1"),
+            ["line 5, column 1: hypothesis 'h1' has 1 labels for 2 instances"],
+            id="row-width",
+        ),
+        pytest.param(
+            _edit("h1: 1 1", "h1: 1 2"),
+            ["line 5, column 1: hypothesis 'h1' uses unknown label '2'"],
+            id="unknown-label",
+        ),
+        pytest.param(
+            _edit("h0: 0 1\nh1: 1 1\n", ""),
+            ["line 3, column 1: HYPOTHESES must declare at least one hypothesis"],
+            id="no-hypotheses",
+        ),
+        pytest.param(
+            _edit("h1: 1 1", "h1: 0 1"),
+            ["line 3, column 1: hypothesis 'h1' duplicates another row's table"],
+            id="duplicate-table",
+        ),
+        pytest.param(
+            SMALL + "PERTURBATIONS main\na: a\nb: b\n",
+            ["line 9, column 1: duplicate perturbation section 'main'"],
+            id="duplicate-perturbation-section",
+        ),
+        pytest.param(
+            SMALL + "c: a\n",
+            ["line 9, column 1: unknown instance 'c'"],
+            id="unknown-instance",
+        ),
+        pytest.param(
+            SMALL + "a: b\n",
+            ["line 9, column 1: instance 'a' listed twice"],
+            id="instance-twice",
+        ),
+        pytest.param(
+            _edit("b: b", "b: b c"),
+            ["line 8, column 1: out-of-range target 'c' in U(b)"],
+            id="out-of-range-target",
+        ),
+        pytest.param(
+            _edit("b: b\n", ""),
+            ["line 6, column 1: section 'main' has no row for instance 'b'"],
+            id="missing-row",
+        ),
+        pytest.param(
+            SMALL + "GAME\nprotocol: bogus\n",
+            [
+                "line 10, column 1: unknown protocol 'bogus'; "
+                "choose from ('robust', 'orientation')"
+            ],
+            id="unknown-protocol",
+        ),
+        pytest.param(
+            SMALL + "GAME\ntruth: ghost\n",
+            ["line 10, column 1: truth 'ghost' names no PERTURBATIONS section"],
+            id="unknown-truth",
+        ),
+        pytest.param(
+            SMALL + "GAME\nseed: 1.5\n",
+            ["line 10, column 1: seed must be an integer, got '1.5'"],
+            id="non-integer",
+        ),
+        pytest.param(
+            SMALL + "GAME\nhorizon: 0\n",
+            ["line 10, column 1: horizon must be positive"],
+            id="horizon-zero",
+        ),
+        pytest.param(
+            SMALL + "GAME\ncorruptions: -1\n",
+            ["line 10, column 1: corruptions must be nonnegative"],
+            id="negative-corruptions",
+        ),
+        pytest.param(
+            SMALL + "GAME\nlearner: bogus\n",
+            [
+                "line 10, column 1: unknown learner 'bogus'; choose from "
+                "('optimal', 'constant-0', 'constant-1', 'random', 'majority')"
+            ],
+            id="unknown-learner",
+        ),
+        pytest.param(
+            SMALL + "GAME\nadversary: bogus\n",
+            [
+                "line 10, column 1: unknown adversary 'bogus'; "
+                "choose from ('realizable', 'tree', 'corrupted')"
+            ],
+            id="unknown-adversary",
+        ),
+        pytest.param(
+            SMALL + "GAME\ncolor: red\n",
+            ["line 10, column 1: unknown GAME entry 'color'"],
+            id="unknown-game-entry",
+        ),
+    ],
+)
+def test_parser_messages(text, expected):
+    assert parse_scenario(SMALL).hypotheses.size == 2
+    sc, errors = try_parse_scenario(text)
+    assert sc is None
+    assert [str(e) for e in errors] == expected
+
+
+def test_repeated_table_in_a_large_class_is_named():
+    # full_class(11) with the last of its 2,048 rows repeating the first
+    n = 11
+    rows = [f"h{h.id}: " + " ".join(f"y{y}" for y in h.table) for h in full_class(n)]
+    rows[-1] = rows[-1].split(":")[0] + ":" + rows[0].split(":")[1]
+    text = "\n".join(
+        ["SPACES", "instances: " + " ".join(f"x{i}" for i in range(n)), "labels: y0 y1"]
+        + ["HYPOTHESES"]
+        + rows
+        + ["PERTURBATIONS main"]
+        + [f"x{i}: x{i}" for i in range(n)]
+    )
+    sc, errors = try_parse_scenario(text)
+    assert sc is None
+    assert [str(e) for e in errors] == [
+        "line 4, column 1: hypothesis 'h2047' duplicates another row's table"
+    ]
 
 
 def test_multiple_perturbation_sections_form_a_family():
