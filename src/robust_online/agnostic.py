@@ -13,7 +13,8 @@ mc_regret replays the pool once over the fixed sequence
 off the resulting trajectory; decomposition_gap replays the analysis
 expert the same way.  The experts, the analysis pass and the random-label
 probe all step state ids on the (class, map)'s one lazy automaton, which
-keeps no events.
+keeps no events.  A correct round leaves a lazy state as it is, so the
+analysis pass and the probe step the automaton only on mistake rounds.
 """
 
 import itertools
@@ -152,9 +153,9 @@ def analysis_subset(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:
     lazy, s = compiled(hc, u, LazyRobustAutomaton), 0
     picked = []
     for t, (z, x, y) in clean:
-        if lazy.predict(s, z) != y:
+        if lazy.predict(s, z) != y:  # a correct round is a self-loop
             picked.append(t)
-        s = lazy.step(s, z, x, y)
+            s = lazy.step(s, z, x, y)
     return tuple(picked), best, best_id
 
 
@@ -190,8 +191,14 @@ def random_label_regret_sample(
 
     The node is the root of the maximum shattered tree; the class must
     have dimension at least 1.  The learner is stepped as state ids on
-    the (class, map)'s lazy automaton, which keeps no events.
+    the (class, map)'s lazy automaton, which keeps no events, and only on
+    the rounds it gets wrong: a correct round is a self-loop, so the next
+    mistake is the next label that differs from the prediction.  A state
+    whose mistake step is also a self-loop keeps its prediction for good,
+    and the rest of the mistakes are counted off the remaining labels.
     """
+    if horizon < 0:
+        raise DomainError(f"horizon must be nonnegative, got {horizon}")
     tree = witness_tree(hc, u)
     if tree.depth < 1 or tree.root is None:
         raise DomainError("need dimension >= 1 to build the probe node")
@@ -199,11 +206,20 @@ def random_label_regret_sample(
     z = min(u.forward[x0] & u.forward[x1])
     rng = derive_rng(seed, "random-label-probe")
     labels = rng.integers(0, 2, size=horizon)
+    seq = labels.tolist()
     lazy, s = compiled(hc, u, LazyRobustAutomaton), 0
-    mistakes = 0
-    for y in labels.tolist():
-        mistakes += lazy.predict(s, z) != y
-        s = lazy.step(s, z, (x0, x1)[y], y)
+    mistakes = t = 0
+    while True:
+        y = 1 - lazy.predict(s, z)
+        try:
+            t = seq.index(y, t)
+        except ValueError:
+            break
+        nxt = lazy.step(s, z, (x0, x1)[y], y)
+        if nxt == s:  # both reveals keep s: every later y is a mistake
+            mistakes += seq[t:].count(y)
+            break
+        s, t, mistakes = nxt, t + 1, mistakes + 1
     n1 = int(labels.sum())
     n0 = horizon - n1
     masks = consistency_masks(hc, u)

@@ -324,6 +324,10 @@ class LazyRobustAutomaton:
     learner the agnostic replays run, and asks its own predict and update.
     No events are kept: no caller that steps ids reads them.  Got through
     compiled(hc, u, LazyRobustAutomaton), one per (class, map).
+
+    The wrapper updates only on a mistake, so a correct round is a
+    self-loop: step(s, z, x, predict(s, z)) == s for every state, input
+    and reveal.  Callers may skip the steps of correct rounds.
     """
 
     def __init__(self, hc, u):

@@ -21,7 +21,7 @@ from robust_online import (
 )
 from robust_online.adversaries import corrupt_labels, realizable_robust_rounds
 from robust_online.agnostic import analysis_subset, hypothesis_losses
-from robust_online.errors import LimitExceeded
+from robust_online.errors import DomainError, LimitExceeded
 from robust_online.learners import LazyRobustAutomaton
 from robust_online.model import adversarial_loss, compiled
 from robust_online.seeding import derive_rng
@@ -185,13 +185,23 @@ def test_probes_intern_three_states_in_one_automaton():
         random_label_regret_sample(hc, u, 64, seed)
     auto = compiled(hc, u, LazyRobustAutomaton)
     # full class, one survivor, empty: each state predicts once on the one
-    # input and moves on each of the two reveals
+    # input and is stepped only on the reveal it gets wrong, since a
+    # correct round is a self-loop; the empty state's mistake edge is a
+    # self-loop too, after which the probe counts the rest of the labels
     assert len(auto.states) == 3
     assert len(auto.predictions) == 3
-    assert len(auto.transitions) == 6
+    assert len(auto.transitions) == 3
     keys = set(hc._store)
     random_label_regret_sample(hc, u, 64, seed=8)
     assert set(hc._store) == keys
+
+
+def test_random_label_probe_rejects_a_negative_horizon():
+    hc, u = full_class(2), total_map(2)
+    with pytest.raises(DomainError, match="horizon must be nonnegative, got -1"):
+        random_label_regret_sample(hc, u, -1, seed=0)
+    empty = random_label_regret_sample(hc, u, 0, seed=0)
+    assert (empty["mistakes"], empty["comparator"], empty["regret"]) == (0, 0, 0)
 
 
 def test_random_label_probe_regret_grows_with_horizon():

@@ -5,9 +5,9 @@ loss.  The first properties check them, and the functions derived from
 them, against the definitional `adversarial_loss`; the next check the
 dimension search and the minimax oracle against plain searches written
 here, restriction, and the lifetime of compiled data; the next check the
-lazy learner's automaton and the one-replay expert aggregation against
-stepwise loops on plain learners; the last checks that scenario files
-round-trip.
+lazy learner's automaton, its self-loops on correct rounds, the
+random-label probe and the one-replay expert aggregation against stepwise
+loops on plain learners; the last checks that scenario files round-trip.
 """
 
 import gc
@@ -15,7 +15,7 @@ import itertools
 import math
 import weakref
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robust_online import (
@@ -344,6 +344,52 @@ def test_automaton_steps_like_the_lazy_learner(game, data):
             plain[i].update(z, x, y)
     for i in (0, 1):
         assert auto.states[ids[i]] == (plain[i].inner.mask, plain[i].inner.orientation.mask)
+
+
+@PROPERTY
+@given(games(max_labels=2), st.data())
+def test_a_correct_round_is_a_self_loop(game, data):
+    """The lazy wrapper updates only on a mistake, so at every state a
+    walk reaches, revealing the predicted label leaves the state as it is,
+    whatever the revealed input.  Walks use arbitrary reveals, as above."""
+    hc, u = game
+    auto = compiled(hc, u, LazyRobustAutomaton)
+    s, reached = 0, {0}
+    for z, x, y in robust_rounds(data, hc.instance_count, 10, hc.label_count):
+        s = auto.step(s, z, x, y)
+        reached.add(s)
+    for s in reached:
+        for z in range(hc.instance_count):
+            p = auto.predict(s, z)
+            for x in range(hc.instance_count):
+                assert auto.step(s, z, x, p) == s
+
+
+@PROPERTY
+@given(search_games(), st.integers(0, 300), st.integers(0, 10**9))
+def test_probe_agrees_with_a_stepwise_replay(game, horizon, seed):
+    """The probe steps only its mistake rounds and counts an absorbing
+    state's tail at once; a plain lazy learner shown every round agrees."""
+    hc, u = game
+    assume(hc.label_count == 2 and adversarial_dimension(hc, u) >= 1)
+    x0, x1 = witness_tree(hc, u).root.pair
+    z = min(u.forward[x0] & u.forward[x1])
+    labels = derive_rng(seed, "random-label-probe").integers(0, 2, size=horizon).tolist()
+    lazy = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
+    mistakes = 0
+    for y in labels:
+        mistakes += lazy.predict(z) != y
+        lazy.update(z, (x0, x1)[y], y)
+    comparator = min(
+        sum(adversarial_loss(h, (x0, x1)[y], y, u) for y in labels) for h in hc
+    )
+    assert random_label_regret_sample(hc, u, horizon, seed) == {
+        "regret": mistakes - comparator,
+        "mistakes": mistakes,
+        "comparator": comparator,
+        "node": (x0, x1),
+        "perturbed_input": z,
+    }
 
 
 class PlainSubsetExpert:
