@@ -162,7 +162,15 @@ def dimension_of(v: VersionSpace, u: PerturbationMap, multiclass: bool = False) 
 
 
 def witness_tree(hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False) -> AdversarialTree:
-    """A shattered tree of maximum depth, deterministic for fixed inputs."""
+    """A shattered tree of maximum depth, deterministic for fixed inputs.
+
+    Built once per (class, map, mode) and kept with the class: every call
+    returns the same frozen tree.
+    """
+    return compiled(hc, u, _build_witness_tree, multiclass)
+
+
+def _build_witness_tree(hc: HypothesisClass, u: PerturbationMap, multiclass: bool):
     eng = get_engine(hc, u, multiclass)
     d = eng.dimension()
     return AdversarialTree(eng.witness_from_mask(eng.full_mask, d), d)

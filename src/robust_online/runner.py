@@ -28,7 +28,7 @@ from .scenario import Scenario
 from .seeding import derive_rng
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RobustRound:
     shown: int
     prediction: int
@@ -37,7 +37,7 @@ class RobustRound:
     loss: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OrientationRound:
     pair: tuple[int, int]
     labels: tuple[int, int]

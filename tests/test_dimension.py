@@ -135,6 +135,18 @@ def test_witness_tree_depth_two_classic():
     assert is_shattered(tree, hc, u)
 
 
+def test_witness_tree_is_built_once_per_class_map_and_mode():
+    hc, u = full_class(3), identity_map(3)
+    tree = witness_tree(hc, u)
+    assert witness_tree(hc, u) is tree
+    assert is_shattered(tree, hc, u)
+    multi = witness_tree(hc, u, multiclass=True)
+    assert witness_tree(hc, u, multiclass=True) is multi
+    assert multi is not tree and multi.depth == tree.depth == 3
+    # another map over the same class gets its own tree
+    assert witness_tree(hc, total_map(3)).depth == 1
+
+
 def test_witness_trees_validate_on_random_scenarios():
     rng = np.random.default_rng(17)
     for _ in range(40):

@@ -7,14 +7,17 @@ dimension search and the minimax oracle against plain searches written
 here, restriction, and the lifetime of compiled data; the next check the
 lazy learner's automaton, its self-loops on correct rounds, the
 random-label probe and the one-replay expert aggregation against stepwise
-loops on plain learners; the last checks that scenario files round-trip.
+loops on plain learners; then scenario files round-trip, and derived seed
+sequences match a construction from a list of digest words.
 """
 
 import gc
+import hashlib
 import itertools
 import math
 import weakref
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +40,7 @@ from robust_online import (
     comparator_loss,
     compatible_pairs,
     derive_rng,
+    derive_seed_sequence,
     family_halving_run,
     family_loss_budget,
     full_class,
@@ -537,3 +541,29 @@ def scenarios(draw):
 @given(scenarios())
 def test_scenario_text_round_trips(sc):
     assert parse_scenario(serialize_scenario(sc)) == sc
+
+
+def seed_sequence_from_words(*parts):
+    """The digest's eight little-endian words, handed over as a list."""
+    digest = hashlib.sha256("\x1f".join(str(p) for p in parts).encode()).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
+    return np.random.SeedSequence(words)
+
+
+seed_parts = st.lists(
+    st.recursive(
+        st.integers() | st.text(),
+        lambda inner: st.tuples(inner) | st.tuples(inner, inner),
+        max_leaves=4,
+    ),
+    max_size=5,
+)
+
+
+@PROPERTY
+@given(seed_parts)
+def test_seed_sequence_matches_the_word_list(parts):
+    ours, listed = derive_seed_sequence(*parts), seed_sequence_from_words(*parts)
+    assert ours.generate_state(8).tolist() == listed.generate_state(8).tolist()
+    stream = np.random.Generator(np.random.PCG64(listed))
+    assert derive_rng(*parts).random(4).tolist() == stream.random(4).tolist()

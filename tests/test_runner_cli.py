@@ -118,12 +118,18 @@ def test_dimension_trace_decreases_on_mistakes(scenario):
 
 
 def test_transcript_json_round_trip(scenario):
-    _, transcript = run_scenario(scenario)
-    text = transcript_to_json(transcript)
-    back = transcript_from_json(text)
-    assert back == transcript
-    payload = json.loads(text)
-    assert payload["protocol"] == "robust"
+    from dataclasses import replace
+
+    for protocol in ("robust", "orientation"):
+        sc = replace(scenario, game=replace(scenario.game, protocol=protocol))
+        _, transcript = run_scenario(sc)
+        text = transcript_to_json(transcript)
+        back = transcript_from_json(text)
+        assert back == transcript
+        assert transcript_to_json(back) == text
+        payload = json.loads(text)
+        assert payload["protocol"] == protocol
+        assert len(payload["rounds"]) == 10
 
 
 @pytest.mark.parametrize(
