@@ -497,7 +497,7 @@ def criterion_11(scale: Scale, seed: int) -> CriterionResult:
 
 
 def criterion_12(scale: Scale, seed: int) -> CriterionResult:
-    """Two subprocess check runs produce byte-identical output."""
+    """Two subprocess smoke checks both pass all 11 criteria, byte for byte alike."""
     cmd = [
         sys.executable,
         "-m",
@@ -513,12 +513,15 @@ def criterion_12(scale: Scale, seed: int) -> CriterionResult:
     first = subprocess.run(cmd, capture_output=True, timeout=1800)
     second = subprocess.run(cmd, capture_output=True, timeout=1800)
     identical = first.stdout == second.stdout and first.returncode == second.returncode
-    return CriterionResult(
-        12,
-        "check output is byte-reproducible",
-        identical,
-        f"bytes={len(first.stdout)} identical={str(identical).lower()}",
+    # two children that both fail, or both stop early, are identical too
+    final = b"passed 11 of 11 criteria at scale smoke"
+    completed = all(
+        run.returncode == 0 and run.stdout.splitlines()[-1:] == [final] for run in (first, second)
     )
+    detail = f"bytes={len(first.stdout)} identical={str(identical).lower()}"
+    if not completed:
+        detail += " completed=false"
+    return CriterionResult(12, "check output is byte-reproducible", identical and completed, detail)
 
 
 CRITERIA = {

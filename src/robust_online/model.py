@@ -107,6 +107,8 @@ class PerturbationMap:
 
     forward: tuple[frozenset[Instance], ...]
     preimage: tuple[frozenset[Instance], ...] = field(init=False)
+    # the map keys every compiled lookup, so it is hashed once, here
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.forward)
@@ -117,6 +119,10 @@ class PerturbationMap:
                     raise DomainError(f"U({x}) contains out-of-range instance {z}")
                 pre[z].add(x)
         object.__setattr__(self, "preimage", tuple(frozenset(p) for p in pre))
+        object.__setattr__(self, "_hash", hash((self.forward, self.preimage)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_sets(cls, sets) -> "PerturbationMap":

@@ -4,12 +4,21 @@ Independent of the dimension search: the value is computed directly from
 the game protocol, with the adversary restricted to realizability-
 preserving reveals and the learner ranging over all labels.
 
-States are version-space bitmasks, and one memoized recursion serves the
-unbounded game (children valued unbounded) and the horizon-capped game
-(children valued at one round less).  A reveal either strictly shrinks
-the state (the restriction drops at least the hypotheses inconsistent
-with it) or leaves it unchanged.  Reveals that leave the state unchanged
-are skipped, and the value stays exact:
+States are version-space bitmasks.  Each adversary move is compiled once
+into a tuple of distinct (mask, label) reveals: a robust move z holds
+(masks[x][y], y) for every x with z in U(x) and every label y, and an
+orientation node holds its two sides.  A reveal with mask 0 is never
+legal and one with the full class's mask never shrinks a state, so both
+are dropped, and so are moves left empty; equal moves are kept once.
+Robust inputs with the same reveal set thus share one move, and so do
+the mirrored multiclass nodes ((x0, x1), (a, b)) and ((x1, x0), (b, a)).
+
+One memoized recursion serves the unbounded game (children valued
+unbounded) and the horizon-capped game (children valued at one round
+less).  A reveal either strictly shrinks the state (the restriction
+drops at least the hypotheses inconsistent with it) or leaves it
+unchanged.  Reveals that leave the state unchanged are skipped, and the
+value stays exact:
 
 - Robust move z.  If the reveal (x, y) leaves V unchanged, every h in V
   labels all of U(x), which holds z, with y.  So every other legal
@@ -26,7 +35,27 @@ are skipped, and the value stays exact:
 
 Every recursive call is on a strict sub-mask (or a smaller horizon), so
 the recursion terminates.
+
+Halving cap.  No adversary forces more than floor(log2 |V|) mistakes
+from state V (Littlestone, 1988):
+
+- Robust game.  On input z the learner predicts V's plurality label at
+  z.  A mistake reveals (x, y) with z in U(x) and y not that label, and
+  keeps only hypotheses labelling all of U(x), so z too, with y.  Those
+  are at most as many as the plurality label's and disjoint from them,
+  so at most half of V.
+- Orientation game.  The two sides of a node are disjoint, so the
+  learner predicts the label of the side with more hypotheses of V, and
+  a mistake keeps the other side: at most half of V.
+- Realizable reveals never empty V, so after k mistakes
+  1 <= |V| / 2^k.
+
+A capped game also loses at most one mistake per round.  So a state's
+move loop stops once its best move reaches min(floor(log2 |V|), horizon):
+no later move can be worth more, and the stored value is still exact.
 """
+
+from collections import defaultdict
 
 from .errors import DomainError, LimitExceeded
 from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks, game_nodes
@@ -36,7 +65,11 @@ MAX_HYPOTHESES = 16
 
 
 class MinimaxSolver:
-    """Game-value solver for one (class, map, game, label mode) triple."""
+    """Game-value solver for one (class, map, game, label mode) triple.
+
+    memos[h][mask] is the exact value of state mask at horizon h, with
+    h = None for the unbounded game.
+    """
 
     def __init__(
         self,
@@ -55,68 +88,65 @@ class MinimaxSolver:
         if not multiclass and hc.label_count != 2:
             raise DomainError("binary mode requires exactly two labels")
         masks = consistency_masks(hc, u)
-        # every adversary move is a list of legal reveals (label, mask)
         if game == "robust":
-            self.moves = []
-            for z in range(u.instance_count):
-                opts = [
-                    (y, masks[x][y])
-                    for x in sorted(u.preimage[z])
-                    for y in range(hc.label_count)
-                ]
-                if opts:
-                    self.moves.append(opts)
-        else:
-            self.moves = [
-                [(y0, m0), (y1, m1)]
-                for _, (y0, y1), m0, m1 in game_nodes(hc, u, multiclass)
+            raw = [
+                [(masks[x][y], y) for x in u.preimage[z] for y in range(hc.label_count)]
+                for z in range(u.instance_count)
             ]
-        # keyed by mask in the unbounded game, by (mask, horizon) when capped
-        self._memo: dict[int | tuple[int, int], int] = {}
+        else:
+            raw = [[(m0, y0), (m1, y1)] for _, (y0, y1), m0, m1 in game_nodes(hc, u, multiclass)]
+        full = (1 << hc.size) - 1
+        moves = {tuple(sorted({(m, y) for m, y in move if m and m != full})) for move in raw}
+        moves.discard(())
+        self.moves = tuple(sorted(moves))
+        self.memos: defaultdict[int | None, dict[int, int]] = defaultdict(dict)
 
     def value(self, mask: int, horizon: int | None = None) -> int:
         """Optimal forced mistakes from a nonempty version-space mask."""
-        if horizon is None:
-            key, child = mask, None
-        elif horizon <= 0:
+        if horizon is not None and horizon <= 0:
             return 0
-        else:
-            key, child = (mask, horizon), horizon - 1
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        memo = self.memos[horizon]
+        hit = memo.get(mask)
+        return self._solve(mask, horizon, memo) if hit is None else hit
+
+    def _solve(self, mask: int, horizon: int | None, memo: dict[int, int]) -> int:
+        """Value of a state not yet in memo, the memo of its horizon."""
+        cap = mask.bit_count().bit_length() - 1
+        child = None
+        if horizon is not None:
+            cap = min(cap, horizon)
+            child = horizon - 1
         best = 0
-        for move in self.moves:
-            legal = []
-            for y, t in move:
-                sub = mask & t
-                if sub and sub != mask:
-                    legal.append((y, self.value(sub, child)))
-            if legal:
-                mv = _move_value(legal)
+        if cap > 0:
+            child_memo = self.memos[child]
+            for move in self.moves:
+                # top is the best child value and top_label its label, rest
+                # the best value of any other label.  Predicting top_label
+                # costs max(top, rest + 1); any other label at least top + 1.
+                top = rest = -1
+                top_label = None
+                for t, y in move:
+                    sub = mask & t
+                    if sub and sub != mask:
+                        c = child_memo.get(sub)
+                        if c is None:
+                            c = self._solve(sub, child, child_memo)
+                        if y == top_label:
+                            if c > top:
+                                top = c
+                        elif c > top:
+                            rest, top, top_label = top, c, y
+                        elif c > rest:
+                            rest = c
+                if top < 0:
+                    continue
+                mv = top if top > rest else rest + 1
                 if mv > best:
                     best = mv
-        self._memo[key] = best
+                    if best >= cap:
+                        break
+        memo[mask] = best
         return best
-
-
-def _move_value(legal: list) -> int:
-    """The learner's best worst case against one move's legal reveals.
-
-    A reveal is (label, child value).  Predicting a label of a
-    highest-valued reveal costs max(top, 1 + the best reveal of any other
-    label); any other prediction costs at least 1 + top, so that is the
-    minimum over predictions.
-    """
-    top, top_label = -1, None
-    for y, c in legal:
-        if c > top:
-            top, top_label = c, y
-    rest = -1
-    for y, c in legal:
-        if y != top_label and c > rest:
-            rest = c
-    return top if top > rest else rest + 1
 
 
 def optimal_mistake_bound(

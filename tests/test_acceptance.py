@@ -20,8 +20,11 @@ refactor that claims to keep every output has its claim checked; a change
 that moves a line on purpose updates the literal and says so.
 """
 
+import subprocess
+
 import pytest
 
+from robust_online import acceptance
 from robust_online.acceptance import CRITERIA, FULL, SMOKE
 
 SMOKE_LINES_SEED_0 = [
@@ -107,6 +110,30 @@ def test_criterion_11_random_label_scaling_slope():
 
 def test_criterion_12_check_output_reproducibility():
     run(12)
+
+
+SMOKE_STDOUT_SEED_0 = "".join(f"{line}\n" for line in SMOKE_LINES_SEED_0).encode()
+
+
+@pytest.mark.parametrize(
+    "returncode, stdout, passed",
+    [
+        (0, SMOKE_STDOUT_SEED_0 + b"passed 11 of 11 criteria at scale smoke\n", True),
+        (1, b"", False),
+        (0, SMOKE_STDOUT_SEED_0, False),
+        (0, SMOKE_STDOUT_SEED_0[:100], False),
+    ],
+)
+def test_criterion_12_requires_both_children_to_complete(monkeypatch, returncode, stdout, passed):
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, returncode, stdout=stdout, stderr=b"")
+
+    monkeypatch.setattr(acceptance.subprocess, "run", fake_run)
+    result = CRITERIA[12](SMOKE, 0)
+    assert result.passed is passed
+    # both runs read as identical; only an incomplete pair says so
+    suffix = "" if passed else " completed=false"
+    assert result.detail == f"bytes={len(stdout)} identical=true{suffix}"
 
 
 def test_smoke_lines_are_pinned():

@@ -5,6 +5,7 @@ import pytest
 
 from robust_online import (
     BASELINES,
+    CorpusParams,
     HypothesisClass,
     OrientationTreeAdversary,
     PerturbationMap,
@@ -13,6 +14,7 @@ from robust_online import (
     SoaOrientationLearner,
     adversarial_dimension,
     full_class,
+    generate_corpus,
     identity_map,
     is_realizable_sequence,
     make_learner,
@@ -21,6 +23,8 @@ from robust_online import (
     witness_tree,
 )
 from robust_online.errors import LimitExceeded
+from robust_online.model import game_nodes
+from robust_online.oracle import MinimaxSolver
 from robust_online.seeding import derive_rng
 
 HC5 = HypothesisClass.from_tables(
@@ -175,6 +179,17 @@ def test_oracle_horizon_caps_the_value():
     assert optimal_mistake_bound(hc, u, horizon=10) == 3
 
 
+def test_oracle_compiles_each_distinct_move_once():
+    # under the total map every input offers the same two reveals
+    solver = MinimaxSolver(full_class(3), total_map(3), "robust")
+    assert len(solver.moves) == 1
+    assert optimal_mistake_bound(full_class(3), total_map(3)) == 1
+    # the mirrored nodes ((x, x), (a, b)) and ((x, x), (b, a)) share a move
+    hc, u = full_class(2, label_count=3), identity_map(2)
+    assert len(game_nodes(hc, u, multiclass=True)) == 12
+    assert len(MinimaxSolver(hc, u, "orientation", multiclass=True).moves) == 6
+
+
 def test_oracle_refuses_oversized_inputs():
     # the documented limits are 5 instances and 16 hypotheses
     with pytest.raises(LimitExceeded):
@@ -186,3 +201,15 @@ def test_oracle_multiclass_three_labels():
     u = identity_map(2)
     value = optimal_mistake_bound(hc, u, game="robust", multiclass=True)
     assert value == adversarial_dimension(hc, u, multiclass=True)
+
+
+@pytest.mark.parametrize("label_count", [3, 4])
+def test_oracle_matches_dimension_on_multiclass_corpora(label_count):
+    dims = []
+    for sc in generate_corpus(CorpusParams(count=60, seed=5, label_count=label_count)):
+        hc, u = sc.hypotheses, sc.truth
+        dim = adversarial_dimension(hc, u, multiclass=True)
+        for game in ("robust", "orientation"):
+            assert optimal_mistake_bound(hc, u, game, multiclass=True) == dim
+        dims.append(dim)
+    assert max(dims) >= 3

@@ -164,6 +164,17 @@ def test_perturbation_map_rejects_out_of_range_targets():
         PerturbationMap.from_sets([{0, 5}, {1}])
 
 
+def test_equal_perturbation_maps_hash_equal():
+    a = PerturbationMap.from_sets([{0, 1}, {1}, set()])
+    b = PerturbationMap.from_sets([[1, 0], (1,), []])
+    assert a is not b and a == b
+    assert hash(a) == hash(b)
+    assert {a: "value"}[b] == "value"
+    assert a != PerturbationMap.from_sets([{0, 1}, {1}, {2}])
+    # the cached hash is neither compared nor shown
+    assert "_hash" not in repr(a)
+
+
 def test_full_class_size():
     assert full_class(3).size == 8
     assert full_class(2, label_count=3).size == 9

@@ -63,6 +63,7 @@ from robust_online.agnostic import hypothesis_losses
 from robust_online.dimension import get_engine
 from robust_online.learners import LazyRobustAutomaton
 from robust_online.model import compiled, consistency_masks, game_nodes
+from robust_online.oracle import MinimaxSolver
 from robust_online.scenario import ADVERSARIES, DEFAULT_LABELS, PROTOCOLS
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -222,8 +223,8 @@ def test_pruned_search_matches_the_plain_recursion(game, multiclass):
         assert engine.dimension_of_mask(mask) == value
 
 
-def reference_game_value(hc, u, game, multiclass, horizon):
-    """Minimax value that re-runs the whole Bellman equation on every pass."""
+def reference_game_values(hc, u, game, multiclass):
+    """value(mask, h): minimax value that re-runs the whole Bellman equation on every pass."""
     masks = consistency_masks(hc, u)
     labels = range(hc.label_count)
     if game == "robust":
@@ -266,7 +267,11 @@ def reference_game_value(hc, u, game, multiclass, horizon):
             memo[mask, h] = v
         return memo[mask, h]
 
-    return value((1 << hc.size) - 1, horizon)
+    return value
+
+
+def reference_game_value(hc, u, game, multiclass, horizon):
+    return reference_game_values(hc, u, game, multiclass)((1 << hc.size) - 1, horizon)
 
 
 @PROPERTY
@@ -286,6 +291,26 @@ def test_oracle_matches_the_full_bellman_iteration(game, multiclass):
         assert capped == sorted(capped)
         assert max(capped) <= v
         assert capped[v] == v
+
+
+@PROPERTY
+@given(search_games(max_hypotheses=12), st.booleans())
+def test_every_oracle_memo_entry_is_its_state_value(game, multiclass):
+    hc, u = game
+    multiclass = multiclass or hc.label_count > 2
+    full = (1 << hc.size) - 1
+    horizons = (None, 1, 2, 3, 4)
+    for name in ("robust", "orientation"):
+        for horizon in horizons:
+            optimal_mistake_bound(hc, u, name, multiclass, horizon)
+        # the halving cap stops a state's move loop early, but never stores
+        # a value short of the state's own
+        solver = compiled(hc, u, MinimaxSolver, name, multiclass)
+        assert all(full in solver.memos[h] for h in horizons)
+        value = reference_game_values(hc, u, name, multiclass)
+        for horizon, memo in solver.memos.items():
+            for mask, v in memo.items():
+                assert v == value(mask, horizon)
 
 
 @PROPERTY
