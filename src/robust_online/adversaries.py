@@ -5,11 +5,20 @@ play the current node, punish whatever the learner predicts by revealing
 the other side, and descend along the revealed edge.  Realizability is
 maintained by construction, because every root-to-node path of a shattered
 tree is realizable.
+
+The realizable generators pick a hypothesis and draw rounds that cost it
+nothing.  Each (class, map) keeps, per game, a table of every hypothesis's
+playable choices as integer codes, filled on first use (RobustChoices,
+OrientationChoices), so a call draws from a ready list and builds round
+objects only for the rounds it returns.  The draws are exactly those of a
+plain loop that lists the choices and makes one scalar rng.integers call
+per choice, so a seed gives the same rounds and leaves its generator at
+the same position.
 """
 
 from .dimension import AdversarialTree
 from .learners import OrientationQuery
-from .model import HypothesisClass, PerturbationMap, consistency_masks, game_nodes
+from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks, game_nodes
 
 
 def _punished_side(node, prediction: int) -> int:
@@ -113,34 +122,86 @@ class ScriptedOrientationAdversary:
         return side
 
 
+class _Choices:
+    """Integer codes of each hypothesis's playable choices in one game.
+
+    Codes are listed in increasing order, which is the order of
+    robust_anchors and orientation_options.  A hypothesis's codes are
+    found on first use and kept.
+    """
+
+    def __init__(self, size: int):
+        self._codes: list[tuple[int, ...] | None] = [None] * size
+
+    def codes(self, h: int) -> tuple[int, ...]:
+        """Codes of the choices that cost hypothesis id h nothing."""
+        found = self._codes[h]
+        if found is None:
+            found = self._codes[h] = tuple(self._playable(h))
+        return found
+
+    def first_playable(self, rng) -> tuple[int, ...]:
+        """codes(h) of the first hypothesis, in a random order, that has any.
+
+        Returns () when no hypothesis has playable choices.
+        """
+        order = list(range(len(self._codes)))
+        rng.shuffle(order)
+        for h in order:
+            found = self.codes(h)
+            if found:
+                return found
+        return ()
+
+
+class RobustChoices(_Choices):
+    """Clean pairs (x, y), coded x * L + y for L labels, per hypothesis.
+
+    Got through compiled(hc, u, RobustChoices).  perturbations[x] is U(x)
+    sorted.
+    """
+
+    def __init__(self, hc: HypothesisClass, u: PerturbationMap):
+        super().__init__(hc.size)
+        self.masks = consistency_masks(hc, u)
+        self.perturbations = tuple(tuple(sorted(s)) for s in u.forward)
+
+    def _playable(self, h: int):
+        L = len(self.masks[0])
+        for x, row in enumerate(self.masks):
+            if self.perturbations[x]:
+                for y, m in enumerate(row):
+                    if m >> h & 1:
+                        yield x * L + y
+
+
+class OrientationChoices(_Choices):
+    """Orientation options, coded 2 * node + side, per hypothesis.
+
+    node indexes game_nodes(hc, u, multiclass).  Got through
+    compiled(hc, u, OrientationChoices, multiclass).
+    """
+
+    def __init__(self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool):
+        super().__init__(hc.size)
+        self.nodes = game_nodes(hc, u, multiclass)
+
+    def _playable(self, h: int):
+        for i, (_, _, m0, m1) in enumerate(self.nodes):
+            if m0 >> h & 1:
+                yield 2 * i
+            if m1 >> h & 1:
+                yield 2 * i + 1
+
+
 def robust_anchors(hc: HypothesisClass, u: PerturbationMap, h) -> list[tuple[int, int]]:
     """Clean pairs (x, y) that cost h nothing and can actually be played.
 
     Playable means U(x) is nonempty (the adversary must present some
     perturbation of x) and h labels all of U(x) with the single y.
     """
-    masks = consistency_masks(hc, u)
-    return [
-        (x, y)
-        for x in range(u.instance_count)
-        if u.forward[x]
-        for y in range(hc.label_count)
-        if masks[x][y] >> h.id & 1
-    ]
-
-
-def _first_playable(hc: HypothesisClass, rng, options) -> list:
-    """options(h) of the first hypothesis, in a random order, that has any.
-
-    Returns [] when no hypothesis has playable options.
-    """
-    order = list(range(hc.size))
-    rng.shuffle(order)
-    for i in order:
-        found = options(hc[i])
-        if found:
-            return found
-    return []
+    codes = compiled(hc, u, RobustChoices).codes(h.id)
+    return [divmod(c, hc.label_count) for c in codes]
 
 
 def realizable_robust_rounds(
@@ -148,17 +209,28 @@ def realizable_robust_rounds(
 ) -> list[tuple[int, int, int]]:
     """Random (z, x, y) rounds realizable by one hypothesis.
 
-    The hypothesis is picked at random among those with playable anchors.
-    Returns [] when no hypothesis has any playable anchor.
+    The hypothesis is picked at random among those with playable anchors:
+    the first of a shuffled id list that has any.  Each round draws an
+    anchor of that hypothesis, then z from U(x).  Returns [] when no
+    hypothesis has any playable anchor.
+
+    The draws are those of a plain loop over robust_anchors: one shuffle
+    of the hypothesis ids, then one rng.integers(k) per choice among k.
+    A choice with k = 1 (a hypothesis with one anchor, or a singleton
+    U(x)) draws nothing, because rng.integers(1) returns 0 without
+    consuming any bits, so the rounds and the stream's position
+    afterwards are unchanged.
     """
-    anchors = _first_playable(hc, rng, lambda h: robust_anchors(hc, u, h))
-    if not anchors:
+    table = compiled(hc, u, RobustChoices)
+    codes = table.first_playable(rng)
+    if not codes:
         return []
+    labels, zs, k = hc.label_count, table.perturbations, len(codes)
     rounds = []
     for _ in range(length):
-        x, y = anchors[int(rng.integers(len(anchors)))]
-        zs = sorted(u.forward[x])
-        rounds.append((zs[int(rng.integers(len(zs)))], x, y))
+        x, y = divmod(codes[int(rng.integers(k))] if k > 1 else codes[0], labels)
+        ux = zs[x]
+        rounds.append((ux[int(rng.integers(len(ux)))] if len(ux) > 1 else ux[0], x, y))
     return rounds
 
 
@@ -166,12 +238,13 @@ def orientation_options(
     hc: HypothesisClass, u: PerturbationMap, h, multiclass: bool = False
 ) -> list[tuple[OrientationQuery, int]]:
     """(query, side) choices whose reveal costs h nothing."""
-    return [
-        (OrientationQuery(pair, labels), side)
-        for pair, labels, m0, m1 in game_nodes(hc, u, multiclass)
-        for side, m in enumerate((m0, m1))
-        if m >> h.id & 1
-    ]
+    table = compiled(hc, u, OrientationChoices, multiclass)
+    return [_option(table.nodes, c) for c in table.codes(h.id)]
+
+
+def _option(nodes, code: int) -> tuple[OrientationQuery, int]:
+    pair, labels, _, _ = nodes[code >> 1]
+    return OrientationQuery(pair, labels), code & 1
 
 
 def realizable_orientation_rounds(
@@ -183,15 +256,23 @@ def realizable_orientation_rounds(
 ) -> list[tuple[OrientationQuery, int]]:
     """Random orientation rounds whose revealed sides one hypothesis realizes.
 
-    The hypothesis is picked at random among those with playable options.
-    Returns [] when no hypothesis has any.
+    The hypothesis is picked at random among those with playable options,
+    as in realizable_robust_rounds.  Returns [] when no hypothesis has any.
+
+    All of a sequence's option indices come from one
+    rng.integers(k, size=length) call.  NumPy fills an array of bounded
+    integers one value at a time with the same rejection step a scalar
+    call makes, from the bit generator's 32-bit outputs (k < 2^32), so the
+    call returns the values, and leaves the stream at the position, of
+    length scalar rng.integers(k) calls.  A query is built only for the
+    rounds drawn.
     """
-    options = _first_playable(
-        hc, rng, lambda h: orientation_options(hc, u, h, multiclass)
-    )
-    if not options:
+    table = compiled(hc, u, OrientationChoices, multiclass)
+    codes = table.first_playable(rng)
+    if not codes:
         return []
-    return [options[int(rng.integers(len(options)))] for _ in range(length)]
+    nodes = table.nodes
+    return [_option(nodes, codes[i]) for i in rng.integers(len(codes), size=length).tolist()]
 
 
 def corrupt_labels(rounds, corruptions: int, label_count: int, rng):

@@ -20,6 +20,15 @@ code that sees both the prediction and the reveal counts the mistakes: the
 loss bits of the game runners, the loss matrix of the expert replay, and
 the loops of the estimators.
 
+The optimal learners of one (class, map, label mode, tie-break) share a
+LearnerContext, got with one compiled() lookup: the masks, the dimension
+engine and the robust reduction's prediction memo.  A reduction's
+prediction is a function of its robust mask, its orientation learner's
+mask and the input, so the memo is keyed by those three and holds only
+the label (and the event string when the prediction logs one, which a
+hit logs again).  Strict and tolerant learners share it, since
+strictness only changes what update does.
+
 LazyRobustAutomaton memoizes the tolerant lazy optimal robust learner over
 its interned states for the agnostic replays, which run it many times on
 few states; it asks that learner on every miss.  Games, strict learners
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 
 from .dimension import get_engine
 from .errors import ProtocolViolation, SearchInvariantError
-from .model import HypothesisClass, PerturbationMap, VersionSpace, consistency_masks
+from .model import HypothesisClass, PerturbationMap, VersionSpace, compiled, consistency_masks
 
 OPTIMAL = "optimal"
 BASELINES = ("constant-0", "constant-1", "random", "majority")
@@ -47,6 +56,36 @@ class OrientationQuery:
 
     pair: tuple[int, int]
     labels: tuple[int, int] = (0, 1)
+
+
+class LearnerContext:
+    """What the optimal learners of one (class, map, label mode, tie-break)
+    share: the masks, the dimension engine and the robust reduction's
+    prediction memo.
+
+    Got through compiled(hc, u, LearnerContext, multiclass, tie_break), so
+    building a learner takes one lookup.  predictions maps (robust mask,
+    orientation mask, z), packed into one int, to the reduction's label,
+    or to (label, event) when that prediction logs an event.
+    """
+
+    def __init__(self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool, tie_break: str):
+        self.hc = hc
+        self.u = u
+        self.multiclass = multiclass
+        self.tie_break = tie_break
+        self.masks = consistency_masks(hc, u)
+        self.engine = get_engine(hc, u, multiclass)
+        self.full = (1 << hc.size) - 1
+        self.predictions: dict[int, object] = {}
+        self.mask_bits = hc.size
+        self.input_bits = (u.instance_count - 1).bit_length()
+
+
+def _context(hc, u, multiclass: bool, tie_break: str) -> LearnerContext:
+    if tie_break not in ("low", "high"):
+        raise ValueError(f"unknown tie_break {tie_break!r}")
+    return compiled(hc, u, LearnerContext, multiclass, tie_break)
 
 
 class SoaOrientationLearner:
@@ -71,16 +110,17 @@ class SoaOrientationLearner:
         tie_break: str = "low",
         strict: bool = True,
     ):
-        if tie_break not in ("low", "high"):
-            raise ValueError(f"unknown tie_break {tie_break!r}")
-        self.hc = hc
-        self.u = u
-        self.multiclass = multiclass
-        self.tie_break = tie_break
+        self._start(_context(hc, u, multiclass, tie_break), strict)
+
+    def _start(self, ctx: "LearnerContext", strict: bool) -> None:
+        self.hc = ctx.hc
+        self.u = ctx.u
+        self.multiclass = ctx.multiclass
+        self.tie_break = ctx.tie_break
         self.strict = strict
-        self.engine = get_engine(hc, u, multiclass)
-        self._masks = consistency_masks(hc, u)
-        self.mask = (1 << hc.size) - 1
+        self.engine = ctx.engine
+        self._masks = ctx.masks
+        self.mask = ctx.full
         self.events: list[str] = []
 
     @property
@@ -152,18 +192,20 @@ class RobustReductionLearner:
         empty_prediction: int | None = None,
         tie_break: str = "low",
     ):
+        ctx = _context(hc, u, multiclass, tie_break)
         self.hc = hc
         self.u = u
         self.multiclass = multiclass
         self.strict = strict
         self.empty_prediction = empty_prediction
-        self.orientation = SoaOrientationLearner(
-            hc, u, multiclass, tie_break=tie_break, strict=False
-        )
-        self._masks = consistency_masks(hc, u)
-        self.mask = (1 << hc.size) - 1
+        # the orientation learner starts on the same context, looked up once
+        self.orientation = SoaOrientationLearner.__new__(SoaOrientationLearner)
+        self.orientation._start(ctx, strict=False)
+        self._masks = ctx.masks
+        self._ctx = ctx
+        self.mask = ctx.full
         self.events: list[str] = []
-        self._last = None  # (z, prediction, candidate sets) for update reuse
+        self._last = None  # (z, prediction) for update reuse
 
     @property
     def version_space(self) -> VersionSpace:
@@ -177,9 +219,23 @@ class RobustReductionLearner:
             for y in range(self.hc.label_count)
         ]
 
-    def _compute(self, z: int):
+    def _compute(self, z: int) -> int:
+        """The prediction on input z, memoized per (mask, orientation mask, z)."""
         if self.mask == 0 and self.empty_prediction is not None:
-            return self.empty_prediction, [[] for _ in range(self.hc.label_count)]
+            return self.empty_prediction
+        ctx = self._ctx
+        key = ((self.mask << ctx.mask_bits | self.orientation.mask) << ctx.input_bits) | z
+        hit = ctx.predictions.get(key)
+        if hit is None:
+            hit = ctx.predictions[key] = self._decide(z)
+        if type(hit) is int:
+            return hit
+        label, event = hit
+        self.events.append(event)
+        return label
+
+    def _decide(self, z: int):
+        """The label, or (label, event) when several labels qualify."""
         cands = self.candidate_sets(z)
         orient = self.orientation.predict
         winners = []
@@ -194,14 +250,14 @@ class RobustReductionLearner:
                     winners.append(y)
                     break
         if not winners:
-            return (0 if self.multiclass else 1), cands
+            return 0 if self.multiclass else 1
         if len(winners) > 1:
-            self.events.append(f"multiple-qualifying-labels:{winners}")
-        return winners[0], cands
+            return winners[0], f"multiple-qualifying-labels:{winners}"
+        return winners[0]
 
     def predict(self, z: int) -> int:
-        pred, cands = self._compute(z)
-        self._last = (z, pred, cands)
+        pred = self._compute(z)
+        self._last = (z, pred)
         return pred
 
     def _feed_counterpart(self, x: int, y: int, cands) -> bool:
@@ -227,12 +283,9 @@ class RobustReductionLearner:
                     f"shown input {z}"
                 )
             self.events.append("input-outside-belief")
-        if self._last is not None and self._last[0] == z:
-            _, pred, cands = self._last
-        else:
-            pred, cands = self._compute(z)
-        self._last = None
-        if pred != y and not self._feed_counterpart(x, y, cands):
+        last, self._last = self._last, None
+        pred = last[1] if last is not None and last[0] == z else self._compute(z)
+        if pred != y and not self._feed_counterpart(x, y, self.candidate_sets(z)):
             if self.strict:
                 raise SearchInvariantError(
                     "mistake round has no wrongly oriented counterpart; "

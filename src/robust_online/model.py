@@ -255,7 +255,8 @@ def restrict(v: VersionSpace, x: Instance, y: Label, u: PerturbationMap) -> Vers
 
     With U(x) empty the constraint is vacuous and v comes back unchanged.
     """
-    return VersionSpace(v.parent, v.mask & surviving_mask([(x, y)], v.parent, u))
+    hc = v.parent
+    return VersionSpace(hc, v.mask & _pair_mask(consistency_masks(hc, u), hc, x, y))
 
 
 def surviving_mask(pairs, hc: HypothesisClass, u: PerturbationMap) -> int:
@@ -263,14 +264,19 @@ def surviving_mask(pairs, hc: HypothesisClass, u: PerturbationMap) -> int:
     masks = consistency_masks(hc, u)
     m = (1 << hc.size) - 1
     for x, y in pairs:
-        if not 0 <= x < hc.instance_count:
-            raise DomainError(f"instance id {x} outside [0, {hc.instance_count})")
-        if not 0 <= y < hc.label_count:
-            raise DomainError(f"label id {y} outside [0, {hc.label_count})")
-        m &= masks[x][y]
+        m &= _pair_mask(masks, hc, x, y)
         if m == 0:
             break
     return m
+
+
+def _pair_mask(masks, hc: HypothesisClass, x: Instance, y: Label) -> int:
+    """masks[x][y], after checking that (x, y) is in range."""
+    if not 0 <= x < hc.instance_count:
+        raise DomainError(f"instance id {x} outside [0, {hc.instance_count})")
+    if not 0 <= y < hc.label_count:
+        raise DomainError(f"label id {y} outside [0, {hc.label_count})")
+    return masks[x][y]
 
 
 def is_realizable_sequence(pairs, hc: HypothesisClass, u: PerturbationMap) -> bool:

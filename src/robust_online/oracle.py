@@ -68,7 +68,8 @@ class MinimaxSolver:
     """Game-value solver for one (class, map, game, label mode) triple.
 
     memos[h][mask] is the exact value of state mask at horizon h, with
-    h = None for the unbounded game.
+    h = None for the unbounded game.  Horizon 0 has no memo: every state
+    is worth 0 there.
     """
 
     def __init__(
@@ -118,7 +119,8 @@ class MinimaxSolver:
             child = horizon - 1
         best = 0
         if cap > 0:
-            child_memo = self.memos[child]
+            # a horizon-0 child is worth 0 and is not stored
+            child_memo = self.memos[child] if child != 0 else None
             for move in self.moves:
                 # top is the best child value and top_label its label, rest
                 # the best value of any other label.  Predicting top_label
@@ -128,9 +130,12 @@ class MinimaxSolver:
                 for t, y in move:
                     sub = mask & t
                     if sub and sub != mask:
-                        c = child_memo.get(sub)
-                        if c is None:
-                            c = self._solve(sub, child, child_memo)
+                        if child_memo is None:
+                            c = 0
+                        else:
+                            c = child_memo.get(sub)
+                            if c is None:
+                                c = self._solve(sub, child, child_memo)
                         if y == top_label:
                             if c > top:
                                 top = c

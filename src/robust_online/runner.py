@@ -109,11 +109,12 @@ def run_robust_game(
     rounds = []
     trace = [] if track_dimension else None
     engine = get_engine(hc, u, hc.label_count > 2) if track_dimension else None
+    n = u.instance_count
     for t in range(horizon):
         z = adversary.emit()
         if z is None:
             break
-        if not 0 <= z < u.instance_count:
+        if not 0 <= z < n:
             raise ProtocolViolation(f"round {t}: shown input {z} is out of range")
         pred = learner.predict(z)
         x, y = adversary.reveal(pred)
@@ -142,12 +143,13 @@ def run_orientation_game(
     rounds = []
     trace = [] if track_dimension else None
     engine = get_engine(hc, u, hc.label_count > 2) if track_dimension else None
+    n = u.instance_count
     for t in range(horizon):
         query = adversary.query()
         if query is None:
             break
         a, b = query.pair
-        if not (0 <= a < u.instance_count and 0 <= b < u.instance_count):
+        if not (0 <= a < n and 0 <= b < n):
             raise ProtocolViolation(f"round {t}: query pair {query.pair} out of range")
         if u.forward[a].isdisjoint(u.forward[b]):
             raise ProtocolViolation(

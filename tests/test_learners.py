@@ -313,6 +313,33 @@ def test_orientation_queries_are_looked_up_once(monkeypatch):
     assert learner.orientation.version_space.size == 1
 
 
+def test_a_memo_hit_logs_the_prediction_event_again(monkeypatch):
+    """The SOA orientation learner is side-symmetric, so with it two labels
+    never both qualify.  Orienting every query toward its first side lets
+    each label with a candidate qualify, so the reduction logs
+    multiple-qualifying-labels; a second learner on the same class gets
+    that prediction from the shared memo and logs the event too."""
+    asked = []
+
+    def first_side(self, query):
+        asked.append(query)
+        return query.labels[0]
+
+    monkeypatch.setattr(SoaOrientationLearner, "predict", first_side)
+    hc, u = full_class(2, 3), identity_map(2)
+    copy = HypothesisClass.from_tables([h.table for h in hc], 3)
+    first, second = (RobustReductionLearner(hc, u, multiclass=True) for _ in range(2))
+    assert first.predict(0) == 0
+    assert first.events == ["multiple-qualifying-labels:[0, 1, 2]"]
+    before = len(asked)
+    assert second.predict(0) == 0
+    assert len(asked) == before
+    fresh = RobustReductionLearner(copy, u, multiclass=True)
+    assert fresh.predict(0) == 0
+    assert len(asked) > before
+    assert second.events == fresh.events == first.events
+
+
 def test_learner_registry_names_and_games():
     hc = full_class(2)
     u = identity_map(2)

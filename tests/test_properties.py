@@ -2,12 +2,14 @@
 
 The consistency masks are the package's single source of the robust
 loss.  The first properties check them, and the functions derived from
-them, against the definitional `adversarial_loss`; the next check the
-dimension search and the minimax oracle against plain searches written
-here, restriction, and the lifetime of compiled data; the next check the
-lazy learner's automaton, its self-loops on correct rounds, the
-random-label probe and the one-replay expert aggregation against stepwise
-loops on plain learners; then scenario files round-trip, and derived seed
+them, against the definitional `adversarial_loss`, and the realizable
+generators against a plain loop with one scalar draw per choice; the next
+check the dimension search and the minimax oracle against plain searches
+written here, restriction, and the lifetime of compiled data; the next
+check the shared prediction memo against fresh classes, the lazy
+learner's automaton, its self-loops on correct rounds, the random-label
+probe and the one-replay expert aggregation against stepwise loops on
+plain learners; then scenario files round-trip, and derived seed
 sequences match a construction from a list of digest words.
 """
 
@@ -25,6 +27,7 @@ from robust_online import (
     LEARNER_NAMES,
     AdversarialTree,
     AdversarialTreeNode,
+    CorpusParams,
     ExponentialWeightsForecaster,
     GameConfig,
     HypothesisClass,
@@ -39,11 +42,13 @@ from robust_online import (
     build_family_experts,
     comparator_loss,
     compatible_pairs,
+    corrupt_labels,
     derive_rng,
     derive_seed_sequence,
     family_halving_run,
     family_loss_budget,
     full_class,
+    generate_corpus,
     horizon_rate,
     identity_map,
     is_shattered,
@@ -54,8 +59,11 @@ from robust_online import (
     optimal_mistake_bound,
     parse_scenario,
     random_label_regret_sample,
+    realizable_orientation_rounds,
+    realizable_robust_rounds,
     restrict,
     serialize_scenario,
+    total_map,
     witness_tree,
 )
 from robust_online.adversaries import orientation_options, robust_anchors
@@ -143,6 +151,83 @@ def test_anchors_and_options_match_the_definition(game):
         for multiclass in (False, True):
             expected = reference_options(hc, u, h, multiclass)
             assert orientation_options(hc, u, h, multiclass) == expected
+
+
+def reference_rounds(hc, rng, length, choices, draw):
+    """The plain generator loop: shuffle the hypothesis ids, take the first
+    hypothesis with playable choices, then draw(choices, rng) per round
+    with one scalar draw per choice made."""
+    order = list(range(hc.size))
+    rng.shuffle(order)
+    found = next((c for c in (choices(hc[i]) for i in order) if c), [])
+    return [draw(found, rng) for _ in range(length)] if found else []
+
+
+def draw_robust(u):
+    def draw(anchors, rng):
+        x, y = anchors[int(rng.integers(len(anchors)))]
+        zs = sorted(u.forward[x])
+        return zs[int(rng.integers(len(zs)))], x, y
+
+    return draw
+
+
+def draw_option(options, rng):
+    return options[int(rng.integers(len(options)))]
+
+
+@PROPERTY
+@given(games(), st.integers(0, 30), st.booleans(), st.integers(0, 2**32 - 1))
+def test_generators_draw_like_the_plain_loop(game, length, multiclass, seed):
+    """Coded tables, skipped one-way draws and the orientation game's one
+    batched draw give the plain loop's rounds and leave the stream where
+    it leaves it."""
+    hc, u = game
+    cases = (
+        (
+            lambda rng: realizable_robust_rounds(hc, u, length, rng),
+            lambda h: reference_anchors(u, h),
+            draw_robust(u),
+        ),
+        (
+            lambda rng: realizable_orientation_rounds(hc, u, length, rng, multiclass),
+            lambda h: reference_options(hc, u, h, multiclass),
+            draw_option,
+        ),
+    )
+    for ours, choices, draw in cases:
+        rng, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert ours(rng) == reference_rounds(hc, plain, length, choices, draw)
+        assert rng.integers(2**32) == plain.integers(2**32)
+
+
+def pinned_games():
+    for labels in (2, 3):
+        for sc in generate_corpus(CorpusParams(count=40, seed=11, label_count=labels)):
+            yield sc.hypotheses, sc.truth, sc.multiclass
+    for n in (5, 6):
+        ring = PerturbationMap.from_sets([{(x - 1) % n, x, (x + 1) % n} for x in range(n)])
+        yield full_class(n), ring, False
+        yield full_class(n), total_map(n), False
+    yield full_class(3, 3), total_map(3), True
+
+
+def test_generated_rounds_match_the_pinned_digest():
+    """The rounds of both generators, and the next draw after each call,
+    over a fixed corpus.  The digest was recorded with one scalar draw per
+    choice, so it also checks the batched draw on every NumPy in CI."""
+    digest = hashlib.sha256()
+    for i, (hc, u, multiclass) in enumerate(pinned_games()):
+        for length in (0, 1, 4, 10, 30):
+            rng = derive_rng(11, "pinned-rounds", i, length)
+            robust = realizable_robust_rounds(hc, u, length, rng)
+            orient = realizable_orientation_rounds(hc, u, length, rng, multiclass=multiclass)
+            after = int(rng.integers(2**32))
+            sides = [(q.pair, q.labels, side) for q, side in orient]
+            digest.update(repr((robust, sides, after)).encode())
+    assert digest.hexdigest() == (
+        "5a1902e0562653b4854dc2ace9d7ec773df4c0c7be4a79a4a86009a3fd4e26c1"
+    )
 
 
 @PROPERTY
@@ -373,6 +458,71 @@ def test_automaton_steps_like_the_lazy_learner(game, data):
             plain[i].update(z, x, y)
     for i in (0, 1):
         assert auto.states[ids[i]] == (plain[i].inner.mask, plain[i].inner.orientation.mask)
+
+
+def fresh_copy(hc):
+    """The class again, with an empty compiled store."""
+    return HypothesisClass.from_tables([h.table for h in hc], hc.label_count)
+
+
+@PROPERTY
+@given(games(), st.booleans(), st.sampled_from(("low", "high")), st.data())
+def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, tie_break, data):
+    """Robust learners that share a class's prediction memo, interleaved on
+    different sequences, predict, log and move like learners on fresh
+    copies of the class, whose memos start empty.  A third learner has
+    filled the shared memo on another realizable sequence first.  The
+    strict learner plays a realizable sequence; the tolerant one a
+    corrupted one, so it may also empty its version space and miss
+    counterparts."""
+    hc, u = game
+    multiclass = multiclass or hc.label_count > 2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    warm_up, realizable, corrupted = (realizable_robust_rounds(hc, u, 16, rng) for _ in range(3))
+    corrupted = corrupt_labels(corrupted, 3, hc.label_count, rng)
+    modes = (
+        dict(strict=True),
+        dict(strict=False, empty_prediction=data.draw(st.sampled_from((None, 0)))),
+    )
+    warm = RobustReductionLearner(hc, u, multiclass, tie_break=tie_break)
+    for z, x, y in warm_up:
+        warm.predict(z)
+        warm.update(z, x, y)
+    pairs = [
+        [
+            RobustReductionLearner(c, u, multiclass, tie_break=tie_break, **kw)
+            for c in (hc, fresh_copy(hc))
+        ]
+        for kw in modes
+    ]
+    sequences = [list(realizable), list(corrupted)]
+    order = data.draw(st.permutations([0] * len(realizable) + [1] * len(corrupted)))
+    for i in order:
+        z, x, y = sequences[i].pop(0)
+        shared, fresh = pairs[i]
+        assert shared.predict(z) == fresh.predict(z)
+        shared.update(z, x, y)
+        fresh.update(z, x, y)
+        assert shared.events == fresh.events
+        assert shared.mask == fresh.mask
+        assert shared.orientation.mask == fresh.orientation.mask
+    # States loaded directly, as LazyRobustAutomaton loads them: the same
+    # robust mask with different orientation masks must not share a
+    # prediction.  Each reference learner runs on a fresh copy.
+    shared = pairs[1][0]
+    full = (1 << hc.size) - 1
+    mask = data.draw(st.integers(0, full))
+    for _ in range(data.draw(st.integers(1, 8))):
+        orientation_mask = data.draw(st.integers(0, full))
+        z = data.draw(st.integers(0, hc.instance_count - 1))
+        reference = RobustReductionLearner(
+            fresh_copy(hc), u, multiclass, tie_break=tie_break, **modes[1]
+        )
+        for learner in (shared, reference):
+            learner.mask, learner.orientation.mask = mask, orientation_mask
+            learner.events.clear()
+        assert shared.predict(z) == reference.predict(z)
+        assert shared.events == reference.events
 
 
 @PROPERTY
