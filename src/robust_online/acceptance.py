@@ -9,7 +9,6 @@ Wall-clock never appears in result lines.  Where a criterion carries a
 runtime budget, the elapsed time feeds the verdict but not the text.
 """
 
-import itertools
 import math
 import subprocess
 import sys
@@ -350,12 +349,12 @@ def criterion_7(scale: Scale, seed: int) -> CriterionResult:
             # all-zero labels a sample's mistakes are its realized loss
             probs = weight_trajectory(losses, losses, horizon_rate(n, horizon))
             best = float(losses.sum(axis=1).min())
-            sample_rng = derive_rng(seed, "crit7-samples", n, horizon)
+            # one generator's successive draws, ewa_seeds rows of horizon
+            coins = derive_rng(seed, "crit7-samples", n, horizon).random(
+                (scale.ewa_seeds, horizon)
+            )
             stats = seeded_mistakes(
-                probs,
-                np.zeros(horizon, dtype=np.int8),
-                itertools.repeat(sample_rng, scale.ewa_seeds),
-                offset=best,
+                probs, np.zeros(horizon, dtype=np.int8), [coins], offset=best
             )
             excess = (
                 stats["mean"] - horizon_regret_bound(n, horizon) - 3 * stats["stderr"]

@@ -9,12 +9,13 @@ total mistakes are at most dimension + comparator loss, so exponentially
 weighted aggregation turns the pool into a sublinear-regret learner.
 
 mc_regret replays the pool once over the fixed sequence
-(forecaster.expert_matrices) and reads every forecaster seed, one or many,
-off the resulting trajectory; decomposition_gap replays the analysis
-expert the same way.  The experts, the analysis pass and the random-label
-probe all step state ids on the (class, map)'s one lazy automaton, which
-keeps no events.  A correct round leaves a lazy state as it is, so the
-analysis pass and the probe step the automaton only on mistake rounds.
+(forecaster.expert_matrices) and scores every forecaster seed, one or
+many, against the resulting trajectory with the seeds' cached coin table;
+decomposition_gap replays the analysis expert the same way.  The experts,
+the analysis pass and the random-label probe all step state ids on the
+(class, map)'s one lazy automaton, which keeps no events.  A correct round
+leaves a lazy state as it is, so the analysis pass and the probe step the
+automaton only on mistake rounds.
 """
 
 import itertools
@@ -24,7 +25,13 @@ import numpy as np
 
 from .dimension import adversarial_dimension, witness_tree
 from .errors import DomainError, LimitExceeded
-from .forecaster import expert_matrices, horizon_rate, seeded_mistakes, weight_trajectory
+from .forecaster import (
+    COIN_TABLES,
+    expert_matrices,
+    horizon_rate,
+    seeded_mistakes,
+    weight_trajectory,
+)
 from .learners import LazyRobustAutomaton
 from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks
 from .seeding import derive_rng
@@ -128,8 +135,8 @@ def mc_regret(
     probs = weight_trajectory(preds, losses, horizon_rate(n, len(rounds)))
     labels = np.array([y for _, _, y in rounds])
     best, _ = comparator_loss(hc, u, rounds)
-    rngs = (derive_rng(seed, "agnostic") for seed in seeds)
-    stats = seeded_mistakes(probs, labels, rngs, offset=best)
+    coins = COIN_TABLES.blocks("agnostic", seeds, len(rounds), derive_rng)
+    stats = seeded_mistakes(probs, labels, coins, offset=best)
     bound = dimension + math.sqrt(len(rounds) / 2 * math.log(n))
     return {
         **stats,

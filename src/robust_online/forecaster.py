@@ -20,13 +20,21 @@ Experts react to the revealed sequence only, never to the forecaster's
 coin flips, so a run is replayed in three steps shared by every learner
 that aggregates experts: expert_matrices drives the pool over the fixed
 sequence once, weight_trajectory turns the matrices into the per-round
-probabilities, and seeded_mistakes draws the coins of each seed.  Drawing
-all T coins of a seed at once gives the same PCG64 stream as T single
-draws, so a one-seed run is the same computation as a Monte-Carlo one.
-ExponentialWeightsForecaster is the stepwise reference for these steps.
+probabilities, and seeded_mistakes scores every seed's coins against them
+in one array expression.  A seed's coins depend only on its (seed, stream)
+generator, never on the scenario, so COIN_TABLES builds each (stream,
+seeds) table of uniforms once per process and keeps it in an LRU bounded
+by a fixed number of cells.  Row i holds the first draws of the i-th
+seed's generator: random(T) is a prefix of random(T') for T' > T, so a
+kept table answers any shorter horizon, and a one-seed run is the same
+computation as a Monte-Carlo one.  A table too big to keep is built and
+scored in row blocks, so an estimate's memory does not grow with its seed
+count.  ExponentialWeightsForecaster is the stepwise reference for these
+steps.
 """
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 
@@ -105,20 +113,75 @@ def expert_matrices(experts, rounds):
     return preds, (preds != labels[None, :]).astype(np.int8)
 
 
-def seeded_mistakes(probabilities, labels, rngs, offset: int = 0) -> dict:
-    """Mistakes of the forecaster under each generator's coins, summarized.
+class CoinTables:
+    """LRU of read-only coin tables, keyed by (stream, seeds).
 
-    Round t predicts 1 when the generator's t-th uniform draw is below
-    probabilities[t].  values holds each generator's mistakes minus
-    offset; mean, std (ddof 1) and stderr summarize them, the last two
-    being 0.0 for a single generator.  rngs may be a lazy iterable; it is
-    consumed one generator at a time, so each can be freed after its draw.
+    blocks(stream, seeds, horizon, derive) gives row blocks whose i-th row
+    across them is derive(seeds[i], stream).random(horizon); derive is
+    derive_rng or a wrapper of it, so the key fixes every row.  Rows are
+    drawn only for a table not kept at a long enough horizon; a kept one
+    is sliced.  Kept tables hold at most `cells` doubles in all.  A table
+    above that is never kept: it comes as blocks of at most
+    max(1, cells // horizon) rows, each built when the previous one has
+    been scored.
+    """
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self.held = 0
+        self.tables: OrderedDict = OrderedDict()
+
+    def blocks(self, stream: str, seeds, horizon: int, derive):
+        seeds = tuple(seeds)
+        key = (stream, seeds)
+        table = self.tables.get(key)
+        if table is not None and table.shape[1] >= horizon:
+            self.tables.move_to_end(key)
+            return [table[:, :horizon]]
+        if len(seeds) * horizon > self.cells:
+            rows = max(1, self.cells // horizon)
+            return (
+                _coin_rows(stream, seeds[i : i + rows], horizon, derive)
+                for i in range(0, len(seeds), rows)
+            )
+        if table is not None:
+            self.held -= self.tables.pop(key).size
+        table = _coin_rows(stream, seeds, horizon, derive)
+        table.flags.writeable = False
+        self.tables[key] = table
+        self.held += table.size
+        while self.held > self.cells:
+            self.held -= self.tables.popitem(last=False)[1].size
+        return [table]
+
+
+def _coin_rows(stream: str, seeds, horizon: int, derive):
+    table = np.empty((len(seeds), horizon))
+    for row, seed in zip(table, seeds):
+        derive(seed, stream).random(out=row)
+    return table
+
+
+# 8 MiB of doubles: about 26 of the benchmark's largest tables (200 seeds
+# by 199 rounds), and far more of the acceptance suite's
+COIN_TABLES = CoinTables(cells=1 << 20)
+
+
+def seeded_mistakes(probabilities, labels, coins, offset: int = 0) -> dict:
+    """Mistakes of the forecaster under each seed's coins, summarized.
+
+    coins is an iterable of row blocks of a (seeds, horizon) table of
+    uniforms, as CoinTables.blocks gives; seed i's round t predicts 1 when
+    row i's t-th uniform is below probabilities[t], and every block is
+    scored in one array expression.  values holds each seed's mistakes
+    minus offset; mean, std (ddof 1) and stderr summarize them, the last
+    two being 0.0 for a single seed.
     """
     probs = np.asarray(probabilities)
-    mistakes = [int(((rng.random(len(probs)) < probs) != labels).sum()) for rng in rngs]
-    if not mistakes:
+    mistakes = [((block < probs) != labels).sum(axis=1) for block in coins]
+    if not any(len(m) for m in mistakes):
         raise DomainError("need at least one seed")
-    values = np.array(mistakes, dtype=float) - offset
+    values = np.concatenate(mistakes).astype(float) - offset
     std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
     return {
         "mean": float(values.mean()),

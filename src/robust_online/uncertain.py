@@ -18,7 +18,8 @@ the true map:
 Every expert sees every reveal, dead or alive, so both learners read one
 replay of the experts over the fixed sequence (forecaster.expert_matrices):
 halving takes its votes from the prediction matrix, and mc_family_mistakes
-reads every forecaster seed, one or many, off the forecaster trajectory.
+scores every forecaster seed, one or many, against the forecaster
+trajectory with the seeds' cached coin table.
 
 Experts run tolerantly.  Under a wrong assumed map the shown input can sit
 outside the assumed perturbation set of the revealed instance, reveals can
@@ -34,6 +35,7 @@ import numpy as np
 from .dimension import adversarial_dimension
 from .errors import DomainError
 from .forecaster import (
+    COIN_TABLES,
     expert_matrices,
     loss_budget_rate,
     seeded_mistakes,
@@ -138,9 +140,9 @@ def mc_family_mistakes(
         budget = family_loss_budget(hc, family)
     probs = weight_trajectory(preds, losses, loss_budget_rate(len(family), budget))
     labels = np.array([y for _, _, y in rounds])
-    rngs = (derive_rng(seed, "family-ewa") for seed in seeds)
+    coins = COIN_TABLES.blocks("family-ewa", seeds, len(rounds), derive_rng)
     return {
-        **seeded_mistakes(probs, labels, rngs),
+        **seeded_mistakes(probs, labels, coins),
         "budget": budget,
         "bound": small_loss_bound(len(family), budget),
         "best_expert": int(losses.sum(axis=1).min()),

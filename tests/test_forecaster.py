@@ -1,9 +1,12 @@
 """Exponentially weighted forecaster: semantics, tuning, regret."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_online import (
     DomainError,
@@ -21,7 +24,12 @@ from robust_online import (
     small_loss_bound,
     total_map,
 )
-from robust_online.forecaster import expert_matrices, weight_trajectory
+from robust_online.forecaster import (
+    CoinTables,
+    expert_matrices,
+    seeded_mistakes,
+    weight_trajectory,
+)
 from robust_online.seeding import derive_rng
 
 
@@ -171,3 +179,93 @@ ROUNDS2 = [(0, 0, 1), (1, 1, 0)]
 def test_replays_reject_empty_rounds_and_seeds(replay):
     with pytest.raises(DomainError, match="at least one"):
         replay()
+
+
+def plain_mistakes(probs, labels, stream, seeds, offset=0):
+    """seeded_mistakes' summary, one fresh generator per seed."""
+    mistakes = []
+    for seed in seeds:
+        coins = derive_rng(seed, stream).random(len(probs))
+        mistakes.append(int(((coins < probs) != labels).sum()))
+    values = np.array(mistakes, dtype=float) - offset
+    std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    return {
+        "mean": float(values.mean()),
+        "std": std,
+        "stderr": std / math.sqrt(len(values)),
+        "values": values.tolist(),
+    }
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.text(max_size=6),
+    st.lists(st.integers(0, 2**32), min_size=1, max_size=6),
+    st.lists(st.integers(1, 24), min_size=2, max_size=4),
+    st.data(),
+)
+def test_coin_tables_equal_each_seeds_own_generator(stream, seeds, horizons, data):
+    """Rows, scores and summaries match the per-generator loop, whether the
+    table is kept, sliced from a longer one, rebuilt longer, or over the
+    bound and built in blocks."""
+    tables = CoinTables(cells=64)
+    for horizon in horizons:
+        table = np.concatenate(list(tables.blocks(stream, seeds, horizon, derive_rng)))
+        assert table.tolist() == [derive_rng(s, stream).random(horizon).tolist() for s in seeds]
+        probs, labels = (
+            np.array(data.draw(st.lists(values, min_size=horizon, max_size=horizon)))
+            for values in (st.floats(0, 1), st.integers(0, 1))
+        )
+        offset = data.draw(st.integers(0, 3))
+        coins = tables.blocks(stream, seeds, horizon, derive_rng)
+        got = seeded_mistakes(probs, labels, coins, offset=offset)
+        assert got == plain_mistakes(probs, labels, stream, seeds, offset)
+        for kept in tables.tables.values():
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 0.5
+
+
+def test_coin_tables_hold_at_most_their_cell_bound():
+    tables, calls = CoinTables(cells=100), []
+
+    def derive(*parts):
+        calls.append(parts)
+        return derive_rng(*parts)
+
+    for i in range(40):
+        tables.blocks(f"s{i % 7}", range(i % 5 + 1), 10 + i % 3, derive)
+        assert tables.held == sum(t.size for t in tables.tables.values()) <= 100
+    # a kept table answers a shorter horizon without drawing again
+    tables.blocks("x", range(3), 20, derive)
+    drawn = len(calls)
+    [short] = tables.blocks("x", range(3), 5, derive)
+    assert len(calls) == drawn
+    assert short.shape == (3, 5) and not short.flags.writeable
+    # over the bound: scored block by block, then dropped
+    probs, labels = np.linspace(0, 1, 10), np.arange(10) % 2
+    kept = dict(tables.tables)
+    got = seeded_mistakes(probs, labels, tables.blocks("big", range(30), 10, derive))
+    assert got == plain_mistakes(probs, labels, "big", range(30))
+    assert list(tables.tables) == list(kept)
+
+
+def test_an_over_bound_estimate_keeps_one_block_at_a_time():
+    """400 seeds by 500 rounds is a 1.6 MB table; in blocks of 4 rows the
+    estimate's peak stays a small fraction of it."""
+    seeds, horizon = range(400), 500
+    cells = len(seeds) * horizon
+    full = cells * 8  # bytes
+    rng = np.random.default_rng(0)
+    probs, labels = rng.random(horizon), rng.integers(0, 2, horizon)
+    peaks = {}
+    for bound in (2000, cells):
+        tables = CoinTables(cells=bound)
+        tracemalloc.start()
+        try:
+            got = seeded_mistakes(probs, labels, tables.blocks("mem", seeds, horizon, derive_rng))
+            peaks[bound] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == plain_mistakes(probs, labels, "mem", seeds)
+    assert peaks[2000] < full / 8 < full <= peaks[cells]

@@ -20,7 +20,7 @@ import math
 import weakref
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from robust_online import (
@@ -178,6 +178,10 @@ def draw_option(options, rng):
 
 @PROPERTY
 @given(games(), st.integers(0, 30), st.booleans(), st.integers(0, 2**32 - 1))
+# 1,024 hypotheses, of which only the two constants can be played under
+# the total map, so the shuffled order is walked a third of the way on average
+@example((full_class(10), total_map(10)), 5, False, 3)
+@example((full_class(10), identity_map(10)), 5, False, 4)
 def test_generators_draw_like_the_plain_loop(game, length, multiclass, seed):
     """Coded tables, skipped one-way draws and the orientation game's one
     batched draw give the plain loop's rounds and leave the stream where

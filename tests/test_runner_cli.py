@@ -459,3 +459,61 @@ def test_cli_accepts_a_byte_order_mark(tmp_path):
     out = run_cli("dim", str(path))
     assert out.returncode == 0, out.stderr
     assert out.stdout == "dimension: 1\n"
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """Two `gen-corpus` scenarios (dimensions 2 and 3) and one family scenario."""
+    root = tmp_path_factory.mktemp("generated")
+    for extra, name in (((), "corpus"), (("--family",), "family")):
+        out = run_cli("gen-corpus", "--count", "3", "--seed", "1", *extra, "--out", root / name)
+        assert out.returncode == 0, out.stderr
+    return root
+
+
+AGNOSTIC_PINNED = {
+    "scenario_0000.txt": (
+        "dimension: 2\nexperts: 56\ncomparator loss: 2\n"
+        "mean regret over 200 seeds: 0.7000\nstandard error: 0.0530\n"
+        "bound: 6.4863\nratio: 0.1079\n",
+        "0 0.000000\n1 0.821429\n2 0.915227\n3 0.611503\n4 0.186686\n"
+        "5 0.032678\n6 0.936464\n7 0.983688\n8 0.998121\n9 0.000272\n",
+    ),
+    "scenario_0002.txt": (
+        "dimension: 3\nexperts: 176\ncomparator loss: 2\n"
+        "mean regret over 200 seeds: 0.9800\nstandard error: 0.0448\n"
+        "bound: 8.0845\nratio: 0.1212\n",
+        "".join(f"{t} 0.000000\n" for t in range(8)) + "8 0.261364\n9 0.683731\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGNOSTIC_PINNED))
+def test_cli_agnostic_output_is_pinned(generated, tmp_path, name):
+    """Every seed's coins come from a cached table; the text is the one
+    each seed's own generator gave."""
+    stdout, trace_text = AGNOSTIC_PINNED[name]
+    trace = tmp_path / "trace.txt"
+    out = run_cli(
+        "agnostic", str(generated / "corpus" / name),
+        "--seeds", "200", "--corruptions", "2", "--trace", str(trace),
+    )
+    assert (out.returncode, out.stdout) == (0, stdout + f"trace written: {trace}\n")
+    assert trace.read_text() == trace_text
+
+
+@pytest.mark.parametrize(
+    "seeds, stdout",
+    [
+        (
+            "100",
+            "family size: 2\nloss budget: 1\nmean mistakes over 100 seeds: 1.2000\n"
+            "standard error: 0.0876\nbound: 2.8706\nrealizable: true\n",
+        ),
+        ("1", "family size: 2\nloss budget: 1\nmistakes: 2\nrealizable: true\n"),
+    ],
+)
+def test_cli_uncertain_ewa_output_is_pinned(generated, seeds, stdout):
+    scenario = generated / "family" / "scenario_0000.txt"
+    out = run_cli("uncertain", str(scenario), "--method", "ewa", "--seeds", seeds)
+    assert (out.returncode, out.stdout) == (0, stdout)
