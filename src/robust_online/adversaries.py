@@ -124,10 +124,6 @@ class ScriptedOrientationAdversary:
         return side
 
 
-# class size from which first_playable shuffles an ndarray, not a list
-ARRAY_SHUFFLE_MIN = 128
-
-
 class _Choices:
     """Integer codes of each hypothesis's playable choices in one game.
 
@@ -151,19 +147,13 @@ class _Choices:
 
         Returns () when no hypothesis has playable choices.  Shuffling an
         arange makes the same Fisher-Yates swaps from the same bounded
-        draws as shuffling a list of the ids.  It costs a fixed ~2 us
-        where the list costs ~50 ns an id, so large classes shuffle an
-        arange, read lazily since the walk mostly stops at its first id.
+        draws as shuffling a list of the ids, at a fraction of the cost on
+        large classes.  Its ids are read lazily, since the walk mostly
+        stops at the first one.
         """
-        n = len(self._codes)
-        if n < ARRAY_SHUFFLE_MIN:
-            order = list(range(n))
-            rng.shuffle(order)
-        else:
-            ids = np.arange(n)
-            rng.shuffle(ids)
-            order = map(int, ids)
-        for h in order:
+        ids = np.arange(len(self._codes))
+        rng.shuffle(ids)
+        for h in map(int, ids):
             found = self.codes(h)
             if found:
                 return found

@@ -118,7 +118,8 @@ class CoinTables:
 
     blocks(stream, seeds, horizon, derive) gives row blocks whose i-th row
     across them is derive(seeds[i], stream).random(horizon); derive is
-    derive_rng or a wrapper of it, so the key fixes every row.  Rows are
+    derive_rng or a wrapper of it, which hashes each seed's str(), so a
+    key of the seeds' str() forms fixes every row.  Rows are
     drawn only for a table not kept at a long enough horizon; a kept one
     is sliced.  Kept tables hold at most `cells` doubles in all.  A table
     above that is never kept: it comes as blocks of at most
@@ -133,7 +134,7 @@ class CoinTables:
 
     def blocks(self, stream: str, seeds, horizon: int, derive):
         seeds = tuple(seeds)
-        key = (stream, seeds)
+        key = (stream, tuple(map(str, seeds)))
         table = self.tables.get(key)
         if table is not None and table.shape[1] >= horizon:
             self.tables.move_to_end(key)

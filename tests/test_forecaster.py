@@ -31,6 +31,7 @@ from robust_online.forecaster import (
     weight_trajectory,
 )
 from robust_online.seeding import derive_rng
+from robust_online.uncertain import build_family_experts
 
 
 def test_unanimous_vote_is_certain():
@@ -224,6 +225,39 @@ def test_coin_tables_equal_each_seeds_own_generator(stream, seeds, horizons, dat
             assert not kept.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 kept[0, 0] = 0.5
+
+
+# long enough that seeds drawing different coins score differently
+ROUNDS40 = [(t % 2, t % 2, (t * 7 // 5) % 2) for t in range(40)]
+
+
+def agnostic_one_seed(seed):
+    got = mc_regret(HC2, U2, ROUNDS40, seeds=[seed])
+    return got, np.array(got["probabilities"]), got["comparator"]
+
+
+def family_one_seed(seed):
+    got = mc_family_mistakes(HC2, FAMILY2, ROUNDS40, seeds=[seed])
+    experts = build_family_experts(HC2, FAMILY2.members)
+    preds, losses = expert_matrices(experts, ROUNDS40)
+    rate = loss_budget_rate(len(FAMILY2), got["budget"])
+    return got, weight_trajectory(preds, losses, rate), 0
+
+
+@pytest.mark.parametrize(
+    "estimate, stream",
+    [(agnostic_one_seed, "agnostic"), (family_one_seed, "family-ewa")],
+)
+def test_seeds_that_compare_equal_keep_their_own_coins(estimate, stream):
+    """1, 1.0 and True are equal keys in Python but derive different
+    generators; each estimate scores the coins of its own seed."""
+    labels = np.array([y for _, _, y in ROUNDS40])
+    values = []
+    for seed in (1, 1.0, True):
+        got, probs, offset = estimate(seed)
+        assert got["values"] == plain_mistakes(probs, labels, stream, [seed], offset)["values"]
+        values.append(got["values"])
+    assert len({tuple(v) for v in values}) > 1
 
 
 def test_coin_tables_hold_at_most_their_cell_bound():
