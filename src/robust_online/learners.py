@@ -22,16 +22,14 @@ the loops of the estimators.
 
 The optimal learners of one (class, map, label mode, tie-break) share a
 LearnerContext, got with one compiled() lookup: the masks, the dimension
-engine and the robust reduction's prediction memo.  A reduction's
-prediction is a function of its robust mask, its orientation learner's
-mask and the input, so the memo is keyed by those three and holds only
-the label (and the event string when the prediction logs one, which a
-hit logs again).  Strict and tolerant learners share it, since
-strictness only changes what update does.
+engine and one table of the robust reduction's states.  A state (robust
+mask, orientation mask) is interned as a dense id, and one memo maps
+(id, input) to the predicted label.  Strict and tolerant learners share
+it, since strictness only changes what update does.
 
-LazyRobustAutomaton memoizes the tolerant lazy optimal robust learner over
-its interned states for the agnostic replays, which run it many times on
-few states; it asks that learner on every miss.  Games, strict learners
+LazyRobustAutomaton steps the tolerant lazy optimal robust learner over
+the same ids and memo for the agnostic replays, which run it many times
+on few states; it keeps only its transitions.  Games, strict learners
 and the family experts run the learner classes directly.
 """
 
@@ -61,12 +59,11 @@ class OrientationQuery:
 class LearnerContext:
     """What the optimal learners of one (class, map, label mode, tie-break)
     share: the masks, the dimension engine and the robust reduction's
-    prediction memo.
+    state table and prediction memo.
 
     Got through compiled(hc, u, LearnerContext, multiclass, tie_break), so
-    building a learner takes one lookup.  predictions maps (robust mask,
-    orientation mask, z), packed into one int, to the reduction's label,
-    or to (label, event) when that prediction logs an event.
+    building a learner takes one lookup.  states[s] is the state with id s
+    (0 is the start), and predictions[s * n + z] its label on input z < n.
     """
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool, tie_break: str):
@@ -77,9 +74,19 @@ class LearnerContext:
         self.masks = consistency_masks(hc, u)
         self.engine = get_engine(hc, u, multiclass)
         self.full = (1 << hc.size) - 1
-        self.predictions: dict[int, object] = {}
-        self.mask_bits = hc.size
-        self.input_bits = (u.instance_count - 1).bit_length()
+        self.n = u.instance_count
+        self.states = [(self.full, self.full)]
+        self._ids = {self.states[0]: 0}
+        self.predictions: dict[int, int] = {}
+
+    def state(self, mask: int, orientation_mask: int) -> int:
+        """The id of the state (mask, orientation_mask), interned on first sight."""
+        pair = (mask, orientation_mask)
+        s = self._ids.get(pair)
+        if s is None:
+            s = self._ids[pair] = len(self.states)
+            self.states.append(pair)
+        return s
 
 
 def _context(hc, u, multiclass: bool, tie_break: str) -> LearnerContext:
@@ -169,8 +176,7 @@ class RobustReductionLearner:
     restriction on (x, y)).  A label y wins when one of its candidates is
     oriented toward y against every candidate of every other label.  With
     no winner the binary learner answers 1 (the multiclass variant answers
-    the smallest label id); with several winners it logs the event and
-    answers the smallest.
+    the smallest label id); at most one label wins (see _decide).
 
     On a mistake there must exist a candidate of some other label that the
     orientation learner oriented wrongly against the revealed clean
@@ -178,7 +184,8 @@ class RobustReductionLearner:
     orientation learner.  Strict mode treats a missing counterpart or an
     emptied version space as a broken realizability contract; tolerant
     mode (strict=False) records an event and keeps playing, predicting
-    `empty_prediction` once the version space is gone.
+    `empty_prediction` (None: the no-winner label) once the version space
+    is gone.
     """
 
     game = "robust"
@@ -205,7 +212,7 @@ class RobustReductionLearner:
         self._ctx = ctx
         self.mask = ctx.full
         self.events: list[str] = []
-        self._last = None  # (z, prediction) for update reuse
+        self._state = (self.mask, self.orientation.mask, 0)  # the masks and their id
 
     @property
     def version_space(self) -> VersionSpace:
@@ -219,26 +226,34 @@ class RobustReductionLearner:
             for y in range(self.hc.label_count)
         ]
 
-    def _compute(self, z: int) -> int:
-        """The prediction on input z, memoized per (mask, orientation mask, z)."""
-        if self.mask == 0 and self.empty_prediction is not None:
+    def predict(self, z: int) -> int:
+        """The label on input z, memoized per (state id, z) on the context."""
+        mask, orientation_mask = self.mask, self.orientation.mask
+        if mask == 0 and self.empty_prediction is not None:
             return self.empty_prediction
         ctx = self._ctx
-        key = ((self.mask << ctx.mask_bits | self.orientation.mask) << ctx.input_bits) | z
-        hit = ctx.predictions.get(key)
-        if hit is None:
-            hit = ctx.predictions[key] = self._decide(z)
-        if type(hit) is int:
-            return hit
-        label, event = hit
-        self.events.append(event)
-        return label
+        state = self._state  # re-interned only when a mask object changes
+        if state[0] is not mask or state[1] is not orientation_mask:
+            state = self._state = (mask, orientation_mask, ctx.state(mask, orientation_mask))
+        key = state[2] * ctx.n + z
+        pred = ctx.predictions.get(key)
+        if pred is None:
+            pred = ctx.predictions[key] = self._decide(z)
+        return pred
 
-    def _decide(self, z: int):
-        """The label, or (label, event) when several labels qualify."""
+    _compute = predict  # update's lookup, past any wrapper installed on predict
+
+    def _decide(self, z: int) -> int:
+        """The first qualifying label, or the no-winner default.
+
+        No second label can qualify.  If y and y' both did, with
+        candidates a and b, the queries ((a, b), (y, y')) and
+        ((b, a), (y', y)) would be oriented toward y and toward y'.  They
+        are mirror images, so the side-symmetric orientation learner gives
+        them the same label, which contradicts one of the two wins.
+        """
         cands = self.candidate_sets(z)
         orient = self.orientation.predict
-        winners = []
         for y, py in enumerate(cands):
             for xy in py:
                 if all(
@@ -247,18 +262,8 @@ class RobustReductionLearner:
                     if y2 != y
                     for x2 in p2
                 ):
-                    winners.append(y)
-                    break
-        if not winners:
-            return 0 if self.multiclass else 1
-        if len(winners) > 1:
-            return winners[0], f"multiple-qualifying-labels:{winners}"
-        return winners[0]
-
-    def predict(self, z: int) -> int:
-        pred = self._compute(z)
-        self._last = (z, pred)
-        return pred
+                    return y
+        return 0 if self.multiclass else 1
 
     def _feed_counterpart(self, x: int, y: int, cands) -> bool:
         """Find and feed the wrongly oriented query a mistake guarantees."""
@@ -283,9 +288,7 @@ class RobustReductionLearner:
                     f"shown input {z}"
                 )
             self.events.append("input-outside-belief")
-        last, self._last = self._last, None
-        pred = last[1] if last is not None and last[0] == z else self._compute(z)
-        if pred != y and not self._feed_counterpart(x, y, self.candidate_sets(z)):
+        if self._compute(z) != y and not self._feed_counterpart(x, y, self.candidate_sets(z)):
             if self.strict:
                 raise SearchInvariantError(
                     "mistake round has no wrongly oriented counterpart; "
@@ -368,14 +371,16 @@ def lazy_wrap(learner):
 
 
 class LazyRobustAutomaton:
-    """The tolerant lazy optimal robust learner, memoized over its states.
+    """The tolerant lazy optimal robust learner, stepped over state ids.
 
-    A state (robust mask, orientation mask) is interned as a dense id on
-    first visit; 0 is the start.  predict(s, z) and step(s, z, x, y) memoize
-    the prediction and the next id.  A miss loads the state into one
+    The ids and the memo predict(s, z) reads are the binary, low tie-break
+    LearnerContext's; step(s, z, x, y) memoizes the next id.  A miss loads
+    the state into one
     lazy_wrap(RobustReductionLearner(strict=False, empty_prediction=0)), the
     learner the agnostic replays run, and asks its own predict and update.
-    No events are kept: no caller that steps ids reads them.  Got through
+    An emptied state (robust mask 0) predicts 0 without the memo, where an
+    empty_prediction=None learner stores its no-winner label.  No events
+    are kept: no caller that steps ids reads them.  Got through
     compiled(hc, u, LazyRobustAutomaton), one per (class, map).
 
     The wrapper updates only on a mistake, so a correct round is a
@@ -385,24 +390,22 @@ class LazyRobustAutomaton:
 
     def __init__(self, hc, u):
         self.learner = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
-        start = (self.learner.inner.mask, self.learner.inner.orientation.mask)
-        self.states = [start]
-        self._ids = {start: 0}
-        self.predictions = {}
+        self.ctx = self.learner.inner._ctx
         self.transitions = {}
 
     def _load(self, s: int):
         inner = self.learner.inner
-        inner.mask, inner.orientation.mask = self.states[s]
+        inner.mask, inner.orientation.mask = self.ctx.states[s]
         inner.events.clear()
         inner.orientation.events.clear()
         return self.learner
 
     def predict(self, s: int, z: int) -> int:
-        pred = self.predictions.get((s, z))
-        if pred is None:
-            pred = self.predictions[s, z] = self._load(s).predict(z)
-        return pred
+        ctx = self.ctx
+        if ctx.states[s][0] == 0:
+            return 0
+        pred = ctx.predictions.get(s * ctx.n + z)
+        return self._load(s).predict(z) if pred is None else pred
 
     def step(self, s: int, z: int, x: int, y: int) -> int:
         """The id of the state after the reveal (x, y) of a round showing z."""
@@ -411,12 +414,8 @@ class LazyRobustAutomaton:
             learner = self._load(s)
             learner.predict(z)  # else update may reuse a prediction made in another state
             learner.update(z, x, y)
-            state = (learner.inner.mask, learner.inner.orientation.mask)
-            nxt = self._ids.get(state)
-            if nxt is None:
-                nxt = self._ids[state] = len(self.states)
-                self.states.append(state)
-            self.transitions[s, z, x, y] = nxt
+            inner = learner.inner
+            nxt = self.transitions[s, z, x, y] = self.ctx.state(inner.mask, inner.orientation.mask)
         return nxt
 
 

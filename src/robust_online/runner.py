@@ -87,8 +87,6 @@ class RunSummary:
 def _track_dimension(trace: list, learner, engine) -> None:
     """Append the dimension of the learner's version space, if it has one."""
     mask = getattr(learner, "mask", None)
-    if mask is None and hasattr(learner, "inner"):
-        mask = getattr(learner.inner, "mask", None)
     if mask is not None:
         trace.append(engine.dimension_of_mask(mask))
 

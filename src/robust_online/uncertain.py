@@ -87,11 +87,12 @@ class PerturbationFamily:
 def build_family_experts(
     hc: HypothesisClass, members
 ) -> list[RobustReductionLearner]:
-    """One tolerant robust learner per candidate map, in member order."""
-    return [
-        RobustReductionLearner(hc, u, strict=False, empty_prediction=1)
-        for u in members
-    ]
+    """One tolerant robust learner per candidate map, in member order.
+
+    Experts play binary games, so an emptied version space leaves no
+    winning label and they predict the no-winner default 1.
+    """
+    return [RobustReductionLearner(hc, u, strict=False) for u in members]
 
 
 def family_loss_budget(hc: HypothesisClass, family: PerturbationFamily) -> int:

@@ -182,14 +182,17 @@ def test_random_label_probe_learner_loses_half_the_rounds():
 def test_probes_intern_three_states_in_one_automaton():
     hc, u = full_class(2), total_map(2)
     for seed in range(8):
-        random_label_regret_sample(hc, u, 64, seed)
+        z = random_label_regret_sample(hc, u, 64, seed)["perturbed_input"]
     auto = compiled(hc, u, LazyRobustAutomaton)
+    ctx = auto.ctx
     # full class, one survivor, empty: each state predicts once on the one
     # input and is stepped only on the reveal it gets wrong, since a
     # correct round is a self-loop; the empty state's mistake edge is a
     # self-loop too, after which the probe counts the rest of the labels
-    assert len(auto.states) == 3
-    assert len(auto.predictions) == 3
+    assert len(ctx.states) == 3
+    assert [mask.bit_count() for mask, _ in ctx.states] == [4, 1, 0]
+    # the empty state predicts 0 without the context's memo
+    assert sorted(ctx.predictions) == [s * ctx.n + z for s in (0, 1)]
     assert len(auto.transitions) == 3
     keys = set(hc._store)
     random_label_regret_sample(hc, u, 64, seed=8)

@@ -243,14 +243,19 @@ def test_lazy_keeps_realizable_mistake_bound():
 
 
 def test_lazy_wrappers_predict_once_per_round(monkeypatch):
-    calls = []
-    compute = RobustReductionLearner._compute
+    calls, decided = [], []
+    predict, decide = RobustReductionLearner.predict, RobustReductionLearner._decide
 
     def counted(self, z):
         calls.append(z)
-        return compute(self, z)
+        return predict(self, z)
 
-    monkeypatch.setattr(RobustReductionLearner, "_compute", counted)
+    def counted_decide(self, z):
+        decided.append((self._ctx.state(self.mask, self.orientation.mask), z))
+        return decide(self, z)
+
+    monkeypatch.setattr(RobustReductionLearner, "predict", counted)
+    monkeypatch.setattr(RobustReductionLearner, "_decide", counted_decide)
     # the random-label probe's rounds, played on the wrapper itself
     hc, u, horizon = full_class(2), total_map(2), 64
     pair = witness_tree(hc, u).root.pair
@@ -263,6 +268,8 @@ def test_lazy_wrappers_predict_once_per_round(monkeypatch):
         lazy.update(z, pair[y], y)
     assert mistakes > 0
     assert len(calls) == horizon
+    # update reads the memo again, so each (state, input) is decided once
+    assert decided and len(set(decided)) == len(decided)
     assert random_label_regret_sample(hc, u, horizon, seed=3)["mistakes"] == mistakes
 
     class CountingOrientation:
@@ -311,33 +318,6 @@ def test_orientation_queries_are_looked_up_once(monkeypatch):
     learner.update(0, 0, 0)
     assert looked_up == [OrientationQuery((0, 0), (0, 1))]
     assert learner.orientation.version_space.size == 1
-
-
-def test_a_memo_hit_logs_the_prediction_event_again(monkeypatch):
-    """The SOA orientation learner is side-symmetric, so with it two labels
-    never both qualify.  Orienting every query toward its first side lets
-    each label with a candidate qualify, so the reduction logs
-    multiple-qualifying-labels; a second learner on the same class gets
-    that prediction from the shared memo and logs the event too."""
-    asked = []
-
-    def first_side(self, query):
-        asked.append(query)
-        return query.labels[0]
-
-    monkeypatch.setattr(SoaOrientationLearner, "predict", first_side)
-    hc, u = full_class(2, 3), identity_map(2)
-    copy = HypothesisClass.from_tables([h.table for h in hc], 3)
-    first, second = (RobustReductionLearner(hc, u, multiclass=True) for _ in range(2))
-    assert first.predict(0) == 0
-    assert first.events == ["multiple-qualifying-labels:[0, 1, 2]"]
-    before = len(asked)
-    assert second.predict(0) == 0
-    assert len(asked) == before
-    fresh = RobustReductionLearner(copy, u, multiclass=True)
-    assert fresh.predict(0) == 0
-    assert len(asked) > before
-    assert second.events == fresh.events == first.events
 
 
 def test_learner_registry_names_and_games():

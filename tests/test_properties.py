@@ -6,7 +6,8 @@ them, against the definitional `adversarial_loss`, and the realizable
 generators against a plain loop with one scalar draw per choice; the next
 check the dimension search and the minimax oracle against plain searches
 written here, restriction, and the lifetime of compiled data; the next
-check the shared prediction memo against fresh classes, the lazy
+check the shared prediction memo against fresh classes, that at most one
+label qualifies, emptied states on the shared state table, the lazy
 learner's automaton, its self-loops on correct rounds, the random-label
 probe and the one-replay expert aggregation against stepwise loops on
 plain learners; then scenario files round-trip, and derived seed
@@ -36,6 +37,7 @@ from robust_online import (
     PerturbationMap,
     RobustReductionLearner,
     Scenario,
+    SoaOrientationLearner,
     VersionSpace,
     adversarial_dimension,
     adversarial_loss,
@@ -67,7 +69,7 @@ from robust_online import (
     witness_tree,
 )
 from robust_online.adversaries import orientation_options, robust_anchors
-from robust_online.agnostic import hypothesis_losses
+from robust_online.agnostic import SubsetExpert, hypothesis_losses
 from robust_online.dimension import get_engine
 from robust_online.learners import LazyRobustAutomaton
 from robust_online.model import compiled, consistency_masks, game_nodes
@@ -461,7 +463,7 @@ def test_automaton_steps_like_the_lazy_learner(game, data):
             ids[i] = auto.step(ids[i], z, x, y)
             plain[i].update(z, x, y)
     for i in (0, 1):
-        assert auto.states[ids[i]] == (plain[i].inner.mask, plain[i].inner.orientation.mask)
+        assert auto.ctx.states[ids[i]] == (plain[i].inner.mask, plain[i].inner.orientation.mask)
 
 
 def fresh_copy(hc):
@@ -527,6 +529,76 @@ def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, tie_brea
             learner.events.clear()
         assert shared.predict(z) == reference.predict(z)
         assert shared.events == reference.events
+
+
+@PROPERTY
+@given(games(), st.booleans(), st.sampled_from(("low", "high")), st.data())
+def test_at_most_one_label_qualifies(game, multiclass, tie_break, data):
+    """In any state and on any input, at most one label has a candidate
+    the SOA orientation learner orients toward it against every candidate
+    of every other label, and the reduction predicts that label or, with
+    none, the no-winner default."""
+    hc, u = game
+    multiclass = multiclass or hc.label_count > 2
+    learner = RobustReductionLearner(hc, u, multiclass, tie_break=tie_break)
+    full = (1 << hc.size) - 1
+    learner.mask = data.draw(st.integers(0, full))
+    learner.orientation.mask = data.draw(st.integers(0, full))
+    for z in range(hc.instance_count):
+        cands = learner.candidate_sets(z)
+        qualifying = [
+            y
+            for y, py in enumerate(cands)
+            if any(
+                all(
+                    SoaOrientationLearner.predict(
+                        learner.orientation, OrientationQuery((a, b), (y, y2))
+                    )
+                    == y
+                    for y2, p2 in enumerate(cands)
+                    if y2 != y
+                    for b in p2
+                )
+                for a in py
+            )
+        ]
+        assert len(qualifying) <= 1
+        assert learner.predict(z) == (qualifying or [0 if multiclass else 1])[0]
+
+
+def robust_walkers(hc, u, horizon):
+    """A lazy tolerant learner with empty_prediction=None, one with
+    empty_prediction=0, and an automaton walk, all on the class hc."""
+    return [
+        lazy_wrap(RobustReductionLearner(hc, u, strict=False)),
+        lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0)),
+        SubsetExpert(range(horizon), hc, u),
+    ]
+
+
+@PROPERTY
+@given(games(max_labels=2), st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=10))
+@example(
+    game=(HypothesisClass.from_tables([(0, 0), (1, 1)]), identity_map(2)),
+    rounds=[(0, 0, 1), (0, 0, 0), (0, 0, 0)],
+)
+def test_an_emptied_state_predicts_0_on_the_shared_table(game, rounds):
+    """The walkers share the class's state table: the None learner stores
+    its no-winner label 1 for a state whose robust mask is empty, and the
+    automaton and the 0 learner, reaching that state on the same reveals,
+    must still predict 0.  Each round the None learner predicts first;
+    every walker must predict like its twin alone on a fresh copy of the
+    class.  The example empties the version space on its second round."""
+    hc, u = game
+    n = hc.instance_count
+    rounds = [(z % n, x % n, y % 2) for z, x, y in rounds]
+    shared = robust_walkers(hc, u, len(rounds))
+    alone = [robust_walkers(fresh_copy(hc), u, len(rounds))[i] for i in range(3)]
+    for z, x, y in rounds:
+        for walker, twin in zip(shared, alone):
+            assert walker.predict(z) == twin.predict(z)
+            walker.update(z, x, y)
+            twin.update(z, x, y)
 
 
 @PROPERTY
