@@ -8,30 +8,43 @@ rounds of the lazy learner on the clean part of the sequence) the expert's
 total mistakes are at most dimension + comparator loss, so exponentially
 weighted aggregation turns the pool into a sublinear-regret learner.
 
-mc_regret replays the pool once over the fixed sequence
-(forecaster.expert_matrices) and scores every forecaster seed, one or
-many, against the resulting trajectory with the seeds' cached coin table;
-decomposition_gap replays the analysis expert the same way.  The experts,
-the analysis pass and the random-label probe all step state ids on the
-(class, map)'s one lazy automaton, which keeps no events.  A correct round
-leaves a lazy state as it is, so the analysis pass and the probe step the
-automaton only on mistake rounds.
+mc_regret runs exponential weights over the whole pool without making
+its experts.  Before round t, A_J's state on the lazy automaton is fixed
+by P, the rounds of J before t, and so is its weight, a product over the
+rounds already played.  So the experts fall into groups keyed by
+(state s, k = |P|), and the forecaster needs only each group's total
+weight: every member predicts predict(s, z_t), and every past P of the
+group has the same N(T - t, d - k) futures, where
+N(n, m) = subset_expert_count(n, m).  At round t a group that errs is
+multiplied by exp(-rate); then, when k < d, the share
+N(T-t-1, d-k-1) / N(T-t, d-k) of it whose J holds t moves to
+(step(s, z, x, y), k + 1) and the rest stays at (s, k).  This is exact in
+the reals, and only a handful of groups are live at once, against N
+experts in the pool.  Every forecaster seed, one or many, is then scored
+against the probabilities with the seeds' cached coin table.
+build_subset_experts gives the pool as a SubsetPool, whose experts are
+made only when it is indexed or iterated: mc_regret reads its size and
+replays it by groups, and the tests replay its experts one by one with
+forecaster.expert_matrices as the reference, the way decomposition_gap
+replays the analysis expert.  The groups, the analysis pass and the
+random-label probe all step state ids on the (class, map)'s one lazy
+automaton, which keeps no events.  A correct round leaves a lazy state
+as it is, so they step the automaton only on mistake rounds.
 """
 
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
 from .dimension import adversarial_dimension, witness_tree
 from .errors import DomainError, LimitExceeded
-from .forecaster import (
-    COIN_TABLES,
-    expert_matrices,
-    horizon_rate,
-    seeded_mistakes,
-    weight_trajectory,
-)
+from .forecaster import COIN_TABLES, expert_matrices, horizon_rate, seeded_mistakes
+
+# nothing here calls it, but the benchmark's tracer wraps
+# agnostic.weight_trajectory by name until the package keeps its own counters
+from .forecaster import weight_trajectory  # noqa: F401
 from .learners import LazyRobustAutomaton
 from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks
 from .seeding import derive_rng
@@ -84,12 +97,96 @@ def subset_expert_count(horizon: int, dimension: int) -> int:
     return sum(math.comb(horizon, k) for k in range(min(dimension, horizon) + 1))
 
 
+class SubsetPool(Sequence):
+    """The subset experts of one horizon, made on first access.
+
+    len() is the expert count, checked against the cap when the pool is
+    built; indexing or iterating makes every expert once, in the order
+    subsets by size, then lexicographically.  group_trajectory replays
+    the pool by groups and makes none of them.
+    """
+
+    def __init__(self, hc: HypothesisClass, u: PerturbationMap, horizon: int, dimension: int):
+        self.size = subset_expert_count(horizon, dimension)
+        if self.size > MAX_EXPERTS:
+            raise LimitExceeded(
+                f"subset pool needs {self.size} experts for horizon {horizon} and "
+                f"dimension {dimension}; the cap is {MAX_EXPERTS}"
+            )
+        self.hc, self.u = hc, u
+        self.horizon, self.dimension = horizon, min(dimension, horizon)
+        self._experts = None
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        return self._made()[i]
+
+    def __iter__(self):
+        return iter(self._made())
+
+    def _made(self) -> list[SubsetExpert]:
+        if self._experts is None:
+            self._experts = [
+                SubsetExpert(combo, self.hc, self.u)
+                for k in range(self.dimension + 1)
+                for combo in itertools.combinations(range(self.horizon), k)
+            ]
+        return self._experts
+
+    def group_trajectory(self, rounds, rate: float):
+        """(per-round probabilities of predicting 1, peak live groups) of
+        exponential weights at the given rate over the whole pool, on
+        rounds as many as the pool's horizon.
+
+        Groups map (state id, k) to their members' total weight, up to a
+        common factor; see the module docstring for why this is exact.
+        """
+        lazy = compiled(self.hc, self.u, LazyRobustAutomaton)
+        horizon, d = self.horizon, self.dimension
+        # futures[n][m] = subset_expert_count(n, m), by N(n, m) = N(n-1, m) + N(n-1, m-1)
+        futures = [[1] * (d + 1)]
+        for _ in range(horizon):
+            row = futures[-1]
+            futures.append([1] + [row[m] + row[m - 1] for m in range(1, d + 1)])
+        decay = math.exp(-rate)
+        groups = {(0, 0): 1.0}
+        probs, peak = [], 0
+        for t, (z, x, y) in enumerate(rounds):
+            peak = max(peak, len(groups))
+            now, later = futures[horizon - t], futures[horizon - t - 1]
+            keep = [later[d - k] / now[d - k] for k in range(d + 1)]
+            move = [later[d - k - 1] / now[d - k] for k in range(d)]
+            total = ones = 0.0
+            after = {}
+            for (s, k), w in groups.items():
+                pred = lazy.predict(s, z)
+                total += w
+                if pred:
+                    ones += w
+                if pred == y:
+                    nxt = s  # a correct round is a self-loop
+                else:
+                    nxt = lazy.step(s, z, x, y)
+                    w *= decay
+                key = (s, k)
+                after[key] = after.get(key, 0.0) + w * keep[k]
+                if k < d:
+                    key = (nxt, k + 1)
+                    after[key] = after.get(key, 0.0) + w * move[k]
+            probs.append(ones / total)
+            top = max(after.values())
+            groups = {key: w / top for key, w in after.items()}
+        return probs, peak
+
+
 def build_subset_experts(
     hc: HypothesisClass,
     u: PerturbationMap,
     horizon: int,
     dimension: int | None = None,
-) -> list[SubsetExpert]:
+) -> SubsetPool:
     """One expert per round subset of size at most the class dimension.
 
     Deterministic order: subsets by size, then lexicographically.  Raises
@@ -97,17 +194,7 @@ def build_subset_experts(
     """
     if dimension is None:
         dimension = adversarial_dimension(hc, u)
-    need = subset_expert_count(horizon, dimension)
-    if need > MAX_EXPERTS:
-        raise LimitExceeded(
-            f"subset pool needs {need} experts for horizon {horizon} and "
-            f"dimension {dimension}; the cap is {MAX_EXPERTS}"
-        )
-    experts = []
-    for k in range(min(dimension, horizon) + 1):
-        for combo in itertools.combinations(range(horizon), k):
-            experts.append(SubsetExpert(combo, hc, u))
-    return experts
+    return SubsetPool(hc, u, horizon, dimension)
 
 
 def mc_regret(
@@ -121,18 +208,20 @@ def mc_regret(
     forecaster seeds, with the paper's agnostic bound
     dimension + sqrt((T/2) ln N) for N experts.
 
-    The pool is replayed once and the forecaster runs at the known-horizon
-    rate for the pool size.  probabilities holds the per-round probability
-    of predicting 1, which does not depend on the seeds; a one-seed run is
-    seeds=[seed].
+    The pool is replayed once, by groups, without making its experts, and
+    the forecaster runs at the known-horizon rate for the pool size.  probabilities holds the
+    per-round probability of predicting 1, which does not depend on the
+    seeds; a one-seed run is seeds=[seed].  groups is the largest number
+    of groups live in one round.
     """
     rounds = list(rounds)
     if dimension is None:
         dimension = adversarial_dimension(hc, u)
-    experts = build_subset_experts(hc, u, len(rounds), dimension)
-    preds, losses = expert_matrices(experts, rounds)
-    n = len(experts)
-    probs = weight_trajectory(preds, losses, horizon_rate(n, len(rounds)))
+    pool = build_subset_experts(hc, u, len(rounds), dimension)
+    if not rounds:
+        raise DomainError("need at least one round")
+    n = len(pool)
+    probs, groups = pool.group_trajectory(rounds, horizon_rate(n, len(rounds)))
     labels = np.array([y for _, _, y in rounds])
     best, _ = comparator_loss(hc, u, rounds)
     coins = COIN_TABLES.blocks("agnostic", seeds, len(rounds), derive_rng)
@@ -142,8 +231,9 @@ def mc_regret(
         **stats,
         "comparator": best,
         "expert_count": n,
+        "groups": groups,
         "bound": bound,
-        "probabilities": probs.tolist(),
+        "probabilities": probs,
     }
 
 

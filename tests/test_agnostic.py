@@ -1,11 +1,13 @@
 """Subset experts, regret accounting, and the decomposition inequality."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from robust_online import (
+    CorpusParams,
     HypothesisClass,
     PerturbationMap,
     adversarial_dimension,
@@ -13,12 +15,15 @@ from robust_online import (
     comparator_loss,
     decomposition_gap,
     full_class,
+    generate_corpus,
     identity_map,
     mc_regret,
     random_label_regret_sample,
     subset_expert_count,
     total_map,
 )
+from robust_online import agnostic
+from robust_online.acceptance import FULL, _robust_usable, _sub_seed
 from robust_online.adversaries import corrupt_labels, realizable_robust_rounds
 from robust_online.agnostic import analysis_subset, hypothesis_losses
 from robust_online.errors import DomainError, LimitExceeded
@@ -53,6 +58,8 @@ def test_build_subset_experts_enumerates_small_subsets():
     assert experts[0].indices == frozenset()
     singletons = {frozenset({t}) for t in range(5)}
     assert {e.indices for e in experts[1:]} == singletons
+    # the experts are made once, so a replay that iterates twice a round steps each one
+    assert all(a is b for a, b in zip(experts, experts))
 
 
 def test_build_subset_experts_refuses_oversized_pools():
@@ -60,6 +67,27 @@ def test_build_subset_experts_refuses_oversized_pools():
     u = identity_map(2)
     with pytest.raises(LimitExceeded):
         build_subset_experts(hc, u, horizon=300, dimension=3)
+
+
+def test_mc_regret_checks_the_cap_without_building_experts(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("mc_regret built a subset expert")
+
+    monkeypatch.setattr(agnostic.SubsetExpert, "__init__", refuse)
+    hc, u = full_class(2), identity_map(2)
+    rounds = [(0, 0, 1)] * 300
+    message = (
+        "subset pool needs 4500251 experts for horizon 300 and dimension 3; "
+        "the cap is 20000"
+    )
+    with pytest.raises(LimitExceeded) as built:
+        build_subset_experts(hc, u, horizon=300, dimension=3)
+    with pytest.raises(LimitExceeded) as replayed:
+        mc_regret(hc, u, rounds, seeds=range(3), dimension=3)
+    assert str(built.value) == str(replayed.value) == message
+    with pytest.raises(DomainError, match="need at least one round"):
+        mc_regret(hc, u, [], seeds=range(3), dimension=3)
+    assert mc_regret(hc, u, rounds[:20], seeds=range(3), dimension=3)["expert_count"] == 1351
 
 
 def test_comparator_is_exact_envelope_minimum():
@@ -159,6 +187,62 @@ def test_mc_regret_reports_the_agnostic_bound():
     bound = dim + math.sqrt(horizon / 2 * math.log(n_experts))
     assert mc_regret(HC5, U5, rounds, seeds=range(3))["bound"] == bound
     assert mc_regret(HC5, U5, rounds, seeds=range(3), dimension=dim)["bound"] == bound
+
+
+REPLAY_SHAPES = ((1, 99), (1, 199), (2, 20), (2, 30), (2, 40))
+
+
+def pinned_estimates():
+    """(class, map, rounds, dimension) of criterion 8's seed-0 estimates at
+    full scale, then one corrupted sequence per (dimension, horizon) shape
+    of the benchmark's regret estimates, on the first of those classes
+    with that dimension."""
+    corpus = generate_corpus(
+        CorpusParams(count=FULL.agnostic_scenarios * 8, seed=_sub_seed(0, 8))
+    )
+    first, used = {}, 0
+    for idx, sc in enumerate(corpus):
+        if used == FULL.agnostic_scenarios:
+            break
+        hc, u = sc.hypotheses, sc.truth
+        dim = adversarial_dimension(hc, u)
+        if not 1 <= dim <= 2 or not _robust_usable(hc, u):
+            continue
+        first.setdefault(dim, (hc, u))
+        rng = derive_rng(0, "crit8", idx)
+        rounds = realizable_robust_rounds(hc, u, FULL.agnostic_horizon, rng)
+        yield hc, u, corrupt_labels(rounds, 2, hc.label_count, rng), dim
+        used += 1
+    for dim, horizon in REPLAY_SHAPES:
+        hc, u = first[dim]
+        rng = derive_rng(0, "pinned-regret", dim, horizon)
+        rounds = realizable_robust_rounds(hc, u, horizon, rng)
+        yield hc, u, corrupt_labels(rounds, 2, hc.label_count, rng), dim
+
+
+def test_pinned_regret_estimates():
+    """Each seed's regret and the probabilities to 12 places.  The digest
+    was recorded when mc_regret stepped every expert of the pool, so a
+    coin flipped by the groups' rounding fails here on every NumPy."""
+    digest = hashlib.sha256()
+    for hc, u, rounds, dim in pinned_estimates():
+        mc = mc_regret(hc, u, rounds, seeds=range(200), dimension=dim)
+        digest.update(repr((mc["values"], [round(p, 12) for p in mc["probabilities"]])).encode())
+    assert digest.hexdigest() == (
+        "2e01326ffca9e14bfc3ba3ba14cb553f2f84870aa625f1a424399d3d3016ee6e"
+    )
+
+
+def test_live_groups_stay_few():
+    hc = HypothesisClass.from_tables([(0, 1)])
+    u = identity_map(2)
+    assert adversarial_dimension(hc, u) == 0
+    rounds = corrupted_rounds(hc, u, 30, 5, seed=2)
+    assert mc_regret(hc, u, rounds, seeds=[0])["groups"] == 1
+    *_, (hc, u, rounds, dim) = pinned_estimates()
+    mc = mc_regret(hc, u, rounds, seeds=[0], dimension=dim)
+    assert mc["expert_count"] == 821
+    assert 1 < mc["groups"] < 20
 
 
 def test_random_label_probe_learner_loses_half_the_rounds():

@@ -1,8 +1,8 @@
 """Property tests over random small games.
 
-The consistency masks are the package's single source of the robust
-loss.  The first properties check them, and the functions derived from
-them, against the definitional `adversarial_loss`, and the realizable
+The consistency masks are the package's single source of the robust loss.
+The first properties check them, and the functions derived from them,
+against the definitional `adversarial_loss`, and the realizable
 generators against a plain loop with one scalar draw per choice; the next
 check the dimension search and the minimax oracle against plain searches
 written here, restriction, and the lifetime of compiled data; the next
@@ -10,8 +10,9 @@ check the shared prediction memo against fresh classes, that at most one
 label qualifies, emptied states on the shared state table, the lazy
 learner's automaton, its self-loops on correct rounds, the random-label
 probe and the one-replay expert aggregation against stepwise loops on
-plain learners; then scenario files round-trip, and derived seed
-sequences match a construction from a list of digest words.
+plain learners, and the subset experts' group replay against the built
+pool; then scenario files round-trip, and derived seed sequences match a
+construction from a list of digest words.
 """
 
 import gc
@@ -42,6 +43,7 @@ from robust_online import (
     adversarial_dimension,
     adversarial_loss,
     build_family_experts,
+    build_subset_experts,
     comparator_loss,
     compatible_pairs,
     corrupt_labels,
@@ -71,6 +73,7 @@ from robust_online import (
 from robust_online.adversaries import orientation_options, robust_anchors
 from robust_online.agnostic import SubsetExpert, hypothesis_losses
 from robust_online.dimension import get_engine
+from robust_online.forecaster import expert_matrices, weight_trajectory
 from robust_online.learners import LazyRobustAutomaton
 from robust_online.model import compiled, consistency_masks, game_nodes
 from robust_online.oracle import MinimaxSolver
@@ -712,6 +715,46 @@ def test_agnostic_replay_equals_the_stepwise_forecaster(game, data, seed):
     mistakes, _ = stepwise_ewa(experts, rounds, rate, derive_rng(seed, "agnostic"))
     best, _ = comparator_loss(hc, u, rounds)
     assert mc_regret(hc, u, rounds, seeds=[seed])["values"] == [mistakes - best]
+
+
+@PROPERTY
+@given(
+    games(max_labels=2),
+    st.integers(1, 12),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+)
+@example(
+    game=(full_class(2), identity_map(2)), horizon=6, dimension=0, corruptions=2, seed=0
+)
+@example(
+    game=(HypothesisClass.from_tables([(1,)]), PerturbationMap.from_sets([{0}])),
+    horizon=3,
+    dimension=1,
+    corruptions=1,
+    seed=126,
+)
+def test_group_replay_equals_the_pool(game, horizon, dimension, corruptions, seed):
+    """mc_regret's groups give the probabilities of exponential weights
+    over the whole pool of subset experts, built and replayed expert by
+    expert.  The dimension is drawn, not computed, so the pools range over
+    subset sizes 0 to 3.  The first example has one group throughout.  The
+    second plays (0, 0, 1), (0, 0, 0), (0, 0, 1) against one hypothesis:
+    round 0 is a correct round, whose step leaves the state as it is, and
+    the experts with 0 in J must still count it, since from round 1 on
+    they have no subset left to spend."""
+    hc, u = game
+    rng = derive_rng(seed, "group-replay")
+    rounds = realizable_robust_rounds(hc, u, horizon, rng)
+    assume(rounds)
+    rounds = corrupt_labels(rounds, corruptions, 2, rng)
+    experts = build_subset_experts(hc, u, len(rounds), dimension)
+    preds, losses = expert_matrices(experts, rounds)
+    pool = weight_trajectory(preds, losses, horizon_rate(len(experts), len(rounds)))
+    got = mc_regret(hc, u, rounds, seeds=[seed], dimension=dimension)
+    assert got["expert_count"] == len(experts)
+    assert np.allclose(got["probabilities"], pool, rtol=0, atol=1e-12)
 
 
 @st.composite
