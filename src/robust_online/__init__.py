@@ -66,11 +66,9 @@ from .model import (
     HypothesisClass,
     PerturbationMap,
     VersionSpace,
-    adversarial_loss,
     compatible_pairs,
     full_class,
     identity_map,
-    is_realizable_sequence,
     restrict,
     total_map,
 )

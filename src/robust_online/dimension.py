@@ -231,27 +231,33 @@ def classic_littlestone_dimension(hc: HypothesisClass) -> int:
 
     Deliberately shares nothing with the bitmask engine: the recursion
     splits a set of tables on single instances, which is the identity-map
-    special case the adversarial dimension must agree with.
+    special case the adversarial dimension must agree with.  A set of
+    tables is an int bitmask over table ids, and instance x splits it
+    with the mask of the tables that label x with 0, built here from the
+    raw tables; no perturbation map is read.
     """
     if hc.label_count != 2:
         raise DomainError("the classic dimension is defined here for binary labels")
-    n = hc.instance_count
-    memo: dict[frozenset, int] = {}
+    zeros_at = [0] * hc.instance_count
+    for i, h in enumerate(hc):
+        for x, y in enumerate(h.table):
+            if y == 0:
+                zeros_at[x] |= 1 << i
+    memo: dict[int, int] = {}
 
-    def dim(tables: frozenset) -> int:
+    def dim(tables: int) -> int:
         hit = memo.get(tables)
         if hit is not None:
             return hit
         best = 0
-        for x in range(n):
-            zeros = frozenset(t for t in tables if t[x] == 0)
-            if not zeros or len(zeros) == len(tables):
+        for z in zeros_at:
+            zeros = tables & z
+            if not zeros or zeros == tables:
                 continue
-            ones = tables - zeros
-            d = 1 + min(dim(zeros), dim(ones))
+            d = 1 + min(dim(zeros), dim(tables ^ zeros))
             if d > best:
                 best = d
         memo[tables] = best
         return best
 
-    return dim(frozenset(h.table for h in hc))
+    return dim((1 << hc.size) - 1)

@@ -141,25 +141,6 @@ def total_map(n: int) -> PerturbationMap:
     return PerturbationMap.from_sets([set(range(n))] * n)
 
 
-def empty_map(n: int) -> PerturbationMap:
-    return PerturbationMap.from_sets([set()] * n)
-
-
-def adversarial_loss(h: Hypothesis, x: Instance, y: Label, u: PerturbationMap) -> int:
-    """1 if some admissible perturbation of x gets a label other than y.
-
-    The supremum over an empty perturbation set is 0: an instance that
-    cannot be presented at all can never be misclassified.
-    """
-    if not 0 <= x < u.instance_count:
-        raise DomainError(f"instance id {x} outside [0, {u.instance_count})")
-    if not 0 <= y < h.label_count:
-        raise DomainError(f"label id {y} outside [0, {h.label_count})")
-    if len(h.table) != u.instance_count:
-        raise DomainError("hypothesis and perturbation map cover different spaces")
-    return int(any(h.table[z] != y for z in u.forward[x]))
-
-
 def compiled(hc: HypothesisClass, u: PerturbationMap, build, *args):
     """build(hc, u, *args), made once and kept on hc.
 
@@ -277,11 +258,6 @@ def _pair_mask(masks, hc: HypothesisClass, x: Instance, y: Label) -> int:
     if not 0 <= y < hc.label_count:
         raise DomainError(f"label id {y} outside [0, {hc.label_count})")
     return masks[x][y]
-
-
-def is_realizable_sequence(pairs, hc: HypothesisClass, u: PerturbationMap) -> bool:
-    """True iff one hypothesis has zero adversarial loss on the whole sequence."""
-    return surviving_mask(pairs, hc, u) != 0
 
 
 def compatible_pairs(u: PerturbationMap) -> set[tuple[Instance, Instance]]:

@@ -12,6 +12,10 @@ legal and one with the full class's mask never shrinks a state, so both
 are dropped, and so are moves left empty; equal moves are kept once.
 Robust inputs with the same reveal set thus share one move, and so do
 the mirrored multiclass nodes ((x0, x1), (a, b)) and ((x1, x0), (b, a)).
+The raw moves are deduped before they are filtered and sorted: robust
+inputs by their preimage set U^-1(z), which fixes the move, and nodes by
+their unordered pair of sides, which collapses mirrored nodes.  Dropping
+a copy of a raw move drops nothing from the set of moves.
 
 One memoized recursion serves the unbounded game (children valued
 unbounded) and the horizon-capped game (children valued at one round
@@ -91,11 +95,14 @@ class MinimaxSolver:
         masks = consistency_masks(hc, u)
         if game == "robust":
             raw = [
-                [(masks[x][y], y) for x in u.preimage[z] for y in range(hc.label_count)]
-                for z in range(u.instance_count)
+                [(masks[x][y], y) for x in pre for y in range(hc.label_count)]
+                for pre in set(u.preimage)
             ]
         else:
-            raw = [[(m0, y0), (m1, y1)] for _, (y0, y1), m0, m1 in game_nodes(hc, u, multiclass)]
+            raw = set()
+            for _, (y0, y1), m0, m1 in game_nodes(hc, u, multiclass):
+                a, b = (m0, y0), (m1, y1)
+                raw.add((a, b) if a < b else (b, a))
         full = (1 << hc.size) - 1
         moves = {tuple(sorted({(m, y) for m, y in move if m and m != full})) for move in raw}
         moves.discard(())

@@ -114,8 +114,8 @@ class Scenario:
 
 def _logical_lines(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if line.strip():
+        line = raw.partition("#")[0].rstrip()
+        if line:
             yield i, line
 
 
@@ -131,10 +131,11 @@ def try_parse_scenario(text: str):
     first = {}  # header word -> its first section
     current = None
     for ln, line in _logical_lines(text):
-        stripped = line.strip()
-        word = stripped.split()[0]
+        stripped = line.lstrip()
+        parts = stripped.split(None, 1)
+        word = parts[0]
         if word in ("SPACES", "HYPOTHESES", "PERTURBATIONS", "GAME"):
-            arg = stripped[len(word) :].strip()
+            arg = parts[1] if len(parts) > 1 else ""
             if word == "PERTURBATIONS":
                 if not arg:
                     arg = f"u{sum(1 for s in sections if s[0] == 'PERTURBATIONS')}"
@@ -147,15 +148,17 @@ def try_parse_scenario(text: str):
             sections.append(current)
             first.setdefault(word, current)
             continue
-        if ":" not in stripped:
+        key, colon, value = stripped.partition(":")
+        if not colon:
             err(ln, 1, f"expected 'key: values', got {stripped!r}")
             continue
-        key, _, value = stripped.partition(":")
-        col = line.index(key.strip()) + 1 if key.strip() else 1
+        key = key.rstrip()
+        # the key starts right after the line's leading blanks
+        col = len(line) - len(stripped) + 1 if key else 1
         if current is None:
-            err(ln, col, f"entry {key.strip()!r} appears before any section header")
+            err(ln, col, f"entry {key!r} appears before any section header")
             continue
-        current[3].append((ln, key.strip(), value.strip(), col))
+        current[3].append((ln, key, value.strip(), col))
 
     for word in ("SPACES", "HYPOTHESES", "PERTURBATIONS"):
         if word not in first:

@@ -16,7 +16,6 @@ from robust_online import (
     full_class,
     generate_corpus,
     identity_map,
-    is_realizable_sequence,
     make_learner,
     optimal_mistake_bound,
     total_map,
@@ -26,6 +25,8 @@ from robust_online.errors import LimitExceeded
 from robust_online.model import game_nodes
 from robust_online.oracle import MinimaxSolver
 from robust_online.seeding import derive_rng
+
+from reference import is_realizable_sequence
 
 HC5 = HypothesisClass.from_tables(
     [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 1)]

@@ -82,7 +82,7 @@ def test_classic_thresholds_on_seven_points():
 
 
 def test_classic_full_classes():
-    for n in range(1, 5):
+    for n in range(1, 7):
         assert classic_littlestone_dimension(full_class(n)) == n
 
 

@@ -7,16 +7,16 @@ from robust_online import (
     HypothesisClass,
     PerturbationMap,
     VersionSpace,
-    adversarial_loss,
     compatible_pairs,
     full_class,
     identity_map,
-    is_realizable_sequence,
     restrict,
     total_map,
 )
 from robust_online.errors import DomainError
-from robust_online.model import empty_map, surviving_mask
+from robust_online.model import surviving_mask
+
+from reference import adversarial_loss, empty_map, is_realizable_sequence
 
 
 def two_point_overlap():

@@ -2,10 +2,11 @@
 
 The consistency masks are the package's single source of the robust loss.
 The first properties check them, and the functions derived from them,
-against the definitional `adversarial_loss`, and the realizable
+against the definitional `adversarial_loss` of tests/reference.py, and the realizable
 generators against a plain loop with one scalar draw per choice; the next
-check the dimension search and the minimax oracle against plain searches
-written here, restriction, and the lifetime of compiled data; the next
+check the dimension search, the classic dimension, and the minimax
+oracle's values and move table against plain searches written here,
+restriction, and the lifetime of compiled data; the next
 check the shared prediction memo against fresh classes, that at most one
 label qualifies, emptied states on the shared state table, the lazy
 learner's automaton, its self-loops on correct rounds, the random-label
@@ -41,7 +42,7 @@ from robust_online import (
     SoaOrientationLearner,
     VersionSpace,
     adversarial_dimension,
-    adversarial_loss,
+    classic_littlestone_dimension,
     build_family_experts,
     build_subset_experts,
     comparator_loss,
@@ -78,6 +79,8 @@ from robust_online.learners import LazyRobustAutomaton
 from robust_online.model import compiled, consistency_masks, game_nodes
 from robust_online.oracle import MinimaxSolver
 from robust_online.scenario import ADVERSARIES, DEFAULT_LABELS, PROTOCOLS
+
+from reference import adversarial_loss
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -317,6 +320,40 @@ def test_pruned_search_matches_the_plain_recursion(game, multiclass):
         assert engine.dimension_of_mask(mask) == value
 
 
+def plain_classic_dimension(hc):
+    """The classic recursion over frozensets of raw label tables."""
+    n = hc.instance_count
+    memo = {}
+
+    def dim(tables):
+        if tables not in memo:
+            best = 0
+            for x in range(n):
+                zeros = frozenset(t for t in tables if t[x] == 0)
+                if zeros and len(zeros) != len(tables):
+                    best = max(best, 1 + min(dim(zeros), dim(tables - zeros)))
+            memo[tables] = best
+        return memo[tables]
+
+    return dim(frozenset(h.table for h in hc))
+
+
+@st.composite
+def binary_classes(draw, max_instances=6, max_tables=32):
+    n = draw(st.integers(1, max_instances))
+    table = st.tuples(*[st.integers(0, 1)] * n)
+    size = min(max_tables, 2**n)
+    return HypothesisClass.from_tables(
+        draw(st.lists(table, min_size=1, max_size=size, unique=True))
+    )
+
+
+@PROPERTY
+@given(binary_classes())
+def test_classic_dimension_matches_the_table_set_recursion(hc):
+    assert classic_littlestone_dimension(hc) == plain_classic_dimension(hc)
+
+
 def reference_game_values(hc, u, game, multiclass):
     """value(mask, h): minimax value that re-runs the whole Bellman equation on every pass."""
     masks = consistency_masks(hc, u)
@@ -405,6 +442,37 @@ def test_every_oracle_memo_entry_is_its_state_value(game, multiclass):
         for horizon, memo in solver.memos.items():
             for mask, v in memo.items():
                 assert v == value(mask, horizon)
+
+
+def reference_moves(hc, u, game, multiclass):
+    """The oracle's move table built from every input and every node.
+
+    Each raw move is filtered and sorted on its own, with no dedupe of
+    equal inputs or mirrored nodes before that.
+    """
+    masks = consistency_masks(hc, u)
+    full = (1 << hc.size) - 1
+    if game == "robust":
+        raw = [
+            [(masks[x][y], y) for x in u.preimage[z] for y in range(hc.label_count)]
+            for z in range(u.instance_count)
+        ]
+    else:
+        raw = [[(m0, y0), (m1, y1)] for _, (y0, y1), m0, m1 in game_nodes(hc, u, multiclass)]
+    moves = {tuple(sorted({(m, y) for m, y in move if m and m != full})) for move in raw}
+    moves.discard(())
+    return tuple(sorted(moves))
+
+
+@PROPERTY
+@given(games(max_instances=5, max_hypotheses=16), st.booleans())
+def test_oracle_moves_match_the_per_input_and_per_node_table(game, multiclass):
+    hc, u = game
+    multiclass = multiclass or hc.label_count > 2
+    for name in ("robust", "orientation"):
+        assert MinimaxSolver(hc, u, name, multiclass).moves == (
+            reference_moves(hc, u, name, multiclass)
+        )
 
 
 @PROPERTY
