@@ -46,7 +46,6 @@ from .errors import (
     TreeStructureError,
 )
 from .forecaster import (
-    ExponentialWeightsForecaster,
     horizon_rate,
     horizon_regret_bound,
     loss_budget_rate,

@@ -1,12 +1,13 @@
 """Agnostic robust learning by aggregating subset-trained experts.
 
 Regret is measured against the best single hypothesis under the
-adversarial loss.  One expert is built per round subset of size at most
-the class dimension; expert A_J runs the lazy optimal learner and shows it
-only the rounds in J.  For the subset picked by the analysis (the mistake
-rounds of the lazy learner on the clean part of the sequence) the expert's
-total mistakes are at most dimension + comparator loss, so exponentially
-weighted aggregation turns the pool into a sublinear-regret learner.
+adversarial loss.  The pool has one expert per round subset of size at
+most the class dimension; expert A_J runs the lazy optimal learner and
+shows it only the rounds in J.  For the subset picked by the analysis
+(the mistake rounds of the lazy learner on the clean part of the
+sequence) the expert's total mistakes are at most dimension + comparator
+loss, so exponentially weighted aggregation turns the pool into a
+sublinear-regret learner.
 
 mc_regret runs exponential weights over the whole pool without making
 its experts.  Before round t, A_J's state on the lazy automaton is fixed
@@ -22,25 +23,23 @@ N(T-t-1, d-k-1) / N(T-t, d-k) of it whose J holds t moves to
 the reals, and only a handful of groups are live at once, against N
 experts in the pool.  Every forecaster seed, one or many, is then scored
 against the probabilities with the seeds' cached coin table.
-build_subset_experts gives the pool as a SubsetPool, whose experts are
-made only when it is indexed or iterated: mc_regret reads its size and
-replays it by groups, and the tests replay its experts one by one with
-forecaster.expert_matrices as the reference, the way decomposition_gap
-replays the analysis expert.  The groups, the analysis pass and the
-random-label probe all step state ids on the (class, map)'s one lazy
+build_subset_experts gives the pool as a SubsetPool, which holds only
+its size, horizon and dimension and replays itself by groups; no expert
+is ever made, so the pool has no size cap.  The tests keep an
+expert-by-expert reference to check the groups against.  The groups,
+the analysis pass, the analysis expert's replay in decomposition_gap and
+the random-label probe all step state ids on the (class, map)'s one lazy
 automaton, which keeps no events.  A correct round leaves a lazy state
 as it is, so they step the automaton only on mistake rounds.
 """
 
-import itertools
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
 from .dimension import adversarial_dimension, witness_tree
-from .errors import DomainError, LimitExceeded
-from .forecaster import COIN_TABLES, expert_matrices, horizon_rate, seeded_mistakes
+from .errors import DomainError
+from .forecaster import COIN_TABLES, horizon_rate, seeded_mistakes
 
 # nothing here calls it, but the benchmark's tracer wraps
 # agnostic.weight_trajectory by name until the package keeps its own counters
@@ -48,8 +47,6 @@ from .forecaster import weight_trajectory  # noqa: F401
 from .learners import LazyRobustAutomaton
 from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks
 from .seeding import derive_rng
-
-MAX_EXPERTS = 20000
 
 
 def hypothesis_losses(hc: HypothesisClass, u: PerturbationMap, rounds) -> list[int]:
@@ -69,71 +66,21 @@ def comparator_loss(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple[in
     return best, totals.index(best)
 
 
-class SubsetExpert:
-    """The lazy optimal learner, shown only the rounds in one subset.
-
-    A view on the (class, map)'s shared automaton: the expert holds only
-    its state id, so experts in the same state share every prediction and
-    transition, and no events are kept.  Rounds are counted from 0 by the
-    updates the expert has received.
-    """
-
-    def __init__(self, indices, hc: HypothesisClass, u: PerturbationMap):
-        self.indices = frozenset(indices)
-        self.automaton = compiled(hc, u, LazyRobustAutomaton)
-        self.state = 0
-        self.round = 0
-
-    def predict(self, z: int) -> int:
-        return self.automaton.predict(self.state, z)
-
-    def update(self, z: int, x: int, y: int) -> None:
-        if self.round in self.indices:
-            self.state = self.automaton.step(self.state, z, x, y)
-        self.round += 1
-
-
 def subset_expert_count(horizon: int, dimension: int) -> int:
     return sum(math.comb(horizon, k) for k in range(min(dimension, horizon) + 1))
 
 
-class SubsetPool(Sequence):
-    """The subset experts of one horizon, made on first access.
+class SubsetPool:
+    """The subset experts of one horizon, as a count and a group replay.
 
-    len() is the expert count, checked against the cap when the pool is
-    built; indexing or iterating makes every expert once, in the order
-    subsets by size, then lexicographically.  group_trajectory replays
-    the pool by groups and makes none of them.
+    size is the expert count; group_trajectory replays exponential
+    weights over every expert without making any of them.
     """
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap, horizon: int, dimension: int):
         self.size = subset_expert_count(horizon, dimension)
-        if self.size > MAX_EXPERTS:
-            raise LimitExceeded(
-                f"subset pool needs {self.size} experts for horizon {horizon} and "
-                f"dimension {dimension}; the cap is {MAX_EXPERTS}"
-            )
         self.hc, self.u = hc, u
         self.horizon, self.dimension = horizon, min(dimension, horizon)
-        self._experts = None
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i):
-        return self._made()[i]
-
-    def __iter__(self):
-        return iter(self._made())
-
-    def _made(self) -> list[SubsetExpert]:
-        if self._experts is None:
-            self._experts = [
-                SubsetExpert(combo, self.hc, self.u)
-                for k in range(self.dimension + 1)
-                for combo in itertools.combinations(range(self.horizon), k)
-            ]
-        return self._experts
 
     def group_trajectory(self, rounds, rate: float):
         """(per-round probabilities of predicting 1, peak live groups) of
@@ -187,10 +134,9 @@ def build_subset_experts(
     horizon: int,
     dimension: int | None = None,
 ) -> SubsetPool:
-    """One expert per round subset of size at most the class dimension.
-
-    Deterministic order: subsets by size, then lexicographically.  Raises
-    when the pool would exceed the desk-scale cap, stating the needed count.
+    """The pool of one expert per round subset of size at most the class
+    dimension, as its size and its group replay.  No expert is made, so
+    any horizon is accepted; mc_regret builds one pool per estimate.
     """
     if dimension is None:
         dimension = adversarial_dimension(hc, u)
@@ -209,10 +155,10 @@ def mc_regret(
     dimension + sqrt((T/2) ln N) for N experts.
 
     The pool is replayed once, by groups, without making its experts, and
-    the forecaster runs at the known-horizon rate for the pool size.  probabilities holds the
-    per-round probability of predicting 1, which does not depend on the
-    seeds; a one-seed run is seeds=[seed].  groups is the largest number
-    of groups live in one round.
+    the forecaster runs at the known-horizon rate for the pool size.
+    probabilities holds the per-round probability of predicting 1, which
+    does not depend on the seeds; a one-seed run is seeds=[seed].  groups
+    is the largest number of groups live in one round.
     """
     rounds = list(rounds)
     if dimension is None:
@@ -220,7 +166,7 @@ def mc_regret(
     pool = build_subset_experts(hc, u, len(rounds), dimension)
     if not rounds:
         raise DomainError("need at least one round")
-    n = len(pool)
+    n = pool.size
     probs, groups = pool.group_trajectory(rounds, horizon_rate(n, len(rounds)))
     labels = np.array([y for _, _, y in rounds])
     best, _ = comparator_loss(hc, u, rounds)
@@ -259,12 +205,21 @@ def analysis_subset(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:
 def decomposition_gap(hc: HypothesisClass, u: PerturbationMap, rounds) -> dict:
     """Replay the analysis expert on the full sequence and report its slack.
 
-    The expert's total mistakes must never exceed dimension + comparator
-    loss; the returned gap is bound minus realized mistakes (>= 0).
+    The expert predicts every round and is stepped only on the picked
+    rounds, as analysis_subset steps the automaton.  Its total mistakes
+    must never exceed dimension + comparator loss; the returned gap is
+    bound minus realized mistakes (>= 0).
     """
+    rounds = list(rounds)
+    if not rounds:
+        raise DomainError("need at least one round")
     picked, best, best_id = analysis_subset(hc, u, rounds)
-    _, losses = expert_matrices([SubsetExpert(picked, hc, u)], rounds)
-    mistakes = int(losses.sum())
+    lazy, s = compiled(hc, u, LazyRobustAutomaton), 0
+    mistakes = 0
+    for t, (z, x, y) in enumerate(rounds):
+        mistakes += lazy.predict(s, z) != y
+        if t in picked:
+            s = lazy.step(s, z, x, y)
     dim = adversarial_dimension(hc, u)
     return {
         "expert_mistakes": mistakes,

@@ -17,20 +17,21 @@ update, which changes nothing (predictions depend only on weight ratios)
 and keeps them away from underflow.
 
 Experts react to the revealed sequence only, never to the forecaster's
-coin flips, so a run is replayed in three steps shared by every learner
-that aggregates experts: expert_matrices drives the pool over the fixed
-sequence once, weight_trajectory turns the matrices into the per-round
-probabilities, and seeded_mistakes scores every seed's coins against them
-in one array expression.  A seed's coins depend only on its (seed, stream)
-generator, never on the scenario, so COIN_TABLES builds each (stream,
-seeds) table of uniforms once per process and keeps it in an LRU bounded
-by a fixed number of cells.  Row i holds the first draws of the i-th
-seed's generator: random(T) is a prefix of random(T') for T' > T, so a
-kept table answers any shorter horizon, and a one-seed run is the same
-computation as a Monte-Carlo one.  A table too big to keep is built and
-scored in row blocks, so an estimate's memory does not grow with its seed
-count.  ExponentialWeightsForecaster is the stepwise reference for these
-steps.
+coin flips, so a run is replayed in three steps: expert_matrices drives
+the family experts (uncertain) over the fixed sequence once,
+weight_trajectory turns the matrices into the per-round probabilities,
+and seeded_mistakes scores every seed's coins against them in one array
+expression.  The subset experts (agnostic) are never made: their pool
+computes the probabilities by groups and shares only the scoring.  A
+seed's coins depend only on its (seed, stream) generator, never on the
+scenario, so COIN_TABLES builds each (stream, seeds) table of uniforms
+once per process and keeps it in an LRU bounded by a fixed number of
+cells.  Row i holds the first draws of the i-th seed's generator:
+random(T) is a prefix of random(T') for T' > T, so a kept table answers
+any shorter horizon, and a one-seed run is the same computation as a
+Monte-Carlo one.  A table too big to keep is built and scored in row
+blocks, so an estimate's memory does not grow with its seed count.  The
+tests keep a stepwise forecaster as the reference for these steps.
 """
 
 import math
@@ -68,30 +69,6 @@ def small_loss_bound(n_experts: int, loss_budget: int) -> float:
     n = math.log(max(n_experts, 2))
     budget = max(int(loss_budget), 1)
     return budget + math.sqrt(2.0 * budget * n) + n
-
-
-class ExponentialWeightsForecaster:
-    def __init__(self, n_experts: int, rate: float):
-        if n_experts < 1:
-            raise ValueError("need at least one expert")
-        if rate <= 0:
-            raise ValueError("the learning rate must be positive")
-        self.rate = rate
-        self.weights = np.ones(n_experts)
-
-    def probability(self, predictions) -> float:
-        """Probability of predicting 1 given the experts' 0/1 votes."""
-        preds = np.asarray(predictions, dtype=float)
-        return float(self.weights @ preds / self.weights.sum())
-
-    def predict(self, predictions, rng) -> int:
-        return int(rng.random() < self.probability(predictions))
-
-    def update(self, losses) -> None:
-        self.weights = self.weights * np.exp(
-            -self.rate * np.asarray(losses, dtype=float)
-        )
-        self.weights /= self.weights.max()
 
 
 def expert_matrices(experts, rounds):

@@ -4,9 +4,22 @@ The package computes the robust loss only through its consistency masks
 (`model.consistency_masks`).  The per-hypothesis definition of that loss
 and the helpers the tests build around it live here, outside the
 package, so the package keeps one source of the robust loss.
+
+The package never makes a subset expert: `agnostic` replays the pool by
+groups.  The expert-by-expert reference lives here instead: a plain
+subset expert on a lazy learner, and a forecaster stepped round by round.
 """
 
-from robust_online import Hypothesis, PerturbationMap
+import itertools
+
+import numpy as np
+
+from robust_online import (
+    Hypothesis,
+    PerturbationMap,
+    RobustReductionLearner,
+    lazy_wrap,
+)
 from robust_online.errors import DomainError
 from robust_online.model import surviving_mask
 
@@ -33,3 +46,71 @@ def adversarial_loss(h: Hypothesis, x: int, y: int, u: PerturbationMap) -> int:
 def is_realizable_sequence(pairs, hc, u: PerturbationMap) -> bool:
     """True iff one hypothesis has zero adversarial loss on the whole sequence."""
     return surviving_mask(pairs, hc, u) != 0
+
+
+class ExponentialWeightsForecaster:
+    """Exponential weights stepped one round at a time."""
+
+    def __init__(self, n_experts: int, rate: float):
+        if n_experts < 1:
+            raise ValueError("need at least one expert")
+        if rate <= 0:
+            raise ValueError("the learning rate must be positive")
+        self.rate = rate
+        self.weights = np.ones(n_experts)
+
+    def probability(self, predictions) -> float:
+        """Probability of predicting 1 given the experts' 0/1 votes."""
+        preds = np.asarray(predictions, dtype=float)
+        return float(self.weights @ preds / self.weights.sum())
+
+    def predict(self, predictions, rng) -> int:
+        return int(rng.random() < self.probability(predictions))
+
+    def update(self, losses) -> None:
+        self.weights = self.weights * np.exp(
+            -self.rate * np.asarray(losses, dtype=float)
+        )
+        self.weights /= self.weights.max()
+
+
+class PlainSubsetExpert:
+    """A_J on a plain lazy learner, shown only the rounds in J."""
+
+    def __init__(self, indices, hc, u):
+        self.indices = indices
+        self.learner = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
+        self.round = 0
+
+    def predict(self, z):
+        return self.learner.predict(z)
+
+    def update(self, z, x, y):
+        if self.round in self.indices:
+            self.learner.update(z, x, y)
+        self.round += 1
+
+
+def plain_subset_pool(hc, u, horizon, dimension):
+    """One plain expert per round subset of size at most dimension."""
+    return [
+        PlainSubsetExpert(combo, hc, u)
+        for k in range(min(dimension, horizon) + 1)
+        for combo in itertools.combinations(range(horizon), k)
+    ]
+
+
+def stepwise_ewa(experts, rounds, rate, rng):
+    """(mistakes, per-expert mistakes) of a forecaster stepped round by round."""
+    fore = ExponentialWeightsForecaster(len(experts), rate)
+    mistakes = 0
+    expert_mistakes = [0] * len(experts)
+    for z, x, y in rounds:
+        preds = [e.predict(z) for e in experts]
+        mistakes += fore.predict(preds, rng) != y
+        losses = [int(p != y) for p in preds]
+        expert_mistakes = [m + l for m, l in zip(expert_mistakes, losses)]
+        fore.update(losses)
+        for e in experts:
+            e.update(z, x, y)
+    return mistakes, expert_mistakes

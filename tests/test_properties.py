@@ -11,14 +11,15 @@ check the shared prediction memo against fresh classes, that at most one
 label qualifies, emptied states on the shared state table, the lazy
 learner's automaton, its self-loops on correct rounds, the random-label
 probe and the one-replay expert aggregation against stepwise loops on
-plain learners, and the subset experts' group replay against the built
-pool; then scenario files round-trip, and derived seed sequences match a
-construction from a list of digest words.
+plain learners, the subset experts' group replay against a pool of the
+reference's plain experts, and the analysis expert's mistakes in
+decomposition_gap against a plain expert; then scenario files
+round-trip, and derived seed sequences match a construction from a list
+of digest words.
 """
 
 import gc
 import hashlib
-import itertools
 import math
 import weakref
 
@@ -31,7 +32,6 @@ from robust_online import (
     AdversarialTree,
     AdversarialTreeNode,
     CorpusParams,
-    ExponentialWeightsForecaster,
     GameConfig,
     HypothesisClass,
     OrientationQuery,
@@ -44,10 +44,10 @@ from robust_online import (
     adversarial_dimension,
     classic_littlestone_dimension,
     build_family_experts,
-    build_subset_experts,
     comparator_loss,
     compatible_pairs,
     corrupt_labels,
+    decomposition_gap,
     derive_rng,
     derive_seed_sequence,
     family_halving_run,
@@ -72,7 +72,7 @@ from robust_online import (
     witness_tree,
 )
 from robust_online.adversaries import orientation_options, robust_anchors
-from robust_online.agnostic import SubsetExpert, hypothesis_losses
+from robust_online.agnostic import analysis_subset, hypothesis_losses
 from robust_online.dimension import get_engine
 from robust_online.forecaster import expert_matrices, weight_trajectory
 from robust_online.learners import LazyRobustAutomaton
@@ -80,7 +80,7 @@ from robust_online.model import compiled, consistency_masks, game_nodes
 from robust_online.oracle import MinimaxSolver
 from robust_online.scenario import ADVERSARIES, DEFAULT_LABELS, PROTOCOLS
 
-from reference import adversarial_loss
+from reference import PlainSubsetExpert, adversarial_loss, plain_subset_pool, stepwise_ewa
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -637,13 +637,27 @@ def test_at_most_one_label_qualifies(game, multiclass, tie_break, data):
         assert learner.predict(z) == (qualifying or [0 if multiclass else 1])[0]
 
 
-def robust_walkers(hc, u, horizon):
+class AutomatonWalk:
+    """A state id on the (class, map)'s lazy automaton, stepped every round."""
+
+    def __init__(self, hc, u):
+        self.automaton = compiled(hc, u, LazyRobustAutomaton)
+        self.state = 0
+
+    def predict(self, z):
+        return self.automaton.predict(self.state, z)
+
+    def update(self, z, x, y):
+        self.state = self.automaton.step(self.state, z, x, y)
+
+
+def robust_walkers(hc, u):
     """A lazy tolerant learner with empty_prediction=None, one with
     empty_prediction=0, and an automaton walk, all on the class hc."""
     return [
         lazy_wrap(RobustReductionLearner(hc, u, strict=False)),
         lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0)),
-        SubsetExpert(range(horizon), hc, u),
+        AutomatonWalk(hc, u),
     ]
 
 
@@ -663,8 +677,8 @@ def test_an_emptied_state_predicts_0_on_the_shared_table(game, rounds):
     hc, u = game
     n = hc.instance_count
     rounds = [(z % n, x % n, y % 2) for z, x, y in rounds]
-    shared = robust_walkers(hc, u, len(rounds))
-    alone = [robust_walkers(fresh_copy(hc), u, len(rounds))[i] for i in range(3)]
+    shared = robust_walkers(hc, u)
+    alone = [robust_walkers(fresh_copy(hc), u)[i] for i in range(3)]
     for z, x, y in rounds:
         for walker, twin in zip(shared, alone):
             assert walker.predict(z) == twin.predict(z)
@@ -718,39 +732,6 @@ def test_probe_agrees_with_a_stepwise_replay(game, horizon, seed):
     }
 
 
-class PlainSubsetExpert:
-    """A_J on a plain lazy learner, shown only the rounds in J."""
-
-    def __init__(self, indices, hc, u):
-        self.indices = indices
-        self.learner = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
-        self.round = 0
-
-    def predict(self, z):
-        return self.learner.predict(z)
-
-    def update(self, z, x, y):
-        if self.round in self.indices:
-            self.learner.update(z, x, y)
-        self.round += 1
-
-
-def stepwise_ewa(experts, rounds, rate, rng):
-    """(mistakes, per-expert mistakes) of a forecaster stepped round by round."""
-    fore = ExponentialWeightsForecaster(len(experts), rate)
-    mistakes = 0
-    expert_mistakes = [0] * len(experts)
-    for z, x, y in rounds:
-        preds = [e.predict(z) for e in experts]
-        mistakes += fore.predict(preds, rng) != y
-        losses = [int(p != y) for p in preds]
-        expert_mistakes = [m + l for m, l in zip(expert_mistakes, losses)]
-        fore.update(losses)
-        for e in experts:
-            e.update(z, x, y)
-    return mistakes, expert_mistakes
-
-
 def stepwise_halving(experts, rounds):
     """(mistakes per phase, alive count) of phased halving stepped round by round."""
     alive = set(range(len(experts)))
@@ -774,11 +755,7 @@ def test_agnostic_replay_equals_the_stepwise_forecaster(game, data, seed):
     hc, u = game
     rounds = robust_rounds(data, hc.instance_count)
     dim = adversarial_dimension(hc, u)
-    experts = [
-        PlainSubsetExpert(combo, hc, u)
-        for k in range(min(dim, len(rounds)) + 1)
-        for combo in itertools.combinations(range(len(rounds)), k)
-    ]
+    experts = plain_subset_pool(hc, u, len(rounds), dim)
     rate = horizon_rate(len(experts), len(rounds))
     mistakes, _ = stepwise_ewa(experts, rounds, rate, derive_rng(seed, "agnostic"))
     best, _ = comparator_loss(hc, u, rounds)
@@ -805,24 +782,46 @@ def test_agnostic_replay_equals_the_stepwise_forecaster(game, data, seed):
 )
 def test_group_replay_equals_the_pool(game, horizon, dimension, corruptions, seed):
     """mc_regret's groups give the probabilities of exponential weights
-    over the whole pool of subset experts, built and replayed expert by
-    expert.  The dimension is drawn, not computed, so the pools range over
-    subset sizes 0 to 3.  The first example has one group throughout.  The
-    second plays (0, 0, 1), (0, 0, 0), (0, 0, 1) against one hypothesis:
-    round 0 is a correct round, whose step leaves the state as it is, and
-    the experts with 0 in J must still count it, since from round 1 on
-    they have no subset left to spend."""
+    over the whole pool of subset experts, built from the reference's
+    plain experts and replayed expert by expert.  The dimension is drawn,
+    not computed, so the pools range over subset sizes 0 to 3.  The first
+    example has one group throughout.  The second plays (0, 0, 1),
+    (0, 0, 0), (0, 0, 1) against one hypothesis: round 0 is a correct
+    round, whose step leaves the state as it is, and the experts with 0 in
+    J must still count it, since from round 1 on they have no subset left
+    to spend."""
     hc, u = game
     rng = derive_rng(seed, "group-replay")
     rounds = realizable_robust_rounds(hc, u, horizon, rng)
     assume(rounds)
     rounds = corrupt_labels(rounds, corruptions, 2, rng)
-    experts = build_subset_experts(hc, u, len(rounds), dimension)
+    experts = plain_subset_pool(hc, u, len(rounds), dimension)
     preds, losses = expert_matrices(experts, rounds)
     pool = weight_trajectory(preds, losses, horizon_rate(len(experts), len(rounds)))
     got = mc_regret(hc, u, rounds, seeds=[seed], dimension=dimension)
     assert got["expert_count"] == len(experts)
     assert np.allclose(got["probabilities"], pool, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(games(max_labels=2), st.integers(1, 12), st.integers(0, 3), st.integers(0, 2**16))
+def test_decomposition_gap_counts_the_analysis_expert(game, horizon, corruptions, seed):
+    """decomposition_gap's expert mistakes are those of a plain subset
+    expert over analysis_subset's picked rounds, stepped round by round."""
+    hc, u = game
+    rng = derive_rng(seed, "decomposition")
+    rounds = realizable_robust_rounds(hc, u, horizon, rng)
+    assume(rounds)
+    rounds = corrupt_labels(rounds, corruptions, 2, rng)
+    picked, _, _ = analysis_subset(hc, u, rounds)
+    expert = PlainSubsetExpert(picked, hc, u)
+    mistakes = 0
+    for z, x, y in rounds:
+        mistakes += expert.predict(z) != y
+        expert.update(z, x, y)
+    report = decomposition_gap(hc, u, rounds)
+    assert report["subset"] == picked
+    assert report["expert_mistakes"] == mistakes
 
 
 @st.composite

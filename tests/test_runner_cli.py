@@ -321,6 +321,14 @@ def test_cli_agnostic_dimension_zero_has_no_ratio(tmp_path):
     assert lines[-1] == "ratio: n/a"
 
 
+def test_cli_agnostic_long_horizon_has_no_pool_cap(tmp_path):
+    out = run_cli("gen-corpus", "--count", "12", "--seed", "0", "--out", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    out = run_cli("agnostic", str(tmp_path / "scenario_0008.txt"), "--horizon", "1024")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[:2] == ["dimension: 2", "experts: 524801"]
+
+
 @pytest.fixture
 def family_file(tmp_path):
     path = tmp_path / "family.scn"
