@@ -30,7 +30,11 @@ expert-by-expert reference to check the groups against.  The groups,
 the analysis pass, the analysis expert's replay in decomposition_gap and
 the random-label probe all step state ids on the (class, map)'s one lazy
 automaton, which keeps no events.  A correct round leaves a lazy state
-as it is, so they step the automaton only on mistake rounds.
+as it is, so they step the automaton only on mistake rounds.  The
+probe's node is compiled once per (class, map): the witness root pair,
+its shared input, the automaton and the distinct loss pairs of the
+hypotheses on the node, so its comparator is a min over at most four
+pairs; it finds each mistake by a byte scan of its labels.
 """
 
 import math
@@ -232,6 +236,25 @@ def decomposition_gap(hc: HypothesisClass, u: PerturbationMap, rounds) -> dict:
     }
 
 
+# the probe's labels as bytes: b"\x00" is label 0, b"\x01" label 1
+_LABEL_BYTES = (b"\x00", b"\x01")
+
+
+def _build_probe(hc: HypothesisClass, u: PerturbationMap):
+    """The random-label probe's per-(class, map) data: the witness root
+    pair (x0, x1), the input z both perturb to, the lazy automaton, and
+    the distinct (loss on (x0, 0), loss on (x1, 1)) pairs over the
+    hypotheses."""
+    tree = witness_tree(hc, u)
+    if tree.depth < 1 or tree.root is None:
+        raise DomainError("need dimension >= 1 to build the probe node")
+    x0, x1 = tree.root.pair
+    z = min(u.forward[x0] & u.forward[x1])
+    masks = consistency_masks(hc, u)
+    losses = {(1 - (masks[x0][0] >> i & 1), 1 - (masks[x1][1] >> i & 1)) for i in range(hc.size)}
+    return x0, x1, z, compiled(hc, u, LazyRobustAutomaton), tuple(sorted(losses))
+
+
 def random_label_regret_sample(
     hc: HypothesisClass,
     u: PerturbationMap,
@@ -242,43 +265,35 @@ def random_label_regret_sample(
     dimension-witnessing node replayed with uniformly random labels.
 
     The node is the root of the maximum shattered tree; the class must
-    have dimension at least 1.  The learner is stepped as state ids on
-    the (class, map)'s lazy automaton, which keeps no events, and only on
-    the rounds it gets wrong: a correct round is a self-loop, so the next
-    mistake is the next label that differs from the prediction.  A state
-    whose mistake step is also a self-loop keeps its prediction for good,
-    and the rest of the mistakes are counted off the remaining labels.
+    have dimension at least 1.  The node, its input and the comparator's
+    distinct loss pairs are compiled once per (class, map), so the
+    comparator is a min over at most four pairs.  The learner is stepped
+    as state ids on the (class, map)'s lazy automaton, which keeps no
+    events, and only on the rounds it gets wrong: a correct round is a
+    self-loop, so the next mistake is the next label that differs from
+    the prediction, found by a byte scan of the labels.  A state whose
+    mistake step is also a self-loop keeps its prediction for good, and
+    the rest of the mistakes are counted off the remaining labels.
     """
     if horizon < 0:
         raise DomainError(f"horizon must be nonnegative, got {horizon}")
-    tree = witness_tree(hc, u)
-    if tree.depth < 1 or tree.root is None:
-        raise DomainError("need dimension >= 1 to build the probe node")
-    x0, x1 = tree.root.pair
-    z = min(u.forward[x0] & u.forward[x1])
+    x0, x1, z, lazy, losses = compiled(hc, u, _build_probe)
     rng = derive_rng(seed, "random-label-probe")
-    labels = rng.integers(0, 2, size=horizon)
-    seq = labels.tolist()
-    lazy, s = compiled(hc, u, LazyRobustAutomaton), 0
-    mistakes = t = 0
+    seq = rng.integers(0, 2, size=horizon).astype(np.uint8).tobytes()
+    s = mistakes = t = 0
     while True:
         y = 1 - lazy.predict(s, z)
-        try:
-            t = seq.index(y, t)
-        except ValueError:
+        t = seq.find(_LABEL_BYTES[y], t)
+        if t < 0:
             break
         nxt = lazy.step(s, z, (x0, x1)[y], y)
         if nxt == s:  # both reveals keep s: every later y is a mistake
-            mistakes += seq[t:].count(y)
+            mistakes += seq.count(_LABEL_BYTES[y], t)
             break
         s, t, mistakes = nxt, t + 1, mistakes + 1
-    n1 = int(labels.sum())
+    n1 = seq.count(_LABEL_BYTES[1])
     n0 = horizon - n1
-    masks = consistency_masks(hc, u)
-    comparator = min(
-        n0 * (1 - (masks[x0][0] >> i & 1)) + n1 * (1 - (masks[x1][1] >> i & 1))
-        for i in range(hc.size)
-    )
+    comparator = min(n0 * a + n1 * b for a, b in losses)
     return {
         "regret": mistakes - comparator,
         "mistakes": mistakes,

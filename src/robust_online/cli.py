@@ -206,6 +206,9 @@ def cmd_agnostic(args) -> int:
 def cmd_uncertain(args) -> int:
     sc = _load_scenario(args.scenario)
     hc = sc.hypotheses
+    if sc.multiclass:
+        print("unknown-map learners are defined for binary labels", file=sys.stderr)
+        return 1
     if args.family:
         fam_sc = _load_scenario(args.family)
         if fam_sc.instance_names != sc.instance_names:

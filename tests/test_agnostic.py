@@ -22,12 +22,13 @@ from robust_online import (
     subset_expert_count,
     total_map,
 )
+from robust_online import agnostic
 from robust_online.acceptance import FULL, _robust_usable, _sub_seed
 from robust_online.adversaries import corrupt_labels, realizable_robust_rounds
 from robust_online.agnostic import analysis_subset, hypothesis_losses
 from robust_online.errors import DomainError
 from robust_online.learners import LazyRobustAutomaton
-from robust_online.model import compiled
+from robust_online.model import compiled, consistency_masks
 from robust_online.seeding import derive_rng
 
 from reference import adversarial_loss
@@ -275,6 +276,56 @@ def test_random_label_probe_rejects_a_negative_horizon():
         random_label_regret_sample(hc, u, -1, seed=0)
     empty = random_label_regret_sample(hc, u, 0, seed=0)
     assert (empty["mistakes"], empty["comparator"], empty["regret"]) == (0, 0, 0)
+
+
+def test_pinned_random_label_probes():
+    """Every field of 900 probes: horizons around the label scan's edges,
+    on full_class(2) under the total map and on a dimension-2 class whose
+    pairs (2i, 2i + 1) share the input 2i.  The digest was recorded when
+    the probe scanned a list of the labels, so a byte scan that misses or
+    miscounts a label fails here on every NumPy."""
+    paired = PerturbationMap.from_sets([{2 * (x // 2)} for x in range(4)])
+    digest = hashlib.sha256()
+    for hc, u in ((full_class(2), total_map(2)), (full_class(4), paired)):
+        for horizon in (0, 1, 2, 3, 63, 64, 65, 256, 1024):
+            for seed in range(50):
+                digest.update(repr(random_label_regret_sample(hc, u, horizon, seed)).encode())
+    assert digest.hexdigest() == (
+        "5797143612005c6acee3ec08538997f02ec9419019e4a48d545da36b6781e9b6"
+    )
+
+
+def test_random_label_probe_node_is_built_once(monkeypatch):
+    calls = []
+    witness = agnostic.witness_tree
+
+    def counted(hc, u, *args):
+        calls.append(hc)
+        return witness(hc, u, *args)
+
+    monkeypatch.setattr(agnostic, "witness_tree", counted)
+    hc, u = full_class(2), total_map(2)
+    # the tree, the masks and the automaton the probe node is made from
+    witness(hc, u)
+    consistency_masks(hc, u)
+    compiled(hc, u, LazyRobustAutomaton)
+    keys = set(hc._store)
+    for horizon in (0, 64, 1024):
+        for seed in range(10):
+            random_label_regret_sample(hc, u, horizon, seed)
+    assert len(calls) == 1
+    assert len(set(hc._store) - keys) == 1
+
+    calls.clear()
+    flat = HypothesisClass.from_tables([(0, 1)])
+    for _ in range(3):
+        with pytest.raises(DomainError, match="need dimension >= 1"):
+            random_label_regret_sample(flat, identity_map(2), 64, seed=0)
+    assert len(calls) == 3
+    assert not any(key[1] is agnostic._build_probe for key in flat._store)
+
+    with pytest.raises(DomainError):
+        random_label_regret_sample(full_class(2, 3), total_map(2), 64, seed=0)
 
 
 def test_random_label_probe_regret_grows_with_horizon():

@@ -479,6 +479,20 @@ def generated(tmp_path_factory):
     return root
 
 
+@pytest.mark.parametrize("command", ["agnostic", "uncertain"])
+def test_cli_binary_only_commands_refuse_multiclass_up_front(tmp_path, command):
+    out = run_cli(
+        "gen-corpus", "--count", "4", "--labels", "3", "--seed", "1", "--out", tmp_path / "mc"
+    )
+    assert out.returncode == 0, out.stderr
+    scenario = str(tmp_path / "mc" / "scenario_0000.txt")
+    extra = ("--method", "ewa") if command == "uncertain" else ()
+    out = run_cli(command, scenario, *extra)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert "binary labels" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 AGNOSTIC_PINNED = {
     "scenario_0000.txt": (
         "dimension: 2\nexperts: 56\ncomparator loss: 2\n"
