@@ -93,7 +93,6 @@ from .scenario import (
 from .seeding import derive_rng, derive_seed_sequence
 from .uncertain import (
     PerturbationFamily,
-    build_family_experts,
     family_halving_run,
     family_loss_budget,
     halving_bound,

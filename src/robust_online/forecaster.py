@@ -17,12 +17,13 @@ update, which changes nothing (predictions depend only on weight ratios)
 and keeps them away from underflow.
 
 Experts react to the revealed sequence only, never to the forecaster's
-coin flips, so a run is replayed in three steps: expert_matrices drives
-the family experts (uncertain) over the fixed sequence once,
-weight_trajectory turns the matrices into the per-round probabilities,
-and seeded_mistakes scores every seed's coins against them in one array
-expression.  The subset experts (agnostic) are never made: their pool
-computes the probabilities by groups and shares only the scoring.  A
+coin flips, so a run is replayed in three steps: the family experts
+(uncertain) are stepped over the fixed sequence once, as state ids, into
+0/1 prediction and loss matrices; weight_trajectory turns the matrices
+into the per-round probabilities; and seeded_mistakes scores every
+seed's coins against them in one array expression.  The subset experts
+(agnostic) have no matrices: their pool computes the probabilities by
+groups and shares only the scoring.  A
 seed's coins depend only on its (seed, stream) generator, never on the
 scenario, so COIN_TABLES builds each (stream, seeds) table of uniforms
 once per process and keeps it in an LRU bounded by a fixed number of
@@ -69,25 +70,6 @@ def small_loss_bound(n_experts: int, loss_budget: int) -> float:
     n = math.log(max(n_experts, 2))
     budget = max(int(loss_budget), 1)
     return budget + math.sqrt(2.0 * budget * n) + n
-
-
-def expert_matrices(experts, rounds):
-    """(predictions, losses) 0/1 arrays of shape (n_experts, horizon).
-
-    Every round each robust-game expert is asked predict(z), then shown
-    update(z, x, y).
-    """
-    rounds = list(rounds)
-    if not rounds:
-        raise DomainError("need at least one round")
-    preds = np.zeros((len(experts), len(rounds)), dtype=np.int8)
-    for t, (z, x, y) in enumerate(rounds):
-        for i, e in enumerate(experts):
-            preds[i, t] = e.predict(z)
-        for e in experts:
-            e.update(z, x, y)
-    labels = np.array([y for _, _, y in rounds], dtype=np.int8)
-    return preds, (preds != labels[None, :]).astype(np.int8)
 
 
 class CoinTables:

@@ -27,10 +27,11 @@ mask, orientation mask) is interned as a dense id, and one memo maps
 (id, input) to the predicted label.  Strict and tolerant learners share
 it, since strictness only changes what update does.
 
-LazyRobustAutomaton steps the tolerant lazy optimal robust learner over
-the same ids and memo for the agnostic replays, which run it many times
-on few states; it keeps only its transitions.  Games, strict learners
-and the family experts run the learner classes directly.
+The context is the one place where a reduction state advances outside a
+game: predict(s, z) reads the memo and decides on a miss, and step(s, z,
+x, y) runs one scratch tolerant learner's update.  The family experts
+(uncertain) step it every round; LazyRobustAutomaton, the agnostic lazy
+expert, only on mistakes.  Games run the learner classes directly.
 """
 
 from dataclasses import dataclass
@@ -78,6 +79,7 @@ class LearnerContext:
         self.states = [(self.full, self.full)]
         self._ids = {self.states[0]: 0}
         self.predictions: dict[int, int] = {}
+        self._learner = None
 
     def state(self, mask: int, orientation_mask: int) -> int:
         """The id of the state (mask, orientation_mask), interned on first sight."""
@@ -87,6 +89,39 @@ class LearnerContext:
             s = self._ids[pair] = len(self.states)
             self.states.append(pair)
         return s
+
+    def _load(self, s: int) -> "RobustReductionLearner":
+        learner = self._learner
+        if learner is None:
+            learner = self._learner = RobustReductionLearner.__new__(RobustReductionLearner)
+            learner._start(self, strict=False)
+        learner.mask, learner.orientation.mask = self.states[s]
+        return learner
+
+    def predict(self, s: int, z: int) -> int:
+        """The label state s predicts on input z, decided on a memo miss."""
+        key = s * self.n + z
+        pred = self.predictions.get(key)
+        if pred is None:
+            pred = self.predictions[key] = self._load(s)._decide(z)
+        return pred
+
+    def step(self, s: int, z: int, x: int, y: int) -> int:
+        """The id of state s after the scratch tolerant learner's update on
+        the reveal (x, y) of a round showing z; not memoized.
+
+        An emptied state (robust mask 0) is absorbing, whatever the reveal:
+        no candidate survives in it, so no counterpart is fed, and the AND
+        keeps the mask 0.  It is returned unloaded, so a step never puts
+        it in the memo.
+        """
+        if self.states[s][0] == 0:
+            return s
+        learner = self._load(s)
+        learner.update(z, x, y)
+        learner.events.clear()
+        learner.orientation.events.clear()
+        return self.state(learner.mask, learner.orientation.mask)
 
 
 def _context(hc, u, multiclass: bool, tie_break: str) -> LearnerContext:
@@ -184,8 +219,7 @@ class RobustReductionLearner:
     orientation learner.  Strict mode treats a missing counterpart or an
     emptied version space as a broken realizability contract; tolerant
     mode (strict=False) records an event and keeps playing, predicting
-    `empty_prediction` (None: the no-winner label) once the version space
-    is gone.
+    the no-winner label once the version space is gone.
     """
 
     game = "robust"
@@ -196,20 +230,16 @@ class RobustReductionLearner:
         u: PerturbationMap,
         multiclass: bool = False,
         strict: bool = True,
-        empty_prediction: int | None = None,
         tie_break: str = "low",
     ):
-        ctx = _context(hc, u, multiclass, tie_break)
-        self.hc = hc
-        self.u = u
-        self.multiclass = multiclass
-        self.strict = strict
-        self.empty_prediction = empty_prediction
-        # the orientation learner starts on the same context, looked up once
+        self._start(_context(hc, u, multiclass, tie_break), strict)
+
+    def _start(self, ctx: LearnerContext, strict: bool) -> None:
+        self.hc, self.u, self.multiclass, self.strict = ctx.hc, ctx.u, ctx.multiclass, strict
+        self._ctx, self._masks = ctx, ctx.masks
+        # the orientation learner starts on the same context
         self.orientation = SoaOrientationLearner.__new__(SoaOrientationLearner)
         self.orientation._start(ctx, strict=False)
-        self._masks = ctx.masks
-        self._ctx = ctx
         self.mask = ctx.full
         self.events: list[str] = []
         self._state = (self.mask, self.orientation.mask, 0)  # the masks and their id
@@ -229,8 +259,6 @@ class RobustReductionLearner:
     def predict(self, z: int) -> int:
         """The label on input z, memoized per (state id, z) on the context."""
         mask, orientation_mask = self.mask, self.orientation.mask
-        if mask == 0 and self.empty_prediction is not None:
-            return self.empty_prediction
         ctx = self._ctx
         state = self._state  # re-interned only when a mask object changes
         if state[0] is not mask or state[1] is not orientation_mask:
@@ -371,51 +399,33 @@ def lazy_wrap(learner):
 
 
 class LazyRobustAutomaton:
-    """The tolerant lazy optimal robust learner, stepped over state ids.
+    """The tolerant lazy optimal robust learner the agnostic replays run,
+    on the ids and memo of the binary, low tie-break LearnerContext.
 
-    The ids and the memo predict(s, z) reads are the binary, low tie-break
-    LearnerContext's; step(s, z, x, y) memoizes the next id.  A miss loads
-    the state into one
-    lazy_wrap(RobustReductionLearner(strict=False, empty_prediction=0)), the
-    learner the agnostic replays run, and asks its own predict and update.
-    An emptied state (robust mask 0) predicts 0 without the memo, where an
-    empty_prediction=None learner stores its no-winner label.  No events
-    are kept: no caller that steps ids reads them.  Got through
-    compiled(hc, u, LazyRobustAutomaton), one per (class, map).
-
-    The wrapper updates only on a mistake, so a correct round is a
-    self-loop: step(s, z, x, predict(s, z)) == s for every state, input
-    and reveal.  Callers may skip the steps of correct rounds.
+    An emptied state (robust mask 0) predicts 0 without the memo, where
+    the context stores the no-winner label 1.  Only a mistake steps the
+    context, so a correct round is a self-loop, step(s, z, x,
+    predict(s, z)) == s, and callers may skip it.  step memoizes its
+    transitions.  Got through compiled(hc, u, LazyRobustAutomaton).
     """
 
     def __init__(self, hc, u):
-        self.learner = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
-        self.ctx = self.learner.inner._ctx
+        self.ctx = _context(hc, u, False, "low")
         self.transitions = {}
-
-    def _load(self, s: int):
-        inner = self.learner.inner
-        inner.mask, inner.orientation.mask = self.ctx.states[s]
-        inner.events.clear()
-        inner.orientation.events.clear()
-        return self.learner
 
     def predict(self, s: int, z: int) -> int:
         ctx = self.ctx
         if ctx.states[s][0] == 0:
             return 0
         pred = ctx.predictions.get(s * ctx.n + z)
-        return self._load(s).predict(z) if pred is None else pred
+        return ctx.predict(s, z) if pred is None else pred
 
     def step(self, s: int, z: int, x: int, y: int) -> int:
         """The id of the state after the reveal (x, y) of a round showing z."""
         nxt = self.transitions.get((s, z, x, y))
         if nxt is None:
-            learner = self._load(s)
-            learner.predict(z)  # else update may reuse a prediction made in another state
-            learner.update(z, x, y)
-            inner = learner.inner
-            nxt = self.transitions[s, z, x, y] = self.ctx.state(inner.mask, inner.orientation.mask)
+            nxt = s if self.predict(s, z) == y else self.ctx.step(s, z, x, y)
+            self.transitions[s, z, x, y] = nxt
         return nxt
 
 

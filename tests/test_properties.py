@@ -9,9 +9,9 @@ oracle's values and move table against plain searches written here,
 restriction, and the lifetime of compiled data; the next
 check the shared prediction memo against fresh classes, that at most one
 label qualifies, emptied states on the shared state table, the lazy
-learner's automaton, its self-loops on correct rounds, the random-label
-probe and the one-replay expert aggregation against stepwise loops on
-plain learners, the subset experts' group replay against a pool of the
+learner's automaton, its self-loops on correct rounds, that an emptied
+state is absorbing, the random-label probe and the family experts' id
+replay against stepwise loops on plain learners, the subset experts' group replay against a pool of the
 reference's plain experts, and the analysis expert's mistakes in
 decomposition_gap against a plain expert; then scenario files
 round-trip, and derived seed sequences match a construction from a list
@@ -43,7 +43,6 @@ from robust_online import (
     VersionSpace,
     adversarial_dimension,
     classic_littlestone_dimension,
-    build_family_experts,
     comparator_loss,
     compatible_pairs,
     corrupt_labels,
@@ -74,13 +73,23 @@ from robust_online import (
 from robust_online.adversaries import orientation_options, robust_anchors
 from robust_online.agnostic import analysis_subset, hypothesis_losses
 from robust_online.dimension import get_engine
-from robust_online.forecaster import expert_matrices, weight_trajectory
+from robust_online.forecaster import weight_trajectory
 from robust_online.learners import LazyRobustAutomaton
 from robust_online.model import compiled, consistency_masks, game_nodes
 from robust_online.oracle import MinimaxSolver
 from robust_online.scenario import ADVERSARIES, DEFAULT_LABELS, PROTOCOLS
+from robust_online.uncertain import HalvingReport
 
-from reference import PlainSubsetExpert, adversarial_loss, plain_subset_pool, stepwise_ewa
+from reference import (
+    EmptiedPredictsZero,
+    PlainSubsetExpert,
+    adversarial_loss,
+    agnostic_learner,
+    build_family_experts,
+    expert_matrices,
+    plain_subset_pool,
+    stepwise_ewa,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -521,10 +530,7 @@ def test_automaton_steps_like_the_lazy_learner(game, data):
     version space may empty and a mistake may find no counterpart."""
     hc, u = game
     auto = compiled(hc, u, LazyRobustAutomaton)
-    plain = [
-        lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
-        for _ in range(2)
-    ]
+    plain = [agnostic_learner(hc, u) for _ in range(2)]
     ids = [0, 0]
     for z, x, y in robust_rounds(data, hc.instance_count, 10, hc.label_count):
         if data.draw(st.booleans()):
@@ -557,20 +563,15 @@ def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, tie_brea
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     warm_up, realizable, corrupted = (realizable_robust_rounds(hc, u, 16, rng) for _ in range(3))
     corrupted = corrupt_labels(corrupted, 3, hc.label_count, rng)
-    modes = (
-        dict(strict=True),
-        dict(strict=False, empty_prediction=data.draw(st.sampled_from((None, 0)))),
-    )
+    tolerant = data.draw(st.sampled_from((RobustReductionLearner, EmptiedPredictsZero)))
+    modes = ((RobustReductionLearner, dict(strict=True)), (tolerant, dict(strict=False)))
     warm = RobustReductionLearner(hc, u, multiclass, tie_break=tie_break)
     for z, x, y in warm_up:
         warm.predict(z)
         warm.update(z, x, y)
     pairs = [
-        [
-            RobustReductionLearner(c, u, multiclass, tie_break=tie_break, **kw)
-            for c in (hc, fresh_copy(hc))
-        ]
-        for kw in modes
+        [cls(c, u, multiclass, tie_break=tie_break, **kw) for c in (hc, fresh_copy(hc))]
+        for cls, kw in modes
     ]
     sequences = [list(realizable), list(corrupted)]
     order = data.draw(st.permutations([0] * len(realizable) + [1] * len(corrupted)))
@@ -583,7 +584,7 @@ def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, tie_brea
         assert shared.events == fresh.events
         assert shared.mask == fresh.mask
         assert shared.orientation.mask == fresh.orientation.mask
-    # States loaded directly, as LazyRobustAutomaton loads them: the same
+    # States loaded directly, as LearnerContext loads them: the same
     # robust mask with different orientation masks must not share a
     # prediction.  Each reference learner runs on a fresh copy.
     shared = pairs[1][0]
@@ -592,9 +593,7 @@ def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, tie_brea
     for _ in range(data.draw(st.integers(1, 8))):
         orientation_mask = data.draw(st.integers(0, full))
         z = data.draw(st.integers(0, hc.instance_count - 1))
-        reference = RobustReductionLearner(
-            fresh_copy(hc), u, multiclass, tie_break=tie_break, **modes[1]
-        )
+        reference = tolerant(fresh_copy(hc), u, multiclass, tie_break=tie_break, strict=False)
         for learner in (shared, reference):
             learner.mask, learner.orientation.mask = mask, orientation_mask
             learner.events.clear()
@@ -652,11 +651,11 @@ class AutomatonWalk:
 
 
 def robust_walkers(hc, u):
-    """A lazy tolerant learner with empty_prediction=None, one with
-    empty_prediction=0, and an automaton walk, all on the class hc."""
+    """A lazy tolerant learner, the reference's agnostic learner (which
+    predicts 0 once emptied), and an automaton walk, all on the class hc."""
     return [
         lazy_wrap(RobustReductionLearner(hc, u, strict=False)),
-        lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0)),
+        agnostic_learner(hc, u),
         AutomatonWalk(hc, u),
     ]
 
@@ -668,12 +667,13 @@ def robust_walkers(hc, u):
     rounds=[(0, 0, 1), (0, 0, 0), (0, 0, 0)],
 )
 def test_an_emptied_state_predicts_0_on_the_shared_table(game, rounds):
-    """The walkers share the class's state table: the None learner stores
-    its no-winner label 1 for a state whose robust mask is empty, and the
-    automaton and the 0 learner, reaching that state on the same reveals,
-    must still predict 0.  Each round the None learner predicts first;
-    every walker must predict like its twin alone on a fresh copy of the
-    class.  The example empties the version space on its second round."""
+    """The walkers share the class's state table: the plain tolerant
+    learner stores its no-winner label 1 for a state whose robust mask is
+    empty, and the automaton and the agnostic learner, reaching that state
+    on the same reveals, must still predict 0.  Each round the plain
+    learner predicts first; every walker must predict like its twin alone
+    on a fresh copy of the class.  The example empties the version space
+    on its second round."""
     hc, u = game
     n = hc.instance_count
     rounds = [(z % n, x % n, y % 2) for z, x, y in rounds]
@@ -706,6 +706,44 @@ def test_a_correct_round_is_a_self_loop(game, data):
 
 
 @PROPERTY
+@given(games(max_labels=2), st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=10))
+@example(
+    game=(HypothesisClass.from_tables([(0, 0), (1, 1)]), identity_map(2)),
+    rounds=[(0, 0, 1), (0, 0, 0)],
+)
+def test_an_emptied_state_is_absorbing(game, rounds):
+    """From every emptied state that walks on the context and on the lazy
+    automaton reach, every reveal, z outside U(x) included, is a
+    self-loop of both; a tolerant learner loaded with that state and
+    shown the reveal keeps both its masks, so the context's shortcut is
+    the update's result; and no emptied state enters the memo.  The
+    example empties the version space on its second round."""
+    hc, u = game
+    n = hc.instance_count
+    auto = compiled(hc, u, LazyRobustAutomaton)
+    ctx = auto.ctx
+    reached = {0}
+    for walk in (ctx.step, auto.step):
+        s = 0
+        for z, x, y in rounds:
+            s = walk(s, z % n, x % n, y % 2)
+            reached.add(s)
+    learner = RobustReductionLearner(fresh_copy(hc), u, strict=False)
+    for s in reached:
+        if ctx.states[s][0]:
+            continue
+        for z in range(n):
+            for x in range(n):
+                for y in (0, 1):
+                    assert ctx.step(s, z, x, y) == s
+                    assert auto.step(s, z, x, y) == s
+                    learner.mask, learner.orientation.mask = ctx.states[s]
+                    learner.update(z, x, y)
+                    assert (learner.mask, learner.orientation.mask) == ctx.states[s]
+    assert all(ctx.states[key // n][0] for key in ctx.predictions)
+
+
+@PROPERTY
 @given(search_games(), st.integers(0, 300), st.integers(0, 10**9))
 def test_probe_agrees_with_a_stepwise_replay(game, horizon, seed):
     """The probe steps only its mistake rounds and counts an absorbing
@@ -715,7 +753,7 @@ def test_probe_agrees_with_a_stepwise_replay(game, horizon, seed):
     x0, x1 = witness_tree(hc, u).root.pair
     z = min(u.forward[x0] & u.forward[x1])
     labels = derive_rng(seed, "random-label-probe").integers(0, 2, size=horizon).tolist()
-    lazy = lazy_wrap(RobustReductionLearner(hc, u, strict=False, empty_prediction=0))
+    lazy = agnostic_learner(hc, u)
     mistakes = 0
     for y in labels:
         mistakes += lazy.predict(z) != y
@@ -826,30 +864,78 @@ def test_decomposition_gap_counts_the_analysis_expert(game, horizon, corruptions
 
 @st.composite
 def families(draw):
-    """(binary class, family of one to three maps on its instances)."""
+    """(binary class, family of one to four maps on its instances)."""
     hc, u = draw(games(max_labels=2))
     n = hc.instance_count
     sets = st.lists(st.sets(st.integers(0, n - 1)), min_size=n, max_size=n)
-    others = draw(st.lists(sets, max_size=2))
+    others = draw(st.lists(sets, max_size=3))
     members = (u,) + tuple(PerturbationMap.from_sets(m) for m in others)
     return hc, PerturbationFamily(members, draw(st.integers(0, len(members) - 1)))
 
 
+# Round 0 shows the identity and the last member an input outside their
+# perturbation sets of the revealed instance; round 1 empties the first two
+# members' version spaces and finds the last member no counterpart; round 2
+# steps the emptied states.
+FAMILY_EXAMPLE = (
+    HypothesisClass.from_tables([(0, 0), (1, 1), (0, 1)]),
+    PerturbationFamily(
+        (identity_map(2), total_map(2), PerturbationMap.from_sets([{1}, set()])), 1
+    ),
+)
+FAMILY_EXAMPLE_ROUNDS = [(0, 1, 0), (0, 0, 1), (1, 1, 0)]
+
+
+def test_the_family_example_takes_every_tolerant_path():
+    hc, family = FAMILY_EXAMPLE
+    experts = build_family_experts(hc, family.members)
+    expert_matrices(experts, FAMILY_EXAMPLE_ROUNDS)
+    events = {e for expert in experts for e in expert.events}
+    assert events == {"input-outside-belief", "version-space-emptied", "missing-counterpart"}
+
+
 @PROPERTY
-@given(families(), st.data(), st.integers(0, 2**16))
-def test_family_replay_equals_the_stepwise_loops(game, data, seed):
+@given(families(), st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=8), st.integers(0, 2**16))
+@example(game=FAMILY_EXAMPLE, rounds=FAMILY_EXAMPLE_ROUNDS, seed=0)
+@example(
+    game=(
+        HypothesisClass.from_tables([(1, 0, 1), (1, 1, 0), (0, 0, 0), (1, 1, 1), (0, 1, 1)]),
+        PerturbationFamily((PerturbationMap.from_sets([{2}, {1}, {0}]),)),
+    ),
+    rounds=[(0, 0, 1), (1, 1, 0)],
+    seed=0,
+)
+def test_family_replay_equals_the_stepwise_loops(game, rounds, seed):
+    """The package steps each family expert as a state id on its member's
+    context.  The reference's tolerant learner objects, replayed into
+    matrices and stepped round by round, give the same forecaster
+    mistakes, best expert and halving report.  Reveals are arbitrary, so
+    wrong-map members see inputs outside their perturbation sets, empty
+    their version spaces and miss counterparts.  The second example's
+    round-1 prediction depends on the counterpart fed in round 0."""
     hc, family = game
-    rounds = robust_rounds(data, hc.instance_count)
+    n = hc.instance_count
+    rounds = [(z % n, x % n, y % 2) for z, x, y in rounds]
+    preds, losses = expert_matrices(build_family_experts(hc, family.members), rounds)
     rate = loss_budget_rate(len(family), family_loss_budget(hc, family))
     rng = derive_rng(seed, "family-ewa")
-    experts = build_family_experts(hc, family)
-    mistakes, expert_mistakes = stepwise_ewa(experts, rounds, rate, rng)
-    assert mc_family_mistakes(hc, family, rounds, seeds=[seed])["values"] == [mistakes]
+    mistakes, expert_mistakes = stepwise_ewa(build_family_experts(hc, family), rounds, rate, rng)
+    assert losses.sum(axis=1).tolist() == expert_mistakes
+    coins = derive_rng(seed, "family-ewa").random(len(rounds))
+    labels = np.array([y for _, _, y in rounds])
+    probs = weight_trajectory(preds, losses, rate)
+    assert int(((coins < probs) != labels).sum()) == mistakes
+    got = mc_family_mistakes(hc, family, rounds, seeds=[seed])
+    assert (got["values"], got["best_expert"]) == ([mistakes], min(expert_mistakes))
 
-    halving = family_halving_run(hc, family, rounds)
     phases, alive = stepwise_halving(build_family_experts(hc, family), rounds)
-    assert (halving.phase_mistakes, halving.alive_count) == (phases, alive)
-    assert halving.expert_mistakes == expert_mistakes
+    assert family_halving_run(hc, family, rounds) == HalvingReport(
+        mistakes=sum(phases),
+        phase_mistakes=phases,
+        completed_phases=len(phases) - 1,
+        expert_mistakes=expert_mistakes,
+        alive_count=alive,
+    )
 
 
 NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,4}", fullmatch=True)

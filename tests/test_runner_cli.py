@@ -539,3 +539,31 @@ def test_cli_uncertain_ewa_output_is_pinned(generated, seeds, stdout):
     scenario = generated / "family" / "scenario_0000.txt"
     out = run_cli("uncertain", str(scenario), "--method", "ewa", "--seeds", seeds)
     assert (out.returncode, out.stdout) == (0, stdout)
+
+
+
+def halving_text(size, mistakes, phases, bound):
+    return (
+        f"family size: {size}\nmistakes: {mistakes}\nphase mistakes: {phases}\n"
+        f"completed phases: {len(phases) - 1}\nbound: {bound}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, stdout",
+    [
+        (("scenario_0000.txt",), halving_text(2, 1, [1], 3)),
+        (("scenario_0001.txt",), halving_text(4, 0, [0], 5)),
+        (("scenario_0002.txt",), halving_text(8, 0, [0], 7)),
+        (("scenario_0001.txt", "--seed", "2", "--horizon", "60"), halving_text(4, 2, [1, 1], 5)),
+        (("scenario_0001.txt", "--seed", "4", "--horizon", "60"), halving_text(4, 1, [1, 0], 5)),
+        (("scenario_0002.txt", "--seed", "3", "--horizon", "60"), halving_text(8, 1, [1], 7)),
+    ],
+)
+def test_cli_uncertain_halving_output_is_pinned(generated, args, stdout):
+    """Default runs of the three generated family scenarios, and longer
+    runs at seeds whose phases complete or whose vote errs."""
+    name, *extra = args
+    scenario = generated / "family" / name
+    out = run_cli("uncertain", str(scenario), "--method", "halving", *extra)
+    assert (out.returncode, out.stdout) == (0, stdout)

