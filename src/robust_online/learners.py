@@ -24,14 +24,14 @@ The optimal learners of one (class, map, label mode, tie-break) share a
 LearnerContext, got with one compiled() lookup: the masks, the dimension
 engine and one table of the robust reduction's states.  A state (robust
 mask, orientation mask) is interned as a dense id, and one memo maps
-(id, input) to the predicted label.  Strict and tolerant learners share
-it, since strictness only changes what update does.
+(id, input) to the predicted label.
 
-The context is the one place where a reduction state advances outside a
-game: predict(s, z) reads the memo and decides on a miss, and step(s, z,
-x, y) runs one scratch tolerant learner's update.  The family experts
-(uncertain) step it every round; LazyRobustAutomaton, the agnostic lazy
-expert, only on mistakes.  Games run the learner classes directly.
+The context is the robust reduction: predict(s, z) reads the memo and
+decides on a miss, and step(s, z, x, y) is the transition, logging the
+tolerant events into a list when given one.  A RobustReductionLearner is
+a state id on it, strict or tolerant, with its events; the family experts
+(uncertain) step ids every round, and LazyRobustAutomaton, the agnostic
+lazy expert, only on mistakes.
 """
 
 from dataclasses import dataclass
@@ -57,14 +57,23 @@ class OrientationQuery:
     labels: tuple[int, int] = (0, 1)
 
 
+def _soa_label(d0: int, d1: int, y0: int, y1: int, tie_break: str) -> int:
+    """The SOA rule on sides (dimension d_i, label y_i): the label of the
+    larger dimension, ties to the smaller label (the larger under "high")."""
+    if d0 != d1:
+        return y0 if d0 > d1 else y1
+    return min(y0, y1) if tie_break == "low" else max(y0, y1)
+
+
 class LearnerContext:
     """What the optimal learners of one (class, map, label mode, tie-break)
-    share: the masks, the dimension engine and the robust reduction's
-    state table and prediction memo.
+    share, and the robust reduction itself: the masks, the dimension
+    engine, the reduction's state table and its prediction memo.
 
     Got through compiled(hc, u, LearnerContext, multiclass, tie_break), so
-    building a learner takes one lookup.  states[s] is the state with id s
-    (0 is the start), and predictions[s * n + z] its label on input z < n.
+    building a learner takes one lookup.  states[s] is the state (robust
+    mask, orientation mask) with id s (0 is the start), and
+    predictions[s * n + z] its label on input z < n.
     """
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool, tie_break: str):
@@ -79,7 +88,6 @@ class LearnerContext:
         self.states = [(self.full, self.full)]
         self._ids = {self.states[0]: 0}
         self.predictions: dict[int, int] = {}
-        self._learner = None
 
     def state(self, mask: int, orientation_mask: int) -> int:
         """The id of the state (mask, orientation_mask), interned on first sight."""
@@ -90,38 +98,87 @@ class LearnerContext:
             self.states.append(pair)
         return s
 
-    def _load(self, s: int) -> "RobustReductionLearner":
-        learner = self._learner
-        if learner is None:
-            learner = self._learner = RobustReductionLearner.__new__(RobustReductionLearner)
-            learner._start(self, strict=False)
-        learner.mask, learner.orientation.mask = self.states[s]
-        return learner
+    def _candidates(self, mask: int, z: int) -> list[list[int]]:
+        """P[y]: preimage candidates x of z with mask & masks[x][y] nonzero."""
+        masks = self.masks
+        pre = sorted(self.u.preimage[z])
+        return [[x for x in pre if mask & masks[x][y]] for y in range(self.hc.label_count)]
+
+    def _orient(self, orientation_mask: int, a: int, y: int, b: int, y2: int) -> int:
+        """The SOA orientation learner's label for the query ((a, b), (y, y2))."""
+        dim, masks = self.engine.dimension_of_mask, self.masks
+        d0 = dim(orientation_mask & masks[a][y])
+        return _soa_label(d0, dim(orientation_mask & masks[b][y2]), y, y2, self.tie_break)
 
     def predict(self, s: int, z: int) -> int:
         """The label state s predicts on input z, decided on a memo miss."""
         key = s * self.n + z
         pred = self.predictions.get(key)
         if pred is None:
-            pred = self.predictions[key] = self._load(s)._decide(z)
+            pred = self.predictions[key] = self._decide(s, z)
         return pred
 
-    def step(self, s: int, z: int, x: int, y: int) -> int:
-        """The id of state s after the scratch tolerant learner's update on
-        the reveal (x, y) of a round showing z; not memoized.
+    def _decide(self, s: int, z: int) -> int:
+        """The first label with a candidate oriented toward it against
+        every candidate of every other label, or the no-winner default.
 
-        An emptied state (robust mask 0) is absorbing, whatever the reveal:
-        no candidate survives in it, so no counterpart is fed, and the AND
-        keeps the mask 0.  It is returned unloaded, so a step never puts
-        it in the memo.
+        No second label can qualify.  If y and y' both did, with
+        candidates a and b, the queries ((a, b), (y, y')) and
+        ((b, a), (y', y)) would be oriented toward y and toward y'.  They
+        are mirror images, so the side-symmetric SOA rule gives them the
+        same label, which contradicts one of the two wins.
         """
-        if self.states[s][0] == 0:
-            return s
-        learner = self._load(s)
-        learner.update(z, x, y)
-        learner.events.clear()
-        learner.orientation.events.clear()
-        return self.state(learner.mask, learner.orientation.mask)
+        mask, orientation_mask = self.states[s]
+        cands = self._candidates(mask, z)
+        orient = self._orient
+        for y, py in enumerate(cands):
+            for a in py:
+                if all(
+                    orient(orientation_mask, a, y, b, y2) == y
+                    for y2, p2 in enumerate(cands)
+                    if y2 != y
+                    for b in p2
+                ):
+                    return y
+        return 0 if self.multiclass else 1
+
+    def step(self, s: int, z: int, x: int, y: int, events: list | None = None) -> int:
+        """The id of state s after the clean reveal (x, y) of a round
+        showing z; not memoized.
+
+        A mistake feeds the orientation state one wrongly oriented query
+        ((x, x2), (y, y2)), x2 a candidate of another label y2.  Its
+        revealed side is (x, y) whichever x2 it is, so the search only
+        decides whether one exists.  Given an events list, step logs in
+        order z outside U(x) (the map may be only a belief), a mistake
+        with no such counterpart, and a reveal that empties the robust
+        mask.  Without one, an emptied state is returned as it is: no
+        candidate survives in it, so no counterpart is fed and the AND
+        keeps the mask 0, and a silent step never puts an emptied state
+        in the memo.
+        """
+        mask, orientation_mask = self.states[s]
+        if events is None:
+            if mask == 0:
+                return s
+        elif z not in self.u.forward[x]:
+            events.append("input-outside-belief")
+        revealed = self.masks[x][y]
+        if self.predict(s, z) != y:
+            orient = self._orient
+            if any(
+                orient(orientation_mask, x, y, x2, y2) == y2
+                for y2, p2 in enumerate(self._candidates(mask, z))
+                if y2 != y
+                for x2 in p2
+            ):
+                orientation_mask &= revealed
+            elif events is not None:
+                events.append("missing-counterpart")
+        new = mask & revealed
+        if events is not None and new == 0 and mask != 0:
+            events.append("version-space-emptied")
+        return self.state(new, orientation_mask)
 
 
 def _context(hc, u, multiclass: bool, tie_break: str) -> LearnerContext:
@@ -152,17 +209,9 @@ class SoaOrientationLearner:
         tie_break: str = "low",
         strict: bool = True,
     ):
-        self._start(_context(hc, u, multiclass, tie_break), strict)
-
-    def _start(self, ctx: "LearnerContext", strict: bool) -> None:
-        self.hc = ctx.hc
-        self.u = ctx.u
-        self.multiclass = ctx.multiclass
-        self.tie_break = ctx.tie_break
-        self.strict = strict
-        self.engine = ctx.engine
-        self._masks = ctx.masks
-        self.mask = ctx.full
+        ctx = _context(hc, u, multiclass, tie_break)
+        self.hc, self.tie_break, self.strict = hc, tie_break, strict
+        self.engine, self._masks, self.mask = ctx.engine, ctx.masks, ctx.full
         self.events: list[str] = []
 
     @property
@@ -170,22 +219,14 @@ class SoaOrientationLearner:
         return VersionSpace(self.hc, self.mask)
 
     def side_dimensions(self, query: OrientationQuery) -> tuple[int, int]:
-        dims = []
-        for i in (0, 1):
-            m = self.mask & self._masks[query.pair[i]][query.labels[i]]
-            dims.append(self.engine.dimension_of_mask(m))
-        return dims[0], dims[1]
+        (a, b), (y0, y1) = query.pair, query.labels
+        dim, masks = self.engine.dimension_of_mask, self._masks
+        return dim(self.mask & masks[a][y0]), dim(self.mask & masks[b][y1])
 
     def predict(self, query: OrientationQuery) -> int:
         d0, d1 = self.side_dimensions(query)
         y0, y1 = query.labels
-        if d0 > d1:
-            return y0
-        if d1 > d0:
-            return y1
-        if self.tie_break == "low":
-            return min(y0, y1)
-        return max(y0, y1)
+        return _soa_label(d0, d1, y0, y1, self.tie_break)
 
     def update(self, query: OrientationQuery, side: int) -> None:
         """Absorb the reveal of query side `side` (0 or 1)."""
@@ -203,23 +244,43 @@ class SoaOrientationLearner:
         self.mask = new
 
 
+# what a strict robust learner raises where a tolerant one logs the event
+_STRICT_ERRORS = {
+    "input-outside-belief": (
+        ProtocolViolation,
+        "revealed clean instance {x} does not perturb to the shown input {z}",
+    ),
+    "missing-counterpart": (
+        SearchInvariantError,
+        "mistake round has no wrongly oriented counterpart; "
+        "this cannot happen on a realizable sequence",
+    ),
+    "version-space-emptied": (
+        ProtocolViolation,
+        "clean reveal emptied the version space; the sequence is not realizable",
+    ),
+}
+
+
 class RobustReductionLearner:
-    """Robust-game learner built on an orientation learner.
+    """Robust-game learner built on the SOA orientation learner: a state
+    id on its LearnerContext, which predicts and steps it.
 
     Each round, the candidate preimages of the perturbed input are grouped
     by label into P[y] (instances x with the input in U(x) and a nonempty
     restriction on (x, y)).  A label y wins when one of its candidates is
     oriented toward y against every candidate of every other label.  With
     no winner the binary learner answers 1 (the multiclass variant answers
-    the smallest label id); at most one label wins (see _decide).
+    the smallest label id); at most one label wins.
 
     On a mistake there must exist a candidate of some other label that the
     orientation learner oriented wrongly against the revealed clean
     instance; that resolved query is fed back, charging the mistake to the
-    orientation learner.  Strict mode treats a missing counterpart or an
-    emptied version space as a broken realizability contract; tolerant
-    mode (strict=False) records an event and keeps playing, predicting
-    the no-winner label once the version space is gone.
+    orientation learner.  Strict mode treats a reveal outside U(x), a
+    missing counterpart or an emptied version space as a broken
+    realizability contract, raises, and keeps its state; tolerant mode
+    (strict=False) records an event and keeps playing, predicting the
+    no-winner label once the version space is gone.
     """
 
     game = "robust"
@@ -232,107 +293,33 @@ class RobustReductionLearner:
         strict: bool = True,
         tie_break: str = "low",
     ):
-        self._start(_context(hc, u, multiclass, tie_break), strict)
-
-    def _start(self, ctx: LearnerContext, strict: bool) -> None:
-        self.hc, self.u, self.multiclass, self.strict = ctx.hc, ctx.u, ctx.multiclass, strict
-        self._ctx, self._masks = ctx, ctx.masks
-        # the orientation learner starts on the same context
-        self.orientation = SoaOrientationLearner.__new__(SoaOrientationLearner)
-        self.orientation._start(ctx, strict=False)
-        self.mask = ctx.full
+        self.hc, self.strict = hc, strict
+        self.ctx = _context(hc, u, multiclass, tie_break)
+        self.s = 0
         self.events: list[str] = []
-        self._state = (self.mask, self.orientation.mask, 0)  # the masks and their id
+
+    @property
+    def mask(self) -> int:
+        """The robust version space, as a mask over the class."""
+        return self.ctx.states[self.s][0]
 
     @property
     def version_space(self) -> VersionSpace:
         return VersionSpace(self.hc, self.mask)
 
-    def candidate_sets(self, z: int) -> list[list[int]]:
-        """P[y]: preimage candidates of z whose (x, y) restriction survives."""
-        pre = sorted(self.u.preimage[z])
-        return [
-            [x for x in pre if self.mask & self._masks[x][y]]
-            for y in range(self.hc.label_count)
-        ]
-
     def predict(self, z: int) -> int:
         """The label on input z, memoized per (state id, z) on the context."""
-        mask, orientation_mask = self.mask, self.orientation.mask
-        ctx = self._ctx
-        state = self._state  # re-interned only when a mask object changes
-        if state[0] is not mask or state[1] is not orientation_mask:
-            state = self._state = (mask, orientation_mask, ctx.state(mask, orientation_mask))
-        key = state[2] * ctx.n + z
-        pred = ctx.predictions.get(key)
-        if pred is None:
-            pred = ctx.predictions[key] = self._decide(z)
-        return pred
-
-    _compute = predict  # update's lookup, past any wrapper installed on predict
-
-    def _decide(self, z: int) -> int:
-        """The first qualifying label, or the no-winner default.
-
-        No second label can qualify.  If y and y' both did, with
-        candidates a and b, the queries ((a, b), (y, y')) and
-        ((b, a), (y', y)) would be oriented toward y and toward y'.  They
-        are mirror images, so the side-symmetric orientation learner gives
-        them the same label, which contradicts one of the two wins.
-        """
-        cands = self.candidate_sets(z)
-        orient = self.orientation.predict
-        for y, py in enumerate(cands):
-            for xy in py:
-                if all(
-                    orient(OrientationQuery((xy, x2), (y, y2))) == y
-                    for y2, p2 in enumerate(cands)
-                    if y2 != y
-                    for x2 in p2
-                ):
-                    return y
-        return 0 if self.multiclass else 1
-
-    def _feed_counterpart(self, x: int, y: int, cands) -> bool:
-        """Find and feed the wrongly oriented query a mistake guarantees."""
-        for y2, p2 in enumerate(cands):
-            if y2 == y:
-                continue
-            for x2 in p2:
-                query = OrientationQuery((x, x2), (y, y2))
-                if self.orientation.predict(query) == y2:
-                    self.orientation.update(query, 0)
-                    return True
-        return False
+        return self.ctx.predict(self.s, z)
 
     def update(self, z: int, x: int, y: int) -> None:
         """Absorb the clean reveal (x, y) for the round that showed z."""
-        if z not in self.u.forward[x]:
-            # A tolerant learner may run under a perturbation map that is
-            # only a belief about the true one, so this is not fatal.
-            if self.strict:
-                raise ProtocolViolation(
-                    f"revealed clean instance {x} does not perturb to the "
-                    f"shown input {z}"
-                )
-            self.events.append("input-outside-belief")
-        if self._compute(z) != y and not self._feed_counterpart(x, y, self.candidate_sets(z)):
-            if self.strict:
-                raise SearchInvariantError(
-                    "mistake round has no wrongly oriented counterpart; "
-                    "this cannot happen on a realizable sequence"
-                )
-            self.events.append("missing-counterpart")
-        new = self.mask & self._masks[x][y]
-        if new == 0:
-            if self.strict:
-                raise ProtocolViolation(
-                    "clean reveal emptied the version space; "
-                    "the sequence is not realizable"
-                )
-            if self.mask != 0:
-                self.events.append("version-space-emptied")
-        self.mask = new
+        events = self.events
+        s = self.ctx.step(self.s, z, x, y, events)
+        if self.strict and events:
+            error, message = _STRICT_ERRORS[events[0]]
+            events.clear()
+            raise error(message.format(x=x, z=z))
+        self.s = s
 
 
 class LazyRobustLearner:

@@ -253,15 +253,27 @@ def transcript_to_json(tr: GameTranscript) -> str:
 
 
 def transcript_from_json(text: str) -> GameTranscript:
-    """Inverse of transcript_to_json; a missing or unknown key is a DomainError."""
-    data = json.loads(text)
+    """Inverse of transcript_to_json; input it cannot have written is a DomainError."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise DomainError(f"transcript is not valid JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise DomainError(f"transcript must be a JSON object, got {type(data).__name__}")
     for key in ("protocol", "learner", "adversary", "seed", "rounds"):
         if key not in data:
             raise DomainError(f"transcript has no {key!r} key")
-    cls = RobustRound if data["protocol"] == "robust" else OrientationRound
+    protocol = data["protocol"]
+    if protocol not in ("robust", "orientation"):
+        raise DomainError(f"transcript has unknown protocol {protocol!r}")
+    cls = RobustRound if protocol == "robust" else OrientationRound
+    if not isinstance(data["rounds"], list):
+        raise DomainError("transcript rounds must be a JSON list")
     names = {f.name for f in fields(cls)}
     rounds = []
     for i, r in enumerate(data["rounds"]):
+        if not isinstance(r, dict):
+            raise DomainError(f"transcript round {i}: expected an object, got {type(r).__name__}")
         odd = sorted(names.symmetric_difference(r))
         if odd:
             kind = "unknown" if odd[0] in r else "missing"

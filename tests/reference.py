@@ -5,13 +5,15 @@ The package computes the robust loss only through its consistency masks
 and the helpers the tests build around it live here, outside the
 package, so the package keeps one source of the robust loss.
 
-The package makes no expert objects: `agnostic` replays the subset
-pool by groups, and `uncertain` steps the family experts as state ids.
-The object references live here instead: the agnostic learner (the
-tolerant lazy reduction, predicting 0 once its version space is empty),
-a plain subset expert on it, the family experts, the replay that drives
-any pool of experts into prediction and loss matrices, and a forecaster
-stepped round by round.
+The package runs the robust reduction only as state ids on its
+`LearnerContext`, and makes no expert objects: `agnostic` replays the
+subset pool by groups, and `uncertain` steps the family experts as state
+ids.  The object references live here instead: the reduction as an
+object with writable masks and an embedded SOA orientation learner, with
+no memo; the agnostic learner on it (the tolerant lazy reduction,
+predicting 0 once its version space is empty), a plain subset expert on
+that, the family experts, the replay that drives any pool of experts into
+prediction and loss matrices, and a forecaster stepped round by round.
 """
 
 import itertools
@@ -20,12 +22,13 @@ import numpy as np
 
 from robust_online import (
     Hypothesis,
+    OrientationQuery,
     PerturbationMap,
-    RobustReductionLearner,
+    SoaOrientationLearner,
     lazy_wrap,
 )
-from robust_online.errors import DomainError
-from robust_online.model import surviving_mask
+from robust_online.errors import DomainError, ProtocolViolation, SearchInvariantError
+from robust_online.model import consistency_masks, surviving_mask
 
 
 def empty_map(n: int) -> PerturbationMap:
@@ -78,7 +81,89 @@ class ExponentialWeightsForecaster:
         self.weights /= self.weights.max()
 
 
-class EmptiedPredictsZero(RobustReductionLearner):
+class PlainReductionLearner:
+    """The robust reduction as an object: the robust mask and an embedded
+    tolerant SOA orientation learner, both writable, deciding every
+    prediction afresh.
+
+    A label y wins when one of its candidates P[y] is oriented toward y
+    against every candidate of every other label; with none, the binary
+    learner answers 1 and the multiclass one 0.  On a mistake the first
+    wrongly oriented counterpart query is fed to the orientation learner.
+    """
+
+    game = "robust"
+
+    def __init__(self, hc, u, multiclass=False, strict=True, tie_break="low"):
+        self.hc, self.u, self.multiclass, self.strict = hc, u, multiclass, strict
+        self._masks = consistency_masks(hc, u)
+        self.orientation = SoaOrientationLearner(hc, u, multiclass, tie_break, strict=False)
+        self.mask = (1 << hc.size) - 1
+        self.events = []
+
+    def candidate_sets(self, z):
+        """P[y]: preimage candidates of z whose (x, y) restriction survives."""
+        pre = sorted(self.u.preimage[z])
+        return [
+            [x for x in pre if self.mask & self._masks[x][y]]
+            for y in range(self.hc.label_count)
+        ]
+
+    def predict(self, z):
+        cands = self.candidate_sets(z)
+        orient = self.orientation.predict
+        for y, py in enumerate(cands):
+            for xy in py:
+                if all(
+                    orient(OrientationQuery((xy, x2), (y, y2))) == y
+                    for y2, p2 in enumerate(cands)
+                    if y2 != y
+                    for x2 in p2
+                ):
+                    return y
+        return 0 if self.multiclass else 1
+
+    _compute = predict  # update's prediction, past any patch on predict
+
+    def _feed_counterpart(self, x, y, cands):
+        for y2, p2 in enumerate(cands):
+            if y2 == y:
+                continue
+            for x2 in p2:
+                query = OrientationQuery((x, x2), (y, y2))
+                if self.orientation.predict(query) == y2:
+                    self.orientation.update(query, 0)
+                    return True
+        return False
+
+    def update(self, z, x, y):
+        if z not in self.u.forward[x]:
+            if self.strict:
+                raise ProtocolViolation(
+                    f"revealed clean instance {x} does not perturb to the "
+                    f"shown input {z}"
+                )
+            self.events.append("input-outside-belief")
+        if self._compute(z) != y and not self._feed_counterpart(x, y, self.candidate_sets(z)):
+            if self.strict:
+                raise SearchInvariantError(
+                    "mistake round has no wrongly oriented counterpart; "
+                    "this cannot happen on a realizable sequence"
+                )
+            self.events.append("missing-counterpart")
+        new = self.mask & self._masks[x][y]
+        if new == 0:
+            if self.strict:
+                raise ProtocolViolation(
+                    "clean reveal emptied the version space; "
+                    "the sequence is not realizable"
+                )
+            if self.mask != 0:
+                self.events.append("version-space-emptied")
+        self.mask = new
+
+
+class EmptiedPredictsZero(PlainReductionLearner):
     """The tolerant robust learner, predicting 0 once its version space is
     empty; update reads the same prediction."""
 
@@ -145,7 +230,7 @@ def build_family_experts(hc, members):
     Experts play binary games, so an emptied version space leaves no
     winning label and they predict the no-winner default 1.
     """
-    return [RobustReductionLearner(hc, u, strict=False) for u in members]
+    return [PlainReductionLearner(hc, u, strict=False) for u in members]
 
 
 def expert_matrices(experts, rounds):

@@ -27,6 +27,7 @@ from robust_online.adversaries import (
 )
 from robust_online.dimension import dimension_of
 from robust_online.errors import ProtocolViolation
+from robust_online.learners import LearnerContext
 from robust_online.seeding import derive_rng
 
 from reference import EmptiedPredictsZero, agnostic_learner
@@ -160,17 +161,22 @@ def test_reduction_tie_driven_case():
         assert learner.predict(z) == 0
 
 
+def orientation_size(learner):
+    """The size of a robust learner's orientation version space."""
+    return learner.ctx.states[learner.s][1].bit_count()
+
+
 def test_reduction_mistake_grows_orientation_history():
     # a mistake feeds the orientation learner one query, shrinking its
     # version space to the all-zero hypothesis; a correct round feeds none
     learner = RobustReductionLearner(HC6, identity_map(3))
     assert learner.predict(0) == 1
     learner.update(0, 0, 0)
-    assert learner.orientation.version_space.size == 1
+    assert orientation_size(learner) == 1
     learner2 = RobustReductionLearner(HC6, identity_map(3))
     assert learner2.predict(0) == 1
     learner2.update(0, 0, 1)
-    assert learner2.orientation.version_space.size == HC6.size
+    assert orientation_size(learner2) == HC6.size
 
 
 def test_reduction_tolerant_mode_flags_outside_inputs():
@@ -223,12 +229,12 @@ def test_lazy_identity_on_mistake_free_runs():
     u = identity_map(2)
     lazy = lazy_wrap(RobustReductionLearner(hc, u))
     mask_before = lazy.version_space.mask
-    orientation_before = lazy.inner.orientation.mask
+    state_before = lazy.inner.s
     for z in (0, 1):
         pred = lazy.predict(z)
         lazy.update(z, z, pred)
     assert lazy.version_space.mask == mask_before
-    assert lazy.inner.orientation.mask == orientation_before
+    assert lazy.inner.s == state_before
 
 
 def test_lazy_keeps_realizable_mistake_bound():
@@ -246,18 +252,18 @@ def test_lazy_keeps_realizable_mistake_bound():
 
 def test_lazy_wrappers_predict_once_per_round(monkeypatch):
     calls, decided = [], []
-    predict, decide = EmptiedPredictsZero.predict, RobustReductionLearner._decide
+    predict, decide = EmptiedPredictsZero.predict, LearnerContext._decide
 
     def counted(self, z):
         calls.append(z)
         return predict(self, z)
 
-    def counted_decide(self, z):
-        decided.append((self._ctx.state(self.mask, self.orientation.mask), z))
-        return decide(self, z)
+    def counted_decide(self, s, z):
+        decided.append((s, z))
+        return decide(self, s, z)
 
     monkeypatch.setattr(EmptiedPredictsZero, "predict", counted)
-    monkeypatch.setattr(RobustReductionLearner, "_decide", counted_decide)
+    monkeypatch.setattr(LearnerContext, "_decide", counted_decide)
     # the random-label probe's rounds, played on the wrapper itself
     hc, u, horizon = full_class(2), total_map(2), 64
     pair = witness_tree(hc, u).root.pair
@@ -270,9 +276,16 @@ def test_lazy_wrappers_predict_once_per_round(monkeypatch):
         lazy.update(z, pair[y], y)
     assert mistakes > 0
     assert len(calls) == horizon
-    # update reads the memo again, so each (state, input) is decided once
-    assert decided and len(set(decided)) == len(decided)
     assert random_label_regret_sample(hc, u, horizon, seed=3)["mistakes"] == mistakes
+    # the package's lazy tolerant learner on the same rounds, on a fresh
+    # class: update reads the context's memo again, so each (state,
+    # input) is decided once
+    decided.clear()
+    lazy = lazy_wrap(RobustReductionLearner(full_class(2), u, strict=False))
+    for y in labels.tolist():
+        lazy.predict(z)
+        lazy.update(z, pair[y], y)
+    assert decided and len(set(decided)) == len(decided)
 
     class CountingOrientation:
         game = "orientation"
@@ -314,12 +327,20 @@ def test_orientation_queries_are_looked_up_once(monkeypatch):
     assert len(looked_up) == len(played) == 50
 
     # a robust mistake orients the fed counterpart once, to find it
+    oriented = []
+    orient = LearnerContext._orient
+
+    def counted_orient(self, orientation_mask, a, y, b, y2):
+        oriented.append(OrientationQuery((a, b), (y, y2)))
+        return orient(self, orientation_mask, a, y, b, y2)
+
+    monkeypatch.setattr(LearnerContext, "_orient", counted_orient)
     learner = RobustReductionLearner(HC6, identity_map(3))
     assert learner.predict(0) == 1
-    looked_up.clear()
+    oriented.clear()
     learner.update(0, 0, 0)
-    assert looked_up == [OrientationQuery((0, 0), (0, 1))]
-    assert learner.orientation.version_space.size == 1
+    assert oriented == [OrientationQuery((0, 0), (0, 1))]
+    assert orientation_size(learner) == 1
 
 
 def test_learner_registry_names_and_games():

@@ -7,7 +7,9 @@ generators against a plain loop with one scalar draw per choice; the next
 check the dimension search, the classic dimension, and the minimax
 oracle's values and move table against plain searches written here,
 restriction, and the lifetime of compiled data; the next
-check the shared prediction memo against fresh classes, that at most one
+check the package's robust reduction round by round against the object
+reduction of tests/reference.py, the shared prediction memo against fresh
+classes, that at most one
 label qualifies, emptied states on the shared state table, the lazy
 learner's automaton, its self-loops on correct rounds, that an emptied
 state is absorbing, the random-label probe and the family experts' id
@@ -73,6 +75,7 @@ from robust_online import (
 from robust_online.adversaries import orientation_options, robust_anchors
 from robust_online.agnostic import analysis_subset, hypothesis_losses
 from robust_online.dimension import get_engine
+from robust_online.errors import ProtocolViolation, SearchInvariantError
 from robust_online.forecaster import weight_trajectory
 from robust_online.learners import LazyRobustAutomaton
 from robust_online.model import compiled, consistency_masks, game_nodes
@@ -81,7 +84,7 @@ from robust_online.scenario import ADVERSARIES, DEFAULT_LABELS, PROTOCOLS
 from robust_online.uncertain import HalvingReport
 
 from reference import (
-    EmptiedPredictsZero,
+    PlainReductionLearner,
     PlainSubsetExpert,
     adversarial_loss,
     agnostic_learner,
@@ -505,7 +508,7 @@ def test_compiled_data_is_freed_with_its_class():
     witness_tree(hc, u)
     optimal_mistake_bound(hc, u, "orientation")
     restrict(VersionSpace.full(hc), 0, 1, u)
-    # class -> store -> automaton -> learner -> class is a cycle
+    # class -> store -> automaton -> context -> class is a cycle
     random_label_regret_sample(hc, u, 8, seed=0)
     ref = weakref.ref(hc)
     del hc
@@ -548,6 +551,46 @@ def fresh_copy(hc):
     return HypothesisClass.from_tables([h.table for h in hc], hc.label_count)
 
 
+def update_error(learner, z, x, y):
+    """(type, message) of what learner.update raises, or None."""
+    try:
+        learner.update(z, x, y)
+    except (ProtocolViolation, SearchInvariantError) as err:
+        return type(err), str(err)
+    return None
+
+
+@PROPERTY
+@given(games(), st.booleans(), st.sampled_from(("low", "high")), st.booleans(), st.data())
+def test_the_reduction_steps_like_the_object_reference(game, multiclass, tie_break, strict, data):
+    """Round by round, the package learner (a state id on its context)
+    predicts, logs and moves like the object reduction of the reference,
+    which decides every prediction afresh on a fresh copy of the class.
+    Each round is the next of a realizable sequence or an arbitrary
+    reveal, so z may lie outside U(x), the version space may empty and a
+    mistake may find no counterpart.  A strict learner raises the same
+    exception as the reference on the same round, and keeps its state."""
+    hc, u = game
+    multiclass = multiclass or hc.label_count > 2
+    learner = RobustReductionLearner(hc, u, multiclass, strict, tie_break)
+    reference = PlainReductionLearner(fresh_copy(hc), u, multiclass, strict, tie_break)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    realizable = realizable_robust_rounds(hc, u, 12, rng)
+    arbitrary = robust_rounds(data, hc.instance_count, 12, hc.label_count)
+    for t in range(12):
+        pick = realizable if realizable and data.draw(st.booleans()) else arbitrary
+        z, x, y = pick[t % len(pick)]
+        assert learner.predict(z) == reference.predict(z)
+        before = learner.s
+        error = update_error(learner, z, x, y)
+        assert error == update_error(reference, z, x, y)
+        assert learner.events == reference.events
+        if error is not None:
+            assert learner.s == before
+            break
+        assert learner.ctx.states[learner.s] == (reference.mask, reference.orientation.mask)
+
+
 @PROPERTY
 @given(games(), st.booleans(), st.sampled_from(("low", "high")), st.data())
 def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, tie_break, data):
@@ -563,15 +606,13 @@ def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, tie_brea
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     warm_up, realizable, corrupted = (realizable_robust_rounds(hc, u, 16, rng) for _ in range(3))
     corrupted = corrupt_labels(corrupted, 3, hc.label_count, rng)
-    tolerant = data.draw(st.sampled_from((RobustReductionLearner, EmptiedPredictsZero)))
-    modes = ((RobustReductionLearner, dict(strict=True)), (tolerant, dict(strict=False)))
     warm = RobustReductionLearner(hc, u, multiclass, tie_break=tie_break)
     for z, x, y in warm_up:
         warm.predict(z)
         warm.update(z, x, y)
     pairs = [
-        [cls(c, u, multiclass, tie_break=tie_break, **kw) for c in (hc, fresh_copy(hc))]
-        for cls, kw in modes
+        [RobustReductionLearner(c, u, multiclass, strict, tie_break) for c in (hc, fresh_copy(hc))]
+        for strict in (True, False)
     ]
     sequences = [list(realizable), list(corrupted)]
     order = data.draw(st.permutations([0] * len(realizable) + [1] * len(corrupted)))
@@ -582,23 +623,20 @@ def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, tie_brea
         shared.update(z, x, y)
         fresh.update(z, x, y)
         assert shared.events == fresh.events
-        assert shared.mask == fresh.mask
-        assert shared.orientation.mask == fresh.orientation.mask
-    # States loaded directly, as LearnerContext loads them: the same
-    # robust mask with different orientation masks must not share a
-    # prediction.  Each reference learner runs on a fresh copy.
+        assert shared.ctx.states[shared.s] == fresh.ctx.states[fresh.s]
+    # Arbitrary states interned directly: the same robust mask with
+    # different orientation masks must not share a prediction.  Each
+    # reference is the object reduction, with no memo, on a fresh copy.
     shared = pairs[1][0]
     full = (1 << hc.size) - 1
     mask = data.draw(st.integers(0, full))
     for _ in range(data.draw(st.integers(1, 8))):
         orientation_mask = data.draw(st.integers(0, full))
         z = data.draw(st.integers(0, hc.instance_count - 1))
-        reference = tolerant(fresh_copy(hc), u, multiclass, tie_break=tie_break, strict=False)
-        for learner in (shared, reference):
-            learner.mask, learner.orientation.mask = mask, orientation_mask
-            learner.events.clear()
+        reference = PlainReductionLearner(fresh_copy(hc), u, multiclass, False, tie_break)
+        reference.mask, reference.orientation.mask = mask, orientation_mask
+        shared.s = shared.ctx.state(mask, orientation_mask)
         assert shared.predict(z) == reference.predict(z)
-        assert shared.events == reference.events
 
 
 @PROPERTY
@@ -611,18 +649,20 @@ def test_at_most_one_label_qualifies(game, multiclass, tie_break, data):
     hc, u = game
     multiclass = multiclass or hc.label_count > 2
     learner = RobustReductionLearner(hc, u, multiclass, tie_break=tie_break)
+    reference = PlainReductionLearner(fresh_copy(hc), u, multiclass, tie_break=tie_break)
     full = (1 << hc.size) - 1
-    learner.mask = data.draw(st.integers(0, full))
-    learner.orientation.mask = data.draw(st.integers(0, full))
+    reference.mask = data.draw(st.integers(0, full))
+    reference.orientation.mask = data.draw(st.integers(0, full))
+    learner.s = learner.ctx.state(reference.mask, reference.orientation.mask)
     for z in range(hc.instance_count):
-        cands = learner.candidate_sets(z)
+        cands = reference.candidate_sets(z)
         qualifying = [
             y
             for y, py in enumerate(cands)
             if any(
                 all(
                     SoaOrientationLearner.predict(
-                        learner.orientation, OrientationQuery((a, b), (y, y2))
+                        reference.orientation, OrientationQuery((a, b), (y, y2))
                     )
                     == y
                     for y2, p2 in enumerate(cands)
@@ -714,10 +754,12 @@ def test_a_correct_round_is_a_self_loop(game, data):
 def test_an_emptied_state_is_absorbing(game, rounds):
     """From every emptied state that walks on the context and on the lazy
     automaton reach, every reveal, z outside U(x) included, is a
-    self-loop of both; a tolerant learner loaded with that state and
-    shown the reveal keeps both its masks, so the context's shortcut is
-    the update's result; and no emptied state enters the memo.  The
-    example empties the version space on its second round."""
+    self-loop of both; a tolerant learner on a fresh copy, which logs
+    events and so takes the full step, and the object reference, each
+    loaded with that state and shown the reveal, keep both its masks, so
+    the context's shortcut is the update's result; and no emptied state
+    enters the memo.  The example empties the version space on its
+    second round."""
     hc, u = game
     n = hc.instance_count
     auto = compiled(hc, u, LazyRobustAutomaton)
@@ -729,6 +771,7 @@ def test_an_emptied_state_is_absorbing(game, rounds):
             s = walk(s, z % n, x % n, y % 2)
             reached.add(s)
     learner = RobustReductionLearner(fresh_copy(hc), u, strict=False)
+    reference = PlainReductionLearner(fresh_copy(hc), u, strict=False)
     for s in reached:
         if ctx.states[s][0]:
             continue
@@ -737,9 +780,12 @@ def test_an_emptied_state_is_absorbing(game, rounds):
                 for y in (0, 1):
                     assert ctx.step(s, z, x, y) == s
                     assert auto.step(s, z, x, y) == s
-                    learner.mask, learner.orientation.mask = ctx.states[s]
+                    learner.s = learner.ctx.state(*ctx.states[s])
                     learner.update(z, x, y)
-                    assert (learner.mask, learner.orientation.mask) == ctx.states[s]
+                    assert learner.ctx.states[learner.s] == ctx.states[s]
+                    reference.mask, reference.orientation.mask = ctx.states[s]
+                    reference.update(z, x, y)
+                    assert (reference.mask, reference.orientation.mask) == ctx.states[s]
     assert all(ctx.states[key // n][0] for key in ctx.predictions)
 
 

@@ -1,13 +1,16 @@
 """Game runner plumbing and the command line, exercised end to end."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from robust_online import (
+    CorpusParams,
     LEARNER_NAMES,
     OrientationQuery,
     PerturbationMap,
@@ -15,6 +18,7 @@ from robust_online import (
     ScriptedRobustAdversary,
     adversarial_dimension,
     full_class,
+    generate_corpus,
     make_learner,
     parse_scenario,
     run_scenario,
@@ -97,6 +101,52 @@ def test_run_scenario_is_deterministic(scenario):
     assert a.to_text() == b.to_text()
 
 
+TOLERANT_GAMES = (
+    ("robust", "realizable"),
+    ("robust", "corrupted"),
+    ("robust", "tree"),
+    ("orientation", "realizable"),
+    ("orientation", "tree"),
+)
+
+
+def tolerant_game_scenarios():
+    """Generated classes at 2 and 3 labels, each played by the optimal and
+    the majority learner in both protocols, against the realizable, the
+    corrupted and the tree adversary, at horizon 16."""
+    for labels, seed in ((2, 11), (3, 12)):
+        for sc in generate_corpus(CorpusParams(count=60, seed=seed, label_count=labels)):
+            for protocol, adversary in TOLERANT_GAMES:
+                for learner in ("optimal", "majority"):
+                    game = replace(
+                        sc.game, protocol=protocol, adversary=adversary, learner=learner,
+                        horizon=16, corruptions=4 if adversary == "corrupted" else 0,
+                    )
+                    yield replace(sc, game=game)
+
+
+def test_tolerant_game_outputs_are_pinned():
+    """run_scenario's summary text, full event lists, dimension traces and
+    transcript JSON on the generated games; the summary text shows only
+    the events' count."""
+    digest, runs, events = hashlib.sha256(), 0, 0
+    for sc in tolerant_game_scenarios():
+        try:
+            summary, transcript = run_scenario(sc, track_dimension=True)
+        except DomainError as err:
+            digest.update(f"error: {err}\n".encode())
+            continue
+        runs += 1
+        events += len(summary.events)
+        digest.update(summary.to_text().encode())
+        digest.update(repr((summary.events, summary.dimension_trace)).encode())
+        digest.update(transcript_to_json(transcript).encode())
+    assert (runs, events) == (1146, 919)
+    assert digest.hexdigest() == (
+        "e2dd23f3f61af26c9e23469d39739ef7d7dbdad1b9bd4cc3e5094cbdb550cc35"
+    )
+
+
 def test_run_scenario_tree_adversary_forces_dimension(scenario):
     from dataclasses import replace
 
@@ -138,14 +188,21 @@ def test_transcript_json_round_trip(scenario):
         (lambda d: d["rounds"][2].update(bogus=1), "round 2: unknown key 'bogus'"),
         (lambda d: d["rounds"][3].pop("loss"), "round 3: missing key 'loss'"),
         (lambda d: d.pop("rounds"), "no 'rounds' key"),
+        (lambda d: d.update(protocol="chess"), "unknown protocol 'chess'"),
+        (lambda d: d.update(protocol=["robust"]), r"unknown protocol \['robust'\]"),
+        (lambda d: d.update(rounds={}), "rounds must be a JSON list"),
+        (lambda d: d["rounds"].__setitem__(1, [1, 2]), "round 1: expected an object, got list"),
+        (lambda d: "5", "must be a JSON object, got int"),
+        (lambda d: json.dumps(d)[:-1], "not valid JSON"),
     ],
 )
 def test_transcript_from_json_names_the_bad_key(scenario, edit, message):
+    """An edit changes the payload in place, or returns the text to parse."""
     _, transcript = run_scenario(scenario)
     payload = json.loads(transcript_to_json(transcript))
-    edit(payload)
+    text = edit(payload)
     with pytest.raises(DomainError, match=message):
-        transcript_from_json(json.dumps(payload))
+        transcript_from_json(text if isinstance(text, str) else json.dumps(payload))
 
 
 def test_orientation_protocol_runs(scenario):
