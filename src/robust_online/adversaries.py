@@ -266,11 +266,9 @@ def realizable_orientation_rounds(
     as in realizable_robust_rounds.  Returns [] when no hypothesis has any.
 
     All of a sequence's option indices come from one
-    rng.integers(k, size=length) call.  NumPy fills an array of bounded
-    integers one value at a time with the same rejection step a scalar
-    call makes, from the bit generator's 32-bit outputs (k < 2^32), so the
-    call returns the values, and leaves the stream at the position, of
-    length scalar rng.integers(k) calls.  A query is built only for the
+    rng.integers(k, size=length) call, which returns the values, and
+    leaves the stream at the position, of length scalar rng.integers(k)
+    calls (the block rule in `seeding`).  A query is built only for the
     rounds drawn.
     """
     table = compiled(hc, u, OrientationChoices, multiclass)

@@ -255,8 +255,8 @@ def cmd_gen_corpus(args) -> int:
             CorpusParams(
                 count=args.count,
                 seed=args.seed,
-                label_count=args.labels,
-                strata=tuple(args.strata),
+                label_count=args.labels or 2,
+                strata=tuple(args.strata or STRATA),
             )
         )
     for i, sc in enumerate(scenarios):
@@ -335,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-corpus", help="write a deterministic scenario corpus")
     g.add_argument("--count", type=_at_least(1), default=20)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--labels", type=_at_least(2), default=2)
-    g.add_argument("--strata", nargs="+", default=list(STRATA), choices=STRATA)
+    # None when not given: family scenarios are binary and unstratified
+    g.add_argument("--labels", type=_at_least(2), help="label count (default 2)")
+    g.add_argument("--strata", nargs="+", choices=STRATA, help="strata (default all)")
     g.add_argument("--family", action="store_true", help="generate family scenarios")
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen_corpus)
@@ -350,7 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "gen-corpus" and args.family:
+        given = [f"--{key}" for key in ("labels", "strata") if getattr(args, key) is not None]
+        if given:
+            parser.error(f"gen-corpus --family takes no {' and '.join(given)}")
     try:
         return args.fn(args)
     except (DomainError, LimitExceeded, OSError) as e:

@@ -252,6 +252,25 @@ def transcript_to_json(tr: GameTranscript) -> str:
     return json.dumps(asdict(tr), indent=2, sort_keys=True) + "\n"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked(where: str, key: str, value):
+    """A transcript field's value, pairs as tuples; a value of the wrong type is a DomainError."""
+    if key in ("pair", "labels"):
+        if isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
+            return tuple(value)
+        raise DomainError(f"{where}{key!r} must be a list of two integers")
+    if key in ("learner", "adversary", "version"):
+        if isinstance(value, str):
+            return value
+        raise DomainError(f"{where}{key!r} must be a string, got {type(value).__name__}")
+    if _is_int(value):
+        return value
+    raise DomainError(f"{where}{key!r} must be an integer, got {type(value).__name__}")
+
+
 def transcript_from_json(text: str) -> GameTranscript:
     """Inverse of transcript_to_json; input it cannot have written is a DomainError."""
     try:
@@ -272,20 +291,17 @@ def transcript_from_json(text: str) -> GameTranscript:
     names = {f.name for f in fields(cls)}
     rounds = []
     for i, r in enumerate(data["rounds"]):
+        where = f"transcript round {i}: "
         if not isinstance(r, dict):
-            raise DomainError(f"transcript round {i}: expected an object, got {type(r).__name__}")
+            raise DomainError(f"{where}expected an object, got {type(r).__name__}")
         odd = sorted(names.symmetric_difference(r))
         if odd:
             kind = "unknown" if odd[0] in r else "missing"
-            raise DomainError(f"transcript round {i}: {kind} key {odd[0]!r}")
-        if cls is OrientationRound:
-            r = dict(r, pair=tuple(r["pair"]), labels=tuple(r["labels"]))
-        rounds.append(cls(**r))
-    return GameTranscript(
-        protocol=data["protocol"],
-        learner=data["learner"],
-        adversary=data["adversary"],
-        seed=data["seed"],
-        rounds=rounds,
-        version=data.get("version", __version__),
-    )
+            raise DomainError(f"{where}{kind} key {odd[0]!r}")
+        rounds.append(cls(**{key: _checked(where, key, value) for key, value in r.items()}))
+    top = {
+        key: _checked("transcript ", key, data[key])
+        for key in ("learner", "adversary", "seed", "version")
+        if key in data
+    }
+    return GameTranscript(protocol=protocol, rounds=rounds, **top)

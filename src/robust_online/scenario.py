@@ -375,11 +375,11 @@ def _random_map(n: int, rng) -> PerturbationMap:
 
 
 def _disjoint_map(n: int, rng) -> PerturbationMap:
-    # one draw per instance; about a quarter of the sets come out empty
-    targets = rng.permutation(n)
-    return PerturbationMap.from_sets(
-        set() if rng.random() < 0.25 else {int(targets[x])} for x in range(n)
-    )
+    # one coin per instance, drawn as one block (exact: see `seeding`);
+    # about a quarter of the sets come out empty
+    targets = rng.permutation(n).tolist()
+    empty = (rng.random(n) < 0.25).tolist()
+    return PerturbationMap.from_sets(set() if e else {t} for t, e in zip(targets, empty))
 
 
 def _stratum_map(stratum: str, n: int, rng) -> PerturbationMap:
@@ -395,11 +395,19 @@ def _stratum_map(stratum: str, n: int, rng) -> PerturbationMap:
 
 
 def _random_tables(n: int, count: int, label_count: int, rng) -> list[tuple[int, ...]]:
-    # Distinct tables, capped by the size of the full function space.
+    """`count` distinct tables, capped by the size of the full function space.
+
+    Rows are drawn until `count` are distinct, each missing one as a row of
+    one block.  A row adds at most one new table, so `count` can be reached
+    only on a block's last row: the blocks draw exactly the rows that one
+    rng.integers call per row would, and the block rule in `seeding` makes
+    them the same values at the same stream position.
+    """
     count = min(count, label_count**n)
     seen = set()
     while len(seen) < count:
-        seen.add(tuple(int(v) for v in rng.integers(0, label_count, size=n)))
+        block = rng.integers(0, label_count, size=(count - len(seen), n))
+        seen.update(map(tuple, block.tolist()))
     return sorted(seen)
 
 
@@ -428,6 +436,12 @@ def generate_corpus(params: CorpusParams) -> list[Scenario]:
     exact up to rounding.  The disjoint and random strata may leave
     perturbation sets empty.  Every scenario round-trips through the text
     format.
+
+    Scenario i draws from its own stream, derive_rng(seed, "corpus", i,
+    stratum).  Its hypothesis tables and its disjoint map's coins are
+    drawn as blocks, which give the values of one draw per row or coin
+    (the block rule in `seeding`); tests/data/corpus_digests.json pins
+    the output.
     """
     out = []
     for i in range(params.count):

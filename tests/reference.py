@@ -14,6 +14,8 @@ no memo; the agnostic learner on it (the tolerant lazy reduction,
 predicting 0 once its version space is empty), a plain subset expert on
 that, the family experts, the replay that drives any pool of experts into
 prediction and loss matrices, and a forecaster stepped round by round.
+The corpus generator's tables have a reference too: one rng.integers
+call per row, the loop the generator's block draws stand for.
 """
 
 import itertools
@@ -33,6 +35,15 @@ from robust_online.model import consistency_masks, surviving_mask
 
 def empty_map(n: int) -> PerturbationMap:
     return PerturbationMap.from_sets([set()] * n)
+
+
+def one_row_per_call_tables(n: int, count: int, label_count: int, rng) -> list[tuple[int, ...]]:
+    """`count` distinct tables (at most label_count**n), one rng.integers call per row."""
+    count = min(count, label_count**n)
+    seen = set()
+    while len(seen) < count:
+        seen.add(tuple(int(v) for v in rng.integers(0, label_count, size=n)))
+    return sorted(seen)
 
 
 def adversarial_loss(h: Hypothesis, x: int, y: int, u: PerturbationMap) -> int:

@@ -16,8 +16,9 @@ state is absorbing, the random-label probe and the family experts' id
 replay against stepwise loops on plain learners, the subset experts' group replay against a pool of the
 reference's plain experts, and the analysis expert's mistakes in
 decomposition_gap against a plain expert; then scenario files
-round-trip, and derived seed sequences match a construction from a list
-of digest words.
+round-trip, the corpus generator's block-drawn tables match one draw per
+row, and derived seed sequences match a construction from a list of
+digest words.
 """
 
 import gc
@@ -90,9 +91,11 @@ from reference import (
     agnostic_learner,
     build_family_experts,
     expert_matrices,
+    one_row_per_call_tables,
     plain_subset_pool,
     stepwise_ewa,
 )
+from robust_online.scenario import _random_tables
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -1034,6 +1037,30 @@ def scenarios(draw):
 @given(scenarios())
 def test_scenario_text_round_trips(sc):
     assert parse_scenario(serialize_scenario(sc)) == sc
+
+
+@st.composite
+def table_draws(draw):
+    """(n, label_count, count, seed) with count up to the size of the function space."""
+    n = draw(st.integers(1, 5))
+    labels = draw(st.integers(2, 4))
+    count = draw(st.integers(0, labels**n) | st.just(labels**n))
+    return n, labels, count, draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(table_draws())
+# the whole function space of 1,024 tables: a coupon collector's wait
+@example((5, 4, 4**5, 0))
+@example((3, 2, 8, 1))
+def test_corpus_tables_draw_like_one_row_per_call(args):
+    """The block draws give the reference's tables and leave the stream
+    where one rng.integers call per row leaves it."""
+    n, labels, count, seed = args
+    rng, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _random_tables(n, count, labels, rng) == one_row_per_call_tables(n, count, labels, plain)
+    assert rng.integers(2**32) == plain.integers(2**32)
+    assert rng.bit_generator.state == plain.bit_generator.state
 
 
 def seed_sequence_from_words(*parts):

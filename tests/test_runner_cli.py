@@ -194,6 +194,25 @@ def test_transcript_json_round_trip(scenario):
         (lambda d: d["rounds"].__setitem__(1, [1, 2]), "round 1: expected an object, got list"),
         (lambda d: "5", "must be a JSON object, got int"),
         (lambda d: json.dumps(d)[:-1], "not valid JSON"),
+        (
+            lambda d: d.update(
+                protocol="orientation",
+                rounds=[{"pair": 5, "labels": [0, 1], "prediction": 0, "side": 0, "loss": 0}],
+            ),
+            "round 0: 'pair' must be a list of two integers",
+        ),
+        (lambda d: d["rounds"][4].update(shown="a"), "round 4: 'shown' must be an integer, got str"),
+        (lambda d: d.update(seed="x"), "transcript 'seed' must be an integer, got str"),
+        (lambda d: d.update(seed=True), "transcript 'seed' must be an integer, got bool"),
+        (lambda d: d["rounds"][0].update(loss=False), "round 0: 'loss' must be an integer, got bool"),
+        (
+            lambda d: d.update(
+                protocol="orientation",
+                rounds=[{"pair": [0, 1], "labels": [0, 1, 1], "prediction": 0, "side": 0, "loss": 0}],
+            ),
+            "round 0: 'labels' must be a list of two integers",
+        ),
+        (lambda d: d.update(learner=3), "transcript 'learner' must be a string, got int"),
     ],
 )
 def test_transcript_from_json_names_the_bad_key(scenario, edit, message):
@@ -422,6 +441,24 @@ def test_cli_gen_corpus_round_trips(tmp_path):
     for f in files:
         sc = parse_scenario(f.read_text())
         assert serialize_scenario(sc) == f.read_text()
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (("--labels", "3"), "--labels"),
+        (("--strata", "random"), "--strata"),
+        (("--labels", "2", "--strata", "total"), "--labels and --strata"),
+    ],
+)
+def test_cli_gen_corpus_family_rejects_corpus_options(tmp_path, extra, named):
+    out_dir = tmp_path / "family"
+    out = run_cli("gen-corpus", "--family", *extra, "--out", str(out_dir))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    last = out.stderr.strip().splitlines()[-1]
+    assert last == f"robust-online: error: gen-corpus --family takes no {named}"
+    assert not out_dir.exists()
 
 
 def test_cli_reports_scenario_errors_with_positions(tmp_path):

@@ -1,5 +1,9 @@
 """Scenario text format and deterministic corpus generation."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from robust_online import (
@@ -384,3 +388,36 @@ def test_family_scenarios_deterministic():
     a = generate_family_scenarios(6, seed=4)
     b = generate_family_scenarios(6, seed=4)
     assert [serialize_scenario(x) for x in a] == [serialize_scenario(x) for x in b]
+
+
+# SHA-256 over the serialized scenarios of whole corpora, recorded from a
+# generator that drew one row of hypothesis table, and one coin of a
+# disjoint map, per rng call
+CORPUS_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "corpus_digests.json").read_text()
+)
+
+
+def _corpus_id(entry):
+    if entry["generator"] == "family":
+        return f"family-seed{entry['seed']}"
+    strata = "all" if tuple(entry["strata"]) == STRATA else "+".join(entry["strata"])
+    return f"corpus-labels{entry['labels']}-seed{entry['seed']}-{strata}"
+
+
+@pytest.mark.parametrize("entry", CORPUS_DIGESTS, ids=_corpus_id)
+def test_generated_corpora_match_the_pinned_digests(entry):
+    if entry["generator"] == "family":
+        scenarios = generate_family_scenarios(entry["count"], seed=entry["seed"])
+    else:
+        params = CorpusParams(
+            count=entry["count"],
+            seed=entry["seed"],
+            label_count=entry["labels"],
+            strata=tuple(entry["strata"]),
+        )
+        scenarios = generate_corpus(params)
+    digest = hashlib.sha256()
+    for sc in scenarios:
+        digest.update(serialize_scenario(sc).encode())
+    assert digest.hexdigest() == entry["sha256"]
