@@ -59,6 +59,7 @@ from .learners import (
     SoaOrientationLearner,
     lazy_wrap,
     make_learner,
+    worst_case_mistakes,
 )
 from .model import (
     Hypothesis,

@@ -5,6 +5,13 @@ two runs with the same arguments print byte-identical result lines.  The
 "full" scale is authoritative; "smoke" exists for quick iteration and for
 the reproducibility criterion, which compares two subprocess runs.
 
+Criteria 3 and 5 are exact, not sampled.  The strict optimal learners
+are deterministic and their masks only shrink, so their states under all
+realizable reveals form a DAG plus self-loops, and the worst case over
+every realizable sequence is a longest path in it.  The mistake bound
+caps it at the dimension and the witness-tree adversary forces the
+dimension, so criterion 3 asks for equality in both games.
+
 Wall-clock never appears in result lines.  Where a criterion carries a
 runtime budget, the elapsed time feeds the verdict but not the text.
 """
@@ -14,22 +21,12 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .adversaries import (
-    ScriptedOrientationAdversary,
-    ScriptedRobustAdversary,
-    corrupt_labels,
-    orientation_options,
-    realizable_orientation_rounds,
-    realizable_robust_rounds,
-    robust_anchors,
-    tree_adversary,
-)
+from .adversaries import corrupt_labels, realizable_robust_rounds, robust_anchors, tree_adversary
 from .agnostic import decomposition_gap, mc_regret, random_label_regret_sample
-from .dimension import adversarial_dimension, classic_littlestone_dimension, witness_tree
+from .dimension import adversarial_dimension, classic_littlestone_dimension, get_engine, witness_tree
 from .errors import ProtocolViolation, SearchInvariantError
 from .forecaster import (
     horizon_regret_bound,
@@ -37,7 +34,7 @@ from .forecaster import (
     seeded_mistakes,
     weight_trajectory,
 )
-from .learners import LEARNER_NAMES, OPTIMAL, make_learner
+from .learners import LEARNER_NAMES, OPTIMAL, make_learner, worst_case_mistakes
 from .model import full_class, total_map
 from .oracle import optimal_mistake_bound
 from .runner import run_game
@@ -53,8 +50,6 @@ class Scale:
     classic_count: int
     conform_binary: int
     conform_multiclass: int
-    conform_sequences: int
-    conform_horizon: int
     tree_scenarios: int
     decomp_scenarios: int
     ewa_sizes: tuple[int, ...]
@@ -77,8 +72,6 @@ FULL = Scale(
     classic_count=100,
     conform_binary=24,
     conform_multiclass=8,
-    conform_sequences=1000,
-    conform_horizon=10,
     tree_scenarios=120,
     decomp_scenarios=50,
     ewa_sizes=(4, 8, 16),
@@ -101,8 +94,6 @@ SMOKE = Scale(
     classic_count=12,
     conform_binary=4,
     conform_multiclass=2,
-    conform_sequences=40,
-    conform_horizon=8,
     tree_scenarios=12,
     decomp_scenarios=10,
     ewa_sizes=(4, 8),
@@ -147,9 +138,7 @@ def _robust_usable(hc, u) -> bool:
 
 def criterion_1(scale: Scale, seed: int) -> CriterionResult:
     """Dimension equals the exact minimax value of both games."""
-    corpus = generate_corpus(
-        CorpusParams(count=scale.corpus_count, seed=_sub_seed(seed, 1))
-    )
+    corpus = generate_corpus(CorpusParams(count=scale.corpus_count, seed=_sub_seed(seed, 1)))
     start = time.monotonic()
     mismatches = 0
     for sc in corpus:
@@ -170,11 +159,8 @@ def criterion_1(scale: Scale, seed: int) -> CriterionResult:
 
 def criterion_2(scale: Scale, seed: int) -> CriterionResult:
     """Identity perturbations reduce to the classic dimension."""
-    corpus = generate_corpus(
-        CorpusParams(
-            count=scale.classic_count, seed=_sub_seed(seed, 2), strata=("identity",)
-        )
-    )
+    params = CorpusParams(count=scale.classic_count, seed=_sub_seed(seed, 2), strata=("identity",))
+    corpus = generate_corpus(params)
     mismatches = 0
     for sc in corpus:
         hc, u = sc.hypotheses, sc.truth
@@ -188,99 +174,72 @@ def criterion_2(scale: Scale, seed: int) -> CriterionResult:
     )
 
 
-@lru_cache(maxsize=4)
-def _conformance_sweep(scale: Scale, seed: int):
-    """Shared by criteria 3 and 5: play the optimal learners on realizable
-    sequences through run_game, collecting mistake-bound violations and,
-    from the orientation games' dimension traces, dimension-monotonicity
-    violations in one pass."""
-    stats = {
-        "games": 0,
-        "bound_violations": 0,
-        "monotone_violations": 0,
-        "skipped_scenarios": 0,
-    }
-    specs = [
-        (scale.conform_binary, 2, False),
-        (scale.conform_multiclass, 3, True),
-    ]
-    for count, labels, multiclass in specs:
-        corpus = generate_corpus(
-            CorpusParams(
-                count=count,
-                seed=_sub_seed(seed, 3) + labels,
-                label_count=labels,
-            )
-        )
-        for idx, sc in enumerate(corpus):
-            hc, u = sc.hypotheses, sc.truth
-            dim = adversarial_dimension(hc, u, multiclass=multiclass)
-            robust_ok = _robust_usable(hc, u)
-            orient_ok = any(orientation_options(hc, u, h, multiclass) for h in hc)
-            if not robust_ok and not orient_ok:
-                stats["skipped_scenarios"] += 1
-                continue
-            horizon = scale.conform_horizon
-            for s in range(scale.conform_sequences):
-                rng = derive_rng(seed, "conform", labels, idx, s)
-                adversaries = []
-                if robust_ok:
-                    rounds = realizable_robust_rounds(hc, u, horizon, rng)
-                    adversaries.append(ScriptedRobustAdversary(rounds))
-                if orient_ok:
-                    rounds = realizable_orientation_rounds(
-                        hc, u, horizon, rng, multiclass=multiclass
-                    )
-                    adversaries.append(ScriptedOrientationAdversary(rounds))
-                for adversary in adversaries:
-                    game = adversary.protocol
-                    learner = make_learner(OPTIMAL, game, hc, u, multiclass=multiclass)
-                    stats["games"] += 1
-                    try:
-                        played, trace = run_game(
-                            hc, u, learner, adversary, horizon,
-                            track_dimension=game == "orientation",
-                        )
-                    except (ProtocolViolation, SearchInvariantError):
-                        stats["bound_violations"] += 1
-                        continue
-                    if sum(r.loss for r in played) > dim:
-                        stats["bound_violations"] += 1
-                    if trace is not None:
-                        # round t starts at dimension ([dim] + trace)[t]
-                        for r, before, after in zip(played, [dim] + trace, trace):
-                            if r.loss and not after < before:
-                                stats["monotone_violations"] += 1
-    return stats
+def _walks(scale: Scale, seed: int, games: tuple[str, ...]):
+    """(dimension engine, worst case or None where the walk raised, mistake
+    edges) of the strict optimal learner of each game, on every scenario of
+    a binary and a 3-label corpus."""
+    for count, labels in ((scale.conform_binary, 2), (scale.conform_multiclass, 3)):
+        params = CorpusParams(count=count, seed=_sub_seed(seed, 3) + labels, label_count=labels)
+        for sc in generate_corpus(params):
+            hc, u, multiclass = sc.hypotheses, sc.truth, labels > 2
+            for game in games:
+                edges = []
+                try:
+                    worst = worst_case_mistakes(hc, u, game, multiclass, mistakes=edges)
+                except (ProtocolViolation, SearchInvariantError):
+                    worst = None
+                yield get_engine(hc, u, multiclass), worst, edges
 
 
 def criterion_3(scale: Scale, seed: int) -> CriterionResult:
-    stats = _conformance_sweep(scale, seed)
+    """The optimal learners' worst case over every realizable sequence is
+    exactly the dimension d, in both games.
+
+    The strict learners are deterministic and their masks only shrink, so
+    worst_case_mistakes finds the worst case as the longest path through a
+    learner's state graph, a DAG plus self-loops; a mistake on a
+    self-loop, or a reveal the strict learner rejects, is a violation.  At
+    most d is the mistake bound.  At least d holds because the witness-tree
+    adversary forces d mistakes from any learner on a realizable sequence,
+    so a value below d means the walk missed moves.  A class with no
+    realizable move has d = 0 and worst case 0, so every scenario counts.
+    """
+    walks = list(_walks(scale, seed, ("robust", "orientation")))
+    total = sum(worst or 0 for _, worst, _ in walks)
+    violations = sum(worst != engine.dimension() for engine, worst, _ in walks)
     return CriterionResult(
         3,
-        "optimal learners never exceed the dimension",
-        stats["bound_violations"] == 0 and stats["games"] > 0,
-        f"games={stats['games']} violations={stats['bound_violations']} "
-        f"skipped={stats['skipped_scenarios']}",
+        "optimal learners' worst case is exactly the dimension",
+        violations == 0 and bool(walks),
+        f"games={len(walks)} worst_total={total} violations={violations}",
     )
 
 
 def criterion_5(scale: Scale, seed: int) -> CriterionResult:
-    stats = _conformance_sweep(scale, seed)
+    """Every mistake edge (mask, next mask) the strict orientation learner
+    can reach on a realizable sequence lowers its version space's dimension.
+
+    The two sides of a node cannot both keep the dimension, or the version
+    space would shatter a deeper tree, and a mistake reveals the side the
+    SOA rule ranked no higher.  A walk that raised is a violation."""
+    walks = list(_walks(scale, seed, ("orientation",)))
+    edges = violations = 0
+    for engine, worst, mistakes in walks:
+        dim = engine.dimension_of_mask
+        edges += len(mistakes)
+        violations += (worst is None) + sum(dim(t) >= dim(s) for s, t in mistakes)
     return CriterionResult(
         5,
         "every orientation mistake shrinks the dimension",
-        stats["monotone_violations"] == 0 and stats["games"] > 0,
-        f"games={stats['games']} violations={stats['monotone_violations']}",
+        violations == 0 and bool(walks),
+        f"games={len(walks)} mistake_edges={edges} violations={violations}",
     )
 
 
 def criterion_4(scale: Scale, seed: int) -> CriterionResult:
     """Tree adversaries force exactly the dimension from the optimal
     learners and at least the dimension from every baseline."""
-    corpus = generate_corpus(
-        CorpusParams(count=scale.tree_scenarios, seed=_sub_seed(seed, 4))
-    )
+    corpus = generate_corpus(CorpusParams(count=scale.tree_scenarios, seed=_sub_seed(seed, 4)))
     exact_failures = 0
     baseline_failures = 0
     runs = 0
@@ -410,9 +369,7 @@ def criterion_9(scale: Scale, seed: int) -> CriterionResult:
     f; each completed phase is charged to a mistake of the true member's
     expert, which errs at most d times; the total is within halving_bound.
     """
-    scenarios = generate_family_scenarios(
-        scale.halving_scenarios, seed=_sub_seed(seed, 9)
-    )
+    scenarios = generate_family_scenarios(scale.halving_scenarios, seed=_sub_seed(seed, 9))
     total_violations = 0
     phase_violations = 0
     charge_violations = 0
@@ -444,17 +401,13 @@ def criterion_9(scale: Scale, seed: int) -> CriterionResult:
 
 def criterion_10(scale: Scale, seed: int) -> CriterionResult:
     """Family forecaster within the loss-budget bound."""
-    scenarios = generate_family_scenarios(
-        scale.family_scenarios, seed=_sub_seed(seed, 10)
-    )
+    scenarios = generate_family_scenarios(scale.family_scenarios, seed=_sub_seed(seed, 10))
     worst_ratio = -math.inf
     failures = 0
     for idx, sc in enumerate(scenarios):
         hc, family = sc.hypotheses, sc.family()
         rng = derive_rng(seed, "crit10", idx)
-        rounds = realizable_robust_rounds(
-            hc, family.truth, scale.family_horizon, rng
-        )
+        rounds = realizable_robust_rounds(hc, family.truth, scale.family_horizon, rng)
         mc = mc_family_mistakes(hc, family, rounds, seeds=range(scale.family_seeds))
         ratio = mc["mean"] / mc["bound"]
         worst_ratio = max(worst_ratio, ratio)
@@ -484,9 +437,7 @@ def criterion_11(scale: Scale, seed: int) -> CriterionResult:
         return CriterionResult(
             11, "random-label regret square-root trend", False, "nonpositive mean"
         )
-    slope = float(
-        np.polyfit(np.log(TREND_HORIZONS), np.log(means), 1)[0]
-    )
+    slope = float(np.polyfit(np.log(TREND_HORIZONS), np.log(means), 1)[0])
     return CriterionResult(
         11,
         "random-label regret square-root trend",
@@ -497,18 +448,8 @@ def criterion_11(scale: Scale, seed: int) -> CriterionResult:
 
 def criterion_12(scale: Scale, seed: int) -> CriterionResult:
     """Two subprocess smoke checks both pass all 11 criteria, byte for byte alike."""
-    cmd = [
-        sys.executable,
-        "-m",
-        "robust_online",
-        "check",
-        "--scale",
-        "smoke",
-        "--criteria",
-        "1-11",
-        "--seed",
-        str(seed),
-    ]
+    cmd = [sys.executable, "-m", "robust_online", "check", "--scale", "smoke", "--criteria", "1-11"]
+    cmd += ["--seed", str(seed)]
     first = subprocess.run(cmd, capture_output=True, timeout=1800)
     second = subprocess.run(cmd, capture_output=True, timeout=1800)
     identical = first.stdout == second.stdout and first.returncode == second.returncode

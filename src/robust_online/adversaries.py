@@ -127,9 +127,9 @@ class ScriptedOrientationAdversary:
 class _Choices:
     """Integer codes of each hypothesis's playable choices in one game.
 
-    Codes are listed in increasing order, which is the order of
-    robust_anchors and orientation_options.  A hypothesis's codes are
-    found on first use and kept.
+    Codes are listed in increasing order: the order of robust_anchors, and
+    of game_nodes with side 0 first.  A hypothesis's codes are found on
+    first use and kept.
     """
 
     def __init__(self, size: int):
@@ -238,14 +238,6 @@ def realizable_robust_rounds(
         ux = zs[x]
         rounds.append((ux[int(rng.integers(len(ux)))] if len(ux) > 1 else ux[0], x, y))
     return rounds
-
-
-def orientation_options(
-    hc: HypothesisClass, u: PerturbationMap, h, multiclass: bool = False
-) -> list[tuple[OrientationQuery, int]]:
-    """(query, side) choices whose reveal costs h nothing."""
-    table = compiled(hc, u, OrientationChoices, multiclass)
-    return [_option(table.nodes, c) for c in table.codes(h.id)]
 
 
 def _option(nodes, code: int) -> tuple[OrientationQuery, int]:

@@ -35,6 +35,7 @@ lazy expert, only on mistakes.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .dimension import get_engine
 from .errors import ProtocolViolation, SearchInvariantError
@@ -320,6 +321,60 @@ class RobustReductionLearner:
             events.clear()
             raise error(message.format(x=x, z=z))
         self.s = s
+
+
+def worst_case_mistakes(hc, u, game: str, multiclass=False, tie_break="low", mistakes=None) -> int:
+    """The most mistakes the strict optimal learner of `game` makes over
+    every realizable sequence, of any length.
+
+    It is the longest path through the learner's state graph, an edge
+    costing 1 when the prediction misses.  The robust learner's states are
+    LearnerContext ids, stepped by every reveal (x, y) of every z in U(x)
+    that keeps the robust mask nonempty; the orientation learner's states
+    are masks, and each edge reveals a side of an engine node that keeps
+    the mask nonempty.  Both masks only shrink, so the graph is a DAG plus
+    self-loops.  A mistake on a self-loop, which repeats without end, and
+    an event the strict learner raises on both raise SearchInvariantError.
+    Given a list, mistakes gets (state, next state) of every mistake edge.
+    """
+    ctx = _context(hc, u, multiclass, tie_break)
+    if game == "robust":
+        labels = range(hc.label_count)
+        reveals = [(z, x, y) for x in range(ctx.n) for z in sorted(u.forward[x]) for y in labels]
+
+        def moves(s):
+            mask, events = ctx.states[s][0], []
+            for z, x, y in reveals:
+                if mask & ctx.masks[x][y]:
+                    t = ctx.step(s, z, x, y, events)
+                    if events:
+                        raise SearchInvariantError(f"strict learner rejects a reveal: {events[0]}")
+                    yield t, ctx.predict(s, z) != y
+    elif game == "orientation":
+        dim = ctx.engine.dimension_of_mask
+
+        def moves(mask):
+            for _, (y0, y1), m0, m1 in ctx.engine.nodes:
+                label = _soa_label(dim(mask & m0), dim(mask & m1), y0, y1, tie_break)
+                for side, y in ((mask & m0, y0), (mask & m1, y1)):
+                    if side:
+                        yield side, label != y
+    else:
+        raise ValueError(f"unknown game {game!r}")
+
+    @cache
+    def longest(s: int) -> int:
+        best = 0
+        for t, miss in moves(s):
+            if t == s and miss:
+                raise SearchInvariantError("a mistake leaves the learner's state unchanged")
+            if t != s:
+                if miss and mistakes is not None:
+                    mistakes.append((s, t))
+                best = max(best, miss + longest(t))
+        return best
+
+    return longest(0 if game == "robust" else ctx.full)
 
 
 class LazyRobustLearner:

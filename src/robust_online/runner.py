@@ -298,7 +298,17 @@ def transcript_from_json(text: str) -> GameTranscript:
         if odd:
             kind = "unknown" if odd[0] in r else "missing"
             raise DomainError(f"{where}{kind} key {odd[0]!r}")
-        rounds.append(cls(**{key: _checked(where, key, value) for key, value in r.items()}))
+        played = cls(**{key: _checked(where, key, value) for key, value in r.items()})
+        side = played.side if protocol == "orientation" else 0
+        if side not in (0, 1):
+            raise DomainError(f"{where}'side' must be 0 or 1, got {side}")
+        label = played.labels[side] if protocol == "orientation" else played.clean_y
+        if played.loss != (loss := int(played.prediction != label)):
+            raise DomainError(
+                f"{where}'loss' must be {loss} for prediction {played.prediction} "
+                f"and revealed label {label}, got {played.loss}"
+            )
+        rounds.append(played)
     top = {
         key: _checked("transcript ", key, data[key])
         for key in ("learner", "adversary", "seed", "version")

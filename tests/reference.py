@@ -15,10 +15,13 @@ predicting 0 once its version space is empty), a plain subset expert on
 that, the family experts, the replay that drives any pool of experts into
 prediction and loss matrices, and a forecaster stepped round by round.
 The corpus generator's tables have a reference too: one rng.integers
-call per row, the loop the generator's block draws stand for.
+call per row, the loop the generator's block draws stand for.  The
+worst-case walk of the optimal learners has a plain search over reveal
+sequences, replayed on fresh learner objects.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -26,7 +29,9 @@ from robust_online import (
     Hypothesis,
     OrientationQuery,
     PerturbationMap,
+    RobustReductionLearner,
     SoaOrientationLearner,
+    compatible_pairs,
     lazy_wrap,
 )
 from robust_online.errors import DomainError, ProtocolViolation, SearchInvariantError
@@ -64,6 +69,88 @@ def adversarial_loss(h: Hypothesis, x: int, y: int, u: PerturbationMap) -> int:
 def is_realizable_sequence(pairs, hc, u: PerturbationMap) -> bool:
     """True iff one hypothesis has zero adversarial loss on the whole sequence."""
     return surviving_mask(pairs, hc, u) != 0
+
+
+def plain_worst_case(hc, u, game, multiclass=False, tie_break="low"):
+    """The most mistakes the strict optimal learner of `game` makes over
+    every realizable sequence, by a search over reveal sequences with no
+    memo.
+
+    Every prefix is replayed on fresh strict RobustReductionLearner or
+    SoaOrientationLearner objects.  A reveal is realizable when one
+    hypothesis has zero adversarial loss on all the clean pairs revealed
+    so far; in the orientation game the pairs are compatible and carry
+    (0, 1), or any two distinct labels in multiclass mode, where of a query
+    and its mirror image (both sides swapped) only the first is played: the
+    SOA rule is side-symmetric, so the mirror's reveals repeat the
+    query's.  A reveal that leaves the learner's state as it was is not
+    followed: repeating it changes nothing, unless it costs a mistake,
+    which makes the worst case unbounded (math.inf).
+    """
+    labels = range(hc.label_count)
+    if game == "robust":
+        reveals = [
+            ((z, x, y), (x, y))
+            for x in range(u.instance_count)
+            for z in sorted(u.forward[x])
+            for y in labels
+        ]
+
+        def fresh():
+            return RobustReductionLearner(hc, u, multiclass, True, tie_break)
+
+        def play(learner, move):
+            z, x, y = move
+            miss = learner.predict(z) != y
+            learner.update(z, x, y)
+            return miss
+
+        def state(learner):
+            return learner.s
+
+    else:
+        label_pairs = [(a, b) for a in labels for b in labels if a != b] if multiclass else [(0, 1)]
+        reveals = [
+            ((OrientationQuery(pair, pair_labels), side), (pair[side], pair_labels[side]))
+            for pair in sorted(compatible_pairs(u))
+            for pair_labels in label_pairs
+            if not multiclass or (pair, pair_labels) <= (pair[::-1], pair_labels[::-1])
+            for side in (0, 1)
+        ]
+
+        def fresh():
+            return SoaOrientationLearner(hc, u, multiclass, tie_break)
+
+        def play(learner, move):
+            query, side = move
+            miss = learner.predict(query) != query.labels[side]
+            learner.update(query, side)
+            return miss
+
+        def state(learner):
+            return learner.mask
+
+    def replay(prefix):
+        """(mistakes, state) of a fresh learner after the prefix."""
+        learner = fresh()
+        mistakes = sum(play(learner, move) for move in prefix)
+        return mistakes, state(learner)
+
+    def search(prefix, pairs):
+        mistakes, before = replay(prefix)
+        best = mistakes
+        for move, pair in reveals:
+            if not is_realizable_sequence(pairs + [pair], hc, u):
+                continue
+            after, next_state = replay(prefix + [move])
+            if next_state == before:
+                if after > mistakes:
+                    return math.inf
+                continue
+            best = max(best, search(prefix + [move], pairs + [pair]))
+        return best
+
+    return search([], [])
 
 
 class ExponentialWeightsForecaster:

@@ -35,9 +35,9 @@ DATA = Path(__file__).parent / "data"
 SMOKE_LINES_SEED_0 = [
     "criterion  1: PASS  dimension matches both exact game values (scenarios=24 mismatches=0)",
     "criterion  2: PASS  identity maps agree with the classic dimension (scenarios=12 mismatches=0)",
-    "criterion  3: PASS  optimal learners never exceed the dimension (games=480 violations=0 skipped=0)",
+    "criterion  3: PASS  optimal learners' worst case is exactly the dimension (games=12 worst_total=20 violations=0)",
     "criterion  4: PASS  tree adversaries force the dimension (scenarios=12 runs=120 exact_failures=0 baseline_failures=0)",
-    "criterion  5: PASS  every orientation mistake shrinks the dimension (games=480 violations=0)",
+    "criterion  5: PASS  every orientation mistake shrinks the dimension (games=6 mistake_edges=297 violations=0)",
     "criterion  6: PASS  subset expert within dimension plus comparator (sequences=10 violations=0)",
     "criterion  7: PASS  forecaster regret within the horizon bound (combos=4 worst_excess=-4.4320)",
     "criterion  8: PASS  aggregated learner within the agnostic regret bound (scenarios=3 failures=0 worst_ratio=0.7739)",
@@ -49,7 +49,7 @@ SMOKE_LINES_SEED_0 = [
 # `check --scale full --seed 0 --criteria 1-11` stdout: the eleven criterion
 # lines, then the footer; criterion 12 runs check itself, so it is not in it
 FULL_LINES_SEED_0 = (DATA / "check_full_seed0.txt").read_text().splitlines()[:11] + [
-    "criterion 12: PASS  check output is byte-reproducible (bytes=1183 identical=true)",
+    "criterion 12: PASS  check output is byte-reproducible (bytes=1213 identical=true)",
 ]
 
 

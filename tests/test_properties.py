@@ -10,7 +10,9 @@ restriction, and the lifetime of compiled data; the next
 check the package's robust reduction round by round against the object
 reduction of tests/reference.py, the shared prediction memo against fresh
 classes, that at most one
-label qualifies, emptied states on the shared state table, the lazy
+label qualifies, the worst-case walk of the strict optimal learners
+against a plain search over reveal sequences and the strict games of the
+runner against the walk, emptied states on the shared state table, the lazy
 learner's automaton, its self-loops on correct rounds, that an emptied
 state is absorbing, the random-label probe and the family experts' id
 replay against stepwise loops on plain learners, the subset experts' group replay against a pool of the
@@ -42,6 +44,8 @@ from robust_online import (
     PerturbationMap,
     RobustReductionLearner,
     Scenario,
+    ScriptedOrientationAdversary,
+    ScriptedRobustAdversary,
     SoaOrientationLearner,
     VersionSpace,
     adversarial_dimension,
@@ -61,6 +65,7 @@ from robust_online import (
     is_shattered,
     lazy_wrap,
     loss_budget_rate,
+    make_learner,
     mc_family_mistakes,
     mc_regret,
     optimal_mistake_bound,
@@ -69,11 +74,13 @@ from robust_online import (
     realizable_orientation_rounds,
     realizable_robust_rounds,
     restrict,
+    run_game,
     serialize_scenario,
     total_map,
     witness_tree,
+    worst_case_mistakes,
 )
-from robust_online.adversaries import orientation_options, robust_anchors
+from robust_online.adversaries import OrientationChoices, _option, robust_anchors
 from robust_online.agnostic import analysis_subset, hypothesis_losses
 from robust_online.dimension import get_engine
 from robust_online.errors import ProtocolViolation, SearchInvariantError
@@ -93,6 +100,7 @@ from reference import (
     expert_matrices,
     one_row_per_call_tables,
     plain_subset_pool,
+    plain_worst_case,
     stepwise_ewa,
 )
 from robust_online.scenario import _random_tables
@@ -172,8 +180,9 @@ def test_anchors_and_options_match_the_definition(game):
     for h in hc:
         assert robust_anchors(hc, u, h) == reference_anchors(u, h)
         for multiclass in (False, True):
-            expected = reference_options(hc, u, h, multiclass)
-            assert orientation_options(hc, u, h, multiclass) == expected
+            table = compiled(hc, u, OrientationChoices, multiclass)
+            options = [_option(table.nodes, c) for c in table.codes(h.id)]
+            assert options == reference_options(hc, u, h, multiclass)
 
 
 def reference_rounds(hc, rng, length, choices, draw):
@@ -677,6 +686,59 @@ def test_at_most_one_label_qualifies(game, multiclass, tie_break, data):
         ]
         assert len(qualifying) <= 1
         assert learner.predict(z) == (qualifying or [0 if multiclass else 1])[0]
+
+
+@PROPERTY
+@given(
+    games(max_instances=5, max_hypotheses=12),
+    st.booleans(),
+    st.sampled_from(("low", "high")),
+    st.sampled_from(("robust", "orientation")),
+)
+@example((full_class(5), identity_map(5)), False, "low", "robust")
+@example((full_class(5), identity_map(5)), False, "low", "orientation")
+@example((full_class(4), identity_map(4)), True, "high", "robust")
+def test_the_worst_case_walk_matches_a_plain_search(game, multiclass, tie_break, protocol):
+    """The memoized longest path over the strict optimal learner's states
+    equals the reference's search over every realizable reveal sequence,
+    which replays each prefix on fresh learner objects of a fresh copy of
+    the class."""
+    hc, u = game
+    multiclass = multiclass or hc.label_count > 2
+    worst = worst_case_mistakes(hc, u, protocol, multiclass, tie_break)
+    assert worst == plain_worst_case(fresh_copy(hc), u, protocol, multiclass, tie_break)
+
+
+def test_the_full_class_worst_case_is_its_size():
+    for n in range(1, 6):
+        for protocol in ("robust", "orientation"):
+            assert worst_case_mistakes(full_class(n), identity_map(n), protocol) == n
+
+
+@PROPERTY
+@given(games(max_instances=5, max_hypotheses=12), st.booleans(), st.integers(0, 2**32 - 1))
+@example((full_class(5), identity_map(5)), False, 0)
+@example((full_class(4), total_map(4)), True, 1)
+def test_realizable_games_stay_within_the_worst_case(game, multiclass, seed):
+    """run_game plays the strict optimal learner against scripted
+    realizable sequences of both games without raising, and its mistakes
+    stay within the walk's worst case; the dimension it tracks never
+    rises.  The walk does not run the runner, the scripted adversaries or
+    their protocol checks, so this keeps them under test."""
+    hc, u = game
+    multiclass = multiclass or hc.label_count > 2
+    rng = np.random.default_rng(seed)
+    robust = realizable_robust_rounds(hc, u, 20, rng)
+    orientation = realizable_orientation_rounds(hc, u, 20, rng, multiclass)
+    for protocol, adversary in (
+        ("robust", ScriptedRobustAdversary(robust)),
+        ("orientation", ScriptedOrientationAdversary(orientation)),
+    ):
+        learner = make_learner("optimal", protocol, hc, u, multiclass)
+        played, trace = run_game(hc, u, learner, adversary, 20, track_dimension=True)
+        assert len(played) == len(robust if protocol == "robust" else orientation)
+        assert sum(r.loss for r in played) <= worst_case_mistakes(hc, u, protocol, multiclass)
+        assert trace == sorted(trace, reverse=True)
 
 
 class AutomatonWalk:

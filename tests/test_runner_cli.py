@@ -213,6 +213,31 @@ def test_transcript_json_round_trip(scenario):
             "round 0: 'labels' must be a list of two integers",
         ),
         (lambda d: d.update(learner=3), "transcript 'learner' must be a string, got int"),
+        (
+            lambda d: d.update(
+                protocol="orientation",
+                rounds=[{"pair": [0, 1], "labels": [0, 1], "prediction": 0, "side": 7, "loss": -3}],
+            ),
+            "round 0: 'side' must be 0 or 1, got 7",
+        ),
+        (
+            lambda d: d.update(
+                protocol="orientation",
+                rounds=[{"pair": [0, 1], "labels": [0, 1], "prediction": 0, "side": 0, "loss": -3}],
+            ),
+            "round 0: 'loss' must be 0 for prediction 0 and revealed label 0, got -3",
+        ),
+        (
+            lambda d: d.update(
+                protocol="orientation",
+                rounds=[{"pair": [0, 1], "labels": [0, 2], "prediction": 0, "side": 1, "loss": 0}],
+            ),
+            "round 0: 'loss' must be 1 for prediction 0 and revealed label 2, got 0",
+        ),
+        (
+            lambda d: d["rounds"][5].update(loss=1 - d["rounds"][5]["loss"]),
+            r"round 5: 'loss' must be \d for prediction \d and revealed label \d, got \d",
+        ),
     ],
 )
 def test_transcript_from_json_names_the_bad_key(scenario, edit, message):
