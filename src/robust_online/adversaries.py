@@ -13,7 +13,10 @@ OrientationChoices), so a call draws from a ready list and builds round
 objects only for the rounds it returns.  The draws are exactly those of a
 plain loop that lists the choices and makes one scalar rng.integers call
 per choice, so a seed gives the same rounds and leaves its generator at
-the same position.
+the same position.  The orientation generator draws a sequence's option
+indices as one block of bounded integers; the robust generator, whose z
+bound depends on the anchor drawn, decodes both draws of every round
+from blocks of raw 32-bit words (seeding.BoundedDraws).
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ import numpy as np
 from .dimension import AdversarialTree
 from .learners import OrientationQuery
 from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks, game_nodes
+from .seeding import BoundedDraws
 
 
 def _punished_side(node, prediction: int) -> int:
@@ -181,16 +185,34 @@ class RobustChoices(_Choices):
                         yield x * L + y
 
 
+class _Queries(dict):
+    """The OrientationQuery of each node index, built on first use."""
+
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes):
+        super().__init__()
+        self.nodes = nodes
+
+    def __missing__(self, node: int) -> OrientationQuery:
+        pair, labels, _, _ = self.nodes[node]
+        query = self[node] = OrientationQuery(pair, labels)
+        return query
+
+
 class OrientationChoices(_Choices):
     """Orientation options, coded 2 * node + side, per hypothesis.
 
-    node indexes game_nodes(hc, u, multiclass).  Got through
+    node indexes game_nodes(hc, u, multiclass), and queries[node] is its
+    query, built once per table; code c is the option
+    (queries[c >> 1], c & 1).  Got through
     compiled(hc, u, OrientationChoices, multiclass).
     """
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool):
         super().__init__(hc.size)
         self.nodes = game_nodes(hc, u, multiclass)
+        self.queries = _Queries(self.nodes)
 
     def _playable(self, h: int):
         for i, (_, _, m0, m1) in enumerate(self.nodes):
@@ -224,25 +246,27 @@ def realizable_robust_rounds(
     of the hypothesis ids, then one rng.integers(k) per choice among k.
     A choice with k = 1 (a hypothesis with one anchor, or a singleton
     U(x)) draws nothing, because rng.integers(1) returns 0 without
-    consuming any bits, so the rounds and the stream's position
-    afterwards are unchanged.
+    consuming any bits.  The bounded draws are decoded from blocks of
+    32-bit words that hold only the words the loop is certain to read
+    (seeding.BoundedDraws): one per round left for the anchor when k > 1,
+    and one more for z when every anchor's U(x) has two or more
+    elements.  So the rounds and the stream's position afterwards are
+    the loop's.
     """
     table = compiled(hc, u, RobustChoices)
     codes = table.first_playable(rng)
     if not codes:
         return []
     labels, zs, k = hc.label_count, table.perturbations, len(codes)
+    per_round = (k > 1) + all(len(zs[c // labels]) > 1 for c in codes)
+    draw = BoundedDraws(rng).integer
     rounds = []
-    for _ in range(length):
-        x, y = divmod(codes[int(rng.integers(k))] if k > 1 else codes[0], labels)
+    for left in range(length, 0, -1):
+        x, y = divmod(codes[draw(k, per_round * left)] if k > 1 else codes[0], labels)
         ux = zs[x]
-        rounds.append((ux[int(rng.integers(len(ux)))] if len(ux) > 1 else ux[0], x, y))
+        z = ux[draw(len(ux), per_round * (left - 1) + 1)] if len(ux) > 1 else ux[0]
+        rounds.append((z, x, y))
     return rounds
-
-
-def _option(nodes, code: int) -> tuple[OrientationQuery, int]:
-    pair, labels, _, _ = nodes[code >> 1]
-    return OrientationQuery(pair, labels), code & 1
 
 
 def realizable_orientation_rounds(
@@ -260,15 +284,15 @@ def realizable_orientation_rounds(
     All of a sequence's option indices come from one
     rng.integers(k, size=length) call, which returns the values, and
     leaves the stream at the position, of length scalar rng.integers(k)
-    calls (the block rule in `seeding`).  A query is built only for the
-    rounds drawn.
+    calls (the block rule in `seeding`).  The rounds share the table's
+    queries, each built the first time it is drawn.
     """
     table = compiled(hc, u, OrientationChoices, multiclass)
     codes = table.first_playable(rng)
     if not codes:
         return []
-    nodes = table.nodes
-    return [_option(nodes, codes[i]) for i in rng.integers(len(codes), size=length).tolist()]
+    queries, drawn = table.queries, rng.integers(len(codes), size=length).tolist()
+    return [(queries[c >> 1], c & 1) for c in map(codes.__getitem__, drawn)]
 
 
 def corrupt_labels(rounds, corruptions: int, label_count: int, rng):

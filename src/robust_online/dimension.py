@@ -20,8 +20,9 @@ The search is a branch and bound with two exact cuts:
   no node can go past that cap;
 - a node can raise the best value b only if both children have dimension
   at least b, so it is skipped when either child's cap floor(log2 |Vi|)
-  is below b, and its second child is not searched when the first
-  child's exact dimension is below b.
+  is below b (tested as |Vi| < 2^b, the same condition for |Vi| >= 1),
+  and its second child is not searched when the first child's exact
+  dimension is below b.
 
 A cut only skips nodes that cannot change the maximum, and every child
 that is searched is searched in full, so every memo entry is the exact
@@ -107,7 +108,7 @@ class DimensionEngine:
             v1 = mask & m1
             if not v1:
                 continue
-            if _log2_size(v0) < best or _log2_size(v1) < best:
+            if v0.bit_count() < 1 << best or v1.bit_count() < 1 << best:
                 continue
             d = self.dimension_of_mask(v0)
             if d < best:
@@ -135,7 +136,7 @@ class DimensionEngine:
         for pair, labels, m0, m1 in self.nodes:
             v0 = mask & m0
             v1 = mask & m1
-            if not v0 or not v1 or _log2_size(v0) < need or _log2_size(v1) < need:
+            if not v0 or not v1 or v0.bit_count() < 1 << need or v1.bit_count() < 1 << need:
                 continue
             if self.dimension_of_mask(v0) >= need and self.dimension_of_mask(v1) >= need:
                 return AdversarialTreeNode(

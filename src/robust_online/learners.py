@@ -46,12 +46,13 @@ BASELINES = ("constant-0", "constant-1", "random", "majority")
 LEARNER_NAMES = (OPTIMAL,) + BASELINES
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrientationQuery:
     """One orientation-game round: candidate instances and their labels.
 
     Side i of the pair carries labels[i]; binary games fix labels (0, 1),
-    so the side index and the label coincide.
+    so the side index and the label coincide.  Slotted, because the
+    orientation generator keeps every query it has drawn with its class.
     """
 
     pair: tuple[int, int]

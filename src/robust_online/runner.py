@@ -257,18 +257,29 @@ def _is_int(value) -> bool:
 
 
 def _checked(where: str, key: str, value):
-    """A transcript field's value, pairs as tuples; a value of the wrong type is a DomainError."""
-    if key in ("pair", "labels"):
-        if isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
-            return tuple(value)
-        raise DomainError(f"{where}{key!r} must be a list of two integers")
+    """A transcript field's value, pairs as tuples; a value no run can write is a DomainError.
+
+    Instances, labels and predictions are nonnegative, and an orientation
+    query's two labels differ.  The seed may be any integer; loss and side
+    are checked against their round by the caller.
+    """
     if key in ("learner", "adversary", "version"):
         if isinstance(value, str):
             return value
         raise DomainError(f"{where}{key!r} must be a string, got {type(value).__name__}")
-    if _is_int(value):
-        return value
-    raise DomainError(f"{where}{key!r} must be an integer, got {type(value).__name__}")
+    if key in ("pair", "labels"):
+        if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
+            raise DomainError(f"{where}{key!r} must be a list of two integers")
+        if min(value) < 0:
+            raise DomainError(f"{where}{key!r} must not be negative, got {value}")
+        if key == "labels" and value[0] == value[1]:
+            raise DomainError(f"{where}'labels' must be two different labels, got {value}")
+        return tuple(value)
+    if not _is_int(value):
+        raise DomainError(f"{where}{key!r} must be an integer, got {type(value).__name__}")
+    if value < 0 and key in ("shown", "prediction", "clean_x", "clean_y"):
+        raise DomainError(f"{where}{key!r} must not be negative, got {value}")
+    return value
 
 
 def transcript_from_json(text: str) -> GameTranscript:

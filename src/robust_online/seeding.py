@@ -20,6 +20,23 @@ calls rng.random(), and either leaves the stream where those calls
 would.  A block must hold only draws the scalar run would make: drawn
 past the run's end, it moves every later draw.  tests/test_seeding.py
 pins the rule on the installed NumPy.
+
+Bounded draws from raw words.  When each bound depends on the draw
+before it, no block of bounded integers fits, but a block of raw 32-bit
+words does.  rng.integers(0, 2**32, size=m, dtype=np.uint32) returns the
+bit generator's next m 32-bit outputs (a half of a 64-bit output left
+buffered by an earlier draw comes first), and rng.integers(k) for
+1 < k <= 2^32 is Lemire's multiply-and-reject step on those outputs
+(Lemire, "Fast Random Integer Generation in an Interval", 2019): with
+m = w * k, the draw is m >> 32 unless the low 32 bits of m are below
+2^32 mod k, in which case w is rejected and the next word is tried.
+BoundedDraws replays that step, so its draws and the stream's position
+after them are those of the scalar calls.  Its blocks follow the rule
+above: a block holds only the words the scalar run is certain to draw
+from that point on, and when it runs out (after a rejection, or a draw
+the count did not foresee) the next block is the certain count again.
+A block of one or two words is read by as many rng.integers(2**32)
+calls instead, each of which returns one 32-bit output.
 """
 
 import hashlib
@@ -43,3 +60,44 @@ def derive_seed_sequence(*parts) -> np.random.SeedSequence:
 
 def derive_rng(*parts) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed_sequence(*parts)))
+
+
+class BoundedDraws:
+    """Scalar rng.integers(k) draws decoded from blocks of 32-bit words.
+
+    integer(k, certain) returns rng.integers(k) for 1 < k <= 2^32 and
+    moves the stream as that call does, given that the scalar run is
+    certain to read at least `certain` words from this draw on, this
+    draw's own word included.  rng.integers(1) reads no word, so a caller
+    skips that draw.
+    """
+
+    __slots__ = ("rng", "words", "at")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.words: list[int] = []
+        self.at = 0
+
+    def integer(self, k: int, certain: int) -> int:
+        if not 1 < k <= 1 << 32:
+            raise ValueError(f"bound {k} is outside 2..2**32")
+        while True:
+            if self.at == len(self.words):
+                self._refill(certain)
+            m = self.words[self.at] * k
+            self.at += 1
+            low = m & 0xFFFFFFFF
+            if low >= k or low >= (1 << 32) % k:
+                return m >> 32
+
+    def _refill(self, certain: int) -> None:
+        """The next max(certain, 1) words.  Each rng.integers(2**32) call
+        returns one 32-bit output, and below three words those calls cost
+        less than the array call's fixed overhead."""
+        rng = self.rng
+        if certain > 2:
+            self.words = rng.integers(0, 1 << 32, size=certain, dtype=np.uint32).tolist()
+        else:
+            self.words = [int(rng.integers(1 << 32)) for _ in range(max(certain, 1))]
+        self.at = 0

@@ -80,7 +80,7 @@ from robust_online import (
     witness_tree,
     worst_case_mistakes,
 )
-from robust_online.adversaries import OrientationChoices, _option, robust_anchors
+from robust_online.adversaries import OrientationChoices, robust_anchors
 from robust_online.agnostic import analysis_subset, hypothesis_losses
 from robust_online.dimension import get_engine
 from robust_online.errors import ProtocolViolation, SearchInvariantError
@@ -181,7 +181,7 @@ def test_anchors_and_options_match_the_definition(game):
         assert robust_anchors(hc, u, h) == reference_anchors(u, h)
         for multiclass in (False, True):
             table = compiled(hc, u, OrientationChoices, multiclass)
-            options = [_option(table.nodes, c) for c in table.codes(h.id)]
+            options = [(table.queries[c >> 1], c & 1) for c in table.codes(h.id)]
             assert options == reference_options(hc, u, h, multiclass)
 
 
@@ -214,10 +214,15 @@ def draw_option(options, rng):
 # the total map, so the shuffled order is walked a third of the way on average
 @example((full_class(10), total_map(10)), 5, False, 3)
 @example((full_class(10), identity_map(10)), 5, False, 4)
+# singleton and two-element U(x) sets: anchors with and without a z draw,
+# so the robust generator's first word block runs out and is refilled
+@example(
+    (full_class(4), PerturbationMap.from_sets([{0}, {1, 2}, {2}, {3, 0}])), 30, False, 5
+)
 def test_generators_draw_like_the_plain_loop(game, length, multiclass, seed):
-    """Coded tables, skipped one-way draws and the orientation game's one
-    batched draw give the plain loop's rounds and leave the stream where
-    it leaves it."""
+    """Coded tables, skipped one-way draws, the orientation game's one
+    batched draw and the robust game's decoded word blocks give the plain
+    loop's rounds and leave the bit generator in the plain loop's state."""
     hc, u = game
     cases = (
         (
@@ -234,7 +239,7 @@ def test_generators_draw_like_the_plain_loop(game, length, multiclass, seed):
     for ours, choices, draw in cases:
         rng, plain = np.random.default_rng(seed), np.random.default_rng(seed)
         assert ours(rng) == reference_rounds(hc, plain, length, choices, draw)
-        assert rng.integers(2**32) == plain.integers(2**32)
+        assert rng.bit_generator.state == plain.bit_generator.state
 
 
 def pinned_games():

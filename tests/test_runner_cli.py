@@ -238,6 +238,34 @@ def test_transcript_json_round_trip(scenario):
             lambda d: d["rounds"][5].update(loss=1 - d["rounds"][5]["loss"]),
             r"round 5: 'loss' must be \d for prediction \d and revealed label \d, got \d",
         ),
+        (
+            lambda d: d["rounds"][0].update(shown=-5, prediction=-1, clean_x=-2, clean_y=-1),
+            "round 0: 'clean_x' must not be negative, got -2",
+        ),
+        (lambda d: d["rounds"][1].update(prediction=-1), "round 1: 'prediction' must not be negative, got -1"),
+        (lambda d: d["rounds"][2].update(shown=-5), "round 2: 'shown' must not be negative, got -5"),
+        (lambda d: d["rounds"][3].update(clean_y=-1), "round 3: 'clean_y' must not be negative, got -1"),
+        (
+            lambda d: d.update(
+                protocol="orientation",
+                rounds=[{"pair": [0, -1], "labels": [0, 1], "prediction": 0, "side": 0, "loss": 0}],
+            ),
+            r"round 0: 'pair' must not be negative, got \[0, -1\]",
+        ),
+        (
+            lambda d: d.update(
+                protocol="orientation",
+                rounds=[{"pair": [0, 1], "labels": [-1, 1], "prediction": 1, "side": 1, "loss": 0}],
+            ),
+            r"round 0: 'labels' must not be negative, got \[-1, 1\]",
+        ),
+        (
+            lambda d: d.update(
+                protocol="orientation",
+                rounds=[{"pair": [0, 1], "labels": [3, 3], "prediction": 3, "side": 0, "loss": 0}],
+            ),
+            r"round 0: 'labels' must be two different labels, got \[3, 3\]",
+        ),
     ],
 )
 def test_transcript_from_json_names_the_bad_key(scenario, edit, message):
@@ -247,6 +275,13 @@ def test_transcript_from_json_names_the_bad_key(scenario, edit, message):
     text = edit(payload)
     with pytest.raises(DomainError, match=message):
         transcript_from_json(text if isinstance(text, str) else json.dumps(payload))
+
+
+def test_transcript_from_json_takes_any_integer_seed(scenario):
+    _, transcript = run_scenario(scenario)
+    payload = json.loads(transcript_to_json(transcript))
+    payload["seed"] = -7
+    assert transcript_from_json(json.dumps(payload)).seed == -7
 
 
 def test_orientation_protocol_runs(scenario):

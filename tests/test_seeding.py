@@ -6,13 +6,15 @@ fails here instead of silently shifting every seeded result.
 
 The generators draw blocks where they mean runs of scalar draws (the
 rule in the `seeding` docstring).  The last tests check that rule on the
-installed NumPy: a block gives the scalar calls' values and leaves the
-stream where they leave it.
+installed NumPy: a block, or a bounded draw decoded from blocks of raw
+words, gives the scalar calls' values and leaves the stream where they
+leave it.
 """
 
 import pytest
 
 from robust_online import derive_rng, derive_seed_sequence
+from robust_online.seeding import BoundedDraws
 
 
 def test_seed_sequence_state_is_pinned():
@@ -46,3 +48,38 @@ def test_a_uniform_block_equals_its_scalar_draws(n):
     assert block.random(n).tolist() == [calls.random() for _ in range(n)]
     assert block.bit_generator.state == calls.bit_generator.state
     assert block.bit_generator.random_raw() == calls.bit_generator.random_raw()
+
+
+# 3 * 2**30 rejects a quarter of all words, so its blocks run out and are
+# refilled; 2**32 reads each word as it is
+@pytest.mark.parametrize("bound", [2, 3, 7, 3 * 2**30, 2**31 + 1, 2**32 - 5, 2**32])
+@pytest.mark.parametrize("n", [1, 5, 40])
+@pytest.mark.parametrize("offset", [False, True])
+def test_decoded_bounded_draws_equal_scalar_calls(bound, n, offset):
+    # an odd word count leaves half of a 64-bit output buffered; the offset
+    # draw makes the first block start on such a half
+    decoded, calls = derive_rng(1, "bounded", bound, n), derive_rng(1, "bounded", bound, n)
+    if offset:
+        assert decoded.integers(2**32) == calls.integers(2**32)
+    draws = BoundedDraws(decoded)
+    assert [draws.integer(bound, n - i) for i in range(n)] == [
+        int(calls.integers(bound)) for _ in range(n)
+    ]
+    assert decoded.bit_generator.state == calls.bit_generator.state
+
+
+def test_a_mixed_run_of_bounds_decodes_like_scalar_calls():
+    # certain counts of about half the draws left: every block runs out
+    # early and is refilled
+    bounds = [5, 3 * 2**30, 2, 2**32 - 5, 9, 2**31 + 1, 3] * 6
+    decoded, calls = derive_rng(1, "mixed"), derive_rng(1, "mixed")
+    draws = BoundedDraws(decoded)
+    got = [draws.integer(k, (len(bounds) - i + 1) // 2) for i, k in enumerate(bounds)]
+    assert got == [int(calls.integers(k)) for k in bounds]
+    assert decoded.bit_generator.state == calls.bit_generator.state
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2**32 + 1])
+def test_a_bound_outside_the_words_range_raises(bound):
+    with pytest.raises(ValueError, match="outside"):
+        BoundedDraws(derive_rng(1, "bounded")).integer(bound, 1)
