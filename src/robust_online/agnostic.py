@@ -32,9 +32,10 @@ the random-label probe all step state ids on the (class, map)'s one lazy
 automaton, which keeps no events.  A correct round leaves a lazy state
 as it is, so they step the automaton only on mistake rounds.  The
 probe's node is compiled once per (class, map): the witness root pair,
-its shared input, the automaton and the distinct loss pairs of the
-hypotheses on the node, so its comparator is a min over at most four
-pairs; it finds each mistake by a byte scan of its labels.
+its shared input, the chain of the automaton's mistake edges on that
+input and the distinct loss pairs of the hypotheses on the node, so its
+comparator is a min over at most four pairs; it reads its labels from
+raw words and finds each mistake by a byte scan of them.
 """
 
 import math
@@ -50,7 +51,7 @@ from .forecaster import COIN_TABLES, horizon_rate, seeded_mistakes
 from .forecaster import weight_trajectory  # noqa: F401
 from .learners import LazyRobustAutomaton
 from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks
-from .seeding import derive_rng
+from .seeding import derive_rng, label_bytes
 
 
 def hypothesis_losses(hc: HypothesisClass, u: PerturbationMap, rounds) -> list[int]:
@@ -242,9 +243,22 @@ _LABEL_BYTES = (b"\x00", b"\x01")
 
 def _build_probe(hc: HypothesisClass, u: PerturbationMap):
     """The random-label probe's per-(class, map) data: the witness root
-    pair (x0, x1), the input z both perturb to, the lazy automaton, and
-    the distinct (loss on (x0, 0), loss on (x1, 1)) pairs over the
-    hypotheses."""
+    pair (x0, x1), the input z both perturb to, the lazy learner's
+    mistake chain, and the distinct (loss on (x0, 0), loss on (x1, 1))
+    pairs over the hypotheses.
+
+    Every round of the probe shows z, so the lazy learner's state is set
+    by its mistakes alone: in state s it predicts p, the next label that
+    is not p is its next mistake, and that reveal, (x_y, y) with y = 1 - p,
+    takes it to one next state.  The chain walks the automaton from state
+    0 along those edges and keeps one link (mistake label byte, absorbing)
+    per state, absorbing when the mistake edge is a self-loop; that link
+    ends the chain.  The walk ends: a step ANDs the robust mask and the
+    orientation mask with reveal masks, so each is a subset of its value
+    before, and a step that leaves the state clears at least one bit of
+    the two.  The total bit count falls on every link but the last, so no
+    state repeats and the chain has at most 2 |H| + 1 links.
+    """
     tree = witness_tree(hc, u)
     if tree.depth < 1 or tree.root is None:
         raise DomainError("need dimension >= 1 to build the probe node")
@@ -252,7 +266,16 @@ def _build_probe(hc: HypothesisClass, u: PerturbationMap):
     z = min(u.forward[x0] & u.forward[x1])
     masks = consistency_masks(hc, u)
     losses = {(1 - (masks[x0][0] >> i & 1), 1 - (masks[x1][1] >> i & 1)) for i in range(hc.size)}
-    return x0, x1, z, compiled(hc, u, LazyRobustAutomaton), tuple(sorted(losses))
+    lazy = compiled(hc, u, LazyRobustAutomaton)
+    chain, s = [], 0
+    while True:
+        y = 1 - lazy.predict(s, z)
+        nxt = lazy.step(s, z, (x0, x1)[y], y)
+        chain.append((_LABEL_BYTES[y], nxt == s))
+        if nxt == s:
+            break
+        s = nxt
+    return x0, x1, z, tuple(chain), tuple(sorted(losses))
 
 
 def random_label_regret_sample(
@@ -265,32 +288,30 @@ def random_label_regret_sample(
     dimension-witnessing node replayed with uniformly random labels.
 
     The node is the root of the maximum shattered tree; the class must
-    have dimension at least 1.  The node, its input and the comparator's
-    distinct loss pairs are compiled once per (class, map), so the
-    comparator is a min over at most four pairs.  The learner is stepped
-    as state ids on the (class, map)'s lazy automaton, which keeps no
-    events, and only on the rounds it gets wrong: a correct round is a
-    self-loop, so the next mistake is the next label that differs from
-    the prediction, found by a byte scan of the labels.  A state whose
-    mistake step is also a self-loop keeps its prediction for good, and
-    the rest of the mistakes are counted off the remaining labels.
+    have dimension at least 1.  The node, its input, the learner's mistake
+    chain and the comparator's distinct loss pairs are compiled once per
+    (class, map), so the comparator is a min over at most four pairs.
+    The labels are those of rng.integers(0, 2, size=horizon), decoded by
+    seeding.label_bytes from the stream's raw 64-bit words.  A correct
+    round leaves the learner's state as it is, so the probe replays the
+    chain: each link's mistake is the next label byte that differs from
+    the state's prediction, found by a byte scan, and at the absorbing
+    link, whose state keeps its prediction for good, the rest of the
+    mistakes are counted off the remaining labels.
     """
     if horizon < 0:
         raise DomainError(f"horizon must be nonnegative, got {horizon}")
-    x0, x1, z, lazy, losses = compiled(hc, u, _build_probe)
-    rng = derive_rng(seed, "random-label-probe")
-    seq = rng.integers(0, 2, size=horizon).astype(np.uint8).tobytes()
-    s = mistakes = t = 0
-    while True:
-        y = 1 - lazy.predict(s, z)
-        t = seq.find(_LABEL_BYTES[y], t)
+    x0, x1, z, chain, losses = compiled(hc, u, _build_probe)
+    seq = label_bytes(derive_rng(seed, "random-label-probe"), horizon)
+    mistakes = t = 0
+    for label, absorbing in chain:
+        t = seq.find(label, t)
         if t < 0:
             break
-        nxt = lazy.step(s, z, (x0, x1)[y], y)
-        if nxt == s:  # both reveals keep s: every later y is a mistake
-            mistakes += seq.count(_LABEL_BYTES[y], t)
+        if absorbing:
+            mistakes += seq.count(label, t)
             break
-        s, t, mistakes = nxt, t + 1, mistakes + 1
+        t, mistakes = t + 1, mistakes + 1
     n1 = seq.count(_LABEL_BYTES[1])
     n0 = horizon - n1
     comparator = min(n0 * a + n1 * b for a, b in losses)

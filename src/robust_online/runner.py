@@ -9,7 +9,7 @@ with the violating round index when a pluggable adversary breaks it.
 """
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from ._version import __version__
 from .adversaries import (
@@ -251,78 +251,3 @@ def run_scenario(sc: Scenario, track_dimension: bool = False):
 def transcript_to_json(tr: GameTranscript) -> str:
     return json.dumps(asdict(tr), indent=2, sort_keys=True) + "\n"
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _checked(where: str, key: str, value):
-    """A transcript field's value, pairs as tuples; a value no run can write is a DomainError.
-
-    Instances, labels and predictions are nonnegative, and an orientation
-    query's two labels differ.  The seed may be any integer; loss and side
-    are checked against their round by the caller.
-    """
-    if key in ("learner", "adversary", "version"):
-        if isinstance(value, str):
-            return value
-        raise DomainError(f"{where}{key!r} must be a string, got {type(value).__name__}")
-    if key in ("pair", "labels"):
-        if not (isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))):
-            raise DomainError(f"{where}{key!r} must be a list of two integers")
-        if min(value) < 0:
-            raise DomainError(f"{where}{key!r} must not be negative, got {value}")
-        if key == "labels" and value[0] == value[1]:
-            raise DomainError(f"{where}'labels' must be two different labels, got {value}")
-        return tuple(value)
-    if not _is_int(value):
-        raise DomainError(f"{where}{key!r} must be an integer, got {type(value).__name__}")
-    if value < 0 and key in ("shown", "prediction", "clean_x", "clean_y"):
-        raise DomainError(f"{where}{key!r} must not be negative, got {value}")
-    return value
-
-
-def transcript_from_json(text: str) -> GameTranscript:
-    """Inverse of transcript_to_json; input it cannot have written is a DomainError."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise DomainError(f"transcript is not valid JSON: {err}") from None
-    if not isinstance(data, dict):
-        raise DomainError(f"transcript must be a JSON object, got {type(data).__name__}")
-    for key in ("protocol", "learner", "adversary", "seed", "rounds"):
-        if key not in data:
-            raise DomainError(f"transcript has no {key!r} key")
-    protocol = data["protocol"]
-    if protocol not in ("robust", "orientation"):
-        raise DomainError(f"transcript has unknown protocol {protocol!r}")
-    cls = RobustRound if protocol == "robust" else OrientationRound
-    if not isinstance(data["rounds"], list):
-        raise DomainError("transcript rounds must be a JSON list")
-    names = {f.name for f in fields(cls)}
-    rounds = []
-    for i, r in enumerate(data["rounds"]):
-        where = f"transcript round {i}: "
-        if not isinstance(r, dict):
-            raise DomainError(f"{where}expected an object, got {type(r).__name__}")
-        odd = sorted(names.symmetric_difference(r))
-        if odd:
-            kind = "unknown" if odd[0] in r else "missing"
-            raise DomainError(f"{where}{kind} key {odd[0]!r}")
-        played = cls(**{key: _checked(where, key, value) for key, value in r.items()})
-        side = played.side if protocol == "orientation" else 0
-        if side not in (0, 1):
-            raise DomainError(f"{where}'side' must be 0 or 1, got {side}")
-        label = played.labels[side] if protocol == "orientation" else played.clean_y
-        if played.loss != (loss := int(played.prediction != label)):
-            raise DomainError(
-                f"{where}'loss' must be {loss} for prediction {played.prediction} "
-                f"and revealed label {label}, got {played.loss}"
-            )
-        rounds.append(played)
-    top = {
-        key: _checked("transcript ", key, data[key])
-        for key in ("learner", "adversary", "seed", "version")
-        if key in data
-    }
-    return GameTranscript(protocol=protocol, rounds=rounds, **top)

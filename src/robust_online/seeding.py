@@ -37,6 +37,19 @@ from that point on, and when it runs out (after a rejection, or a draw
 the count did not foresee) the next block is the certain count again.
 A block of one or two words is read by as many rng.integers(2**32)
 calls instead, each of which returns one 32-bit output.
+
+Labels from raw words.  rng.integers(0, 2, size=n) fills its n draws
+from the bit generator's 32-bit outputs, and a 64-bit output gives two
+of those, low half first.  Lemire's step for the bound 2 never rejects,
+since 2^32 mod 2 = 0, and returns the top bit of its word.  So on a
+stream with no half-word buffered, such as a new one, draw 2i is bit 31
+of the stream's next 64-bit output i and draw 2i + 1 its bit 63.
+label_bytes reads them from one bit_generator.random_raw call as bytes
+of 0 and 1, and leaves the stream on the output after the last one it
+read, as the array call does.  The array call keeps an odd n's unused
+high half buffered for a later 32-bit draw, and label_bytes does not,
+so it suits a stream nothing else draws from, as the random-label
+probe's.
 """
 
 import hashlib
@@ -60,6 +73,15 @@ def derive_seed_sequence(*parts) -> np.random.SeedSequence:
 
 def derive_rng(*parts) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed_sequence(*parts)))
+
+
+def label_bytes(rng: np.random.Generator, n: int) -> bytes:
+    """rng.integers(0, 2, size=n) of a stream with no half-word buffered,
+    as n bytes of 0 and 1 decoded from raw 64-bit words.  The words are
+    read as little-endian bytes, so the top bit of each 32-bit half is
+    bit 7 of bytes 3 and 7, on any host."""
+    raw = rng.bit_generator.random_raw((n + 1) // 2)
+    return (raw.astype("<u8", copy=False).view(np.uint8)[3::4] >> 7)[:n].tobytes()
 
 
 class BoundedDraws:

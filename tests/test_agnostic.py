@@ -265,6 +265,10 @@ def test_probes_intern_three_states_in_one_automaton():
     # the empty state predicts 0 without the context's memo
     assert sorted(ctx.predictions) == [s * ctx.n + z for s in (0, 1)]
     assert len(auto.transitions) == 3
+    # the compiled chain: a mistake label per state, the empty state's
+    # self-loop last
+    chain = compiled(hc, u, agnostic._build_probe)[3]
+    assert [absorbing for _, absorbing in chain] == [False, False, True]
     keys = set(hc._store)
     random_label_regret_sample(hc, u, 64, seed=8)
     assert set(hc._store) == keys

@@ -861,9 +861,12 @@ def test_an_emptied_state_is_absorbing(game, rounds):
 
 @PROPERTY
 @given(search_games(), st.integers(0, 300), st.integers(0, 10**9))
+@example((full_class(2), total_map(2)), 1, 5)
+@example((full_class(2), total_map(2)), 2, 5)
 def test_probe_agrees_with_a_stepwise_replay(game, horizon, seed):
-    """The probe steps only its mistake rounds and counts an absorbing
-    state's tail at once; a plain lazy learner shown every round agrees."""
+    """The probe replays its compiled mistake chain and counts an
+    absorbing state's tail at once; a plain lazy learner shown every
+    round agrees.  The examples use one raw word, half of it at T = 1."""
     hc, u = game
     assume(hc.label_count == 2 and adversarial_dimension(hc, u) >= 1)
     x0, x1 = witness_tree(hc, u).root.pair

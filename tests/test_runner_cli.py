@@ -31,10 +31,11 @@ from robust_online.runner import (
     run_game,
     run_orientation_game,
     run_robust_game,
-    transcript_from_json,
     transcript_to_json,
 )
 from robust_online.scenario import GameConfig
+
+from reference import transcript_from_json
 
 SCENARIO = """\
 SPACES

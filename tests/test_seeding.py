@@ -8,13 +8,15 @@ The generators draw blocks where they mean runs of scalar draws (the
 rule in the `seeding` docstring).  The last tests check that rule on the
 installed NumPy: a block, or a bounded draw decoded from blocks of raw
 words, gives the scalar calls' values and leaves the stream where they
-leave it.
+leave it, and labels decoded from raw 64-bit words equal the array call
+they stand for on a new stream.
 """
 
+import numpy as np
 import pytest
 
 from robust_online import derive_rng, derive_seed_sequence
-from robust_online.seeding import BoundedDraws
+from robust_online.seeding import BoundedDraws, label_bytes
 
 
 def test_seed_sequence_state_is_pinned():
@@ -83,3 +85,17 @@ def test_a_mixed_run_of_bounds_decodes_like_scalar_calls():
 def test_a_bound_outside_the_words_range_raises(bound):
     with pytest.raises(ValueError, match="outside"):
         BoundedDraws(derive_rng(1, "bounded")).integer(bound, 1)
+
+
+# an odd count leaves the last word's high half unread; 63, 64 and 65
+# straddle a 64-label boundary, 1023 and 1024 the criterion's longest
+# horizon
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 63, 64, 65, 1023, 1024])
+@pytest.mark.parametrize("seed", range(4))
+def test_labels_decoded_from_raw_words_equal_the_array_call(n, seed):
+    decoded, calls = derive_rng(seed, "labels", n), derive_rng(seed, "labels", n)
+    labels = label_bytes(decoded, n)
+    assert labels == calls.integers(0, 2, size=n).astype(np.uint8).tobytes()
+    # both read the same 64-bit outputs
+    assert decoded.bit_generator.state["state"] == calls.bit_generator.state["state"]
+    assert decoded.bit_generator.random_raw() == calls.bit_generator.random_raw()
