@@ -14,6 +14,7 @@ from .agnostic import (
     build_subset_experts,
     comparator_loss,
     decomposition_gap,
+    expected_regret,
     mc_regret,
     random_label_regret_sample,
     subset_expert_count,
@@ -94,6 +95,7 @@ from .scenario import (
 from .seeding import derive_rng, derive_seed_sequence
 from .uncertain import (
     PerturbationFamily,
+    family_expected_mistakes,
     family_halving_run,
     family_loss_budget,
     halving_bound,

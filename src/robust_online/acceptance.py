@@ -5,12 +5,14 @@ two runs with the same arguments print byte-identical result lines.  The
 "full" scale is authoritative; "smoke" exists for quick iteration and for
 the reproducibility criterion, which compares two subprocess runs.
 
-Criteria 3 and 5 are exact, not sampled.  The strict optimal learners
-are deterministic and their masks only shrink, so their states under all
-realizable reveals form a DAG plus self-loops, and the worst case over
-every realizable sequence is a longest path in it.  The mistake bound
-caps it at the dimension and the witness-tree adversary forces the
-dimension, so criterion 3 asks for equality in both games.
+Criteria 3, 5, 7, 8 and 10 are exact, not sampled.  The strict optimal
+learners are deterministic and their masks only shrink, so their states
+under all realizable reveals form a DAG plus self-loops, and the worst
+case over every realizable sequence is a longest path in it.  The
+mistake bound caps it at the dimension and the witness-tree adversary
+forces the dimension, so criterion 3 asks for equality in both games.
+Criteria 7, 8 and 10 flip no coin: their bounds are on expected loss,
+and they gate it exactly, as forecaster.expected_mistakes sums it.
 
 Wall-clock never appears in result lines.  Where a criterion carries a
 runtime budget, the elapsed time feeds the verdict but not the text.
@@ -25,22 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversaries import corrupt_labels, realizable_robust_rounds, robust_anchors, tree_adversary
-from .agnostic import decomposition_gap, mc_regret, random_label_regret_sample
+from .agnostic import decomposition_gap, expected_regret, random_label_regret_sample
 from .dimension import adversarial_dimension, classic_littlestone_dimension, get_engine, witness_tree
 from .errors import ProtocolViolation, SearchInvariantError
-from .forecaster import (
-    horizon_regret_bound,
-    horizon_rate,
-    seeded_mistakes,
-    weight_trajectory,
-)
+from .forecaster import expected_mistakes, horizon_regret_bound, horizon_rate, weight_trajectory
 from .learners import LEARNER_NAMES, OPTIMAL, make_learner, worst_case_mistakes
 from .model import full_class, total_map
 from .oracle import optimal_mistake_bound
 from .runner import run_game
 from .scenario import CorpusParams, generate_corpus, generate_family_scenarios
 from .seeding import derive_rng
-from .uncertain import family_halving_run, halving_bound, mc_family_mistakes
+from .uncertain import family_expected_mistakes, family_halving_run, halving_bound
 
 
 @dataclass(frozen=True)
@@ -54,14 +51,11 @@ class Scale:
     decomp_scenarios: int
     ewa_sizes: tuple[int, ...]
     ewa_horizons: tuple[int, ...]
-    ewa_seeds: int
     agnostic_scenarios: int
     agnostic_horizon: int
-    agnostic_seeds: int
     halving_scenarios: int
     halving_horizon: int
     family_scenarios: int
-    family_seeds: int
     family_horizon: int
     trend_seeds: int
 
@@ -76,14 +70,11 @@ FULL = Scale(
     decomp_scenarios=50,
     ewa_sizes=(4, 8, 16),
     ewa_horizons=(256, 1024),
-    ewa_seeds=100,
     agnostic_scenarios=10,
     agnostic_horizon=12,
-    agnostic_seeds=200,
     halving_scenarios=102,
     halving_horizon=20,
     family_scenarios=9,
-    family_seeds=100,
     family_horizon=12,
     trend_seeds=2000,
 )
@@ -98,14 +89,11 @@ SMOKE = Scale(
     decomp_scenarios=10,
     ewa_sizes=(4, 8),
     ewa_horizons=(64, 256),
-    ewa_seeds=20,
     agnostic_scenarios=3,
     agnostic_horizon=10,
-    agnostic_seeds=50,
     halving_scenarios=12,
     halving_horizon=12,
     family_scenarios=3,
-    family_seeds=30,
     family_horizon=10,
     trend_seeds=600,
 )
@@ -295,7 +283,8 @@ def criterion_6(scale: Scale, seed: int) -> CriterionResult:
 
 
 def criterion_7(scale: Scale, seed: int) -> CriterionResult:
-    """Forecaster regret within the known-horizon bound on loss matrices."""
+    """Forecaster expected regret within the known-horizon bound on loss
+    matrices."""
     worst_excess = -math.inf
     combos = 0
     for n in scale.ewa_sizes:
@@ -305,19 +294,11 @@ def criterion_7(scale: Scale, seed: int) -> CriterionResult:
             losses[0] = (rng.random(horizon) < 0.3).astype(float)
             # with the losses passed as the predictions, each probability
             # is the forecaster's expected loss in that round, and against
-            # all-zero labels a sample's mistakes are its realized loss
+            # all-zero labels the expected mistakes are the expected loss
             probs = weight_trajectory(losses, losses, horizon_rate(n, horizon))
             best = float(losses.sum(axis=1).min())
-            # one generator's successive draws, ewa_seeds rows of horizon
-            coins = derive_rng(seed, "crit7-samples", n, horizon).random(
-                (scale.ewa_seeds, horizon)
-            )
-            stats = seeded_mistakes(
-                probs, np.zeros(horizon, dtype=np.int8), [coins], offset=best
-            )
-            excess = (
-                stats["mean"] - horizon_regret_bound(n, horizon) - 3 * stats["stderr"]
-            )
+            expected = expected_mistakes(probs, np.zeros(horizon))
+            excess = expected - best - horizon_regret_bound(n, horizon)
             worst_excess = max(worst_excess, excess)
             combos += 1
     return CriterionResult(
@@ -329,7 +310,7 @@ def criterion_7(scale: Scale, seed: int) -> CriterionResult:
 
 
 def criterion_8(scale: Scale, seed: int) -> CriterionResult:
-    """Aggregated subset experts meet the agnostic regret bound."""
+    """Aggregated subset experts' expected regret meets the agnostic bound."""
     corpus = generate_corpus(
         CorpusParams(count=scale.agnostic_scenarios * 8, seed=_sub_seed(seed, 8))
     )
@@ -347,10 +328,10 @@ def criterion_8(scale: Scale, seed: int) -> CriterionResult:
         rng = derive_rng(seed, "crit8", idx)
         rounds = realizable_robust_rounds(hc, u, horizon, rng)
         rounds = corrupt_labels(rounds, 2, hc.label_count, rng)
-        mc = mc_regret(hc, u, rounds, seeds=range(scale.agnostic_seeds), dimension=dim)
-        ratio = mc["mean"] / mc["bound"]
+        exact = expected_regret(hc, u, rounds, dimension=dim)
+        ratio = exact["expected"] / exact["bound"]
         worst_ratio = max(worst_ratio, ratio)
-        if mc["mean"] > mc["bound"]:
+        if exact["expected"] > exact["bound"]:
             failures += 1
         used += 1
     return CriterionResult(
@@ -400,7 +381,7 @@ def criterion_9(scale: Scale, seed: int) -> CriterionResult:
 
 
 def criterion_10(scale: Scale, seed: int) -> CriterionResult:
-    """Family forecaster within the loss-budget bound."""
+    """Family forecaster's expected mistakes within the loss-budget bound."""
     scenarios = generate_family_scenarios(scale.family_scenarios, seed=_sub_seed(seed, 10))
     worst_ratio = -math.inf
     failures = 0
@@ -408,8 +389,8 @@ def criterion_10(scale: Scale, seed: int) -> CriterionResult:
         hc, family = sc.hypotheses, sc.family()
         rng = derive_rng(seed, "crit10", idx)
         rounds = realizable_robust_rounds(hc, family.truth, scale.family_horizon, rng)
-        mc = mc_family_mistakes(hc, family, rounds, seeds=range(scale.family_seeds))
-        ratio = mc["mean"] / mc["bound"]
+        exact = family_expected_mistakes(hc, family, rounds)
+        ratio = exact["expected"] / exact["bound"]
         worst_ratio = max(worst_ratio, ratio)
         if ratio > 1:
             failures += 1

@@ -9,10 +9,10 @@ sequence) the expert's total mistakes are at most dimension + comparator
 loss, so exponentially weighted aggregation turns the pool into a
 sublinear-regret learner.
 
-mc_regret runs exponential weights over the whole pool without making
-its experts.  Before round t, A_J's state on the lazy automaton is fixed
-by P, the rounds of J before t, and so is its weight, a product over the
-rounds already played.  So the experts fall into groups keyed by
+expected_regret runs exponential weights over the whole pool without
+making its experts.  Before round t, A_J's state on the lazy automaton is
+fixed by P, the rounds of J before t, and so is its weight, a product
+over the rounds already played.  So the experts fall into groups keyed by
 (state s, k = |P|), and the forecaster needs only each group's total
 weight: every member predicts predict(s, z_t), and every past P of the
 group has the same N(T - t, d - k) futures, where
@@ -21,13 +21,14 @@ multiplied by exp(-rate); then, when k < d, the share
 N(T-t-1, d-k-1) / N(T-t, d-k) of it whose J holds t moves to
 (step(s, z, x, y), k + 1) and the rest stays at (s, k).  This is exact in
 the reals, and only a handful of groups are live at once, against N
-experts in the pool.  Every forecaster seed, one or many, is then scored
-against the probabilities with the seeds' cached coin table.
+experts in the pool.  The expected regret is then exact: p_t summed
+over label-0 rounds and 1 - p_t over label-1 rounds, minus the comparator
+loss; mc_regret adds each forecaster seed's realized regret.
 build_subset_experts gives the pool as a SubsetPool, which holds only
 its size, horizon and dimension and replays itself by groups; no expert
 is ever made, so the pool has no size cap.  The tests keep an
 expert-by-expert reference to check the groups against.  The groups,
-the analysis pass, the analysis expert's replay in decomposition_gap and
+the analysis walk (one pass picks the subset and replays its expert) and
 the random-label probe all step state ids on the (class, map)'s one lazy
 automaton, which keeps no events.  A correct round leaves a lazy state
 as it is, so they step the automaton only on mistake rounds.  The
@@ -44,7 +45,7 @@ import numpy as np
 
 from .dimension import adversarial_dimension, witness_tree
 from .errors import DomainError
-from .forecaster import COIN_TABLES, horizon_rate, seeded_mistakes
+from .forecaster import COIN_TABLES, expected_mistakes, horizon_rate, seeded_mistakes
 
 # nothing here calls it, but the benchmark's tracer wraps
 # agnostic.weight_trajectory by name until the package keeps its own counters
@@ -141,29 +142,22 @@ def build_subset_experts(
 ) -> SubsetPool:
     """The pool of one expert per round subset of size at most the class
     dimension, as its size and its group replay.  No expert is made, so
-    any horizon is accepted; mc_regret builds one pool per estimate.
+    any horizon is accepted; expected_regret builds one pool per estimate.
     """
     if dimension is None:
         dimension = adversarial_dimension(hc, u)
     return SubsetPool(hc, u, horizon, dimension)
 
 
-def mc_regret(
-    hc: HypothesisClass,
-    u: PerturbationMap,
-    rounds,
-    seeds,
-    dimension: int | None = None,
-) -> dict:
-    """Monte-Carlo regret statistics of the aggregated learner over
-    forecaster seeds, with the paper's agnostic bound
-    dimension + sqrt((T/2) ln N) for N experts.
+def expected_regret(hc: HypothesisClass, u: PerturbationMap, rounds, dimension=None) -> dict:
+    """Exact expected regret of the aggregated learner, with the paper's
+    agnostic bound dimension + sqrt((T/2) ln N) for N experts.
 
     The pool is replayed once, by groups, without making its experts, and
     the forecaster runs at the known-horizon rate for the pool size.
-    probabilities holds the per-round probability of predicting 1, which
-    does not depend on the seeds; a one-seed run is seeds=[seed].  groups
-    is the largest number of groups live in one round.
+    probabilities holds the per-round probability of predicting 1, and
+    expected is the expected mistakes they give minus the comparator
+    loss.  groups is the largest number of groups live in one round.
     """
     rounds = list(rounds)
     if dimension is None:
@@ -173,19 +167,42 @@ def mc_regret(
         raise DomainError("need at least one round")
     n = pool.size
     probs, groups = pool.group_trajectory(rounds, horizon_rate(n, len(rounds)))
-    labels = np.array([y for _, _, y in rounds])
     best, _ = comparator_loss(hc, u, rounds)
-    coins = COIN_TABLES.blocks("agnostic", seeds, len(rounds), derive_rng)
-    stats = seeded_mistakes(probs, labels, coins, offset=best)
-    bound = dimension + math.sqrt(len(rounds) / 2 * math.log(n))
     return {
-        **stats,
+        "expected": expected_mistakes(probs, [y for _, _, y in rounds]) - best,
         "comparator": best,
         "expert_count": n,
         "groups": groups,
-        "bound": bound,
+        "bound": dimension + math.sqrt(len(rounds) / 2 * math.log(n)),
         "probabilities": probs,
     }
+
+
+def mc_regret(hc: HypothesisClass, u: PerturbationMap, rounds, seeds, dimension=None) -> dict:
+    """expected_regret plus the realized regret of each forecaster seed,
+    summarized as seeded_mistakes does; a one-seed run is seeds=[seed]."""
+    rounds = list(rounds)
+    exact = expected_regret(hc, u, rounds, dimension)
+    labels = np.array([y for _, _, y in rounds])
+    coins = COIN_TABLES.blocks("agnostic", seeds, len(rounds), derive_rng)
+    stats = seeded_mistakes(exact["probabilities"], labels, coins, offset=exact["comparator"])
+    return {**exact, **stats}
+
+
+def _analysis_replay(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:
+    """(picked rounds, analysis expert's mistakes on every round,
+    comparator loss, comparator id), from one walk of the lazy automaton."""
+    best, best_id = comparator_loss(hc, u, rounds)
+    masks = consistency_masks(hc, u)
+    lazy, s = compiled(hc, u, LazyRobustAutomaton), 0
+    picked, mistakes = [], 0
+    for t, (z, x, y) in enumerate(rounds):
+        if lazy.predict(s, z) != y:  # a correct round is a self-loop
+            mistakes += 1
+            if masks[x][y] >> best_id & 1:
+                picked.append(t)
+                s = lazy.step(s, z, x, y)
+    return tuple(picked), mistakes, best, best_id
 
 
 def analysis_subset(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:
@@ -193,38 +210,25 @@ def analysis_subset(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:
 
     Takes the comparator hypothesis, keeps the rounds it labels for free,
     replays the lazy optimal learner on that clean subsequence, and
-    returns (mistake round indices, comparator loss, comparator id).
+    returns (mistake round indices, comparator loss, comparator id).  The
+    state moves only on those rounds, so one walk over all rounds finds them.
     """
-    best, best_id = comparator_loss(hc, u, rounds)
-    masks = consistency_masks(hc, u)
-    clean = [(t, r) for t, r in enumerate(rounds) if masks[r[1]][r[2]] >> best_id & 1]
-    lazy, s = compiled(hc, u, LazyRobustAutomaton), 0
-    picked = []
-    for t, (z, x, y) in clean:
-        if lazy.predict(s, z) != y:  # a correct round is a self-loop
-            picked.append(t)
-            s = lazy.step(s, z, x, y)
-    return tuple(picked), best, best_id
+    picked, _, best, best_id = _analysis_replay(hc, u, rounds)
+    return picked, best, best_id
 
 
 def decomposition_gap(hc: HypothesisClass, u: PerturbationMap, rounds) -> dict:
     """Replay the analysis expert on the full sequence and report its slack.
 
     The expert predicts every round and is stepped only on the picked
-    rounds, as analysis_subset steps the automaton.  Its total mistakes
-    must never exceed dimension + comparator loss; the returned gap is
-    bound minus realized mistakes (>= 0).
+    rounds, in the same walk that picks them.  Its total mistakes must
+    never exceed dimension + comparator loss; the returned gap is bound
+    minus realized mistakes (>= 0).
     """
     rounds = list(rounds)
     if not rounds:
         raise DomainError("need at least one round")
-    picked, best, best_id = analysis_subset(hc, u, rounds)
-    lazy, s = compiled(hc, u, LazyRobustAutomaton), 0
-    mistakes = 0
-    for t, (z, x, y) in enumerate(rounds):
-        mistakes += lazy.predict(s, z) != y
-        if t in picked:
-            s = lazy.step(s, z, x, y)
+    picked, mistakes, best, best_id = _analysis_replay(hc, u, rounds)
     dim = adversarial_dimension(hc, u)
     return {
         "expert_mistakes": mistakes,

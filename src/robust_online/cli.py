@@ -5,7 +5,7 @@ Subcommands:
     play        run one game described by a scenario file
     oracle      exact minimax values, checked against the dimension
     adversary   force mistakes with the witness-tree adversary
-    agnostic    Monte-Carlo regret of the aggregated learner
+    agnostic    exact expected regret of the aggregated learner
     uncertain   unknown-perturbation learners (ewa or halving)
     gen-corpus  write a deterministic scenario corpus
     check       run the acceptance suite
@@ -22,7 +22,7 @@ from pathlib import Path
 from ._version import __version__
 from .acceptance import CRITERIA, SCALES, parse_criteria_spec
 from .adversaries import corrupt_labels, realizable_robust_rounds, tree_adversary
-from .agnostic import mc_regret
+from .agnostic import expected_regret
 from .dimension import (
     adversarial_dimension,
     classic_littlestone_dimension,
@@ -42,7 +42,7 @@ from .scenario import (
     serialize_scenario,
 )
 from .seeding import derive_rng
-from .uncertain import family_halving_run, halving_bound, mc_family_mistakes
+from .uncertain import family_expected_mistakes, family_halving_run, halving_bound
 
 
 def _load_scenario(path: str):
@@ -187,20 +187,19 @@ def cmd_agnostic(args) -> int:
         return 1
     rounds = corrupt_labels(rounds, args.corruptions, hc.label_count, rng)
     dim = adversarial_dimension(hc, u)
-    mc = mc_regret(hc, u, rounds, seeds=range(args.seeds), dimension=dim)
-    bound = mc["bound"]
+    exact = expected_regret(hc, u, rounds, dimension=dim)
+    bound = exact["bound"]
     print(f"dimension: {dim}")
-    print(f"experts: {mc['expert_count']}")
-    print(f"comparator loss: {mc['comparator']}")
-    print(f"mean regret over {args.seeds} seeds: {mc['mean']:.4f}")
-    print(f"standard error: {mc['stderr']:.4f}")
+    print(f"experts: {exact['expert_count']}")
+    print(f"comparator loss: {exact['comparator']}")
+    print(f"expected regret: {exact['expected']:.4f}")
     print(f"bound: {bound:.4f}")
-    print(f"ratio: {mc['mean'] / bound:.4f}" if bound else "ratio: n/a")
+    print(f"ratio: {exact['expected'] / bound:.4f}" if bound else "ratio: n/a")
     if args.trace:
-        lines = [f"{t} {p:.6f}" for t, p in enumerate(mc["probabilities"])]
+        lines = [f"{t} {p:.6f}" for t, p in enumerate(exact["probabilities"])]
         Path(args.trace).write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"trace written: {args.trace}")
-    return 0 if mc["mean"] <= bound else 1
+    return 0 if exact["expected"] <= bound else 1
 
 
 def cmd_uncertain(args) -> int:
@@ -232,17 +231,13 @@ def cmd_uncertain(args) -> int:
         print(f"completed phases: {report.completed_phases}")
         print(f"bound: {bound}")
         return 0 if report.mistakes <= bound else 1
-    seeds = range(args.seeds) if args.seeds > 1 else [args.seed]
-    mc = mc_family_mistakes(hc, family, rounds, seeds=seeds)
-    print(f"loss budget: {mc['budget']}")
-    if args.seeds == 1:
-        print(f"mistakes: {int(mc['values'][0])}")
-    else:
-        print(f"mean mistakes over {args.seeds} seeds: {mc['mean']:.4f}")
-        print(f"standard error: {mc['stderr']:.4f}")
-        print(f"bound: {mc['bound']:.4f}")
-    print(f"realizable: {str(mc['realizable']).lower()}")
-    return 0 if args.seeds == 1 or mc["mean"] <= mc["bound"] else 1
+    exact = family_expected_mistakes(hc, family, rounds)
+    print(f"loss budget: {exact['budget']}")
+    print(f"expected mistakes: {exact['expected']:.4f}")
+    print(f"bound: {exact['bound']:.4f}")
+    print(f"ratio: {exact['expected'] / exact['bound']:.4f}")
+    print(f"realizable: {str(exact['realizable']).lower()}")
+    return 0 if exact["expected"] <= exact["bound"] else 1
 
 
 def cmd_gen_corpus(args) -> int:
@@ -314,12 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--tie-break", choices=("low", "high"), default="low")
     a.set_defaults(fn=cmd_adversary)
 
-    ag = sub.add_parser("agnostic", help="Monte-Carlo regret of the aggregated learner")
+    ag = sub.add_parser("agnostic", help="exact expected regret of the aggregated learner")
     ag.add_argument("scenario")
     ag.add_argument("--horizon", type=_at_least(1), default=None)
     ag.add_argument("--corruptions", type=_at_least(0), default=2)
-    ag.add_argument("--seeds", type=_at_least(1), default=100)
-    ag.add_argument("--seed", type=int, default=0)
+    ag.add_argument("--seed", type=int, default=0, help="seed of the sequence")
     ag.add_argument("--trace", help="write per-round probabilities here")
     ag.set_defaults(fn=cmd_agnostic)
 
@@ -328,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     un.add_argument("--method", choices=("ewa", "halving"), required=True)
     un.add_argument("--family", help="scenario file whose perturbation sections define the family")
     un.add_argument("--horizon", type=_at_least(1), default=None)
-    un.add_argument("--seeds", type=_at_least(1), default=1)
-    un.add_argument("--seed", type=int, default=0)
+    un.add_argument("--seed", type=int, default=0, help="seed of the sequence")
     un.set_defaults(fn=cmd_uncertain)
 
     g = sub.add_parser("gen-corpus", help="write a deterministic scenario corpus")

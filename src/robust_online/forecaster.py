@@ -20,19 +20,23 @@ Experts react to the revealed sequence only, never to the forecaster's
 coin flips, so a run is replayed in three steps: the family experts
 (uncertain) are stepped over the fixed sequence once, as state ids, into
 0/1 prediction and loss matrices; weight_trajectory turns the matrices
-into the per-round probabilities; and seeded_mistakes scores every
-seed's coins against them in one array expression.  The subset experts
-(agnostic) have no matrices: their pool computes the probabilities by
-groups and shares only the scoring.  A
-seed's coins depend only on its (seed, stream) generator, never on the
-scenario, so COIN_TABLES builds each (stream, seeds) table of uniforms
-once per process and keeps it in an LRU bounded by a fixed number of
-cells.  Row i holds the first draws of the i-th seed's generator:
-random(T) is a prefix of random(T') for T' > T, so a kept table answers
-any shorter horizon, and a one-seed run is the same computation as a
-Monte-Carlo one.  A table too big to keep is built and scored in row
-blocks, so an estimate's memory does not grow with its seed count.  The
-tests keep a stepwise forecaster as the reference for these steps.
+into the per-round probabilities p_t; and expected_mistakes sums p_t on
+label 0 and 1 - p_t on label 1.  p_t depends only on past rounds, so
+that sum is the exact expected loss the bounds above are about, and every
+gate reads it.  The subset experts (agnostic) have no matrices: their
+pool computes the probabilities by groups and shares only the scoring.
+Only mc_regret and mc_family_mistakes still flip coins, for the realized
+samples the benchmark digests: seeded_mistakes scores every seed's coins
+in one array expression.  A seed's coins depend only on its (seed,
+stream) generator, never on the scenario, so COIN_TABLES builds each
+(stream, seeds) table of uniforms once per process and keeps it in an
+LRU bounded by a fixed number of cells.  Row i holds the first draws of
+the i-th seed's generator: random(T) is a prefix of random(T') for
+T' > T, so a kept table answers any shorter horizon, and a one-seed run
+is the same computation as a Monte-Carlo one.  A table too big to keep
+is built and scored in row blocks, so an estimate's memory does not grow
+with its seed count.  The tests keep a stepwise forecaster as the
+reference for these steps.
 """
 
 import math
@@ -125,6 +129,12 @@ def _coin_rows(stream: str, seeds, horizon: int, derive):
 # 8 MiB of doubles: about 26 of the benchmark's largest tables (200 seeds
 # by 199 rounds), and far more of the acceptance suite's
 COIN_TABLES = CoinTables(cells=1 << 20)
+
+
+def expected_mistakes(probabilities, labels) -> float:
+    """Exact expected mistakes of the forecaster: the sum over rounds of
+    p_t on label 0 and 1 - p_t on label 1, for 0/1 labels."""
+    return float(np.abs(np.asarray(labels) - np.asarray(probabilities)).sum())
 
 
 def seeded_mistakes(probabilities, labels, coins, offset: int = 0) -> dict:

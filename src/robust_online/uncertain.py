@@ -18,8 +18,9 @@ the true map:
 Every expert sees every reveal, dead or alive, so both learners read one
 replay of the experts over the fixed sequence, each a state id stepped on
 its member's LearnerContext: halving takes its votes from the prediction
-matrix, and mc_family_mistakes scores every forecaster seed, one or many,
-against the forecaster trajectory with the seeds' cached coin table.
+matrix, family_expected_mistakes sums the forecaster trajectory's exact
+expected mistakes, and mc_family_mistakes adds each forecaster seed's
+mistakes, scored with the seeds' cached coin table.
 
 Experts run tolerantly.  Under a wrong assumed map the shown input can sit
 outside the assumed perturbation set of the revealed instance, reveals can
@@ -36,6 +37,7 @@ from .dimension import adversarial_dimension
 from .errors import DomainError
 from .forecaster import (
     COIN_TABLES,
+    expected_mistakes,
     loss_budget_rate,
     seeded_mistakes,
     small_loss_bound,
@@ -127,34 +129,40 @@ def sequence_realizable(hc: HypothesisClass, members, rounds) -> bool:
     return False
 
 
-def mc_family_mistakes(
-    hc: HypothesisClass,
-    family: PerturbationFamily,
-    rounds,
-    seeds,
-    budget: int | None = None,
+def family_expected_mistakes(
+    hc: HypothesisClass, family: PerturbationFamily, rounds, budget=None
 ) -> dict:
-    """Monte-Carlo mistake statistics of the aggregated family learner over
-    forecaster seeds, with its small-loss bound.
+    """Exact expected mistakes of the aggregated family learner, with its
+    small-loss bound.
 
     The experts are replayed once and the forecaster runs at the loss-budget
-    rate for the family size; budget defaults to family_loss_budget.  A
-    one-seed run is seeds=[seed].
+    rate for the family size; budget defaults to family_loss_budget.
     """
     rounds = list(rounds)
     preds, losses = _replay(hc, family.members, rounds)
     if budget is None:
         budget = family_loss_budget(hc, family)
     probs = weight_trajectory(preds, losses, loss_budget_rate(len(family), budget))
-    labels = np.array([y for _, _, y in rounds])
-    coins = COIN_TABLES.blocks("family-ewa", seeds, len(rounds), derive_rng)
     return {
-        **seeded_mistakes(probs, labels, coins),
+        "expected": expected_mistakes(probs, [y for _, _, y in rounds]),
         "budget": budget,
         "bound": small_loss_bound(len(family), budget),
         "best_expert": int(losses.sum(axis=1).min()),
         "realizable": sequence_realizable(hc, family.members, rounds),
+        "probabilities": probs,
     }
+
+
+def mc_family_mistakes(
+    hc: HypothesisClass, family: PerturbationFamily, rounds, seeds, budget=None
+) -> dict:
+    """family_expected_mistakes plus the mistakes of each forecaster seed,
+    summarized as seeded_mistakes does; a one-seed run is seeds=[seed]."""
+    rounds = list(rounds)
+    exact = family_expected_mistakes(hc, family, rounds, budget)
+    labels = np.array([y for _, _, y in rounds])
+    coins = COIN_TABLES.blocks("family-ewa", seeds, len(rounds), derive_rng)
+    return {**exact, **seeded_mistakes(exact["probabilities"], labels, coins)}
 
 
 @dataclass

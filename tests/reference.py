@@ -13,7 +13,8 @@ object with writable masks and an embedded SOA orientation learner, with
 no memo; the agnostic learner on it (the tolerant lazy reduction,
 predicting 0 once its version space is empty), a plain subset expert on
 that, the family experts, the replay that drives any pool of experts into
-prediction and loss matrices, and a forecaster stepped round by round.
+prediction and loss matrices, a forecaster stepped round by round, and
+its expected mistakes as a walk over every outcome of its coins.
 The corpus generator's tables have a reference too: one rng.integers
 call per row, the loop the generator's block draws stand for.  The
 worst-case walk of the optimal learners has a plain search over reveal
@@ -22,6 +23,7 @@ the inverse of `runner.transcript_to_json`, lives here too: no command
 reads a transcript back, and the round-trip tests do.
 """
 
+import copy
 import itertools
 import json
 import math
@@ -325,6 +327,28 @@ def stepwise_ewa(experts, rounds, rate, rng):
         for e in experts:
             e.update(z, x, y)
     return mistakes, expert_mistakes
+
+
+def enumerated_expected_mistakes(preds, losses, labels, rate):
+    """Expected mistakes of the stepwise forecaster on (n_experts, T)
+    prediction and loss matrices: the sum, over all 2^T outcomes of its
+    coins, of each outcome's chance times its mistakes.  Every branch of
+    the walk steps its own copy of the forecaster, so nothing here assumes
+    that the probabilities ignore the coins."""
+    horizon = len(labels)
+
+    def walk(t, fore, chance, mistakes):
+        if t == horizon:
+            return chance * mistakes
+        p = fore.probability(preds[:, t])
+        total = 0.0
+        for coin, q in ((1, p), (0, 1.0 - p)):
+            branch = copy.deepcopy(fore)
+            branch.update(losses[:, t])
+            total += walk(t + 1, branch, chance * q, mistakes + (coin != labels[t]))
+        return total
+
+    return walk(0, ExponentialWeightsForecaster(len(preds), rate), 1.0, 0)
 
 
 def build_family_experts(hc, members):

@@ -14,6 +14,7 @@ from robust_online import (
     build_subset_experts,
     comparator_loss,
     decomposition_gap,
+    expected_regret,
     full_class,
     generate_corpus,
     identity_map,
@@ -162,7 +163,19 @@ def test_mc_regret_within_theory_bound():
     assert result["expert_count"] == n_experts
     bound = dim + math.sqrt(horizon / 2 * math.log(n_experts))
     assert result["mean"] <= bound + 3 * result["stderr"]
+    assert result["expected"] <= bound
     assert len(result["values"]) == 150
+
+
+def test_mc_regret_is_the_exact_dict_plus_the_samples():
+    rounds = corrupted_rounds(HC5, U5, 10, 2, seed=2)
+    exact = expected_regret(HC5, U5, rounds)
+    mc = mc_regret(HC5, U5, rounds, seeds=range(7))
+    assert set(exact) == {
+        "expected", "comparator", "expert_count", "groups", "bound", "probabilities"
+    }
+    assert list(mc) == [*exact, "mean", "std", "stderr", "values"]
+    assert all(np.array_equal(mc[key], value) for key, value in exact.items())
 
 
 def test_mc_regret_reports_the_agnostic_bound():

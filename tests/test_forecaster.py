@@ -25,6 +25,7 @@ from robust_online import (
 )
 from robust_online.forecaster import (
     CoinTables,
+    expected_mistakes,
     seeded_mistakes,
     weight_trajectory,
 )
@@ -148,6 +149,7 @@ def test_regret_bound_one_perfect_expert():
     assert sampled.mean() - best <= bound + 3 * stderr
     # the analytic expectation needs no sampling slack
     assert expected.sum() - best <= bound
+    assert expected_mistakes(probs, labels) == pytest.approx(expected.sum(), abs=1e-9)
 
 
 HC2, U2 = full_class(2), identity_map(2)

@@ -56,6 +56,8 @@ from robust_online import (
     decomposition_gap,
     derive_rng,
     derive_seed_sequence,
+    expected_regret,
+    family_expected_mistakes,
     family_halving_run,
     family_loss_budget,
     full_class,
@@ -97,6 +99,7 @@ from reference import (
     adversarial_loss,
     agnostic_learner,
     build_family_experts,
+    enumerated_expected_mistakes,
     expert_matrices,
     one_row_per_call_tables,
     plain_subset_pool,
@@ -1055,6 +1058,43 @@ def test_family_replay_equals_the_stepwise_loops(game, rounds, seed):
         expert_mistakes=expert_mistakes,
         alive_count=alive,
     )
+
+
+@PROPERTY
+@given(games(max_labels=2), st.integers(1, 10), st.integers(0, 3), st.integers(0, 2**16))
+def test_expected_regret_equals_the_enumerated_coins(game, horizon, corruptions, seed):
+    """expected_regret's exact value is the expected mistakes over all
+    2^T outcomes of the forecaster's coins, with the pool's experts
+    replayed one by one, minus the best hypothesis's robust loss."""
+    hc, u = game
+    rng = derive_rng(seed, "enumerated-regret")
+    rounds = realizable_robust_rounds(hc, u, horizon, rng)
+    assume(rounds)
+    rounds = corrupt_labels(rounds, corruptions, 2, rng)
+    experts = plain_subset_pool(hc, u, len(rounds), adversarial_dimension(hc, u))
+    preds, losses = expert_matrices(experts, rounds)
+    labels = [y for _, _, y in rounds]
+    rate = horizon_rate(len(experts), len(rounds))
+    best = min(sum(adversarial_loss(h, x, y, u) for _, x, y in rounds) for h in hc)
+    enumerated = enumerated_expected_mistakes(preds, losses, labels, rate) - best
+    assert math.isclose(expected_regret(hc, u, rounds)["expected"], enumerated, abs_tol=1e-9)
+
+
+@PROPERTY
+@given(families(), st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1, max_size=10))
+@example(game=FAMILY_EXAMPLE, rounds=FAMILY_EXAMPLE_ROUNDS)
+def test_family_expected_mistakes_equals_the_enumerated_coins(game, rounds):
+    """family_expected_mistakes' exact value is the expected mistakes over
+    all 2^T outcomes of the forecaster's coins, on arbitrary reveals."""
+    hc, family = game
+    n = hc.instance_count
+    rounds = [(z % n, x % n, y % 2) for z, x, y in rounds]
+    preds, losses = expert_matrices(build_family_experts(hc, family.members), rounds)
+    labels = [y for _, _, y in rounds]
+    rate = loss_budget_rate(len(family), family_loss_budget(hc, family))
+    enumerated = enumerated_expected_mistakes(preds, losses, labels, rate)
+    got = family_expected_mistakes(hc, family, rounds)["expected"]
+    assert math.isclose(got, enumerated, abs_tol=1e-9)
 
 
 NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,4}", fullmatch=True)

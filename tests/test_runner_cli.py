@@ -17,10 +17,13 @@ from robust_online import (
     ScriptedOrientationAdversary,
     ScriptedRobustAdversary,
     adversarial_dimension,
+    derive_rng,
+    family_expected_mistakes,
     full_class,
     generate_corpus,
     make_learner,
     parse_scenario,
+    realizable_robust_rounds,
     run_scenario,
     serialize_scenario,
     witness_tree,
@@ -429,16 +432,14 @@ def test_cli_adversary_orientation_protocol(tmp_path):
 
 
 def test_cli_agnostic(scenario_file):
-    out = run_cli(
-        "agnostic", str(scenario_file), "--seeds", "5", "--corruptions", "1"
-    )
+    out = run_cli("agnostic", str(scenario_file), "--corruptions", "1")
     assert out.returncode == 0
-    assert "mean regret" in out.stdout
+    assert "expected regret" in out.stdout
 
 
 def test_cli_agnostic_trace_has_one_probability_per_round(scenario_file, tmp_path):
     trace = tmp_path / "trace.txt"
-    out = run_cli("agnostic", str(scenario_file), "--seeds", "3", "--trace", str(trace))
+    out = run_cli("agnostic", str(scenario_file), "--trace", str(trace))
     assert out.returncode == 0, out.stderr
     assert f"trace written: {trace}" in out.stdout
     lines = trace.read_text().splitlines()
@@ -449,7 +450,7 @@ def test_cli_agnostic_trace_has_one_probability_per_round(scenario_file, tmp_pat
 def test_cli_agnostic_dimension_zero_has_no_ratio(tmp_path):
     out = run_cli("gen-corpus", "--count", "3", "--seed", "4", "--out", str(tmp_path))
     assert out.returncode == 0, out.stderr
-    out = run_cli("agnostic", str(tmp_path / "scenario_0001.txt"), "--seeds", "20")
+    out = run_cli("agnostic", str(tmp_path / "scenario_0001.txt"))
     assert "Traceback" not in out.stderr
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
@@ -475,20 +476,30 @@ def family_file(tmp_path):
 
 def test_cli_uncertain(family_file):
     for method in ("ewa", "halving"):
-        out = run_cli("uncertain", str(family_file), "--method", method, "--seeds", "3")
+        out = run_cli("uncertain", str(family_file), "--method", method)
         assert out.returncode == 0, out.stderr
         assert "mistakes" in out.stdout
 
 
-def test_cli_uncertain_ewa_single_seed(family_file):
-    out = run_cli("uncertain", str(family_file), "--method", "ewa", "--seeds", "1")
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
-    assert lines[0] == "family size: 2"
-    assert lines[1].startswith("loss budget: ")
-    mistakes = int(lines[2].removeprefix("mistakes: "))
-    assert 0 <= mistakes <= 10
-    assert lines[3:] == ["realizable: true"]
+def test_cli_uncertain_ewa_seed_fixes_only_the_sequence(family_file):
+    """--seed draws the sequence; the printed value is the exact expected
+    mistakes on it, so no coin of the forecaster depends on the seed."""
+    sc = parse_scenario(family_file.read_text())
+    family = sc.family()
+    for seed in (0, 3):
+        out = run_cli("uncertain", str(family_file), "--method", "ewa", "--seed", str(seed))
+        assert out.returncode == 0, out.stderr
+        rng = derive_rng(seed, "uncertain-cli")
+        rounds = realizable_robust_rounds(sc.hypotheses, family.truth, sc.game.horizon, rng)
+        exact = family_expected_mistakes(sc.hypotheses, family, rounds)
+        lines = out.stdout.splitlines()
+        assert lines[:2] == ["family size: 2", f"loss budget: {exact['budget']}"]
+        assert lines[2] == f"expected mistakes: {exact['expected']:.4f}"
+        assert lines[3:5] == [
+            f"bound: {exact['bound']:.4f}",
+            f"ratio: {exact['expected'] / exact['bound']:.4f}",
+        ]
+        assert lines[5:] == ["realizable: true"]
 
 
 def test_cli_gen_corpus_round_trips(tmp_path):
@@ -565,7 +576,7 @@ f: f
         (("play", "{scn}", "--horizon", "0"), "--horizon: must be at least 1, got 0"),
         (("play", "{scn}", "--horizon", "-3"), "--horizon: must be at least 1, got -3"),
         (("check", "--criteria", "5-3"), "reversed criteria range '5-3'"),
-        (("agnostic", "{scn}", "--seeds", "0"), "--seeds: must be at least 1, got 0"),
+        (("agnostic", "{scn}", "--seeds", "1"), "unrecognized arguments: --seeds 1"),
         (("agnostic", "{scn}", "--horizon", "-1"), "--horizon: must be at least 1"),
         (("oracle", "{scn}", "--horizon", "-2"), "--horizon: must be at least 0"),
         (("oracle", "{big}"), "exhaustive game search is limited to 5 instances"),
@@ -651,15 +662,13 @@ def test_cli_binary_only_commands_refuse_multiclass_up_front(tmp_path, command):
 AGNOSTIC_PINNED = {
     "scenario_0000.txt": (
         "dimension: 2\nexperts: 56\ncomparator loss: 2\n"
-        "mean regret over 200 seeds: 0.7000\nstandard error: 0.0530\n"
-        "bound: 6.4863\nratio: 0.1079\n",
+        "expected regret: 0.8191\nbound: 6.4863\nratio: 0.1263\n",
         "0 0.000000\n1 0.821429\n2 0.915227\n3 0.611503\n4 0.186686\n"
         "5 0.032678\n6 0.936464\n7 0.983688\n8 0.998121\n9 0.000272\n",
     ),
     "scenario_0002.txt": (
         "dimension: 3\nexperts: 176\ncomparator loss: 2\n"
-        "mean regret over 200 seeds: 0.9800\nstandard error: 0.0448\n"
-        "bound: 8.0845\nratio: 0.1212\n",
+        "expected regret: 0.9451\nbound: 8.0845\nratio: 0.1169\n",
         "".join(f"{t} 0.000000\n" for t in range(8)) + "8 0.261364\n9 0.683731\n",
     ),
 }
@@ -667,33 +676,36 @@ AGNOSTIC_PINNED = {
 
 @pytest.mark.parametrize("name", sorted(AGNOSTIC_PINNED))
 def test_cli_agnostic_output_is_pinned(generated, tmp_path, name):
-    """Every seed's coins come from a cached table; the text is the one
-    each seed's own generator gave."""
+    """The exact expected regret and the per-round probabilities."""
     stdout, trace_text = AGNOSTIC_PINNED[name]
     trace = tmp_path / "trace.txt"
     out = run_cli(
         "agnostic", str(generated / "corpus" / name),
-        "--seeds", "200", "--corruptions", "2", "--trace", str(trace),
+        "--corruptions", "2", "--trace", str(trace),
     )
     assert (out.returncode, out.stdout) == (0, stdout + f"trace written: {trace}\n")
     assert trace.read_text() == trace_text
 
 
-@pytest.mark.parametrize(
-    "seeds, stdout",
-    [
-        (
-            "100",
-            "family size: 2\nloss budget: 1\nmean mistakes over 100 seeds: 1.2000\n"
-            "standard error: 0.0876\nbound: 2.8706\nrealizable: true\n",
-        ),
-        ("1", "family size: 2\nloss budget: 1\nmistakes: 2\nrealizable: true\n"),
-    ],
-)
-def test_cli_uncertain_ewa_output_is_pinned(generated, seeds, stdout):
-    scenario = generated / "family" / "scenario_0000.txt"
-    out = run_cli("uncertain", str(scenario), "--method", "ewa", "--seeds", seeds)
-    assert (out.returncode, out.stdout) == (0, stdout)
+def ewa_text(size, expected, bound, ratio):
+    return (
+        f"family size: {size}\nloss budget: 1\nexpected mistakes: {expected}\n"
+        f"bound: {bound}\nratio: {ratio}\nrealizable: true\n"
+    )
+
+
+EWA_PINNED = {
+    "scenario_0000.txt": ewa_text(2, "1.1554", "2.8706", "0.4025"),
+    "scenario_0001.txt": ewa_text(4, "0.0000", "4.0514", "0.0000"),
+    "scenario_0002.txt": ewa_text(8, "0.5619", "5.1188", "0.1098"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EWA_PINNED))
+def test_cli_uncertain_ewa_output_is_pinned(generated, name):
+    """The exact expected mistakes of the three generated family scenarios."""
+    out = run_cli("uncertain", str(generated / "family" / name), "--method", "ewa")
+    assert (out.returncode, out.stdout) == (0, EWA_PINNED[name])
 
 
 

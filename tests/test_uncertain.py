@@ -10,6 +10,7 @@ from robust_online import (
     PerturbationMap,
     PerturbationFamily,
     adversarial_dimension,
+    family_expected_mistakes,
     family_halving_run,
     family_loss_budget,
     full_class,
@@ -148,8 +149,21 @@ def test_mc_family_mistakes_meets_bound_every_truth():
         rounds = realizable_under_truth(fam, 12, seed=4)
         stats = mc_family_mistakes(HC5, fam, rounds, seeds=range(80))
         assert stats["mean"] <= stats["bound"] + 3 * stats["stderr"]
+        assert stats["expected"] <= stats["bound"]
         assert stats["best_expert"] <= stats["budget"]
         assert stats["realizable"]
+
+
+def test_mc_family_mistakes_is_the_exact_dict_plus_the_samples():
+    fam = small_family(truth_index=2)
+    rounds = realizable_under_truth(fam, 12, seed=5)
+    exact = family_expected_mistakes(HC5, fam, rounds)
+    mc = mc_family_mistakes(HC5, fam, rounds, seeds=range(7))
+    assert set(exact) == {
+        "expected", "budget", "bound", "best_expert", "realizable", "probabilities"
+    }
+    assert list(mc) == [*exact, "mean", "std", "stderr", "values"]
+    assert all(np.array_equal(mc[key], value) for key, value in exact.items())
 
 
 def test_halving_bound_values():
