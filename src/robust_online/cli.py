@@ -34,6 +34,7 @@ from .model import identity_map
 from .oracle import optimal_mistake_bound
 from .runner import run_game, run_scenario, transcript_to_json
 from .scenario import (
+    MAX_HORIZON,
     CorpusParams,
     STRATA,
     generate_corpus,
@@ -58,8 +59,8 @@ def _load_scenario(path: str):
         raise SystemExit(1)
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def _at_least(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than `low` and, given `high`, no larger."""
 
     def parse(text: str) -> int:
         try:
@@ -68,9 +69,15 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
+
+
+# the horizon of a game the CLI plays; oracle's --horizon is capped by log2 |V|
+_horizon = _at_least(1, MAX_HORIZON)
 
 
 def _criteria(text: str) -> list[int]:
@@ -292,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("play", help="run one game from a scenario")
     pl.add_argument("scenario")
     pl.add_argument("--seed", type=int, default=None)
-    pl.add_argument("--horizon", type=_at_least(1), default=None)
+    pl.add_argument("--horizon", type=_horizon, default=None)
     pl.add_argument("--transcript", help="write the transcript JSON here")
     pl.add_argument("--trace", action="store_true", help="track the dimension per round")
     pl.set_defaults(fn=cmd_play)
@@ -311,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ag = sub.add_parser("agnostic", help="exact expected regret of the aggregated learner")
     ag.add_argument("scenario")
-    ag.add_argument("--horizon", type=_at_least(1), default=None)
+    ag.add_argument("--horizon", type=_horizon, default=None)
     ag.add_argument("--corruptions", type=_at_least(0), default=2)
     ag.add_argument("--seed", type=int, default=0, help="seed of the sequence")
     ag.add_argument("--trace", help="write per-round probabilities here")
@@ -321,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     un.add_argument("scenario")
     un.add_argument("--method", choices=("ewa", "halving"), required=True)
     un.add_argument("--family", help="scenario file whose perturbation sections define the family")
-    un.add_argument("--horizon", type=_at_least(1), default=None)
+    un.add_argument("--horizon", type=_horizon, default=None)
     un.add_argument("--seed", type=int, default=0, help="seed of the sequence")
     un.set_defaults(fn=cmd_uncertain)
 

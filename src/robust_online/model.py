@@ -6,6 +6,9 @@ instance to the set of inputs an adversary may present in its place.
 Version spaces are bitmasks over the hypothesis ids of a parent class,
 so restriction is a single AND against a precomputed consistency mask.
 
+A perturbation map stores only its forward sets; the preimages are
+derived on their first read.
+
 The consistency masks are the single source of the robust loss.  Data
 compiled for a (class, map) pair is kept on the class (see compiled()),
 so it is built once, found without hashing the class and freed with it.
@@ -13,6 +16,7 @@ so it is built once, found without hashing the class and freed with it.
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError, LimitExceeded
 
@@ -20,7 +24,7 @@ Instance = int
 Label = int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hypothesis:
     """A total function from instances to labels.
 
@@ -97,36 +101,43 @@ def full_class(instance_count: int, label_count: int = 2) -> HypothesisClass:
 
 @dataclass(frozen=True)
 class PerturbationMap:
-    """Forward sets U(x) plus the preimage sets derived from them.
+    """Forward sets U(x); the preimage sets are derived from them on demand.
 
-    preimage[z] holds every x with z in forward[x]; it is computed at
-    build and is not a constructor argument.  Empty U(x) is allowed; such
-    an instance can never be presented as a perturbed input and its
+    Only forward defines the map: equality and the hash read it alone.
+    preimage[z] holds every x with z in forward[x]; it is computed on its
+    first read and kept on the map.  Empty U(x) is allowed; such an
+    instance can never be presented as a perturbed input and its
     restriction constraint is vacuous.
     """
 
     forward: tuple[frozenset[Instance], ...]
-    preimage: tuple[frozenset[Instance], ...] = field(init=False)
     # the map keys every compiled lookup, so it is hashed once, here
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.forward)
-        pre = [set() for _ in range(n)]
         for x, s in enumerate(self.forward):
-            for z in s:
-                if not 0 <= z < n:
-                    raise DomainError(f"U({x}) contains out-of-range instance {z}")
-                pre[z].add(x)
-        object.__setattr__(self, "preimage", tuple(frozenset(p) for p in pre))
-        object.__setattr__(self, "_hash", hash((self.forward, self.preimage)))
+            if s and (min(s) < 0 or max(s) >= n):
+                z = min(s) if min(s) < 0 else max(s)
+                raise DomainError(f"U({x}) contains out-of-range instance {z}")
+        object.__setattr__(self, "_hash", hash(self.forward))
 
     def __hash__(self) -> int:
         return self._hash
 
+    @cached_property
+    def preimage(self) -> tuple[frozenset[Instance], ...]:
+        pre = [[] for _ in self.forward]
+        for x, s in enumerate(self.forward):
+            for z in s:
+                pre[z].append(x)
+        return tuple(map(frozenset, pre))
+
     @classmethod
     def from_sets(cls, sets) -> "PerturbationMap":
-        return cls(tuple(frozenset(s) for s in sets))
+        """The map of the given sets, holding one frozenset per distinct set."""
+        distinct = {}
+        return cls(tuple(distinct.setdefault(s, s) for s in map(frozenset, sets)))
 
     @property
     def instance_count(self) -> int:
@@ -138,7 +149,7 @@ def identity_map(n: int) -> PerturbationMap:
 
 
 def total_map(n: int) -> PerturbationMap:
-    return PerturbationMap.from_sets([set(range(n))] * n)
+    return PerturbationMap((frozenset(range(n)),) * n)
 
 
 def compiled(hc: HypothesisClass, u: PerturbationMap, build, *args):

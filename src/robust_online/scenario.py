@@ -30,7 +30,7 @@ as real (by default the first).  Every GAME key is optional, and a key
 given twice keeps its last value:
 
     protocol     robust; or orientation
-    horizon      10; a positive integer
+    horizon      10; a positive integer, at most MAX_HORIZON (2**20)
     seed         0; an integer
     learner      optimal; or one of LEARNER_NAMES
     adversary    realizable; or tree, corrupted
@@ -59,6 +59,9 @@ _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 # label names of a file without a `labels:` line; not valid _NAMEs, so
 # serialize_scenario leaves the line out for them
 DEFAULT_LABELS = ("0", "1")
+# the longest game a scenario or a CLI flag may ask for: every round is
+# stored, so a longer horizon would only exhaust memory or time
+MAX_HORIZON = 2**20
 
 
 @dataclass(frozen=True)
@@ -293,6 +296,8 @@ def try_parse_scenario(text: str):
                 continue
             if key == "horizon" and n <= 0:
                 err(ln, col, "horizon must be positive")
+            elif key == "horizon" and n > MAX_HORIZON:
+                err(ln, col, f"horizon must be at most {MAX_HORIZON}")
             elif key == "corruptions" and n < 0:
                 err(ln, col, "corruptions must be nonnegative")
             else:
@@ -382,11 +387,13 @@ def _disjoint_map(n: int, rng) -> PerturbationMap:
     return PerturbationMap.from_sets(set() if e else {t} for t, e in zip(targets, empty))
 
 
-def _stratum_map(stratum: str, n: int, rng) -> PerturbationMap:
-    if stratum == "identity":
-        return identity_map(n)
-    if stratum == "total":
-        return total_map(n)
+def _stratum_map(stratum: str, n: int, rng, fixed: dict) -> PerturbationMap:
+    """A fresh random map, or the identity or total map on n kept in `fixed`."""
+    if stratum in ("identity", "total"):
+        key = (stratum, n)
+        if key not in fixed:
+            fixed[key] = identity_map(n) if stratum == "identity" else total_map(n)
+        return fixed[key]
     if stratum == "disjoint":
         return _disjoint_map(n, rng)
     if stratum == "random":
@@ -412,13 +419,28 @@ def _random_tables(n: int, count: int, label_count: int, rng) -> list[tuple[int,
 
 
 def _assemble(
-    hc: HypothesisClass, maps: dict[str, PerturbationMap], truth_name: str, game: GameConfig
+    hc: HypothesisClass,
+    maps: dict[str, PerturbationMap],
+    truth_name: str,
+    game: GameConfig,
+    names: dict,
 ) -> Scenario:
-    """A generated scenario: instances x0.., labels y0.., hypotheses h0.. and `maps` by name."""
+    """A generated scenario: instances x0.., labels y0.., hypotheses h0.. and `maps` by name.
+
+    `names` keeps each name tuple made so far, so the scenarios of one
+    generator call share their instance, label and hypothesis names per count.
+    """
+
+    def numbered(prefix: str, count: int) -> tuple[str, ...]:
+        key = (prefix, count)
+        if key not in names:
+            names[key] = tuple(f"{prefix}{i}" for i in range(count))
+        return names[key]
+
     return Scenario(
-        instance_names=tuple(f"x{i}" for i in range(hc.instance_count)),
-        label_names=tuple(f"y{i}" for i in range(hc.label_count)),
-        hypothesis_names=tuple(f"h{i}" for i in range(hc.size)),
+        instance_names=numbered("x", hc.instance_count),
+        label_names=numbered("y", hc.label_count),
+        hypothesis_names=numbered("h", hc.size),
         hypotheses=hc,
         perturbation_names=tuple(maps),
         perturbations=tuple(maps.values()),
@@ -442,8 +464,14 @@ def generate_corpus(params: CorpusParams) -> list[Scenario]:
     drawn as blocks, which give the values of one draw per row or coin
     (the block rule in `seeding`); tests/data/corpus_digests.json pins
     the output.
+
+    The scenarios of one call share what is equal between them: one
+    identity map and one total map per instance count, and one tuple of
+    instance, label and hypothesis names per count.
     """
     out = []
+    fixed: dict = {}
+    names: dict = {}
     for i in range(params.count):
         stratum = params.strata[i % len(params.strata)]
         rng = derive_rng(params.seed, "corpus", i, stratum)
@@ -452,9 +480,9 @@ def generate_corpus(params: CorpusParams) -> list[Scenario]:
         n_h = int(rng.integers(min(2, cap), cap + 1))
         tables = _random_tables(n, n_h, params.label_count, rng)
         hc = HypothesisClass.from_tables(tables, params.label_count)
-        u = _stratum_map(stratum, n, rng)
+        u = _stratum_map(stratum, n, rng, fixed)
         game = GameConfig(seed=int(rng.integers(2**31)))
-        out.append(_assemble(hc, {"main": u}, "main", game))
+        out.append(_assemble(hc, {"main": u}, "main", game, names))
     return out
 
 
@@ -465,8 +493,10 @@ def generate_family_scenarios(count: int, seed: int = 0) -> list[Scenario]:
     scenario has 2 to 4 instances and 2 to 8 hypotheses.  The true
     member has adversarial dimension at least 1 and at least one nonempty
     perturbation set, so realizable sequences of any length exist.
+    The scenarios of one call share their name tuples per count.
     """
     out = []
+    names: dict = {}
     attempt = 0
     while len(out) < count:
         rng = derive_rng(seed, "family-corpus", attempt)
@@ -496,5 +526,5 @@ def generate_family_scenarios(count: int, seed: int = 0) -> list[Scenario]:
             continue
         maps = {f"u{i}": m for i, m in enumerate(members)}
         game = GameConfig(horizon=12, seed=int(rng.integers(2**31)))
-        out.append(_assemble(hc, maps, f"u{truth}", game))
+        out.append(_assemble(hc, maps, f"u{truth}", game, names))
     return out

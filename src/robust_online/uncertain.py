@@ -142,7 +142,7 @@ def family_expected_mistakes(
     preds, losses = _replay(hc, family.members, rounds)
     if budget is None:
         budget = family_loss_budget(hc, family)
-    probs = weight_trajectory(preds, losses, loss_budget_rate(len(family), budget))
+    probs = weight_trajectory(preds, losses, loss_budget_rate(len(family), budget)).tolist()
     return {
         "expected": expected_mistakes(probs, [y for _, _, y in rounds]),
         "budget": budget,

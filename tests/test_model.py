@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_online import (
+    Hypothesis,
     HypothesisClass,
     PerturbationMap,
     VersionSpace,
@@ -173,6 +176,50 @@ def test_equal_perturbation_maps_hash_equal():
     assert a != PerturbationMap.from_sets([{0, 1}, {1}, {2}])
     # the cached hash is neither compared nor shown
     assert "_hash" not in repr(a)
+
+
+@st.composite
+def map_sets(draw):
+    """(n, n instance sets over range(n), empty sets included)."""
+    n = draw(st.integers(1, 6))
+    sets = draw(st.lists(st.frozensets(st.integers(0, n - 1)), min_size=n, max_size=n))
+    return n, sets
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(map_sets(), st.booleans(), st.booleans(), st.data())
+def test_a_map_is_defined_by_its_forward_sets(case, read_a, read_b, data):
+    n, sets = case
+    a = PerturbationMap.from_sets(sets)
+    b = PerturbationMap.from_sets([sorted(s) for s in sets])
+    assert "preimage" not in vars(a) and "preimage" not in vars(b)
+    if read_a:
+        a.preimage
+    if read_b:
+        b.preimage
+    assert a == b and hash(a) == hash(b)
+    expected = tuple(frozenset(x for x in range(n) if z in a.forward[x]) for z in range(n))
+    assert a.preimage == expected == b.preimage
+    assert "preimage" in vars(a)
+    # one frozenset object per distinct set
+    for x in range(n):
+        assert a.forward[x] is a.forward[a.forward.index(a.forward[x])]
+    # an out-of-range target fails at construction, not on the first read
+    bad = data.draw(st.integers(n, n + 3) | st.integers(-3, -1))
+    x = data.draw(st.integers(0, n - 1))
+    with pytest.raises(DomainError, match=f"U\\({x}\\) contains out-of-range instance"):
+        PerturbationMap.from_sets(sets[:x] + [sets[x] | {bad}] + sets[x + 1 :])
+
+
+def test_total_map_holds_one_set():
+    u = total_map(4)
+    assert u.forward[0] is u.forward[3]
+
+
+def test_hypothesis_is_slotted():
+    h = full_class(2)[1]
+    assert Hypothesis.__slots__ == ("id", "table", "label_count")
+    assert not hasattr(h, "__dict__")
 
 
 def test_full_class_size():

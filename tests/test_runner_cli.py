@@ -601,6 +601,21 @@ f: f
         ),
         (("check", "--criteria", ","), "the criteria selection names no criterion"),
         (("check", "--criteria", "1-1000000000"), "unknown criteria [1000000000]"),
+        (
+            ("play", "{scn}", "--horizon", "99999999999999999999"),
+            "--horizon: must be at most 1048576, got 99999999999999999999",
+        ),
+        (("play", "{scn}", "--horizon", "1048577"), "--horizon: must be at most 1048576"),
+        (
+            ("agnostic", "{scn}", "--horizon", "99999999999999999999"),
+            "--horizon: must be at most 1048576",
+        ),
+        (
+            ("uncertain", "{scn}", "--method", "ewa", "--horizon", "99999999999999999999"),
+            "--horizon: must be at most 1048576",
+        ),
+        (("play", "{long}"), "horizon must be at most 1048576"),
+        (("agnostic", "{long}"), "horizon must be at most 1048576"),
     ],
 )
 def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):
@@ -611,8 +626,10 @@ def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):
         "missing": tmp_path / "missing",
         "dir": tmp_path,
         "raw": tmp_path / "raw.scn",
+        "long": tmp_path / "long.scn",
     }
     paths["scn"].write_text(SCENARIO)
+    paths["long"].write_text(SCENARIO.replace("horizon: 10", "horizon: 99999999999999999999"))
     paths["big"].write_text(BIG_SCENARIO)
     paths["raw"].write_bytes(b"\xff\xfe\x00bad")
     out = run_cli(*(a.format(**paths) for a in args))

@@ -265,6 +265,11 @@ def _edit(old, new):
             id="horizon-zero",
         ),
         pytest.param(
+            SMALL + "GAME\nhorizon: 99999999999999999999\n",
+            ["line 10, column 1: horizon must be at most 1048576"],
+            id="horizon-too-long",
+        ),
+        pytest.param(
             SMALL + "GAME\ncorruptions: -1\n",
             ["line 10, column 1: corruptions must be nonnegative"],
             id="negative-corruptions",
@@ -388,6 +393,27 @@ def test_family_scenarios_deterministic():
     a = generate_family_scenarios(6, seed=4)
     b = generate_family_scenarios(6, seed=4)
     assert [serialize_scenario(x) for x in a] == [serialize_scenario(x) for x in b]
+
+
+def test_one_generator_call_shares_its_fixed_maps_and_names():
+    scenarios = generate_corpus(CorpusParams(count=80, seed=6))
+    for stratum in ("identity", "total"):
+        maps = {}
+        for i, sc in enumerate(scenarios):
+            if STRATA[i % len(STRATA)] == stratum:
+                assert maps.setdefault(len(sc.instance_names), sc.truth) is sc.truth
+        assert len(maps) >= 2
+    for corpus in (scenarios, generate_family_scenarios(9, seed=3)):
+        shared = {}
+        for sc in corpus:
+            for attr in ("instance_names", "label_names", "hypothesis_names"):
+                names = getattr(sc, attr)
+                assert shared.setdefault((attr, len(names)), names) is names
+        assert len(shared) < 3 * len(corpus)
+    # nothing outlives the call
+    again = generate_corpus(CorpusParams(count=80, seed=6))
+    assert again[0].instance_names == scenarios[0].instance_names
+    assert again[0].instance_names is not scenarios[0].instance_names
 
 
 # SHA-256 over the serialized scenarios of whole corpora, recorded from a

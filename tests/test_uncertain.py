@@ -166,6 +166,18 @@ def test_mc_family_mistakes_is_the_exact_dict_plus_the_samples():
     assert all(np.array_equal(mc[key], value) for key, value in exact.items())
 
 
+def test_equal_family_dicts_compare_equal():
+    # probabilities is a list of floats, as in expected_regret
+    fam = small_family(truth_index=2)
+    rounds = realizable_under_truth(fam, 12, seed=5)
+    a = family_expected_mistakes(HC5, fam, rounds)
+    b = family_expected_mistakes(HC5, small_family(truth_index=2), list(rounds))
+    assert type(a["probabilities"]) is list
+    assert all(type(p) is float for p in a["probabilities"])
+    assert a == b
+    assert a != {**b, "probabilities": b["probabilities"][:-1]}
+
+
 def test_halving_bound_values():
     # d * (f + 1) + f with f = floor(log2 |G|) and d the true member's
     # dimension: 3d + 2 at |G| = 4, plain d at |G| = 1
