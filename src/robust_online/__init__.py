@@ -67,7 +67,6 @@ from .model import (
     HypothesisClass,
     PerturbationMap,
     VersionSpace,
-    compatible_pairs,
     full_class,
     identity_map,
     restrict,

@@ -34,13 +34,16 @@ from .model import identity_map
 from .oracle import optimal_mistake_bound
 from .runner import run_game, run_scenario, transcript_to_json
 from .scenario import (
+    MAX_DIGITS,
     MAX_HORIZON,
     CorpusParams,
     STRATA,
     generate_corpus,
     generate_family_scenarios,
     parse_scenario,
+    read_int,
     serialize_scenario,
+    shorten,
 )
 from .seeding import derive_rng
 from .uncertain import family_expected_mistakes, family_halving_run, halving_bound
@@ -59,23 +62,27 @@ def _load_scenario(path: str):
         raise SystemExit(1)
 
 
-def _at_least(low: int, high: int | None = None):
-    """argparse type: an integer no smaller than `low` and, given `high`, no larger."""
+def _at_least(low: int | None = None, high: int | None = None):
+    """argparse type: an integer, no smaller than `low` and no larger than `high` when given."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        value = read_int(text)
+        if value is None:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {shorten(text)!r}")
+        shown = shorten(str(value) if isinstance(value, int) else text.strip())
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {shown}")
         if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {shown}")
+        if not isinstance(value, int):
+            raise argparse.ArgumentTypeError(f"must have at most {MAX_DIGITS} digits, got {shown}")
         return value
 
     return parse
 
 
+# a seed: any integer of at most MAX_DIGITS digits
+_integer = _at_least()
 # the horizon of a game the CLI plays; oracle's --horizon is capped by log2 |V|
 _horizon = _at_least(1, MAX_HORIZON)
 
@@ -298,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("play", help="run one game from a scenario")
     pl.add_argument("scenario")
-    pl.add_argument("--seed", type=int, default=None)
+    pl.add_argument("--seed", type=_integer, default=None)
     pl.add_argument("--horizon", type=_horizon, default=None)
     pl.add_argument("--transcript", help="write the transcript JSON here")
     pl.add_argument("--trace", action="store_true", help="track the dimension per round")
@@ -320,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     ag.add_argument("scenario")
     ag.add_argument("--horizon", type=_horizon, default=None)
     ag.add_argument("--corruptions", type=_at_least(0), default=2)
-    ag.add_argument("--seed", type=int, default=0, help="seed of the sequence")
+    ag.add_argument("--seed", type=_integer, default=0, help="seed of the sequence")
     ag.add_argument("--trace", help="write per-round probabilities here")
     ag.set_defaults(fn=cmd_agnostic)
 
@@ -329,12 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     un.add_argument("--method", choices=("ewa", "halving"), required=True)
     un.add_argument("--family", help="scenario file whose perturbation sections define the family")
     un.add_argument("--horizon", type=_horizon, default=None)
-    un.add_argument("--seed", type=int, default=0, help="seed of the sequence")
+    un.add_argument("--seed", type=_integer, default=0, help="seed of the sequence")
     un.set_defaults(fn=cmd_uncertain)
 
     g = sub.add_parser("gen-corpus", help="write a deterministic scenario corpus")
     g.add_argument("--count", type=_at_least(1), default=20)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_integer, default=0)
     # None when not given: family scenarios are binary and unstratified
     g.add_argument("--labels", type=_at_least(2), help="label count (default 2)")
     g.add_argument("--strata", nargs="+", choices=STRATA, help="strata (default all)")
@@ -345,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run the acceptance suite")
     c.add_argument("--scale", choices=sorted(SCALES), default="full")
     c.add_argument("--criteria", type=_criteria, default="1-12")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_integer, default=0)
     c.set_defaults(fn=cmd_check)
     return p
 

@@ -28,6 +28,14 @@ A cut only skips nodes that cannot change the maximum, and every child
 that is searched is searched in full, so every memo entry is the exact
 dimension of its mask.  Witness trees and learner queries, which read the
 memo, are the same as with the unpruned recursion.
+
+The search and the witness walk splits, not nodes: each distinct
+unordered pair of nonempty sides once, at its first node.  Nodes with the
+same sides have the same children and one with an empty side has none,
+so the maximum is unchanged; whether a node qualifies as a witness reads
+only its sides, so the first that does is the first of its split and the
+tree is unchanged.  The worst-case walk and the orientation adversary
+read the ordered nodes.
 """
 
 from dataclasses import dataclass
@@ -78,9 +86,9 @@ class AdversarialTree:
 class DimensionEngine:
     """Shared search state for one (class, map, label mode) triple.
 
-    Holds the candidate node list and a bitmask-keyed memo table, so the
-    online learners can ask for dimensions of thousands of version spaces
-    at amortized dictionary-lookup cost.
+    Holds the node list, its splits and a bitmask-keyed memo table, so
+    the online learners can ask for dimensions of thousands of version
+    spaces at amortized dictionary-lookup cost.
     """
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False):
@@ -90,6 +98,12 @@ class DimensionEngine:
             raise DomainError("binary mode requires exactly two labels")
         self.full_mask = (1 << hc.size) - 1
         self.nodes = game_nodes(hc, u, multiclass)
+        firsts = {}  # the first node of each unordered pair of nonempty sides
+        for node in self.nodes:
+            m0, m1 = node[2], node[3]
+            if m0 and m1:
+                firsts.setdefault((m0, m1) if m0 < m1 else (m1, m0), node)
+        self.splits = tuple(firsts.values())
         self._memo: dict[int, int] = {0: EMPTY_DIM}
 
     def dimension_of_mask(self, mask: int) -> int:
@@ -99,7 +113,7 @@ class DimensionEngine:
             return hit
         cap = _log2_size(mask)
         best = 0
-        for _, _, m0, m1 in self.nodes:
+        for _, _, m0, m1 in self.splits:
             if best == cap:
                 break
             v0 = mask & m0
@@ -133,7 +147,7 @@ class DimensionEngine:
         if depth == 0:
             return None
         need = depth - 1
-        for pair, labels, m0, m1 in self.nodes:
+        for pair, labels, m0, m1 in self.splits:
             v0 = mask & m0
             v1 = mask & m1
             if not v0 or not v1 or v0.bit_count() < 1 << need or v1.bit_count() < 1 << need:
@@ -240,8 +254,8 @@ def classic_littlestone_dimension(hc: HypothesisClass) -> int:
     if hc.label_count != 2:
         raise DomainError("the classic dimension is defined here for binary labels")
     zeros_at = [0] * hc.instance_count
-    for i, h in enumerate(hc):
-        for x, y in enumerate(h.table):
+    for i, table in enumerate(hc.tables):
+        for x, y in enumerate(table):
             if y == 0:
                 zeros_at[x] |= 1 << i
     memo: dict[int, int] = {}

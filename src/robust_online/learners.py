@@ -526,9 +526,9 @@ class MajorityLearner:
             return min(query.labels)
         z = query
         counts = [0] * self.hc.label_count
-        for h in self.hc:
-            if self.mask >> h.id & 1:
-                counts[h.table[z]] += 1
+        for i, table in enumerate(self.hc.tables):
+            if self.mask >> i & 1:
+                counts[table[z]] += 1
         return counts.index(max(counts))
 
     def update(self, *args) -> None:

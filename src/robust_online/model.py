@@ -1,7 +1,9 @@
 """Core vocabulary: hypotheses, perturbation maps, version spaces.
 
 Instances and labels are dense integer ids.  A hypothesis is a total
-lookup table over the instance space.  A perturbation map sends each
+lookup table over the instance space, and a class holds only its
+tables: every reader here takes them directly, and a Hypothesis object
+is made only when a caller asks for one.  A perturbation map sends each
 instance to the set of inputs an adversary may present in its place.
 Version spaces are bitmasks over the hypothesis ids of a parent class,
 so restriction is a single AND against a precomputed consistency mask.
@@ -41,9 +43,14 @@ class Hypothesis:
 
 @dataclass(frozen=True)
 class HypothesisClass:
-    """A nonempty finite set of hypotheses over a shared instance space."""
+    """A nonempty finite set of hypotheses over a shared instance space.
 
-    hypotheses: tuple[Hypothesis, ...]
+    tables[i] is hypothesis i's label per instance.  The tables are the
+    class's data; a Hypothesis object is made only when one is asked for
+    (by iteration, indexing or `hypotheses`) and is not kept.
+    """
+
+    tables: tuple[tuple[Label, ...], ...]
     instance_count: int
     label_count: int
     # compiled per-map data, see compiled(); never compared, hashed or printed
@@ -56,7 +63,7 @@ class HypothesisClass:
         Ids are assigned densely in table order.  A repeated table is a
         DomainError, as it is in a scenario file.
         """
-        tables = [tuple(t) for t in tables]
+        tables = tuple(tuple(t) for t in tables)
         if not tables:
             raise DomainError("a hypothesis class must be nonempty")
         widths = {len(t) for t in tables}
@@ -73,20 +80,22 @@ class HypothesisClass:
             if t in seen:
                 raise DomainError(f"hypothesis table {t} appears more than once")
             seen.add(t)
-        hyps = tuple(
-            Hypothesis(i, t, label_count) for i, t in enumerate(tables)
-        )
-        return cls(hyps, instance_count, label_count)
+        return cls(tables, instance_count, label_count)
 
     @property
     def size(self) -> int:
-        return len(self.hypotheses)
+        return len(self.tables)
+
+    @property
+    def hypotheses(self) -> tuple[Hypothesis, ...]:
+        return tuple(self)
 
     def __iter__(self):
-        return iter(self.hypotheses)
+        return map(Hypothesis, itertools.count(), self.tables, itertools.repeat(self.label_count))
 
     def __getitem__(self, i: int) -> Hypothesis:
-        return self.hypotheses[i]
+        i = range(self.size)[i]  # a negative index counts from the end, as on a tuple
+        return Hypothesis(i, self.tables[i], self.label_count)
 
 
 def full_class(instance_count: int, label_count: int = 2) -> HypothesisClass:
@@ -177,9 +186,10 @@ def _build_masks(hc: HypothesisClass, u: PerturbationMap):
         raise DomainError("hypothesis class and perturbation map cover different spaces")
     # point[z][y]: the hypotheses that label z with y
     point = [[0] * hc.label_count for _ in range(hc.instance_count)]
-    for h in hc:
-        for z, y in enumerate(h.table):
-            point[z][y] |= 1 << h.id
+    for i, table in enumerate(hc.tables):
+        bit = 1 << i
+        for z, y in enumerate(table):
+            point[z][y] |= bit
     # (x, y) keeps the hypotheses labelling every z in U(x) with y; an
     # empty U(x) keeps them all
     full = (1 << hc.size) - 1
@@ -198,10 +208,11 @@ def _build_masks(hc: HypothesisClass, u: PerturbationMap):
 def game_nodes(hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False):
     """(pair, labels, mask0, mask1) for every orientation-game node.
 
-    A node is a compatible instance pair with one label per side: (0, 1)
-    in binary mode, any two distinct labels in multiclass mode.  Side i
-    keeps mask_i.  The order is lexicographic in (pair, labels); witness
-    extraction and the searches' tie-breaks rely on it.
+    A node is a compatible instance pair (perturbation sets that
+    intersect) with one label per side: (0, 1) in binary mode, any two
+    distinct labels in multiclass mode.  Side i keeps mask_i.  The order
+    is lexicographic in (pair, labels); witness extraction and the
+    searches' tie-breaks rely on it.
     """
     return compiled(hc, u, _build_nodes, multiclass)
 
@@ -212,10 +223,15 @@ def _build_nodes(hc: HypothesisClass, u: PerturbationMap, multiclass: bool):
     if multiclass:
         n = hc.label_count
         label_pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    fwd = u.forward
+    # the compatible pairs in lexicographic order; nodes share the pair tuples
+    pairs = [
+        (x0, x1) for x0, s0 in enumerate(fwd) for x1, s1 in enumerate(fwd) if not s0.isdisjoint(s1)
+    ]
     return tuple(
-        ((x0, x1), (y0, y1), masks[x0][y0], masks[x1][y1])
-        for (x0, x1) in sorted(compatible_pairs(u))
-        for (y0, y1) in label_pairs
+        (pair, labels, masks[pair[0]][labels[0]], masks[pair[1]][labels[1]])
+        for pair in pairs
+        for labels in label_pairs
     )
 
 
@@ -269,19 +285,3 @@ def _pair_mask(masks, hc: HypothesisClass, x: Instance, y: Label) -> int:
     if not 0 <= y < hc.label_count:
         raise DomainError(f"label id {y} outside [0, {hc.label_count})")
     return masks[x][y]
-
-
-def compatible_pairs(u: PerturbationMap) -> set[tuple[Instance, Instance]]:
-    """Ordered instance pairs whose perturbation sets intersect.
-
-    These are exactly the pairs an orientation-game adversary may present,
-    and the node alphabet of shattered trees.  Symmetric by construction;
-    (x, x) appears iff U(x) is nonempty.
-    """
-    n = u.instance_count
-    return {
-        (a, b)
-        for a in range(n)
-        for b in range(n)
-        if not u.forward[a].isdisjoint(u.forward[b])
-    }

@@ -5,17 +5,15 @@ the game protocol, with the adversary restricted to realizability-
 preserving reveals and the learner ranging over all labels.
 
 States are version-space bitmasks.  Each adversary move is compiled once
-into a tuple of distinct (mask, label) reveals: a robust move z holds
-(masks[x][y], y) for every x with z in U(x) and every label y, and an
-orientation node holds its two sides.  A reveal with mask 0 is never
+into a sorted tuple of distinct (mask, label) reveals: a robust move z
+holds (masks[x][y], y) for every x with z in U(x) and every label y, and
+an orientation node holds its two sides.  A reveal with mask 0 is never
 legal and one with the full class's mask never shrinks a state, so both
 are dropped, and so are moves left empty; equal moves are kept once.
 Robust inputs with the same reveal set thus share one move, and so do
 the mirrored multiclass nodes ((x0, x1), (a, b)) and ((x1, x0), (b, a)).
-The raw moves are deduped before they are filtered and sorted: robust
-inputs by their preimage set U^-1(z), which fixes the move, and nodes by
-their unordered pair of sides, which collapses mirrored nodes.  Dropping
-a copy of a raw move drops nothing from the set of moves.
+The sides of a node are disjoint, so an orientation move is its one or
+two kept sides in order, with no set to dedupe them.
 
 One memoized recursion serves the unbounded game (children valued
 unbounded) and the horizon-capped game (children valued at one round
@@ -54,9 +52,14 @@ from state V (Littlestone, 1988):
 - Realizable reveals never empty V, so after k mistakes
   1 <= |V| / 2^k.
 
-A capped game also loses at most one mistake per round.  So a state's
-move loop stops once its best move reaches min(floor(log2 |V|), horizon):
-no later move can be worth more, and the stored value is still exact.
+A capped game also loses at most one mistake per round, and no capped
+value exceeds the unbounded one: v(V, 0) = 0 <= v(V), and v(V, h) is
+the Bellman equation of v(V) with every child valued at h - 1 instead
+of unbounded, so v(V, h) <= v(V) follows by induction on h, since the
+equation is monotone in its children's values.  So a state's move loop
+stops once its best move reaches min(floor(log2 |V|), horizon, v(V)),
+the last when the unbounded memo holds V: no later move can be worth
+more, and the stored value is still exact.
 """
 
 from collections import defaultdict
@@ -93,19 +96,27 @@ class MinimaxSolver:
         if not multiclass and hc.label_count != 2:
             raise DomainError("binary mode requires exactly two labels")
         masks = consistency_masks(hc, u)
+        full = (1 << hc.size) - 1
         if game == "robust":
-            raw = [
-                [(masks[x][y], y) for x in pre for y in range(hc.label_count)]
-                for pre in set(u.preimage)
-            ]
+            kept = [[(m, y) for y, m in enumerate(row) if m and m != full] for row in masks]
+            # input z's raw move: the kept reveals of every x with z in U(x)
+            raw = [[] for _ in masks]
+            for x, targets in enumerate(u.forward):
+                for z in targets:
+                    raw[z] += kept[x]
+            moves = {tuple(sorted(set(move))) for move in raw if move}
         else:
-            raw = set()
+            moves = set()
+            # the sides of a node are disjoint, so two kept sides differ
             for _, (y0, y1), m0, m1 in game_nodes(hc, u, multiclass):
                 a, b = (m0, y0), (m1, y1)
-                raw.add((a, b) if a < b else (b, a))
-        full = (1 << hc.size) - 1
-        moves = {tuple(sorted({(m, y) for m, y in move if m and m != full})) for move in raw}
-        moves.discard(())
+                if m0 and m0 != full:
+                    if m1 and m1 != full:
+                        moves.add((a, b) if a < b else (b, a))
+                    else:
+                        moves.add((a,))
+                elif m1 and m1 != full:
+                    moves.add((b,))
         self.moves = tuple(sorted(moves))
         self.memos: defaultdict[int | None, dict[int, int]] = defaultdict(dict)
 
@@ -122,7 +133,8 @@ class MinimaxSolver:
         cap = mask.bit_count().bit_length() - 1
         child = None
         if horizon is not None:
-            cap = min(cap, horizon)
+            # no capped value exceeds the unbounded one (module docstring)
+            cap = min(cap, horizon, self.memos[None].get(mask, cap))
             child = horizon - 1
         best = 0
         if cap > 0:

@@ -31,16 +31,18 @@ given twice keeps its last value:
 
     protocol     robust; or orientation
     horizon      10; a positive integer, at most MAX_HORIZON (2**20)
-    seed         0; an integer
+    seed         0; an integer of at most MAX_DIGITS (4000) digits
     learner      optimal; or one of LEARNER_NAMES
     adversary    realizable; or tree, corrupted
-    corruptions  0; a nonnegative integer
+    corruptions  0; a nonnegative integer of at most MAX_DIGITS digits
 
 Parsing is total: it always returns every positioned error it can find
-instead of stopping at the first.  The text is a str; the CLI decodes
+instead of stopping at the first.  A message quotes at most the first 20
+characters of a value.  The text is a str; the CLI decodes
 files as UTF-8 and drops a leading byte-order mark.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -62,6 +64,12 @@ DEFAULT_LABELS = ("0", "1")
 # the longest game a scenario or a CLI flag may ask for: every round is
 # stored, so a longer horizon would only exhaust memory or time
 MAX_HORIZON = 2**20
+# the most digits an integer value may have: int() and str() refuse more
+# than 4,300, and a seed leaves room for the digits derived seeds append
+MAX_DIGITS = 4000
+# what int() reads, less the blanks around it
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
+_HEADERS = ("SPACES", "HYPOTHESES", "PERTURBATIONS", "GAME")
 
 
 @dataclass(frozen=True)
@@ -115,64 +123,92 @@ class Scenario:
         )
 
 
-def _logical_lines(text: str):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].rstrip()
-        if line:
-            yield i, line
+def _is_name(text: str) -> bool:
+    """Whether _NAME matches text; an ASCII identifier needs no regex."""
+    return text.isascii() and (text.isidentifier() or _NAME.match(text) is not None)
+
+
+def read_int(text: str):
+    """int(text), None for a non-integer, or a signed infinity for an integer
+    of more than MAX_DIGITS digits, which int() is never asked to read."""
+    if len(text) > MAX_DIGITS:
+        body = text.strip()
+        if _INTEGER.fullmatch(body) is None:
+            return None
+        if len(body.lstrip("+-").replace("_", "")) > MAX_DIGITS:
+            return -math.inf if body[0] == "-" else math.inf
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def shorten(text: str) -> str:
+    """text, or its first 20 characters and its length: a value fit for a message."""
+    return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
 
 
 def try_parse_scenario(text: str):
-    """(scenario or None, positioned errors).  Never raises on bad input."""
+    """(scenario or None, positioned errors).  Never raises on bad input.
+
+    One scan files the lines under their sections; each section is then
+    read in turn, and the class is built from the checked rows.
+    """
     errors: list[ParseError] = []
 
     def err(line, column, message):
         errors.append(ParseError(line, column, message))
 
-    # First pass: split into sections.
-    sections = []  # (header word, header arg, header line, [(line, key, value, col)])
+    # (header word, header arg, header line, [(line, key, unstripped value, col)])
+    sections = []
     first = {}  # header word -> its first section
-    current = None
-    for ln, line in _logical_lines(text):
-        stripped = line.lstrip()
-        parts = stripped.split(None, 1)
-        word = parts[0]
-        if word in ("SPACES", "HYPOTHESES", "PERTURBATIONS", "GAME"):
-            arg = parts[1] if len(parts) > 1 else ""
-            if word == "PERTURBATIONS":
-                if not arg:
-                    arg = f"u{sum(1 for s in sections if s[0] == 'PERTURBATIONS')}"
-                elif not _NAME.match(arg):
-                    err(ln, len(word) + 2, f"bad perturbation name {arg!r}")
-            elif arg:
-                err(ln, len(word) + 2, f"section {word} takes no argument")
-                arg = ""
-            current = (word, arg, ln, [])
-            sections.append(current)
-            first.setdefault(word, current)
+    rows = None
+    perturbations = 0  # PERTURBATIONS sections so far; an unnamed one is u<count>
+    lines = text.splitlines()
+    bare = [line.partition("#")[0] for line in lines] if "#" in text else lines
+    for ln, line in enumerate(bare, start=1):
+        stripped = line.strip()
+        if not stripped:
             continue
+        if stripped.startswith(_HEADERS):
+            word, *rest = stripped.split(None, 1)
+            if word in _HEADERS:
+                arg = rest[0] if rest else ""
+                if word == "PERTURBATIONS":
+                    if not arg:
+                        arg = f"u{perturbations}"
+                    elif not _is_name(arg):
+                        err(ln, len(word) + 2, f"bad perturbation name {arg!r}")
+                    perturbations += 1
+                elif arg:
+                    err(ln, len(word) + 2, f"section {word} takes no argument")
+                    arg = ""
+                rows = []
+                sections.append((word, arg, ln, rows))
+                first.setdefault(word, sections[-1])
+                continue
         key, colon, value = stripped.partition(":")
         if not colon:
             err(ln, 1, f"expected 'key: values', got {stripped!r}")
             continue
         key = key.rstrip()
         # the key starts right after the line's leading blanks
-        col = len(line) - len(stripped) + 1 if key else 1
-        if current is None:
+        col = len(line) - len(line.lstrip()) + 1 if key and line[0].isspace() else 1
+        if rows is None:
             err(ln, col, f"entry {key!r} appears before any section header")
             continue
-        current[3].append((ln, key, value.strip(), col))
+        rows.append((ln, key, value, col))
 
     for word in ("SPACES", "HYPOTHESES", "PERTURBATIONS"):
         if word not in first:
-            err(len(text.splitlines()) or 1, 1, f"missing {word} section")
+            err(len(lines) or 1, 1, f"missing {word} section")
     for word in ("SPACES", "HYPOTHESES", "GAME"):
         again = [s for s in sections if s[0] == word][1:]
         if again:
             err(again[0][2], 1, f"duplicate {word} section")
 
     def entries(word):
-        return first[word][3] if word in first else []
+        return first[word][3] if word in first else ()
 
     # SPACES
     instance_names: tuple[str, ...] = ()
@@ -182,7 +218,7 @@ def try_parse_scenario(text: str):
         if key not in ("instances", "labels"):
             err(ln, col, f"unknown SPACES entry {key!r}")
             continue
-        bad = [n for n in names if not _NAME.match(n)]
+        bad = [n for n in names if not _is_name(n)]
         if bad:
             err(ln, col, f"bad {key} name {bad[0]!r}")
             continue
@@ -200,8 +236,9 @@ def try_parse_scenario(text: str):
     if not instance_names and "SPACES" in first:
         err(first["SPACES"][2], 1, "SPACES must declare instances")
 
-    label_of = {n: i for i, n in enumerate(label_names)}
-    instance_of = {n: i for i, n in enumerate(instance_names)}
+    n = len(instance_names)
+    label_of = {name: i for i, name in enumerate(label_names)}
+    instance_of = {name: i for i, name in enumerate(instance_names)}
 
     # HYPOTHESES
     hyp_names: list[str] = []
@@ -210,17 +247,12 @@ def try_parse_scenario(text: str):
     for ln, key, value, col in entries("HYPOTHESES"):
         cells = value.split()
         row = tuple(map(label_of.get, cells))
-        if not _NAME.match(key):
+        if not _is_name(key):
             err(ln, col, f"bad hypothesis name {key!r}")
         elif key in seen_names:
             err(ln, col, f"duplicate hypothesis name {key!r}")
-        elif instance_names and len(cells) != len(instance_names):
-            err(
-                ln,
-                col,
-                f"hypothesis {key!r} has {len(cells)} labels for "
-                f"{len(instance_names)} instances",
-            )
+        elif n and len(cells) != n:
+            err(ln, col, f"hypothesis {key!r} has {len(cells)} labels for {n} instances")
         elif None in row:
             err(ln, col, f"hypothesis {key!r} uses unknown label {cells[row.index(None)]!r}")
         else:
@@ -230,18 +262,14 @@ def try_parse_scenario(text: str):
     if not tables and "HYPOTHESES" in first:
         err(first["HYPOTHESES"][2], 1, "HYPOTHESES must declare at least one hypothesis")
     if len(set(tables)) != len(tables):
-        first_row: dict[tuple[int, ...], str] = {}
-        dup = next(
-            name
-            for name, table in zip(hyp_names, tables)
-            if first_row.setdefault(table, name) != name
-        )
+        owner: dict[tuple[int, ...], str] = {}
+        dup = next(h for h, t in zip(hyp_names, tables) if owner.setdefault(t, h) != h)
         err(first["HYPOTHESES"][2], 1, f"hypothesis {dup!r} duplicates another row's table")
 
     # PERTURBATIONS (possibly several)
     pert_names: list[str] = []
     pert_maps: list[PerturbationMap] = []
-    for word, arg, hln, rows in sections:
+    for word, arg, hln, section_rows in sections:
         if word != "PERTURBATIONS":
             continue
         if arg in pert_names:
@@ -249,7 +277,7 @@ def try_parse_scenario(text: str):
             continue
         errors_before = len(errors)
         sets: dict[int, frozenset] = {}
-        for ln, key, value, col in rows:
+        for ln, key, value, col in section_rows:
             x = instance_of.get(key)
             targets = value.split()
             if targets == ["-"]:
@@ -265,19 +293,18 @@ def try_parse_scenario(text: str):
                 if None in sets[x]:
                     bad_target = next(t for t in targets if t not in instance_of)
                     err(ln, col, f"out-of-range target {bad_target!r} in U({key})")
-        missing = [n for n, i in instance_of.items() if i not in sets]
-        if missing:
-            err(hln, 1, f"section {arg!r} has no row for instance {missing[0]!r}")
-        if len(errors) == errors_before and instance_names:
+        if len(sets) < n:
+            missing = next(name for name, i in instance_of.items() if i not in sets)
+            err(hln, 1, f"section {arg!r} has no row for instance {missing!r}")
+        if len(errors) == errors_before and n:
             pert_names.append(arg)
-            pert_maps.append(
-                PerturbationMap(tuple(sets[i] for i in range(len(instance_names))))
-            )
+            pert_maps.append(PerturbationMap(tuple(sets[i] for i in range(n))))
 
     # GAME
     values = {}
     truth_name = pert_names[0] if pert_names else ""
     for ln, key, value, col in entries("GAME"):
+        value = value.strip()
         if key in _CHOICES:
             if value in _CHOICES[key]:
                 values[key] = value
@@ -289,35 +316,35 @@ def try_parse_scenario(text: str):
             else:
                 truth_name = value
         elif key in ("horizon", "seed", "corruptions"):
-            try:
-                n = int(value)
-            except ValueError:
-                err(ln, col, f"{key} must be an integer, got {value!r}")
-                continue
-            if key == "horizon" and n <= 0:
+            number = read_int(value)
+            if number is None:
+                err(ln, col, f"{key} must be an integer, got {shorten(value)!r}")
+            elif key == "horizon" and number <= 0:
                 err(ln, col, "horizon must be positive")
-            elif key == "horizon" and n > MAX_HORIZON:
+            elif key == "horizon" and number > MAX_HORIZON:
                 err(ln, col, f"horizon must be at most {MAX_HORIZON}")
-            elif key == "corruptions" and n < 0:
+            elif key == "corruptions" and number < 0:
                 err(ln, col, "corruptions must be nonnegative")
+            elif isinstance(number, float):
+                err(ln, col, f"{key} must have at most {MAX_DIGITS} digits")
             else:
-                values[key] = n
+                values[key] = number
         else:
             err(ln, col, f"unknown GAME entry {key!r}")
 
     if errors:
         return None, errors
-    scenario = Scenario(
+    return Scenario(
         instance_names=instance_names,
         label_names=label_names,
         hypothesis_names=tuple(hyp_names),
-        hypotheses=HypothesisClass.from_tables(tables, len(label_names)),
+        # the rows are checked above: distinct, n wide, labels in range
+        hypotheses=HypothesisClass(tuple(tables), n, len(label_names)),
         perturbation_names=tuple(pert_names),
         perturbations=tuple(pert_maps),
         truth_name=truth_name,
         game=GameConfig(**values),
-    )
-    return scenario, []
+    ), []
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -334,8 +361,8 @@ def serialize_scenario(sc: Scenario) -> str:
     if sc.label_names != DEFAULT_LABELS:
         out.append("labels: " + " ".join(sc.label_names))
     out.append("HYPOTHESES")
-    for name, h in zip(sc.hypothesis_names, sc.hypotheses):
-        out.append(f"{name}: " + " ".join(sc.label_names[y] for y in h.table))
+    for name, table in zip(sc.hypothesis_names, sc.hypotheses.tables):
+        out.append(f"{name}: " + " ".join(sc.label_names[y] for y in table))
     for name, u in zip(sc.perturbation_names, sc.perturbations):
         out.append(f"PERTURBATIONS {name}")
         for x, xname in enumerate(sc.instance_names):

@@ -20,7 +20,11 @@ call per row, the loop the generator's block draws stand for.  The
 worst-case walk of the optimal learners has a plain search over reveal
 sequences, replayed on fresh learner objects.  The transcript reader,
 the inverse of `runner.transcript_to_json`, lives here too: no command
-reads a transcript back, and the round-trip tests do.
+reads a transcript back, and the round-trip tests do.  So does the set of
+compatible pairs, which the package reads only as the node list of
+`model.game_nodes`, and so does the scenario parser as it was before it
+read a file in one scan (the mutation property checks the package's
+parser against it).
 """
 
 import copy
@@ -33,16 +37,41 @@ import numpy as np
 
 from robust_online import (
     Hypothesis,
+    HypothesisClass,
     OrientationQuery,
     PerturbationMap,
     RobustReductionLearner,
     SoaOrientationLearner,
-    compatible_pairs,
     lazy_wrap,
 )
 from robust_online.errors import DomainError, ProtocolViolation, SearchInvariantError
 from robust_online.model import consistency_masks, surviving_mask
 from robust_online.runner import GameTranscript, OrientationRound, RobustRound
+from robust_online.scenario import (
+    _CHOICES,
+    _NAME,
+    DEFAULT_LABELS,
+    MAX_HORIZON,
+    GameConfig,
+    ParseError,
+    Scenario,
+)
+
+
+def compatible_pairs(u: PerturbationMap) -> set[tuple[int, int]]:
+    """Ordered instance pairs whose perturbation sets intersect.
+
+    These are exactly the pairs an orientation-game adversary may present,
+    and the node alphabet of shattered trees.  Symmetric by construction;
+    (x, x) appears iff U(x) is nonempty.
+    """
+    n = u.instance_count
+    return {
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if not u.forward[a].isdisjoint(u.forward[b])
+    }
 
 
 def empty_map(n: int) -> PerturbationMap:
@@ -453,3 +482,209 @@ def transcript_from_json(text: str) -> GameTranscript:
         if key in data
     }
     return GameTranscript(protocol=protocol, rounds=rounds, **top)
+
+
+def _logical_lines(text: str):
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].rstrip()
+        if line:
+            yield i, line
+
+
+def try_parse_scenario(text: str):
+    """(scenario or None, positioned errors).  Never raises on bad input."""
+    errors: list[ParseError] = []
+
+    def err(line, column, message):
+        errors.append(ParseError(line, column, message))
+
+    # First pass: split into sections.
+    sections = []  # (header word, header arg, header line, [(line, key, value, col)])
+    first = {}  # header word -> its first section
+    current = None
+    for ln, line in _logical_lines(text):
+        stripped = line.lstrip()
+        parts = stripped.split(None, 1)
+        word = parts[0]
+        if word in ("SPACES", "HYPOTHESES", "PERTURBATIONS", "GAME"):
+            arg = parts[1] if len(parts) > 1 else ""
+            if word == "PERTURBATIONS":
+                if not arg:
+                    arg = f"u{sum(1 for s in sections if s[0] == 'PERTURBATIONS')}"
+                elif not _NAME.match(arg):
+                    err(ln, len(word) + 2, f"bad perturbation name {arg!r}")
+            elif arg:
+                err(ln, len(word) + 2, f"section {word} takes no argument")
+                arg = ""
+            current = (word, arg, ln, [])
+            sections.append(current)
+            first.setdefault(word, current)
+            continue
+        key, colon, value = stripped.partition(":")
+        if not colon:
+            err(ln, 1, f"expected 'key: values', got {stripped!r}")
+            continue
+        key = key.rstrip()
+        # the key starts right after the line's leading blanks
+        col = len(line) - len(stripped) + 1 if key else 1
+        if current is None:
+            err(ln, col, f"entry {key!r} appears before any section header")
+            continue
+        current[3].append((ln, key, value.strip(), col))
+
+    for word in ("SPACES", "HYPOTHESES", "PERTURBATIONS"):
+        if word not in first:
+            err(len(text.splitlines()) or 1, 1, f"missing {word} section")
+    for word in ("SPACES", "HYPOTHESES", "GAME"):
+        again = [s for s in sections if s[0] == word][1:]
+        if again:
+            err(again[0][2], 1, f"duplicate {word} section")
+
+    def entries(word):
+        return first[word][3] if word in first else []
+
+    # SPACES
+    instance_names: tuple[str, ...] = ()
+    label_names: tuple[str, ...] = DEFAULT_LABELS
+    for ln, key, value, col in entries("SPACES"):
+        names = tuple(value.split())
+        if key not in ("instances", "labels"):
+            err(ln, col, f"unknown SPACES entry {key!r}")
+            continue
+        bad = [n for n in names if not _NAME.match(n)]
+        if bad:
+            err(ln, col, f"bad {key} name {bad[0]!r}")
+            continue
+        if len(set(names)) != len(names):
+            dup = next(n for i, n in enumerate(names) if n in names[:i])
+            err(ln, col, f"duplicate {key} name {dup!r}")
+            continue
+        if key == "instances":
+            instance_names = names
+        else:
+            if len(names) < 2:
+                err(ln, col, "need at least two labels")
+                continue
+            label_names = names
+    if not instance_names and "SPACES" in first:
+        err(first["SPACES"][2], 1, "SPACES must declare instances")
+
+    label_of = {n: i for i, n in enumerate(label_names)}
+    instance_of = {n: i for i, n in enumerate(instance_names)}
+
+    # HYPOTHESES
+    hyp_names: list[str] = []
+    seen_names: set[str] = set()
+    tables: list[tuple[int, ...]] = []
+    for ln, key, value, col in entries("HYPOTHESES"):
+        cells = value.split()
+        row = tuple(map(label_of.get, cells))
+        if not _NAME.match(key):
+            err(ln, col, f"bad hypothesis name {key!r}")
+        elif key in seen_names:
+            err(ln, col, f"duplicate hypothesis name {key!r}")
+        elif instance_names and len(cells) != len(instance_names):
+            err(
+                ln,
+                col,
+                f"hypothesis {key!r} has {len(cells)} labels for "
+                f"{len(instance_names)} instances",
+            )
+        elif None in row:
+            err(ln, col, f"hypothesis {key!r} uses unknown label {cells[row.index(None)]!r}")
+        else:
+            hyp_names.append(key)
+            seen_names.add(key)
+            tables.append(row)
+    if not tables and "HYPOTHESES" in first:
+        err(first["HYPOTHESES"][2], 1, "HYPOTHESES must declare at least one hypothesis")
+    if len(set(tables)) != len(tables):
+        first_row: dict[tuple[int, ...], str] = {}
+        dup = next(
+            name
+            for name, table in zip(hyp_names, tables)
+            if first_row.setdefault(table, name) != name
+        )
+        err(first["HYPOTHESES"][2], 1, f"hypothesis {dup!r} duplicates another row's table")
+
+    # PERTURBATIONS (possibly several)
+    pert_names: list[str] = []
+    pert_maps: list[PerturbationMap] = []
+    for word, arg, hln, rows in sections:
+        if word != "PERTURBATIONS":
+            continue
+        if arg in pert_names:
+            err(hln, 1, f"duplicate perturbation section {arg!r}")
+            continue
+        errors_before = len(errors)
+        sets: dict[int, frozenset] = {}
+        for ln, key, value, col in rows:
+            x = instance_of.get(key)
+            targets = value.split()
+            if targets == ["-"]:
+                targets = []
+            if x is None:
+                err(ln, col, f"unknown instance {key!r}")
+            elif x in sets:
+                err(ln, col, f"instance {key!r} listed twice")
+            else:
+                # Keep the row even when a target is bad, so a malformed
+                # row is not also reported as missing.
+                sets[x] = frozenset(map(instance_of.get, targets))
+                if None in sets[x]:
+                    bad_target = next(t for t in targets if t not in instance_of)
+                    err(ln, col, f"out-of-range target {bad_target!r} in U({key})")
+        missing = [n for n, i in instance_of.items() if i not in sets]
+        if missing:
+            err(hln, 1, f"section {arg!r} has no row for instance {missing[0]!r}")
+        if len(errors) == errors_before and instance_names:
+            pert_names.append(arg)
+            pert_maps.append(
+                PerturbationMap(tuple(sets[i] for i in range(len(instance_names))))
+            )
+
+    # GAME
+    values = {}
+    truth_name = pert_names[0] if pert_names else ""
+    for ln, key, value, col in entries("GAME"):
+        if key in _CHOICES:
+            if value in _CHOICES[key]:
+                values[key] = value
+            else:
+                err(ln, col, f"unknown {key} {value!r}; choose from {_CHOICES[key]}")
+        elif key == "truth":
+            if pert_names and value not in pert_names:
+                err(ln, col, f"truth {value!r} names no PERTURBATIONS section")
+            else:
+                truth_name = value
+        elif key in ("horizon", "seed", "corruptions"):
+            try:
+                n = int(value)
+            except ValueError:
+                err(ln, col, f"{key} must be an integer, got {value!r}")
+                continue
+            if key == "horizon" and n <= 0:
+                err(ln, col, "horizon must be positive")
+            elif key == "horizon" and n > MAX_HORIZON:
+                err(ln, col, f"horizon must be at most {MAX_HORIZON}")
+            elif key == "corruptions" and n < 0:
+                err(ln, col, "corruptions must be nonnegative")
+            else:
+                values[key] = n
+        else:
+            err(ln, col, f"unknown GAME entry {key!r}")
+
+    if errors:
+        return None, errors
+    scenario = Scenario(
+        instance_names=instance_names,
+        label_names=label_names,
+        hypothesis_names=tuple(hyp_names),
+        hypotheses=HypothesisClass.from_tables(tables, len(label_names)),
+        perturbation_names=tuple(pert_names),
+        perturbations=tuple(pert_maps),
+        truth_name=truth_name,
+        game=GameConfig(**values),
+    )
+    return scenario, []
+

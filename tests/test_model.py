@@ -10,16 +10,17 @@ from robust_online import (
     HypothesisClass,
     PerturbationMap,
     VersionSpace,
-    compatible_pairs,
+    adversarial_dimension,
     full_class,
     identity_map,
+    parse_scenario,
     restrict,
     total_map,
 )
 from robust_online.errors import DomainError
 from robust_online.model import surviving_mask
 
-from reference import adversarial_loss, empty_map, is_realizable_sequence
+from reference import adversarial_loss, compatible_pairs, empty_map, is_realizable_sequence
 
 
 def two_point_overlap():
@@ -220,6 +221,36 @@ def test_hypothesis_is_slotted():
     h = full_class(2)[1]
     assert Hypothesis.__slots__ == ("id", "table", "label_count")
     assert not hasattr(h, "__dict__")
+
+
+def _held_objects(hc):
+    """Everything hc's fields reach through tuples, lists, dicts and sets."""
+    stack, seen = list(vars(hc).values()), []
+    while stack:
+        obj = stack.pop()
+        seen.append(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+    return seen
+
+
+def test_a_parsed_class_holds_its_tables_and_no_hypothesis_objects():
+    sc = parse_scenario(
+        "SPACES\ninstances: a b\nHYPOTHESES\nh0: 0 1\nh1: 1 1\nPERTURBATIONS main\na: a b\nb: b\n"
+    )
+    hc = sc.hypotheses
+    assert hc.tables == ((0, 1), (1, 1))
+    # Hypothesis objects are made on demand, and none is kept
+    assert list(hc) == list(hc.hypotheses) == [hc[0], hc[1]]
+    adversarial_dimension(hc, sc.truth)
+    assert not any(isinstance(obj, Hypothesis) for obj in _held_objects(hc))
+    for i in range(-hc.size, hc.size):
+        assert hc[i] == Hypothesis(i % hc.size, hc.tables[i], hc.label_count)
+    with pytest.raises(IndexError):
+        hc[hc.size]
 
 
 def test_full_class_size():

@@ -51,7 +51,6 @@ from robust_online import (
     adversarial_dimension,
     classic_littlestone_dimension,
     comparator_loss,
-    compatible_pairs,
     corrupt_labels,
     decomposition_gap,
     derive_rng,
@@ -62,6 +61,7 @@ from robust_online import (
     family_loss_budget,
     full_class,
     generate_corpus,
+    generate_family_scenarios,
     horizon_rate,
     identity_map,
     is_shattered,
@@ -79,6 +79,7 @@ from robust_online import (
     run_game,
     serialize_scenario,
     total_map,
+    try_parse_scenario,
     witness_tree,
     worst_case_mistakes,
 )
@@ -99,6 +100,7 @@ from reference import (
     adversarial_loss,
     agnostic_learner,
     build_family_experts,
+    compatible_pairs,
     enumerated_expected_mistakes,
     expert_matrices,
     one_row_per_call_tables,
@@ -106,6 +108,7 @@ from reference import (
     plain_worst_case,
     stepwise_ewa,
 )
+from reference import try_parse_scenario as reference_parse
 from robust_online.scenario import _random_tables
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -344,6 +347,13 @@ def test_pruned_search_matches_the_plain_recursion(game, multiclass):
         plain_witness(nodes, dim, full, depth), depth
     )
     engine = get_engine(hc, u, multiclass)
+    # the search runs over the first node of each unordered pair of nonempty sides
+    firsts = {}
+    for node in nodes:
+        if node[2] and node[3]:
+            firsts.setdefault(frozenset(node[2:]), node)
+    assert engine.nodes == nodes
+    assert engine.splits == tuple(firsts.values())
     # every value the pruned search stored is exact ...
     for mask, value in engine._memo.items():
         assert value == dim(mask)
@@ -502,9 +512,25 @@ def test_oracle_moves_match_the_per_input_and_per_node_table(game, multiclass):
     hc, u = game
     multiclass = multiclass or hc.label_count > 2
     for name in ("robust", "orientation"):
-        assert MinimaxSolver(hc, u, name, multiclass).moves == (
-            reference_moves(hc, u, name, multiclass)
-        )
+        moves = MinimaxSolver(hc, u, name, multiclass).moves
+        assert moves == reference_moves(hc, u, name, multiclass)
+
+
+@PROPERTY
+@given(search_games(max_hypotheses=12), st.booleans())
+def test_capped_values_do_not_depend_on_a_filled_unbounded_memo(game, multiclass):
+    """A capped state's cap also reads the unbounded memo; that cut changes no value."""
+    hc, u = game
+    multiclass = multiclass or hc.label_count > 2
+    full = (1 << hc.size) - 1
+    for name in ("robust", "orientation"):
+        fresh = MinimaxSolver(hc, u, name, multiclass)
+        primed = MinimaxSolver(hc, u, name, multiclass)
+        primed.value(full)
+        for horizon in (1, 2, 3, 4):
+            assert primed.value(full, horizon) == fresh.value(full, horizon)
+            for mask, v in primed.memos[horizon].items():
+                assert v == fresh.value(mask, horizon)
 
 
 @PROPERTY
@@ -1147,6 +1173,112 @@ def scenarios(draw):
 @given(scenarios())
 def test_scenario_text_round_trips(sc):
     assert parse_scenario(serialize_scenario(sc)) == sc
+
+
+def _full_class_text(n):
+    hc, u = full_class(n), identity_map(n)
+    return serialize_scenario(
+        Scenario(
+            instance_names=tuple(f"x{i}" for i in range(n)),
+            label_names=("y0", "y1"),
+            hypothesis_names=tuple(f"h{i}" for i in range(hc.size)),
+            hypotheses=hc,
+            perturbation_names=("main",),
+            perturbations=(u,),
+            truth_name="main",
+        )
+    )
+
+
+# generated corpus (two and three labels), family and full_class texts
+BASE_TEXTS = tuple(
+    [serialize_scenario(sc) for sc in generate_corpus(CorpusParams(count=8, seed=3))]
+    + [
+        serialize_scenario(sc)
+        for sc in generate_corpus(CorpusParams(count=4, seed=4, label_count=3))
+    ]
+    + [serialize_scenario(sc) for sc in generate_family_scenarios(3, seed=5)]
+    + [_full_class_text(n) for n in (1, 2, 3)]
+)
+INSERTED_LINES = (
+    "SPACES",
+    "  HYPOTHESES",
+    "HYPOTHESES extra",
+    "PERTURBATIONS",
+    "PERTURBATIONS main",
+    "PERTURBATIONS u1",
+    "PERTURBATIONS 9x",
+    "GAME",
+    "instances: x0 x1",
+    "labels: y0 y1 y2",
+    "labels: y0",
+    "h0: y0 y1",
+    "h9: y1 y1 y0",
+    "x0: -",
+    "x1: x0 x7",
+    "  x2: x2 x2 # a note",
+    "protocol: orientation",
+    "truth: u1",
+    "truth: ghost",
+    "horizon: 0",
+    "horizon: 99999999999999999999",
+    "seed: -7",
+    "seed: 1.5",
+    "corruptions: -1",
+    "learner: majority",
+    "adversary: bogus",
+    "color: red",
+    "no colon here",
+    ": y0",
+    "# only a comment",
+    "",
+)
+EDIT_CHARACTERS = "xyh019:#- \t\r._\u00e9"
+
+
+@st.composite
+def mutated_texts(draw):
+    """A generated scenario text after one to four line-level mutations.
+
+    A mutation deletes, duplicates or swaps lines, inserts a header or a
+    key line, gives a line the key of another, drops a line's last value,
+    or inserts, deletes or replaces one character.  Every value stays
+    shorter than 20 characters, the width up to which messages quote a
+    value whole.
+    """
+    lines = draw(st.sampled_from(BASE_TEXTS)).split("\n")
+    ops = ("delete", "duplicate", "swap", "insert", "rekey", "drop", "edit")
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(ops))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        j = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "insert" or not lines:
+            lines.insert(i, draw(st.sampled_from(INSERTED_LINES)))
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "rekey":
+            lines[i] = lines[j].partition(":")[0] + ":" + lines[i].partition(":")[2]
+        elif op == "drop":
+            lines[i] = lines[i].rpartition(" ")[0]
+        else:
+            line = lines[i]
+            k = draw(st.integers(0, len(line)))
+            kind = draw(st.sampled_from(("insert", "delete", "replace")))
+            new = "" if kind == "delete" else draw(st.sampled_from(EDIT_CHARACTERS))
+            lines[i] = line[:k] + new + line[k + (kind != "insert") :]
+    return "\n".join(lines)
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(mutated_texts())
+@example(BASE_TEXTS[0])
+def test_parser_matches_the_reference_on_mutated_texts(text):
+    """The one-scan parser gives the reference parser's scenario and errors."""
+    assert try_parse_scenario(text) == reference_parse(text)
 
 
 @st.composite

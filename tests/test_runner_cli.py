@@ -616,6 +616,22 @@ f: f
         ),
         (("play", "{long}"), "horizon must be at most 1048576"),
         (("agnostic", "{long}"), "horizon must be at most 1048576"),
+        # integers past int()'s 4,300-digit limit are refused by their length
+        (("play", "{scn}", "--seed", "9" * 5000), "--seed: must have at most 4000 digits"),
+        (
+            ("play", "{scn}", "--horizon", "9" * 5000),
+            "--horizon: must be at most 1048576, got 99999999999999999999... (5000 characters)",
+        ),
+        (("oracle", "{scn}", "--horizon", "-" + "9" * 5000), "--horizon: must be at least 0"),
+        (
+            ("check", "--seed", "x" * 5000),
+            "--seed: expected an integer, got 'xxxxxxxxxxxxxxxxxxxx... (5000 characters)'",
+        ),
+        (("play", "{longseed}"), "seed must have at most 4000 digits"),
+        (
+            ("play", "{scn}", "--seed", "9" * 5000 + "_"),
+            "--seed: expected an integer, got '99999999999999999999... (5001 characters)'",
+        ),
     ],
 )
 def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):
@@ -627,9 +643,11 @@ def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):
         "dir": tmp_path,
         "raw": tmp_path / "raw.scn",
         "long": tmp_path / "long.scn",
+        "longseed": tmp_path / "longseed.scn",
     }
     paths["scn"].write_text(SCENARIO)
     paths["long"].write_text(SCENARIO.replace("horizon: 10", "horizon: 99999999999999999999"))
+    paths["longseed"].write_text(SCENARIO.replace("seed: 2", "seed: " + "9" * 5000))
     paths["big"].write_text(BIG_SCENARIO)
     paths["raw"].write_bytes(b"\xff\xfe\x00bad")
     out = run_cli(*(a.format(**paths) for a in args))

@@ -17,7 +17,7 @@ from robust_online import (
     try_parse_scenario,
 )
 from robust_online.errors import DomainError, ScenarioFormatError
-from robust_online.scenario import STRATA
+from robust_online.scenario import MAX_DIGITS, STRATA
 
 GOOD = """\
 # toy scenario
@@ -295,6 +295,43 @@ def _edit(old, new):
             ["line 10, column 1: unknown GAME entry 'color'"],
             id="unknown-game-entry",
         ),
+        # integers past int()'s 4,300-digit limit are refused by their length
+        pytest.param(
+            SMALL + "GAME\nseed: " + "9" * 5000 + "\n",
+            ["line 10, column 1: seed must have at most 4000 digits"],
+            id="seed-too-long",
+        ),
+        pytest.param(
+            SMALL + "GAME\nhorizon: " + "9" * 5000 + "\n",
+            ["line 10, column 1: horizon must be at most 1048576"],
+            id="horizon-past-the-digit-limit",
+        ),
+        pytest.param(
+            SMALL + "GAME\ncorruptions: " + "9" * 5000 + "\n",
+            ["line 10, column 1: corruptions must have at most 4000 digits"],
+            id="corruptions-too-long",
+        ),
+        pytest.param(
+            SMALL + "GAME\ncorruptions: -" + "9" * 5000 + "\n",
+            ["line 10, column 1: corruptions must be nonnegative"],
+            id="negative-corruptions-too-long",
+        ),
+        pytest.param(
+            SMALL + "GAME\nseed: 1" + "x" * 5000 + "\n",
+            [
+                "line 10, column 1: seed must be an integer, "
+                "got '1xxxxxxxxxxxxxxxxxxx... (5001 characters)'"
+            ],
+            id="long-non-integer",
+        ),
+        pytest.param(
+            SMALL + "GAME\nseed: _" + "9" * 5000 + "\n",
+            [
+                "line 10, column 1: seed must be an integer, "
+                "got '_9999999999999999999... (5001 characters)'"
+            ],
+            id="long-malformed-integer",
+        ),
     ],
 )
 def test_parser_messages(text, expected):
@@ -302,6 +339,13 @@ def test_parser_messages(text, expected):
     sc, errors = try_parse_scenario(text)
     assert sc is None
     assert [str(e) for e in errors] == expected
+
+
+def test_an_integer_of_max_digits_is_read():
+    seed = "-" + "9" * MAX_DIGITS
+    sc = parse_scenario(SMALL + f"GAME\nseed: {seed}\ncorruptions: +1_000\n")
+    assert sc.game.seed == int(seed)
+    assert sc.game.corruptions == 1000
 
 
 def test_repeated_table_in_a_large_class_is_named():
