@@ -58,7 +58,6 @@ from .learners import (
     OrientationQuery,
     RobustReductionLearner,
     SoaOrientationLearner,
-    lazy_wrap,
     make_learner,
     worst_case_mistakes,
 )

@@ -26,13 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversaries import corrupt_labels, realizable_robust_rounds, robust_anchors, tree_adversary
+from .adversaries import RobustChoices, corrupt_labels, realizable_robust_rounds, tree_adversary
 from .agnostic import decomposition_gap, expected_regret, random_label_regret_sample
 from .dimension import adversarial_dimension, classic_littlestone_dimension, get_engine, witness_tree
 from .errors import ProtocolViolation, SearchInvariantError
 from .forecaster import expected_mistakes, horizon_regret_bound, horizon_rate, weight_trajectory
 from .learners import LEARNER_NAMES, OPTIMAL, make_learner, worst_case_mistakes
-from .model import full_class, total_map
+from .model import compiled, full_class, total_map
 from .oracle import optimal_mistake_bound
 from .runner import run_game
 from .scenario import CorpusParams, generate_corpus, generate_family_scenarios
@@ -121,7 +121,7 @@ def _sub_seed(seed: int, criterion: int) -> int:
 
 
 def _robust_usable(hc, u) -> bool:
-    return any(robust_anchors(hc, u, h) for h in hc)
+    return any(compiled(hc, u, RobustChoices).masks)
 
 
 def criterion_1(scale: Scale, seed: int) -> CriterionResult:

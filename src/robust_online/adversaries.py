@@ -7,13 +7,14 @@ maintained by construction, because every root-to-node path of a shattered
 tree is realizable.
 
 The realizable generators pick a hypothesis and draw rounds that cost it
-nothing.  Each (class, map) keeps, per game, a table of every hypothesis's
-playable choices as integer codes, filled on first use (RobustChoices,
-OrientationChoices), so a call draws from a ready list and builds round
-objects only for the rounds it returns.  The draws are exactly those of a
-plain loop that lists the choices and makes one scalar rng.integers call
-per choice, so a seed gives the same rounds and leaves its generator at
-the same position.  The orientation generator draws a sequence's option
+nothing.  Each (class, map) keeps, per game, one choice table: the mask
+of hypotheses each choice code costs nothing, and every hypothesis's
+playable codes, filled on first use (RobustChoices, OrientationChoices).
+So a call draws from a ready list and builds round objects only for the
+rounds it returns.  The draws are exactly those of a plain loop that
+lists the choices and makes one scalar rng.integers call per choice, so
+a seed gives the same rounds and leaves its generator at the same
+position.  The orientation generator draws a sequence's option
 indices as one block of bounded integers; the robust generator, whose z
 bound depends on the anchor drawn, decodes both draws of every round
 from blocks of raw 32-bit words (seeding.BoundedDraws).
@@ -131,19 +132,20 @@ class ScriptedOrientationAdversary:
 class _Choices:
     """Integer codes of each hypothesis's playable choices in one game.
 
-    Codes are listed in increasing order: the order of robust_anchors, and
-    of game_nodes with side 0 first.  A hypothesis's codes are found on
-    first use and kept.
+    masks[c] holds the hypotheses for which choice code c costs nothing.
+    A hypothesis's codes are found on first use and kept, in increasing
+    order.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, masks: tuple[int, ...]):
+        self.masks = masks
         self._codes: list[tuple[int, ...] | None] = [None] * size
 
     def codes(self, h: int) -> tuple[int, ...]:
         """Codes of the choices that cost hypothesis id h nothing."""
         found = self._codes[h]
         if found is None:
-            found = self._codes[h] = tuple(self._playable(h))
+            found = self._codes[h] = tuple(c for c, m in enumerate(self.masks) if m >> h & 1)
         return found
 
     def first_playable(self, rng) -> tuple[int, ...]:
@@ -165,24 +167,22 @@ class _Choices:
 
 
 class RobustChoices(_Choices):
-    """Clean pairs (x, y), coded x * L + y for L labels, per hypothesis.
+    """Clean pairs (x, y), coded x * L + y for L labels.
 
-    Got through compiled(hc, u, RobustChoices).  perturbations[x] is U(x)
+    A pair is playable for h when U(x) is nonempty (the adversary must
+    present some perturbation of x) and h labels all of U(x) with y, so
+    its mask is consistency_masks[x][y], or 0 where U(x) is empty.  Got
+    through compiled(hc, u, RobustChoices).  perturbations[x] is U(x)
     sorted.
     """
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap):
-        super().__init__(hc.size)
-        self.masks = consistency_masks(hc, u)
         self.perturbations = tuple(tuple(sorted(s)) for s in u.forward)
-
-    def _playable(self, h: int):
-        L = len(self.masks[0])
-        for x, row in enumerate(self.masks):
-            if self.perturbations[x]:
-                for y, m in enumerate(row):
-                    if m >> h & 1:
-                        yield x * L + y
+        masks = consistency_masks(hc, u)
+        super().__init__(
+            hc.size,
+            tuple(m if zs else 0 for zs, row in zip(self.perturbations, masks) for m in row),
+        )
 
 
 class _Queries(dict):
@@ -201,35 +201,19 @@ class _Queries(dict):
 
 
 class OrientationChoices(_Choices):
-    """Orientation options, coded 2 * node + side, per hypothesis.
+    """Orientation options, coded 2 * node + side.
 
-    node indexes game_nodes(hc, u, multiclass), and queries[node] is its
+    node indexes game_nodes(hc, u, multiclass), whose side masks are
+    masks[2 * node] and masks[2 * node + 1], and queries[node] is its
     query, built once per table; code c is the option
     (queries[c >> 1], c & 1).  Got through
     compiled(hc, u, OrientationChoices, multiclass).
     """
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool):
-        super().__init__(hc.size)
-        self.nodes = game_nodes(hc, u, multiclass)
-        self.queries = _Queries(self.nodes)
-
-    def _playable(self, h: int):
-        for i, (_, _, m0, m1) in enumerate(self.nodes):
-            if m0 >> h & 1:
-                yield 2 * i
-            if m1 >> h & 1:
-                yield 2 * i + 1
-
-
-def robust_anchors(hc: HypothesisClass, u: PerturbationMap, h) -> list[tuple[int, int]]:
-    """Clean pairs (x, y) that cost h nothing and can actually be played.
-
-    Playable means U(x) is nonempty (the adversary must present some
-    perturbation of x) and h labels all of U(x) with the single y.
-    """
-    codes = compiled(hc, u, RobustChoices).codes(h.id)
-    return [divmod(c, hc.label_count) for c in codes]
+        nodes = game_nodes(hc, u, multiclass)
+        super().__init__(hc.size, tuple(m for _, _, m0, m1 in nodes for m in (m0, m1)))
+        self.queries = _Queries(nodes)
 
 
 def realizable_robust_rounds(
@@ -242,7 +226,7 @@ def realizable_robust_rounds(
     anchor of that hypothesis, then z from U(x).  Returns [] when no
     hypothesis has any playable anchor.
 
-    The draws are those of a plain loop over robust_anchors: one shuffle
+    The draws are those of a plain loop over the anchors: one shuffle
     of the hypothesis ids, then one rng.integers(k) per choice among k.
     A choice with k = 1 (a hypothesis with one anchor, or a singleton
     U(x)) draws nothing, because rng.integers(1) returns 0 without

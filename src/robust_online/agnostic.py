@@ -189,9 +189,21 @@ def mc_regret(hc: HypothesisClass, u: PerturbationMap, rounds, seeds, dimension=
     return {**exact, **stats}
 
 
-def _analysis_replay(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:
-    """(picked rounds, analysis expert's mistakes on every round,
-    comparator loss, comparator id), from one walk of the lazy automaton."""
+def decomposition_gap(hc: HypothesisClass, u: PerturbationMap, rounds) -> dict:
+    """Replay the analysis expert on the full sequence and report its slack.
+
+    The analysis picks a subset of rounds: it takes the comparator
+    hypothesis, keeps the rounds it labels for free, and replays the lazy
+    optimal learner on that clean subsequence; the picked rounds are the
+    learner's mistake rounds there.  The expert predicts every round and
+    is stepped only on the picked rounds, so one walk of the lazy
+    automaton picks them and counts its mistakes.  Its total mistakes must
+    never exceed dimension + comparator loss; the returned gap is bound
+    minus realized mistakes (>= 0).
+    """
+    rounds = list(rounds)
+    if not rounds:
+        raise DomainError("need at least one round")
     best, best_id = comparator_loss(hc, u, rounds)
     masks = consistency_masks(hc, u)
     lazy, s = compiled(hc, u, LazyRobustAutomaton), 0
@@ -202,33 +214,6 @@ def _analysis_replay(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:
             if masks[x][y] >> best_id & 1:
                 picked.append(t)
                 s = lazy.step(s, z, x, y)
-    return tuple(picked), mistakes, best, best_id
-
-
-def analysis_subset(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple:
-    """The subset the decomposition argument picks for a given sequence.
-
-    Takes the comparator hypothesis, keeps the rounds it labels for free,
-    replays the lazy optimal learner on that clean subsequence, and
-    returns (mistake round indices, comparator loss, comparator id).  The
-    state moves only on those rounds, so one walk over all rounds finds them.
-    """
-    picked, _, best, best_id = _analysis_replay(hc, u, rounds)
-    return picked, best, best_id
-
-
-def decomposition_gap(hc: HypothesisClass, u: PerturbationMap, rounds) -> dict:
-    """Replay the analysis expert on the full sequence and report its slack.
-
-    The expert predicts every round and is stepped only on the picked
-    rounds, in the same walk that picks them.  Its total mistakes must
-    never exceed dimension + comparator loss; the returned gap is bound
-    minus realized mistakes (>= 0).
-    """
-    rounds = list(rounds)
-    if not rounds:
-        raise DomainError("need at least one round")
-    picked, mistakes, best, best_id = _analysis_replay(hc, u, rounds)
     dim = adversarial_dimension(hc, u)
     return {
         "expert_mistakes": mistakes,
@@ -236,7 +221,7 @@ def decomposition_gap(hc: HypothesisClass, u: PerturbationMap, rounds) -> dict:
         "gap": dim + best - mistakes,
         "dimension": dim,
         "comparator": best,
-        "subset": picked,
+        "subset": tuple(picked),
         "best_hypothesis": best_id,
     }
 

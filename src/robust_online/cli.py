@@ -175,8 +175,7 @@ def cmd_adversary(args) -> int:
     game = sc.game.protocol
     rng = derive_rng(sc.game.seed, "adversary-cli", args.learner)
     learner = make_learner(
-        args.learner, game, hc, u, multiclass=sc.multiclass, rng=rng,
-        strict=False, tie_break=args.tie_break,
+        args.learner, game, hc, u, multiclass=sc.multiclass, rng=rng, strict=False
     )
     rounds, _ = run_game(hc, u, learner, tree_adversary(game, tree, u), dim)
     forced = sum(r.loss for r in rounds)
@@ -320,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("adversary", help="force mistakes with the tree adversary")
     a.add_argument("scenario")
     a.add_argument("--learner", choices=LEARNER_NAMES, default="optimal")
-    a.add_argument("--tie-break", choices=("low", "high"), default="low")
     a.set_defaults(fn=cmd_adversary)
 
     ag = sub.add_parser("agnostic", help="exact expected regret of the aggregated learner")

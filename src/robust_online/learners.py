@@ -20,7 +20,7 @@ code that sees both the prediction and the reveal counts the mistakes: the
 loss bits of the game runners, the loss matrix of the expert replay, and
 the loops of the estimators.
 
-The optimal learners of one (class, map, label mode, tie-break) share a
+The optimal learners of one (class, map, label mode) share a
 LearnerContext, got with one compiled() lookup: the masks, the dimension
 engine and one table of the robust reduction's states.  A state (robust
 mask, orientation mask) is interned as a dense id, and one memo maps
@@ -39,7 +39,7 @@ from functools import cache
 
 from .dimension import get_engine
 from .errors import ProtocolViolation, SearchInvariantError
-from .model import HypothesisClass, PerturbationMap, VersionSpace, compiled, consistency_masks
+from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks
 
 OPTIMAL = "optimal"
 BASELINES = ("constant-0", "constant-1", "random", "majority")
@@ -59,30 +59,30 @@ class OrientationQuery:
     labels: tuple[int, int] = (0, 1)
 
 
-def _soa_label(d0: int, d1: int, y0: int, y1: int, tie_break: str) -> int:
+def _soa_label(d0: int, d1: int, y0: int, y1: int) -> int:
     """The SOA rule on sides (dimension d_i, label y_i): the label of the
-    larger dimension, ties to the smaller label (the larger under "high")."""
+    larger dimension, ties to the smaller label.  The mistake bound holds
+    whatever rule breaks ties."""
     if d0 != d1:
         return y0 if d0 > d1 else y1
-    return min(y0, y1) if tie_break == "low" else max(y0, y1)
+    return min(y0, y1)
 
 
 class LearnerContext:
-    """What the optimal learners of one (class, map, label mode, tie-break)
-    share, and the robust reduction itself: the masks, the dimension
-    engine, the reduction's state table and its prediction memo.
+    """What the optimal learners of one (class, map, label mode) share,
+    and the robust reduction itself: the masks, the dimension engine, the
+    reduction's state table and its prediction memo.
 
-    Got through compiled(hc, u, LearnerContext, multiclass, tie_break), so
+    Got through compiled(hc, u, LearnerContext, multiclass), so
     building a learner takes one lookup.  states[s] is the state (robust
     mask, orientation mask) with id s (0 is the start), and
     predictions[s * n + z] its label on input z < n.
     """
 
-    def __init__(self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool, tie_break: str):
+    def __init__(self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool):
         self.hc = hc
         self.u = u
         self.multiclass = multiclass
-        self.tie_break = tie_break
         self.masks = consistency_masks(hc, u)
         self.engine = get_engine(hc, u, multiclass)
         self.full = (1 << hc.size) - 1
@@ -110,7 +110,7 @@ class LearnerContext:
         """The SOA orientation learner's label for the query ((a, b), (y, y2))."""
         dim, masks = self.engine.dimension_of_mask, self.masks
         d0 = dim(orientation_mask & masks[a][y])
-        return _soa_label(d0, dim(orientation_mask & masks[b][y2]), y, y2, self.tie_break)
+        return _soa_label(d0, dim(orientation_mask & masks[b][y2]), y, y2)
 
     def predict(self, s: int, z: int) -> int:
         """The label state s predicts on input z, decided on a memo miss."""
@@ -183,42 +183,26 @@ class LearnerContext:
         return self.state(new, orientation_mask)
 
 
-def _context(hc, u, multiclass: bool, tie_break: str) -> LearnerContext:
-    if tie_break not in ("low", "high"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    return compiled(hc, u, LearnerContext, multiclass, tie_break)
-
-
 class SoaOrientationLearner:
     """Dimension-greedy orientation learner.
 
     Predicts the query label whose side keeps the larger-dimensional
-    version space, with ties broken toward the smaller label id (or the
-    larger, under tie_break="high"; the mistake bound is tie-break
-    independent).  The prediction is side-symmetric: swapping the pair
-    and the labels together gives the same label.  Every mistake strictly
-    decreases the dimension of the version space, so mistakes never
-    exceed the class dimension on realizable sequences.
+    version space, with ties broken toward the smaller label id.  The
+    prediction is side-symmetric: swapping the pair and the labels
+    together gives the same label.  Every mistake strictly decreases the
+    dimension of the version space, so mistakes never exceed the class
+    dimension on realizable sequences.
     """
 
     game = "orientation"
 
     def __init__(
-        self,
-        hc: HypothesisClass,
-        u: PerturbationMap,
-        multiclass: bool = False,
-        tie_break: str = "low",
-        strict: bool = True,
+        self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False, strict: bool = True
     ):
-        ctx = _context(hc, u, multiclass, tie_break)
-        self.hc, self.tie_break, self.strict = hc, tie_break, strict
+        ctx = compiled(hc, u, LearnerContext, multiclass)
+        self.strict = strict
         self.engine, self._masks, self.mask = ctx.engine, ctx.masks, ctx.full
         self.events: list[str] = []
-
-    @property
-    def version_space(self) -> VersionSpace:
-        return VersionSpace(self.hc, self.mask)
 
     def side_dimensions(self, query: OrientationQuery) -> tuple[int, int]:
         (a, b), (y0, y1) = query.pair, query.labels
@@ -228,7 +212,7 @@ class SoaOrientationLearner:
     def predict(self, query: OrientationQuery) -> int:
         d0, d1 = self.side_dimensions(query)
         y0, y1 = query.labels
-        return _soa_label(d0, d1, y0, y1, self.tie_break)
+        return _soa_label(d0, d1, y0, y1)
 
     def update(self, query: OrientationQuery, side: int) -> None:
         """Absorb the reveal of query side `side` (0 or 1)."""
@@ -288,15 +272,10 @@ class RobustReductionLearner:
     game = "robust"
 
     def __init__(
-        self,
-        hc: HypothesisClass,
-        u: PerturbationMap,
-        multiclass: bool = False,
-        strict: bool = True,
-        tie_break: str = "low",
+        self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False, strict: bool = True
     ):
-        self.hc, self.strict = hc, strict
-        self.ctx = _context(hc, u, multiclass, tie_break)
+        self.strict = strict
+        self.ctx = compiled(hc, u, LearnerContext, multiclass)
         self.s = 0
         self.events: list[str] = []
 
@@ -304,10 +283,6 @@ class RobustReductionLearner:
     def mask(self) -> int:
         """The robust version space, as a mask over the class."""
         return self.ctx.states[self.s][0]
-
-    @property
-    def version_space(self) -> VersionSpace:
-        return VersionSpace(self.hc, self.mask)
 
     def predict(self, z: int) -> int:
         """The label on input z, memoized per (state id, z) on the context."""
@@ -324,7 +299,7 @@ class RobustReductionLearner:
         self.s = s
 
 
-def worst_case_mistakes(hc, u, game: str, multiclass=False, tie_break="low", mistakes=None) -> int:
+def worst_case_mistakes(hc, u, game: str, multiclass=False, mistakes=None) -> int:
     """The most mistakes the strict optimal learner of `game` makes over
     every realizable sequence, of any length.
 
@@ -338,7 +313,7 @@ def worst_case_mistakes(hc, u, game: str, multiclass=False, tie_break="low", mis
     an event the strict learner raises on both raise SearchInvariantError.
     Given a list, mistakes gets (state, next state) of every mistake edge.
     """
-    ctx = _context(hc, u, multiclass, tie_break)
+    ctx = compiled(hc, u, LearnerContext, multiclass)
     if game == "robust":
         labels = range(hc.label_count)
         reveals = [(z, x, y) for x in range(ctx.n) for z in sorted(u.forward[x]) for y in labels]
@@ -356,7 +331,7 @@ def worst_case_mistakes(hc, u, game: str, multiclass=False, tie_break="low", mis
 
         def moves(mask):
             for _, (y0, y1), m0, m1 in ctx.engine.nodes:
-                label = _soa_label(dim(mask & m0), dim(mask & m1), y0, y1, tie_break)
+                label = _soa_label(dim(mask & m0), dim(mask & m1), y0, y1)
                 for side, y in ((mask & m0, y0), (mask & m1, y1)):
                     if side:
                         yield side, label != y
@@ -391,10 +366,6 @@ class LazyRobustLearner:
         self.inner = inner
         self._last = None  # (z, prediction) of the latest predict
 
-    @property
-    def version_space(self):
-        return self.inner.version_space
-
     def predict(self, z: int) -> int:
         self._last = (z, self.inner.predict(z))
         return self._last[1]
@@ -416,10 +387,6 @@ class LazyOrientationLearner:
         self.inner = inner
         self._last = None  # (query, prediction) of the latest predict
 
-    @property
-    def version_space(self):
-        return self.inner.version_space
-
     def predict(self, query: OrientationQuery) -> int:
         self._last = (query, self.inner.predict(query))
         return self._last[1]
@@ -432,18 +399,9 @@ class LazyOrientationLearner:
             self.inner.update(query, side)
 
 
-def lazy_wrap(learner):
-    """Wrap any learner of either game so it only updates on its mistakes."""
-    if learner.game == "robust":
-        return LazyRobustLearner(learner)
-    if learner.game == "orientation":
-        return LazyOrientationLearner(learner)
-    raise ValueError(f"unknown game tag {learner.game!r}")
-
-
 class LazyRobustAutomaton:
     """The tolerant lazy optimal robust learner the agnostic replays run,
-    on the ids and memo of the binary, low tie-break LearnerContext.
+    on the ids and memo of the binary LearnerContext.
 
     An emptied state (robust mask 0) predicts 0 without the memo, where
     the context stores the no-winner label 1.  Only a mistake steps the
@@ -453,7 +411,7 @@ class LazyRobustAutomaton:
     """
 
     def __init__(self, hc, u):
-        self.ctx = _context(hc, u, False, "low")
+        self.ctx = compiled(hc, u, LearnerContext, False)
         self.transitions = {}
 
     def predict(self, s: int, z: int) -> int:
@@ -507,13 +465,8 @@ class MajorityLearner:
     def __init__(self, game: str, hc: HypothesisClass, u: PerturbationMap):
         self.game = game
         self.hc = hc
-        self.u = u
         self._masks = consistency_masks(hc, u)
         self.mask = (1 << hc.size) - 1
-
-    @property
-    def version_space(self) -> VersionSpace:
-        return VersionSpace(self.hc, self.mask)
 
     def predict(self, query) -> int:
         if self.game == "orientation":
@@ -548,7 +501,6 @@ def make_learner(
     multiclass: bool = False,
     rng=None,
     strict: bool = True,
-    tie_break: str = "low",
 ):
     """Build a registered learner for one game.
 
@@ -558,11 +510,8 @@ def make_learner(
     if game not in ("orientation", "robust"):
         raise ValueError(f"unknown game {game!r}")
     if name == OPTIMAL:
-        if game == "orientation":
-            return SoaOrientationLearner(hc, u, multiclass, tie_break, strict)
-        return RobustReductionLearner(
-            hc, u, multiclass, strict=strict, tie_break=tie_break
-        )
+        cls = SoaOrientationLearner if game == "orientation" else RobustReductionLearner
+        return cls(hc, u, multiclass, strict)
     if name == "constant-0":
         return ConstantLearner(game, 0)
     if name == "constant-1":

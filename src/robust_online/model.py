@@ -47,7 +47,7 @@ class HypothesisClass:
 
     tables[i] is hypothesis i's label per instance.  The tables are the
     class's data; a Hypothesis object is made only when one is asked for
-    (by iteration, indexing or `hypotheses`) and is not kept.
+    (by iteration or indexing) and is not kept.
     """
 
     tables: tuple[tuple[Label, ...], ...]
@@ -85,10 +85,6 @@ class HypothesisClass:
     @property
     def size(self) -> int:
         return len(self.tables)
-
-    @property
-    def hypotheses(self) -> tuple[Hypothesis, ...]:
-        return tuple(self)
 
     def __iter__(self):
         return map(Hypothesis, itertools.count(), self.tables, itertools.repeat(self.label_count))
@@ -247,15 +243,8 @@ class VersionSpace:
         return cls(hc, (1 << hc.size) - 1)
 
     @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    @property
     def is_empty(self) -> bool:
         return self.mask == 0
-
-    def members(self) -> tuple[Hypothesis, ...]:
-        return tuple(h for h in self.parent if self.mask >> h.id & 1)
 
 
 def restrict(v: VersionSpace, x: Instance, y: Label, u: PerturbationMap) -> VersionSpace:

@@ -178,7 +178,7 @@ def try_parse_scenario(text: str):
                     if not arg:
                         arg = f"u{perturbations}"
                     elif not _is_name(arg):
-                        err(ln, len(word) + 2, f"bad perturbation name {arg!r}")
+                        err(ln, len(word) + 2, f"bad perturbation name {shorten(arg)!r}")
                     perturbations += 1
                 elif arg:
                     err(ln, len(word) + 2, f"section {word} takes no argument")
@@ -189,13 +189,13 @@ def try_parse_scenario(text: str):
                 continue
         key, colon, value = stripped.partition(":")
         if not colon:
-            err(ln, 1, f"expected 'key: values', got {stripped!r}")
+            err(ln, 1, f"expected 'key: values', got {shorten(stripped)!r}")
             continue
         key = key.rstrip()
         # the key starts right after the line's leading blanks
         col = len(line) - len(line.lstrip()) + 1 if key and line[0].isspace() else 1
         if rows is None:
-            err(ln, col, f"entry {key!r} appears before any section header")
+            err(ln, col, f"entry {shorten(key)!r} appears before any section header")
             continue
         rows.append((ln, key, value, col))
 
@@ -216,15 +216,15 @@ def try_parse_scenario(text: str):
     for ln, key, value, col in entries("SPACES"):
         names = tuple(value.split())
         if key not in ("instances", "labels"):
-            err(ln, col, f"unknown SPACES entry {key!r}")
+            err(ln, col, f"unknown SPACES entry {shorten(key)!r}")
             continue
         bad = [n for n in names if not _is_name(n)]
         if bad:
-            err(ln, col, f"bad {key} name {bad[0]!r}")
+            err(ln, col, f"bad {key} name {shorten(bad[0])!r}")
             continue
         if len(set(names)) != len(names):
             dup = next(n for i, n in enumerate(names) if n in names[:i])
-            err(ln, col, f"duplicate {key} name {dup!r}")
+            err(ln, col, f"duplicate {key} name {shorten(dup)!r}")
             continue
         if key == "instances":
             instance_names = names
@@ -248,13 +248,14 @@ def try_parse_scenario(text: str):
         cells = value.split()
         row = tuple(map(label_of.get, cells))
         if not _is_name(key):
-            err(ln, col, f"bad hypothesis name {key!r}")
+            err(ln, col, f"bad hypothesis name {shorten(key)!r}")
         elif key in seen_names:
-            err(ln, col, f"duplicate hypothesis name {key!r}")
+            err(ln, col, f"duplicate hypothesis name {shorten(key)!r}")
         elif n and len(cells) != n:
-            err(ln, col, f"hypothesis {key!r} has {len(cells)} labels for {n} instances")
+            err(ln, col, f"hypothesis {shorten(key)!r} has {len(cells)} labels for {n} instances")
         elif None in row:
-            err(ln, col, f"hypothesis {key!r} uses unknown label {cells[row.index(None)]!r}")
+            bad = shorten(cells[row.index(None)])
+            err(ln, col, f"hypothesis {shorten(key)!r} uses unknown label {bad!r}")
         else:
             hyp_names.append(key)
             seen_names.add(key)
@@ -264,7 +265,8 @@ def try_parse_scenario(text: str):
     if len(set(tables)) != len(tables):
         owner: dict[tuple[int, ...], str] = {}
         dup = next(h for h, t in zip(hyp_names, tables) if owner.setdefault(t, h) != h)
-        err(first["HYPOTHESES"][2], 1, f"hypothesis {dup!r} duplicates another row's table")
+        message = f"hypothesis {shorten(dup)!r} duplicates another row's table"
+        err(first["HYPOTHESES"][2], 1, message)
 
     # PERTURBATIONS (possibly several)
     pert_names: list[str] = []
@@ -273,7 +275,7 @@ def try_parse_scenario(text: str):
         if word != "PERTURBATIONS":
             continue
         if arg in pert_names:
-            err(hln, 1, f"duplicate perturbation section {arg!r}")
+            err(hln, 1, f"duplicate perturbation section {shorten(arg)!r}")
             continue
         errors_before = len(errors)
         sets: dict[int, frozenset] = {}
@@ -283,19 +285,19 @@ def try_parse_scenario(text: str):
             if targets == ["-"]:
                 targets = []
             if x is None:
-                err(ln, col, f"unknown instance {key!r}")
+                err(ln, col, f"unknown instance {shorten(key)!r}")
             elif x in sets:
-                err(ln, col, f"instance {key!r} listed twice")
+                err(ln, col, f"instance {shorten(key)!r} listed twice")
             else:
                 # Keep the row even when a target is bad, so a malformed
                 # row is not also reported as missing.
                 sets[x] = frozenset(map(instance_of.get, targets))
                 if None in sets[x]:
-                    bad_target = next(t for t in targets if t not in instance_of)
-                    err(ln, col, f"out-of-range target {bad_target!r} in U({key})")
+                    bad = shorten(next(t for t in targets if t not in instance_of))
+                    err(ln, col, f"out-of-range target {bad!r} in U({shorten(key)})")
         if len(sets) < n:
             missing = next(name for name, i in instance_of.items() if i not in sets)
-            err(hln, 1, f"section {arg!r} has no row for instance {missing!r}")
+            err(hln, 1, f"section {shorten(arg)!r} has no row for instance {shorten(missing)!r}")
         if len(errors) == errors_before and n:
             pert_names.append(arg)
             pert_maps.append(PerturbationMap(tuple(sets[i] for i in range(n))))
@@ -309,10 +311,10 @@ def try_parse_scenario(text: str):
             if value in _CHOICES[key]:
                 values[key] = value
             else:
-                err(ln, col, f"unknown {key} {value!r}; choose from {_CHOICES[key]}")
+                err(ln, col, f"unknown {key} {shorten(value)!r}; choose from {_CHOICES[key]}")
         elif key == "truth":
             if pert_names and value not in pert_names:
-                err(ln, col, f"truth {value!r} names no PERTURBATIONS section")
+                err(ln, col, f"truth {shorten(value)!r} names no PERTURBATIONS section")
             else:
                 truth_name = value
         elif key in ("horizon", "seed", "corruptions"):
@@ -330,7 +332,7 @@ def try_parse_scenario(text: str):
             else:
                 values[key] = number
         else:
-            err(ln, col, f"unknown GAME entry {key!r}")
+            err(ln, col, f"unknown GAME entry {shorten(key)!r}")
 
     if errors:
         return None, errors

@@ -81,19 +81,16 @@ class PerturbationFamily:
     def __iter__(self):
         return iter(self.members)
 
-    def __getitem__(self, i: int) -> PerturbationMap:
-        return self.members[i]
-
 
 def _replay(hc: HypothesisClass, members, rounds):
     """(predictions, losses) 0/1 arrays of shape (members, rounds): each
-    member's tolerant expert, a state id on its binary, low tie-break
-    context, predicts on the shown input and steps on the reveal."""
+    member's tolerant expert, a state id on its binary context, predicts
+    on the shown input and steps on the reveal."""
     if not rounds:
         raise DomainError("need at least one round")
     rows = []
     for u in members:
-        ctx, s, row = compiled(hc, u, LearnerContext, False, "low"), 0, []
+        ctx, s, row = compiled(hc, u, LearnerContext, False), 0, []
         for z, x, y in rounds:
             row.append(ctx.predict(s, z))
             s = ctx.step(s, z, x, y)

@@ -42,9 +42,9 @@ from robust_online import (
     PerturbationMap,
     RobustReductionLearner,
     SoaOrientationLearner,
-    lazy_wrap,
 )
 from robust_online.errors import DomainError, ProtocolViolation, SearchInvariantError
+from robust_online.learners import LazyRobustLearner
 from robust_online.model import consistency_masks, surviving_mask
 from robust_online.runner import GameTranscript, OrientationRound, RobustRound
 from robust_online.scenario import (
@@ -55,6 +55,7 @@ from robust_online.scenario import (
     GameConfig,
     ParseError,
     Scenario,
+    shorten,
 )
 
 
@@ -107,7 +108,7 @@ def is_realizable_sequence(pairs, hc, u: PerturbationMap) -> bool:
     return surviving_mask(pairs, hc, u) != 0
 
 
-def plain_worst_case(hc, u, game, multiclass=False, tie_break="low"):
+def plain_worst_case(hc, u, game, multiclass=False):
     """The most mistakes the strict optimal learner of `game` makes over
     every realizable sequence, by a search over reveal sequences with no
     memo.
@@ -133,7 +134,7 @@ def plain_worst_case(hc, u, game, multiclass=False, tie_break="low"):
         ]
 
         def fresh():
-            return RobustReductionLearner(hc, u, multiclass, True, tie_break)
+            return RobustReductionLearner(hc, u, multiclass)
 
         def play(learner, move):
             z, x, y = move
@@ -155,7 +156,7 @@ def plain_worst_case(hc, u, game, multiclass=False, tie_break="low"):
         ]
 
         def fresh():
-            return SoaOrientationLearner(hc, u, multiclass, tie_break)
+            return SoaOrientationLearner(hc, u, multiclass)
 
         def play(learner, move):
             query, side = move
@@ -228,10 +229,10 @@ class PlainReductionLearner:
 
     game = "robust"
 
-    def __init__(self, hc, u, multiclass=False, strict=True, tie_break="low"):
+    def __init__(self, hc, u, multiclass=False, strict=True):
         self.hc, self.u, self.multiclass, self.strict = hc, u, multiclass, strict
         self._masks = consistency_masks(hc, u)
-        self.orientation = SoaOrientationLearner(hc, u, multiclass, tie_break, strict=False)
+        self.orientation = SoaOrientationLearner(hc, u, multiclass, strict=False)
         self.mask = (1 << hc.size) - 1
         self.events = []
 
@@ -301,8 +302,8 @@ class EmptiedPredictsZero(PlainReductionLearner):
     """The tolerant robust learner, predicting 0 once its version space is
     empty; update reads the same prediction."""
 
-    def __init__(self, hc, u, multiclass=False, strict=False, tie_break="low"):
-        super().__init__(hc, u, multiclass, strict, tie_break)
+    def __init__(self, hc, u, multiclass=False, strict=False):
+        super().__init__(hc, u, multiclass, strict)
 
     def predict(self, z):
         return 0 if self.mask == 0 else super().predict(z)
@@ -313,7 +314,7 @@ class EmptiedPredictsZero(PlainReductionLearner):
 def agnostic_learner(hc, u):
     """The learner the agnostic replays run: EmptiedPredictsZero, updated
     only on its mistakes."""
-    return lazy_wrap(EmptiedPredictsZero(hc, u))
+    return LazyRobustLearner(EmptiedPredictsZero(hc, u))
 
 
 class PlainSubsetExpert:
@@ -512,7 +513,7 @@ def try_parse_scenario(text: str):
                 if not arg:
                     arg = f"u{sum(1 for s in sections if s[0] == 'PERTURBATIONS')}"
                 elif not _NAME.match(arg):
-                    err(ln, len(word) + 2, f"bad perturbation name {arg!r}")
+                    err(ln, len(word) + 2, f"bad perturbation name {shorten(arg)!r}")
             elif arg:
                 err(ln, len(word) + 2, f"section {word} takes no argument")
                 arg = ""
@@ -522,13 +523,13 @@ def try_parse_scenario(text: str):
             continue
         key, colon, value = stripped.partition(":")
         if not colon:
-            err(ln, 1, f"expected 'key: values', got {stripped!r}")
+            err(ln, 1, f"expected 'key: values', got {shorten(stripped)!r}")
             continue
         key = key.rstrip()
         # the key starts right after the line's leading blanks
         col = len(line) - len(stripped) + 1 if key else 1
         if current is None:
-            err(ln, col, f"entry {key!r} appears before any section header")
+            err(ln, col, f"entry {shorten(key)!r} appears before any section header")
             continue
         current[3].append((ln, key, value.strip(), col))
 
@@ -549,15 +550,15 @@ def try_parse_scenario(text: str):
     for ln, key, value, col in entries("SPACES"):
         names = tuple(value.split())
         if key not in ("instances", "labels"):
-            err(ln, col, f"unknown SPACES entry {key!r}")
+            err(ln, col, f"unknown SPACES entry {shorten(key)!r}")
             continue
         bad = [n for n in names if not _NAME.match(n)]
         if bad:
-            err(ln, col, f"bad {key} name {bad[0]!r}")
+            err(ln, col, f"bad {key} name {shorten(bad[0])!r}")
             continue
         if len(set(names)) != len(names):
             dup = next(n for i, n in enumerate(names) if n in names[:i])
-            err(ln, col, f"duplicate {key} name {dup!r}")
+            err(ln, col, f"duplicate {key} name {shorten(dup)!r}")
             continue
         if key == "instances":
             instance_names = names
@@ -580,18 +581,19 @@ def try_parse_scenario(text: str):
         cells = value.split()
         row = tuple(map(label_of.get, cells))
         if not _NAME.match(key):
-            err(ln, col, f"bad hypothesis name {key!r}")
+            err(ln, col, f"bad hypothesis name {shorten(key)!r}")
         elif key in seen_names:
-            err(ln, col, f"duplicate hypothesis name {key!r}")
+            err(ln, col, f"duplicate hypothesis name {shorten(key)!r}")
         elif instance_names and len(cells) != len(instance_names):
             err(
                 ln,
                 col,
-                f"hypothesis {key!r} has {len(cells)} labels for "
+                f"hypothesis {shorten(key)!r} has {len(cells)} labels for "
                 f"{len(instance_names)} instances",
             )
         elif None in row:
-            err(ln, col, f"hypothesis {key!r} uses unknown label {cells[row.index(None)]!r}")
+            bad = shorten(cells[row.index(None)])
+            err(ln, col, f"hypothesis {shorten(key)!r} uses unknown label {bad!r}")
         else:
             hyp_names.append(key)
             seen_names.add(key)
@@ -605,7 +607,8 @@ def try_parse_scenario(text: str):
             for name, table in zip(hyp_names, tables)
             if first_row.setdefault(table, name) != name
         )
-        err(first["HYPOTHESES"][2], 1, f"hypothesis {dup!r} duplicates another row's table")
+        message = f"hypothesis {shorten(dup)!r} duplicates another row's table"
+        err(first["HYPOTHESES"][2], 1, message)
 
     # PERTURBATIONS (possibly several)
     pert_names: list[str] = []
@@ -614,7 +617,7 @@ def try_parse_scenario(text: str):
         if word != "PERTURBATIONS":
             continue
         if arg in pert_names:
-            err(hln, 1, f"duplicate perturbation section {arg!r}")
+            err(hln, 1, f"duplicate perturbation section {shorten(arg)!r}")
             continue
         errors_before = len(errors)
         sets: dict[int, frozenset] = {}
@@ -624,19 +627,19 @@ def try_parse_scenario(text: str):
             if targets == ["-"]:
                 targets = []
             if x is None:
-                err(ln, col, f"unknown instance {key!r}")
+                err(ln, col, f"unknown instance {shorten(key)!r}")
             elif x in sets:
-                err(ln, col, f"instance {key!r} listed twice")
+                err(ln, col, f"instance {shorten(key)!r} listed twice")
             else:
                 # Keep the row even when a target is bad, so a malformed
                 # row is not also reported as missing.
                 sets[x] = frozenset(map(instance_of.get, targets))
                 if None in sets[x]:
-                    bad_target = next(t for t in targets if t not in instance_of)
-                    err(ln, col, f"out-of-range target {bad_target!r} in U({key})")
+                    bad = shorten(next(t for t in targets if t not in instance_of))
+                    err(ln, col, f"out-of-range target {bad!r} in U({shorten(key)})")
         missing = [n for n, i in instance_of.items() if i not in sets]
         if missing:
-            err(hln, 1, f"section {arg!r} has no row for instance {missing[0]!r}")
+            err(hln, 1, f"section {shorten(arg)!r} has no row for instance {shorten(missing[0])!r}")
         if len(errors) == errors_before and instance_names:
             pert_names.append(arg)
             pert_maps.append(
@@ -651,17 +654,17 @@ def try_parse_scenario(text: str):
             if value in _CHOICES[key]:
                 values[key] = value
             else:
-                err(ln, col, f"unknown {key} {value!r}; choose from {_CHOICES[key]}")
+                err(ln, col, f"unknown {key} {shorten(value)!r}; choose from {_CHOICES[key]}")
         elif key == "truth":
             if pert_names and value not in pert_names:
-                err(ln, col, f"truth {value!r} names no PERTURBATIONS section")
+                err(ln, col, f"truth {shorten(value)!r} names no PERTURBATIONS section")
             else:
                 truth_name = value
         elif key in ("horizon", "seed", "corruptions"):
             try:
                 n = int(value)
             except ValueError:
-                err(ln, col, f"{key} must be an integer, got {value!r}")
+                err(ln, col, f"{key} must be an integer, got {shorten(value)!r}")
                 continue
             if key == "horizon" and n <= 0:
                 err(ln, col, "horizon must be positive")
@@ -672,7 +675,7 @@ def try_parse_scenario(text: str):
             else:
                 values[key] = n
         else:
-            err(ln, col, f"unknown GAME entry {key!r}")
+            err(ln, col, f"unknown GAME entry {shorten(key)!r}")
 
     if errors:
         return None, errors

@@ -26,7 +26,7 @@ from robust_online import (
 from robust_online import agnostic
 from robust_online.acceptance import FULL, _robust_usable, _sub_seed
 from robust_online.adversaries import corrupt_labels, realizable_robust_rounds
-from robust_online.agnostic import analysis_subset, hypothesis_losses
+from robust_online.agnostic import hypothesis_losses
 from robust_online.errors import DomainError
 from robust_online.learners import LazyRobustAutomaton
 from robust_online.model import compiled, consistency_masks
@@ -119,10 +119,13 @@ def test_analysis_subset_size_bounded_by_dimension():
     dim = adversarial_dimension(HC5, U5)
     for seed in range(10):
         rounds = corrupted_rounds(HC5, U5, 10, 2, seed=seed)
-        subset, best, best_id = analysis_subset(HC5, U5, rounds)
+        report = decomposition_gap(HC5, U5, rounds)
+        subset = report["subset"]
         assert len(subset) <= dim
         assert all(0 <= t < len(rounds) for t in subset)
-        assert best == comparator_loss(HC5, U5, rounds)[0]
+        assert (report["comparator"], report["best_hypothesis"]) == comparator_loss(
+            HC5, U5, rounds
+        )
 
 
 def test_mc_regret_one_seed_accounting_is_exact():

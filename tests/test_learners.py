@@ -14,7 +14,6 @@ from robust_online import (
     adversarial_dimension,
     full_class,
     identity_map,
-    lazy_wrap,
     make_learner,
     random_label_regret_sample,
     run_orientation_game,
@@ -27,7 +26,8 @@ from robust_online.adversaries import (
 )
 from robust_online.dimension import dimension_of
 from robust_online.errors import ProtocolViolation
-from robust_online.learners import LearnerContext
+from robust_online.learners import LazyOrientationLearner, LazyRobustLearner, LearnerContext
+from robust_online.model import VersionSpace
 from robust_online.seeding import derive_rng
 
 from reference import EmptiedPredictsZero, agnostic_learner
@@ -86,31 +86,15 @@ def test_soa_tie_breaks_toward_first_label():
     assert learner.predict(q) == 0
 
 
-def test_soa_mistake_bound_indifferent_to_tie_break():
-    for hc, u in random_scenarios(seed=31, count=20):
-        dim = adversarial_dimension(hc, u)
-        rng = derive_rng(0, "tie-break", hc.size)
-        rounds = realizable_orientation_rounds(hc, u, 12, rng)
-        counts = []
-        for tie in ("low", "high"):
-            learner = SoaOrientationLearner(hc, u, tie_break=tie)
-            mistakes = 0
-            for q, side in rounds:
-                mistakes += learner.predict(q) != q.labels[side]
-                learner.update(q, side)
-            counts.append(mistakes)
-        assert max(counts) <= dim
-
-
 def test_soa_correct_round_keeps_mistake_count():
     learner = SoaOrientationLearner(full_class(2), identity_map(2))
     q = OrientationQuery(pair=(0, 1), labels=(0, 1))
     pred = learner.predict(q)
-    before = learner.version_space.size
+    before = learner.mask.bit_count()
     # binary labels: revealing side `pred` reveals the predicted label
     assert q.labels[pred] == pred
     learner.update(q, pred)
-    assert learner.version_space.size <= before
+    assert learner.mask.bit_count() <= before
 
 
 def test_soa_strict_mode_rejects_non_realizable_reveals():
@@ -128,10 +112,10 @@ def test_soa_dimension_drops_on_each_mistake():
         learner = SoaOrientationLearner(hc, u)
         for q, side in rounds:
             pred = learner.predict(q)
-            before = dimension_of(learner.version_space, u)
+            before = dimension_of(VersionSpace(hc, learner.mask), u)
             learner.update(q, side)
             if pred != q.labels[side]:
-                assert dimension_of(learner.version_space, u) < before
+                assert dimension_of(VersionSpace(hc, learner.mask), u) < before
 
 
 def test_reduction_vacuous_zero_candidates_predicts_one():
@@ -227,13 +211,13 @@ def test_multiclass_reduction_agrees_with_binary_on_two_labels():
 def test_lazy_identity_on_mistake_free_runs():
     hc = HypothesisClass.from_tables([(0, 0), (1, 1)])
     u = identity_map(2)
-    lazy = lazy_wrap(RobustReductionLearner(hc, u))
-    mask_before = lazy.version_space.mask
+    lazy = LazyRobustLearner(RobustReductionLearner(hc, u))
+    mask_before = lazy.inner.mask
     state_before = lazy.inner.s
     for z in (0, 1):
         pred = lazy.predict(z)
         lazy.update(z, z, pred)
-    assert lazy.version_space.mask == mask_before
+    assert lazy.inner.mask == mask_before
     assert lazy.inner.s == state_before
 
 
@@ -242,7 +226,7 @@ def test_lazy_keeps_realizable_mistake_bound():
         dim = adversarial_dimension(hc, u)
         rng = derive_rng(4, "lazy", hc.size)
         rounds = realizable_robust_rounds(hc, u, 12, rng)
-        lazy = lazy_wrap(RobustReductionLearner(hc, u))
+        lazy = LazyRobustLearner(RobustReductionLearner(hc, u))
         mistakes = 0
         for z, x, y in rounds:
             mistakes += lazy.predict(z) != y
@@ -281,7 +265,7 @@ def test_lazy_wrappers_predict_once_per_round(monkeypatch):
     # class: update reads the context's memo again, so each (state,
     # input) is decided once
     decided.clear()
-    lazy = lazy_wrap(RobustReductionLearner(full_class(2), u, strict=False))
+    lazy = LazyRobustLearner(RobustReductionLearner(full_class(2), u, strict=False))
     for y in labels.tolist():
         lazy.predict(z)
         lazy.update(z, pair[y], y)
@@ -299,7 +283,7 @@ def test_lazy_wrappers_predict_once_per_round(monkeypatch):
             pass
 
     inner = CountingOrientation()
-    lazy = lazy_wrap(inner)
+    lazy = LazyOrientationLearner(inner)
     rounds = realizable_orientation_rounds(HC5, U5, 8, derive_rng(2, "lazy"))
     mistakes = 0
     for query, side in rounds:

@@ -74,7 +74,7 @@ def test_restrict_singleton_domain():
     hc = full_class(1)
     u = identity_map(1)
     v = restrict(VersionSpace.full(hc), 0, 1, u)
-    assert [h.table for h in v.members()] == [(1,)]
+    assert [h.table for h in hc if v.mask >> h.id & 1] == [(1,)]
 
 
 def test_restrict_requires_agreement_on_whole_set():
@@ -82,7 +82,7 @@ def test_restrict_requires_agreement_on_whole_set():
     hc = HypothesisClass.from_tables([(0, 1), (1, 1)])
     u = two_point_overlap()
     v = restrict(VersionSpace.full(hc), 0, 1, u)
-    assert [h.table for h in v.members()] == [(1, 1)]
+    assert [h.table for h in hc if v.mask >> h.id & 1] == [(1, 1)]
 
 
 def test_restrict_is_monotone_and_idempotent():
@@ -244,7 +244,7 @@ def test_a_parsed_class_holds_its_tables_and_no_hypothesis_objects():
     hc = sc.hypotheses
     assert hc.tables == ((0, 1), (1, 1))
     # Hypothesis objects are made on demand, and none is kept
-    assert list(hc) == list(hc.hypotheses) == [hc[0], hc[1]]
+    assert list(hc) == [hc[0], hc[1]]
     adversarial_dimension(hc, sc.truth)
     assert not any(isinstance(obj, Hypothesis) for obj in _held_objects(hc))
     for i in range(-hc.size, hc.size):

@@ -65,7 +65,6 @@ from robust_online import (
     horizon_rate,
     identity_map,
     is_shattered,
-    lazy_wrap,
     loss_budget_rate,
     make_learner,
     mc_family_mistakes,
@@ -83,12 +82,12 @@ from robust_online import (
     witness_tree,
     worst_case_mistakes,
 )
-from robust_online.adversaries import OrientationChoices, robust_anchors
-from robust_online.agnostic import analysis_subset, hypothesis_losses
+from robust_online.adversaries import OrientationChoices, RobustChoices
+from robust_online.agnostic import hypothesis_losses
 from robust_online.dimension import get_engine
 from robust_online.errors import ProtocolViolation, SearchInvariantError
 from robust_online.forecaster import weight_trajectory
-from robust_online.learners import LazyRobustAutomaton
+from robust_online.learners import LazyRobustAutomaton, LazyRobustLearner
 from robust_online.model import compiled, consistency_masks, game_nodes
 from robust_online.oracle import MinimaxSolver
 from robust_online.scenario import ADVERSARIES, DEFAULT_LABELS, PROTOCOLS
@@ -183,8 +182,9 @@ def test_masks_agree_with_adversarial_loss(game):
 @given(games())
 def test_anchors_and_options_match_the_definition(game):
     hc, u = game
+    anchors = compiled(hc, u, RobustChoices)
     for h in hc:
-        assert robust_anchors(hc, u, h) == reference_anchors(u, h)
+        assert [divmod(c, hc.label_count) for c in anchors.codes(h.id)] == reference_anchors(u, h)
         for multiclass in (False, True):
             table = compiled(hc, u, OrientationChoices, multiclass)
             options = [(table.queries[c >> 1], c & 1) for c in table.codes(h.id)]
@@ -607,8 +607,8 @@ def update_error(learner, z, x, y):
 
 
 @PROPERTY
-@given(games(), st.booleans(), st.sampled_from(("low", "high")), st.booleans(), st.data())
-def test_the_reduction_steps_like_the_object_reference(game, multiclass, tie_break, strict, data):
+@given(games(), st.booleans(), st.booleans(), st.data())
+def test_the_reduction_steps_like_the_object_reference(game, multiclass, strict, data):
     """Round by round, the package learner (a state id on its context)
     predicts, logs and moves like the object reduction of the reference,
     which decides every prediction afresh on a fresh copy of the class.
@@ -618,8 +618,8 @@ def test_the_reduction_steps_like_the_object_reference(game, multiclass, tie_bre
     exception as the reference on the same round, and keeps its state."""
     hc, u = game
     multiclass = multiclass or hc.label_count > 2
-    learner = RobustReductionLearner(hc, u, multiclass, strict, tie_break)
-    reference = PlainReductionLearner(fresh_copy(hc), u, multiclass, strict, tie_break)
+    learner = RobustReductionLearner(hc, u, multiclass, strict)
+    reference = PlainReductionLearner(fresh_copy(hc), u, multiclass, strict)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     realizable = realizable_robust_rounds(hc, u, 12, rng)
     arbitrary = robust_rounds(data, hc.instance_count, 12, hc.label_count)
@@ -638,8 +638,8 @@ def test_the_reduction_steps_like_the_object_reference(game, multiclass, tie_bre
 
 
 @PROPERTY
-@given(games(), st.booleans(), st.sampled_from(("low", "high")), st.data())
-def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, tie_break, data):
+@given(games(), st.booleans(), st.data())
+def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, data):
     """Robust learners that share a class's prediction memo, interleaved on
     different sequences, predict, log and move like learners on fresh
     copies of the class, whose memos start empty.  A third learner has
@@ -652,12 +652,12 @@ def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, tie_brea
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     warm_up, realizable, corrupted = (realizable_robust_rounds(hc, u, 16, rng) for _ in range(3))
     corrupted = corrupt_labels(corrupted, 3, hc.label_count, rng)
-    warm = RobustReductionLearner(hc, u, multiclass, tie_break=tie_break)
+    warm = RobustReductionLearner(hc, u, multiclass)
     for z, x, y in warm_up:
         warm.predict(z)
         warm.update(z, x, y)
     pairs = [
-        [RobustReductionLearner(c, u, multiclass, strict, tie_break) for c in (hc, fresh_copy(hc))]
+        [RobustReductionLearner(c, u, multiclass, strict) for c in (hc, fresh_copy(hc))]
         for strict in (True, False)
     ]
     sequences = [list(realizable), list(corrupted)]
@@ -679,23 +679,23 @@ def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, tie_brea
     for _ in range(data.draw(st.integers(1, 8))):
         orientation_mask = data.draw(st.integers(0, full))
         z = data.draw(st.integers(0, hc.instance_count - 1))
-        reference = PlainReductionLearner(fresh_copy(hc), u, multiclass, False, tie_break)
+        reference = PlainReductionLearner(fresh_copy(hc), u, multiclass, False)
         reference.mask, reference.orientation.mask = mask, orientation_mask
         shared.s = shared.ctx.state(mask, orientation_mask)
         assert shared.predict(z) == reference.predict(z)
 
 
 @PROPERTY
-@given(games(), st.booleans(), st.sampled_from(("low", "high")), st.data())
-def test_at_most_one_label_qualifies(game, multiclass, tie_break, data):
+@given(games(), st.booleans(), st.data())
+def test_at_most_one_label_qualifies(game, multiclass, data):
     """In any state and on any input, at most one label has a candidate
     the SOA orientation learner orients toward it against every candidate
     of every other label, and the reduction predicts that label or, with
     none, the no-winner default."""
     hc, u = game
     multiclass = multiclass or hc.label_count > 2
-    learner = RobustReductionLearner(hc, u, multiclass, tie_break=tie_break)
-    reference = PlainReductionLearner(fresh_copy(hc), u, multiclass, tie_break=tie_break)
+    learner = RobustReductionLearner(hc, u, multiclass)
+    reference = PlainReductionLearner(fresh_copy(hc), u, multiclass)
     full = (1 << hc.size) - 1
     reference.mask = data.draw(st.integers(0, full))
     reference.orientation.mask = data.draw(st.integers(0, full))
@@ -726,21 +726,20 @@ def test_at_most_one_label_qualifies(game, multiclass, tie_break, data):
 @given(
     games(max_instances=5, max_hypotheses=12),
     st.booleans(),
-    st.sampled_from(("low", "high")),
     st.sampled_from(("robust", "orientation")),
 )
-@example((full_class(5), identity_map(5)), False, "low", "robust")
-@example((full_class(5), identity_map(5)), False, "low", "orientation")
-@example((full_class(4), identity_map(4)), True, "high", "robust")
-def test_the_worst_case_walk_matches_a_plain_search(game, multiclass, tie_break, protocol):
+@example((full_class(5), identity_map(5)), False, "robust")
+@example((full_class(5), identity_map(5)), False, "orientation")
+@example((full_class(4), identity_map(4)), True, "robust")
+def test_the_worst_case_walk_matches_a_plain_search(game, multiclass, protocol):
     """The memoized longest path over the strict optimal learner's states
     equals the reference's search over every realizable reveal sequence,
     which replays each prefix on fresh learner objects of a fresh copy of
     the class."""
     hc, u = game
     multiclass = multiclass or hc.label_count > 2
-    worst = worst_case_mistakes(hc, u, protocol, multiclass, tie_break)
-    assert worst == plain_worst_case(fresh_copy(hc), u, protocol, multiclass, tie_break)
+    worst = worst_case_mistakes(hc, u, protocol, multiclass)
+    assert worst == plain_worst_case(fresh_copy(hc), u, protocol, multiclass)
 
 
 def test_the_full_class_worst_case_is_its_size():
@@ -793,7 +792,7 @@ def robust_walkers(hc, u):
     """A lazy tolerant learner, the reference's agnostic learner (which
     predicts 0 once emptied), and an automaton walk, all on the class hc."""
     return [
-        lazy_wrap(RobustReductionLearner(hc, u, strict=False)),
+        LazyRobustLearner(RobustReductionLearner(hc, u, strict=False)),
         agnostic_learner(hc, u),
         AutomatonWalk(hc, u),
     ]
@@ -992,21 +991,28 @@ def test_group_replay_equals_the_pool(game, horizon, dimension, corruptions, see
 @PROPERTY
 @given(games(max_labels=2), st.integers(1, 12), st.integers(0, 3), st.integers(0, 2**16))
 def test_decomposition_gap_counts_the_analysis_expert(game, horizon, corruptions, seed):
-    """decomposition_gap's expert mistakes are those of a plain subset
-    expert over analysis_subset's picked rounds, stepped round by round."""
+    """decomposition_gap's subset is the plain lazy learner's mistake
+    rounds on the comparator's free rounds, and its expert mistakes are
+    those of a plain subset expert over that subset, stepped round by
+    round."""
     hc, u = game
     rng = derive_rng(seed, "decomposition")
     rounds = realizable_robust_rounds(hc, u, horizon, rng)
     assume(rounds)
     rounds = corrupt_labels(rounds, corruptions, 2, rng)
-    picked, _, _ = analysis_subset(hc, u, rounds)
-    expert = PlainSubsetExpert(picked, hc, u)
+    report = decomposition_gap(hc, u, rounds)
+    best, lazy, picked = hc[report["best_hypothesis"]], agnostic_learner(hc, u), []
+    for t, (z, x, y) in enumerate(rounds):
+        if adversarial_loss(best, x, y, u) == 0:
+            if lazy.predict(z) != y:
+                picked.append(t)
+            lazy.update(z, x, y)
+    assert list(report["subset"]) == picked
+    expert = PlainSubsetExpert(report["subset"], hc, u)
     mistakes = 0
     for z, x, y in rounds:
         mistakes += expert.predict(z) != y
         expert.update(z, x, y)
-    report = decomposition_gap(hc, u, rounds)
-    assert report["subset"] == picked
     assert report["expert_mistakes"] == mistakes
 
 

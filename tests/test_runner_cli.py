@@ -632,6 +632,7 @@ f: f
             ("play", "{scn}", "--seed", "9" * 5000 + "_"),
             "--seed: expected an integer, got '99999999999999999999... (5001 characters)'",
         ),
+        (("adversary", "{scn}", "--tie-break", "high"), "unrecognized arguments: --tie-break high"),
     ],
 )
 def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):

@@ -332,6 +332,33 @@ def _edit(old, new):
             ],
             id="long-malformed-integer",
         ),
+        # every quoted value, line, key or name is cut to its first 20 characters
+        pytest.param(
+            SMALL + "GAME\nprotocol: " + "x" * 5000 + "\n",
+            [
+                "line 10, column 1: unknown protocol 'xxxxxxxxxxxxxxxxxxxx... (5000 characters)'; "
+                "choose from ('robust', 'orientation')"
+            ],
+            id="long-protocol",
+        ),
+        pytest.param(
+            SMALL + "GAME\n" + "x" * 5000 + "\n",
+            [
+                "line 10, column 1: expected 'key: values', "
+                "got 'xxxxxxxxxxxxxxxxxxxx... (5000 characters)'"
+            ],
+            id="long-line-without-colon",
+        ),
+        pytest.param(
+            _edit("instances: a b", "instances: a b " + "\u00e9" * 5000),
+            [
+                "line 2, column 1: bad instances name '" + "\u00e9" * 20 + "... (5000 characters)'",
+                "line 1, column 1: SPACES must declare instances",
+                "line 7, column 1: unknown instance 'a'",
+                "line 8, column 1: unknown instance 'b'",
+            ],
+            id="long-non-ascii-instance-name",
+        ),
     ],
 )
 def test_parser_messages(text, expected):

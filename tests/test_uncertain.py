@@ -59,7 +59,7 @@ def test_family_validation():
         PerturbationFamily((U5,), truth_index=3)
     fam = small_family(truth_index=2)
     assert len(fam) == 4
-    assert fam.truth is fam[2]
+    assert fam.truth is fam.members[2]
 
 
 def test_family_loss_budget_is_worst_member_dimension():
