@@ -121,7 +121,7 @@ def _sub_seed(seed: int, criterion: int) -> int:
 
 
 def _robust_usable(hc, u) -> bool:
-    return any(compiled(hc, u, RobustChoices).masks)
+    return any(map(compiled(hc, u, RobustChoices).codes, range(hc.size)))
 
 
 def criterion_1(scale: Scale, seed: int) -> CriterionResult:
@@ -169,14 +169,14 @@ def _walks(scale: Scale, seed: int, games: tuple[str, ...]):
     for count, labels in ((scale.conform_binary, 2), (scale.conform_multiclass, 3)):
         params = CorpusParams(count=count, seed=_sub_seed(seed, 3) + labels, label_count=labels)
         for sc in generate_corpus(params):
-            hc, u, multiclass = sc.hypotheses, sc.truth, labels > 2
+            hc, u = sc.hypotheses, sc.truth
             for game in games:
                 edges = []
                 try:
-                    worst = worst_case_mistakes(hc, u, game, multiclass, mistakes=edges)
+                    worst = worst_case_mistakes(hc, u, game, mistakes=edges)
                 except (ProtocolViolation, SearchInvariantError):
                     worst = None
-                yield get_engine(hc, u, multiclass), worst, edges
+                yield get_engine(hc, u), worst, edges
 
 
 def criterion_3(scale: Scale, seed: int) -> CriterionResult:

@@ -7,9 +7,9 @@ maintained by construction, because every root-to-node path of a shattered
 tree is realizable.
 
 The realizable generators pick a hypothesis and draw rounds that cost it
-nothing.  Each (class, map) keeps, per game, one choice table: the mask
-of hypotheses each choice code costs nothing, and every hypothesis's
-playable codes, filled on first use (RobustChoices, OrientationChoices).
+nothing.  Each (class, map) keeps, per game, one choice table: every
+hypothesis's playable codes, read off the consistency masks or the game
+nodes on first use (RobustChoices, OrientationChoices).
 So a call draws from a ready list and builds round objects only for the
 rounds it returns.  The draws are exactly those of a plain loop that
 lists the choices and makes one scalar rng.integers call per choice, so
@@ -20,11 +20,14 @@ bound depends on the anchor drawn, decodes both draws of every round
 from blocks of raw 32-bit words (seeding.BoundedDraws).
 """
 
+from itertools import chain
+
 import numpy as np
 
 from .dimension import AdversarialTree
 from .learners import OrientationQuery
-from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks, game_nodes
+from .model import HypothesisClass, PerturbationMap, check_label_mode, compiled
+from .model import consistency_masks, game_nodes
 from .seeding import BoundedDraws
 
 
@@ -130,22 +133,18 @@ class ScriptedOrientationAdversary:
 
 
 class _Choices:
-    """Integer codes of each hypothesis's playable choices in one game.
+    """Integer codes of each hypothesis's playable choices in one game:
+    a subclass's _find(h) reads them off its masks or nodes, in
+    increasing order, on first use, and codes(h) keeps them."""
 
-    masks[c] holds the hypotheses for which choice code c costs nothing.
-    A hypothesis's codes are found on first use and kept, in increasing
-    order.
-    """
-
-    def __init__(self, size: int, masks: tuple[int, ...]):
-        self.masks = masks
+    def __init__(self, size: int):
         self._codes: list[tuple[int, ...] | None] = [None] * size
 
     def codes(self, h: int) -> tuple[int, ...]:
         """Codes of the choices that cost hypothesis id h nothing."""
         found = self._codes[h]
         if found is None:
-            found = self._codes[h] = tuple(c for c, m in enumerate(self.masks) if m >> h & 1)
+            found = self._codes[h] = self._find(h)
         return found
 
     def first_playable(self, rng) -> tuple[int, ...]:
@@ -170,19 +169,20 @@ class RobustChoices(_Choices):
     """Clean pairs (x, y), coded x * L + y for L labels.
 
     A pair is playable for h when U(x) is nonempty (the adversary must
-    present some perturbation of x) and h labels all of U(x) with y, so
-    its mask is consistency_masks[x][y], or 0 where U(x) is empty.  Got
-    through compiled(hc, u, RobustChoices).  perturbations[x] is U(x)
-    sorted.
+    present some perturbation of x) and h labels all of U(x) with y, that
+    is, when h is in consistency_masks[x][y].  Got through
+    compiled(hc, u, RobustChoices).  perturbations[x] is U(x) sorted.
     """
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap):
+        super().__init__(hc.size)
         self.perturbations = tuple(tuple(sorted(s)) for s in u.forward)
-        masks = consistency_masks(hc, u)
-        super().__init__(
-            hc.size,
-            tuple(m if zs else 0 for zs, row in zip(self.perturbations, masks) for m in row),
-        )
+        self._masks = consistency_masks(hc, u)
+
+    def _find(self, h: int) -> tuple[int, ...]:
+        zs, labels = self.perturbations, len(self._masks[0])
+        masks = chain.from_iterable(self._masks)
+        return tuple(c for c, m in enumerate(masks) if m >> h & 1 and zs[c // labels])
 
 
 class _Queries(dict):
@@ -203,17 +203,20 @@ class _Queries(dict):
 class OrientationChoices(_Choices):
     """Orientation options, coded 2 * node + side.
 
-    node indexes game_nodes(hc, u, multiclass), whose side masks are
-    masks[2 * node] and masks[2 * node + 1], and queries[node] is its
+    node indexes game_nodes(hc, u), whose side i keeps the hypotheses
+    for which option (node, i) is playable, and queries[node] is its
     query, built once per table; code c is the option
     (queries[c >> 1], c & 1).  Got through
-    compiled(hc, u, OrientationChoices, multiclass).
+    compiled(hc, u, OrientationChoices).
     """
 
-    def __init__(self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool):
-        nodes = game_nodes(hc, u, multiclass)
-        super().__init__(hc.size, tuple(m for _, _, m0, m1 in nodes for m in (m0, m1)))
-        self.queries = _Queries(nodes)
+    def __init__(self, hc: HypothesisClass, u: PerturbationMap):
+        super().__init__(hc.size)
+        self.queries = _Queries(game_nodes(hc, u))
+
+    def _find(self, h: int) -> tuple[int, ...]:
+        nodes = self.queries.nodes  # side i of a node keeps its entry 2 + i
+        return tuple(c for c in range(2 * len(nodes)) if nodes[c >> 1][2 + (c & 1)] >> h & 1)
 
 
 def realizable_robust_rounds(
@@ -258,7 +261,7 @@ def realizable_orientation_rounds(
     u: PerturbationMap,
     length: int,
     rng,
-    multiclass: bool = False,
+    multiclass=None,
 ) -> list[tuple[OrientationQuery, int]]:
     """Random orientation rounds whose revealed sides one hypothesis realizes.
 
@@ -271,7 +274,8 @@ def realizable_orientation_rounds(
     calls (the block rule in `seeding`).  The rounds share the table's
     queries, each built the first time it is drawn.
     """
-    table = compiled(hc, u, OrientationChoices, multiclass)
+    check_label_mode(hc, multiclass)
+    table = compiled(hc, u, OrientationChoices)
     codes = table.first_playable(rng)
     if not codes:
         return []

@@ -109,7 +109,7 @@ def _describe_tree(tree, names, indent="", side=""):
 def cmd_dim(args) -> int:
     sc = _load_scenario(args.scenario)
     hc, u = sc.hypotheses, sc.truth
-    dim = adversarial_dimension(hc, u, multiclass=sc.multiclass)
+    dim = adversarial_dimension(hc, u)
     print(f"dimension: {dim}")
     if args.classic:
         if sc.multiclass:
@@ -121,7 +121,7 @@ def cmd_dim(args) -> int:
             print("mismatch under the identity map", file=sys.stderr)
             return 1
     if args.tree:
-        tree = witness_tree(hc, u, multiclass=sc.multiclass)
+        tree = witness_tree(hc, u)
         for line in _describe_tree(tree.root, sc.instance_names):
             print(line)
     return 0
@@ -151,15 +151,12 @@ def cmd_play(args) -> int:
 def cmd_oracle(args) -> int:
     sc = _load_scenario(args.scenario)
     hc, u = sc.hypotheses, sc.truth
-    multiclass = sc.multiclass
-    dim = adversarial_dimension(hc, u, multiclass=multiclass)
+    dim = adversarial_dimension(hc, u)
     print(f"dimension: {dim}")
     ok = True
     games = (args.game,) if args.game else ("robust", "orientation")
     for game in games:
-        value = optimal_mistake_bound(
-            hc, u, game=game, multiclass=multiclass, horizon=args.horizon
-        )
+        value = optimal_mistake_bound(hc, u, game=game, horizon=args.horizon)
         print(f"{game} value: {value}")
         if args.horizon is None and value != dim:
             print(f"{game} value differs from the dimension", file=sys.stderr)
@@ -170,13 +167,11 @@ def cmd_oracle(args) -> int:
 def cmd_adversary(args) -> int:
     sc = _load_scenario(args.scenario)
     hc, u = sc.hypotheses, sc.truth
-    dim = adversarial_dimension(hc, u, multiclass=sc.multiclass)
-    tree = witness_tree(hc, u, multiclass=sc.multiclass)
+    dim = adversarial_dimension(hc, u)
+    tree = witness_tree(hc, u)
     game = sc.game.protocol
     rng = derive_rng(sc.game.seed, "adversary-cli", args.learner)
-    learner = make_learner(
-        args.learner, game, hc, u, multiclass=sc.multiclass, rng=rng, strict=False
-    )
+    learner = make_learner(args.learner, game, hc, u, rng=rng, strict=False)
     rounds, _ = run_game(hc, u, learner, tree_adversary(game, tree, u), dim)
     forced = sum(r.loss for r in rounds)
     print(f"dimension: {dim}")

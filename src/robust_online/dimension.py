@@ -1,10 +1,9 @@
 """Adversarial dimension of a hypothesis class under a perturbation map.
 
 The dimension is the maximum depth of a full binary tree whose nodes are
-instance pairs with intersecting perturbation sets (plus a distinct label
-pair in the multiclass variant) such that every root-to-node path is
-realizable.  It is computed by a memoized recursion over version-space
-bitmasks:
+instance pairs with intersecting perturbation sets and two distinct
+labels, such that every root-to-node path is realizable.  It is computed
+by a memoized recursion over version-space bitmasks:
 
     dim(V) = 1 + max over candidate nodes of min(dim(V0), dim(V1))
 
@@ -41,14 +40,8 @@ read the ordered nodes.
 from dataclasses import dataclass
 
 from .errors import DomainError, TreeStructureError
-from .model import (
-    HypothesisClass,
-    PerturbationMap,
-    VersionSpace,
-    compiled,
-    game_nodes,
-    restrict,
-)
+from .model import HypothesisClass, PerturbationMap, VersionSpace, check_label_mode, compiled
+from .model import game_nodes, restrict
 
 EMPTY_DIM = -1  # sentinel dimension of the empty version space
 
@@ -84,20 +77,16 @@ class AdversarialTree:
 
 
 class DimensionEngine:
-    """Shared search state for one (class, map, label mode) triple.
+    """Shared search state for one (class, map) pair.
 
     Holds the node list, its splits and a bitmask-keyed memo table, so
     the online learners can ask for dimensions of thousands of version
     spaces at amortized dictionary-lookup cost.
     """
 
-    def __init__(self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False):
-        if hc.instance_count != u.instance_count:
-            raise DomainError("hypothesis class and perturbation map cover different spaces")
-        if not multiclass and hc.label_count != 2:
-            raise DomainError("binary mode requires exactly two labels")
+    def __init__(self, hc: HypothesisClass, u: PerturbationMap):
         self.full_mask = (1 << hc.size) - 1
-        self.nodes = game_nodes(hc, u, multiclass)
+        self.nodes = game_nodes(hc, u)
         firsts = {}  # the first node of each unordered pair of nonempty sides
         for node in self.nodes:
             m0, m1 = node[2], node[3]
@@ -162,31 +151,34 @@ class DimensionEngine:
         raise AssertionError("no witness node at a depth the search just certified")
 
 
-def get_engine(hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False) -> DimensionEngine:
-    return compiled(hc, u, DimensionEngine, multiclass)
+def get_engine(hc: HypothesisClass, u: PerturbationMap) -> DimensionEngine:
+    return compiled(hc, u, DimensionEngine)
 
 
-def adversarial_dimension(hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False) -> int:
+def adversarial_dimension(hc: HypothesisClass, u: PerturbationMap, multiclass=None) -> int:
     """Exact adversarial dimension of hc under u; at most floor(log2 |hc|)."""
-    return get_engine(hc, u, multiclass).dimension()
+    check_label_mode(hc, multiclass)
+    return get_engine(hc, u).dimension()
 
 
-def dimension_of(v: VersionSpace, u: PerturbationMap, multiclass: bool = False) -> int:
+def dimension_of(v: VersionSpace, u: PerturbationMap, multiclass=None) -> int:
     """Dimension of a version space; EMPTY_DIM (-1) for the empty one."""
-    return get_engine(v.parent, u, multiclass).dimension_of_mask(v.mask)
+    check_label_mode(v.parent, multiclass)
+    return get_engine(v.parent, u).dimension_of_mask(v.mask)
 
 
-def witness_tree(hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False) -> AdversarialTree:
+def witness_tree(hc: HypothesisClass, u: PerturbationMap, multiclass=None) -> AdversarialTree:
     """A shattered tree of maximum depth, deterministic for fixed inputs.
 
-    Built once per (class, map, mode) and kept with the class: every call
+    Built once per (class, map) and kept with the class: every call
     returns the same frozen tree.
     """
-    return compiled(hc, u, _build_witness_tree, multiclass)
+    check_label_mode(hc, multiclass)
+    return compiled(hc, u, _build_witness_tree)
 
 
-def _build_witness_tree(hc: HypothesisClass, u: PerturbationMap, multiclass: bool):
-    eng = get_engine(hc, u, multiclass)
+def _build_witness_tree(hc: HypothesisClass, u: PerturbationMap):
+    eng = get_engine(hc, u)
     d = eng.dimension()
     return AdversarialTree(eng.witness_from_mask(eng.full_mask, d), d)
 
@@ -251,7 +243,7 @@ def classic_littlestone_dimension(hc: HypothesisClass) -> int:
     with the mask of the tables that label x with 0, built here from the
     raw tables; no perturbation map is read.
     """
-    if hc.label_count != 2:
+    if not hc.is_binary:
         raise DomainError("the classic dimension is defined here for binary labels")
     zeros_at = [0] * hc.instance_count
     for i, table in enumerate(hc.tables):

@@ -1,8 +1,8 @@
 """Online learners for the two game protocols.
 
 Orientation game: the adversary shows a pair of candidate instances with
-intersecting perturbation sets (plus a label per side in the multiclass
-variant); the learner must say which side will be revealed as clean.
+intersecting perturbation sets and a label per side; the learner must say
+which side will be revealed as clean.
 
 Robust game: the adversary shows a perturbed input; the learner commits to
 a label before the clean pair is revealed.
@@ -20,9 +20,9 @@ code that sees both the prediction and the reveal counts the mistakes: the
 loss bits of the game runners, the loss matrix of the expert replay, and
 the loops of the estimators.
 
-The optimal learners of one (class, map, label mode) share a
-LearnerContext, got with one compiled() lookup: the masks, the dimension
-engine and one table of the robust reduction's states.  A state (robust
+The optimal learners of one (class, map) share a LearnerContext, got
+with one compiled() lookup: the masks, the dimension engine and one
+table of the robust reduction's states.  A state (robust
 mask, orientation mask) is interned as a dense id, and one memo maps
 (id, input) to the predicted label.
 
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from .dimension import get_engine
-from .errors import ProtocolViolation, SearchInvariantError
-from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks
+from .errors import DomainError, ProtocolViolation, SearchInvariantError
+from .model import HypothesisClass, PerturbationMap, check_label_mode, compiled, consistency_masks
 
 OPTIMAL = "optimal"
 BASELINES = ("constant-0", "constant-1", "random", "majority")
@@ -69,22 +69,21 @@ def _soa_label(d0: int, d1: int, y0: int, y1: int) -> int:
 
 
 class LearnerContext:
-    """What the optimal learners of one (class, map, label mode) share,
-    and the robust reduction itself: the masks, the dimension engine, the
-    reduction's state table and its prediction memo.
+    """What the optimal learners of one (class, map) share, and the robust
+    reduction itself: the masks, the dimension engine, the reduction's
+    state table and its prediction memo.
 
-    Got through compiled(hc, u, LearnerContext, multiclass), so
-    building a learner takes one lookup.  states[s] is the state (robust
-    mask, orientation mask) with id s (0 is the start), and
-    predictions[s * n + z] its label on input z < n.
+    Got through compiled(hc, u, LearnerContext), so building a learner
+    takes one lookup.  states[s] is the state (robust mask, orientation
+    mask) with id s (0 is the start), and predictions[s * n + z] its label
+    on input z < n.
     """
 
-    def __init__(self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool):
+    def __init__(self, hc: HypothesisClass, u: PerturbationMap):
         self.hc = hc
         self.u = u
-        self.multiclass = multiclass
         self.masks = consistency_masks(hc, u)
-        self.engine = get_engine(hc, u, multiclass)
+        self.engine = get_engine(hc, u)
         self.full = (1 << hc.size) - 1
         self.n = u.instance_count
         self.states = [(self.full, self.full)]
@@ -142,7 +141,7 @@ class LearnerContext:
                     for b in p2
                 ):
                     return y
-        return 0 if self.multiclass else 1
+        return int(self.hc.is_binary)  # no winner: 1 on two labels, 0 on more
 
     def step(self, s: int, z: int, x: int, y: int, events: list | None = None) -> int:
         """The id of state s after the clean reveal (x, y) of a round
@@ -196,10 +195,8 @@ class SoaOrientationLearner:
 
     game = "orientation"
 
-    def __init__(
-        self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False, strict: bool = True
-    ):
-        ctx = compiled(hc, u, LearnerContext, multiclass)
+    def __init__(self, hc: HypothesisClass, u: PerturbationMap, *, strict: bool = True):
+        ctx = compiled(hc, u, LearnerContext)
         self.strict = strict
         self.engine, self._masks, self.mask = ctx.engine, ctx.masks, ctx.full
         self.events: list[str] = []
@@ -256,8 +253,8 @@ class RobustReductionLearner:
     by label into P[y] (instances x with the input in U(x) and a nonempty
     restriction on (x, y)).  A label y wins when one of its candidates is
     oriented toward y against every candidate of every other label.  With
-    no winner the binary learner answers 1 (the multiclass variant answers
-    the smallest label id); at most one label wins.
+    no winner the learner answers 1 on a binary class and the smallest
+    label id, 0, on a class with more labels; at most one label wins.
 
     On a mistake there must exist a candidate of some other label that the
     orientation learner oriented wrongly against the revealed clean
@@ -271,11 +268,9 @@ class RobustReductionLearner:
 
     game = "robust"
 
-    def __init__(
-        self, hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False, strict: bool = True
-    ):
+    def __init__(self, hc: HypothesisClass, u: PerturbationMap, *, strict: bool = True):
         self.strict = strict
-        self.ctx = compiled(hc, u, LearnerContext, multiclass)
+        self.ctx = compiled(hc, u, LearnerContext)
         self.s = 0
         self.events: list[str] = []
 
@@ -299,7 +294,7 @@ class RobustReductionLearner:
         self.s = s
 
 
-def worst_case_mistakes(hc, u, game: str, multiclass=False, mistakes=None) -> int:
+def worst_case_mistakes(hc, u, game: str, mistakes=None) -> int:
     """The most mistakes the strict optimal learner of `game` makes over
     every realizable sequence, of any length.
 
@@ -313,7 +308,7 @@ def worst_case_mistakes(hc, u, game: str, multiclass=False, mistakes=None) -> in
     an event the strict learner raises on both raise SearchInvariantError.
     Given a list, mistakes gets (state, next state) of every mistake edge.
     """
-    ctx = compiled(hc, u, LearnerContext, multiclass)
+    ctx = compiled(hc, u, LearnerContext)
     if game == "robust":
         labels = range(hc.label_count)
         reveals = [(z, x, y) for x in range(ctx.n) for z in sorted(u.forward[x]) for y in labels]
@@ -399,9 +394,16 @@ class LazyOrientationLearner:
             self.inner.update(query, side)
 
 
+def binary_context(hc: HypothesisClass, u: PerturbationMap) -> LearnerContext:
+    """The LearnerContext of a binary class; more labels are a DomainError."""
+    if not hc.is_binary:
+        raise DomainError(f"this learner is binary; the class has {hc.label_count} labels")
+    return compiled(hc, u, LearnerContext)
+
+
 class LazyRobustAutomaton:
     """The tolerant lazy optimal robust learner the agnostic replays run,
-    on the ids and memo of the binary LearnerContext.
+    on the ids and memo of the binary LearnerContext (binary_context).
 
     An emptied state (robust mask 0) predicts 0 without the memo, where
     the context stores the no-winner label 1.  Only a mistake steps the
@@ -411,7 +413,7 @@ class LazyRobustAutomaton:
     """
 
     def __init__(self, hc, u):
-        self.ctx = compiled(hc, u, LearnerContext, False)
+        self.ctx = binary_context(hc, u)
         self.transitions = {}
 
     def predict(self, s: int, z: int) -> int:
@@ -498,7 +500,7 @@ def make_learner(
     game: str,
     hc: HypothesisClass,
     u: PerturbationMap,
-    multiclass: bool = False,
+    multiclass=None,
     rng=None,
     strict: bool = True,
 ):
@@ -509,9 +511,10 @@ def make_learner(
     """
     if game not in ("orientation", "robust"):
         raise ValueError(f"unknown game {game!r}")
+    check_label_mode(hc, multiclass)
     if name == OPTIMAL:
         cls = SoaOrientationLearner if game == "orientation" else RobustReductionLearner
-        return cls(hc, u, multiclass, strict)
+        return cls(hc, u, strict=strict)
     if name == "constant-0":
         return ConstantLearner(game, 0)
     if name == "constant-1":

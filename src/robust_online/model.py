@@ -14,6 +14,11 @@ derived on their first read.
 The consistency masks are the single source of the robust loss.  Data
 compiled for a (class, map) pair is kept on the class (see compiled()),
 so it is built once, found without hashing the class and freed with it.
+
+The label mode is the class's (HypothesisClass.is_binary): orientation
+nodes carry (0, 1) on two labels and every ordered pair of distinct
+labels on more.  Both orders on two labels give the same dimension, so
+the mode is no option.  The masks refuse fewer than two labels.
 """
 
 import itertools
@@ -47,7 +52,7 @@ class HypothesisClass:
 
     tables[i] is hypothesis i's label per instance.  The tables are the
     class's data; a Hypothesis object is made only when one is asked for
-    (by iteration or indexing) and is not kept.
+    (by iteration) and is not kept.
     """
 
     tables: tuple[tuple[Label, ...], ...]
@@ -86,12 +91,12 @@ class HypothesisClass:
     def size(self) -> int:
         return len(self.tables)
 
+    @property
+    def is_binary(self) -> bool:
+        return self.label_count == 2
+
     def __iter__(self):
         return map(Hypothesis, itertools.count(), self.tables, itertools.repeat(self.label_count))
-
-    def __getitem__(self, i: int) -> Hypothesis:
-        i = range(self.size)[i]  # a negative index counts from the end, as on a tuple
-        return Hypothesis(i, self.tables[i], self.label_count)
 
 
 def full_class(instance_count: int, label_count: int = 2) -> HypothesisClass:
@@ -180,6 +185,8 @@ def consistency_masks(hc: HypothesisClass, u: PerturbationMap):
 def _build_masks(hc: HypothesisClass, u: PerturbationMap):
     if hc.instance_count != u.instance_count:
         raise DomainError("hypothesis class and perturbation map cover different spaces")
+    if hc.label_count < 2:
+        raise DomainError(f"a game needs at least two labels, got {hc.label_count}")
     # point[z][y]: the hypotheses that label z with y
     point = [[0] * hc.label_count for _ in range(hc.instance_count)]
     for i, table in enumerate(hc.tables):
@@ -201,22 +208,28 @@ def _build_masks(hc: HypothesisClass, u: PerturbationMap):
     return tuple(masks)
 
 
-def game_nodes(hc: HypothesisClass, u: PerturbationMap, multiclass: bool = False):
+def check_label_mode(hc: HypothesisClass, claimed) -> None:
+    """Refuse a claimed mode (a multiclass= keyword) other than hc's; None passes."""
+    if claimed is not None and claimed == hc.is_binary:
+        raise DomainError(f"multiclass={claimed!r} disagrees with {hc.label_count} labels")
+
+
+def game_nodes(hc: HypothesisClass, u: PerturbationMap):
     """(pair, labels, mask0, mask1) for every orientation-game node.
 
     A node is a compatible instance pair (perturbation sets that
-    intersect) with one label per side: (0, 1) in binary mode, any two
-    distinct labels in multiclass mode.  Side i keeps mask_i.  The order
-    is lexicographic in (pair, labels); witness extraction and the
-    searches' tie-breaks rely on it.
+    intersect) with one label per side: (0, 1) on a binary class, any two
+    distinct labels on a class with more labels.  Side i keeps mask_i.
+    The order is lexicographic in (pair, labels); witness extraction and
+    the searches' tie-breaks rely on it.
     """
-    return compiled(hc, u, _build_nodes, multiclass)
+    return compiled(hc, u, _build_nodes)
 
 
-def _build_nodes(hc: HypothesisClass, u: PerturbationMap, multiclass: bool):
+def _build_nodes(hc: HypothesisClass, u: PerturbationMap):
     masks = consistency_masks(hc, u)
     label_pairs = [(0, 1)]
-    if multiclass:
+    if not hc.is_binary:
         n = hc.label_count
         label_pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     fwd = u.forward

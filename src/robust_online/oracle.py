@@ -11,7 +11,7 @@ an orientation node holds its two sides.  A reveal with mask 0 is never
 legal and one with the full class's mask never shrinks a state, so both
 are dropped, and so are moves left empty; equal moves are kept once.
 Robust inputs with the same reveal set thus share one move, and so do
-the mirrored multiclass nodes ((x0, x1), (a, b)) and ((x1, x0), (b, a)).
+the mirrored nodes ((x0, x1), (a, b)) and ((x1, x0), (b, a)).
 The sides of a node are disjoint, so an orientation move is its one or
 two kept sides in order, with no set to dedupe them.
 
@@ -65,27 +65,22 @@ more, and the stored value is still exact.
 from collections import defaultdict
 
 from .errors import DomainError, LimitExceeded
-from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks, game_nodes
+from .model import HypothesisClass, PerturbationMap, check_label_mode, compiled
+from .model import consistency_masks, game_nodes
 
 MAX_INSTANCES = 5
 MAX_HYPOTHESES = 16
 
 
 class MinimaxSolver:
-    """Game-value solver for one (class, map, game, label mode) triple.
+    """Game-value solver for one (class, map, game) triple.
 
     memos[h][mask] is the exact value of state mask at horizon h, with
     h = None for the unbounded game.  Horizon 0 has no memo: every state
     is worth 0 there.
     """
 
-    def __init__(
-        self,
-        hc: HypothesisClass,
-        u: PerturbationMap,
-        game: str,
-        multiclass: bool = False,
-    ):
+    def __init__(self, hc: HypothesisClass, u: PerturbationMap, game: str):
         if game not in ("robust", "orientation"):
             raise DomainError(f"unknown game {game!r}")
         if hc.instance_count > MAX_INSTANCES or hc.size > MAX_HYPOTHESES:
@@ -93,8 +88,6 @@ class MinimaxSolver:
                 f"exhaustive game search is limited to {MAX_INSTANCES} instances "
                 f"and {MAX_HYPOTHESES} hypotheses; got {hc.instance_count} and {hc.size}"
             )
-        if not multiclass and hc.label_count != 2:
-            raise DomainError("binary mode requires exactly two labels")
         masks = consistency_masks(hc, u)
         full = (1 << hc.size) - 1
         if game == "robust":
@@ -108,7 +101,7 @@ class MinimaxSolver:
         else:
             moves = set()
             # the sides of a node are disjoint, so two kept sides differ
-            for _, (y0, y1), m0, m1 in game_nodes(hc, u, multiclass):
+            for _, (y0, y1), m0, m1 in game_nodes(hc, u):
                 a, b = (m0, y0), (m1, y1)
                 if m0 and m0 != full:
                     if m1 and m1 != full:
@@ -177,7 +170,7 @@ def optimal_mistake_bound(
     hc: HypothesisClass,
     u: PerturbationMap,
     game: str = "robust",
-    multiclass: bool = False,
+    multiclass=None,
     horizon: int | None = None,
 ) -> int:
     """Exact minimax mistake count of the realizable game.
@@ -185,5 +178,6 @@ def optimal_mistake_bound(
     horizon=None means the unbounded game (its value stabilizes because
     mistakes are bounded); a nonnegative horizon caps the round count.
     """
-    solver = compiled(hc, u, MinimaxSolver, game, multiclass)
+    check_label_mode(hc, multiclass)
+    solver = compiled(hc, u, MinimaxSolver, game)
     return solver.value((1 << hc.size) - 1, horizon)

@@ -106,7 +106,7 @@ def run_robust_game(
     """
     rounds = []
     trace = [] if track_dimension else None
-    engine = get_engine(hc, u, hc.label_count > 2) if track_dimension else None
+    engine = get_engine(hc, u) if track_dimension else None
     n = u.instance_count
     for t in range(horizon):
         z = adversary.emit()
@@ -140,7 +140,7 @@ def run_orientation_game(
     """Drive one orientation game; queries must name compatible pairs."""
     rounds = []
     trace = [] if track_dimension else None
-    engine = get_engine(hc, u, hc.label_count > 2) if track_dimension else None
+    engine = get_engine(hc, u) if track_dimension else None
     n = u.instance_count
     for t in range(horizon):
         query = adversary.query()
@@ -194,7 +194,7 @@ def build_adversary(sc: Scenario, rng):
     """Instantiate the adversary a scenario names, for its truth map."""
     hc, u, g = sc.hypotheses, sc.truth, sc.game
     if g.adversary == "tree":
-        return tree_adversary(g.protocol, witness_tree(hc, u, multiclass=sc.multiclass), u)
+        return tree_adversary(g.protocol, witness_tree(hc, u), u)
     if g.protocol == "robust":
         rounds = realizable_robust_rounds(hc, u, g.horizon, rng)
         if not rounds:
@@ -204,7 +204,7 @@ def build_adversary(sc: Scenario, rng):
         if g.adversary == "corrupted":
             rounds = corrupt_labels(rounds, g.corruptions, hc.label_count, rng)
         return ScriptedRobustAdversary(rounds)
-    rounds = realizable_orientation_rounds(hc, u, g.horizon, rng, multiclass=sc.multiclass)
+    rounds = realizable_orientation_rounds(hc, u, g.horizon, rng)
     if not rounds:
         raise DomainError(
             "the truth map admits no realizable orientation rounds for this class"
@@ -222,9 +222,7 @@ def run_scenario(sc: Scenario, track_dimension: bool = False):
     """
     hc, u, g = sc.hypotheses, sc.truth, sc.game
     rng = derive_rng(g.seed, "run", g.protocol, g.learner, g.adversary)
-    learner = make_learner(
-        g.learner, g.protocol, hc, u, multiclass=sc.multiclass, rng=rng, strict=False
-    )
+    learner = make_learner(g.learner, g.protocol, hc, u, rng=rng, strict=False)
     adversary = build_adversary(sc, rng)
     rounds, trace = run_game(hc, u, learner, adversary, g.horizon, track_dimension)
     summary = RunSummary(
@@ -234,7 +232,7 @@ def run_scenario(sc: Scenario, track_dimension: bool = False):
         seed=g.seed,
         rounds=len(rounds),
         mistakes=sum(r.loss for r in rounds),
-        dimension=adversarial_dimension(hc, u, multiclass=sc.multiclass),
+        dimension=adversarial_dimension(hc, u),
         events=list(getattr(learner, "events", [])),
         dimension_trace=trace,
     )

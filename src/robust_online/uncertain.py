@@ -43,8 +43,8 @@ from .forecaster import (
     small_loss_bound,
     weight_trajectory,
 )
-from .learners import LearnerContext
-from .model import HypothesisClass, PerturbationMap, compiled, surviving_mask
+from .learners import binary_context
+from .model import HypothesisClass, PerturbationMap, surviving_mask
 from .seeding import derive_rng
 
 
@@ -90,7 +90,7 @@ def _replay(hc: HypothesisClass, members, rounds):
         raise DomainError("need at least one round")
     rows = []
     for u in members:
-        ctx, s, row = compiled(hc, u, LearnerContext, False), 0, []
+        ctx, s, row = binary_context(hc, u), 0, []
         for z, x, y in rounds:
             row.append(ctx.predict(s, z))
             s = ctx.step(s, z, x, y)
@@ -189,7 +189,7 @@ def halving_bound(hc: HypothesisClass, family: PerturbationFamily) -> int:
     A single-member family gives d.
     """
     f = len(family).bit_length() - 1
-    dim = adversarial_dimension(hc, family.truth)
+    dim = binary_context(hc, family.truth).engine.dimension()
     return dim * (f + 1) + f
 
 

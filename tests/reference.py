@@ -108,7 +108,7 @@ def is_realizable_sequence(pairs, hc, u: PerturbationMap) -> bool:
     return surviving_mask(pairs, hc, u) != 0
 
 
-def plain_worst_case(hc, u, game, multiclass=False):
+def plain_worst_case(hc, u, game):
     """The most mistakes the strict optimal learner of `game` makes over
     every realizable sequence, by a search over reveal sequences with no
     memo.
@@ -117,14 +117,14 @@ def plain_worst_case(hc, u, game, multiclass=False):
     SoaOrientationLearner objects.  A reveal is realizable when one
     hypothesis has zero adversarial loss on all the clean pairs revealed
     so far; in the orientation game the pairs are compatible and carry
-    (0, 1), or any two distinct labels in multiclass mode, where of a query
-    and its mirror image (both sides swapped) only the first is played: the
-    SOA rule is side-symmetric, so the mirror's reveals repeat the
-    query's.  A reveal that leaves the learner's state as it was is not
+    (0, 1) on two labels, or any two distinct labels on more, where of a
+    query and its mirror image (both sides swapped) only the first is
+    played: the SOA rule is side-symmetric, so the mirror's reveals repeat
+    the query's.  A reveal that leaves the learner's state as it was is not
     followed: repeating it changes nothing, unless it costs a mistake,
     which makes the worst case unbounded (math.inf).
     """
-    labels = range(hc.label_count)
+    labels, multiclass = range(hc.label_count), hc.label_count > 2
     if game == "robust":
         reveals = [
             ((z, x, y), (x, y))
@@ -134,7 +134,7 @@ def plain_worst_case(hc, u, game, multiclass=False):
         ]
 
         def fresh():
-            return RobustReductionLearner(hc, u, multiclass)
+            return RobustReductionLearner(hc, u)
 
         def play(learner, move):
             z, x, y = move
@@ -156,7 +156,7 @@ def plain_worst_case(hc, u, game, multiclass=False):
         ]
 
         def fresh():
-            return SoaOrientationLearner(hc, u, multiclass)
+            return SoaOrientationLearner(hc, u)
 
         def play(learner, move):
             query, side = move
@@ -222,17 +222,17 @@ class PlainReductionLearner:
     prediction afresh.
 
     A label y wins when one of its candidates P[y] is oriented toward y
-    against every candidate of every other label; with none, the binary
-    learner answers 1 and the multiclass one 0.  On a mistake the first
+    against every candidate of every other label; with none, it answers 1
+    on two labels and 0 on more.  On a mistake the first
     wrongly oriented counterpart query is fed to the orientation learner.
     """
 
     game = "robust"
 
-    def __init__(self, hc, u, multiclass=False, strict=True):
-        self.hc, self.u, self.multiclass, self.strict = hc, u, multiclass, strict
+    def __init__(self, hc, u, strict=True):
+        self.hc, self.u, self.strict = hc, u, strict
         self._masks = consistency_masks(hc, u)
-        self.orientation = SoaOrientationLearner(hc, u, multiclass, strict=False)
+        self.orientation = SoaOrientationLearner(hc, u, strict=False)
         self.mask = (1 << hc.size) - 1
         self.events = []
 
@@ -256,7 +256,7 @@ class PlainReductionLearner:
                     for x2 in p2
                 ):
                     return y
-        return 0 if self.multiclass else 1
+        return 0 if self.hc.label_count > 2 else 1
 
     _compute = predict  # update's prediction, past any patch on predict
 
@@ -302,8 +302,8 @@ class EmptiedPredictsZero(PlainReductionLearner):
     """The tolerant robust learner, predicting 0 once its version space is
     empty; update reads the same prediction."""
 
-    def __init__(self, hc, u, multiclass=False, strict=False):
-        super().__init__(hc, u, multiclass, strict)
+    def __init__(self, hc, u, strict=False):
+        super().__init__(hc, u, strict)
 
     def predict(self, z):
         return 0 if self.mask == 0 else super().predict(z)

@@ -187,8 +187,8 @@ def test_oracle_compiles_each_distinct_move_once():
     assert optimal_mistake_bound(full_class(3), total_map(3)) == 1
     # the mirrored nodes ((x, x), (a, b)) and ((x, x), (b, a)) share a move
     hc, u = full_class(2, label_count=3), identity_map(2)
-    assert len(game_nodes(hc, u, multiclass=True)) == 12
-    assert len(MinimaxSolver(hc, u, "orientation", multiclass=True).moves) == 6
+    assert len(game_nodes(hc, u)) == 12
+    assert len(MinimaxSolver(hc, u, "orientation").moves) == 6
 
 
 def test_oracle_refuses_oversized_inputs():
@@ -200,8 +200,7 @@ def test_oracle_refuses_oversized_inputs():
 def test_oracle_multiclass_three_labels():
     hc = full_class(2, label_count=3)
     u = identity_map(2)
-    value = optimal_mistake_bound(hc, u, game="robust", multiclass=True)
-    assert value == adversarial_dimension(hc, u, multiclass=True)
+    assert optimal_mistake_bound(hc, u, game="robust") == adversarial_dimension(hc, u)
 
 
 @pytest.mark.parametrize("label_count", [3, 4])
@@ -209,8 +208,8 @@ def test_oracle_matches_dimension_on_multiclass_corpora(label_count):
     dims = []
     for sc in generate_corpus(CorpusParams(count=60, seed=5, label_count=label_count)):
         hc, u = sc.hypotheses, sc.truth
-        dim = adversarial_dimension(hc, u, multiclass=True)
+        dim = adversarial_dimension(hc, u)
         for game in ("robust", "orientation"):
-            assert optimal_mistake_bound(hc, u, game, multiclass=True) == dim
+            assert optimal_mistake_bound(hc, u, game) == dim
         dims.append(dim)
     assert max(dims) >= 3

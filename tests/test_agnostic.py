@@ -9,15 +9,20 @@ import pytest
 from robust_online import (
     CorpusParams,
     HypothesisClass,
+    PerturbationFamily,
     PerturbationMap,
     adversarial_dimension,
     build_subset_experts,
     comparator_loss,
     decomposition_gap,
     expected_regret,
+    family_expected_mistakes,
+    family_halving_run,
     full_class,
     generate_corpus,
+    halving_bound,
     identity_map,
+    mc_family_mistakes,
     mc_regret,
     random_label_regret_sample,
     subset_expert_count,
@@ -360,3 +365,33 @@ def test_random_label_probe_regret_grows_with_horizon():
         means.append(np.mean(vals))
     # sqrt scaling: quadrupling T should far more than double the regret
     assert means[1] > 2 * means[0]
+
+
+# The binary-only entry points: the agnostic ones refuse a class with more
+# than two labels through LazyRobustAutomaton, the family ones through
+# uncertain's own check.
+BINARY_ONLY = {
+    "expected_regret": lambda hc, u, fam, rounds: expected_regret(hc, u, rounds),
+    "mc_regret": lambda hc, u, fam, rounds: mc_regret(hc, u, rounds, seeds=[0]),
+    "decomposition_gap": lambda hc, u, fam, rounds: decomposition_gap(hc, u, rounds),
+    "random_label_regret_sample": lambda hc, u, fam, rounds: random_label_regret_sample(
+        hc, u, 8, seed=0
+    ),
+    "family_expected_mistakes": lambda hc, u, fam, rounds: family_expected_mistakes(
+        hc, fam, rounds
+    ),
+    "mc_family_mistakes": lambda hc, u, fam, rounds: mc_family_mistakes(
+        hc, fam, rounds, seeds=[0]
+    ),
+    "family_halving_run": lambda hc, u, fam, rounds: family_halving_run(hc, fam, rounds),
+    "halving_bound": lambda hc, u, fam, rounds: halving_bound(hc, fam),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_ONLY))
+def test_binary_only_entry_points_refuse_three_labels(name):
+    hc, u = full_class(2, label_count=3), identity_map(2)
+    family = PerturbationFamily((u, total_map(2)))
+    rounds = [(0, 0, 2), (1, 1, 0), (1, 1, 1)]
+    with pytest.raises(DomainError):
+        BINARY_ONLY[name](hc, u, family, rounds)

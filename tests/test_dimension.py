@@ -6,11 +6,17 @@ outside the package so the two implementations share no code.
 """
 
 import numpy as np
+import pytest
 
 from robust_online import (
     EMPTY_DIM,
+    AdversarialTree,
+    AdversarialTreeNode,
+    DomainError,
     HypothesisClass,
     PerturbationMap,
+    RobustReductionLearner,
+    SoaOrientationLearner,
     VersionSpace,
     adversarial_dimension,
     classic_littlestone_dimension,
@@ -18,6 +24,9 @@ from robust_online import (
     full_class,
     identity_map,
     is_shattered,
+    make_learner,
+    optimal_mistake_bound,
+    realizable_orientation_rounds,
     restrict,
     total_map,
     witness_tree,
@@ -105,6 +114,10 @@ def test_dimension_monotone_under_restriction():
 
 
 def test_multiclass_two_labels_agrees_with_binary():
+    """The same tables over three labels, the third unused, give the
+    multiclass dimension: its nodes carry every ordered pair of distinct
+    labels, and those naming label 2 have an empty side.  It equals the
+    binary dimension of the two-label class."""
     rng = np.random.default_rng(9)
     for _ in range(30):
         n = int(rng.integers(2, 5))
@@ -112,11 +125,11 @@ def test_multiclass_two_labels_agrees_with_binary():
         tables = sorted(
             {tuple(int(v) for v in rng.integers(0, 2, n)) for _ in range(count)}
         )
-        hc = HypothesisClass.from_tables(tables)
         sets = [set(np.flatnonzero(rng.integers(0, 2, n))) for _ in range(n)]
         u = PerturbationMap.from_sets(sets)
-        assert adversarial_dimension(hc, u, multiclass=True) == (
-            adversarial_dimension(hc, u)
+        multi = HypothesisClass.from_tables(tables, label_count=3)
+        assert adversarial_dimension(multi, u) == (
+            adversarial_dimension(HypothesisClass.from_tables(tables), u)
         )
 
 
@@ -140,9 +153,8 @@ def test_witness_tree_is_built_once_per_class_map_and_mode():
     tree = witness_tree(hc, u)
     assert witness_tree(hc, u) is tree
     assert is_shattered(tree, hc, u)
-    multi = witness_tree(hc, u, multiclass=True)
-    assert witness_tree(hc, u, multiclass=True) is multi
-    assert multi is not tree and multi.depth == tree.depth == 3
+    # the mode is the class's own, so naming it gives the same tree
+    assert witness_tree(hc, u, multiclass=False) is tree
     # another map over the same class gets its own tree
     assert witness_tree(hc, total_map(3)).depth == 1
 
@@ -185,3 +197,61 @@ def test_branch_and_bound_keeps_the_memo_small():
     engine = get_engine(hc, u)
     assert engine.dimension() == 11
     assert len(engine._memo) <= 4097
+
+
+# The six entry points that keep a multiclass keyword, each called with a
+# claimed mode on full_class(2, label_count) under the total map.
+KEPT_KEYWORDS = {
+    "adversarial_dimension": lambda hc, u, mode: adversarial_dimension(hc, u, multiclass=mode),
+    "dimension_of": lambda hc, u, mode: dimension_of(VersionSpace.full(hc), u, mode),
+    "witness_tree": lambda hc, u, mode: witness_tree(hc, u, multiclass=mode),
+    "optimal_mistake_bound": lambda hc, u, mode: optimal_mistake_bound(
+        hc, u, "orientation", multiclass=mode
+    ),
+    "realizable_orientation_rounds": lambda hc, u, mode: [
+        (q.pair, q.labels, side)
+        for q, side in realizable_orientation_rounds(
+            hc, u, 3, np.random.default_rng(0), multiclass=mode
+        )
+    ],
+    "make_learner": lambda hc, u, mode: make_learner(
+        "optimal", "robust", hc, u, multiclass=mode
+    ).predict(0),
+}
+
+# what each returned for the mode that matches the label count, by label count
+KEPT_RESULTS = {
+    "adversarial_dimension": {2: 1, 3: 1},
+    "dimension_of": {2: 1, 3: 1},
+    "witness_tree": {
+        labels: AdversarialTree(AdversarialTreeNode((0, 0), (0, 1)), 1) for labels in (2, 3)
+    },
+    "optimal_mistake_bound": {2: 1, 3: 1},
+    "realizable_orientation_rounds": {
+        2: [((0, 1), (0, 1), 0), ((0, 0), (0, 1), 0), ((0, 0), (0, 1), 0)],
+        3: [((1, 0), (0, 1), 1), ((1, 0), (1, 0), 0), ((1, 1), (2, 1), 1)],
+    },
+    "make_learner": {2: 0, 3: 0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_KEYWORDS))
+@pytest.mark.parametrize("labels", [2, 3])
+def test_the_kept_multiclass_keyword_only_checks_the_class(name, labels):
+    """None or the class's own mode gives the pinned result; the other
+    mode is a DomainError naming the label count, on two labels and on
+    three (where a binary table of (0, 1) queries was once built)."""
+    call, u = KEPT_KEYWORDS[name], total_map(2)
+    for mode in (None, labels > 2):
+        assert call(full_class(2, labels), u, mode) == KEPT_RESULTS[name][labels]
+    with pytest.raises(DomainError, match=f"{labels} labels"):
+        call(full_class(2, labels), u, labels == 2)
+
+
+def test_the_optimal_learners_take_strict_by_keyword_only():
+    """An old positional (hc, u, multiclass, strict) call fails loudly."""
+    hc, u = full_class(2), identity_map(2)
+    for cls in (SoaOrientationLearner, RobustReductionLearner):
+        with pytest.raises(TypeError):
+            cls(hc, u, False)
+        assert cls(hc, u, strict=False).strict is False

@@ -188,26 +188,6 @@ def test_reduction_bounded_on_random_realizable_runs():
         assert mistakes <= dim
 
 
-def test_multiclass_reduction_agrees_with_binary_on_two_labels():
-    for hc, u in random_scenarios(seed=43, count=15):
-        rng = derive_rng(3, "mc-binary", hc.size)
-        rounds = realizable_robust_rounds(hc, u, 10, rng)
-        binary = RobustReductionLearner(hc, u)
-        multi = RobustReductionLearner(hc, u, multiclass=True)
-        mistakes = 0
-        for z, x, y in rounds:
-            pb = binary.predict(z)
-            pm = multi.predict(z)
-            if pm != pb:
-                # the only allowed split is the no-winner fallback,
-                # which is 1 in the binary branch and 0 in multiclass
-                assert (pm, pb) == (0, 1)
-            mistakes += pm != y
-            binary.update(z, x, y)
-            multi.update(z, x, y)
-        assert mistakes <= adversarial_dimension(hc, u, multiclass=True)
-
-
 def test_lazy_identity_on_mistake_free_runs():
     hc = HypothesisClass.from_tables([(0, 0), (1, 1)])
     u = identity_map(2)

@@ -152,11 +152,9 @@ def reference_anchors(u, h):
     return anchors
 
 
-def reference_options(hc, u, h, multiclass):
+def reference_options(hc, u, h):
     n = hc.label_count
-    label_pairs = (
-        [(a, b) for a in range(n) for b in range(n) if a != b] if multiclass else [(0, 1)]
-    )
+    label_pairs = [(a, b) for a in range(n) for b in range(n) if a != b] if n > 2 else [(0, 1)]
     options = []
     for pair in sorted(compatible_pairs(u)):
         for labels in label_pairs:
@@ -185,19 +183,18 @@ def test_anchors_and_options_match_the_definition(game):
     anchors = compiled(hc, u, RobustChoices)
     for h in hc:
         assert [divmod(c, hc.label_count) for c in anchors.codes(h.id)] == reference_anchors(u, h)
-        for multiclass in (False, True):
-            table = compiled(hc, u, OrientationChoices, multiclass)
-            options = [(table.queries[c >> 1], c & 1) for c in table.codes(h.id)]
-            assert options == reference_options(hc, u, h, multiclass)
+        table = compiled(hc, u, OrientationChoices)
+        options = [(table.queries[c >> 1], c & 1) for c in table.codes(h.id)]
+        assert options == reference_options(hc, u, h)
 
 
 def reference_rounds(hc, rng, length, choices, draw):
     """The plain generator loop: shuffle the hypothesis ids, take the first
     hypothesis with playable choices, then draw(choices, rng) per round
     with one scalar draw per choice made."""
-    order = list(range(hc.size))
+    order, hypotheses = list(range(hc.size)), list(hc)
     rng.shuffle(order)
-    found = next((c for c in (choices(hc[i]) for i in order) if c), [])
+    found = next((c for c in (choices(hypotheses[i]) for i in order) if c), [])
     return [draw(found, rng) for _ in range(length)] if found else []
 
 
@@ -215,17 +212,15 @@ def draw_option(options, rng):
 
 
 @PROPERTY
-@given(games(), st.integers(0, 30), st.booleans(), st.integers(0, 2**32 - 1))
+@given(games(), st.integers(0, 30), st.integers(0, 2**32 - 1))
 # 1,024 hypotheses, of which only the two constants can be played under
 # the total map, so the shuffled order is walked a third of the way on average
-@example((full_class(10), total_map(10)), 5, False, 3)
-@example((full_class(10), identity_map(10)), 5, False, 4)
+@example((full_class(10), total_map(10)), 5, 3)
+@example((full_class(10), identity_map(10)), 5, 4)
 # singleton and two-element U(x) sets: anchors with and without a z draw,
 # so the robust generator's first word block runs out and is refilled
-@example(
-    (full_class(4), PerturbationMap.from_sets([{0}, {1, 2}, {2}, {3, 0}])), 30, False, 5
-)
-def test_generators_draw_like_the_plain_loop(game, length, multiclass, seed):
+@example((full_class(4), PerturbationMap.from_sets([{0}, {1, 2}, {2}, {3, 0}])), 30, 5)
+def test_generators_draw_like_the_plain_loop(game, length, seed):
     """Coded tables, skipped one-way draws, the orientation game's one
     batched draw and the robust game's decoded word blocks give the plain
     loop's rounds and leave the bit generator in the plain loop's state."""
@@ -237,8 +232,8 @@ def test_generators_draw_like_the_plain_loop(game, length, multiclass, seed):
             draw_robust(u),
         ),
         (
-            lambda rng: realizable_orientation_rounds(hc, u, length, rng, multiclass),
-            lambda h: reference_options(hc, u, h, multiclass),
+            lambda rng: realizable_orientation_rounds(hc, u, length, rng),
+            lambda h: reference_options(hc, u, h),
             draw_option,
         ),
     )
@@ -251,12 +246,12 @@ def test_generators_draw_like_the_plain_loop(game, length, multiclass, seed):
 def pinned_games():
     for labels in (2, 3):
         for sc in generate_corpus(CorpusParams(count=40, seed=11, label_count=labels)):
-            yield sc.hypotheses, sc.truth, sc.multiclass
+            yield sc.hypotheses, sc.truth
     for n in (5, 6):
         ring = PerturbationMap.from_sets([{(x - 1) % n, x, (x + 1) % n} for x in range(n)])
-        yield full_class(n), ring, False
-        yield full_class(n), total_map(n), False
-    yield full_class(3, 3), total_map(3), True
+        yield full_class(n), ring
+        yield full_class(n), total_map(n)
+    yield full_class(3, 3), total_map(3)
 
 
 def test_generated_rounds_match_the_pinned_digest():
@@ -264,11 +259,11 @@ def test_generated_rounds_match_the_pinned_digest():
     over a fixed corpus.  The digest was recorded with one scalar draw per
     choice, so it also checks the batched draw on every NumPy in CI."""
     digest = hashlib.sha256()
-    for i, (hc, u, multiclass) in enumerate(pinned_games()):
+    for i, (hc, u) in enumerate(pinned_games()):
         for length in (0, 1, 4, 10, 30):
             rng = derive_rng(11, "pinned-rounds", i, length)
             robust = realizable_robust_rounds(hc, u, length, rng)
-            orient = realizable_orientation_rounds(hc, u, length, rng, multiclass=multiclass)
+            orient = realizable_orientation_rounds(hc, u, length, rng)
             after = int(rng.integers(2**32))
             sides = [(q.pair, q.labels, side) for q, side in orient]
             digest.update(repr((robust, sides, after)).encode())
@@ -290,12 +285,11 @@ def test_hypothesis_losses_match_the_definition(game, data):
 
 
 @PROPERTY
-@given(games(), st.booleans())
-def test_witness_tree_is_shattered_and_dimension_is_logarithmic(game, multiclass):
+@given(games())
+def test_witness_tree_is_shattered_and_dimension_is_logarithmic(game):
     hc, u = game
-    multiclass = multiclass or hc.label_count > 2
-    tree = witness_tree(hc, u, multiclass)
-    assert tree.depth == adversarial_dimension(hc, u, multiclass)
+    tree = witness_tree(hc, u)
+    assert tree.depth == adversarial_dimension(hc, u)
     assert is_shattered(tree, hc, u)
     assert tree.depth <= math.floor(math.log2(hc.size))
 
@@ -335,18 +329,28 @@ def plain_witness(nodes, dim, mask, depth):
 
 
 @PROPERTY
-@given(search_games(), st.booleans())
-def test_pruned_search_matches_the_plain_recursion(game, multiclass):
+@given(search_games())
+def test_pruned_search_matches_the_plain_recursion(game):
+    """The engine's search and witness against the unpruned recursion over
+    the class's nodes.  On two labels the nodes carry only (0, 1); the
+    recursion over the nodes of both label orders, the multiclass nodes of
+    the same class, gives the same dimension, as the paper's multiclass
+    dimension must on a binary class."""
     hc, u = game
-    multiclass = multiclass or hc.label_count > 2
-    nodes = game_nodes(hc, u, multiclass)
+    nodes = game_nodes(hc, u)
     dim, memo = plain_dimension(nodes)
     full = (1 << hc.size) - 1
     depth = dim(full)
-    assert witness_tree(hc, u, multiclass) == AdversarialTree(
-        plain_witness(nodes, dim, full, depth), depth
-    )
-    engine = get_engine(hc, u, multiclass)
+    if hc.label_count == 2:
+        masks = consistency_masks(hc, u)
+        both_orders = [
+            (pair, labels, masks[pair[0]][labels[0]], masks[pair[1]][labels[1]])
+            for pair, _, _, _ in nodes
+            for labels in ((0, 1), (1, 0))
+        ]
+        assert plain_dimension(both_orders)[0](full) == depth
+    assert witness_tree(hc, u) == AdversarialTree(plain_witness(nodes, dim, full, depth), depth)
+    engine = get_engine(hc, u)
     # the search runs over the first node of each unordered pair of nonempty sides
     firsts = {}
     for node in nodes:
@@ -396,7 +400,7 @@ def test_classic_dimension_matches_the_table_set_recursion(hc):
     assert classic_littlestone_dimension(hc) == plain_classic_dimension(hc)
 
 
-def reference_game_values(hc, u, game, multiclass):
+def reference_game_values(hc, u, game):
     """value(mask, h): minimax value that re-runs the whole Bellman equation on every pass."""
     masks = consistency_masks(hc, u)
     labels = range(hc.label_count)
@@ -406,7 +410,7 @@ def reference_game_values(hc, u, game, multiclass):
             for z in range(u.instance_count)
         ]
     else:
-        moves = [[(y0, m0), (y1, m1)] for _, (y0, y1), m0, m1 in game_nodes(hc, u, multiclass)]
+        moves = [[(y0, m0), (y1, m1)] for _, (y0, y1), m0, m1 in game_nodes(hc, u)]
     memo = {}
 
     def bellman(mask, self_value, h):
@@ -443,50 +447,48 @@ def reference_game_values(hc, u, game, multiclass):
     return value
 
 
-def reference_game_value(hc, u, game, multiclass, horizon):
-    return reference_game_values(hc, u, game, multiclass)((1 << hc.size) - 1, horizon)
+def reference_game_value(hc, u, game, horizon):
+    return reference_game_values(hc, u, game)((1 << hc.size) - 1, horizon)
 
 
 @PROPERTY
-@given(search_games(max_hypotheses=12), st.booleans())
-def test_oracle_matches_the_full_bellman_iteration(game, multiclass):
+@given(search_games(max_hypotheses=12))
+def test_oracle_matches_the_full_bellman_iteration(game):
     hc, u = game
-    multiclass = multiclass or hc.label_count > 2
     for name in ("robust", "orientation"):
         for horizon in (None, 0, 1, 2, 3, 4):
-            assert optimal_mistake_bound(hc, u, name, multiclass, horizon) == (
-                reference_game_value(hc, u, name, multiclass, horizon)
+            assert optimal_mistake_bound(hc, u, name, horizon=horizon) == (
+                reference_game_value(hc, u, name, horizon)
             )
         # the oracle skips a reveal that leaves the state unchanged, which is
         # exact in the capped game because the value grows with the horizon
-        v = optimal_mistake_bound(hc, u, name, multiclass)
-        capped = [optimal_mistake_bound(hc, u, name, multiclass, h) for h in range(v + 2)]
+        v = optimal_mistake_bound(hc, u, name)
+        capped = [optimal_mistake_bound(hc, u, name, horizon=h) for h in range(v + 2)]
         assert capped == sorted(capped)
         assert max(capped) <= v
         assert capped[v] == v
 
 
 @PROPERTY
-@given(search_games(max_hypotheses=12), st.booleans())
-def test_every_oracle_memo_entry_is_its_state_value(game, multiclass):
+@given(search_games(max_hypotheses=12))
+def test_every_oracle_memo_entry_is_its_state_value(game):
     hc, u = game
-    multiclass = multiclass or hc.label_count > 2
     full = (1 << hc.size) - 1
     horizons = (None, 1, 2, 3, 4)
     for name in ("robust", "orientation"):
         for horizon in horizons:
-            optimal_mistake_bound(hc, u, name, multiclass, horizon)
+            optimal_mistake_bound(hc, u, name, horizon=horizon)
         # the halving cap stops a state's move loop early, but never stores
         # a value short of the state's own
-        solver = compiled(hc, u, MinimaxSolver, name, multiclass)
+        solver = compiled(hc, u, MinimaxSolver, name)
         assert all(full in solver.memos[h] for h in horizons)
-        value = reference_game_values(hc, u, name, multiclass)
+        value = reference_game_values(hc, u, name)
         for horizon, memo in solver.memos.items():
             for mask, v in memo.items():
                 assert v == value(mask, horizon)
 
 
-def reference_moves(hc, u, game, multiclass):
+def reference_moves(hc, u, game):
     """The oracle's move table built from every input and every node.
 
     Each raw move is filtered and sorted on its own, with no dedupe of
@@ -500,32 +502,29 @@ def reference_moves(hc, u, game, multiclass):
             for z in range(u.instance_count)
         ]
     else:
-        raw = [[(m0, y0), (m1, y1)] for _, (y0, y1), m0, m1 in game_nodes(hc, u, multiclass)]
+        raw = [[(m0, y0), (m1, y1)] for _, (y0, y1), m0, m1 in game_nodes(hc, u)]
     moves = {tuple(sorted({(m, y) for m, y in move if m and m != full})) for move in raw}
     moves.discard(())
     return tuple(sorted(moves))
 
 
 @PROPERTY
-@given(games(max_instances=5, max_hypotheses=16), st.booleans())
-def test_oracle_moves_match_the_per_input_and_per_node_table(game, multiclass):
+@given(games(max_instances=5, max_hypotheses=16))
+def test_oracle_moves_match_the_per_input_and_per_node_table(game):
     hc, u = game
-    multiclass = multiclass or hc.label_count > 2
     for name in ("robust", "orientation"):
-        moves = MinimaxSolver(hc, u, name, multiclass).moves
-        assert moves == reference_moves(hc, u, name, multiclass)
+        assert MinimaxSolver(hc, u, name).moves == reference_moves(hc, u, name)
 
 
 @PROPERTY
-@given(search_games(max_hypotheses=12), st.booleans())
-def test_capped_values_do_not_depend_on_a_filled_unbounded_memo(game, multiclass):
+@given(search_games(max_hypotheses=12))
+def test_capped_values_do_not_depend_on_a_filled_unbounded_memo(game):
     """A capped state's cap also reads the unbounded memo; that cut changes no value."""
     hc, u = game
-    multiclass = multiclass or hc.label_count > 2
     full = (1 << hc.size) - 1
     for name in ("robust", "orientation"):
-        fresh = MinimaxSolver(hc, u, name, multiclass)
-        primed = MinimaxSolver(hc, u, name, multiclass)
+        fresh = MinimaxSolver(hc, u, name)
+        primed = MinimaxSolver(hc, u, name)
         primed.value(full)
         for horizon in (1, 2, 3, 4):
             assert primed.value(full, horizon) == fresh.value(full, horizon)
@@ -607,8 +606,8 @@ def update_error(learner, z, x, y):
 
 
 @PROPERTY
-@given(games(), st.booleans(), st.booleans(), st.data())
-def test_the_reduction_steps_like_the_object_reference(game, multiclass, strict, data):
+@given(games(), st.booleans(), st.data())
+def test_the_reduction_steps_like_the_object_reference(game, strict, data):
     """Round by round, the package learner (a state id on its context)
     predicts, logs and moves like the object reduction of the reference,
     which decides every prediction afresh on a fresh copy of the class.
@@ -617,9 +616,8 @@ def test_the_reduction_steps_like_the_object_reference(game, multiclass, strict,
     mistake may find no counterpart.  A strict learner raises the same
     exception as the reference on the same round, and keeps its state."""
     hc, u = game
-    multiclass = multiclass or hc.label_count > 2
-    learner = RobustReductionLearner(hc, u, multiclass, strict)
-    reference = PlainReductionLearner(fresh_copy(hc), u, multiclass, strict)
+    learner = RobustReductionLearner(hc, u, strict=strict)
+    reference = PlainReductionLearner(fresh_copy(hc), u, strict)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     realizable = realizable_robust_rounds(hc, u, 12, rng)
     arbitrary = robust_rounds(data, hc.instance_count, 12, hc.label_count)
@@ -638,8 +636,8 @@ def test_the_reduction_steps_like_the_object_reference(game, multiclass, strict,
 
 
 @PROPERTY
-@given(games(), st.booleans(), st.data())
-def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, data):
+@given(games(), st.data())
+def test_shared_prediction_memo_matches_a_fresh_class(game, data):
     """Robust learners that share a class's prediction memo, interleaved on
     different sequences, predict, log and move like learners on fresh
     copies of the class, whose memos start empty.  A third learner has
@@ -648,16 +646,15 @@ def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, data):
     corrupted one, so it may also empty its version space and miss
     counterparts."""
     hc, u = game
-    multiclass = multiclass or hc.label_count > 2
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     warm_up, realizable, corrupted = (realizable_robust_rounds(hc, u, 16, rng) for _ in range(3))
     corrupted = corrupt_labels(corrupted, 3, hc.label_count, rng)
-    warm = RobustReductionLearner(hc, u, multiclass)
+    warm = RobustReductionLearner(hc, u)
     for z, x, y in warm_up:
         warm.predict(z)
         warm.update(z, x, y)
     pairs = [
-        [RobustReductionLearner(c, u, multiclass, strict) for c in (hc, fresh_copy(hc))]
+        [RobustReductionLearner(c, u, strict=strict) for c in (hc, fresh_copy(hc))]
         for strict in (True, False)
     ]
     sequences = [list(realizable), list(corrupted)]
@@ -679,23 +676,22 @@ def test_shared_prediction_memo_matches_a_fresh_class(game, multiclass, data):
     for _ in range(data.draw(st.integers(1, 8))):
         orientation_mask = data.draw(st.integers(0, full))
         z = data.draw(st.integers(0, hc.instance_count - 1))
-        reference = PlainReductionLearner(fresh_copy(hc), u, multiclass, False)
+        reference = PlainReductionLearner(fresh_copy(hc), u, strict=False)
         reference.mask, reference.orientation.mask = mask, orientation_mask
         shared.s = shared.ctx.state(mask, orientation_mask)
         assert shared.predict(z) == reference.predict(z)
 
 
 @PROPERTY
-@given(games(), st.booleans(), st.data())
-def test_at_most_one_label_qualifies(game, multiclass, data):
+@given(games(), st.data())
+def test_at_most_one_label_qualifies(game, data):
     """In any state and on any input, at most one label has a candidate
     the SOA orientation learner orients toward it against every candidate
     of every other label, and the reduction predicts that label or, with
     none, the no-winner default."""
     hc, u = game
-    multiclass = multiclass or hc.label_count > 2
-    learner = RobustReductionLearner(hc, u, multiclass)
-    reference = PlainReductionLearner(fresh_copy(hc), u, multiclass)
+    learner = RobustReductionLearner(hc, u)
+    reference = PlainReductionLearner(fresh_copy(hc), u)
     full = (1 << hc.size) - 1
     reference.mask = data.draw(st.integers(0, full))
     reference.orientation.mask = data.draw(st.integers(0, full))
@@ -719,27 +715,22 @@ def test_at_most_one_label_qualifies(game, multiclass, data):
             )
         ]
         assert len(qualifying) <= 1
-        assert learner.predict(z) == (qualifying or [0 if multiclass else 1])[0]
+        assert learner.predict(z) == (qualifying or [0 if hc.label_count > 2 else 1])[0]
 
 
 @PROPERTY
-@given(
-    games(max_instances=5, max_hypotheses=12),
-    st.booleans(),
-    st.sampled_from(("robust", "orientation")),
-)
-@example((full_class(5), identity_map(5)), False, "robust")
-@example((full_class(5), identity_map(5)), False, "orientation")
-@example((full_class(4), identity_map(4)), True, "robust")
-def test_the_worst_case_walk_matches_a_plain_search(game, multiclass, protocol):
+@given(games(max_instances=5, max_hypotheses=12), st.sampled_from(("robust", "orientation")))
+@example((full_class(5), identity_map(5)), "robust")
+@example((full_class(5), identity_map(5)), "orientation")
+@example((full_class(2, 3), identity_map(2)), "robust")
+def test_the_worst_case_walk_matches_a_plain_search(game, protocol):
     """The memoized longest path over the strict optimal learner's states
     equals the reference's search over every realizable reveal sequence,
     which replays each prefix on fresh learner objects of a fresh copy of
     the class."""
     hc, u = game
-    multiclass = multiclass or hc.label_count > 2
-    worst = worst_case_mistakes(hc, u, protocol, multiclass)
-    assert worst == plain_worst_case(fresh_copy(hc), u, protocol, multiclass)
+    worst = worst_case_mistakes(hc, u, protocol)
+    assert worst == plain_worst_case(fresh_copy(hc), u, protocol)
 
 
 def test_the_full_class_worst_case_is_its_size():
@@ -749,28 +740,27 @@ def test_the_full_class_worst_case_is_its_size():
 
 
 @PROPERTY
-@given(games(max_instances=5, max_hypotheses=12), st.booleans(), st.integers(0, 2**32 - 1))
-@example((full_class(5), identity_map(5)), False, 0)
-@example((full_class(4), total_map(4)), True, 1)
-def test_realizable_games_stay_within_the_worst_case(game, multiclass, seed):
+@given(games(max_instances=5, max_hypotheses=12), st.integers(0, 2**32 - 1))
+@example((full_class(5), identity_map(5)), 0)
+@example((full_class(2, 3), total_map(2)), 1)
+def test_realizable_games_stay_within_the_worst_case(game, seed):
     """run_game plays the strict optimal learner against scripted
     realizable sequences of both games without raising, and its mistakes
     stay within the walk's worst case; the dimension it tracks never
     rises.  The walk does not run the runner, the scripted adversaries or
     their protocol checks, so this keeps them under test."""
     hc, u = game
-    multiclass = multiclass or hc.label_count > 2
     rng = np.random.default_rng(seed)
     robust = realizable_robust_rounds(hc, u, 20, rng)
-    orientation = realizable_orientation_rounds(hc, u, 20, rng, multiclass)
+    orientation = realizable_orientation_rounds(hc, u, 20, rng)
     for protocol, adversary in (
         ("robust", ScriptedRobustAdversary(robust)),
         ("orientation", ScriptedOrientationAdversary(orientation)),
     ):
-        learner = make_learner("optimal", protocol, hc, u, multiclass)
+        learner = make_learner("optimal", protocol, hc, u)
         played, trace = run_game(hc, u, learner, adversary, 20, track_dimension=True)
         assert len(played) == len(robust if protocol == "robust" else orientation)
-        assert sum(r.loss for r in played) <= worst_case_mistakes(hc, u, protocol, multiclass)
+        assert sum(r.loss for r in played) <= worst_case_mistakes(hc, u, protocol)
         assert trace == sorted(trace, reverse=True)
 
 
@@ -1001,7 +991,7 @@ def test_decomposition_gap_counts_the_analysis_expert(game, horizon, corruptions
     assume(rounds)
     rounds = corrupt_labels(rounds, corruptions, 2, rng)
     report = decomposition_gap(hc, u, rounds)
-    best, lazy, picked = hc[report["best_hypothesis"]], agnostic_learner(hc, u), []
+    best, lazy, picked = list(hc)[report["best_hypothesis"]], agnostic_learner(hc, u), []
     for t, (z, x, y) in enumerate(rounds):
         if adversarial_loss(best, x, y, u) == 0:
             if lazy.predict(z) != y:

@@ -47,8 +47,7 @@ def test_parse_well_formed_scenario():
     assert sc.label_names == ("neg", "pos")
     assert sc.hypothesis_names == ("h0", "h1")
     assert sc.hypotheses.size == 2
-    assert sc.hypotheses[0].table == (0, 0, 1)
-    assert sc.hypotheses[1].table == (1, 0, 1)
+    assert sc.hypotheses.tables == ((0, 0, 1), (1, 0, 1))
     assert sc.truth_name == "main"
     assert sc.truth.forward == (frozenset({0, 1}), frozenset(), frozenset({2}))
     assert sc.game.protocol == "robust"
