@@ -8,8 +8,8 @@ tree is realizable.
 
 The realizable generators pick a hypothesis and draw rounds that cost it
 nothing.  Each (class, map) keeps, per game, one choice table: every
-hypothesis's playable codes, read off the consistency masks or the game
-nodes on first use (RobustChoices, OrientationChoices).
+hypothesis's playable codes, read off its Game's masks or nodes
+(model.Game) on first use (RobustChoices, OrientationChoices).
 So a call draws from a ready list and builds round objects only for the
 rounds it returns.  The draws are exactly those of a plain loop that
 lists the choices and makes one scalar rng.integers call per choice, so
@@ -27,7 +27,7 @@ import numpy as np
 from .dimension import AdversarialTree
 from .learners import OrientationQuery
 from .model import HypothesisClass, PerturbationMap, check_label_mode, compiled
-from .model import consistency_masks, game_nodes
+from .model import consistency_masks, game
 from .seeding import BoundedDraws
 
 
@@ -203,7 +203,7 @@ class _Queries(dict):
 class OrientationChoices(_Choices):
     """Orientation options, coded 2 * node + side.
 
-    node indexes game_nodes(hc, u), whose side i keeps the hypotheses
+    node indexes game(hc, u).nodes, whose side i keeps the hypotheses
     for which option (node, i) is playable, and queries[node] is its
     query, built once per table; code c is the option
     (queries[c >> 1], c & 1).  Got through
@@ -212,7 +212,7 @@ class OrientationChoices(_Choices):
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap):
         super().__init__(hc.size)
-        self.queries = _Queries(game_nodes(hc, u))
+        self.queries = _Queries(game(hc, u).nodes)
 
     def _find(self, h: int) -> tuple[int, ...]:
         nodes = self.queries.nodes  # side i of a node keeps its entry 2 + i

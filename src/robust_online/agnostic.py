@@ -50,7 +50,7 @@ from .forecaster import COIN_TABLES, expected_mistakes, horizon_rate, seeded_mis
 # nothing here calls it, but the benchmark's tracer wraps
 # agnostic.weight_trajectory by name until the package keeps its own counters
 from .forecaster import weight_trajectory  # noqa: F401
-from .learners import LazyRobustAutomaton
+from .learners import LazyRobustAutomaton, binary_context
 from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks
 from .seeding import derive_rng, label_bytes
 
@@ -160,6 +160,7 @@ def expected_regret(hc: HypothesisClass, u: PerturbationMap, rounds, dimension=N
     loss.  groups is the largest number of groups live in one round.
     """
     rounds = list(rounds)
+    binary_context(hc, u)  # refuses more than two labels before any search
     if dimension is None:
         dimension = adversarial_dimension(hc, u)
     pool = build_subset_experts(hc, u, len(rounds), dimension)
@@ -202,6 +203,7 @@ def decomposition_gap(hc: HypothesisClass, u: PerturbationMap, rounds) -> dict:
     minus realized mistakes (>= 0).
     """
     rounds = list(rounds)
+    binary_context(hc, u)  # refuses more than two labels before any search
     if not rounds:
         raise DomainError("need at least one round")
     best, best_id = comparator_loss(hc, u, rounds)
@@ -248,6 +250,8 @@ def _build_probe(hc: HypothesisClass, u: PerturbationMap):
     the two.  The total bit count falls on every link but the last, so no
     state repeats and the chain has at most 2 |H| + 1 links.
     """
+    # the automaton refuses more than two labels (binary_context) before any search
+    lazy = compiled(hc, u, LazyRobustAutomaton)
     tree = witness_tree(hc, u)
     if tree.depth < 1 or tree.root is None:
         raise DomainError("need dimension >= 1 to build the probe node")
@@ -255,7 +259,6 @@ def _build_probe(hc: HypothesisClass, u: PerturbationMap):
     z = min(u.forward[x0] & u.forward[x1])
     masks = consistency_masks(hc, u)
     losses = {(1 - (masks[x0][0] >> i & 1), 1 - (masks[x1][1] >> i & 1)) for i in range(hc.size)}
-    lazy = compiled(hc, u, LazyRobustAutomaton)
     chain, s = [], 0
     while True:
         y = 1 - lazy.predict(s, z)

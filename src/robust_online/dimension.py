@@ -33,15 +33,15 @@ unordered pair of nonempty sides once, at its first node.  Nodes with the
 same sides have the same children and one with an empty side has none,
 so the maximum is unchanged; whether a node qualifies as a witness reads
 only its sides, so the first that does is the first of its split and the
-tree is unchanged.  The worst-case walk and the orientation adversary
-read the ordered nodes.
+tree is unchanged.  The nodes are model.Game's; the worst-case walk and
+the orientation generator read them in order.
 """
 
 from dataclasses import dataclass
 
 from .errors import DomainError, TreeStructureError
 from .model import HypothesisClass, PerturbationMap, VersionSpace, check_label_mode, compiled
-from .model import game_nodes, restrict
+from .model import game, restrict
 
 EMPTY_DIM = -1  # sentinel dimension of the empty version space
 
@@ -79,16 +79,16 @@ class AdversarialTree:
 class DimensionEngine:
     """Shared search state for one (class, map) pair.
 
-    Holds the node list, its splits and a bitmask-keyed memo table, so
-    the online learners can ask for dimensions of thousands of version
-    spaces at amortized dictionary-lookup cost.
+    Holds the splits of the pair's Game nodes and a bitmask-keyed memo
+    table, so the online learners can ask for dimensions of thousands of
+    version spaces at amortized dictionary-lookup cost.
     """
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap):
-        self.full_mask = (1 << hc.size) - 1
-        self.nodes = game_nodes(hc, u)
+        g = game(hc, u)
+        self.full_mask = g.full
         firsts = {}  # the first node of each unordered pair of nonempty sides
-        for node in self.nodes:
+        for node in g.nodes:
             m0, m1 = node[2], node[3]
             if m0 and m1:
                 firsts.setdefault((m0, m1) if m0 < m1 else (m1, m0), node)

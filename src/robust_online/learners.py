@@ -21,7 +21,7 @@ loss bits of the game runners, the loss matrix of the expert replay, and
 the loops of the estimators.
 
 The optimal learners of one (class, map) share a LearnerContext, got
-with one compiled() lookup: the masks, the dimension engine and one
+with one compiled() lookup: its Game, the dimension engine and one
 table of the robust reduction's states.  A state (robust
 mask, orientation mask) is interned as a dense id, and one memo maps
 (id, input) to the predicted label.
@@ -40,6 +40,7 @@ from functools import cache
 from .dimension import get_engine
 from .errors import DomainError, ProtocolViolation, SearchInvariantError
 from .model import HypothesisClass, PerturbationMap, check_label_mode, compiled, consistency_masks
+from .model import game
 
 OPTIMAL = "optimal"
 BASELINES = ("constant-0", "constant-1", "random", "majority")
@@ -70,8 +71,8 @@ def _soa_label(d0: int, d1: int, y0: int, y1: int) -> int:
 
 class LearnerContext:
     """What the optimal learners of one (class, map) share, and the robust
-    reduction itself: the masks, the dimension engine, the reduction's
-    state table and its prediction memo.
+    reduction itself: the Game, its masks, the dimension engine, the
+    reduction's state table and its prediction memo.
 
     Got through compiled(hc, u, LearnerContext), so building a learner
     takes one lookup.  states[s] is the state (robust mask, orientation
@@ -82,9 +83,9 @@ class LearnerContext:
     def __init__(self, hc: HypothesisClass, u: PerturbationMap):
         self.hc = hc
         self.u = u
-        self.masks = consistency_masks(hc, u)
+        self.game = game(hc, u)
+        self.masks, self.full = self.game.masks, self.game.full
         self.engine = get_engine(hc, u)
-        self.full = (1 << hc.size) - 1
         self.n = u.instance_count
         self.states = [(self.full, self.full)]
         self._ids = {self.states[0]: 0}
@@ -100,10 +101,9 @@ class LearnerContext:
         return s
 
     def _candidates(self, mask: int, z: int) -> list[list[int]]:
-        """P[y]: preimage candidates x of z with mask & masks[x][y] nonzero."""
-        masks = self.masks
-        pre = sorted(self.u.preimage[z])
-        return [[x for x in pre if mask & masks[x][y]] for y in range(self.hc.label_count)]
+        """P[y]: the x in inputs[z], increasing, with mask & masks[x][y] nonzero."""
+        masks, xs = self.masks, self.game.inputs[z]
+        return [[x for x in xs if mask & masks[x][y]] for y in range(self.hc.label_count)]
 
     def _orient(self, orientation_mask: int, a: int, y: int, b: int, y2: int) -> int:
         """The SOA orientation learner's label for the query ((a, b), (y, y2))."""
@@ -300,9 +300,9 @@ def worst_case_mistakes(hc, u, game: str, mistakes=None) -> int:
 
     It is the longest path through the learner's state graph, an edge
     costing 1 when the prediction misses.  The robust learner's states are
-    LearnerContext ids, stepped by every reveal (x, y) of every z in U(x)
+    LearnerContext ids, stepped by every Game reveal (x, y), x in inputs[z],
     that keeps the robust mask nonempty; the orientation learner's states
-    are masks, and each edge reveals a side of an engine node that keeps
+    are masks, and each edge reveals a side of a Game node that keeps
     the mask nonempty.  Both masks only shrink, so the graph is a DAG plus
     self-loops.  A mistake on a self-loop, which repeats without end, and
     an event the strict learner raises on both raise SearchInvariantError.
@@ -311,7 +311,7 @@ def worst_case_mistakes(hc, u, game: str, mistakes=None) -> int:
     ctx = compiled(hc, u, LearnerContext)
     if game == "robust":
         labels = range(hc.label_count)
-        reveals = [(z, x, y) for x in range(ctx.n) for z in sorted(u.forward[x]) for y in labels]
+        reveals = [(z, x, y) for z, xs in enumerate(ctx.game.inputs) for x in xs for y in labels]
 
         def moves(s):
             mask, events = ctx.states[s][0], []
@@ -325,7 +325,7 @@ def worst_case_mistakes(hc, u, game: str, mistakes=None) -> int:
         dim = ctx.engine.dimension_of_mask
 
         def moves(mask):
-            for _, (y0, y1), m0, m1 in ctx.engine.nodes:
+            for _, (y0, y1), m0, m1 in ctx.game.nodes:
                 label = _soa_label(dim(mask & m0), dim(mask & m1), y0, y1)
                 for side, y in ((mask & m0, y0), (mask & m1, y1)):
                     if side:

@@ -8,12 +8,12 @@ instance to the set of inputs an adversary may present in its place.
 Version spaces are bitmasks over the hypothesis ids of a parent class,
 so restriction is a single AND against a precomputed consistency mask.
 
-A perturbation map stores only its forward sets; the preimages are
-derived on their first read.
-
-The consistency masks are the single source of the robust loss.  Data
-compiled for a (class, map) pair is kept on the class (see compiled()),
-so it is built once, found without hashing the class and freed with it.
+A perturbation map stores only its forward sets.  A (class, map) pair
+compiles the moves of its games once into its Game, which every search,
+learner and generator reads; its consistency masks are the single source
+of the robust loss.  Data compiled for a (class, map) pair is kept on
+the class (see compiled()), so it is built once, found without hashing
+the class and freed with it.
 
 The label mode is the class's (HypothesisClass.is_binary): orientation
 nodes carry (0, 1) on two labels and every ordered pair of distinct
@@ -111,13 +111,11 @@ def full_class(instance_count: int, label_count: int = 2) -> HypothesisClass:
 
 @dataclass(frozen=True)
 class PerturbationMap:
-    """Forward sets U(x); the preimage sets are derived from them on demand.
+    """Forward sets U(x).
 
     Only forward defines the map: equality and the hash read it alone.
-    preimage[z] holds every x with z in forward[x]; it is computed on its
-    first read and kept on the map.  Empty U(x) is allowed; such an
-    instance can never be presented as a perturbed input and its
-    restriction constraint is vacuous.
+    Empty U(x) is allowed; such an instance can never be presented as a
+    perturbed input and its restriction constraint is vacuous.
     """
 
     forward: tuple[frozenset[Instance], ...]
@@ -134,14 +132,6 @@ class PerturbationMap:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @cached_property
-    def preimage(self) -> tuple[frozenset[Instance], ...]:
-        pre = [[] for _ in self.forward]
-        for x, s in enumerate(self.forward):
-            for z in s:
-                pre[z].append(x)
-        return tuple(map(frozenset, pre))
 
     @classmethod
     def from_sets(cls, sets) -> "PerturbationMap":
@@ -177,71 +167,83 @@ def compiled(hc: HypothesisClass, u: PerturbationMap, build, *args):
     return value
 
 
+class Game:
+    """The moves of the realizable games on one (class, map) pair.
+
+    masks[x][y] is the bitmask of the hypothesis ids with zero adversarial
+    loss on the clean pair (x, y); full is the whole class's mask.  nodes
+    holds (pair, labels, mask0, mask1) for every orientation-game node: a
+    compatible instance pair (perturbation sets that intersect) with one
+    label per side, (0, 1) on a binary class and any two distinct labels
+    on more; side i keeps mask_i.  The order is lexicographic in (pair,
+    labels); witness extraction and the searches' tie-breaks rely on it.
+    inputs[z] is the increasing tuple of the x with z in U(x), the robust
+    game's reveals on input z.  The nodes and the inputs are built on
+    their first read.  Got through game(hc, u).
+    """
+
+    def __init__(self, hc: HypothesisClass, u: PerturbationMap):
+        if hc.instance_count != u.instance_count:
+            raise DomainError("hypothesis class and perturbation map cover different spaces")
+        if hc.label_count < 2:
+            raise DomainError(f"a game needs at least two labels, got {hc.label_count}")
+        self.forward, self.label_count = u.forward, hc.label_count
+        # point[z][y]: the hypotheses that label z with y
+        point = [[0] * hc.label_count for _ in range(hc.instance_count)]
+        for i, table in enumerate(hc.tables):
+            bit = 1 << i
+            for z, y in enumerate(table):
+                point[z][y] |= bit
+        # (x, y) keeps the hypotheses labelling every z in U(x) with y; an
+        # empty U(x) keeps them all
+        self.full = full = (1 << hc.size) - 1
+        masks = []
+        for targets in u.forward:
+            row = []
+            for y in range(hc.label_count):
+                m = full
+                for z in targets:
+                    m &= point[z][y]
+                row.append(m)
+            masks.append(tuple(row))
+        self.masks = tuple(masks)
+
+    @cached_property
+    def nodes(self):
+        n, masks, fwd = self.label_count, self.masks, self.forward
+        label_pairs = [(0, 1)] if n == 2 else [(a, b) for a in range(n) for b in range(n) if a != b]
+        # the compatible pairs in lexicographic order; nodes share the pair tuples
+        sets = list(enumerate(fwd))
+        pairs = [(a, b) for a, s in sets for b, t in sets if not s.isdisjoint(t)]
+        return tuple(
+            (pair, labels, masks[pair[0]][labels[0]], masks[pair[1]][labels[1]])
+            for pair in pairs
+            for labels in label_pairs
+        )
+
+    @cached_property
+    def inputs(self) -> tuple[tuple[Instance, ...], ...]:
+        inputs = [[] for _ in self.forward]
+        for x, targets in enumerate(self.forward):
+            for z in targets:
+                inputs[z].append(x)
+        return tuple(map(tuple, inputs))
+
+
+def game(hc: HypothesisClass, u: PerturbationMap) -> Game:
+    """The Game of (hc, u), compiled once and kept on hc."""
+    return compiled(hc, u, Game)
+
+
 def consistency_masks(hc: HypothesisClass, u: PerturbationMap):
     """masks[x][y]: bitmask of hypothesis ids with zero adversarial loss on (x, y)."""
-    return compiled(hc, u, _build_masks)
-
-
-def _build_masks(hc: HypothesisClass, u: PerturbationMap):
-    if hc.instance_count != u.instance_count:
-        raise DomainError("hypothesis class and perturbation map cover different spaces")
-    if hc.label_count < 2:
-        raise DomainError(f"a game needs at least two labels, got {hc.label_count}")
-    # point[z][y]: the hypotheses that label z with y
-    point = [[0] * hc.label_count for _ in range(hc.instance_count)]
-    for i, table in enumerate(hc.tables):
-        bit = 1 << i
-        for z, y in enumerate(table):
-            point[z][y] |= bit
-    # (x, y) keeps the hypotheses labelling every z in U(x) with y; an
-    # empty U(x) keeps them all
-    full = (1 << hc.size) - 1
-    masks = []
-    for x in range(hc.instance_count):
-        row = []
-        for y in range(hc.label_count):
-            m = full
-            for z in u.forward[x]:
-                m &= point[z][y]
-            row.append(m)
-        masks.append(tuple(row))
-    return tuple(masks)
+    return compiled(hc, u, Game).masks
 
 
 def check_label_mode(hc: HypothesisClass, claimed) -> None:
     """Refuse a claimed mode (a multiclass= keyword) other than hc's; None passes."""
     if claimed is not None and claimed == hc.is_binary:
         raise DomainError(f"multiclass={claimed!r} disagrees with {hc.label_count} labels")
-
-
-def game_nodes(hc: HypothesisClass, u: PerturbationMap):
-    """(pair, labels, mask0, mask1) for every orientation-game node.
-
-    A node is a compatible instance pair (perturbation sets that
-    intersect) with one label per side: (0, 1) on a binary class, any two
-    distinct labels on a class with more labels.  Side i keeps mask_i.
-    The order is lexicographic in (pair, labels); witness extraction and
-    the searches' tie-breaks rely on it.
-    """
-    return compiled(hc, u, _build_nodes)
-
-
-def _build_nodes(hc: HypothesisClass, u: PerturbationMap):
-    masks = consistency_masks(hc, u)
-    label_pairs = [(0, 1)]
-    if not hc.is_binary:
-        n = hc.label_count
-        label_pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    fwd = u.forward
-    # the compatible pairs in lexicographic order; nodes share the pair tuples
-    pairs = [
-        (x0, x1) for x0, s0 in enumerate(fwd) for x1, s1 in enumerate(fwd) if not s0.isdisjoint(s1)
-    ]
-    return tuple(
-        (pair, labels, masks[pair[0]][labels[0]], masks[pair[1]][labels[1]])
-        for pair in pairs
-        for labels in label_pairs
-    )
 
 
 @dataclass(frozen=True)

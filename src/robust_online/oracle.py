@@ -5,11 +5,12 @@ the game protocol, with the adversary restricted to realizability-
 preserving reveals and the learner ranging over all labels.
 
 States are version-space bitmasks.  Each adversary move is compiled once
-into a sorted tuple of distinct (mask, label) reveals: a robust move z
-holds (masks[x][y], y) for every x with z in U(x) and every label y, and
-an orientation node holds its two sides.  A reveal with mask 0 is never
-legal and one with the full class's mask never shrinks a state, so both
-are dropped, and so are moves left empty; equal moves are kept once.
+from the Game into a sorted tuple of distinct (mask, label) reveals: a
+robust move z holds (masks[x][y], y) for every x in inputs[z] and every
+label y, and an orientation node holds its two sides.  A reveal with
+mask 0 is never legal and one with the full class's mask never shrinks a
+state, so both are dropped, and so are moves left empty; equal moves are
+kept once.
 Robust inputs with the same reveal set thus share one move, and so do
 the mirrored nodes ((x0, x1), (a, b)) and ((x1, x0), (b, a)).
 The sides of a node are disjoint, so an orientation move is its one or
@@ -65,8 +66,7 @@ more, and the stored value is still exact.
 from collections import defaultdict
 
 from .errors import DomainError, LimitExceeded
-from .model import HypothesisClass, PerturbationMap, check_label_mode, compiled
-from .model import consistency_masks, game_nodes
+from .model import Game, HypothesisClass, PerturbationMap, check_label_mode, compiled
 
 MAX_INSTANCES = 5
 MAX_HYPOTHESES = 16
@@ -88,20 +88,19 @@ class MinimaxSolver:
                 f"exhaustive game search is limited to {MAX_INSTANCES} instances "
                 f"and {MAX_HYPOTHESES} hypotheses; got {hc.instance_count} and {hc.size}"
             )
-        masks = consistency_masks(hc, u)
-        full = (1 << hc.size) - 1
+        g = compiled(hc, u, Game)
+        full, moves = g.full, set()
         if game == "robust":
-            kept = [[(m, y) for y, m in enumerate(row) if m and m != full] for row in masks]
-            # input z's raw move: the kept reveals of every x with z in U(x)
-            raw = [[] for _ in masks]
-            for x, targets in enumerate(u.forward):
-                for z in targets:
-                    raw[z] += kept[x]
-            moves = {tuple(sorted(set(move))) for move in raw if move}
+            kept = [[(m, y) for y, m in enumerate(row) if m and m != full] for row in g.masks]
+            for xs in g.inputs:
+                move = []  # input z's move: the kept reveals of every x in inputs[z]
+                for x in xs:
+                    move += kept[x]
+                if move:
+                    moves.add(tuple(sorted(set(move))))
         else:
-            moves = set()
             # the sides of a node are disjoint, so two kept sides differ
-            for _, (y0, y1), m0, m1 in game_nodes(hc, u):
+            for _, (y0, y1), m0, m1 in g.nodes:
                 a, b = (m0, y0), (m1, y1)
                 if m0 and m0 != full:
                     if m1 and m1 != full:
@@ -179,5 +178,7 @@ def optimal_mistake_bound(
     mistakes are bounded); a nonnegative horizon caps the round count.
     """
     check_label_mode(hc, multiclass)
+    if horizon is not None and horizon < 0:
+        raise DomainError(f"horizon must be nonnegative, got {horizon}")
     solver = compiled(hc, u, MinimaxSolver, game)
     return solver.value((1 << hc.size) - 1, horizon)

@@ -20,11 +20,11 @@ call per row, the loop the generator's block draws stand for.  The
 worst-case walk of the optimal learners has a plain search over reveal
 sequences, replayed on fresh learner objects.  The transcript reader,
 the inverse of `runner.transcript_to_json`, lives here too: no command
-reads a transcript back, and the round-trip tests do.  So does the set of
-compatible pairs, which the package reads only as the node list of
-`model.game_nodes`, and so does the scenario parser as it was before it
-read a file in one scan (the mutation property checks the package's
-parser against it).
+reads a transcript back, and the round-trip tests do.  So do the set of
+compatible pairs and the preimages U⁻¹(z), which the package reads only
+as the nodes and the inputs of `model.Game`, and the scenario parser as
+it was before it read a file in one scan (the mutation property checks
+the package's parser against it).
 """
 
 import copy
@@ -73,6 +73,11 @@ def compatible_pairs(u: PerturbationMap) -> set[tuple[int, int]]:
         for b in range(n)
         if not u.forward[a].isdisjoint(u.forward[b])
     }
+
+
+def preimage(u: PerturbationMap, z: int) -> list[int]:
+    """The x with z in U(x), in increasing order, read off the forward sets."""
+    return [x for x in range(u.instance_count) if z in u.forward[x]]
 
 
 def empty_map(n: int) -> PerturbationMap:
@@ -238,7 +243,7 @@ class PlainReductionLearner:
 
     def candidate_sets(self, z):
         """P[y]: preimage candidates of z whose (x, y) restriction survives."""
-        pre = sorted(self.u.preimage[z])
+        pre = preimage(self.u, z)
         return [
             [x for x in pre if self.mask & self._masks[x][y]]
             for y in range(self.hc.label_count)

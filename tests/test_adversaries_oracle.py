@@ -21,8 +21,8 @@ from robust_online import (
     total_map,
     witness_tree,
 )
-from robust_online.errors import LimitExceeded
-from robust_online.model import game_nodes
+from robust_online.errors import DomainError, LimitExceeded
+from robust_online.model import game
 from robust_online.oracle import MinimaxSolver
 from robust_online.seeding import derive_rng
 
@@ -180,6 +180,14 @@ def test_oracle_horizon_caps_the_value():
     assert optimal_mistake_bound(hc, u, horizon=10) == 3
 
 
+def test_oracle_refuses_a_negative_horizon():
+    hc, u = full_class(3), identity_map(3)
+    for game_name in ("robust", "orientation"):
+        with pytest.raises(DomainError, match="horizon must be nonnegative, got -5"):
+            optimal_mistake_bound(hc, u, game_name, horizon=-5)
+        assert optimal_mistake_bound(hc, u, game_name, horizon=0) == 0
+
+
 def test_oracle_compiles_each_distinct_move_once():
     # under the total map every input offers the same two reveals
     solver = MinimaxSolver(full_class(3), total_map(3), "robust")
@@ -187,7 +195,7 @@ def test_oracle_compiles_each_distinct_move_once():
     assert optimal_mistake_bound(full_class(3), total_map(3)) == 1
     # the mirrored nodes ((x, x), (a, b)) and ((x, x), (b, a)) share a move
     hc, u = full_class(2, label_count=3), identity_map(2)
-    assert len(game_nodes(hc, u)) == 12
+    assert len(game(hc, u).nodes) == 12
     assert len(MinimaxSolver(hc, u, "orientation").moves) == 6
 
 

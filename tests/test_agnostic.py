@@ -367,9 +367,8 @@ def test_random_label_probe_regret_grows_with_horizon():
     assert means[1] > 2 * means[0]
 
 
-# The binary-only entry points: the agnostic ones refuse a class with more
-# than two labels through LazyRobustAutomaton, the family ones through
-# uncertain's own check.
+# The binary-only entry points refuse a class with more than two labels
+# through binary_context, before they search or compile anything.
 BINARY_ONLY = {
     "expected_regret": lambda hc, u, fam, rounds: expected_regret(hc, u, rounds),
     "mc_regret": lambda hc, u, fam, rounds: mc_regret(hc, u, rounds, seeds=[0]),
@@ -395,3 +394,5 @@ def test_binary_only_entry_points_refuse_three_labels(name):
     rounds = [(0, 0, 2), (1, 1, 0), (1, 1, 1)]
     with pytest.raises(DomainError):
         BINARY_ONLY[name](hc, u, family, rounds)
+    # refused before any search: nothing was compiled for the class
+    assert hc._store == {}

@@ -188,20 +188,12 @@ def map_sets(draw):
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(map_sets(), st.booleans(), st.booleans(), st.data())
-def test_a_map_is_defined_by_its_forward_sets(case, read_a, read_b, data):
+@given(map_sets(), st.data())
+def test_a_map_is_defined_by_its_forward_sets(case, data):
     n, sets = case
     a = PerturbationMap.from_sets(sets)
     b = PerturbationMap.from_sets([sorted(s) for s in sets])
-    assert "preimage" not in vars(a) and "preimage" not in vars(b)
-    if read_a:
-        a.preimage
-    if read_b:
-        b.preimage
     assert a == b and hash(a) == hash(b)
-    expected = tuple(frozenset(x for x in range(n) if z in a.forward[x]) for z in range(n))
-    assert a.preimage == expected == b.preimage
-    assert "preimage" in vars(a)
     # one frozenset object per distinct set
     for x in range(n):
         assert a.forward[x] is a.forward[a.forward.index(a.forward[x])]

@@ -1,8 +1,9 @@
 """Property tests over random small games.
 
 The consistency masks are the package's single source of the robust loss.
-The first properties check them, and the functions derived from them,
-against the definitional `adversarial_loss` of tests/reference.py, and the realizable
+The first properties check the Game a (class, map) compiles its moves
+into against the forward sets, then the masks and the functions derived
+from them against the definitional `adversarial_loss` of tests/reference.py, and the realizable
 generators against a plain loop with one scalar draw per choice; the next
 check the dimension search, the classic dimension, and the minimax
 oracle's values and move table against plain searches written here,
@@ -25,6 +26,7 @@ digest words.
 
 import gc
 import hashlib
+import itertools
 import math
 import weakref
 
@@ -88,7 +90,8 @@ from robust_online.dimension import get_engine
 from robust_online.errors import ProtocolViolation, SearchInvariantError
 from robust_online.forecaster import weight_trajectory
 from robust_online.learners import LazyRobustAutomaton, LazyRobustLearner
-from robust_online.model import compiled, consistency_masks, game_nodes
+from robust_online import model
+from robust_online.model import compiled, consistency_masks
 from robust_online.oracle import MinimaxSolver
 from robust_online.scenario import ADVERSARIES, DEFAULT_LABELS, PROTOCOLS
 from robust_online.uncertain import HalvingReport
@@ -105,6 +108,7 @@ from reference import (
     one_row_per_call_tables,
     plain_subset_pool,
     plain_worst_case,
+    preimage,
     stepwise_ewa,
 )
 from reference import try_parse_scenario as reference_parse
@@ -162,6 +166,26 @@ def reference_options(hc, u, h):
                 if adversarial_loss(h, pair[side], labels[side], u) == 0:
                     options.append((OrientationQuery(pair, labels), side))
     return options
+
+
+@PROPERTY
+@given(games())
+def test_the_game_reads_its_moves_off_the_forward_sets(game):
+    """The Game of a (class, map) against its moves derived here from U:
+    the inputs are the preimages, and the nodes are every compatible pair
+    with every label pair of the class's mode, in lexicographic order.
+    Both are built on their first read, and the masks are the store's
+    consistency masks."""
+    hc, u = game
+    g = model.game(hc, u)
+    assert "nodes" not in vars(g) and "inputs" not in vars(g)
+    assert model.game(hc, u) is g and consistency_masks(hc, u) is g.masks
+    assert g.inputs == tuple(tuple(preimage(u, z)) for z in range(u.instance_count))
+    n, masks = hc.label_count, g.masks
+    label_pairs = list(itertools.permutations(range(n), 2)) if n > 2 else [(0, 1)]
+    pairs = compatible_pairs(u)
+    nodes = [(p, ys, masks[p[0]][ys[0]], masks[p[1]][ys[1]]) for p in pairs for ys in label_pairs]
+    assert g.nodes == tuple(sorted(nodes, key=lambda node: node[:2]))
 
 
 @PROPERTY
@@ -337,7 +361,7 @@ def test_pruned_search_matches_the_plain_recursion(game):
     the same class, gives the same dimension, as the paper's multiclass
     dimension must on a binary class."""
     hc, u = game
-    nodes = game_nodes(hc, u)
+    nodes = model.game(hc, u).nodes
     dim, memo = plain_dimension(nodes)
     full = (1 << hc.size) - 1
     depth = dim(full)
@@ -356,7 +380,6 @@ def test_pruned_search_matches_the_plain_recursion(game):
     for node in nodes:
         if node[2] and node[3]:
             firsts.setdefault(frozenset(node[2:]), node)
-    assert engine.nodes == nodes
     assert engine.splits == tuple(firsts.values())
     # every value the pruned search stored is exact ...
     for mask, value in engine._memo.items():
@@ -406,11 +429,11 @@ def reference_game_values(hc, u, game):
     labels = range(hc.label_count)
     if game == "robust":
         moves = [
-            [(y, masks[x][y]) for x in sorted(u.preimage[z]) for y in labels]
+            [(y, masks[x][y]) for x in preimage(u, z) for y in labels]
             for z in range(u.instance_count)
         ]
     else:
-        moves = [[(y0, m0), (y1, m1)] for _, (y0, y1), m0, m1 in game_nodes(hc, u)]
+        moves = [[(y0, m0), (y1, m1)] for _, (y0, y1), m0, m1 in model.game(hc, u).nodes]
     memo = {}
 
     def bellman(mask, self_value, h):
@@ -498,11 +521,11 @@ def reference_moves(hc, u, game):
     full = (1 << hc.size) - 1
     if game == "robust":
         raw = [
-            [(masks[x][y], y) for x in u.preimage[z] for y in range(hc.label_count)]
+            [(masks[x][y], y) for x in preimage(u, z) for y in range(hc.label_count)]
             for z in range(u.instance_count)
         ]
     else:
-        raw = [[(m0, y0), (m1, y1)] for _, (y0, y1), m0, m1 in game_nodes(hc, u)]
+        raw = [[(m0, y0), (m1, y1)] for _, (y0, y1), m0, m1 in model.game(hc, u).nodes]
     moves = {tuple(sorted({(m, y) for m, y in move if m and m != full})) for move in raw}
     moves.discard(())
     return tuple(sorted(moves))
