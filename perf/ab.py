@@ -1,0 +1,222 @@
+"""Paired in-process A/B of the package against an earlier commit.
+
+    python perf/ab.py --parent REV --workload replay [--seed 1 --seconds 10 --passes 3]
+
+Run from anywhere inside the repository.  The parent's src/ is unpacked
+from git (`git archive REV src`, no network) into a temporary directory,
+and both it and the working tree's src/robust_online are imported in this
+one process under distinct module names.  The working tree's
+bench/workloads.py is executed once per side with `robust_online` bound to
+that side's package, so each side generates and prepares its own inputs
+from the seed, exactly as bench/run.py would.
+
+Each pass runs every item on both sides, in chunks of CHUNK items; the
+side that runs a chunk first alternates from chunk to chunk and from pass
+to pass.  The garbage collector is off while a chunk runs and a full
+collection runs between chunks, outside the timed spans.  Item times are
+raw time.perf_counter spans, with no host-clock rescale: both sides share
+the host, so their ratio is what the code changed.
+
+The one line of standard output is a JSON object: per-kind and total
+seconds per side and pass, their change/parent ratios, the output digest
+of each side and the machine.  The exit status is 1 when any item's
+result (or the workload's batch check) differs between the two sides, 2
+on a usage or git error, and 0 otherwise.
+"""
+
+import argparse
+import gc
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+import types
+from contextlib import nullcontext
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHUNK = 100
+SIDES = ("parent", "change")
+NULL_SPAN = nullcontext()
+
+
+def _git(*args) -> bytes:
+    done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, timeout=120)
+    if done.returncode != 0:
+        raise RuntimeError(f"git {' '.join(args)}: {done.stderr.decode(errors='replace').strip()}")
+    return done.stdout
+
+
+def unpack_src(rev: str, into: Path) -> str:
+    """Write rev's src/ under `into`; returns rev's full commit id."""
+    commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
+    # the "data" filter where this Python has it (3.10.12, 3.11.4 and later)
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", commit, "src"))) as tar:
+        tar.extractall(into, **safe)
+    return commit
+
+
+def import_package(name: str, package_dir: Path) -> types.ModuleType:
+    """Import the package in package_dir as `name`; its relative imports
+    resolve inside it, so two copies never share a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads(side: str, package: types.ModuleType) -> types.ModuleType:
+    """bench/workloads.py executed with `import robust_online` bound to package."""
+    path = ROOT / "bench" / "workloads.py"
+    module = types.ModuleType(f"_ab_workloads_{side}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    saved = sys.modules.get("robust_online")
+    sys.modules["robust_online"] = package
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        if saved is None:
+            del sys.modules["robust_online"]
+        else:
+            sys.modules["robust_online"] = saved
+    return module
+
+
+class Side:
+    """One package copy with its own workload module, inputs and context."""
+
+    def __init__(self, name, package, workload, seed, seconds):
+        self.name = name
+        self.workloads = load_workloads(name, package)
+        self.wl = self.workloads.WORKLOADS[workload]
+        generated = self.wl.generate(seed, self.wl.size_for(seconds))
+        self.items, self.prepared = self.wl.prepare(seed, generated)
+        self.ctx = self.workloads.Context(seed, lambda _name: NULL_SPAN, {})
+
+    def run(self, indices, results, seconds_by_kind):
+        items, prepared, run_item, ctx = self.items, self.prepared, self.wl.run_item, self.ctx
+        for i in indices:
+            item = items[i]
+            start = time.perf_counter()
+            try:
+                result, ok = run_item(item, ctx, prepared)
+            except Exception as exc:  # a raising item is a result too
+                result, ok = ("error", item.kind, type(exc).__name__), False
+            spent = time.perf_counter() - start
+            results[i] = (result, ok)
+            seconds_by_kind[item.kind] = seconds_by_kind.get(item.kind, 0.0) + spent
+
+
+def _digest(results, batch) -> str:
+    digest = hashlib.sha256()
+    for result, _ in results:
+        digest.update(repr(result).encode())
+        digest.update(b"\n")
+    digest.update(repr(batch).encode())
+    return digest.hexdigest()
+
+
+def _with_total(seconds_by_kind):
+    out = dict(sorted(seconds_by_kind.items()))
+    out["total"] = sum(seconds_by_kind.values())
+    return out
+
+
+def run_passes(sides, passes):
+    """Time every item on both sides per pass; returns (passes, results of the last pass)."""
+    n = len(sides[0].items)
+    chunks = [range(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
+    records, results = [], {}
+    for p in range(passes):
+        results = {side.name: [None] * n for side in sides}
+        seconds = {side.name: {} for side in sides}
+        for c, chunk in enumerate(chunks):
+            for side in sides if (c + p) % 2 == 0 else sides[::-1]:
+                gc.collect()
+                gc.disable()
+                side.run(chunk, results[side.name], seconds[side.name])
+                gc.enable()
+        parent, change = (_with_total(seconds[name]) for name in SIDES)
+        records.append({
+            "parent_s": parent,
+            "change_s": change,
+            "ratio": {k: change[k] / parent[k] if parent[k] > 0 else None for k in parent},
+        })
+    return records, results
+
+
+def _machine():
+    import numpy
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "platform": platform.platform(),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True, choices=("solve", "play", "replay"))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--passes", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.seconds < 1 or args.passes < 1:
+        parser.error("--seconds and --passes must be at least 1")
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
+        try:
+            commit = unpack_src(args.parent, Path(tmp))
+        except (OSError, RuntimeError, subprocess.SubprocessError) as exc:
+            print(f"cannot unpack {args.parent}'s src/: {exc}", file=sys.stderr)
+            return 2
+        packages = {
+            "parent": import_package("_ab_parent_robust_online", Path(tmp) / "src" / "robust_online"),
+            "change": import_package("_ab_change_robust_online", ROOT / "src" / "robust_online"),
+        }
+        sides = [Side(name, packages[name], args.workload, args.seed, args.seconds) for name in SIDES]
+        records, results = run_passes(sides, args.passes)
+        batches = {
+            side.name: side.wl.finish([r for r, _ in results[side.name]]) if side.wl.finish else None
+            for side in sides
+        }
+    parent, change = sides
+    same_items = [(i.kind, i.spec) for i in parent.items] == [(i.kind, i.spec) for i in change.items]
+    differing = [i for i, (a, b) in enumerate(zip(results["parent"], results["change"])) if a != b]
+    equal = same_items and not differing and batches["parent"] == batches["change"]
+    kinds = {}
+    for item in change.items:
+        kinds[item.kind] = kinds.get(item.kind, 0) + 1
+    print(json.dumps({
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "parent": args.parent,
+        "parent_commit": commit,
+        "items": len(change.items),
+        "items_by_kind": dict(sorted(kinds.items())),
+        "outputs_equal": equal,
+        "differing_items": len(differing),
+        "output_digest": {name: _digest(results[name], batches[name]) for name in SIDES},
+        "passes": records,
+        "machine": _machine(),
+    }, sort_keys=True))
+    return 0 if equal else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -306,7 +306,7 @@ def random_label_regret_sample(
         t, mistakes = t + 1, mistakes + 1
     n1 = seq.count(_LABEL_BYTES[1])
     n0 = horizon - n1
-    comparator = min(n0 * a + n1 * b for a, b in losses)
+    comparator = min([n0 * a + n1 * b for a, b in losses])
     return {
         "regret": mistakes - comparator,
         "mistakes": mistakes,

@@ -241,7 +241,8 @@ def classic_littlestone_dimension(hc: HypothesisClass) -> int:
     special case the adversarial dimension must agree with.  A set of
     tables is an int bitmask over table ids, and instance x splits it
     with the mask of the tables that label x with 0, built here from the
-    raw tables; no perturbation map is read.
+    raw tables; no perturbation map is read.  m tables have dimension at
+    most floor(log2 m), and the search stops there.
     """
     if not hc.is_binary:
         raise DomainError("the classic dimension is defined here for binary labels")
@@ -256,14 +257,17 @@ def classic_littlestone_dimension(hc: HypothesisClass) -> int:
         hit = memo.get(tables)
         if hit is not None:
             return hit
-        best = 0
+        best, cap = 0, tables.bit_count().bit_length() - 1
         for z in zeros_at:
+            if best == cap:
+                break
             zeros = tables & z
-            if not zeros or zeros == tables:
-                continue
-            d = 1 + min(dim(zeros), dim(tables ^ zeros))
-            if d > best:
-                best = d
+            ones = tables ^ zeros
+            # a split beats best only if both sides have 2^best tables and dimension best
+            if zeros.bit_count() >> best and ones.bit_count() >> best:
+                d = dim(zeros)
+                if d >= best:
+                    best = max(best, 1 + min(d, dim(ones)))
         memo[tables] = best
         return best
 

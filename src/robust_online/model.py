@@ -23,7 +23,6 @@ the mode is no option.  The masks refuse fewer than two labels.
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import DomainError, LimitExceeded
 
@@ -167,6 +166,17 @@ def compiled(hc: HypothesisClass, u: PerturbationMap, build, *args):
     return value
 
 
+class _built_once:
+    """functools.cached_property without its lock (taken on Python < 3.12)."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, obj, owner=None):
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 class Game:
     """The moves of the realizable games on one (class, map) pair.
 
@@ -179,7 +189,7 @@ class Game:
     labels); witness extraction and the searches' tie-breaks rely on it.
     inputs[z] is the increasing tuple of the x with z in U(x), the robust
     game's reveals on input z.  The nodes and the inputs are built on
-    their first read.  Got through game(hc, u).
+    their first read, lock-free.  Got through game(hc, u).
     """
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap):
@@ -208,7 +218,7 @@ class Game:
             masks.append(tuple(row))
         self.masks = tuple(masks)
 
-    @cached_property
+    @_built_once
     def nodes(self):
         n, masks, fwd = self.label_count, self.masks, self.forward
         label_pairs = [(0, 1)] if n == 2 else [(a, b) for a in range(n) for b in range(n) if a != b]
@@ -221,7 +231,7 @@ class Game:
             for labels in label_pairs
         )
 
-    @cached_property
+    @_built_once
     def inputs(self) -> tuple[tuple[Instance, ...], ...]:
         inputs = [[] for _ in self.forward]
         for x, targets in enumerate(self.forward):

@@ -7,7 +7,10 @@ existing ones and runs replay byte-for-byte across platforms.
 The chain is: the parts' str() forms joined by "\\x1f", then SHA-256 of
 that text's UTF-8 bytes, then the 32-byte digest read as eight
 little-endian uint32 words, then a SeedSequence over those words, then
-PCG64.
+PCG64.  Its one seeding call, generate_state(4, np.uint64), is answered
+in straight-line Python from NumPy's pool with SeedSequence's hash
+constants; NumPy's stream-compatibility policy (NEP 19) fixes those
+words across releases, and tests/test_seeding.py checks them.
 
 Block draws.  A generator may draw a block of values in one call where it
 means a run of scalar calls, and the stream stays exact.  NumPy fills an
@@ -44,31 +47,56 @@ of those, low half first.  Lemire's step for the bound 2 never rejects,
 since 2^32 mod 2 = 0, and returns the top bit of its word.  So on a
 stream with no half-word buffered, such as a new one, draw 2i is bit 31
 of the stream's next 64-bit output i and draw 2i + 1 its bit 63.
-label_bytes reads them from one bit_generator.random_raw call as bytes
-of 0 and 1, and leaves the stream on the output after the last one it
-read, as the array call does.  The array call keeps an odd n's unused
+label_bytes reads them from one bit_generator.random_raw call, as bit 7
+of every fourth little-endian byte from byte 3, which one bytes.translate
+maps to 0 or 1, and leaves the stream on the output after the last one
+it read, as the array call does.  The array call keeps an odd n's unused
 high half buffered for a later 32-bit draw, and label_bytes does not,
 so it suits a stream nothing else draws from, as the random-label
 probe's.
 """
 
 import hashlib
+import struct
 
 import numpy as np
 
+_WORDS = np.dtype("<u4")
+_STATE = np.dtype(np.uint64)
+_PACK_STATE = struct.Struct("=4Q").pack
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+
+
+class _SeedSequence(np.random.SeedSequence):
+    """SeedSequence whose generate_state(4, np.uint64), PCG64's seeding call,
+    returns a read-only array.  Word i of the eight 32-bit words is pool[i % 4]
+    xor INIT_B * MULT_B^i, times INIT_B * MULT_B^(i + 1), xor-shifted right by
+    16, mod 2^32 (INIT_B = 0x8B51F9DD, MULT_B = 0x58F38DED); two make a 64-bit
+    word, low first."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            return super().generate_state(n_words, dtype)
+        p0, p1, p2, p3 = self.pool.tolist()
+        a = (p0 ^ 0x8B51F9DD) * 0x464A0A99 & 0xFFFFFFFF
+        b = (p1 ^ 0x464A0A99) * 0x819D14A5 & 0xFFFFFFFF
+        c = (p2 ^ 0x819D14A5) * 0xD369FDC1 & 0xFFFFFFFF
+        d = (p3 ^ 0xD369FDC1) * 0x501638AD & 0xFFFFFFFF
+        e = (p0 ^ 0x501638AD) * 0xA600C129 & 0xFFFFFFFF
+        f = (p1 ^ 0xA600C129) * 0x8B0167F5 & 0xFFFFFFFF
+        g = (p2 ^ 0x8B0167F5) * 0x5C1E2ED1 & 0xFFFFFFFF
+        h = (p3 ^ 0x5C1E2ED1) * 0x301D747D & 0xFFFFFFFF
+        return np.frombuffer(_PACK_STATE(
+            (b ^ b >> 16) << 32 | a ^ a >> 16, (d ^ d >> 16) << 32 | c ^ c >> 16,
+            (f ^ f >> 16) << 32 | e ^ e >> 16, (h ^ h >> 16) << 32 | g ^ g >> 16), _STATE)
+
 
 def derive_seed_sequence(*parts) -> np.random.SeedSequence:
-    """SeedSequence over the SHA-256 digest of the parts.
-
-    The 32-byte digest is viewed in place as eight little-endian uint32
-    words, so `.entropy` is that uint32 ndarray, not a list.  SeedSequence
-    reads a list of the same eight ints into the same array, so the pool,
-    `generate_state` and every PCG64 stream equal that list's.
-    """
-    digest = hashlib.sha256(
-        "\x1f".join(str(p) for p in parts).encode()
-    ).digest()
-    return np.random.SeedSequence(np.frombuffer(digest, dtype="<u4"))
+    """SeedSequence over the SHA-256 digest of the parts, viewed in place as
+    eight little-endian uint32 words: `.entropy` is that ndarray, and a list
+    of the same ints gives the same pool, state and PCG64 stream."""
+    digest = hashlib.sha256("\x1f".join(map(str, parts)).encode()).digest()
+    return _SeedSequence(np.frombuffer(digest, dtype=_WORDS))
 
 
 def derive_rng(*parts) -> np.random.Generator:
@@ -77,11 +105,9 @@ def derive_rng(*parts) -> np.random.Generator:
 
 def label_bytes(rng: np.random.Generator, n: int) -> bytes:
     """rng.integers(0, 2, size=n) of a stream with no half-word buffered,
-    as n bytes of 0 and 1 decoded from raw 64-bit words.  The words are
-    read as little-endian bytes, so the top bit of each 32-bit half is
-    bit 7 of bytes 3 and 7, on any host."""
+    as n bytes of 0 and 1, on any host (see the module docstring)."""
     raw = rng.bit_generator.random_raw((n + 1) // 2)
-    return (raw.astype("<u8", copy=False).view(np.uint8)[3::4] >> 7)[:n].tobytes()
+    return raw.astype("<u8", copy=False).tobytes()[3::4][:n].translate(_TOP_BIT)
 
 
 class BoundedDraws:

@@ -2,7 +2,9 @@
 
 The numbers were recorded from the list-of-words construction.  A change
 to the derivation, or a NumPy release that moves SeedSequence or PCG64,
-fails here instead of silently shifting every seeded result.
+fails here instead of silently shifting every seeded result.  The seed
+words PCG64 reads are computed in Python from the SeedSequence pool; a
+property checks them against NumPy's own SeedSequence on random entropies.
 
 The generators draw blocks where they mean runs of scalar draws (the
 rule in the `seeding` docstring).  The last tests check that rule on the
@@ -12,16 +14,57 @@ leave it, and labels decoded from raw 64-bit words equal the array call
 they stand for on a new stream.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_online import derive_rng, derive_seed_sequence
-from robust_online.seeding import BoundedDraws, label_bytes
+from robust_online.seeding import BoundedDraws, _SeedSequence, label_bytes
 
 
 def test_seed_sequence_state_is_pinned():
     ss = derive_seed_sequence(0, "conform", 2, 0, 0)
     assert ss.generate_state(4).tolist() == [3229571402, 3693845333, 579808863, 3343452763]
+
+
+def test_pcg64_seed_words_are_pinned():
+    # the one call PCG64 makes while seeding, answered from the pool in Python
+    ss = derive_seed_sequence(0, "conform", 2, 0, 0)
+    assert ss.generate_state(4, np.uint64).tolist() == [
+        15864944904946800970,
+        14360020273385647711,
+        14929440178745268507,
+        11832497011178688173,
+    ]
+
+
+WORDS = st.lists(st.integers(0, 2**32 - 1), min_size=8, max_size=8)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(WORDS)
+def test_seed_words_equal_numpys_seed_sequence(words):
+    entropy = np.array(words, dtype=np.uint32)
+    ours, numpys = _SeedSequence(entropy), np.random.SeedSequence(entropy)
+    for dtype in (np.uint32, np.uint64):
+        for n in range(1, 10):
+            got, want = ours.generate_state(n, dtype), numpys.generate_state(n, dtype)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.one_of(st.integers(), st.text(max_size=8)), max_size=4))
+def test_a_derived_stream_equals_numpys_pcg64_over_the_digest_words(parts):
+    text = "\x1f".join(map(str, parts))
+    digest = hashlib.sha256(text.encode()).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
+    want = np.random.PCG64(np.random.SeedSequence(words))
+    got = derive_rng(*parts).bit_generator
+    assert got.state == want.state
+    assert got.random_raw(3).tolist() == want.random_raw(3).tolist()
 
 
 def test_pcg64_stream_is_pinned():
