@@ -17,11 +17,26 @@ collection runs between chunks, outside the timed spans.  Item times are
 raw time.perf_counter spans, with no host-clock rescale: both sides share
 the host, so their ratio is what the code changed.
 
+Each pass also gives every kind's item count and a 95% bootstrap interval
+of its ratio: the items of the kind are resampled with replacement, each
+keeping its pair of times, RESAMPLES times from a fixed seed, so the
+intervals of given times are deterministic.  The total's interval
+resamples within every kind.  A kind of a handful of items gets a wide
+interval, and its ratio says little.
+
+After the timed passes, each side builds its inputs afresh and runs
+every item once more, untimed, under tracemalloc.  The bytes still
+allocated at the end are summed by the package module whose code made
+them (the innermost frame in that side's package directory; the two
+sides load from different paths, so their allocations separate by file
+name).  This is where a memory change shows, layer by layer.
+
 The one line of standard output is a JSON object: per-kind and total
-seconds per side and pass, their change/parent ratios, the output digest
-of each side and the machine.  The exit status is 1 when any item's
-result (or the workload's batch check) differs between the two sides, 2
-on a usage or git error, and 0 otherwise.
+seconds per side and pass, their change/parent ratios with their item
+counts and intervals, the retained bytes per module of each side, the
+output digest of each side and the machine.  The exit status is 1 when
+any item's result (or the workload's batch check) differs between the
+two sides, 2 on a usage or git error, and 0 otherwise.
 """
 
 import argparse
@@ -37,14 +52,22 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 import types
 from contextlib import nullcontext
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 CHUNK = 100
 SIDES = ("parent", "change")
 NULL_SPAN = nullcontext()
+RESAMPLES = 2000
+BOOTSTRAP_SEED = 20261020
+# frames kept per traced allocation: enough to reach the innermost package
+# frame under NumPy's and the standard library's Python-level calls
+TRACE_FRAMES = 8
 
 
 def _git(*args) -> bytes:
@@ -95,17 +118,22 @@ def load_workloads(side: str, package: types.ModuleType) -> types.ModuleType:
 
 
 class Side:
-    """One package copy with its own workload module, inputs and context."""
+    """One package copy with its own workload module, inputs and context.
+
+    It keeps its generated inputs as well as the prepared ones, so the
+    memory pass counts what the generators made.
+    """
 
     def __init__(self, name, package, workload, seed, seconds):
         self.name = name
         self.workloads = load_workloads(name, package)
         self.wl = self.workloads.WORKLOADS[workload]
-        generated = self.wl.generate(seed, self.wl.size_for(seconds))
-        self.items, self.prepared = self.wl.prepare(seed, generated)
+        self.generated = self.wl.generate(seed, self.wl.size_for(seconds))
+        self.items, self.prepared = self.wl.prepare(seed, self.generated)
         self.ctx = self.workloads.Context(seed, lambda _name: NULL_SPAN, {})
 
-    def run(self, indices, results, seconds_by_kind):
+    def run(self, indices, results, seconds):
+        """Run the items at `indices`, filling their results and seconds."""
         items, prepared, run_item, ctx = self.items, self.prepared, self.wl.run_item, self.ctx
         for i in indices:
             item = items[i]
@@ -114,9 +142,8 @@ class Side:
                 result, ok = run_item(item, ctx, prepared)
             except Exception as exc:  # a raising item is a result too
                 result, ok = ("error", item.kind, type(exc).__name__), False
-            spent = time.perf_counter() - start
+            seconds[i] = time.perf_counter() - start
             results[i] = (result, ok)
-            seconds_by_kind[item.kind] = seconds_by_kind.get(item.kind, 0.0) + spent
 
 
 def _digest(results, batch) -> str:
@@ -128,42 +155,94 @@ def _digest(results, batch) -> str:
     return digest.hexdigest()
 
 
-def _with_total(seconds_by_kind):
-    out = dict(sorted(seconds_by_kind.items()))
-    out["total"] = sum(seconds_by_kind.values())
-    return out
+def bootstrap_interval(parent, change, groups):
+    """The 95% percentile-bootstrap interval of change.sum() / parent.sum()
+    over the items of `groups` (index arrays), each resampled with
+    replacement within itself, from the fixed BOOTSTRAP_SEED."""
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    ratios = []
+    for _ in range(RESAMPLES):
+        picked = np.concatenate([rng.choice(g, len(g)) for g in groups])
+        ratios.append(change[picked].sum() / parent[picked].sum())
+    lo, hi = np.percentile(ratios, [2.5, 97.5])
+    return [float(lo), float(hi)]
+
+
+def pass_record(kinds, seconds):
+    """Per-kind and total seconds per side, the ratios, the item counts
+    and the bootstrap intervals of one pass."""
+    parent, change = (np.array(seconds[name]) for name in SIDES)
+    of_kind = np.array(kinds)
+    groups = {kind: [np.flatnonzero(of_kind == kind)] for kind in sorted(set(kinds))}
+    groups["total"] = [g for (g,) in groups.values()]
+    picked = {k: np.concatenate(gs) for k, gs in groups.items()}
+    parent_s = {k: float(parent[i].sum()) for k, i in picked.items()}
+    change_s = {k: float(change[i].sum()) for k, i in picked.items()}
+    return {
+        "parent_s": parent_s,
+        "change_s": change_s,
+        "ratio": {k: change_s[k] / parent_s[k] if parent_s[k] > 0 else None for k in groups},
+        "items": {k: len(i) for k, i in picked.items()},
+        "interval": {k: bootstrap_interval(parent, change, gs) for k, gs in groups.items()},
+    }
 
 
 def run_passes(sides, passes):
     """Time every item on both sides per pass; returns (passes, results of the last pass)."""
     n = len(sides[0].items)
+    kinds = [item.kind for item in sides[1].items]
     chunks = [range(lo, min(lo + CHUNK, n)) for lo in range(0, n, CHUNK)]
     records, results = [], {}
     for p in range(passes):
         results = {side.name: [None] * n for side in sides}
-        seconds = {side.name: {} for side in sides}
+        seconds = {side.name: [0.0] * n for side in sides}
         for c, chunk in enumerate(chunks):
             for side in sides if (c + p) % 2 == 0 else sides[::-1]:
                 gc.collect()
                 gc.disable()
                 side.run(chunk, results[side.name], seconds[side.name])
                 gc.enable()
-        parent, change = (_with_total(seconds[name]) for name in SIDES)
-        records.append({
-            "parent_s": parent,
-            "change_s": change,
-            "ratio": {k: change[k] / parent[k] if parent[k] > 0 else None for k in parent},
-        })
+        records.append(pass_record(kinds, seconds))
     return records, results
 
 
-def _machine():
-    import numpy
+def retained_by_module(name, package, args):
+    """Bytes a fresh side still holds after its setup and one untimed pass,
+    by the module of its package whose code allocated them.
 
+    A full collection first empties CPython's free lists, so the objects
+    the side keeps are allocated, and traced, anew.  The item results are
+    dropped before the snapshot: what is left is the inputs and what the
+    package keeps.
+    """
+    root = str(Path(package.__file__).parent) + os.sep
+    gc.collect()
+    tracemalloc.start(TRACE_FRAMES)
+    try:
+        side = Side(name, package, args.workload, args.seed, args.seconds)
+        n = len(side.items)
+        side.run(range(n), [None] * n, [0.0] * n)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = {}
+    for trace in snapshot.traces:
+        for frame in reversed(trace.traceback):  # innermost first
+            if frame.filename.startswith(root):
+                module = Path(frame.filename).stem
+                held[module] = held.get(module, 0) + trace.size
+                break
+    out = dict(sorted(held.items()))
+    out["total"] = sum(held.values())
+    return out
+
+
+def _machine():
     return {
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "platform": platform.platform(),
     }
 
@@ -194,6 +273,7 @@ def main(argv=None):
             side.name: side.wl.finish([r for r, _ in results[side.name]]) if side.wl.finish else None
             for side in sides
         }
+        retained = {name: retained_by_module(name, packages[name], args) for name in SIDES}
     parent, change = sides
     same_items = [(i.kind, i.spec) for i in parent.items] == [(i.kind, i.spec) for i in change.items]
     differing = [i for i, (a, b) in enumerate(zip(results["parent"], results["change"])) if a != b]
@@ -213,6 +293,7 @@ def main(argv=None):
         "differing_items": len(differing),
         "output_digest": {name: _digest(results[name], batches[name]) for name in SIDES},
         "passes": records,
+        "retained_bytes": retained,
         "machine": _machine(),
     }, sort_keys=True))
     return 0 if equal else 1

@@ -51,7 +51,7 @@ def _log2_size(mask: int) -> int:
     return mask.bit_count().bit_length() - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdversarialTreeNode:
     """One tree node: a compatible instance pair and its two edge labels.
 
@@ -68,7 +68,7 @@ class AdversarialTreeNode:
         return self.zero_child if i == 0 else self.one_child
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdversarialTree:
     """A full binary tree of a declared depth; depth 0 has no root."""
 

@@ -23,21 +23,23 @@ the loops of the estimators.
 The optimal learners of one (class, map) share a LearnerContext, got
 with one compiled() lookup: its Game, the dimension engine and one
 table of the robust reduction's states.  A state (robust
-mask, orientation mask) is interned as a dense id, and one memo maps
-(id, input) to the predicted label.
+mask, orientation mask) is interned as a dense id, and one compact
+array, n entries per state, memoizes the predicted label per (id, input).
 
 The context is the robust reduction: predict(s, z) reads the memo and
-decides on a miss, and step(s, z, x, y) is the transition, logging the
+decides an undecided entry, comparing each label's best candidate, and
+step(s, z, x, y) is the transition, logging the
 tolerant events into a list when given one.  A RobustReductionLearner is
 a state id on it, strict or tolerant, with its events; the family experts
 (uncertain) step ids every round, and LazyRobustAutomaton, the agnostic
 lazy expert, only on mistakes.
 """
 
+from array import array
 from dataclasses import dataclass
 from functools import cache
 
-from .dimension import get_engine
+from .dimension import EMPTY_DIM, get_engine
 from .errors import DomainError, ProtocolViolation, SearchInvariantError
 from .model import HypothesisClass, PerturbationMap, check_label_mode, compiled, consistency_masks
 from .model import game
@@ -45,6 +47,8 @@ from .model import game
 OPTIMAL = "optimal"
 BASELINES = ("constant-0", "constant-1", "random", "majority")
 LEARNER_NAMES = (OPTIMAL,) + BASELINES
+# the best side of a label with no candidate: below every dimension
+NO_CANDIDATE = EMPTY_DIM - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +81,10 @@ class LearnerContext:
     Got through compiled(hc, u, LearnerContext), so building a learner
     takes one lookup.  states[s] is the state (robust mask, orientation
     mask) with id s (0 is the start), and predictions[s * n + z] its label
-    on input z < n.
+    on input z < n.  predictions is one array, grown by n entries as each
+    state is interned.  Its typecode is the narrowest whose largest value
+    is not a label, and that value, `undecided`, marks an entry not yet
+    decided.
     """
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap):
@@ -89,7 +96,10 @@ class LearnerContext:
         self.n = u.instance_count
         self.states = [(self.full, self.full)]
         self._ids = {self.states[0]: 0}
-        self.predictions: dict[int, int] = {}
+        typecode = next(t for t in "BHIQ" if hc.label_count < 256 ** array(t).itemsize)
+        self.undecided = 256 ** array(typecode).itemsize - 1
+        self._row = array(typecode, [self.undecided]) * self.n
+        self.predictions = array(typecode, self._row)
 
     def state(self, mask: int, orientation_mask: int) -> int:
         """The id of the state (mask, orientation_mask), interned on first sight."""
@@ -98,50 +108,45 @@ class LearnerContext:
         if s is None:
             s = self._ids[pair] = len(self.states)
             self.states.append(pair)
+            self.predictions += self._row
         return s
 
-    def _candidates(self, mask: int, z: int) -> list[list[int]]:
-        """P[y]: the x in inputs[z], increasing, with mask & masks[x][y] nonzero."""
-        masks, xs = self.masks, self.game.inputs[z]
-        return [[x for x in xs if mask & masks[x][y]] for y in range(self.hc.label_count)]
-
-    def _orient(self, orientation_mask: int, a: int, y: int, b: int, y2: int) -> int:
-        """The SOA orientation learner's label for the query ((a, b), (y, y2))."""
-        dim, masks = self.engine.dimension_of_mask, self.masks
-        d0 = dim(orientation_mask & masks[a][y])
-        return _soa_label(d0, dim(orientation_mask & masks[b][y2]), y, y2)
-
     def predict(self, s: int, z: int) -> int:
-        """The label state s predicts on input z, decided on a memo miss."""
+        """The label state s predicts on input z, decided on first ask."""
         key = s * self.n + z
-        pred = self.predictions.get(key)
-        if pred is None:
+        pred = self.predictions[key]
+        if pred == self.undecided:
             pred = self.predictions[key] = self._decide(s, z)
         return pred
 
     def _decide(self, s: int, z: int) -> int:
-        """The first label with a candidate oriented toward it against
-        every candidate of every other label, or the no-winner default.
+        """The smallest label with the largest best side, or the no-winner
+        default when no label has a candidate.
 
-        No second label can qualify.  If y and y' both did, with
-        candidates a and b, the queries ((a, b), (y, y')) and
-        ((b, a), (y', y)) would be oriented toward y and toward y'.  They
-        are mirror images, so the side-symmetric SOA rule gives them the
-        same label, which contradicts one of the two wins.
+        A candidate of label y on input z is an x in inputs[z] with
+        mask & masks[x][y] nonzero; its side has dimension d(x, y) =
+        dim(orientation_mask & masks[x][y]), and y's best side D[y] is the
+        largest d(x, y) over its candidates.  This is the all-pairs SOA
+        rule: y wins when one of its candidates a is oriented toward y
+        against every candidate b of every other label y2, that is, d(a,
+        y) > d(b, y2), or the two are equal and y < y2.  The condition
+        only gets easier as d(a, y) grows and as d(b, y2) falls, so y has
+        such an a exactly when its best one beats the best b of every y2
+        with a candidate: when (D[y], -y) > (D[y2], -y2).  These keys are
+        distinct, so the label with the largest key, the smallest label
+        attaining max D, is the one winner, and with no candidate there
+        is none.  The scan keeps the first label whose side beats every
+        side before it.
         """
         mask, orientation_mask = self.states[s]
-        cands = self._candidates(mask, z)
-        orient = self._orient
-        for y, py in enumerate(cands):
-            for a in py:
-                if all(
-                    orient(orientation_mask, a, y, b, y2) == y
-                    for y2, p2 in enumerate(cands)
-                    if y2 != y
-                    for b in p2
-                ):
-                    return y
-        return int(self.hc.is_binary)  # no winner: 1 on two labels, 0 on more
+        dim, masks = self.engine.dimension_of_mask, self.masks
+        winner, top = int(self.hc.is_binary), NO_CANDIDATE  # no winner: 1 on two labels, 0 on more
+        for y in range(self.hc.label_count):
+            for x in self.game.inputs[z]:
+                m = masks[x][y]
+                if mask & m and (d := dim(orientation_mask & m)) > top:
+                    winner, top = y, d
+        return winner
 
     def step(self, s: int, z: int, x: int, y: int, events: list | None = None) -> int:
         """The id of state s after the clean reveal (x, y) of a round
@@ -150,13 +155,15 @@ class LearnerContext:
         A mistake feeds the orientation state one wrongly oriented query
         ((x, x2), (y, y2)), x2 a candidate of another label y2.  Its
         revealed side is (x, y) whichever x2 it is, so the search only
-        decides whether one exists.  Given an events list, step logs in
+        decides whether one exists; by the argument of _decide, one does
+        exactly when some other label's best side D[y2] > d(x, y), or
+        D[y2] = d(x, y) and y2 < y.  Given an events list, step logs in
         order z outside U(x) (the map may be only a belief), a mistake
         with no such counterpart, and a reveal that empties the robust
         mask.  Without one, an emptied state is returned as it is: no
         candidate survives in it, so no counterpart is fed and the AND
-        keeps the mask 0, and a silent step never puts an emptied state
-        in the memo.
+        keeps the mask 0, and a silent step never decides a memo entry
+        of an emptied state.
         """
         mask, orientation_mask = self.states[s]
         if events is None:
@@ -166,12 +173,15 @@ class LearnerContext:
             events.append("input-outside-belief")
         revealed = self.masks[x][y]
         if self.predict(s, z) != y:
-            orient = self._orient
+            dim, masks = self.engine.dimension_of_mask, self.masks
+            d = dim(orientation_mask & revealed)
+            # d(x2, y2) > d, or d(x2, y2) = d and y2 < y
             if any(
-                orient(orientation_mask, x, y, x2, y2) == y2
-                for y2, p2 in enumerate(self._candidates(mask, z))
+                dim(orientation_mask & masks[x2][y2]) >= d + (y2 > y)
+                for y2 in range(self.hc.label_count)
                 if y2 != y
-                for x2 in p2
+                for x2 in self.game.inputs[z]
+                if mask & masks[x2][y2]
             ):
                 orientation_mask &= revealed
             elif events is not None:
@@ -420,8 +430,8 @@ class LazyRobustAutomaton:
         ctx = self.ctx
         if ctx.states[s][0] == 0:
             return 0
-        pred = ctx.predictions.get(s * ctx.n + z)
-        return ctx.predict(s, z) if pred is None else pred
+        pred = ctx.predictions[s * ctx.n + z]
+        return ctx.predict(s, z) if pred == ctx.undecided else pred
 
     def step(self, s: int, z: int, x: int, y: int) -> int:
         """The id of the state after the reveal (x, y) of a round showing z."""

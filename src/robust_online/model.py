@@ -108,7 +108,7 @@ def full_class(instance_count: int, label_count: int = 2) -> HypothesisClass:
     return HypothesisClass.from_tables(tables, label_count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbationMap:
     """Forward sets U(x).
 
@@ -133,9 +133,10 @@ class PerturbationMap:
         return self._hash
 
     @classmethod
-    def from_sets(cls, sets) -> "PerturbationMap":
-        """The map of the given sets, holding one frozenset per distinct set."""
-        distinct = {}
+    def from_sets(cls, sets, distinct: dict | None = None) -> "PerturbationMap":
+        """The map of the given sets, holding one frozenset per distinct set;
+        a `distinct` dict shares them with every map built on it."""
+        distinct = {} if distinct is None else distinct
         return cls(tuple(distinct.setdefault(s, s) for s in map(frozenset, sets)))
 
     @property
@@ -256,7 +257,7 @@ def check_label_mode(hc: HypothesisClass, claimed) -> None:
         raise DomainError(f"multiclass={claimed!r} disagrees with {hc.label_count} labels")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionSpace:
     """A subset of a hypothesis class, canonically a fixed-width bit vector."""
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from .dimension import adversarial_dimension
 from .errors import DomainError, ScenarioFormatError
 from .learners import LEARNER_NAMES
-from .model import HypothesisClass, PerturbationMap, identity_map, total_map
+from .model import HypothesisClass, PerturbationMap
 from .seeding import derive_rng
 from .uncertain import PerturbationFamily
 
@@ -72,7 +72,7 @@ _INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
 _HEADERS = ("SPACES", "HYPOTHESES", "PERTURBATIONS", "GAME")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseError:
     line: int
     column: int
@@ -82,7 +82,7 @@ class ParseError:
         return f"line {self.line}, column {self.column}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GameConfig:
     protocol: str = "robust"
     horizon: int = 10
@@ -92,7 +92,7 @@ class GameConfig:
     corruptions: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """A fully resolved game description.
 
@@ -387,7 +387,7 @@ def serialize_scenario(sc: Scenario) -> str:
 STRATA = ("identity", "total", "disjoint", "random")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusParams:
     count: int = 200
     seed: int = 0
@@ -400,33 +400,34 @@ class CorpusParams:
             raise DomainError(f"a corpus needs at least two labels, got {self.label_count}")
 
 
-def _random_map(n: int, rng) -> PerturbationMap:
+def _random_map(n: int, rng, shared: dict) -> PerturbationMap:
     sets = []
     for _ in range(n):
         keep = rng.random(n) < rng.uniform(0.2, 0.8)
         sets.append({z for z in range(n) if keep[z]})
-    return PerturbationMap.from_sets(sets)
+    return PerturbationMap.from_sets(sets, shared)
 
 
-def _disjoint_map(n: int, rng) -> PerturbationMap:
+def _disjoint_map(n: int, rng, shared: dict) -> PerturbationMap:
     # one coin per instance, drawn as one block (exact: see `seeding`);
     # about a quarter of the sets come out empty
     targets = rng.permutation(n).tolist()
     empty = (rng.random(n) < 0.25).tolist()
-    return PerturbationMap.from_sets(set() if e else {t} for t, e in zip(targets, empty))
+    return PerturbationMap.from_sets((set() if e else {t} for t, e in zip(targets, empty)), shared)
 
 
-def _stratum_map(stratum: str, n: int, rng, fixed: dict) -> PerturbationMap:
-    """A fresh random map, or the identity or total map on n kept in `fixed`."""
+def _stratum_map(stratum: str, n: int, rng, shared: dict) -> PerturbationMap:
+    """A fresh random map, or the identity or total map on n kept in `shared`."""
     if stratum in ("identity", "total"):
         key = (stratum, n)
-        if key not in fixed:
-            fixed[key] = identity_map(n) if stratum == "identity" else total_map(n)
-        return fixed[key]
+        if key not in shared:
+            sets = [{x} for x in range(n)] if stratum == "identity" else [range(n)] * n
+            shared[key] = PerturbationMap.from_sets(sets, shared)
+        return shared[key]
     if stratum == "disjoint":
-        return _disjoint_map(n, rng)
+        return _disjoint_map(n, rng, shared)
     if stratum == "random":
-        return _random_map(n, rng)
+        return _random_map(n, rng, shared)
     raise ValueError(f"unknown stratum {stratum!r}; choose from {STRATA}")
 
 
@@ -447,24 +448,29 @@ def _random_tables(n: int, count: int, label_count: int, rng) -> list[tuple[int,
     return sorted(seen)
 
 
+def _shared_class(tables, label_count: int, shared: dict) -> HypothesisClass:
+    """The class of `tables`, each table the one equal tuple kept in `shared`."""
+    return HypothesisClass.from_tables([shared.setdefault(t, t) for t in tables], label_count)
+
+
 def _assemble(
     hc: HypothesisClass,
     maps: dict[str, PerturbationMap],
     truth_name: str,
     game: GameConfig,
-    names: dict,
+    shared: dict,
 ) -> Scenario:
     """A generated scenario: instances x0.., labels y0.., hypotheses h0.. and `maps` by name.
 
-    `names` keeps each name tuple made so far, so the scenarios of one
+    `shared` keeps each name tuple made so far, so the scenarios of one
     generator call share their instance, label and hypothesis names per count.
     """
 
     def numbered(prefix: str, count: int) -> tuple[str, ...]:
         key = (prefix, count)
-        if key not in names:
-            names[key] = tuple(f"{prefix}{i}" for i in range(count))
-        return names[key]
+        if key not in shared:
+            shared[key] = tuple(f"{prefix}{i}" for i in range(count))
+        return shared[key]
 
     return Scenario(
         instance_names=numbered("x", hc.instance_count),
@@ -495,12 +501,13 @@ def generate_corpus(params: CorpusParams) -> list[Scenario]:
     the output.
 
     The scenarios of one call share what is equal between them: one
-    identity map and one total map per instance count, and one tuple of
-    instance, label and hypothesis names per count.
+    tuple per distinct label table, one frozenset per distinct
+    perturbation set, one identity map and one total map per instance
+    count, and one tuple of instance, label and hypothesis names per
+    count.  One dict per call keeps them, so nothing outlives the call.
     """
     out = []
-    fixed: dict = {}
-    names: dict = {}
+    shared: dict = {}
     for i in range(params.count):
         stratum = params.strata[i % len(params.strata)]
         rng = derive_rng(params.seed, "corpus", i, stratum)
@@ -508,10 +515,10 @@ def generate_corpus(params: CorpusParams) -> list[Scenario]:
         cap = min(16, params.label_count**n)
         n_h = int(rng.integers(min(2, cap), cap + 1))
         tables = _random_tables(n, n_h, params.label_count, rng)
-        hc = HypothesisClass.from_tables(tables, params.label_count)
-        u = _stratum_map(stratum, n, rng, fixed)
+        hc = _shared_class(tables, params.label_count, shared)
+        u = _stratum_map(stratum, n, rng, shared)
         game = GameConfig(seed=int(rng.integers(2**31)))
-        out.append(_assemble(hc, {"main": u}, "main", game, names))
+        out.append(_assemble(hc, {"main": u}, "main", game, shared))
     return out
 
 
@@ -522,10 +529,11 @@ def generate_family_scenarios(count: int, seed: int = 0) -> list[Scenario]:
     scenario has 2 to 4 instances and 2 to 8 hypotheses.  The true
     member has adversarial dimension at least 1 and at least one nonempty
     perturbation set, so realizable sequences of any length exist.
-    The scenarios of one call share their name tuples per count.
+    The scenarios of one call share what is equal between them, as in
+    generate_corpus: label tables, perturbation sets and name tuples.
     """
     out = []
-    names: dict = {}
+    shared: dict = {}
     attempt = 0
     while len(out) < count:
         rng = derive_rng(seed, "family-corpus", attempt)
@@ -533,14 +541,13 @@ def generate_family_scenarios(count: int, seed: int = 0) -> list[Scenario]:
         size = (2, 4, 8)[len(out) % 3]
         n = int(rng.integers(2, 5))
         n_h = int(rng.integers(2, min(8, 2**n) + 1))
-        tables = _random_tables(n, n_h, 2, rng)
-        hc = HypothesisClass.from_tables(tables, 2)
+        hc = _shared_class(_random_tables(n, n_h, 2, rng), 2, shared)
         members = []
         seen = set()
         guard = 0
         while len(members) < size and guard < 200:
             guard += 1
-            u = _random_map(n, rng)
+            u = _random_map(n, rng, shared)
             if u.forward in seen:
                 continue
             seen.add(u.forward)
@@ -555,5 +562,5 @@ def generate_family_scenarios(count: int, seed: int = 0) -> list[Scenario]:
             continue
         maps = {f"u{i}": m for i, m in enumerate(members)}
         game = GameConfig(horizon=12, seed=int(rng.integers(2**31)))
-        out.append(_assemble(hc, maps, f"u{truth}", game, names))
+        out.append(_assemble(hc, maps, f"u{truth}", game, shared))
     return out

@@ -48,7 +48,7 @@ from .model import HypothesisClass, PerturbationMap, surviving_mask
 from .seeding import derive_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbationFamily:
     """Finite candidate set of perturbation maps with a hidden true member.
 

@@ -290,21 +290,41 @@ def test_orientation_queries_are_looked_up_once(monkeypatch):
     assert sum(r.loss for r in played) > 0
     assert len(looked_up) == len(played) == 50
 
-    # a robust mistake orients the fed counterpart once, to find it
-    oriented = []
-    orient = LearnerContext._orient
-
-    def counted_orient(self, orientation_mask, a, y, b, y2):
-        oriented.append(OrientationQuery((a, b), (y, y2)))
-        return orient(self, orientation_mask, a, y, b, y2)
-
-    monkeypatch.setattr(LearnerContext, "_orient", counted_orient)
+    # a robust mistake looks up the revealed side and each counterpart
+    # candidate's side once; the memoized prediction is not decided again
     learner = RobustReductionLearner(HC6, identity_map(3))
     assert learner.predict(0) == 1
-    oriented.clear()
+    ctx, looked_up = learner.ctx, []
+    dim = ctx.engine.dimension_of_mask
+
+    def counted_dim(mask):
+        looked_up.append(mask)
+        return dim(mask)
+
+    monkeypatch.setattr(ctx.engine, "dimension_of_mask", counted_dim)
+    monkeypatch.setattr(LearnerContext, "_decide", None)
     learner.update(0, 0, 0)
-    assert oriented == [OrientationQuery((0, 0), (0, 1))]
+    assert looked_up == [ctx.masks[0][0], ctx.masks[0][1]]
     assert orientation_size(learner) == 1
+
+
+def test_a_class_with_300_labels_plays_with_a_memo_that_holds_every_label():
+    # past 254 labels the memo takes two bytes per entry; one instance
+    # under the identity map, so one reveal leaves a single hypothesis
+    hc, u = full_class(1, label_count=300), identity_map(1)
+    assert adversarial_dimension(hc, u) == 1
+    learner = RobustReductionLearner(hc, u)
+    ctx = learner.ctx
+    assert (ctx.predictions.typecode, ctx.undecided) == ("H", 2**16 - 1)
+    mistakes = 0
+    for _ in range(3):
+        mistakes += learner.predict(0) != 299
+        learner.update(0, 0, 299)
+    assert mistakes == 1 and learner.predict(0) == 299
+    for y in range(300):
+        assert ctx.predict(ctx.state(1 << y, ctx.full), 0) == y
+    assert set(ctx.predictions) == set(range(300))
+    assert len(ctx.predictions) == len(ctx.states) * ctx.n
 
 
 def test_learner_registry_names_and_games():

@@ -1,9 +1,11 @@
-"""perf/ab.py, the paired in-process A/B harness, run A/A.
+"""perf/ab.py, the paired in-process A/B harness, run against HEAD.
 
 HEAD's src/ against the working tree's: the two packages give the same
 output on every item, so the harness exits 0 and every time ratio is a
-finite positive number.  No timing band is asserted; this host's noise
-is not the harness's to pin.
+finite positive number inside its bootstrap interval.  When the working
+tree's src/ is HEAD's, the pass is A/A: the same code allocates the same
+objects, so the two sides' retained bytes per module agree.  No timing
+band is asserted; the host's noise is not the harness's to pin.
 """
 
 import json
@@ -18,22 +20,35 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+
+
 def _has_head():
-    if shutil.which("git") is None:
-        return False
-    done = subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT, capture_output=True)
-    return done.returncode == 0
+    return shutil.which("git") is not None and _git("rev-parse", "--verify", "HEAD").returncode == 0
 
 
-@pytest.mark.skipif(not _has_head(), reason="needs git and a committed HEAD")
-def test_an_a_a_pass_on_replay_gives_equal_outputs_and_finite_ratios():
+def _src_is_head():
+    done = _git("status", "--porcelain", "--", "src")
+    return done.returncode == 0 and done.stdout == ""
+
+
+pytestmark = pytest.mark.skipif(not _has_head(), reason="needs git and a committed HEAD")
+
+
+@pytest.fixture(scope="module")
+def replay_record():
     done = subprocess.run(
         [sys.executable, str(ROOT / "perf" / "ab.py"), "--parent", "HEAD",
          "--workload", "replay", "--seconds", "1", "--passes", "1"],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    record = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_an_a_a_pass_on_replay_gives_equal_outputs_and_finite_ratios(replay_record):
+    record = replay_record
     assert record["outputs_equal"] is True and record["differing_items"] == 0
     assert record["output_digest"]["parent"] == record["output_digest"]["change"]
     assert record["items"] == sum(record["items_by_kind"].values())
@@ -42,3 +57,21 @@ def test_an_a_a_pass_on_replay_gives_equal_outputs_and_finite_ratios():
     for side in ("parent_s", "change_s"):
         assert all(math.isfinite(s) and s > 0 for s in one_pass[side].values())
     assert all(math.isfinite(r) and r > 0 for r in one_pass["ratio"].values())
+    counts = dict(one_pass["items"])
+    assert counts.pop("total") == record["items"]
+    assert counts == record["items_by_kind"]
+    assert set(one_pass["interval"]) == set(one_pass["ratio"])
+    for kind, (lo, hi) in one_pass["interval"].items():
+        assert lo <= one_pass["ratio"][kind] <= hi
+
+
+@pytest.mark.skipif(not _src_is_head(), reason="the working tree's src/ differs from HEAD's")
+def test_an_a_a_pass_retains_the_same_bytes_per_module(replay_record):
+    # within 1% of the side's total: a module that keeps a few dozen
+    # bytes may differ by one small object
+    held = replay_record["retained_bytes"]
+    assert set(held["parent"]) == set(held["change"])
+    total = held["parent"]["total"]
+    assert total > 0 and abs(held["change"]["total"] - total) <= 0.01 * total
+    for module, size in held["parent"].items():
+        assert abs(held["change"][module] - size) <= 0.01 * total, module

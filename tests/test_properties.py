@@ -11,9 +11,11 @@ restriction, and the lifetime of compiled data; the next
 check the package's robust reduction round by round against the object
 reduction of tests/reference.py, the shared prediction memo against fresh
 classes, that at most one
-label qualifies, the worst-case walk of the strict optimal learners
-against a plain search over reveal sequences and the strict games of the
-runner against the walk, emptied states on the shared state table, the lazy
+label qualifies, the decision by each label's best side and its
+counterpart search against the reference's all-pairs rule, the
+worst-case walk of the strict optimal learners against a plain search
+over reveal sequences and the strict games of the runner against the
+walk, emptied states on the shared state table, the lazy
 learner's automaton, its self-loops on correct rounds, that an emptied
 state is absorbing, the random-label probe and the family experts' id
 replay against stepwise loops on plain learners, the subset experts' group replay against a pool of the
@@ -89,7 +91,7 @@ from robust_online.agnostic import hypothesis_losses
 from robust_online.dimension import get_engine
 from robust_online.errors import ProtocolViolation, SearchInvariantError
 from robust_online.forecaster import weight_trajectory
-from robust_online.learners import LazyRobustAutomaton, LazyRobustLearner
+from robust_online.learners import LazyRobustAutomaton, LazyRobustLearner, LearnerContext
 from robust_online import model
 from robust_online.model import compiled, consistency_masks
 from robust_online.oracle import MinimaxSolver
@@ -742,6 +744,38 @@ def test_at_most_one_label_qualifies(game, data):
 
 
 @PROPERTY
+@given(games(), st.data())
+@example((full_class(2, 3), total_map(2)), None)
+def test_the_best_sides_decide_like_the_pairwise_rule(game, data):
+    """In an arbitrary state of a 2- or 3-label class, the context's
+    decision by each label's best side equals the reference's all-pairs
+    SOA rule on every input, and every reveal steps it like the tolerant
+    reference: the same counterpart found or missed, the same events and
+    the same masks.  The example has three labels and two candidates per
+    label on each input."""
+    hc, u = game
+    ctx = compiled(hc, u, LearnerContext)
+    full = (1 << hc.size) - 1
+    states = [(full, full)]
+    if data is not None:
+        states = [(data.draw(st.integers(0, full)), data.draw(st.integers(0, full)))]
+    for mask, orientation_mask in states:
+        s = ctx.state(mask, orientation_mask)
+        for z in range(hc.instance_count):
+            reference = PlainReductionLearner(fresh_copy(hc), u, strict=False)
+            reference.mask, reference.orientation.mask = mask, orientation_mask
+            assert ctx._decide(s, z) == reference.predict(z)
+            for x in range(hc.instance_count):
+                for y in range(hc.label_count):
+                    reference.mask, reference.orientation.mask = mask, orientation_mask
+                    reference.events, events = [], []
+                    t = ctx.step(s, z, x, y, events)
+                    reference.update(z, x, y)
+                    assert events == reference.events
+                    assert ctx.states[t] == (reference.mask, reference.orientation.mask)
+
+
+@PROPERTY
 @given(games(max_instances=5, max_hypotheses=12), st.sampled_from(("robust", "orientation")))
 @example((full_class(5), identity_map(5)), "robust")
 @example((full_class(5), identity_map(5)), "orientation")
@@ -897,7 +931,8 @@ def test_an_emptied_state_is_absorbing(game, rounds):
                     reference.mask, reference.orientation.mask = ctx.states[s]
                     reference.update(z, x, y)
                     assert (reference.mask, reference.orientation.mask) == ctx.states[s]
-    assert all(ctx.states[key // n][0] for key in ctx.predictions)
+    decided = [key for key, pred in enumerate(ctx.predictions) if pred != ctx.undecided]
+    assert all(ctx.states[key // n][0] for key in decided)
 
 
 @PROPERTY

@@ -465,6 +465,13 @@ def test_family_scenarios_deterministic():
     assert [serialize_scenario(x) for x in a] == [serialize_scenario(x) for x in b]
 
 
+def _tables_and_sets(corpus):
+    """Every label table and every perturbation set the corpus holds."""
+    tables = [t for sc in corpus for t in sc.hypotheses.tables]
+    sets = [s for sc in corpus for u in sc.perturbations for s in u.forward]
+    return tables, sets
+
+
 def test_one_generator_call_shares_its_fixed_maps_and_names():
     scenarios = generate_corpus(CorpusParams(count=80, seed=6))
     for stratum in ("identity", "total"):
@@ -480,10 +487,20 @@ def test_one_generator_call_shares_its_fixed_maps_and_names():
                 names = getattr(sc, attr)
                 assert shared.setdefault((attr, len(names)), names) is names
         assert len(shared) < 3 * len(corpus)
+        # equal tables and equal sets are one object each
+        for values in _tables_and_sets(corpus):
+            first = {}
+            for value in values:
+                assert first.setdefault(value, value) is value
+            assert len(first) < len(values)
     # nothing outlives the call
     again = generate_corpus(CorpusParams(count=80, seed=6))
     assert again[0].instance_names == scenarios[0].instance_names
     assert again[0].instance_names is not scenarios[0].instance_names
+    for old, new in zip(_tables_and_sets(scenarios), _tables_and_sets(again)):
+        assert old == new
+        # an interpreter may keep one empty frozenset for every caller
+        assert all(a is not b for a, b in zip(old, new) if a)
 
 
 # SHA-256 over the serialized scenarios of whole corpora, recorded from a
