@@ -2,8 +2,8 @@
 
 A corrupted sequence has no perfect hypothesis, so the yardstick becomes
 the best hypothesis in hindsight.  One expert per small round subset plus
-an exponentially weighted vote keeps the mean regret near
-dimension + sqrt((T/2) ln N).
+an exponentially weighted vote keeps the expected regret within
+dimension + sqrt((T/2) ln N); expected_regret computes it exactly.
 
 Run:  python3 demos/04_agnostic_regret.py
 """
@@ -14,7 +14,7 @@ from robust_online import (
     adversarial_dimension,
     comparator_loss,
     decomposition_gap,
-    mc_regret,
+    expected_regret,
 )
 from robust_online.adversaries import corrupt_labels, realizable_robust_rounds
 from robust_online.seeding import derive_rng
@@ -44,12 +44,9 @@ def main():
         f" + {report['comparator']} (gap {report['gap']})"
     )
 
-    stats = mc_regret(HC, U, rounds, seeds=range(300))
-    print(f"\n{stats['expert_count']} subset experts, 300 forecaster seeds")
-    print(
-        f"mean regret {stats['mean']:.2f} +- {stats['stderr']:.2f}"
-        f"  vs bound {stats['bound']:.2f}"
-    )
+    exact = expected_regret(HC, U, rounds)
+    print(f"\n{exact['expert_count']} subset experts")
+    print(f"expected regret {exact['expected']:.4f}  vs bound {exact['bound']:.4f}")
 
 
 if __name__ == "__main__":

@@ -13,9 +13,9 @@ from robust_online import (
     HypothesisClass,
     PerturbationMap,
     PerturbationFamily,
+    family_expected_mistakes,
     family_halving_run,
     halving_bound,
-    mc_family_mistakes,
 )
 from robust_online.adversaries import realizable_robust_rounds
 from robust_online.seeding import derive_rng
@@ -38,11 +38,11 @@ def main():
     rng = derive_rng(0, "demo-family")
     rounds = realizable_robust_rounds(HC, FAMILY.truth, 12, rng)
 
-    stats = mc_family_mistakes(HC, FAMILY, rounds, seeds=range(200))
-    print(f"family of {len(FAMILY)}, per-member loss budget {stats['budget']}")
+    exact = family_expected_mistakes(HC, FAMILY, rounds)
+    print(f"family of {len(FAMILY)}, per-member loss budget {exact['budget']}")
     print(
-        f"aggregated learner: mean mistakes {stats['mean']:.2f}"
-        f" +- {stats['stderr']:.2f}  vs bound {stats['bound']:.2f}"
+        f"aggregated learner: expected mistakes {exact['expected']:.4f}"
+        f"  vs bound {exact['bound']:.4f}"
     )
 
     report = family_halving_run(HC, FAMILY, rounds)

@@ -18,11 +18,14 @@ raw time.perf_counter spans, with no host-clock rescale: both sides share
 the host, so their ratio is what the code changed.
 
 Each pass also gives every kind's item count and a 95% bootstrap interval
-of its ratio: the items of the kind are resampled with replacement, each
-keeping its pair of times, RESAMPLES times from a fixed seed, so the
-intervals of given times are deterministic.  The total's interval
-resamples within every kind.  A kind of a handful of items gets a wide
-interval, and its ratio says little.
+of its ratio, and of the total's.  The unit resampled is the chunk, the
+unit whose side order alternates, so the interval covers the drift from
+chunk to chunk as well as the spread from item to item: the pass's chunks
+are resampled with replacement, each keeping its items' pairs of times,
+RESAMPLES times from a fixed seed, so the intervals of given times are
+deterministic.  One resample serves every kind; a resample that holds
+none of a kind's items is left out of that kind's interval.  A kind of a
+handful of items gets a wide interval, and its ratio says little.
 
 After the timed passes, each side builds its inputs afresh and runs
 every item once more, untimed, under tracemalloc.  The bytes still
@@ -66,8 +69,14 @@ NULL_SPAN = nullcontext()
 RESAMPLES = 2000
 BOOTSTRAP_SEED = 20261020
 # frames kept per traced allocation: enough to reach the innermost package
-# frame under NumPy's and the standard library's Python-level calls
-TRACE_FRAMES = 8
+# frame under NumPy's, the standard library's and dataclass-generated
+# Python-level calls.  On a 2-core host (Python 3.11.7), the A/A memory pass
+# at seed 1 and --seconds 1 attributes the same bytes per module at 3
+# frames as at 8 on every workload (play 7,295,185 B, solve 300,139 B,
+# replay 287,135 B), and the A/A run of all three takes 48 s, not 102 s.
+# At 2 frames replay loses its forecaster bytes; at 1, play loses about
+# 80 KB of model, allocated under dataclass-generated __init__ frames.
+TRACE_FRAMES = 3
 
 
 def _git(*args) -> bytes:
@@ -155,17 +164,23 @@ def _digest(results, batch) -> str:
     return digest.hexdigest()
 
 
-def bootstrap_interval(parent, change, groups):
+def bootstrap_intervals(parent, change, columns):
     """The 95% percentile-bootstrap interval of change.sum() / parent.sum()
-    over the items of `groups` (index arrays), each resampled with
-    replacement within itself, from the fixed BOOTSTRAP_SEED."""
-    rng = np.random.default_rng(BOOTSTRAP_SEED)
-    ratios = []
-    for _ in range(RESAMPLES):
-        picked = np.concatenate([rng.choice(g, len(g)) for g in groups])
-        ratios.append(change[picked].sum() / parent[picked].sum())
-    lo, hi = np.percentile(ratios, [2.5, 97.5])
-    return [float(lo), float(hi)]
+    over the items of each column (a boolean mask), with the pass's chunks
+    resampled with replacement, from the fixed BOOTSTRAP_SEED."""
+    chunk_of = np.arange(len(parent)) // CHUNK
+    n = int(chunk_of[-1]) + 1
+    # per chunk and column: each side's seconds, shape (chunks, columns)
+    sums = [
+        np.stack([np.bincount(chunk_of, side * mask, n) for mask in columns.values()], axis=1)
+        for side in (parent, change)
+    ]
+    # each row: how many times each chunk was drawn in one resample
+    draws = np.random.default_rng(BOOTSTRAP_SEED).multinomial(n, np.full(n, 1 / n), RESAMPLES)
+    with np.errstate(invalid="ignore"):  # 0/0 where a resample holds none of a column
+        ratios = (draws @ sums[1]) / (draws @ sums[0])
+    lo, hi = np.nanpercentile(ratios, [2.5, 97.5], axis=0)
+    return {k: [float(a), float(b)] for k, a, b in zip(columns, lo, hi)}
 
 
 def pass_record(kinds, seconds):
@@ -173,17 +188,16 @@ def pass_record(kinds, seconds):
     and the bootstrap intervals of one pass."""
     parent, change = (np.array(seconds[name]) for name in SIDES)
     of_kind = np.array(kinds)
-    groups = {kind: [np.flatnonzero(of_kind == kind)] for kind in sorted(set(kinds))}
-    groups["total"] = [g for (g,) in groups.values()]
-    picked = {k: np.concatenate(gs) for k, gs in groups.items()}
-    parent_s = {k: float(parent[i].sum()) for k, i in picked.items()}
-    change_s = {k: float(change[i].sum()) for k, i in picked.items()}
+    columns = {kind: of_kind == kind for kind in sorted(set(kinds))}
+    columns["total"] = np.ones(len(kinds), dtype=bool)
+    parent_s = {k: float(parent[m].sum()) for k, m in columns.items()}
+    change_s = {k: float(change[m].sum()) for k, m in columns.items()}
     return {
         "parent_s": parent_s,
         "change_s": change_s,
-        "ratio": {k: change_s[k] / parent_s[k] if parent_s[k] > 0 else None for k in groups},
-        "items": {k: len(i) for k, i in picked.items()},
-        "interval": {k: bootstrap_interval(parent, change, gs) for k, gs in groups.items()},
+        "ratio": {k: change_s[k] / parent_s[k] if parent_s[k] > 0 else None for k in columns},
+        "items": {k: int(m.sum()) for k, m in columns.items()},
+        "interval": bootstrap_intervals(parent, change, columns),
     }
 
 

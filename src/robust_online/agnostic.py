@@ -51,7 +51,7 @@ from .forecaster import COIN_TABLES, expected_mistakes, horizon_rate, seeded_mis
 # agnostic.weight_trajectory by name until the package keeps its own counters
 from .forecaster import weight_trajectory  # noqa: F401
 from .learners import LazyRobustAutomaton, binary_context
-from .model import HypothesisClass, PerturbationMap, compiled, consistency_masks
+from .model import HypothesisClass, PerturbationMap, checked_rounds, compiled, consistency_masks
 from .seeding import derive_rng, label_bytes
 
 
@@ -67,6 +67,7 @@ def hypothesis_losses(hc: HypothesisClass, u: PerturbationMap, rounds) -> list[i
 
 def comparator_loss(hc: HypothesisClass, u: PerturbationMap, rounds) -> tuple[int, int]:
     """(best total adversarial loss, smallest hypothesis id achieving it)."""
+    rounds = checked_rounds(hc, rounds)
     totals = hypothesis_losses(hc, u, rounds)
     best = min(totals)
     return best, totals.index(best)
@@ -159,7 +160,7 @@ def expected_regret(hc: HypothesisClass, u: PerturbationMap, rounds, dimension=N
     expected is the expected mistakes they give minus the comparator
     loss.  groups is the largest number of groups live in one round.
     """
-    rounds = list(rounds)
+    rounds = checked_rounds(hc, rounds)
     binary_context(hc, u)  # refuses more than two labels before any search
     if dimension is None:
         dimension = adversarial_dimension(hc, u)
@@ -202,7 +203,7 @@ def decomposition_gap(hc: HypothesisClass, u: PerturbationMap, rounds) -> dict:
     never exceed dimension + comparator loss; the returned gap is bound
     minus realized mistakes (>= 0).
     """
-    rounds = list(rounds)
+    rounds = checked_rounds(hc, rounds)
     binary_context(hc, u)  # refuses more than two labels before any search
     if not rounds:
         raise DomainError("need at least one round")

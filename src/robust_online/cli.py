@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from ._version import __version__
-from .acceptance import CRITERIA, SCALES, parse_criteria_spec
+from .acceptance import CRITERIA, FULL, parse_criteria_spec
 from .adversaries import corrupt_labels, realizable_robust_rounds, tree_adversary
 from .agnostic import expected_regret
 from .dimension import (
@@ -271,15 +271,14 @@ def cmd_gen_corpus(args) -> int:
 
 
 def cmd_check(args) -> int:
-    scale = SCALES[args.scale]
     passed = 0
     for n in args.criteria:
         start = time.monotonic()
-        result = CRITERIA[n](scale, args.seed)
+        result = CRITERIA[n](FULL, args.seed)
         print(result.line())
         print(f"criterion {n} took {time.monotonic() - start:.1f}s", file=sys.stderr)
         passed += result.passed
-    print(f"passed {passed} of {len(args.criteria)} criteria at scale {scale.name}")
+    print(f"passed {passed} of {len(args.criteria)} criteria at scale {FULL.name}")
     return 0 if passed == len(args.criteria) else 1
 
 
@@ -343,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_gen_corpus)
 
     c = sub.add_parser("check", help="run the acceptance suite")
-    c.add_argument("--scale", choices=sorted(SCALES), default="full")
     c.add_argument("--criteria", type=_criteria, default="1-12")
     c.add_argument("--seed", type=_integer, default=0)
     c.set_defaults(fn=cmd_check)

@@ -279,7 +279,8 @@ def restrict(v: VersionSpace, x: Instance, y: Label, u: PerturbationMap) -> Vers
     With U(x) empty the constraint is vacuous and v comes back unchanged.
     """
     hc = v.parent
-    return VersionSpace(hc, v.mask & _pair_mask(consistency_masks(hc, u), hc, x, y))
+    _check_pair(hc, x, y)
+    return VersionSpace(hc, v.mask & consistency_masks(hc, u)[x][y])
 
 
 def surviving_mask(pairs, hc: HypothesisClass, u: PerturbationMap) -> int:
@@ -287,16 +288,27 @@ def surviving_mask(pairs, hc: HypothesisClass, u: PerturbationMap) -> int:
     masks = consistency_masks(hc, u)
     m = (1 << hc.size) - 1
     for x, y in pairs:
-        m &= _pair_mask(masks, hc, x, y)
+        _check_pair(hc, x, y)
+        m &= masks[x][y]
         if m == 0:
             break
     return m
 
 
-def _pair_mask(masks, hc: HypothesisClass, x: Instance, y: Label) -> int:
-    """masks[x][y], after checking that (x, y) is in range."""
+def _check_pair(hc: HypothesisClass, x: Instance, y: Label) -> None:
     if not 0 <= x < hc.instance_count:
         raise DomainError(f"instance id {x} outside [0, {hc.instance_count})")
     if not 0 <= y < hc.label_count:
         raise DomainError(f"label id {y} outside [0, {hc.label_count})")
-    return masks[x][y]
+
+
+def checked_rounds(hc: HypothesisClass, rounds) -> list:
+    """rounds as a list, after refusing any round (z, x, y) whose input,
+    instance or label id is out of range."""
+    rounds, n, labels = list(rounds), hc.instance_count, hc.label_count
+    for z, x, y in rounds:
+        if not (0 <= z < n and 0 <= x < n and 0 <= y < labels):  # one test per valid round
+            if not 0 <= z < n:
+                raise DomainError(f"input id {z} outside [0, {n})")
+            _check_pair(hc, x, y)
+    return rounds

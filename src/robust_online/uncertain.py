@@ -44,7 +44,7 @@ from .forecaster import (
     weight_trajectory,
 )
 from .learners import binary_context
-from .model import HypothesisClass, PerturbationMap, surviving_mask
+from .model import HypothesisClass, PerturbationMap, checked_rounds, surviving_mask
 from .seeding import derive_rng
 
 
@@ -88,6 +88,7 @@ def _replay(hc: HypothesisClass, members, rounds):
     on the shown input and steps on the reveal."""
     if not rounds:
         raise DomainError("need at least one round")
+    rounds = checked_rounds(hc, rounds)
     rows = []
     for u in members:
         ctx, s, row = binary_context(hc, u), 0, []
@@ -116,7 +117,7 @@ def sequence_realizable(hc: HypothesisClass, members, rounds) -> bool:
     set of the revealed instance and some hypothesis has zero adversarial
     loss on every revealed pair.
     """
-    rounds = list(rounds)
+    rounds = checked_rounds(hc, rounds)
     pairs = [(x, y) for _, x, y in rounds]
     for u in members:
         if all(z in u.forward[x] for z, x, _ in rounds) and surviving_mask(

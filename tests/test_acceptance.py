@@ -15,11 +15,11 @@ phase cannot hold when |G| is a power of two: an adversary that splits
 the alive set evenly and labels against the vote forces f + 1.  The
 pinned counterexamples live in test_uncertain.py.
 
-The full-scale and smoke-scale result lines are pinned, so a refactor
-that claims to keep every output has its claim checked; a change that
-moves a line on purpose updates the pin and says so.  The smoke lines are
-literals; the full-scale lines of criteria 1-11 are read from the recorded
-`check` stdout in tests/data, which CI diffs at seeds 0 and 1 the same way.
+The result lines are pinned, so a refactor that claims to keep every
+output has its claim checked; a change that moves a line on purpose
+updates the pin and says so.  The lines of criteria 1-11 are read from the
+recorded `check` stdout in tests/data, which CI diffs at seeds 0 and 1 the
+same way.
 """
 
 import subprocess
@@ -28,28 +28,15 @@ from pathlib import Path
 import pytest
 
 from robust_online import acceptance
-from robust_online.acceptance import CRITERIA, FULL, SMOKE
+from robust_online.acceptance import CRITERIA, FULL, SCALES
 
 DATA = Path(__file__).parent / "data"
 
-SMOKE_LINES_SEED_0 = [
-    "criterion  1: PASS  dimension matches both exact game values (scenarios=24 mismatches=0)",
-    "criterion  2: PASS  identity maps agree with the classic dimension (scenarios=12 mismatches=0)",
-    "criterion  3: PASS  optimal learners' worst case is exactly the dimension (games=12 worst_total=20 violations=0)",
-    "criterion  4: PASS  tree adversaries force the dimension (scenarios=12 runs=120 exact_failures=0 baseline_failures=0)",
-    "criterion  5: PASS  every orientation mistake shrinks the dimension (games=6 mistake_edges=297 violations=0)",
-    "criterion  6: PASS  subset expert within dimension plus comparator (sequences=10 violations=0)",
-    "criterion  7: PASS  forecaster regret within the horizon bound (combos=4 worst_excess=-2.2976)",
-    "criterion  8: PASS  aggregated learner within the agnostic regret bound (scenarios=3 failures=0 worst_ratio=0.7709)",
-    "criterion  9: PASS  phased halving within its mistake bounds (scenarios=12 total_violations=0 phase_violations=0 charge_violations=0)",
-    "criterion 10: PASS  family forecaster within the loss-budget bound (scenarios=3 failures=0 worst_ratio=0.5430)",
-    "criterion 11: PASS  random-label regret square-root trend (horizons=[64, 256, 1024] slope=0.5115)",
-]
-
-# `check --scale full --seed 0 --criteria 1-11` stdout: the eleven criterion
-# lines, then the footer; criterion 12 runs check itself, so it is not in it
-FULL_LINES_SEED_0 = (DATA / "check_full_seed0.txt").read_text().splitlines()[:11] + [
-    "criterion 12: PASS  check output is byte-reproducible (bytes=1213 identical=true)",
+# `check --seed 0 --criteria 1-11` stdout: the eleven criterion lines, then
+# the footer; criterion 12 runs check itself, so it is not in it
+STDOUT_SEED_0 = (DATA / "check_full_seed0.txt").read_bytes()
+FULL_LINES_SEED_0 = STDOUT_SEED_0.decode().splitlines()[:11] + [
+    "criterion 12: PASS  check output is byte-reproducible (bytes=1219 identical=true)",
 ]
 
 
@@ -108,16 +95,13 @@ def test_criterion_12_check_output_reproducibility():
     run(12)
 
 
-SMOKE_STDOUT_SEED_0 = "".join(f"{line}\n" for line in SMOKE_LINES_SEED_0).encode()
-
-
 @pytest.mark.parametrize(
     "returncode, stdout, passed",
     [
-        (0, SMOKE_STDOUT_SEED_0 + b"passed 11 of 11 criteria at scale smoke\n", True),
+        (0, STDOUT_SEED_0, True),
         (1, b"", False),
-        (0, SMOKE_STDOUT_SEED_0, False),
-        (0, SMOKE_STDOUT_SEED_0[:100], False),
+        (0, STDOUT_SEED_0.rsplit(b"passed", 1)[0], False),
+        (0, STDOUT_SEED_0[:100], False),
     ],
 )
 def test_criterion_12_requires_both_children_to_complete(monkeypatch, returncode, stdout, passed):
@@ -125,12 +109,21 @@ def test_criterion_12_requires_both_children_to_complete(monkeypatch, returncode
         return subprocess.CompletedProcess(cmd, returncode, stdout=stdout, stderr=b"")
 
     monkeypatch.setattr(acceptance.subprocess, "run", fake_run)
-    result = CRITERIA[12](SMOKE, 0)
+    result = CRITERIA[12](FULL, 0)
     assert result.passed is passed
     # both runs read as identical; only an incomplete pair says so
     suffix = "" if passed else " completed=false"
     assert result.detail == f"bytes={len(stdout)} identical=true{suffix}"
 
 
-def test_smoke_lines_are_pinned():
-    assert [CRITERIA[n](SMOKE, 0).line() for n in range(1, 12)] == SMOKE_LINES_SEED_0
+@pytest.mark.parametrize("number", sorted(CRITERIA))
+def test_every_criterion_takes_the_scale_by_name_and_a_seed(monkeypatch, number):
+    # bench/acceptance_timing.py calls CRITERIA[n](SCALES["full"], 0); criterion
+    # 12's children are faked, the rest run
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=STDOUT_SEED_0, stderr=b"")
+
+    monkeypatch.setattr(acceptance.subprocess, "run", fake_run)
+    assert SCALES == {"full": FULL}
+    result = CRITERIA[number](SCALES["full"], 0)
+    assert result.number == number and result.passed

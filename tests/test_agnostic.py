@@ -36,6 +36,7 @@ from robust_online.errors import DomainError
 from robust_online.learners import LazyRobustAutomaton
 from robust_online.model import compiled, consistency_masks
 from robust_online.seeding import derive_rng
+from robust_online.uncertain import sequence_realizable
 
 from reference import adversarial_loss
 
@@ -398,4 +399,28 @@ def test_binary_only_entry_points_refuse_three_labels(name):
     with pytest.raises(DomainError):
         BINARY_ONLY[name](hc, u, family, rounds)
     # refused before any search: nothing was compiled for the class
+    assert hc._store == {}
+
+
+# The entry points that take rounds refuse an input, instance or label id
+# out of range, before they compile or replay anything for the class.
+ROUND_TAKERS = {
+    **{k: f for k, f in BINARY_ONLY.items() if k not in ("halving_bound", "random_label_regret_sample")},
+    "comparator_loss": lambda hc, u, fam, rounds: comparator_loss(hc, u, rounds),
+    "sequence_realizable": lambda hc, u, fam, rounds: sequence_realizable(hc, fam.members, rounds),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TAKERS))
+@pytest.mark.parametrize("field, what", [(0, "input"), (1, "instance"), (2, "label")])
+@pytest.mark.parametrize("high", [False, True])
+def test_round_ids_out_of_range_are_refused_before_any_compile(name, field, what, high):
+    hc = full_class(3)
+    family = PerturbationFamily((U5, identity_map(3)))
+    limit = hc.label_count if what == "label" else hc.instance_count
+    bad = [1, 2, 1]
+    bad[field] = limit if high else -1
+    rounds = [(1, 0, 0), (1, 1, 1), tuple(bad)]
+    with pytest.raises(DomainError, match=rf"^{what} id {bad[field]} outside \[0, {limit}\)$"):
+        ROUND_TAKERS[name](hc, U5, family, rounds)
     assert hc._store == {}

@@ -87,12 +87,12 @@ dimension 1, horizon 12, corrupted rounds 2
 comparator: hypothesis 0 with loss 2
 decomposition expert: 2 mistakes <= 1 + 2 (gap 1)
 
-13 subset experts, 300 forecaster seeds
-mean regret 0.27 +- 0.03  vs bound 4.92
+13 subset experts
+expected regret 0.2736  vs bound 4.9230
 """,
     "05_unknown_perturbation_family.py": """\
 family of 4, per-member loss budget 2
-aggregated learner: mean mistakes 0.00 +- 0.00  vs bound 5.74
+aggregated learner: expected mistakes 0.0000  vs bound 5.7411
 phased halving: 0 mistakes, phases [0], bound 8
 
 two-member corner case: phases [2, 1], completed-phase cap 2, total 3 <= 5

@@ -542,11 +542,23 @@ def test_cli_reports_scenario_errors_with_positions(tmp_path):
 
 
 def test_cli_check_smoke_is_byte_stable():
-    a = run_cli("check", "--scale", "smoke", "--criteria", "2", "--seed", "3")
-    b = run_cli("check", "--scale", "smoke", "--criteria", "2", "--seed", "3")
+    a = run_cli("check", "--criteria", "2", "--seed", "3")
+    b = run_cli("check", "--criteria", "2", "--seed", "3")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert "criterion  2" in a.stdout
+
+
+@pytest.mark.parametrize(
+    "option", [("--scale", "smoke"), ("--scale", "full"), ("--scale=full",)]
+)
+def test_cli_check_refuses_the_scale_option(option):
+    # check has one scale; the option that chose between two is gone
+    out = run_cli("check", *option, "--criteria", "2")
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    last = out.stderr.strip().splitlines()[-1]
+    assert last == f"robust-online: error: unrecognized arguments: {' '.join(option)}"
 
 
 # six instances: one more than the exhaustive oracle accepts
