@@ -17,6 +17,13 @@ collection runs between chunks, outside the timed spans.  Item times are
 raw time.perf_counter spans, with no host-clock rescale: both sides share
 the host, so their ratio is what the code changed.
 
+Each pass also times each side's input generation and preparation
+(wl.generate and wl.prepare from the seed, as bench/run.py's setup_s
+counts them), once per side, the side that goes first alternating from
+pass to pass, each after a full collection and with the collector off.
+The record gives their seconds per side and change/parent ratios; like
+every ratio here they are printed, not gated.
+
 Each pass also gives every kind's item count and a 95% bootstrap interval
 of its ratio, and of the total's.  The unit resampled is the chunk, the
 unit whose side order alternates, so the interval covers the drift from
@@ -134,12 +141,20 @@ class Side:
     """
 
     def __init__(self, name, package, workload, seed, seconds):
-        self.name = name
+        self.name, self.seed = name, seed
         self.workloads = load_workloads(name, package)
         self.wl = self.workloads.WORKLOADS[workload]
-        self.generated = self.wl.generate(seed, self.wl.size_for(seconds))
+        self.size = self.wl.size_for(seconds)
+        self.generated = self.wl.generate(seed, self.size)
         self.items, self.prepared = self.wl.prepare(seed, self.generated)
         self.ctx = self.workloads.Context(seed, lambda _name: NULL_SPAN, {})
+
+    def time_setup(self):
+        """Seconds of one wl.generate and one wl.prepare from the seed; the
+        inputs they make are dropped."""
+        generated, generate_s = timed(self.wl.generate, self.seed, self.size)
+        _, prepare_s = timed(self.wl.prepare, self.seed, generated)
+        return {"generate": generate_s, "prepare": prepare_s}
 
     def run(self, indices, results, seconds):
         """Run the items at `indices`, filling their results and seconds."""
@@ -153,6 +168,19 @@ class Side:
                 result, ok = ("error", item.kind, type(exc).__name__), False
             seconds[i] = time.perf_counter() - start
             results[i] = (result, ok)
+
+
+def timed(fn, *args):
+    """(fn(*args), its seconds), timed after a full collection with the
+    collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        out = fn(*args)
+        return out, time.perf_counter() - start
+    finally:
+        gc.enable()
 
 
 def _digest(results, batch) -> str:
@@ -216,7 +244,14 @@ def run_passes(sides, passes):
                 gc.disable()
                 side.run(chunk, results[side.name], seconds[side.name])
                 gc.enable()
-        records.append(pass_record(kinds, seconds))
+        record = pass_record(kinds, seconds)
+        setup = {side.name: side.time_setup() for side in (sides if p % 2 else sides[::-1])}
+        record["setup"] = {
+            "parent_s": setup["parent"],
+            "change_s": setup["change"],
+            "ratio": {k: setup["change"][k] / setup["parent"][k] for k in setup["parent"]},
+        }
+        records.append(record)
     return records, results
 
 

@@ -18,9 +18,11 @@ No verdict and no result line reads the clock.
 """
 
 import math
+import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -408,8 +410,11 @@ def criterion_11(scale: Scale, seed: int) -> CriterionResult:
 def criterion_12(scale: Scale, seed: int) -> CriterionResult:
     """Two subprocess checks both pass all 11 criteria, byte for byte alike."""
     cmd = [sys.executable, "-m", "robust_online", "check", "--criteria", "1-11", "--seed", str(seed)]
-    first = subprocess.run(cmd, capture_output=True, timeout=1800)
-    second = subprocess.run(cmd, capture_output=True, timeout=1800)
+    # the children import this package, wherever it is, before any other on the path
+    path = [str(Path(__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    first = subprocess.run(cmd, capture_output=True, timeout=1800, env=env)
+    second = subprocess.run(cmd, capture_output=True, timeout=1800, env=env)
     identical = first.stdout == second.stdout and first.returncode == second.returncode
     # two children that both fail, or both stop early, are identical too
     final = b"passed 11 of 11 criteria at scale full"

@@ -50,7 +50,7 @@ from .dimension import adversarial_dimension
 from .errors import DomainError, ScenarioFormatError
 from .learners import LEARNER_NAMES
 from .model import HypothesisClass, PerturbationMap
-from .seeding import derive_rng
+from .seeding import Draws
 from .uncertain import PerturbationFamily
 
 PROTOCOLS = ("robust", "orientation")
@@ -398,25 +398,27 @@ class CorpusParams:
         # the text format, which every corpus scenario round-trips, needs two
         if self.label_count < 2:
             raise DomainError(f"a corpus needs at least two labels, got {self.label_count}")
+        if self.count < 0:
+            raise DomainError(f"a corpus count must be nonnegative, got {self.count}")
+        if not self.strata or not set(self.strata) <= set(STRATA):
+            raise DomainError(f"corpus strata must be some of {STRATA}, got {self.strata!r}")
 
 
-def _random_map(n: int, rng, shared: dict) -> PerturbationMap:
+def _random_map(n: int, draws: Draws, shared: dict) -> PerturbationMap:
     sets = []
     for _ in range(n):
-        keep = rng.random(n) < rng.uniform(0.2, 0.8)
-        sets.append({z for z in range(n) if keep[z]})
+        coins, threshold = draws.random(n), draws.uniform(0.2, 0.8)  # in this order
+        sets.append({z for z, c in enumerate(coins) if c < threshold})
     return PerturbationMap.from_sets(sets, shared)
 
 
-def _disjoint_map(n: int, rng, shared: dict) -> PerturbationMap:
-    # one coin per instance, drawn as one block (exact: see `seeding`);
+def _disjoint_map(n: int, draws: Draws, shared: dict) -> PerturbationMap:
     # about a quarter of the sets come out empty
-    targets = rng.permutation(n).tolist()
-    empty = (rng.random(n) < 0.25).tolist()
-    return PerturbationMap.from_sets((set() if e else {t} for t, e in zip(targets, empty)), shared)
+    sets = (set() if c < 0.25 else {t} for t, c in zip(draws.permutation(n), draws.random(n)))
+    return PerturbationMap.from_sets(sets, shared)
 
 
-def _stratum_map(stratum: str, n: int, rng, shared: dict) -> PerturbationMap:
+def _stratum_map(stratum: str, n: int, draws: Draws, shared: dict) -> PerturbationMap:
     """A fresh random map, or the identity or total map on n kept in `shared`."""
     if stratum in ("identity", "total"):
         key = (stratum, n)
@@ -425,32 +427,25 @@ def _stratum_map(stratum: str, n: int, rng, shared: dict) -> PerturbationMap:
             shared[key] = PerturbationMap.from_sets(sets, shared)
         return shared[key]
     if stratum == "disjoint":
-        return _disjoint_map(n, rng, shared)
-    if stratum == "random":
-        return _random_map(n, rng, shared)
-    raise ValueError(f"unknown stratum {stratum!r}; choose from {STRATA}")
+        return _disjoint_map(n, draws, shared)
+    return _random_map(n, draws, shared)
 
 
-def _random_tables(n: int, count: int, label_count: int, rng) -> list[tuple[int, ...]]:
-    """`count` distinct tables, capped by the size of the full function space.
+def _random_class(n: int, count: int, labels: int, draws: Draws, shared: dict) -> HypothesisClass:
+    """A class of `count` distinct random tables (fewer if the function
+    space is smaller), sorted, each the one equal tuple kept in `shared`.
 
     Rows are drawn until `count` are distinct, each missing one as a row of
     one block.  A row adds at most one new table, so `count` can be reached
     only on a block's last row: the blocks draw exactly the rows that one
-    rng.integers call per row would, and the block rule in `seeding` makes
-    them the same values at the same stream position.
+    rng.integers call per row would (the block rule in `seeding`).  The
+    rows are distinct and in range, so the class needs no check.
     """
-    count = min(count, label_count**n)
+    count = min(count, labels**n)
     seen = set()
     while len(seen) < count:
-        block = rng.integers(0, label_count, size=(count - len(seen), n))
-        seen.update(map(tuple, block.tolist()))
-    return sorted(seen)
-
-
-def _shared_class(tables, label_count: int, shared: dict) -> HypothesisClass:
-    """The class of `tables`, each table the one equal tuple kept in `shared`."""
-    return HypothesisClass.from_tables([shared.setdefault(t, t) for t in tables], label_count)
+        seen.update(draws.rows(labels, count - len(seen), n))
+    return HypothesisClass(tuple(shared.setdefault(t, t) for t in sorted(seen)), n, labels)
 
 
 def _assemble(
@@ -495,10 +490,10 @@ def generate_corpus(params: CorpusParams) -> list[Scenario]:
     format.
 
     Scenario i draws from its own stream, derive_rng(seed, "corpus", i,
-    stratum).  Its hypothesis tables and its disjoint map's coins are
-    drawn as blocks, which give the values of one draw per row or coin
-    (the block rule in `seeding`); tests/data/corpus_digests.json pins
-    the output.
+    stratum), the values of one Generator call per row or coin.
+    seeding.Draws decodes them from the stream's raw outputs in blocks,
+    read past the scenario's last draw, which is safe because nothing else
+    reads that stream; tests/data/corpus_digests.json pins the output.
 
     The scenarios of one call share what is equal between them: one
     tuple per distinct label table, one frozenset per distinct
@@ -510,14 +505,13 @@ def generate_corpus(params: CorpusParams) -> list[Scenario]:
     shared: dict = {}
     for i in range(params.count):
         stratum = params.strata[i % len(params.strata)]
-        rng = derive_rng(params.seed, "corpus", i, stratum)
-        n = int(rng.integers(2, 6))
+        draws = Draws(params.seed, "corpus", i, stratum)
+        n = 2 + draws.integers(4)
         cap = min(16, params.label_count**n)
-        n_h = int(rng.integers(min(2, cap), cap + 1))
-        tables = _random_tables(n, n_h, params.label_count, rng)
-        hc = _shared_class(tables, params.label_count, shared)
-        u = _stratum_map(stratum, n, rng, shared)
-        game = GameConfig(seed=int(rng.integers(2**31)))
+        n_h = 2 + draws.integers(cap - 1)
+        hc = _random_class(n, n_h, params.label_count, draws, shared)
+        u = _stratum_map(stratum, n, draws, shared)
+        game = GameConfig(seed=draws.integers(2**31))
         out.append(_assemble(hc, {"main": u}, "main", game, shared))
     return out
 
@@ -536,31 +530,31 @@ def generate_family_scenarios(count: int, seed: int = 0) -> list[Scenario]:
     shared: dict = {}
     attempt = 0
     while len(out) < count:
-        rng = derive_rng(seed, "family-corpus", attempt)
+        draws = Draws(seed, "family-corpus", attempt)
         attempt += 1
         size = (2, 4, 8)[len(out) % 3]
-        n = int(rng.integers(2, 5))
-        n_h = int(rng.integers(2, min(8, 2**n) + 1))
-        hc = _shared_class(_random_tables(n, n_h, 2, rng), 2, shared)
+        n = 2 + draws.integers(3)
+        n_h = 2 + draws.integers(min(8, 2**n) - 1)
+        hc = _random_class(n, n_h, 2, draws, shared)
         members = []
         seen = set()
         guard = 0
         while len(members) < size and guard < 200:
             guard += 1
-            u = _random_map(n, rng, shared)
+            u = _random_map(n, draws, shared)
             if u.forward in seen:
                 continue
             seen.add(u.forward)
             members.append(u)
         if len(members) < size:
             continue
-        truth = int(rng.integers(size))
+        truth = draws.integers(size)
         u_star = members[truth]
         if adversarial_dimension(hc, u_star) == 0:
             continue
         if not any(u_star.forward[x] for x in range(n)):
             continue
         maps = {f"u{i}": m for i, m in enumerate(members)}
-        game = GameConfig(horizon=12, seed=int(rng.integers(2**31)))
+        game = GameConfig(horizon=12, seed=draws.integers(2**31))
         out.append(_assemble(hc, maps, f"u{truth}", game, shared))
     return out

@@ -12,50 +12,36 @@ in straight-line Python from NumPy's pool with SeedSequence's hash
 constants; NumPy's stream-compatibility policy (NEP 19) fixes those
 words across releases, and tests/test_seeding.py checks them.
 
-Block draws.  A generator may draw a block of values in one call where it
-means a run of scalar calls, and the stream stays exact.  NumPy fills an
-array of bounded integers one value at a time, with the rejection step a
-scalar call makes, from the bit generator's 32-bit outputs (for a bound
-of at most 2^32), and an array of uniform doubles from one 64-bit output
-per value.  So rng.integers(lo, hi, size=(r, n)) returns the rows of r
-calls rng.integers(lo, hi, size=n), and rng.random(n) the values of n
-calls rng.random(), and either leaves the stream where those calls
-would.  A block must hold only draws the scalar run would make: drawn
-past the run's end, it moves every later draw.  tests/test_seeding.py
-pins the rule on the installed NumPy.
+Raw outputs.  PCG64 serves a 32-bit word as the low half of its next
+64-bit output and keeps the high half buffered as the next word.
+rng.integers(k) for 1 < k <= 2^32 is Lemire's step on words (Lemire,
+"Fast Random Integer Generation in an Interval", 2019): with m = w * k,
+the draw is m >> 32 unless the low 32 bits of m are below 2^32 mod k,
+when the next word is tried; rng.integers(1) reads nothing.
+rng.random() is the top 53 bits of the next whole output times 2^-53,
+and a buffered half stays next in line; rng.uniform(a, b) is
+a + (b - a) * rng.random().  rng.permutation(n) swaps each i from n - 1
+down to 1 with j, the first word masked to i's bit length that is at
+most i (NumPy's random_interval).  The block rule: an array call makes
+its scalar calls in order, so rng.integers(lo, hi, size=(r, n)) gives
+the rows of r calls rng.integers(lo, hi, size=n), rng.random(n) the
+values of n calls rng.random(), and either leaves the stream where those
+calls would.  This is NumPy's implementation, not its promise:
+NEP 19 fixes the bit generators' streams, not what Generator's methods
+make of them, so tests/test_seeding.py checks it call for call.
 
-Bounded draws from raw words.  When each bound depends on the draw
-before it, no block of bounded integers fits, but a block of raw 32-bit
-words does.  rng.integers(0, 2**32, size=m, dtype=np.uint32) returns the
-bit generator's next m 32-bit outputs (a half of a 64-bit output left
-buffered by an earlier draw comes first), and rng.integers(k) for
-1 < k <= 2^32 is Lemire's multiply-and-reject step on those outputs
-(Lemire, "Fast Random Integer Generation in an Interval", 2019): with
-m = w * k, the draw is m >> 32 unless the low 32 bits of m are below
-2^32 mod k, in which case w is rejected and the next word is tried.
-BoundedDraws replays that step, so its draws and the stream's position
-after them are those of the scalar calls.  Its blocks follow the rule
-above: a block holds only the words the scalar run is certain to draw
-from that point on, and when it runs out (after a rejection, or a draw
-the count did not foresee) the next block is the certain count again.
-A block of one or two words is read by as many rng.integers(2**32)
-calls instead, each of which returns one 32-bit output.
-
-Labels from raw words.  rng.integers(0, 2, size=n) fills its n draws
-from the bit generator's 32-bit outputs, and a 64-bit output gives two
-of those, low half first.  Lemire's step for the bound 2 never rejects,
-since 2^32 mod 2 = 0, and returns the top bit of its word.  So on a
-stream with no half-word buffered, such as a new one, draw 2i is bit 31
-of the stream's next 64-bit output i and draw 2i + 1 its bit 63.
-label_bytes reads them from one bit_generator.random_raw call, as bit 7
-of every fourth little-endian byte from byte 3, which one bytes.translate
-maps to 0 or 1, and leaves the stream on the output after the last one
-it read, as the array call does.  The array call keeps an odd n's unused
-high half buffered for a later 32-bit draw, and label_bytes does not,
-so it suits a stream nothing else draws from, as the random-label
-probe's.
+Draws reads raw outputs in blocks, ahead of its draws, so it suits only
+a stream its caller owns.  BoundedDraws decodes rng.integers(k) on a
+caller's Generator and leaves it where the scalar calls would: a block
+holds only the words the scalar run is certain to draw from that point
+on, and the next block, after a rejection or a draw the count did not
+foresee, is the certain count again.  label_bytes decodes
+rng.integers(0, 2, size=n) on a new stream: the bound 2 never rejects
+and takes a word's top bit, so draw 2i is bit 31 of output i and draw
+2i + 1 its bit 63; it drops an odd n's last high half.
 """
 
+import functools
 import hashlib
 import struct
 
@@ -65,6 +51,7 @@ _WORDS = np.dtype("<u4")
 _STATE = np.dtype(np.uint64)
 _PACK_STATE = struct.Struct("=4Q").pack
 _TOP_BIT = bytes(b >> 7 for b in range(256))
+_BLOCK = 64  # 64-bit outputs a Draws reads at a time
 
 
 class _SeedSequence(np.random.SeedSequence):
@@ -104,48 +91,121 @@ def derive_rng(*parts) -> np.random.Generator:
 
 
 def label_bytes(rng: np.random.Generator, n: int) -> bytes:
-    """rng.integers(0, 2, size=n) of a stream with no half-word buffered,
-    as n bytes of 0 and 1, on any host (see the module docstring)."""
+    """rng.integers(0, 2, size=n) of a new stream nothing else draws from, as
+    n bytes of 0 and 1 on any host: bit 7 of little-endian bytes 3, 7, 11..."""
     raw = rng.bit_generator.random_raw((n + 1) // 2)
     return raw.astype("<u8", copy=False).tobytes()[3::4][:n].translate(_TOP_BIT)
 
 
-class BoundedDraws:
-    """Scalar rng.integers(k) draws decoded from blocks of 32-bit words.
+def _kept(m: int, k: int) -> bool:
+    """Whether Lemire's step for the bound k keeps m, a 32-bit word times k."""
+    low = m & 0xFFFFFFFF
+    return low >= k or low >= (1 << 32) % k
 
-    integer(k, certain) returns rng.integers(k) for 1 < k <= 2^32 and
-    moves the stream as that call does, given that the scalar run is
-    certain to read at least `certain` words from this draw on, this
-    draw's own word included.  rng.integers(1) reads no word, so a caller
-    skips that draw.
-    """
+
+@functools.lru_cache(maxsize=16)
+def _rejected(k: int) -> frozenset[int]:
+    """The words Lemire's step rejects for the bound k, from k candidates:
+    the low 32 bits of a rejected w * k are below k, so w = ceil(j * 2^32 / k)."""
+    return frozenset(w for w in (-((-j << 32) // k) for j in range(k)) if not _kept(w * k, k))
+
+
+class Draws:
+    """The scalar draws of derive_rng(*parts), decoded from blocks of raw
+    outputs by the rules above, for a caller that owns the stream."""
+
+    __slots__ = ("bits", "words", "at")
+
+    def __init__(self, *parts):
+        self.bits = np.random.PCG64(derive_seed_sequence(*parts))
+        # the outputs' 32-bit halves, low first; words[at] is PCG64's buffered half while at is odd
+        self.words, self.at = [], 0
+
+    def _read(self, count: int) -> None:
+        """Make words[at:at + count] available: drop the outputs read, add a block."""
+        del self.words[: self.at & ~1]
+        self.at &= 1
+        raw = self.bits.random_raw(max(_BLOCK, count // 2 + 1))
+        self.words += raw.astype("<u8", copy=False).view(_WORDS).tolist()
+
+    def _word(self) -> int:
+        if self.at == len(self.words):
+            self._read(1)
+        self.at += 1
+        return self.words[self.at - 1]
+
+    def integers(self, k: int) -> int:
+        """rng.integers(k) for 1 <= k <= 2^32; k = 1 reads nothing."""
+        while k > 1:
+            m = self._word() * k
+            if _kept(m, k):
+                return m >> 32
+        return 0
+
+    def random(self, size: int | None = None):
+        """rng.random(), or rng.random(size) as a list."""
+        n = 1 if size is None else size
+        if self.at + 2 * n + 1 > len(self.words):
+            self._read(2 * n + 1)
+        words, at = self.words, self.at
+        start = at + (at & 1)
+        out = words[start : start + 2 * n]
+        if at & 1:  # the buffered half stays next in line
+            words[at + 2 * n] = words[at]
+        self.at = at + 2 * n
+        values = [(hi << 21 | lo >> 11) * 2.0**-53 for lo, hi in zip(out[::2], out[1::2])]
+        return values[0] if size is None else values
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+    def permutation(self, n: int) -> list[int]:
+        """rng.permutation(n) as a list."""
+        out = list(range(n))
+        for i in range(n - 1, 0, -1):
+            while (j := self._word() & ((1 << i.bit_length()) - 1)) > i:
+                pass
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    def rows(self, k: int, r: int, n: int) -> list[tuple[int, ...]]:
+        """rng.integers(0, k, size=(r, n)) for 1 < k <= 2^32, as r tuples."""
+        if self.at + r * n > len(self.words):
+            self._read(r * n)
+        words = self.words[self.at : self.at + r * n]
+        if _rejected(k).isdisjoint(words) if k <= 1 << 10 else all(_kept(w * k, k) for w in words):
+            self.at += r * n
+            values = [w * k >> 32 for w in words]
+        else:  # a rejection reads one word more: decode the block draw by draw
+            values = [self.integers(k) for _ in range(r * n)]
+        return list(zip(*[iter(values)] * n))
+
+
+class BoundedDraws:
+    """rng.integers(k) on a caller's Generator, from blocks of 32-bit words
+    (see above): integer(k, certain) for 1 < k <= 2^32, when the scalar run
+    is certain to read `certain` words or more from this draw on, its own too."""
 
     __slots__ = ("rng", "words", "at")
 
     def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.words: list[int] = []
-        self.at = 0
+        self.rng, self.words, self.at = rng, [], 0
 
     def integer(self, k: int, certain: int) -> int:
         if not 1 < k <= 1 << 32:
             raise ValueError(f"bound {k} is outside 2..2**32")
         while True:
             if self.at == len(self.words):
-                self._refill(certain)
+                self._refill(max(certain, 1))
             m = self.words[self.at] * k
             self.at += 1
-            low = m & 0xFFFFFFFF
-            if low >= k or low >= (1 << 32) % k:
+            if _kept(m, k):
                 return m >> 32
 
-    def _refill(self, certain: int) -> None:
-        """The next max(certain, 1) words.  Each rng.integers(2**32) call
-        returns one 32-bit output, and below three words those calls cost
-        less than the array call's fixed overhead."""
-        rng = self.rng
-        if certain > 2:
-            self.words = rng.integers(0, 1 << 32, size=certain, dtype=np.uint32).tolist()
+    def _refill(self, n: int) -> None:
+        """The next n words, by scalar calls below three."""
+        if n > 2:
+            self.words = self.rng.integers(0, 1 << 32, size=n, dtype=np.uint32).tolist()
         else:
-            self.words = [int(rng.integers(1 << 32)) for _ in range(max(certain, 1))]
+            self.words = [int(self.rng.integers(1 << 32)) for _ in range(n)]
         self.at = 0

@@ -22,7 +22,9 @@ recorded `check` stdout in tests/data, which CI diffs at seeds 0 and 1 the
 same way.
 """
 
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,24 @@ def test_criterion_11_random_label_scaling_slope():
 
 def test_criterion_12_check_output_reproducibility():
     run(12)
+
+
+def test_criterion_12_checks_the_package_that_runs_it(tmp_path):
+    # a child with no PYTHONPATH, outside the repository, imports this
+    # package from its own directory; the criterion's children must find it
+    # the same way, not through the parent's environment
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    src = Path(acceptance.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); from robust_online import acceptance; "
+        "print(acceptance.criterion_12(acceptance.FULL, 0).line())"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [FULL_LINES_SEED_0[11]]
 
 
 @pytest.mark.parametrize(

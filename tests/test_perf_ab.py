@@ -63,6 +63,11 @@ def test_an_a_a_pass_on_replay_gives_equal_outputs_and_finite_ratios(replay_reco
     assert set(one_pass["interval"]) == set(one_pass["ratio"])
     for kind, (lo, hi) in one_pass["interval"].items():
         assert lo <= one_pass["ratio"][kind] <= hi
+    # each side's generate and prepare are timed once per pass
+    setup = one_pass["setup"]
+    for key in ("parent_s", "change_s", "ratio"):
+        assert set(setup[key]) == {"generate", "prepare"}
+        assert all(math.isfinite(s) and s > 0 for s in setup[key].values())
 
 
 @pytest.mark.skipif(not _src_is_head(), reason="the working tree's src/ differs from HEAD's")

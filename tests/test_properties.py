@@ -114,7 +114,8 @@ from reference import (
     stepwise_ewa,
 )
 from reference import try_parse_scenario as reference_parse
-from robust_online.scenario import _random_tables
+from robust_online.scenario import _random_class
+from robust_online.seeding import Draws
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -1350,13 +1351,18 @@ def table_draws(draw):
 @example((5, 4, 4**5, 0))
 @example((3, 2, 8, 1))
 def test_corpus_tables_draw_like_one_row_per_call(args):
-    """The block draws give the reference's tables and leave the stream
-    where one rng.integers call per row leaves it."""
+    """The decoded row blocks give the reference's tables, and the stream's
+    next word and next double are the reference's: the blocks draw what one
+    rng.integers call per row draws.  A decoder that reads its stream in
+    blocks has no bit_generator.state to compare, so its next draws stand
+    for the stream's position."""
     n, labels, count, seed = args
-    rng, plain = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert _random_tables(n, count, labels, rng) == one_row_per_call_tables(n, count, labels, plain)
-    assert rng.integers(2**32) == plain.integers(2**32)
-    assert rng.bit_generator.state == plain.bit_generator.state
+    draws, plain = Draws(seed, "tables"), derive_rng(seed, "tables")
+    hc = _random_class(n, count, labels, draws, {})
+    assert list(hc.tables) == one_row_per_call_tables(n, count, labels, plain)
+    assert (hc.instance_count, hc.label_count) == (n, labels)
+    assert draws.integers(2**32) == plain.integers(2**32)
+    assert draws.random() == plain.random()
 
 
 def seed_sequence_from_words(*parts):

@@ -442,6 +442,29 @@ def test_corpus_needs_two_labels(labels):
         generate_corpus(CorpusParams(count=1, label_count=labels))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"strata": ()}, "strata must be some of"),
+        ({"strata": ("identity", "bogus"), "count": 1}, "strata must be some of"),
+        ({"strata": ("random",) * 3 + ("Identity",)}, "strata must be some of"),
+        ({"count": -1}, "count must be nonnegative"),
+    ],
+)
+def test_corpus_params_refuse_what_no_corpus_can_be_drawn_for(fields, message):
+    # refused when the parameters are made, before any draw: an empty strata
+    # tuple used to divide by zero, an unknown stratum to pass unnoticed until
+    # a scenario of it came up, and a negative count to give no scenarios
+    with pytest.raises(DomainError, match=message):
+        CorpusParams(**fields)
+
+
+def test_corpus_params_take_any_nonempty_choice_of_strata():
+    assert generate_corpus(CorpusParams(count=0)) == []
+    for strata in (("random",), ("total", "identity", "total")):
+        assert len(generate_corpus(CorpusParams(count=3, strata=strata))) == 3
+
+
 def test_corpus_different_seeds_differ():
     a = generate_corpus(CorpusParams(count=12, seed=0))
     b = generate_corpus(CorpusParams(count=12, seed=1))

@@ -6,23 +6,25 @@ fails here instead of silently shifting every seeded result.  The seed
 words PCG64 reads are computed in Python from the SeedSequence pool; a
 property checks them against NumPy's own SeedSequence on random entropies.
 
-The generators draw blocks where they mean runs of scalar draws (the
-rule in the `seeding` docstring).  The last tests check that rule on the
-installed NumPy: a block, or a bounded draw decoded from blocks of raw
-words, gives the scalar calls' values and leaves the stream where they
-leave it, and labels decoded from raw 64-bit words equal the array call
-they stand for on a new stream.
+The generators draw blocks where they mean runs of scalar draws, and
+decode draws from raw outputs (the rules in the `seeding` docstring).
+The last tests check those rules on the installed NumPy: a block, or a
+bounded draw decoded from blocks of raw words, gives the scalar calls'
+values and leaves the stream where they leave it; labels decoded from
+raw 64-bit words equal the array call they stand for on a new stream;
+and a Draws gives a Generator's values, call for call, on any mix of
+calls.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robust_online import derive_rng, derive_seed_sequence
-from robust_online.seeding import BoundedDraws, _SeedSequence, label_bytes
+from robust_online.seeding import BoundedDraws, Draws, _kept, _rejected, _SeedSequence, label_bytes
 
 
 def test_seed_sequence_state_is_pinned():
@@ -142,3 +144,76 @@ def test_labels_decoded_from_raw_words_equal_the_array_call(n, seed):
     # both read the same 64-bit outputs
     assert decoded.bit_generator.state["state"] == calls.bit_generator.state["state"]
     assert decoded.bit_generator.random_raw() == calls.bit_generator.random_raw()
+
+
+# 3 * 2**30 rejects a quarter of all words; 2**32 reads each word as it is;
+# 1 reads none
+BOUNDS = [1, 2, 3, 5, 16, 2**31, 3 * 2**30, 2**32 - 5, 2**32]
+CALLS = st.one_of(
+    st.tuples(st.just("integers"), st.sampled_from(BOUNDS)),
+    st.tuples(st.just("random"), st.none() | st.integers(0, 6)),
+    st.tuples(st.just("uniform")),
+    st.tuples(st.just("permutation"), st.integers(0, 40)),
+    st.tuples(st.just("rows"), st.sampled_from(BOUNDS[1:]), st.integers(0, 5), st.integers(1, 6)),
+)
+
+
+def generator_call(rng, call):
+    """What a Draws call stands for, on a Generator."""
+    name, *args = call
+    if name == "integers":
+        return int(rng.integers(*args))
+    if name == "random":
+        return rng.random() if args[0] is None else rng.random(args[0]).tolist()
+    if name == "uniform":
+        return rng.uniform(0.2, 0.8)
+    if name == "permutation":
+        return rng.permutation(*args).tolist()
+    k, r, n = args
+    return list(map(tuple, rng.integers(0, k, size=(r, n)).tolist()))
+
+
+def draws_call(draws, call):
+    name, *args = call
+    if name == "uniform":
+        return draws.uniform(0.2, 0.8)
+    return getattr(draws, name)(*args)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.lists(CALLS, max_size=40))
+# an odd word leaves a half buffered: the next double must skip it, the
+# next word must read it, and blocks must be refilled around it
+@example(0, [("integers", 2**32), ("random", None), ("integers", 2**32), ("random", 3)])
+@example(1, [("integers", 3 * 2**30), ("permutation", 40), ("rows", 3 * 2**30, 5, 6)] * 4)
+@example(2, [("rows", 2, 5, 5), ("random", 6), ("uniform",), ("rows", 3, 3, 5)] * 8)
+def test_decoded_draws_equal_a_generators_call_for_call(seed, calls):
+    draws, rng = Draws(seed, "draws"), derive_rng(seed, "draws")
+    for call in calls:
+        assert draws_call(draws, call) == generator_call(rng, call), call
+    # and the stream is where the Generator's is, on a word and on a double
+    assert draws.integers(2**32) == rng.integers(2**32)
+    assert draws.random() == rng.random()
+
+
+@pytest.mark.parametrize("bound", [2, 3, 5, 6, 7, 100, 641, 1000, 1023, 1024])
+def test_the_rejected_words_of_a_small_bound_are_all_of_them(bound):
+    # Lemire's step keeps floor(2^32 / k) words per value, so it rejects
+    # exactly 2^32 mod k words: a set of that many rejected words is all
+    rejected = _rejected(bound)
+    assert len(rejected) == 2**32 % bound
+    assert all(0 <= w < 2**32 and not _kept(w * bound, bound) for w in rejected)
+
+
+@pytest.mark.parametrize("bound, word", [(3, 0), (5, 0), (6, 2**31), (7, 0)])
+def test_a_row_block_that_meets_a_rejected_word_decodes_it_draw_by_draw(bound, word):
+    # a rejected word is one chance in 2^32 / bound on a real stream, so
+    # it is planted: both decoders read the same words
+    block, calls = Draws(1, "planted"), Draws(1, "planted")
+    for draws in (block, calls):
+        draws.random()  # reads a block of outputs
+        draws.words[draws.at + 5] = word
+    assert word in _rejected(bound)
+    rows = [tuple(calls.integers(bound) for _ in range(4)) for _ in range(3)]
+    assert block.rows(bound, 3, 4) == rows
+    assert block.integers(2**32) == calls.integers(2**32)
