@@ -34,6 +34,15 @@ deterministic.  One resample serves every kind; a resample that holds
 none of a kind's items is left out of that kind's interval.  A kind of a
 handful of items gets a wide interval, and its ratio says little.
 
+A chunk interval covers one pass only, and the drift from pass to pass
+can be wider.  So the record's over_passes gives, per kind and for the
+total, the median of the pass ratios and a 95% percentile-bootstrap
+interval of that median: the passes themselves are resampled with
+replacement, RESAMPLES times from BOOTSTRAP_SEED.  Few passes give a
+coarse interval (at 2 passes it runs from the lower pass ratio to the
+higher), so it says more the more passes there are; it is printed, not
+gated, like every ratio here.
+
 After the timed passes, each side builds its inputs afresh and runs
 every item once more, untimed, under tracemalloc.  The bytes still
 allocated at the end are summed by the package module whose code made
@@ -43,7 +52,8 @@ name).  This is where a memory change shows, layer by layer.
 
 The one line of standard output is a JSON object: per-kind and total
 seconds per side and pass, their change/parent ratios with their item
-counts and intervals, the retained bytes per module of each side, the
+counts and intervals, each kind's median ratio over the passes with its
+interval, the retained bytes per module of each side, the
 output digest of each side and the machine.  The exit status is 1 when
 any item's result (or the workload's batch check) differs between the
 two sides, 2 on a usage or git error, and 0 otherwise.
@@ -229,6 +239,23 @@ def pass_record(kinds, seconds):
     }
 
 
+def over_passes(records):
+    """Per kind: the median of the pass ratios, the passes counted and the
+    95% percentile-bootstrap interval of the median over resampled passes,
+    from the fixed BOOTSTRAP_SEED.  A pass with no ratio for a kind (no
+    parent time) is left out of that kind."""
+    out = {}
+    for kind in records[0]["ratio"]:
+        ratios = np.array([r["ratio"][kind] for r in records if r["ratio"][kind] is not None])
+        n = len(ratios)
+        if not n:
+            continue
+        draws = np.random.default_rng(BOOTSTRAP_SEED).integers(0, n, (RESAMPLES, n))
+        lo, hi = np.percentile(np.median(ratios[draws], axis=1), [2.5, 97.5])
+        out[kind] = {"median": float(np.median(ratios)), "passes": n, "interval": [float(lo), float(hi)]}
+    return out
+
+
 def run_passes(sides, passes):
     """Time every item on both sides per pass; returns (passes, results of the last pass)."""
     n = len(sides[0].items)
@@ -342,6 +369,7 @@ def main(argv=None):
         "differing_items": len(differing),
         "output_digest": {name: _digest(results[name], batches[name]) for name in SIDES},
         "passes": records,
+        "over_passes": over_passes(records),
         "retained_bytes": retained,
         "machine": _machine(),
     }, sort_keys=True))

@@ -19,23 +19,25 @@ and keeps them away from underflow.
 Experts react to the revealed sequence only, never to the forecaster's
 coin flips, so a run is replayed in three steps: the family experts
 (uncertain) are stepped over the fixed sequence once, as state ids, into
-0/1 prediction and loss matrices; weight_trajectory turns the matrices
-into the per-round probabilities p_t; and expected_mistakes sums p_t on
-label 0 and 1 - p_t on label 1.  p_t depends only on past rounds, so
-that sum is the exact expected loss the bounds above are about, and every
-gate reads it.  The subset experts (agnostic) have no matrices: their
-pool computes the probabilities by groups and shares only the scoring.
-Only mc_regret and mc_family_mistakes still flip coins, for the realized
-samples the benchmark digests: seeded_mistakes scores every seed's coins
-in one array expression.  A seed's coins depend only on its (seed,
-stream) generator, never on the scenario, so COIN_TABLES builds each
-(stream, seeds) table of uniforms once per process and keeps it in an
-LRU bounded by a fixed number of cells.  Row i holds the first draws of
-the i-th seed's generator: random(T) is a prefix of random(T') for
-T' > T, so a kept table answers any shorter horizon, and a one-seed run
-is the same computation as a Monte-Carlo one.  A table too big to keep
-is built and scored in row blocks, so an estimate's memory does not grow
-with its seed count.  The tests keep a stepwise forecaster as the
+0/1 prediction and loss lists, one row per expert; weight_trajectory
+walks their columns in Python floats into the per-round probabilities
+p_t; and expected_mistakes sums p_t on label 0 and 1 - p_t on label 1.
+p_t depends only on past rounds, so that sum is the exact expected loss
+the bounds above are about, and every gate reads it.  The subset experts
+(agnostic) have no rows: their pool computes the probabilities by groups
+and shares only the scoring.  Over a few experts, NumPy calls would cost
+more than the arithmetic, and Python's sums run in one order on every
+host.  Only mc_regret and mc_family_mistakes still flip coins, for the
+realized samples the benchmark digests: seeded_mistakes scores every
+seed's coins in one NumPy array expression.  A seed's coins depend only
+on its (seed, stream) generator, never on the scenario, so COIN_TABLES
+builds each (stream, seeds) table of uniforms once per process and keeps
+it in an LRU bounded by a fixed number of cells.  Row i holds the first
+draws of the i-th seed's generator: random(T) is a prefix of random(T')
+for T' > T, so a kept table answers any shorter horizon, and a one-seed
+run is the same computation as a Monte-Carlo one.  A table too big to
+keep is built and scored in row blocks, so an estimate's memory does not
+grow with its seed count.  The tests keep a stepwise forecaster as the
 reference for these steps.
 """
 
@@ -161,19 +163,29 @@ def seeded_mistakes(probabilities, labels, coins, offset: int = 0) -> dict:
     }
 
 
-def weight_trajectory(prediction_matrix, loss_matrix, rate: float):
-    """Per-round probabilities of predicting 1, for vectorized replays.
-
-    prediction_matrix and loss_matrix are (n_experts, horizon) 0/1 arrays;
-    the returned vector matches a fresh forecaster fed column by column.
-    """
-    preds = np.asarray(prediction_matrix, dtype=float)
-    losses = np.asarray(loss_matrix, dtype=float)
-    n, horizon = preds.shape
-    w = np.ones(n)
-    probs = np.empty(horizon)
-    for t in range(horizon):
-        probs[t] = w @ preds[:, t] / w.sum()
-        w = w * np.exp(-rate * losses[:, t])
-        w /= w.max()
+def weight_trajectory(prediction_matrix, loss_matrix, rate: float) -> list[float]:
+    """Per-round probabilities of predicting 1, as a fresh forecaster fed
+    the 0/1 rows (one per expert, lists or arrays) column by column gives
+    them.  No experts, other shapes or entries, or a decay exp(-rate) not
+    in (0, 1), as a huge rate underflows to 0, raise ValueError."""
+    rows = (*prediction_matrix, *loss_matrix)
+    decay = math.exp(-max(rate, 0.0))  # max keeps a nan, and exp from overflowing
+    if not 0.0 < decay < 1.0:
+        raise ValueError(f"need exp(-rate) in (0, 1), got rate {rate!r}")
+    if not rows or len(prediction_matrix) != len(loss_matrix) or len(set(map(len, rows))) > 1:
+        raise ValueError("need one prediction and one loss row of one length per expert")
+    if not set().union(*rows) <= {0, 1}:
+        raise ValueError("predictions and losses must be 0 or 1")
+    w, probs = [1.0] * len(prediction_matrix), []
+    for votes, errs in zip(zip(*prediction_matrix), zip(*loss_matrix)):
+        total = ones = 0.0
+        for x, v in zip(w, votes):
+            total += x
+            if v:
+                ones += x
+        probs.append(ones / total)
+        if 1 in errs:  # else the weights stay as they are, their maximum 1.0
+            w = [x * decay if e else x for x, e in zip(w, errs)]
+            top = max(w)
+            w = [x / top for x in w]
     return probs

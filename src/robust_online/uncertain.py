@@ -17,10 +17,12 @@ the true map:
 
 Every expert sees every reveal, dead or alive, so both learners read one
 replay of the experts over the fixed sequence, each a state id stepped on
-its member's LearnerContext: halving takes its votes from the prediction
-matrix, family_expected_mistakes sums the forecaster trajectory's exact
-expected mistakes, and mc_family_mistakes adds each forecaster seed's
-mistakes, scored with the seeds' cached coin table.
+its member's LearnerContext, into plain 0/1 prediction and loss lists:
+halving takes its votes from the prediction lists,
+family_expected_mistakes sums the forecaster trajectory's exact expected
+mistakes, and mc_family_mistakes adds each forecaster seed's mistakes,
+scored with the seeds' cached coin table.  NumPy runs only inside
+forecaster's expected_mistakes and coin scoring.
 
 Experts run tolerantly.  Under a wrong assumed map the shown input can sit
 outside the assumed perturbation set of the revealed instance, reveals can
@@ -30,8 +32,7 @@ space is empty, which is absorbing.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
 
 from .dimension import adversarial_dimension
 from .errors import DomainError
@@ -83,22 +84,20 @@ class PerturbationFamily:
 
 
 def _replay(hc: HypothesisClass, members, rounds):
-    """(predictions, losses) 0/1 arrays of shape (members, rounds): each
-    member's tolerant expert, a state id on its binary context, predicts
-    on the shown input and steps on the reveal."""
+    """(predictions, losses), each a list of one 0/1 list per member over
+    the rounds: each member's tolerant expert, a state id on its binary
+    context, predicts on the shown input and steps on the reveal."""
     if not rounds:
         raise DomainError("need at least one round")
     rounds = checked_rounds(hc, rounds)
-    rows = []
+    preds = []
     for u in members:
         ctx, s, row = binary_context(hc, u), 0, []
         for z, x, y in rounds:
             row.append(ctx.predict(s, z))
             s = ctx.step(s, z, x, y)
-        rows.append(row)
-    preds = np.array(rows, dtype=np.int8)
-    labels = np.array([y for _, _, y in rounds], dtype=np.int8)
-    return preds, (preds != labels[None, :]).astype(np.int8)
+        preds.append(row)
+    return preds, [[int(p != y) for p, (_, _, y) in zip(row, rounds)] for row in preds]
 
 
 def family_loss_budget(hc: HypothesisClass, family: PerturbationFamily) -> int:
@@ -134,18 +133,23 @@ def family_expected_mistakes(
     small-loss bound.
 
     The experts are replayed once and the forecaster runs at the loss-budget
-    rate for the family size; budget defaults to family_loss_budget.
+    rate for the family size; budget defaults to family_loss_budget, and
+    one that is not a nonnegative integer (a bool neither) is refused.
     """
+    if budget is not None and (
+        isinstance(budget, bool) or not isinstance(budget, Integral) or budget < 0
+    ):
+        raise DomainError(f"the loss budget must be a nonnegative integer, got {budget!r}")
     rounds = list(rounds)
     preds, losses = _replay(hc, family.members, rounds)
     if budget is None:
         budget = family_loss_budget(hc, family)
-    probs = weight_trajectory(preds, losses, loss_budget_rate(len(family), budget)).tolist()
+    probs = weight_trajectory(preds, losses, loss_budget_rate(len(family), budget))
     return {
         "expected": expected_mistakes(probs, [y for _, _, y in rounds]),
         "budget": budget,
         "bound": small_loss_bound(len(family), budget),
-        "best_expert": int(losses.sum(axis=1).min()),
+        "best_expert": min(map(sum, losses)),
         "realizable": sequence_realizable(hc, family.members, rounds),
         "probabilities": probs,
     }
@@ -158,7 +162,7 @@ def mc_family_mistakes(
     summarized as seeded_mistakes does; a one-seed run is seeds=[seed]."""
     rounds = list(rounds)
     exact = family_expected_mistakes(hc, family, rounds, budget)
-    labels = np.array([y for _, _, y in rounds])
+    labels = [y for _, _, y in rounds]
     coins = COIN_TABLES.blocks("family-ewa", seeds, len(rounds), derive_rng)
     return {**exact, **seeded_mistakes(exact["probabilities"], labels, coins)}
 
@@ -211,20 +215,19 @@ def family_halving_run(
     """
     rounds = list(rounds)
     preds, losses = _replay(hc, family.members, rounds)
-    alive = np.ones(len(family), dtype=bool)
+    everyone = alive = range(len(family))
     phase_mistakes = [0]
-    for t, (_, _, y) in enumerate(rounds):
-        ones = int(preds[alive, t].sum())
-        guess = int(2 * ones >= alive.sum())
-        phase_mistakes[-1] += int(guess != y)
-        alive &= losses[:, t] == 0
-        if not alive.any():
-            alive[:] = True
+    for (_, _, y), votes, errs in zip(rounds, zip(*preds), zip(*losses)):
+        ones = sum(votes[i] for i in alive)
+        phase_mistakes[-1] += int(2 * ones >= len(alive)) != y
+        alive = [i for i in alive if not errs[i]]
+        if not alive:
+            alive = everyone
             phase_mistakes.append(0)
     return HalvingReport(
         mistakes=sum(phase_mistakes),
         phase_mistakes=phase_mistakes,
         completed_phases=len(phase_mistakes) - 1,
-        expert_mistakes=losses.sum(axis=1).tolist(),
-        alive_count=int(alive.sum()),
+        expert_mistakes=list(map(sum, losses)),
+        alive_count=len(alive),
     )

@@ -117,6 +117,82 @@ def test_weight_trajectory_matches_stepwise_forecaster():
         f.update(losses[:, t])
 
 
+def reference_trajectory(preds, losses, rate):
+    f = ExponentialWeightsForecaster(len(preds), rate)
+    probs = []
+    for votes, errs in zip(zip(*preds), zip(*losses)):
+        probs.append(f.probability(votes))
+        f.update(errs)
+    return probs
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    st.integers(1, 16),
+    st.integers(1, 64),
+    st.floats(0.001, 20),
+    st.data(),
+)
+def test_weight_trajectory_equals_the_reference_forecaster(n, horizon, rate, data):
+    """The list trajectory is the NumPy reference's, stepped round by
+    round, to 1e-12 at every round."""
+    row = st.lists(st.integers(0, 1), min_size=horizon, max_size=horizon)
+    preds, losses = (data.draw(st.lists(row, min_size=n, max_size=n)) for _ in range(2))
+    got = weight_trajectory(preds, losses, rate)
+    assert isinstance(got, list) and len(got) == horizon
+    assert np.allclose(got, reference_trajectory(preds, losses, rate), rtol=0, atol=1e-12)
+
+
+def test_weight_trajectory_renormalizes_past_underflow():
+    """Rate 5 over 1,000 rounds: expert 0 errs every round and expert 1
+    every other, so both unnormalized weights would fall below the
+    smallest double long before the end."""
+    horizon = 1000
+    preds = [[1] * horizon, [int(t % 3 == 0) for t in range(horizon)]]
+    losses = [[1] * horizon, [t % 2 for t in range(horizon)]]
+    got = weight_trajectory(preds, losses, 5.0)
+    assert np.allclose(got, reference_trajectory(preds, losses, 5.0), rtol=0, atol=1e-12)
+    assert got[-1] == preds[1][-1]
+
+
+@pytest.mark.parametrize(
+    "preds, losses, rate",
+    [
+        ([], [], 0.5),
+        ([[0, 1]], [[0]], 0.5),
+        ([[0, 1]], [[0, 1], [1, 0]], 0.5),
+        ([[0, 1], [1]], [[0, 1], [1, 0]], 0.5),
+        ([[2, 1]], [[0, 1]], 0.5),
+        ([[0, 1]], [[0, -1]], 0.5),
+        ([[0, 1]], [[0, 0.5]], 0.5),
+        ([[0, 1]], [[0, 1]], math.nan),
+        ([[0, 1]], [[0, 1]], 0.0),
+        ([[0, 1]], [[0, 1]], -1.0),
+        ([[0, 1]], [[0, 1]], -1e6),
+        ([[0, 1]], [[0, 1]], 1e6),
+        ([[0, 1]], [[0, 1]], math.inf),
+    ],
+    ids=[
+        "no-experts",
+        "loss-round-short",
+        "extra-loss-expert",
+        "ragged-predictions",
+        "vote-of-2",
+        "loss-of-minus-1",
+        "loss-of-half",
+        "rate-nan",
+        "rate-0",
+        "rate-negative",
+        "rate-overflowing-exp",
+        "rate-underflowing-decay",
+        "rate-inf",
+    ],
+)
+def test_weight_trajectory_refuses_what_it_is_not_defined_for(preds, losses, rate):
+    with pytest.raises(ValueError):
+        weight_trajectory(preds, losses, rate)
+
+
 def test_regret_bound_one_perfect_expert():
     # N=8 experts over T=1000 adversarial bits; expert 0 is always right,
     # the others are wrong with probability 1/2; mean excess mistakes
@@ -131,7 +207,7 @@ def test_regret_bound_one_perfect_expert():
         gen.random((n - 1, horizon)) < 0.5, labels, 1 - labels
     )
     losses = (preds != labels).astype(int)
-    probs = weight_trajectory(preds, losses, rate)
+    probs = np.asarray(weight_trajectory(preds, losses, rate))
     # per-round mistake probability of the sampled forecaster
     expected = np.where(labels == 1, 1 - probs, probs)
     sampler = derive_rng(1, "forecaster-regret-sample")

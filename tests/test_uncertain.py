@@ -106,8 +106,9 @@ def test_family_experts_tolerate_foreign_inputs():
     fam = small_family(truth_index=1)
     rounds = realizable_under_truth(fam, 8, seed=0)
     preds, losses = _replay(HC5, fam.members, rounds)
-    assert preds.shape == losses.shape == (len(fam), len(rounds))
-    assert set(preds.flat) <= {0, 1}
+    assert len(preds) == len(losses) == len(fam)
+    assert {len(row) for row in preds + losses} == {len(rounds)}
+    assert {v for row in preds + losses for v in row} <= {0, 1}
 
 
 def test_true_expert_keeps_its_realizable_bound():
@@ -115,7 +116,7 @@ def test_true_expert_keeps_its_realizable_bound():
         fam = small_family(truth_index=truth_index)
         dim = adversarial_dimension(HC5, fam.truth)
         _, losses = _replay(HC5, fam.members, realizable_under_truth(fam, 10, seed=1))
-        assert losses[truth_index].sum() <= dim
+        assert sum(losses[truth_index]) <= dim
 
 
 def test_sequence_realizable_detects_the_truth():
@@ -152,6 +153,35 @@ def test_mc_family_mistakes_meets_bound_every_truth():
         assert stats["expected"] <= stats["bound"]
         assert stats["best_expert"] <= stats["budget"]
         assert stats["realizable"]
+
+
+FAMILY_ESTIMATES = {
+    "exact": lambda fam, rounds, budget: family_expected_mistakes(HC5, fam, rounds, budget),
+    "sampled": lambda fam, rounds, budget: mc_family_mistakes(HC5, fam, rounds, range(2), budget),
+}
+
+
+@pytest.mark.parametrize("budget", [-3, -1, 2.7, 2.0, True, False, "2"])
+@pytest.mark.parametrize("estimate", list(FAMILY_ESTIMATES))
+def test_family_entry_points_refuse_a_budget_that_is_not_a_count(budget, estimate):
+    """A negative or non-integer budget would be reported beside the rate
+    and bound of the budget it is clamped or truncated to."""
+    fam = small_family()
+    rounds = realizable_under_truth(fam, 6, seed=3)
+    with pytest.raises(DomainError, match="nonnegative integer"):
+        FAMILY_ESTIMATES[estimate](fam, rounds, budget)
+
+
+@pytest.mark.parametrize("estimate", list(FAMILY_ESTIMATES))
+def test_family_entry_points_keep_an_integer_budget(estimate):
+    fam = small_family()
+    rounds = realizable_under_truth(fam, 6, seed=3)
+    run = FAMILY_ESTIMATES[estimate]
+    assert run(fam, rounds, None)["budget"] == family_loss_budget(HC5, fam)
+    for budget in (0, 3, np.int64(2)):
+        got = run(fam, rounds, budget)
+        assert got["budget"] == budget
+        assert got["bound"] == small_loss_bound(len(fam), budget)
 
 
 def test_mc_family_mistakes_is_the_exact_dict_plus_the_samples():
