@@ -13,6 +13,8 @@ mistake bound caps it at the dimension and the witness-tree adversary
 forces the dimension, so criterion 3 asks for equality in both games.
 Criteria 7, 8 and 10 flip no coin: their bounds are on expected loss,
 and they gate it exactly, as forecaster.expected_mistakes sums it.
+Every value a verdict reads is a Python int or float, and every sum is
+math.fsum's or exact, so no NumPy or LAPACK build picks its order.
 
 No verdict and no result line reads the clock.
 """
@@ -24,8 +26,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .adversaries import RobustChoices, corrupt_labels, realizable_robust_rounds, tree_adversary
 from .agnostic import decomposition_gap, expected_regret, random_label_regret_sample
 from .dimension import adversarial_dimension, classic_littlestone_dimension, get_engine, witness_tree
@@ -36,7 +36,7 @@ from .model import compiled, full_class, total_map
 from .oracle import optimal_mistake_bound
 from .runner import run_game
 from .scenario import CorpusParams, generate_corpus, generate_family_scenarios
-from .seeding import derive_rng
+from .seeding import Draws, derive_rng
 from .uncertain import family_expected_mistakes, family_halving_run, halving_bound
 
 
@@ -269,15 +269,15 @@ def criterion_7(scale: Scale, seed: int) -> CriterionResult:
     combos = 0
     for n in scale.ewa_sizes:
         for horizon in scale.ewa_horizons:
-            rng = derive_rng(seed, "crit7-losses", n, horizon)
-            losses = (rng.random((n, horizon)) < 0.5).astype(float)
-            losses[0] = (rng.random(horizon) < 0.3).astype(float)
+            draws = Draws(seed, "crit7-losses", n, horizon)
+            losses = [[int(v < 0.5) for v in draws.random(horizon)] for _ in range(n)]
+            losses[0] = [int(v < 0.3) for v in draws.random(horizon)]
             # with the losses passed as the predictions, each probability
             # is the forecaster's expected loss in that round, and against
             # all-zero labels the expected mistakes are the expected loss
             probs = weight_trajectory(losses, losses, horizon_rate(n, horizon))
-            best = float(losses.sum(axis=1).min())
-            expected = expected_mistakes(probs, np.zeros(horizon))
+            best = min(map(sum, losses))
+            expected = expected_mistakes(probs, [0] * horizon)
             excess = expected - best - horizon_regret_bound(n, horizon)
             worst_excess = max(worst_excess, excess)
             combos += 1
@@ -383,6 +383,13 @@ def criterion_10(scale: Scale, seed: int) -> CriterionResult:
     )
 
 
+def _slope(xs: list[float], ys: list[float]) -> float:
+    """Least-squares slope of ys on xs, with every sum correctly rounded."""
+    mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    return math.fsum(d * (y - my) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)
+
+
 def criterion_11(scale: Scale, seed: int) -> CriterionResult:
     """Random-label regret grows like the square root of the horizon."""
     hc = full_class(2)
@@ -398,7 +405,7 @@ def criterion_11(scale: Scale, seed: int) -> CriterionResult:
         return CriterionResult(
             11, "random-label regret square-root trend", False, "nonpositive mean"
         )
-    slope = float(np.polyfit(np.log(TREND_HORIZONS), np.log(means), 1)[0])
+    slope = _slope(list(map(math.log, TREND_HORIZONS)), list(map(math.log, means)))
     return CriterionResult(
         11,
         "random-label regret square-root trend",

@@ -36,16 +36,15 @@ probe's node is compiled once per (class, map): the witness root pair,
 its shared input, the chain of the automaton's mistake edges on that
 input and the distinct loss pairs of the hypotheses on the node, so its
 comparator is a min over at most four pairs; it reads its labels from
-raw words and finds each mistake by a byte scan of them.
+raw words and finds each mistake by a byte scan of them.  mc_regret
+hands its labels to the coin scoring as a list, so no NumPy runs here.
 """
 
 import math
 
-import numpy as np
-
 from .dimension import adversarial_dimension, witness_tree
 from .errors import DomainError
-from .forecaster import COIN_TABLES, expected_mistakes, horizon_rate, seeded_mistakes
+from .forecaster import COIN_TABLES, decay_factor, expected_mistakes, horizon_rate, seeded_mistakes
 
 # nothing here calls it, but the benchmark's tracer wraps
 # agnostic.weight_trajectory by name until the package keeps its own counters
@@ -91,20 +90,23 @@ class SubsetPool:
 
     def group_trajectory(self, rounds, rate: float):
         """(per-round probabilities of predicting 1, peak live groups) of
-        exponential weights at the given rate over the whole pool, on
-        rounds as many as the pool's horizon.
+        exponential weights at the given rate over the whole pool, on at
+        most the pool's horizon of rounds (fewer give a prefix); more
+        rounds, or a rate decay_factor refuses, raise ValueError.
 
         Groups map (state id, k) to their members' total weight, up to a
         common factor; see the module docstring for why this is exact.
         """
-        lazy = compiled(self.hc, self.u, LazyRobustAutomaton)
         horizon, d = self.horizon, self.dimension
+        if len(rounds) > horizon:
+            raise ValueError(f"need at most {horizon} rounds, got {len(rounds)}")
+        decay = decay_factor(rate)
+        lazy = compiled(self.hc, self.u, LazyRobustAutomaton)
         # futures[n][m] = subset_expert_count(n, m), by N(n, m) = N(n-1, m) + N(n-1, m-1)
         futures = [[1] * (d + 1)]
         for _ in range(horizon):
             row = futures[-1]
             futures.append([1] + [row[m] + row[m - 1] for m in range(1, d + 1)])
-        decay = math.exp(-rate)
         groups = {(0, 0): 1.0}
         probs, peak = [], 0
         for t, (z, x, y) in enumerate(rounds):
@@ -185,7 +187,7 @@ def mc_regret(hc: HypothesisClass, u: PerturbationMap, rounds, seeds, dimension=
     summarized as seeded_mistakes does; a one-seed run is seeds=[seed]."""
     rounds = list(rounds)
     exact = expected_regret(hc, u, rounds, dimension)
-    labels = np.array([y for _, _, y in rounds])
+    labels = [y for _, _, y in rounds]
     coins = COIN_TABLES.blocks("agnostic", seeds, len(rounds), derive_rng)
     stats = seeded_mistakes(exact["probabilities"], labels, coins, offset=exact["comparator"])
     return {**exact, **stats}

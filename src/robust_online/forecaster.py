@@ -27,7 +27,9 @@ the bounds above are about, and every gate reads it.  The subset experts
 (agnostic) have no rows: their pool computes the probabilities by groups
 and shares only the scoring.  Over a few experts, NumPy calls would cost
 more than the arithmetic, and Python's sums run in one order on every
-host.  Only mc_regret and mc_family_mistakes still flip coins, for the
+host; the expected sum is math.fsum's, correctly rounded, so no order of
+the rounds, no host and no Python moves its last bit.  Only mc_regret
+and mc_family_mistakes still flip coins, for the
 realized samples the benchmark digests: seeded_mistakes scores every
 seed's coins in one NumPy array expression.  A seed's coins depend only
 on its (seed, stream) generator, never on the scenario, so COIN_TABLES
@@ -135,8 +137,9 @@ COIN_TABLES = CoinTables(cells=1 << 20)
 
 def expected_mistakes(probabilities, labels) -> float:
     """Exact expected mistakes of the forecaster: the sum over rounds of
-    p_t on label 0 and 1 - p_t on label 1, for 0/1 labels."""
-    return float(np.abs(np.asarray(labels) - np.asarray(probabilities)).sum())
+    p_t on label 0 and 1 - p_t on label 1, for 0/1 labels, correctly
+    rounded (builtin sum is compensated only from Python 3.12 on)."""
+    return math.fsum(1.0 - p if y else p for p, y in zip(probabilities, labels))
 
 
 def seeded_mistakes(probabilities, labels, coins, offset: int = 0) -> dict:
@@ -163,15 +166,22 @@ def seeded_mistakes(probabilities, labels, coins, offset: int = 0) -> dict:
     }
 
 
-def weight_trajectory(prediction_matrix, loss_matrix, rate: float) -> list[float]:
-    """Per-round probabilities of predicting 1, as a fresh forecaster fed
-    the 0/1 rows (one per expert, lists or arrays) column by column gives
-    them.  No experts, other shapes or entries, or a decay exp(-rate) not
-    in (0, 1), as a huge rate underflows to 0, raise ValueError."""
-    rows = (*prediction_matrix, *loss_matrix)
+def decay_factor(rate: float) -> float:
+    """exp(-rate), an erring weight's factor; ValueError unless it is in
+    (0, 1), as for nan, 0, a negative rate or one that underflows it to 0."""
     decay = math.exp(-max(rate, 0.0))  # max keeps a nan, and exp from overflowing
     if not 0.0 < decay < 1.0:
         raise ValueError(f"need exp(-rate) in (0, 1), got rate {rate!r}")
+    return decay
+
+
+def weight_trajectory(prediction_matrix, loss_matrix, rate: float) -> list[float]:
+    """Per-round probabilities of predicting 1, as a fresh forecaster fed
+    the 0/1 rows (one per expert, lists or arrays) column by column gives
+    them.  No experts, other shapes or entries, or a rate decay_factor
+    refuses raise ValueError."""
+    rows = (*prediction_matrix, *loss_matrix)
+    decay = decay_factor(rate)
     if not rows or len(prediction_matrix) != len(loss_matrix) or len(set(map(len, rows))) > 1:
         raise ValueError("need one prediction and one loss row of one length per expert")
     if not set().union(*rows) <= {0, 1}:

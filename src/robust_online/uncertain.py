@@ -22,7 +22,7 @@ halving takes its votes from the prediction lists,
 family_expected_mistakes sums the forecaster trajectory's exact expected
 mistakes, and mc_family_mistakes adds each forecaster seed's mistakes,
 scored with the seeds' cached coin table.  NumPy runs only inside
-forecaster's expected_mistakes and coin scoring.
+forecaster's coin scoring.
 
 Experts run tolerantly.  Under a wrong assumed map the shown input can sit
 outside the assumed perturbation set of the revealed instance, reveals can

@@ -27,10 +27,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from robust_online import acceptance
-from robust_online.acceptance import CRITERIA, FULL, SCALES
+from robust_online.acceptance import CRITERIA, FULL, SCALES, _slope
 
 DATA = Path(__file__).parent / "data"
 
@@ -91,6 +94,16 @@ def test_criterion_10_family_ewa_bound():
 
 def test_criterion_11_random_label_scaling_slope():
     run(11)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.lists(st.floats(0, 10), min_size=3, max_size=3),
+    st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+)
+def test_criterion_11_slope_is_the_least_squares_fit(xs, ys):
+    assume(max(xs) - min(xs) >= 1)
+    assert abs(_slope(xs, ys) - np.polyfit(xs, ys, 1)[0]) <= 1e-12
 
 
 def test_criterion_12_check_output_reproducibility():

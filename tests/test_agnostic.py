@@ -242,6 +242,28 @@ def test_pinned_regret_estimates():
     )
 
 
+@pytest.mark.parametrize(
+    "count, rate",
+    [(8, 0.5), (6, 0.5), (5, math.nan), (5, 0.0), (5, -1.0), (5, 1e6), (5, math.inf)],
+    ids=["8-rounds", "6-rounds", "rate-nan", "rate-0", "rate-negative", "rate-underflowing-decay",
+         "rate-inf"],
+)
+def test_group_replay_refuses_what_it_is_not_defined_for(count, rate):
+    hc, u = full_class(2), total_map(2)
+    rounds = corrupted_rounds(hc, u, 8, 2, seed=3)
+    with pytest.raises(ValueError):
+        build_subset_experts(hc, u, 5).group_trajectory(rounds[:count], rate)
+
+
+def test_group_replay_of_fewer_rounds_is_a_prefix():
+    hc, u = full_class(2), total_map(2)
+    rounds = corrupted_rounds(hc, u, 5, 2, seed=3)
+    pool = build_subset_experts(hc, u, 5)
+    probs, _ = pool.group_trajectory(rounds, 0.5)
+    for count in range(5):
+        assert pool.group_trajectory(rounds[:count], 0.5)[0] == probs[:count]
+
+
 def test_live_groups_stay_few():
     hc = HypothesisClass.from_tables([(0, 1)])
     u = identity_map(2)

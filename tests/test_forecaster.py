@@ -228,6 +228,20 @@ def test_regret_bound_one_perfect_expert():
     assert expected_mistakes(probs, labels) == pytest.approx(expected.sum(), abs=1e-9)
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.lists(st.tuples(st.floats(0, 1), st.integers(0, 1)), min_size=1, max_size=64),
+    st.data(),
+)
+def test_expected_mistakes_is_the_same_in_any_round_order(pairs, data):
+    """The sum is correctly rounded, so no order of the rounds and no host
+    moves its last bit; the NumPy sum it replaced stays the reference."""
+    probs, labels = zip(*pairs)
+    got = expected_mistakes(probs, labels)
+    assert expected_mistakes(*zip(*data.draw(st.permutations(pairs)))) == got
+    assert abs(got - np.abs(np.asarray(labels) - np.asarray(probs)).sum()) <= 1e-12
+
+
 HC2, U2 = full_class(2), identity_map(2)
 FAMILY2 = PerturbationFamily((U2, total_map(2)))
 ROUNDS2 = [(0, 0, 1), (1, 1, 0)]

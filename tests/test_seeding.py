@@ -97,6 +97,13 @@ def test_a_uniform_block_equals_its_scalar_draws(n):
     assert block.bit_generator.random_raw() == calls.bit_generator.random_raw()
 
 
+@pytest.mark.parametrize("rows, n", [(1, 1), (3, 5), (4, 256), (2, 129)])
+def test_a_uniform_matrix_equals_its_rows_decoded_one_call_each(rows, n):
+    block, draws = derive_rng(1, "uniform-rows", rows, n), Draws(1, "uniform-rows", rows, n)
+    assert block.random((rows, n)).tolist() == [draws.random(n) for _ in range(rows)]
+    assert block.random() == draws.random()
+
+
 # 3 * 2**30 rejects a quarter of all words, so its blocks run out and are
 # refilled; 2**32 reads each word as it is
 @pytest.mark.parametrize("bound", [2, 3, 7, 3 * 2**30, 2**31 + 1, 2**32 - 5, 2**32])
