@@ -22,8 +22,6 @@ from blocks of raw 32-bit words (seeding.BoundedDraws).
 
 from itertools import chain
 
-import numpy as np
-
 from .dimension import AdversarialTree
 from .learners import OrientationQuery
 from .model import HypothesisClass, PerturbationMap, check_label_mode, compiled
@@ -150,15 +148,13 @@ class _Choices:
     def first_playable(self, rng) -> tuple[int, ...]:
         """codes(h) of the first hypothesis, in a random order, that has any.
 
-        Returns () when no hypothesis has playable choices.  Shuffling an
-        arange makes the same Fisher-Yates swaps from the same bounded
-        draws as shuffling a list of the ids, at a fraction of the cost on
-        large classes.  Its ids are read lazily, since the walk mostly
-        stops at the first one.
+        Returns () when no hypothesis has playable choices.
+        rng.permutation(n) shuffles an arange, making the same Fisher-Yates
+        swaps from the same bounded draws as shuffling a list of the ids,
+        at a fraction of the cost on large classes.  Its ids are read
+        lazily, since the walk mostly stops at the first one.
         """
-        ids = np.arange(len(self._codes))
-        rng.shuffle(ids)
-        for h in map(int, ids):
+        for h in map(int, rng.permutation(len(self._codes))):
             found = self.codes(h)
             if found:
                 return found

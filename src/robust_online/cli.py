@@ -36,6 +36,7 @@ from .runner import run_game, run_scenario, transcript_to_json
 from .scenario import (
     MAX_DIGITS,
     MAX_HORIZON,
+    MAX_LABELS,
     CorpusParams,
     STRATA,
     generate_corpus,
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--count", type=_at_least(1), default=20)
     g.add_argument("--seed", type=_integer, default=0)
     # None when not given: family scenarios are binary and unstratified
-    g.add_argument("--labels", type=_at_least(2), help="label count (default 2)")
+    g.add_argument("--labels", type=_at_least(2, MAX_LABELS), help="label count (default 2)")
     g.add_argument("--strata", nargs="+", choices=STRATA, help="strata (default all)")
     g.add_argument("--family", action="store_true", help="generate family scenarios")
     g.add_argument("--out", required=True)

@@ -155,15 +155,18 @@ class LearnerContext:
         A mistake feeds the orientation state one wrongly oriented query
         ((x, x2), (y, y2)), x2 a candidate of another label y2.  Its
         revealed side is (x, y) whichever x2 it is, so the search only
-        decides whether one exists; by the argument of _decide, one does
-        exactly when some other label's best side D[y2] > d(x, y), or
-        D[y2] = d(x, y) and y2 < y.  Given an events list, step logs in
-        order z outside U(x) (the map may be only a belief), a mistake
-        with no such counterpart, and a reveal that empties the robust
-        mask.  Without one, an emptied state is returned as it is: no
-        candidate survives in it, so no counterpart is fed and the AND
-        keeps the mask 0, and a silent step never decides a memo entry
-        of an emptied state.
+        decides whether one exists: a candidate whose key (d(x2, y2), -y2)
+        beats (d(x, y), -y).  The prediction p differs from y, and _decide
+        chose p as the label with the largest key (D[p], -p) over every
+        label with a candidate, so some candidate of another label beats
+        the revealed side exactly when one of p's does; when no label has
+        a candidate, p has none either.  So only p's candidates are
+        scanned.  Given an events list, step logs in order z outside U(x)
+        (the map may be only a belief), a mistake with no such
+        counterpart, and a reveal that empties the robust mask.  Without
+        one, an emptied state is returned as it is: no candidate survives
+        in it, so no counterpart is fed and the AND keeps the mask 0, and
+        a silent step never decides a memo entry of an emptied state.
         """
         mask, orientation_mask = self.states[s]
         if events is None:
@@ -172,16 +175,14 @@ class LearnerContext:
         elif z not in self.u.forward[x]:
             events.append("input-outside-belief")
         revealed = self.masks[x][y]
-        if self.predict(s, z) != y:
+        if (p := self.predict(s, z)) != y:
             dim, masks = self.engine.dimension_of_mask, self.masks
             d = dim(orientation_mask & revealed)
-            # d(x2, y2) > d, or d(x2, y2) = d and y2 < y
+            # d(x2, p) > d, or d(x2, p) = d and p < y
             if any(
-                dim(orientation_mask & masks[x2][y2]) >= d + (y2 > y)
-                for y2 in range(self.hc.label_count)
-                if y2 != y
+                dim(orientation_mask & masks[x2][p]) >= d + (p > y)
                 for x2 in self.game.inputs[z]
-                if mask & masks[x2][y2]
+                if mask & masks[x2][p]
             ):
                 orientation_mask &= revealed
             elif events is not None:

@@ -22,6 +22,7 @@ the mode is no option.  The masks refuse fewer than two labels.
 """
 
 import itertools
+from functools import cached_property
 from dataclasses import dataclass, field
 
 from .errors import DomainError, LimitExceeded
@@ -167,17 +168,6 @@ def compiled(hc: HypothesisClass, u: PerturbationMap, build, *args):
     return value
 
 
-class _built_once:
-    """functools.cached_property without its lock (taken on Python < 3.12)."""
-
-    def __init__(self, build):
-        self.build, self.name = build, build.__name__
-
-    def __get__(self, obj, owner=None):
-        value = obj.__dict__[self.name] = self.build(obj)
-        return value
-
-
 class Game:
     """The moves of the realizable games on one (class, map) pair.
 
@@ -190,7 +180,8 @@ class Game:
     labels); witness extraction and the searches' tie-breaks rely on it.
     inputs[z] is the increasing tuple of the x with z in U(x), the robust
     game's reveals on input z.  The nodes and the inputs are built on
-    their first read, lock-free.  Got through game(hc, u).
+    their first read and kept (functools.cached_property; Python < 3.12
+    takes a lock on that read).  Got through game(hc, u).
     """
 
     def __init__(self, hc: HypothesisClass, u: PerturbationMap):
@@ -219,7 +210,7 @@ class Game:
             masks.append(tuple(row))
         self.masks = tuple(masks)
 
-    @_built_once
+    @cached_property
     def nodes(self):
         n, masks, fwd = self.label_count, self.masks, self.forward
         label_pairs = [(0, 1)] if n == 2 else [(a, b) for a in range(n) for b in range(n) if a != b]
@@ -232,7 +223,7 @@ class Game:
             for labels in label_pairs
         )
 
-    @_built_once
+    @cached_property
     def inputs(self) -> tuple[tuple[Instance, ...], ...]:
         inputs = [[] for _ in self.forward]
         for x, targets in enumerate(self.forward):

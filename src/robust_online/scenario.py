@@ -64,6 +64,9 @@ DEFAULT_LABELS = ("0", "1")
 # the longest game a scenario or a CLI flag may ask for: every round is
 # stored, so a longer horizon would only exhaust memory or time
 MAX_HORIZON = 2**20
+# the most labels a generated corpus may have: every scenario names every
+# label, so each one costs a name in every scenario file it writes
+MAX_LABELS = 2**16
 # the most digits an integer value may have: int() and str() refuse more
 # than 4,300, and a seed leaves room for the digits derived seeds append
 MAX_DIGITS = 4000
@@ -398,6 +401,8 @@ class CorpusParams:
         # the text format, which every corpus scenario round-trips, needs two
         if self.label_count < 2:
             raise DomainError(f"a corpus needs at least two labels, got {self.label_count}")
+        if self.label_count > MAX_LABELS:
+            raise DomainError(f"a corpus has at most {MAX_LABELS} labels, got {self.label_count}")
         if self.count < 0:
             raise DomainError(f"a corpus count must be nonnegative, got {self.count}")
         if not self.strata or not set(self.strata) <= set(STRATA):

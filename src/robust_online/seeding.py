@@ -136,6 +136,8 @@ class Draws:
 
     def integers(self, k: int) -> int:
         """rng.integers(k) for 1 <= k <= 2^32; k = 1 reads nothing."""
+        if not 1 <= k <= 1 << 32:
+            raise ValueError(f"bound {k} is outside 1..2**32")
         while k > 1:
             m = self._word() * k
             if _kept(m, k):
@@ -170,6 +172,8 @@ class Draws:
 
     def rows(self, k: int, r: int, n: int) -> list[tuple[int, ...]]:
         """rng.integers(0, k, size=(r, n)) for 1 < k <= 2^32, as r tuples."""
+        if not 1 < k <= 1 << 32:
+            raise ValueError(f"bound {k} is outside 2..2**32")
         if self.at + r * n > len(self.words):
             self._read(r * n)
         words = self.words[self.at : self.at + r * n]

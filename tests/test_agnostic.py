@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from robust_online import (
-    CorpusParams,
     HypothesisClass,
     PerturbationFamily,
     PerturbationMap,
@@ -19,7 +18,6 @@ from robust_online import (
     family_expected_mistakes,
     family_halving_run,
     full_class,
-    generate_corpus,
     halving_bound,
     identity_map,
     mc_family_mistakes,
@@ -29,7 +27,7 @@ from robust_online import (
     total_map,
 )
 from robust_online import agnostic
-from robust_online.acceptance import FULL, _robust_usable, _sub_seed
+from robust_online.acceptance import FULL, _agnostic_sequences
 from robust_online.adversaries import corrupt_labels, realizable_robust_rounds
 from robust_online.agnostic import hypothesis_losses
 from robust_online.errors import DomainError
@@ -206,22 +204,10 @@ def pinned_estimates():
     full scale, then one corrupted sequence per (dimension, horizon) shape
     of the benchmark's regret estimates, on the first of those classes
     with that dimension."""
-    corpus = generate_corpus(
-        CorpusParams(count=FULL.agnostic_scenarios * 8, seed=_sub_seed(0, 8))
-    )
-    first, used = {}, 0
-    for idx, sc in enumerate(corpus):
-        if used == FULL.agnostic_scenarios:
-            break
-        hc, u = sc.hypotheses, sc.truth
-        dim = adversarial_dimension(hc, u)
-        if not 1 <= dim <= 2 or not _robust_usable(hc, u):
-            continue
+    first = {}
+    for hc, u, rounds, dim in _agnostic_sequences(FULL, 0):
         first.setdefault(dim, (hc, u))
-        rng = derive_rng(0, "crit8", idx)
-        rounds = realizable_robust_rounds(hc, u, FULL.agnostic_horizon, rng)
-        yield hc, u, corrupt_labels(rounds, 2, hc.label_count, rng), dim
-        used += 1
+        yield hc, u, rounds, dim
     for dim, horizon in REPLAY_SHAPES:
         hc, u = first[dim]
         rng = derive_rng(0, "pinned-regret", dim, horizon)

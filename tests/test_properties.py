@@ -632,11 +632,14 @@ def update_error(learner, z, x, y):
 
 
 @PROPERTY
-@given(games(), st.booleans(), st.data())
+@given(games(max_labels=4), st.booleans(), st.data())
 def test_the_reduction_steps_like_the_object_reference(game, strict, data):
     """Round by round, the package learner (a state id on its context)
     predicts, logs and moves like the object reduction of the reference,
     which decides every prediction afresh on a fresh copy of the class.
+    Up to four labels: from three on, the package's counterpart search
+    scans the predicted label's candidates only, the reference every
+    other label's.
     Each round is the next of a realizable sequence or an arbitrary
     reveal, so z may lie outside U(x), the version space may empty and a
     mistake may find no counterpart.  A strict learner raises the same

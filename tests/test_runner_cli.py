@@ -645,6 +645,11 @@ f: f
             "--seed: expected an integer, got '99999999999999999999... (5001 characters)'",
         ),
         (("adversary", "{scn}", "--tie-break", "high"), "unrecognized arguments: --tie-break high"),
+        # a label count past 2^32 once drew forever
+        (
+            ("gen-corpus", "--labels", "4294967297", "--count", "1", "--out", "{out}"),
+            "--labels: must be at most 65536, got 4294967297",
+        ),
     ],
 )
 def test_cli_rejects_bad_input_without_traceback(tmp_path, args, message):

@@ -17,7 +17,7 @@ from robust_online import (
     try_parse_scenario,
 )
 from robust_online.errors import DomainError, ScenarioFormatError
-from robust_online.scenario import MAX_DIGITS, STRATA
+from robust_online.scenario import MAX_DIGITS, MAX_LABELS, STRATA
 
 GOOD = """\
 # toy scenario
@@ -440,6 +440,13 @@ def test_corpus_scenarios_parse_back():
 def test_corpus_needs_two_labels(labels):
     with pytest.raises(DomainError, match="at least two labels"):
         generate_corpus(CorpusParams(count=1, label_count=labels))
+
+
+@pytest.mark.parametrize("labels", [MAX_LABELS + 1, 2**32 + 1])
+def test_corpus_params_refuse_more_labels_than_a_scenario_can_name(labels):
+    # every scenario names every label; past 2^32 the label draws never ended
+    with pytest.raises(DomainError, match=f"at most {MAX_LABELS} labels"):
+        CorpusParams(count=1, label_count=labels)
 
 
 @pytest.mark.parametrize(

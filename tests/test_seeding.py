@@ -139,6 +139,26 @@ def test_a_bound_outside_the_words_range_raises(bound):
         BoundedDraws(derive_rng(1, "bounded")).integer(bound, 1)
 
 
+# Lemire's step keeps no 32-bit word for a bound past 2^32, so such a draw
+# would loop forever; rows() also refuses the bound 1, integers() takes it.
+# Both ends of the range decode in the property below (BOUNDS)
+@pytest.mark.parametrize(
+    "draw, bound",
+    [
+        ("integers", 0),
+        ("integers", -1),
+        ("integers", 2**32 + 1),
+        ("rows", 1),
+        ("rows", 0),
+        ("rows", 2**32 + 1),
+    ],
+)
+def test_a_draws_bound_outside_the_words_range_raises(draw, bound):
+    draws = Draws(1, "bounded")
+    with pytest.raises(ValueError, match="outside"):
+        draws.integers(bound) if draw == "integers" else draws.rows(bound, 1, 2)
+
+
 # an odd count leaves the last word's high half unread; 63, 64 and 65
 # straddle a 64-label boundary, 1023 and 1024 the criterion's longest
 # horizon
