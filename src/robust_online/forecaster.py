@@ -29,12 +29,13 @@ and shares only the scoring.  Over a few experts, NumPy calls would cost
 more than the arithmetic, and Python's sums run in one order on every
 host; the expected sum is math.fsum's, correctly rounded, so no order of
 the rounds, no host and no Python moves its last bit.  Only mc_regret
-and mc_family_mistakes still flip coins, for the
-realized samples the benchmark digests: seeded_mistakes scores every
-seed's coins in one NumPy array expression.  A seed's coins depend only
-on its (seed, stream) generator, never on the scenario, so COIN_TABLES
-builds each (stream, seeds) table of uniforms once per process and keeps
-it in an LRU bounded by a fixed number of cells.  Row i holds the first
+and mc_family_mistakes still flip coins, for the realized samples the
+benchmark digests: seeded_mistakes scores every seed's coins in one
+NumPy array expression and summarizes them with the ufuncs of
+ndarray.mean and std.  A seed's coins depend only on its (seed, stream)
+generator, never on the scenario, so COIN_TABLES builds each (stream,
+seeds) table once per process, keyed by the estimates' range of seeds,
+and keeps it in an LRU of a fixed number of cells.  Row i holds the first
 draws of the i-th seed's generator: random(T) is a prefix of random(T')
 for T' > T, so a kept table answers any shorter horizon, and a one-seed
 run is the same computation as a Monte-Carlo one.  A table too big to
@@ -86,7 +87,8 @@ class CoinTables:
     blocks(stream, seeds, horizon, derive) gives row blocks whose i-th row
     across them is derive(seeds[i], stream).random(horizon); derive is
     derive_rng or a wrapper of it, which hashes each seed's str(), so a
-    key of the seeds' str() forms fixes every row.  Rows are
+    key of the seeds' str() forms fixes every row, and so does a range of
+    seeds, whose elements are ints: it is its own key.  Rows are
     drawn only for a table not kept at a long enough horizon; a kept one
     is sliced.  Kept tables hold at most `cells` doubles in all.  A table
     above that is never kept: it comes as blocks of at most
@@ -100,8 +102,10 @@ class CoinTables:
         self.tables: OrderedDict = OrderedDict()
 
     def blocks(self, stream: str, seeds, horizon: int, derive):
-        seeds = tuple(seeds)
-        key = (stream, tuple(map(str, seeds)))
+        key = (stream, seeds)  # a range of seeds is its own key
+        if not isinstance(seeds, range):
+            seeds = tuple(seeds)
+            key = (stream, tuple(map(str, seeds)))
         table = self.tables.get(key)
         if table is not None and table.shape[1] >= horizon:
             self.tables.move_to_end(key)
@@ -152,16 +156,20 @@ def seeded_mistakes(probabilities, labels, coins, offset: int = 0) -> dict:
     minus offset; mean, std (ddof 1) and stderr summarize them, the last
     two being 0.0 for a single seed.
     """
-    probs = np.asarray(probabilities)
+    probs, labels = np.asarray(probabilities), np.asarray(labels)
     mistakes = [((block < probs) != labels).sum(axis=1) for block in coins]
     if not any(len(m) for m in mistakes):
         raise DomainError("need at least one seed")
-    values = np.concatenate(mistakes).astype(float) - offset
-    std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    counts = mistakes[0] if len(mistakes) == 1 else np.concatenate(mistakes)
+    values, n = counts.astype(float) - offset, len(counts)
+    # the ufuncs of ndarray.mean and std(ddof=1), in their order: the same bits
+    mean = np.add.reduce(values) / n
+    deviations = values - mean
+    std = math.sqrt(np.add.reduce(deviations * deviations) / (n - 1)) if n > 1 else 0.0
     return {
-        "mean": float(values.mean()),
+        "mean": float(mean),
         "std": std,
-        "stderr": std / math.sqrt(len(values)),
+        "stderr": std / math.sqrt(n),
         "values": values.tolist(),
     }
 

@@ -73,6 +73,13 @@ def _soa_label(d0: int, d1: int, y0: int, y1: int) -> int:
     return min(y0, y1)
 
 
+@cache
+def _memo_typecode(label_count: int) -> tuple[str, int]:
+    """The narrowest array typecode whose largest value is not a label, and that value."""
+    typecode = next(t for t in "BHIQ" if label_count < 256 ** array(t).itemsize)
+    return typecode, 256 ** array(typecode).itemsize - 1
+
+
 class LearnerContext:
     """What the optimal learners of one (class, map) share, and the robust
     reduction itself: the Game, its masks, the dimension engine, the
@@ -96,8 +103,7 @@ class LearnerContext:
         self.n = u.instance_count
         self.states = [(self.full, self.full)]
         self._ids = {self.states[0]: 0}
-        typecode = next(t for t in "BHIQ" if hc.label_count < 256 ** array(t).itemsize)
-        self.undecided = 256 ** array(typecode).itemsize - 1
+        typecode, self.undecided = _memo_typecode(hc.label_count)
         self._row = array(typecode, [self.undecided]) * self.n
         self.predictions = array(typecode, self._row)
 
@@ -139,10 +145,10 @@ class LearnerContext:
         side before it.
         """
         mask, orientation_mask = self.states[s]
-        dim, masks = self.engine.dimension_of_mask, self.masks
+        dim, masks, xs = self.engine.dimension_of_mask, self.masks, self.game.inputs[z]
         winner, top = int(self.hc.is_binary), NO_CANDIDATE  # no winner: 1 on two labels, 0 on more
         for y in range(self.hc.label_count):
-            for x in self.game.inputs[z]:
+            for x in xs:
                 m = masks[x][y]
                 if mask & m and (d := dim(orientation_mask & m)) > top:
                     winner, top = y, d

@@ -274,18 +274,6 @@ def restrict(v: VersionSpace, x: Instance, y: Label, u: PerturbationMap) -> Vers
     return VersionSpace(hc, v.mask & consistency_masks(hc, u)[x][y])
 
 
-def surviving_mask(pairs, hc: HypothesisClass, u: PerturbationMap) -> int:
-    """Bitmask of hypotheses with zero adversarial loss on every given pair."""
-    masks = consistency_masks(hc, u)
-    m = (1 << hc.size) - 1
-    for x, y in pairs:
-        _check_pair(hc, x, y)
-        m &= masks[x][y]
-        if m == 0:
-            break
-    return m
-
-
 def _check_pair(hc: HypothesisClass, x: Instance, y: Label) -> None:
     if not 0 <= x < hc.instance_count:
         raise DomainError(f"instance id {x} outside [0, {hc.instance_count})")

@@ -102,7 +102,8 @@ def run_robust_game(
     """Drive one robust game to adversary exhaustion or the horizon.
 
     Returns (transcript rounds, dimension trace or None).  Asserts each
-    round that the revealed clean instance perturbs to the shown input.
+    round that the shown input and the revealed clean instance are in
+    range, before reading them, and that the instance perturbs to the input.
     """
     rounds = []
     trace = [] if track_dimension else None
@@ -116,6 +117,8 @@ def run_robust_game(
             raise ProtocolViolation(f"round {t}: shown input {z} is out of range")
         pred = learner.predict(z)
         x, y = adversary.reveal(pred)
+        if not 0 <= x < n:
+            raise ProtocolViolation(f"round {t}: clean instance {x} is out of range")
         if z not in u.forward[x]:
             raise ProtocolViolation(
                 f"round {t}: clean instance {x} does not perturb to shown input {z}"
@@ -137,11 +140,11 @@ def run_orientation_game(
     horizon: int,
     track_dimension: bool = False,
 ):
-    """Drive one orientation game; queries must name compatible pairs."""
+    """Drive one orientation game; queries name compatible pairs and two distinct labels."""
     rounds = []
     trace = [] if track_dimension else None
     engine = get_engine(hc, u) if track_dimension else None
-    n = u.instance_count
+    n, labels = u.instance_count, hc.label_count
     for t in range(horizon):
         query = adversary.query()
         if query is None:
@@ -153,6 +156,9 @@ def run_orientation_game(
             raise ProtocolViolation(
                 f"round {t}: query pair {query.pair} has disjoint perturbation sets"
             )
+        y0, y1 = ys = query.labels
+        if not (0 <= y0 < labels and 0 <= y1 < labels) or y0 == y1:
+            raise ProtocolViolation(f"round {t}: query labels {ys} are not two distinct labels")
         pred = learner.predict(query)
         side = adversary.reveal(pred)
         if side not in (0, 1):

@@ -17,10 +17,11 @@ the true map:
 
 Every expert sees every reveal, dead or alive, so both learners read one
 replay of the experts over the fixed sequence, each a state id stepped on
-its member's LearnerContext, into plain 0/1 prediction and loss lists:
-halving takes its votes from the prediction lists,
-family_expected_mistakes sums the forecaster trajectory's exact expected
-mistakes, and mc_family_mistakes adds each forecaster seed's mistakes,
+its member's LearnerContext, into plain 0/1 prediction and loss lists and
+each member's final robust mask: halving takes its votes from the
+prediction lists, family_expected_mistakes sums the forecaster
+trajectory's exact expected mistakes and reads realizability off the
+final masks, and mc_family_mistakes adds each forecaster seed's mistakes,
 scored with the seeds' cached coin table.  NumPy runs only inside
 forecaster's coin scoring.
 
@@ -45,7 +46,7 @@ from .forecaster import (
     weight_trajectory,
 )
 from .learners import binary_context
-from .model import HypothesisClass, PerturbationMap, checked_rounds, surviving_mask
+from .model import HypothesisClass, PerturbationMap, checked_rounds
 from .seeding import derive_rng
 
 
@@ -84,20 +85,23 @@ class PerturbationFamily:
 
 
 def _replay(hc: HypothesisClass, members, rounds):
-    """(predictions, losses), each a list of one 0/1 list per member over
-    the rounds: each member's tolerant expert, a state id on its binary
-    context, predicts on the shown input and steps on the reveal."""
+    """(predictions, losses, masks): 0/1 lists per member over the rounds,
+    and each member's final robust mask, the AND of its masks[x][y] over
+    the reveals (a step ANDs each in, and an emptied mask stays empty):
+    each member's tolerant expert, a state id on its binary context,
+    predicts on the shown input and steps on the reveal."""
     if not rounds:
         raise DomainError("need at least one round")
     rounds = checked_rounds(hc, rounds)
-    preds = []
+    preds, masks = [], []
     for u in members:
         ctx, s, row = binary_context(hc, u), 0, []
         for z, x, y in rounds:
             row.append(ctx.predict(s, z))
             s = ctx.step(s, z, x, y)
         preds.append(row)
-    return preds, [[int(p != y) for p, (_, _, y) in zip(row, rounds)] for row in preds]
+        masks.append(ctx.states[s][0])
+    return preds, [[int(p != y) for p, (_, _, y) in zip(row, rounds)] for row in preds], masks
 
 
 def family_loss_budget(hc: HypothesisClass, family: PerturbationFamily) -> int:
@@ -109,23 +113,6 @@ def family_loss_budget(hc: HypothesisClass, family: PerturbationFamily) -> int:
     return max(adversarial_dimension(hc, u) for u in family.members)
 
 
-def sequence_realizable(hc: HypothesisClass, members, rounds) -> bool:
-    """True when some member explains the whole sequence.
-
-    A member explains it when every shown input lies in its perturbation
-    set of the revealed instance and some hypothesis has zero adversarial
-    loss on every revealed pair.
-    """
-    rounds = checked_rounds(hc, rounds)
-    pairs = [(x, y) for _, x, y in rounds]
-    for u in members:
-        if all(z in u.forward[x] for z, x, _ in rounds) and surviving_mask(
-            pairs, hc, u
-        ):
-            return True
-    return False
-
-
 def family_expected_mistakes(
     hc: HypothesisClass, family: PerturbationFamily, rounds, budget=None
 ) -> dict:
@@ -134,14 +121,16 @@ def family_expected_mistakes(
 
     The experts are replayed once and the forecaster runs at the loss-budget
     rate for the family size; budget defaults to family_loss_budget, and
-    one that is not a nonnegative integer (a bool neither) is refused.
+    one that is not a nonnegative integer (a bool neither) is refused.  A
+    member explains the rounds when each z lies in its U(x) and its final
+    mask is not empty; the rounds are realizable when one does.
     """
     if budget is not None and (
         isinstance(budget, bool) or not isinstance(budget, Integral) or budget < 0
     ):
         raise DomainError(f"the loss budget must be a nonnegative integer, got {budget!r}")
     rounds = list(rounds)
-    preds, losses = _replay(hc, family.members, rounds)
+    preds, losses, masks = _replay(hc, family.members, rounds)
     if budget is None:
         budget = family_loss_budget(hc, family)
     probs = weight_trajectory(preds, losses, loss_budget_rate(len(family), budget))
@@ -150,7 +139,10 @@ def family_expected_mistakes(
         "budget": budget,
         "bound": small_loss_bound(len(family), budget),
         "best_expert": min(map(sum, losses)),
-        "realizable": sequence_realizable(hc, family.members, rounds),
+        "realizable": any(
+            mask and all(z in u.forward[x] for z, x, _ in rounds)
+            for u, mask in zip(family.members, masks)
+        ),
         "probabilities": probs,
     }
 
@@ -214,7 +206,7 @@ def family_halving_run(
     one mistake of the true member's expert, so halving_bound holds.
     """
     rounds = list(rounds)
-    preds, losses = _replay(hc, family.members, rounds)
+    preds, losses, _ = _replay(hc, family.members, rounds)
     everyone = alive = range(len(family))
     phase_mistakes = [0]
     for (_, _, y), votes, errs in zip(rounds, zip(*preds), zip(*losses)):

@@ -45,7 +45,7 @@ from robust_online import (
 )
 from robust_online.errors import DomainError, ProtocolViolation, SearchInvariantError
 from robust_online.learners import LazyRobustLearner
-from robust_online.model import consistency_masks, surviving_mask
+from robust_online.model import consistency_masks
 from robust_online.runner import GameTranscript, OrientationRound, RobustRound
 from robust_online.scenario import (
     _CHOICES,
@@ -109,8 +109,20 @@ def adversarial_loss(h: Hypothesis, x: int, y: int, u: PerturbationMap) -> int:
 
 
 def is_realizable_sequence(pairs, hc, u: PerturbationMap) -> bool:
-    """True iff one hypothesis has zero adversarial loss on the whole sequence."""
-    return surviving_mask(pairs, hc, u) != 0
+    """True iff one hypothesis has zero adversarial loss on the whole
+    sequence, read off the class's tables and the map's forward sets."""
+    return any(all(t[z] == y for x, y in pairs for z in u.forward[x]) for t in hc.tables)
+
+
+def family_explains(hc, members, rounds) -> bool:
+    """True iff some member explains the robust rounds (z, x, y): every
+    shown input lies in its perturbation set of the revealed instance,
+    and one hypothesis has zero adversarial loss on every revealed pair."""
+    pairs = [(x, y) for _, x, y in rounds]
+    return any(
+        all(z in u.forward[x] for z, x, _ in rounds) and is_realizable_sequence(pairs, hc, u)
+        for u in members
+    )
 
 
 def plain_worst_case(hc, u, game):

@@ -34,7 +34,6 @@ from robust_online.errors import DomainError
 from robust_online.learners import LazyRobustAutomaton
 from robust_online.model import compiled, consistency_masks
 from robust_online.seeding import derive_rng
-from robust_online.uncertain import sequence_realizable
 
 from reference import adversarial_loss
 
@@ -415,7 +414,6 @@ def test_binary_only_entry_points_refuse_three_labels(name):
 ROUND_TAKERS = {
     **{k: f for k, f in BINARY_ONLY.items() if k not in ("halving_bound", "random_label_regret_sample")},
     "comparator_loss": lambda hc, u, fam, rounds: comparator_loss(hc, u, rounds),
-    "sequence_realizable": lambda hc, u, fam, rounds: sequence_realizable(hc, fam.members, rounds),
 }
 
 

@@ -375,6 +375,47 @@ def test_coin_tables_hold_at_most_their_cell_bound():
     assert list(tables.tables) == list(kept)
 
 
+def test_equal_int_seeds_give_their_rows_under_any_key():
+    """A range of seeds is its own key, and other seeds are keyed by their
+    str() forms; a range, a list and a tuple of NumPy ints, through one
+    cache, each give the rows of their seeds' own generators."""
+    tables, horizon = CoinTables(cells=1 << 10), 12
+    probs, labels = np.linspace(0, 1, horizon), np.arange(horizon) % 2
+    expected = plain_mistakes(probs, labels, "keys", range(5))
+    rows = [derive_rng(s, "keys").random(horizon).tolist() for s in range(5)]
+    for seeds in (range(5), list(range(5)), tuple(np.arange(5, dtype=np.int64))) * 2:
+        [table] = tables.blocks("keys", seeds, horizon, derive_rng)
+        assert table.tolist() == rows
+        got = seeded_mistakes(probs, labels, tables.blocks("keys", seeds, horizon, derive_rng))
+        assert got == expected
+
+
+def test_seed_tuples_that_compare_equal_keep_their_own_rows():
+    """(True, 2) == (1, 2) in Python, but their str() forms differ, and so
+    do the generators derive_rng gives them: through one cache, each tuple
+    gets its own rows."""
+    tables, horizon = CoinTables(cells=1 << 10), 12
+    got = []
+    for seeds in ((1, 2), (True, 2)):
+        [table] = tables.blocks("keys", seeds, horizon, derive_rng)
+        assert table.tolist() == [derive_rng(s, "keys").random(horizon).tolist() for s in seeds]
+        got.append(table[0].tolist())
+    assert got[0] != got[1]
+
+
+@pytest.mark.parametrize("count", [1, 300])
+@pytest.mark.parametrize("offset", [0, 3])
+def test_the_seed_summary_has_numpys_bits(count, offset):
+    """seeded_mistakes' mean, std and stderr are the bits of NumPy's mean
+    and std(ddof=1): on one seed, and on more than 128, where NumPy's
+    pairwise sum splits, with and without an offset."""
+    rng, horizon = np.random.default_rng(count + offset), 12
+    probs, labels = rng.random(horizon), rng.integers(0, 2, horizon)
+    coins = CoinTables(cells=1 << 20).blocks("summary", range(count), horizon, derive_rng)
+    got = seeded_mistakes(probs, labels.tolist(), coins, offset=offset)
+    assert got == plain_mistakes(probs, labels, "summary", range(count), offset)
+
+
 def test_an_over_bound_estimate_keeps_one_block_at_a_time():
     """400 seeds by 500 rounds is a 1.6 MB table; in blocks of 4 rows the
     estimate's peak stays a small fraction of it."""

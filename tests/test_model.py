@@ -18,7 +18,6 @@ from robust_online import (
     total_map,
 )
 from robust_online.errors import DomainError
-from robust_online.model import surviving_mask
 
 from reference import adversarial_loss, compatible_pairs, empty_map, is_realizable_sequence
 
@@ -147,20 +146,6 @@ def test_realizable_contradictory_labels_fail_everywhere():
 def test_realizable_constant_class():
     hc = HypothesisClass.from_tables([(0, 0)])
     assert is_realizable_sequence([(1, 0)], hc, total_map(2))
-
-
-def test_surviving_mask_matches_restrict_chain():
-    rng = np.random.default_rng(23)
-    for _ in range(30):
-        n = int(rng.integers(2, 5))
-        hc = full_class(n)
-        sets = [set(np.flatnonzero(rng.integers(0, 2, n))) for _ in range(n)]
-        u = PerturbationMap.from_sets(sets)
-        seq = [(int(rng.integers(n)), int(rng.integers(2))) for _ in range(5)]
-        v = VersionSpace.full(hc)
-        for x, y in seq:
-            v = restrict(v, x, y, u)
-        assert surviving_mask(seq, hc, u) == v.mask
 
 
 def test_perturbation_map_rejects_out_of_range_targets():

@@ -107,6 +107,7 @@ from reference import (
     compatible_pairs,
     enumerated_expected_mistakes,
     expert_matrices,
+    family_explains,
     one_row_per_call_tables,
     plain_subset_pool,
     plain_worst_case,
@@ -1142,6 +1143,62 @@ def test_family_replay_equals_the_stepwise_loops(game, rounds, seed):
         expert_mistakes=expert_mistakes,
         alive_count=alive,
     )
+
+
+@st.composite
+def family_sequences(draw):
+    """(binary class, family, rounds): the truth's realizable rounds, some
+    of them with corrupted labels, or arbitrary reveals."""
+    hc, family = draw(families())
+    n = hc.instance_count
+    rng = derive_rng(draw(st.integers(0, 2**16)), "family-sequences")
+    rounds = realizable_robust_rounds(hc, family.truth, draw(st.integers(1, 8)), rng)
+    kind = draw(st.sampled_from(["realizable", "corrupted", "arbitrary"]))
+    if kind == "arbitrary" or not rounds:
+        reveals = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 1))
+        rounds = draw(st.lists(reveals, min_size=1, max_size=8))
+    elif kind == "corrupted":
+        rounds = corrupt_labels(rounds, draw(st.integers(1, 3)), 2, rng)
+    return hc, family, rounds
+
+
+HC5 = HypothesisClass.from_tables([(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 1)])
+FAMILY5 = PerturbationFamily(
+    (
+        PerturbationMap.from_sets([{0, 1}, {1}, {1, 2}]),
+        identity_map(3),
+        total_map(3),
+        PerturbationMap.from_sets([{0}, {0, 1}, {2}]),
+    ),
+    1,
+)
+
+
+@PROPERTY
+@given(family_sequences())
+# realizable under the truth, the identity map
+@example((HC5, FAMILY5, [(2, 2, 1)] + [(1, 1, 1)] * 6 + [(0, 0, 1)]))
+# the last round empties the only hypothesis's mask
+@example(
+    (
+        HypothesisClass.from_tables([(0, 0, 0)]),
+        PerturbationFamily((identity_map(3),)),
+        [(0, 0, 0), (0, 0, 1)],
+    )
+)
+# a survivor remains, but the shown input 0 lies outside U(1)
+@example((full_class(2), PerturbationFamily((identity_map(2),)), [(0, 1, 0)]))
+@example((*FAMILY_EXAMPLE, FAMILY_EXAMPLE_ROUNDS))
+def test_family_realizability_is_the_definition(game):
+    """family_expected_mistakes reads realizability off its replay's final
+    masks.  It equals the definition, read off the tables and the forward
+    sets: some member has every shown input in its perturbation set of the
+    revealed instance and a hypothesis with zero adversarial loss on every
+    revealed pair.  Members fail it by inputs outside U(x), by emptied
+    masks and on corrupted labels."""
+    hc, family, rounds = game
+    got = family_expected_mistakes(hc, family, rounds)["realizable"]
+    assert got is family_explains(hc, family.members, rounds)
 
 
 @PROPERTY

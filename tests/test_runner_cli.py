@@ -334,6 +334,8 @@ GOOD_QUERY = (OrientationQuery((0, 1)), 0)
             "clean instance 1 does not perturb to shown input 0",
         ),
         (ScriptedRobustAdversary, (1, 1, 2), "revealed label 2 is out of range"),
+        (ScriptedRobustAdversary, (2, -1, 0), "clean instance -1 is out of range"),
+        (ScriptedRobustAdversary, (1, 3, 0), "clean instance 3 is out of range"),
         (
             ScriptedOrientationAdversary,
             (OrientationQuery((0, 3)), 0),
@@ -349,8 +351,35 @@ GOOD_QUERY = (OrientationQuery((0, 1)), 0)
             (OrientationQuery((0, 1)), 2),
             "revealed side 2 is not 0 or 1",
         ),
+        (
+            ScriptedOrientationAdversary,
+            (OrientationQuery((0, 1), (-1, 1)), 0),
+            "query labels (-1, 1) are not two distinct labels",
+        ),
+        (
+            ScriptedOrientationAdversary,
+            (OrientationQuery((0, 1), (0, 2)), 0),
+            "query labels (0, 2) are not two distinct labels",
+        ),
+        (
+            ScriptedOrientationAdversary,
+            (OrientationQuery((0, 1), (1, 1)), 0),
+            "query labels (1, 1) are not two distinct labels",
+        ),
     ],
-    ids=["input-range", "input-outside-u", "label-range", "pair-range", "disjoint-pair", "side"],
+    ids=[
+        "input-range",
+        "input-outside-u",
+        "label-range",
+        "instance-negative",
+        "instance-range",
+        "pair-range",
+        "disjoint-pair",
+        "side",
+        "query-label-negative",
+        "query-label-range",
+        "query-labels-equal",
+    ],
 )
 def test_runners_reject_protocol_violations(scripted, second_round, message):
     hc, u = full_class(3), PROTOCOL_MAP

@@ -27,7 +27,7 @@ from robust_online.forecaster import (
     weight_trajectory,
 )
 from robust_online.seeding import derive_rng
-from robust_online.uncertain import _replay, sequence_realizable
+from robust_online.uncertain import _replay
 
 from reference import build_family_experts, expert_matrices
 
@@ -105,8 +105,8 @@ def test_family_bound_holds_at_loss_budget_zero():
 def test_family_experts_tolerate_foreign_inputs():
     fam = small_family(truth_index=1)
     rounds = realizable_under_truth(fam, 8, seed=0)
-    preds, losses = _replay(HC5, fam.members, rounds)
-    assert len(preds) == len(losses) == len(fam)
+    preds, losses, masks = _replay(HC5, fam.members, rounds)
+    assert len(preds) == len(losses) == len(masks) == len(fam)
     assert {len(row) for row in preds + losses} == {len(rounds)}
     assert {v for row in preds + losses for v in row} <= {0, 1}
 
@@ -115,19 +115,8 @@ def test_true_expert_keeps_its_realizable_bound():
     for truth_index in range(4):
         fam = small_family(truth_index=truth_index)
         dim = adversarial_dimension(HC5, fam.truth)
-        _, losses = _replay(HC5, fam.members, realizable_under_truth(fam, 10, seed=1))
+        _, losses, _ = _replay(HC5, fam.members, realizable_under_truth(fam, 10, seed=1))
         assert sum(losses[truth_index]) <= dim
-
-
-def test_sequence_realizable_detects_the_truth():
-    fam = small_family(truth_index=1)
-    rounds = realizable_under_truth(fam, 8, seed=2)
-    assert sequence_realizable(HC5, list(fam), rounds)
-    # impossible composite round: no member admits it with a survivor
-    broken = [(0, 0, 0), (0, 0, 1)]
-    assert not sequence_realizable(
-        HypothesisClass.from_tables([(0, 0, 0)]), [identity_map(3)], broken
-    )
 
 
 def test_mc_family_mistakes_one_seed_reports_budget_and_expert_losses():
